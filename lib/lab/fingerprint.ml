@@ -7,9 +7,13 @@ let fnv_prime = 0x100000001b3L
 
 let add_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
+(* a plain loop rather than [String.iter]: a ref captured by a closure
+   boxes every intermediate Int64, this one stays unboxed *)
 let add_string h s =
   let h = ref h in
-  String.iter (fun c -> h := add_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := add_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 (* 8 little-endian bytes per int, so adjacent ints cannot collide by
@@ -23,6 +27,7 @@ let add_int h i =
 
 let to_hex h = Printf.sprintf "%016Lx" h
 let of_string s = to_hex (add_string fnv_offset s)
+let of_strings parts = to_hex (List.fold_left add_string fnv_offset parts)
 
 let of_pairs pairs =
   let pairs = List.sort (fun (a, _) (b, _) -> compare a b) pairs in

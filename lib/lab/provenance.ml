@@ -27,6 +27,19 @@ let compute_git_describe () =
           | _ -> "unknown")
   with _ -> "unknown"
 
-let git = lazy (compute_git_describe ())
-let git_describe () = Lazy.force git
+(* computed once behind a mutex rather than a top-level [lazy]: OCaml 5
+   raises [CamlinternalLazy.Undefined] when two domains force the same
+   lazy at once, and the daemon's workers, evolve and the orchestrator
+   all stamp results from several domains *)
+let git_lock = Mutex.create ()
+let git = ref None
+
+let git_describe () =
+  Mutex.protect git_lock (fun () ->
+      match !git with
+      | Some g -> g
+      | None ->
+        let g = compute_git_describe () in
+        git := Some g;
+        g)
 let machine_factor () = Hypart_engine.Machine.normalization_factor ()

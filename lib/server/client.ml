@@ -24,6 +24,10 @@ let rec write_all fd s off len =
     | n -> write_all fd s (off + n) (len - n)
     | exception Unix.Unix_error (EINTR, _, _) -> write_all fd s off len
 
+(* a daemon that answers without reading the whole request (the
+   queue-full 503) closes with unread bytes pending, so the connection
+   may end in a reset rather than EOF; what arrived before it is still
+   the complete response *)
 let read_to_eof fd =
   let buf = Bytes.create 65536 in
   let out = Buffer.create 4096 in
@@ -34,6 +38,8 @@ let read_to_eof fd =
       Buffer.add_subbytes out buf 0 n;
       loop ()
     | exception Unix.Unix_error (EINTR, _, _) -> loop ()
+    | exception Unix.Unix_error (ECONNRESET, _, _) when Buffer.length out > 0 ->
+      Buffer.contents out
   in
   loop ()
 

@@ -33,15 +33,7 @@ let create ?(max_bytes = 512 * 1024 * 1024) () =
 (* FNV-1a 64 over the format tag and the raw request body.  The body is
    hashed as transmitted — before parsing — so a repeat submission is
    recognized without touching the parser at all. *)
-let key ~format ~body =
-  let h = ref 0xcbf29ce484222325L in
-  let fold c =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L
-  in
-  String.iter fold format;
-  fold '\x00';
-  String.iter fold body;
-  Printf.sprintf "%016Lx" !h
+let key ~format ~body = Hypart_lab.Fingerprint.of_strings [ format; "\x00"; body ]
 
 let locked t f =
   Mutex.lock t.mutex;

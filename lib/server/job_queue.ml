@@ -4,9 +4,10 @@ type 'a t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   mutable closed : bool;
+  on_length : int -> unit;
 }
 
-let create ~capacity =
+let create ?(on_length = ignore) ~capacity () =
   if capacity < 1 then invalid_arg "Job_queue.create: capacity must be >= 1";
   {
     items = Queue.create ();
@@ -14,6 +15,7 @@ let create ~capacity =
     mutex = Mutex.create ();
     nonempty = Condition.create ();
     closed = false;
+    on_length;
   }
 
 let with_lock t f =
@@ -25,6 +27,7 @@ let try_push t x =
       if t.closed || Queue.length t.items >= t.capacity then false
       else begin
         Queue.push x t.items;
+        t.on_length (Queue.length t.items);
         Condition.signal t.nonempty;
         true
       end)
@@ -34,7 +37,12 @@ let pop t =
       while Queue.is_empty t.items && not t.closed do
         Condition.wait t.nonempty t.mutex
       done;
-      if Queue.is_empty t.items then None else Some (Queue.pop t.items))
+      if Queue.is_empty t.items then None
+      else begin
+        let x = Queue.pop t.items in
+        t.on_length (Queue.length t.items);
+        Some x
+      end)
 
 let close t =
   with_lock t (fun () ->
@@ -42,4 +50,3 @@ let close t =
       Condition.broadcast t.nonempty)
 
 let length t = with_lock t (fun () -> Queue.length t.items)
-let is_closed t = with_lock t (fun () -> t.closed)

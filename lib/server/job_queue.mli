@@ -10,8 +10,10 @@
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** @raise Invalid_argument when [capacity < 1]. *)
+val create : ?on_length:(int -> unit) -> capacity:int -> unit -> 'a t
+(** [on_length] sees the new length after every push and pop, under the
+    queue's lock, so a depth gauge it feeds is never stale or reordered.
+    @raise Invalid_argument when [capacity < 1]. *)
 
 val try_push : 'a t -> 'a -> bool
 (** [false] when the queue is full or closed. *)
@@ -24,4 +26,3 @@ val close : 'a t -> unit
 (** Refuse further pushes and wake every blocked consumer; idempotent. *)
 
 val length : 'a t -> int
-val is_closed : 'a t -> bool

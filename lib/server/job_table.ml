@@ -7,7 +7,6 @@ type status =
   | Done
   | Served_cached
   | Deadline_exceeded
-  | Rejected of string
   | Failed of string
 
 let status_name = function
@@ -16,7 +15,6 @@ let status_name = function
   | Done -> "done"
   | Served_cached -> "cached"
   | Deadline_exceeded -> "deadline_exceeded"
-  | Rejected _ -> "rejected"
   | Failed _ -> "failed"
 
 type job = {
@@ -85,7 +83,7 @@ let add t ~request_id ~engine ~key ~seed ~starts =
       job)
 
 let is_terminal = function
-  | Done | Served_cached | Deadline_exceeded | Rejected _ | Failed _ -> true
+  | Done | Served_cached | Deadline_exceeded | Failed _ -> true
   | Queued | Running -> false
 
 let update t job status =
@@ -100,20 +98,13 @@ let update t job status =
 
 let find t id = with_lock t (fun () -> Hashtbl.find_opt t.by_id id)
 
-let count t status =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun _ j acc ->
-          if status_name j.status = status_name status then acc + 1 else acc)
-        t.by_id 0)
-
 let total t = with_lock t (fun () -> t.next_id - 1)
 
 let job_json t job =
   with_lock t (fun () ->
       let detail =
         match job.status with
-        | Rejected msg | Failed msg -> [ ("detail", J.string msg) ]
+        | Failed msg -> [ ("detail", J.string msg) ]
         | _ -> []
       in
       let opt name f = function Some v -> [ (name, f v) ] | None -> [] in

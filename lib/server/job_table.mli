@@ -1,5 +1,6 @@
-(** The daemon's job ledger: one record per partition request, queryable
-    at [/jobs/<id>] while the daemon lives.
+(** The daemon's job ledger: one record per admitted [POST /partition]
+    or [POST /delta] request, queryable at [/jobs/<id>] while the daemon
+    lives.  Requests rejected during validation never become jobs.
 
     Records are bounded (oldest evicted beyond [retention]) and keep
     only scalars — never the netlist or the assignment — so the table
@@ -12,7 +13,6 @@ type status =
   | Done  (** executed by an engine this lifetime *)
   | Served_cached  (** answered from the content-addressed cache *)
   | Deadline_exceeded
-  | Rejected of string  (** parse/validation failure, with the reason *)
   | Failed of string  (** engine raised; the daemon survived *)
 
 val status_name : status -> string
@@ -51,7 +51,6 @@ val update : t -> job -> status -> unit
     [exec_seconds]. *)
 
 val find : t -> int -> job option
-val count : t -> status -> int
 val total : t -> int
 
 val job_json : t -> job -> string

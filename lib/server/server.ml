@@ -105,7 +105,11 @@ let create config =
     config;
     listen_fd;
     bound_port;
-    queue = Job_queue.create ~capacity:config.queue_capacity;
+    queue =
+      Job_queue.create ~capacity:config.queue_capacity
+        ~on_length:(fun n ->
+          Metrics.set_gauge "server.queue_depth" (float_of_int n))
+        ();
     jobs = Job_table.create ~retention:config.retention;
     cache;
     instances = Instance_cache.create ~max_bytes:config.instance_cache_bytes ();
@@ -161,123 +165,121 @@ let read_request fd max_body =
 
 let error_body msg = J.obj [ ("error", J.string msg) ]
 
-let count m = if Tel.is_enabled () then Metrics.incr m
+let send_error ?headers fd status msg =
+  send_response fd ?headers ~status ~body:(error_body msg) ()
 
 (* ------------------------------------------------------------------ *)
 (* Request ids
 
    The client mints one (X-Hypart-Request-Id) so it can correlate its
    submission with daemon-side spans and events; the daemon mints one
-   for clients that send none.  Ids are decimal integers below 2^53 so
-   they survive the float-valued Trace args exactly. *)
+   the same way for clients that send none.  Ids are decimal integers
+   below 2^53 so they survive the float-valued Trace args exactly. *)
 
 let request_id_header = "X-Hypart-Request-Id"
-let rid_counter = Atomic.make 0
 
-let mint_request_id () =
-  let us = Int64.of_float (Unix.gettimeofday () *. 1e6) in
-  let c = Atomic.fetch_and_add rid_counter 1 in
-  let tag = (Unix.getpid () lxor (c * 131)) land 0x3ff in
-  Int64.to_string
-    (Int64.logand
-       (Int64.add (Int64.mul us 1024L) (Int64.of_int tag))
-       0x1F_FFFF_FFFF_FFFFL)
-
-(* Trace args are numeric; non-numeric client ids are hashed (FNV-1a)
-   so they still tag spans deterministically. *)
+(* Trace args are numeric; a non-numeric client id tags spans with the
+   top 53 bits of its lab fingerprint, deterministic and exact as a
+   float. *)
 let request_id_arg rid =
   match float_of_string_opt rid with
   | Some f when Float.is_finite f && Float.abs f < 9e15 -> f
   | _ ->
-    let h = ref 0x811c9dc5 in
-    String.iter
-      (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xFFFFFFFF)
-      rid;
-    float_of_int !h
+    let h = Int64.of_string ("0x" ^ Fingerprint.of_string rid) in
+    Int64.to_float (Int64.shift_right_logical h 11)
 
 let request_id_of req =
   match Http.header req "x-hypart-request-id" with
   | Some s when s <> "" && String.length s <= 128 -> s
-  | _ -> mint_request_id ()
+  | _ -> Client.mint_request_id ()
 
 (* ------------------------------------------------------------------ *)
 (* Request parameter parsing                                           *)
 
-exception Bad_param of string
+(* a request refused before any job exists: HTTP status and message *)
+exception Reject of int * string
 
-let param_int req name default =
+let bad msg = raise (Reject (400, msg))
+
+let param conv what req name default =
   match Http.query_param req name with
   | None -> default
   | Some s -> (
-    match int_of_string_opt s with
+    match conv s with
     | Some v -> v
-    | None -> raise (Bad_param (Printf.sprintf "%s must be an integer" name)))
+    | None -> bad (Printf.sprintf "%s must be %s" name what))
 
-let param_float req name default =
-  match Http.query_param req name with
-  | None -> default
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v -> v
-    | _ -> raise (Bad_param (Printf.sprintf "%s must be a number" name)))
+let param_int = param int_of_string_opt "an integer"
+
+let param_float =
+  let finite v = if Float.is_finite v then Some v else None in
+  param (fun s -> Option.bind (float_of_string_opt s) finite) "a number"
 
 let param_string req name default =
   Option.value ~default (Http.query_param req name)
+
+(* an enumerated parameter; the first choice is the default *)
+let param_choice req name choices =
+  let v = param_string req name (fst (List.hd choices)) in
+  match List.assoc_opt v choices with
+  | Some c -> c
+  | None ->
+    bad
+      (Printf.sprintf "unknown %s %s (%s)" name v
+         (String.concat " | " (List.map fst choices)))
+
+let param_engine req name default =
+  let name = param_string req name default in
+  match Engine.find name with
+  | Some e -> e
+  | None ->
+    bad
+      (Printf.sprintf "unknown engine %s (registered: %s)" name
+         (String.concat " | " (Engine.names ())))
+
+(* the parameters every POST endpoint shares *)
+type params = {
+  seed : int;
+  tolerance : float;
+  deadline_s : float option;  (** relative, seconds *)
+  out : [ `Json | `Plain ];
+  want_assignment : bool;
+}
+
+let parse_params req =
+  let tolerance = param_float req "tol" 0.02 in
+  if tolerance <= 0. then bad "tol must be positive";
+  let deadline_s =
+    match param_int req "deadline_ms" 0 with
+    | 0 -> None
+    | ms when ms > 0 -> Some (float_of_int ms /. 1000.)
+    | _ -> bad "deadline_ms must be positive"
+  in
+  let out = param_choice req "out" [ ("json", `Json); ("plain", `Plain) ] in
+  {
+    seed = param_int req "seed" 1;
+    tolerance;
+    deadline_s;
+    out;
+    want_assignment = param_int req "assignment" 1 <> 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Netlist decoding: the body is written to a temp file so the hardened
    Netlist_io / Bookshelf parsers (with their located errors) are
    reused verbatim. *)
 
-let with_temp_files body format parse =
-  let base = Filename.temp_file "hypart_serve" "" in
-  let written = ref [ base ] in
-  let write_file path contents =
-    let oc = open_out_bin path in
-    output_string oc contents;
-    close_out oc;
-    if path <> base then written := path :: !written
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !written)
-    (fun () ->
-      match format with
-      | `Hgr ->
-        let path = base ^ ".hgr" in
-        write_file path body;
-        parse (`File path)
-      | `Hgrb ->
-        let path = base ^ ".hgrb" in
-        write_file path body;
-        parse (`File path)
-      | `Netd ->
-        let path = base ^ ".netD" in
-        write_file path body;
-        parse (`File path)
-      | `Bookshelf ->
-        (* the two Bookshelf slots travel concatenated; the ".nets"
-           slot starts at its own "UCLA nets" header line *)
-        let marker = "UCLA nets" in
-        let split_at =
-          let n = String.length body and m = String.length marker in
-          let rec scan i =
-            if i + m > n then None
-            else if String.sub body i m = marker
-                    && (i = 0 || body.[i - 1] = '\n') then Some i
-            else scan (i + 1)
-          in
-          scan 0
-        in
-        (match split_at with
-        | None ->
-          raise
-            (Bookshelf.Parse_error
-               "bookshelf body must contain a \"UCLA nets\" section")
-        | Some i ->
-          write_file (base ^ ".nodes") (String.sub body 0 i);
-          write_file (base ^ ".nets") (String.sub body i (String.length body - i));
-          parse (`Bookshelf base)))
+(* index of the first [needle] in [hay] at or after [from] *)
+let rec find_sub ?(from = 0) hay needle =
+  let n = String.length needle in
+  if from + n > String.length hay then None
+  else if String.sub hay from n = needle then Some from
+  else find_sub ~from:(from + 1) hay needle
+
+let formats =
+  [ ("hgr", `Hgr); ("hgrb", `Hgrb); ("netd", `Netd); ("bookshelf", `Bookshelf) ]
+
+let format_tag format = fst (List.find (fun (_, f) -> f = format) formats)
 
 (* yields the hypergraph together with its lab fingerprint: text
    formats are fingerprinted after parsing; the packed binary format
@@ -285,135 +287,108 @@ let with_temp_files body format parse =
    where it was computed from the same pin arrays), so a mmap-loaded
    instance skips the refingerprint entirely *)
 let decode_netlist body format =
-  let fingerprinted h = (h, Fingerprint.of_instance h) in
-  let parse = function
-    | `File path when Filename.check_suffix path ".hgr" ->
-      fingerprinted (Io.read_hgr path)
-    | `File path when Filename.check_suffix path ".hgrb" ->
-      Instance_store.load path
-    | `File path -> fingerprinted (fst (Io.read_netd path))
-    | `Bookshelf base -> fingerprinted (fst (Bookshelf.read ~basename:base))
+  let base = Filename.temp_file "hypart_serve" "" in
+  let written = ref [ base ] in
+  let write ext contents =
+    let path = base ^ ext in
+    let oc = open_out_bin path in
+    output_string oc contents;
+    close_out oc;
+    written := path :: !written;
+    path
   in
-  with_temp_files body format parse
+  let fingerprinted h = (h, Fingerprint.of_instance h) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !written)
+    (fun () ->
+      match format with
+      | `Hgr -> fingerprinted (Io.read_hgr (write ".hgr" body))
+      | `Hgrb -> Instance_store.load (write ".hgrb" body)
+      | `Netd -> fingerprinted (fst (Io.read_netd (write ".netD" body)))
+      | `Bookshelf -> (
+        (* the two Bookshelf slots travel concatenated; the ".nets"
+           slot starts at its own "UCLA nets" header line *)
+        let marker = "UCLA nets" in
+        let split_at =
+          if String.starts_with ~prefix:marker body then Some 0
+          else Option.map succ (find_sub body ("\n" ^ marker))
+        in
+        match split_at with
+        | None ->
+          raise
+            (Bookshelf.Parse_error
+               "bookshelf body must contain a \"UCLA nets\" section")
+        | Some i ->
+          ignore (write ".nodes" (String.sub body 0 i));
+          ignore (write ".nets" (String.sub body i (String.length body - i)));
+          fingerprinted (fst (Bookshelf.read ~basename:base))))
 
 (* request-body content cache: a repeat submission of the same bytes
    (common when a campaign resubmits one huge instance under many
    seeds) reuses the parsed hypergraph and fingerprint *)
-let format_tag = function
-  | `Hgr -> "hgr"
-  | `Hgrb -> "hgrb"
-  | `Netd -> "netd"
-  | `Bookshelf -> "bookshelf"
-
 let load_instance t body format =
   let ckey = Instance_cache.key ~format:(format_tag format) ~body in
   match Instance_cache.find t.instances ckey with
   | Some (h, fp) ->
-    count "server.instance_cache_hits";
-    (h, fp, `Cache)
+    Metrics.incr "server.instance_cache_hits";
+    (h, fp, "cache")
   | None ->
     let h, fp = decode_netlist body format in
-    count "server.instance_cache_misses";
+    Metrics.incr "server.instance_cache_misses";
     Instance_cache.add t.instances ckey h ~fingerprint:fp;
-    if Tel.is_enabled () then
-      Metrics.set_gauge "server.instance_cache_bytes"
-        (float_of_int (Instance_cache.bytes t.instances));
-    (h, fp, `Parse)
+    Metrics.set_gauge "server.instance_cache_bytes"
+      (float_of_int (Instance_cache.bytes t.instances));
+    (h, fp, "parse")
 
 (* ------------------------------------------------------------------ *)
-(* POST /partition                                                     *)
+(* The request pipeline
 
-type partition_params = {
-  engine : Engine.t;
-  seed : int;
-  starts : int;
-  tolerance : float;
-  deadline_s : float option;  (** relative, seconds *)
-  format : [ `Hgr | `Hgrb | `Netd | `Bookshelf ];
-  out : [ `Json | `Plain ];
-  want_assignment : bool;
+   Every POST endpoint is [serve] applied to the endpoint's [admit]
+   function.  [admit] validates what is specific to the endpoint
+   (raising [Reject]) and describes the job: its dedup-key parts, a run
+   thunk, and the event fields, headers and JSON fields it adds to the
+   shared ones.  [serve] owns the rest, once for every endpoint:
+   request id and trace context, the reject path, the job ledger and
+   the [request.*] lifecycle events, the dedup lookup, the deadline
+   (checked at dequeue and polled through [Cancel.with_hook]), the
+   in-flight gauge, the run-store record and the response encoding. *)
+
+(* what a fresh run adds to the answer *)
+type fresh = {
+  result : Engine.Result.t;
+  seconds : float;  (** engine CPU seconds *)
+  done_fields : (string * Event_log.value) list;  (** on [request.done] *)
+  fresh_headers : (string * string) list;
+  fresh_json : (string * string) list;
 }
 
-let parse_params req =
-  let engine_name = param_string req "engine" "mlclip" in
-  let engine =
-    match Engine.find engine_name with
-    | Some e -> e
-    | None ->
-      raise
-        (Bad_param
-           (Printf.sprintf "unknown engine %s (registered: %s)" engine_name
-              (String.concat " | " (Engine.names ()))))
-  in
-  let starts = param_int req "starts" 1 in
-  if starts < 1 then raise (Bad_param "starts must be >= 1");
-  let tolerance = param_float req "tol" 0.02 in
-  if tolerance <= 0. then raise (Bad_param "tol must be positive");
-  let deadline_s =
-    match param_int req "deadline_ms" 0 with
-    | 0 -> None
-    | ms when ms > 0 -> Some (float_of_int ms /. 1000.)
-    | _ -> raise (Bad_param "deadline_ms must be positive")
-  in
-  let format =
-    match param_string req "format" "hgr" with
-    | "hgr" -> `Hgr
-    | "hgrb" -> `Hgrb
-    | "netd" -> `Netd
-    | "bookshelf" -> `Bookshelf
-    | other ->
-      raise
-        (Bad_param
-           (Printf.sprintf "unknown format %s (hgr | hgrb | netd | bookshelf)"
-              other))
-  in
-  let out =
-    match param_string req "out" "json" with
-    | "json" -> `Json
-    | "plain" -> `Plain
-    | other -> raise (Bad_param (Printf.sprintf "unknown out %s (json | plain)" other))
-  in
-  {
-    engine;
-    seed = param_int req "seed" 1;
-    starts;
-    tolerance;
-    deadline_s;
-    format;
-    out;
-    want_assignment = param_int req "assignment" 1 <> 0;
-  }
+type job_spec = {
+  engine : string;
+  config_fp : string;
+  instance_fp : string;
+  starts : int;
+  admitted_fields : (string * Event_log.value) list;
+      (** on [request.admitted] *)
+  headers : (string * string) list;  (** on every 200 answer *)
+  json : (string * string) list;  (** on every JSON answer *)
+  run : unit -> fresh;
+}
 
-(* the server-side config fingerprint: everything that parameterizes a
-   run besides engine name, instance content and seed.  "proto" is a
-   version stamp so a future protocol change invalidates old keys
-   instead of aliasing them. *)
-let config_fingerprint p =
-  Fingerprint.of_pairs
-    [
-      ("proto", "serve-v1");
-      ("tolerance", Printf.sprintf "%.9g" p.tolerance);
-      ("starts", string_of_int p.starts);
-    ]
-
-let result_headers job ~cached ~(cut : int) ~(legal : bool) ~seconds =
-  [
-    ("Content-Type", "application/json");
-    (request_id_header, job.Job_table.request_id);
-    ("X-Hypart-Job", string_of_int job.Job_table.id);
-    ("X-Hypart-Cut", string_of_int cut);
-    ("X-Hypart-Legal", if legal then "true" else "false");
-    ("X-Hypart-Cached", if cached then "true" else "false");
-    ("X-Hypart-Seconds", Printf.sprintf "%.6f" seconds);
-  ]
-
-let respond_result fd p job ~instance ~cached ~cut ~legal ~seconds ~assignment
-    =
-  (* the instance fingerprint lets the client name this instance as the
-     base of a later POST /delta without re-deriving it locally *)
+let respond fd p (job : Job_table.job) spec ~cached ~cut ~legal ~seconds
+    ?(headers = []) ?(json = []) assignment =
   let headers =
-    result_headers job ~cached ~cut ~legal ~seconds
-    @ [ ("X-Hypart-Instance", instance) ]
+    [
+      ( "Content-Type",
+        match p.out with `Json -> "application/json" | `Plain -> "text/plain" );
+      (request_id_header, job.Job_table.request_id);
+      ("X-Hypart-Job", string_of_int job.Job_table.id);
+      ("X-Hypart-Cut", string_of_int cut);
+      ("X-Hypart-Legal", string_of_bool legal);
+      ("X-Hypart-Cached", string_of_bool cached);
+      ("X-Hypart-Seconds", Printf.sprintf "%.6f" seconds);
+    ]
+    @ spec.headers @ headers
   in
   match p.out with
   | `Plain ->
@@ -432,9 +407,7 @@ let respond_result fd p job ~instance ~cached ~cut ~legal ~seconds ~assignment
         Buffer.contents b
       | None -> ""
     in
-    send_response fd
-      ~headers:(("Content-Type", "text/plain") :: List.tl headers)
-      ~status:200 ~body ()
+    send_response fd ~headers ~status:200 ~body ()
   | `Json ->
     let fields =
       [
@@ -442,12 +415,15 @@ let respond_result fd p job ~instance ~cached ~cut ~legal ~seconds ~assignment
         ("engine", J.string job.Job_table.engine);
         ("key", J.string job.Job_table.key);
         ("seed", J.int job.Job_table.seed);
-        ("starts", J.int job.Job_table.starts);
-        ("cut", J.int cut);
-        ("legal", if legal then "true" else "false");
-        ("cached", if cached then "true" else "false");
-        ("seconds", J.number seconds);
       ]
+      @ spec.json
+      @ [
+          ("cut", J.int cut);
+          ("legal", string_of_bool legal);
+          ("cached", string_of_bool cached);
+          ("seconds", J.number seconds);
+        ]
+      @ json
       @
       match assignment with
       | Some sides when p.want_assignment ->
@@ -456,192 +432,200 @@ let respond_result fd p job ~instance ~cached ~cut ~legal ~seconds ~assignment
     in
     send_response fd ~headers ~status:200 ~body:(J.obj fields) ()
 
-let run_engine p problem =
-  if p.starts = 1 then
+let add_in_flight t d =
+  let n = Atomic.fetch_and_add t.in_flight d + d in
+  Metrics.set_gauge "server.in_flight" (float_of_int n)
+
+let serve t fd (req : Http.request) accepted_s admit =
+  let rid = request_id_of req in
+  let event name fields =
+    Event_log.record name (("request_id", Event_log.Str rid) :: fields)
+  in
+  let error =
+    send_error fd
+      ~headers:[ ("Content-Type", "application/json"); (request_id_header, rid) ]
+  in
+  match
+    let p = parse_params req in
+    (p, admit ~event req p)
+  with
+  | exception Reject (status, msg) ->
+    Metrics.incr "server.bad_requests";
+    event "request.rejected" [ ("error", Event_log.Str msg) ];
+    error status msg
+  | p, spec -> (
+    let key =
+      Run_store.key ~engine:spec.engine ~config:spec.config_fp
+        ~instance:spec.instance_fp ~seed:p.seed
+    in
+    let job =
+      Job_table.add t.jobs ~request_id:rid ~engine:spec.engine ~key ~seed:p.seed
+        ~starts:spec.starts
+    in
+    let jobf = [ ("job", Event_log.Int job.Job_table.id) ] in
+    event "request.admitted"
+      (jobf
+      @ [ ("engine", Event_log.Str spec.engine); ("seed", Event_log.Int p.seed) ]
+      @ spec.admitted_fields
+      @ [ ("key", Event_log.Str key) ]);
+    let finish status ~cut ~legal ~seconds =
+      job.Job_table.cut <- Some cut;
+      job.Job_table.legal <- Some legal;
+      job.Job_table.seconds <- seconds;
+      Job_table.update t.jobs job status
+    in
+    let deadline_abs = Option.map (fun d -> accepted_s +. d) p.deadline_s in
+    let expired () =
+      match deadline_abs with Some dl -> Clock.now_s () > dl | None -> false
+    in
+    let deadline_exceeded where when_ =
+      Metrics.incr "server.deadline_exceeded";
+      Job_table.update t.jobs job Job_table.Deadline_exceeded;
+      event "request.deadline" (jobf @ [ ("where", Event_log.Str where) ]);
+      error 504 ("deadline exceeded " ^ when_)
+    in
+    match Cache.find t.cache ~key with
+    | Some r ->
+      (* duplicate submission: answered from the content-addressed
+         cache, zero engine runs *)
+      Metrics.incr "server.cache_served";
+      let cut = r.Run_store.cut and legal = r.Run_store.legal in
+      let seconds = r.Run_store.seconds in
+      finish Job_table.Served_cached ~cut ~legal ~seconds;
+      event "request.dedup_hit" (jobf @ [ ("cut", Event_log.Int cut) ]);
+      respond fd p job spec ~cached:true ~cut ~legal ~seconds None
+    | None when expired () ->
+      (* the deadline elapsed while the request waited in the queue:
+         refuse without burning engine time *)
+      deadline_exceeded "queued" "while queued"
+    | None -> (
+      Job_table.update t.jobs job Job_table.Running;
+      event "request.started" jobf;
+      add_in_flight t 1;
+      match
+        (* every span the engine emits below (fm.run, fm.pass, engine
+           multistart spans, ...) carries the request/job ids in its
+           args, and flight-recorder events emitted by the engine
+           inherit them from the same context *)
+        Fun.protect
+          ~finally:(fun () -> add_in_flight t (-1))
+          (fun () ->
+            Trace.with_context
+              [
+                ("request_id", request_id_arg rid);
+                ("job_id", float_of_int job.Job_table.id);
+              ]
+              (fun () -> Cancel.with_hook expired spec.run))
+      with
+      | f ->
+        let cut = f.result.Engine.Result.cut in
+        let legal = f.result.Engine.Result.legal in
+        let record =
+          {
+            Run_store.engine = spec.engine;
+            config = spec.config_fp;
+            instance = spec.instance_fp;
+            seed = p.seed;
+            cut;
+            legal;
+            seconds = f.seconds;
+            machine_factor = Provenance.machine_factor ();
+            git = Provenance.git_describe ();
+          }
+        in
+        Cache.add t.cache record;
+        Option.iter (fun store -> Run_store.append store record) t.store;
+        Metrics.incr "server.jobs_executed";
+        Metrics.observe "server.engine_seconds" f.seconds;
+        finish Job_table.Done ~cut ~legal ~seconds:f.seconds;
+        event "request.done"
+          (jobf
+          @ [
+              ("cut", Event_log.Int cut);
+              ("legal", Event_log.Bool legal);
+              ("seconds", Event_log.Num f.seconds);
+            ]
+          @ f.done_fields);
+        respond fd p job spec ~cached:false ~cut ~legal ~seconds:f.seconds
+          ~headers:f.fresh_headers ~json:f.fresh_json
+          (Some (Bipartition.assignment f.result.Engine.Result.solution))
+      | exception Cancel.Cancelled -> deadline_exceeded "run" "during the run"
+      | exception e ->
+        Metrics.incr "server.failures";
+        let msg = Printexc.to_string e in
+        Log.err (fun m -> m "job %d failed: %s" job.Job_table.id msg);
+        Job_table.update t.jobs job (Job_table.Failed msg);
+        event "request.failed" (jobf @ [ ("error", Event_log.Str msg) ]);
+        error 500 ("engine failed: " ^ msg)))
+
+(* ------------------------------------------------------------------ *)
+(* POST /partition                                                     *)
+
+(* the server-side config fingerprint: everything that parameterizes a
+   run besides engine name, instance content and seed.  "proto" is a
+   version stamp so a future protocol change invalidates old keys
+   instead of aliasing them. *)
+let config_fingerprint ~tolerance ~starts =
+  Fingerprint.of_pairs
+    [
+      ("proto", "serve-v1");
+      ("tolerance", Printf.sprintf "%.9g" tolerance);
+      ("starts", string_of_int starts);
+    ]
+
+let run_engine engine ~seed ~starts problem =
+  if starts = 1 then
     (* the CLI's sequential single-start path, bit for bit *)
-    Machine.cpu_time (fun () ->
-        Engine.run p.engine (Rng.create p.seed) problem None)
+    Machine.cpu_time (fun () -> Engine.run engine (Rng.create seed) problem None)
   else begin
     (* the CLI's seeded multistart: one derived seed per start, so the
        winner is identical to `partition --domains D` for every D *)
-    let seeds = List.init p.starts (fun i -> p.seed + i) in
-    let (_seed, best), records = Engine.multistart_seeds p.engine problem ~seeds in
+    let seeds = List.init starts (fun i -> seed + i) in
+    let (_seed, best), records = Engine.multistart_seeds engine problem ~seeds in
     let seconds =
       List.fold_left (fun acc r -> acc +. r.Engine.start_seconds) 0. records
     in
     (best, seconds)
   end
 
-let handle_partition t fd (req : Http.request) accepted_s =
-  let rid = request_id_of req in
-  let rid_headers =
-    [ ("Content-Type", "application/json"); (request_id_header, rid) ]
+let admit_partition t ~event (req : Http.request) p =
+  let engine = param_engine req "engine" "mlclip" in
+  let starts = param_int req "starts" 1 in
+  if starts < 1 then bad "starts must be >= 1";
+  let format = param_choice req "format" formats in
+  let h, instance, source =
+    try load_instance t req.Http.body format with
+    | Io.Parse_error msg
+    | Bookshelf.Parse_error msg
+    | Instance_store.Format_error msg
+    | Invalid_argument msg ->
+      bad ("netlist: " ^ msg)
   in
-  let event name fields =
-    Event_log.record name
-      (("request_id", Event_log.Str rid) :: fields)
-  in
-  match parse_params req with
-  | exception Bad_param msg ->
-    count "server.bad_requests";
-    event "request.rejected" [ ("error", Event_log.Str msg) ];
-    send_response fd ~headers:rid_headers ~status:400 ~body:(error_body msg) ()
-  | p -> (
-    let engine_name = Engine.name p.engine in
-    match load_instance t req.Http.body p.format with
-    | exception Io.Parse_error msg
-    | exception Bookshelf.Parse_error msg
-    | exception Instance_store.Format_error msg ->
-      count "server.bad_requests";
-      event "request.rejected" [ ("error", Event_log.Str ("netlist: " ^ msg)) ];
-      send_response fd ~headers:rid_headers ~status:400
-        ~body:(error_body ("netlist: " ^ msg)) ()
-    | exception Invalid_argument msg ->
-      count "server.bad_requests";
-      event "request.rejected" [ ("error", Event_log.Str ("netlist: " ^ msg)) ];
-      send_response fd ~headers:rid_headers ~status:400
-        ~body:(error_body ("netlist: " ^ msg)) ()
-    | h, instance_fp, source -> (
-      event "request.instance_loaded"
-        [
-          ( "source",
-            Event_log.Str
-              (match source with `Cache -> "cache" | `Parse -> "parse") );
-          ("format", Event_log.Str (format_tag p.format));
-          ("instance", Event_log.Str instance_fp);
-          ("vertices", Event_log.Int (Hypart_hypergraph.Hypergraph.num_vertices h));
-          ("edges", Event_log.Int (Hypart_hypergraph.Hypergraph.num_edges h));
-          ("pins", Event_log.Int (Hypart_hypergraph.Hypergraph.num_pins h));
-        ];
-      let problem = Problem.make ~tolerance:p.tolerance h in
-      let key =
-        Run_store.key ~engine:engine_name ~config:(config_fingerprint p)
-          ~instance:instance_fp ~seed:p.seed
-      in
-      let job =
-        Job_table.add t.jobs ~request_id:rid ~engine:engine_name ~key
-          ~seed:p.seed ~starts:p.starts
-      in
-      let jobf = [ ("job", Event_log.Int job.Job_table.id) ] in
-      event "request.admitted"
-        (jobf
-        @ [
-            ("engine", Event_log.Str engine_name);
-            ("seed", Event_log.Int p.seed);
-            ("starts", Event_log.Int p.starts);
-            ("key", Event_log.Str key);
-          ]);
-      match Cache.find t.cache ~key with
-      | Some record ->
-        (* duplicate submission: answered from the content-addressed
-           cache, zero engine runs *)
-        count "server.cache_served";
-        job.Job_table.cut <- Some record.Run_store.cut;
-        job.Job_table.legal <- Some record.Run_store.legal;
-        job.Job_table.seconds <- record.Run_store.seconds;
-        Job_table.update t.jobs job Job_table.Served_cached;
-        event "request.dedup_hit"
-          (jobf @ [ ("cut", Event_log.Int record.Run_store.cut) ]);
-        respond_result fd p job ~instance:instance_fp ~cached:true
-          ~cut:record.Run_store.cut ~legal:record.Run_store.legal
-          ~seconds:record.Run_store.seconds ~assignment:None
-      | None -> (
-        let deadline_abs = Option.map (fun d -> accepted_s +. d) p.deadline_s in
-        let expired () =
-          match deadline_abs with
-          | Some dl -> Clock.now_s () > dl
-          | None -> false
-        in
-        if expired () then begin
-          (* the deadline elapsed while the request waited in the
-             queue: refuse without burning engine time *)
-          count "server.deadline_exceeded";
-          Job_table.update t.jobs job Job_table.Deadline_exceeded;
-          event "request.deadline"
-            (jobf @ [ ("where", Event_log.Str "queued") ]);
-          send_response fd ~headers:rid_headers ~status:504
-            ~body:(error_body "deadline exceeded while queued")
-            ()
-        end
-        else begin
-          Job_table.update t.jobs job Job_table.Running;
-          event "request.started" jobf;
-          Atomic.incr t.in_flight;
-          if Tel.is_enabled () then
-            Metrics.set_gauge "server.in_flight"
-              (float_of_int (Atomic.get t.in_flight));
-          let finish () =
-            Atomic.decr t.in_flight;
-            if Tel.is_enabled () then
-              Metrics.set_gauge "server.in_flight"
-                (float_of_int (Atomic.get t.in_flight))
-          in
-          match
-            (* every span the engine emits below (fm.run, fm.pass,
-               engine multistart spans, ...) carries the request/job
-               ids in its args, and flight-recorder events emitted by
-               the engine inherit them from the same context *)
-            Fun.protect ~finally:finish (fun () ->
-                Trace.with_context
-                  [
-                    ("request_id", request_id_arg rid);
-                    ("job_id", float_of_int job.Job_table.id);
-                  ]
-                  (fun () ->
-                    Cancel.with_hook expired (fun () -> run_engine p problem)))
-          with
-          | result, seconds ->
-            let record =
-              {
-                Run_store.engine = engine_name;
-                config = config_fingerprint p;
-                instance = instance_fp;
-                seed = p.seed;
-                cut = result.Engine.Result.cut;
-                legal = result.Engine.Result.legal;
-                seconds;
-                machine_factor = Provenance.machine_factor ();
-                git = Provenance.git_describe ();
-              }
-            in
-            Cache.add t.cache record;
-            Option.iter (fun store -> Run_store.append store record) t.store;
-            count "server.jobs_executed";
-            if Tel.is_enabled () then
-              Metrics.observe "server.engine_seconds" seconds;
-            job.Job_table.cut <- Some result.Engine.Result.cut;
-            job.Job_table.legal <- Some result.Engine.Result.legal;
-            job.Job_table.seconds <- seconds;
-            Job_table.update t.jobs job Job_table.Done;
-            event "request.done"
-              (jobf
-              @ [
-                  ("cut", Event_log.Int result.Engine.Result.cut);
-                  ("legal", Event_log.Bool result.Engine.Result.legal);
-                  ("seconds", Event_log.Num seconds);
-                ]);
-            respond_result fd p job ~instance:instance_fp ~cached:false
-              ~cut:result.Engine.Result.cut ~legal:result.Engine.Result.legal
-              ~seconds
-              ~assignment:
-                (Some (Bipartition.assignment result.Engine.Result.solution))
-          | exception Cancel.Cancelled ->
-            count "server.deadline_exceeded";
-            Job_table.update t.jobs job Job_table.Deadline_exceeded;
-            event "request.deadline" (jobf @ [ ("where", Event_log.Str "run") ]);
-            send_response fd ~headers:rid_headers ~status:504
-              ~body:(error_body "deadline exceeded during the run")
-              ()
-          | exception e ->
-            count "server.failures";
-            let msg = Printexc.to_string e in
-            Log.err (fun m -> m "job %d failed: %s" job.Job_table.id msg);
-            Job_table.update t.jobs job (Job_table.Failed msg);
-            event "request.failed" (jobf @ [ ("error", Event_log.Str msg) ]);
-            send_response fd ~headers:rid_headers ~status:500
-              ~body:(error_body ("engine failed: " ^ msg))
-              ()
-        end)))
+  event "request.instance_loaded"
+    [
+      ("source", Event_log.Str source);
+      ("format", Event_log.Str (format_tag format));
+      ("instance", Event_log.Str instance);
+      ("vertices", Event_log.Int (Hypart_hypergraph.Hypergraph.num_vertices h));
+      ("edges", Event_log.Int (Hypart_hypergraph.Hypergraph.num_edges h));
+      ("pins", Event_log.Int (Hypart_hypergraph.Hypergraph.num_pins h));
+    ];
+  {
+    engine = Engine.name engine;
+    config_fp = config_fingerprint ~tolerance:p.tolerance ~starts;
+    instance_fp = instance;
+    starts;
+    admitted_fields = [ ("starts", Event_log.Int starts) ];
+    (* the instance fingerprint lets the client name this instance as
+       the base of a later POST /delta without re-deriving it locally *)
+    headers = [ ("X-Hypart-Instance", instance) ];
+    json = [ ("starts", J.int starts) ];
+    run =
+      (fun () ->
+        let problem = Problem.make ~tolerance:p.tolerance h in
+        let result, seconds = run_engine engine ~seed:p.seed ~starts problem in
+        { result; seconds; done_fields = []; fresh_headers = []; fresh_json = [] });
+  }
 
 (* ------------------------------------------------------------------ *)
 (* POST /delta
@@ -654,53 +638,6 @@ let handle_partition t fd (req : Http.request) accepted_s =
    follow-up delta can name this response's X-Hypart-Delta-Fingerprint
    as its base. *)
 
-type delta_params = {
-  d_engine : Engine.t;  (** the warm-start engine *)
-  d_scratch : Engine.t;  (** the fallback engine *)
-  d_seed : int;
-  d_tolerance : float;
-  d_radius : int;
-  d_fallback : float;
-  d_out : [ `Json | `Plain ];
-  d_want_assignment : bool;
-}
-
-let find_engine name =
-  match Engine.find name with
-  | Some e -> e
-  | None ->
-    raise
-      (Bad_param
-         (Printf.sprintf "unknown engine %s (registered: %s)" name
-            (String.concat " | " (Engine.names ()))))
-
-let parse_delta_params req =
-  let tolerance = param_float req "tol" 0.02 in
-  if tolerance <= 0. then raise (Bad_param "tol must be positive");
-  let radius = param_int req "radius" Eco.default_config.Eco.radius in
-  if radius < 0 then raise (Bad_param "radius must be >= 0");
-  let fallback =
-    param_float req "fallback_fraction" Eco.default_config.Eco.fallback_fraction
-  in
-  if not (fallback >= 0. && fallback <= 1.) then
-    raise (Bad_param "fallback_fraction must be in [0, 1]");
-  let out =
-    match param_string req "out" "json" with
-    | "json" -> `Json
-    | "plain" -> `Plain
-    | other -> raise (Bad_param (Printf.sprintf "unknown out %s (json | plain)" other))
-  in
-  {
-    d_engine = find_engine (param_string req "engine" "eco_fm");
-    d_scratch = find_engine (param_string req "scratch" "mlclip");
-    d_seed = param_int req "seed" 1;
-    d_tolerance = tolerance;
-    d_radius = radius;
-    d_fallback = fallback;
-    d_out = out;
-    d_want_assignment = param_int req "assignment" 1 <> 0;
-  }
-
 (* the prior partition participates in the dedup key: the same delta
    warm-started from a different solution is a different computation *)
 let prior_fingerprint prior =
@@ -708,268 +645,115 @@ let prior_fingerprint prior =
   Array.iteri (fun i s -> Bytes.set b i (if s = 0 then '0' else '1')) prior;
   Fingerprint.of_string (Bytes.unsafe_to_string b)
 
-let delta_config_fingerprint p ~prior_fp =
+let delta_config_fingerprint (c : Eco.config) ~scratch ~prior_fp =
   Fingerprint.of_pairs
     [
       ("proto", "delta-v1");
-      ("tolerance", Printf.sprintf "%.9g" p.d_tolerance);
-      ("radius", string_of_int p.d_radius);
-      ("fallback", Printf.sprintf "%.9g" p.d_fallback);
-      ("scratch", Engine.name p.d_scratch);
+      ("tolerance", Printf.sprintf "%.9g" c.Eco.tolerance);
+      ("radius", string_of_int c.Eco.radius);
+      ("fallback", Printf.sprintf "%.9g" c.Eco.fallback_fraction);
+      ("scratch", Engine.name scratch);
       ("prior", prior_fp);
     ]
 
 let mode_string = function Eco.Warm -> "warm" | Eco.Scratch -> "scratch"
 
-let respond_delta fd p job ~cached ~cut ~legal ~seconds ~mode ~patch
-    ~assignment =
-  let extra =
-    ("X-Hypart-Delta-Fingerprint", patch.Patch.fingerprint)
-    ::
-    (match mode with Some m -> [ ("X-Hypart-Mode", mode_string m) ] | None -> [])
+let admit_delta t ~event (req : Http.request) p =
+  let radius = param_int req "radius" Eco.default_config.Eco.radius in
+  if radius < 0 then bad "radius must be >= 0";
+  let fallback_fraction =
+    param_float req "fallback_fraction" Eco.default_config.Eco.fallback_fraction
   in
-  let headers = result_headers job ~cached ~cut ~legal ~seconds @ extra in
-  match p.d_out with
-  | `Plain ->
-    let body =
-      match assignment with
-      | Some sides ->
-        let b = Buffer.create (2 * Array.length sides) in
-        Array.iter
-          (fun s ->
-            Buffer.add_string b (string_of_int s);
-            Buffer.add_char b '\n')
-          sides;
-        Buffer.contents b
-      | None -> ""
-    in
-    send_response fd
-      ~headers:(("Content-Type", "text/plain") :: List.tl headers)
-      ~status:200 ~body ()
-  | `Json ->
-    let fields =
+  if not (fallback_fraction >= 0. && fallback_fraction <= 1.) then
+    bad "fallback_fraction must be in [0, 1]";
+  let engine = param_engine req "engine" "eco_fm" in
+  let scratch = param_engine req "scratch" "mlclip" in
+  let delta =
+    try Delta.of_string ~source:"<delta>" req.Http.body
+    with Delta.Parse_error msg -> bad ("delta: " ^ msg)
+  in
+  let base_fp =
+    match (delta.Delta.base, Http.header req "x-hypart-base") with
+    | Some (fp, _), _ | None, Some fp -> fp
+    | None, None ->
+      bad
+        "delta: no base fingerprint (add a base line or the X-Hypart-Base \
+         header)"
+  in
+  let prior =
+    match delta.Delta.prior with
+    | Some prior -> prior
+    | None ->
+      bad "delta: the request must embed a prior partition (prior <n> section)"
+  in
+  let base =
+    match Instance_cache.find_fingerprint t.instances base_fp with
+    | Some base -> base
+    | None ->
+      raise (Reject (404, Printf.sprintf "base instance %s is not resident; \
+                                          submit it first via POST /partition"
+                          base_fp))
+  in
+  let patch =
+    try Patch.apply ~base ~base_fingerprint:base_fp delta with
+    | Patch.Apply_error msg | Invalid_argument msg -> bad ("delta: " ^ msg)
+  in
+  if Array.length prior <> patch.Patch.num_base_vertices then
+    bad
+      (Printf.sprintf
+         "delta: prior has %d sides but the base instance has %d cells"
+         (Array.length prior) patch.Patch.num_base_vertices);
+  let stats = patch.Patch.stats in
+  Metrics.incr "delta.applied";
+  Metrics.observe "delta.ops" (float_of_int (Delta.num_ops delta));
+  Metrics.observe "delta.pins_touched" (float_of_int stats.Patch.pins_touched);
+  event "request.delta_applied"
+    [
+      ("base", Event_log.Str base_fp);
+      ("instance", Event_log.Str patch.Patch.fingerprint);
+      ("ops", Event_log.Int (Delta.num_ops delta));
+      ("pins_touched", Event_log.Int stats.Patch.pins_touched);
+      ("nets_added", Event_log.Int stats.Patch.nets_added);
+      ("nets_removed", Event_log.Int stats.Patch.nets_removed);
+      ("cells_added", Event_log.Int stats.Patch.cells_added);
+      ("cells_removed", Event_log.Int stats.Patch.cells_removed);
+    ];
+  (* the patched instance becomes resident under its chained
+     fingerprint, so the next delta can stack on this one *)
+  Instance_cache.add t.instances
+    ("fp:" ^ patch.Patch.fingerprint)
+    patch.Patch.hypergraph ~fingerprint:patch.Patch.fingerprint;
+  let config = { Eco.radius; fallback_fraction; tolerance = p.tolerance } in
+  {
+    engine = Engine.name engine;
+    config_fp =
+      delta_config_fingerprint config ~scratch
+        ~prior_fp:(prior_fingerprint prior);
+    instance_fp = patch.Patch.fingerprint;
+    starts = 1;
+    admitted_fields = [];
+    headers = [ ("X-Hypart-Delta-Fingerprint", patch.Patch.fingerprint) ];
+    json =
       [
-        ("job", J.int job.Job_table.id);
-        ("engine", J.string job.Job_table.engine);
-        ("key", J.string job.Job_table.key);
-        ("seed", J.int job.Job_table.seed);
         ("instance", J.string patch.Patch.fingerprint);
-        ("pins_touched", J.int patch.Patch.stats.Patch.pins_touched);
-        ("cut", J.int cut);
-        ("legal", if legal then "true" else "false");
-        ("cached", if cached then "true" else "false");
-        ("seconds", J.number seconds);
-      ]
-      @ (match mode with
-        | Some m -> [ ("mode", J.string (mode_string m)) ]
-        | None -> [])
-      @
-      match assignment with
-      | Some sides when p.d_want_assignment ->
-        [ ("assignment", J.arr (Array.to_list (Array.map J.int sides))) ]
-      | _ -> []
-    in
-    send_response fd ~headers ~status:200 ~body:(J.obj fields) ()
-
-let handle_delta t fd (req : Http.request) =
-  count "delta.requests";
-  let rid = request_id_of req in
-  let rid_headers =
-    [ ("Content-Type", "application/json"); (request_id_header, rid) ]
-  in
-  let event name fields =
-    Event_log.record name (("request_id", Event_log.Str rid) :: fields)
-  in
-  let reject ?(status = 400) msg =
-    count "server.bad_requests";
-    event "request.rejected" [ ("error", Event_log.Str msg) ];
-    send_response fd ~headers:rid_headers ~status ~body:(error_body msg) ()
-  in
-  match parse_delta_params req with
-  | exception Bad_param msg -> reject msg
-  | p -> (
-    match Delta.of_string ~source:"<delta>" req.Http.body with
-    | exception Delta.Parse_error msg -> reject ("delta: " ^ msg)
-    | delta -> (
-      let base_fp =
-        match delta.Delta.base with
-        | Some (fp, _) -> Some fp
-        | None -> Http.header req "x-hypart-base"
-      in
-      match (base_fp, delta.Delta.prior) with
-      | None, _ ->
-        reject
-          "delta: no base fingerprint (add a base line or the \
-           X-Hypart-Base header)"
-      | _, None ->
-        reject "delta: the request must embed a prior partition (prior <n> \
-                section)"
-      | Some base_fp, Some prior -> (
-        match Instance_cache.find_fingerprint t.instances base_fp with
-        | None ->
-          reject ~status:404
-            (Printf.sprintf
-               "base instance %s is not resident; submit it first via POST \
-                /partition"
-               base_fp)
-        | Some base -> (
-          match Patch.apply ~base ~base_fingerprint:base_fp delta with
-          | exception Patch.Apply_error msg -> reject ("delta: " ^ msg)
-          | exception Invalid_argument msg -> reject ("delta: " ^ msg)
-          | patch ->
-            if Array.length prior <> patch.Patch.num_base_vertices then
-              reject
-                (Printf.sprintf
-                   "delta: prior has %d sides but the base instance has %d \
-                    cells"
-                   (Array.length prior) patch.Patch.num_base_vertices)
-            else begin
-              let stats = patch.Patch.stats in
-              count "delta.applied";
-              if Tel.is_enabled () then begin
-                Metrics.observe "delta.ops"
-                  (float_of_int (Delta.num_ops delta));
-                Metrics.observe "delta.pins_touched"
-                  (float_of_int stats.Patch.pins_touched)
-              end;
-              event "request.delta_applied"
-                [
-                  ("base", Event_log.Str base_fp);
-                  ("instance", Event_log.Str patch.Patch.fingerprint);
-                  ("ops", Event_log.Int (Delta.num_ops delta));
-                  ("pins_touched", Event_log.Int stats.Patch.pins_touched);
-                  ("nets_added", Event_log.Int stats.Patch.nets_added);
-                  ("nets_removed", Event_log.Int stats.Patch.nets_removed);
-                  ("cells_added", Event_log.Int stats.Patch.cells_added);
-                  ("cells_removed", Event_log.Int stats.Patch.cells_removed);
-                ];
-              (* the patched instance becomes resident under its chained
-                 fingerprint, so the next delta can stack on this one *)
-              Instance_cache.add t.instances
-                ("fp:" ^ patch.Patch.fingerprint)
-                patch.Patch.hypergraph ~fingerprint:patch.Patch.fingerprint;
-              let engine_name = Engine.name p.d_engine in
-              let cfg =
-                delta_config_fingerprint p
-                  ~prior_fp:(prior_fingerprint prior)
-              in
-              let key =
-                Run_store.key ~engine:engine_name ~config:cfg
-                  ~instance:patch.Patch.fingerprint ~seed:p.d_seed
-              in
-              let job =
-                Job_table.add t.jobs ~request_id:rid ~engine:engine_name ~key
-                  ~seed:p.d_seed ~starts:1
-              in
-              let jobf = [ ("job", Event_log.Int job.Job_table.id) ] in
-              event "request.admitted"
-                (jobf
-                @ [
-                    ("engine", Event_log.Str engine_name);
-                    ("seed", Event_log.Int p.d_seed);
-                    ("key", Event_log.Str key);
-                  ]);
-              match Cache.find t.cache ~key with
-              | Some record ->
-                (* duplicate delta against the same base, prior and
-                   parameters: zero engine runs *)
-                count "delta.cache_served";
-                job.Job_table.cut <- Some record.Run_store.cut;
-                job.Job_table.legal <- Some record.Run_store.legal;
-                job.Job_table.seconds <- record.Run_store.seconds;
-                Job_table.update t.jobs job Job_table.Served_cached;
-                event "request.dedup_hit"
-                  (jobf @ [ ("cut", Event_log.Int record.Run_store.cut) ]);
-                respond_delta fd p job ~cached:true ~cut:record.Run_store.cut
-                  ~legal:record.Run_store.legal
-                  ~seconds:record.Run_store.seconds ~mode:None ~patch
-                  ~assignment:None
-              | None -> (
-                Job_table.update t.jobs job Job_table.Running;
-                event "request.started" jobf;
-                Atomic.incr t.in_flight;
-                if Tel.is_enabled () then
-                  Metrics.set_gauge "server.in_flight"
-                    (float_of_int (Atomic.get t.in_flight));
-                let finish () =
-                  Atomic.decr t.in_flight;
-                  if Tel.is_enabled () then
-                    Metrics.set_gauge "server.in_flight"
-                      (float_of_int (Atomic.get t.in_flight))
-                in
-                match
-                  Fun.protect ~finally:finish (fun () ->
-                      Trace.with_context
-                        [
-                          ("request_id", request_id_arg rid);
-                          ("job_id", float_of_int job.Job_table.id);
-                        ]
-                        (fun () ->
-                          Eco.run
-                            ~config:
-                              {
-                                Eco.radius = p.d_radius;
-                                fallback_fraction = p.d_fallback;
-                                tolerance = p.d_tolerance;
-                              }
-                            ~engine:p.d_engine ~scratch:p.d_scratch
-                            ~seed:p.d_seed ~prior patch))
-                with
-                | outcome ->
-                  let result = outcome.Eco.result in
-                  let seconds = outcome.Eco.seconds in
-                  let record =
-                    {
-                      Run_store.engine = engine_name;
-                      config = cfg;
-                      instance = patch.Patch.fingerprint;
-                      seed = p.d_seed;
-                      cut = result.Engine.Result.cut;
-                      legal = result.Engine.Result.legal;
-                      seconds;
-                      machine_factor = Provenance.machine_factor ();
-                      git = Provenance.git_describe ();
-                    }
-                  in
-                  Cache.add t.cache record;
-                  Option.iter
-                    (fun store -> Run_store.append store record)
-                    t.store;
-                  count "delta.executed";
-                  if Tel.is_enabled () then
-                    Metrics.observe "server.engine_seconds" seconds;
-                  job.Job_table.cut <- Some result.Engine.Result.cut;
-                  job.Job_table.legal <- Some result.Engine.Result.legal;
-                  job.Job_table.seconds <- seconds;
-                  Job_table.update t.jobs job Job_table.Done;
-                  event "request.done"
-                    (jobf
-                    @ [
-                        ("cut", Event_log.Int result.Engine.Result.cut);
-                        ("legal", Event_log.Bool result.Engine.Result.legal);
-                        ("seconds", Event_log.Num seconds);
-                        ("mode", Event_log.Str (mode_string outcome.Eco.mode));
-                        ( "free_vertices",
-                          Event_log.Int outcome.Eco.free_vertices );
-                      ]);
-                  respond_delta fd p job ~cached:false
-                    ~cut:result.Engine.Result.cut
-                    ~legal:result.Engine.Result.legal ~seconds
-                    ~mode:(Some outcome.Eco.mode) ~patch
-                    ~assignment:
-                      (Some
-                         (Bipartition.assignment result.Engine.Result.solution))
-                | exception e ->
-                  count "server.failures";
-                  let msg = Printexc.to_string e in
-                  Log.err (fun m -> m "job %d failed: %s" job.Job_table.id msg);
-                  Job_table.update t.jobs job (Job_table.Failed msg);
-                  event "request.failed"
-                    (jobf @ [ ("error", Event_log.Str msg) ]);
-                  send_response fd ~headers:rid_headers ~status:500
-                    ~body:(error_body ("engine failed: " ^ msg))
-                    ())
-            end))))
+        ("pins_touched", J.int stats.Patch.pins_touched);
+      ];
+    run =
+      (fun () ->
+        let o = Eco.run ~config ~engine ~scratch ~seed:p.seed ~prior patch in
+        let mode = mode_string o.Eco.mode in
+        {
+          result = o.Eco.result;
+          seconds = o.Eco.seconds;
+          done_fields =
+            [
+              ("mode", Event_log.Str mode);
+              ("free_vertices", Event_log.Int o.Eco.free_vertices);
+            ];
+          fresh_headers = [ ("X-Hypart-Mode", mode) ];
+          fresh_json = [ ("mode", J.string mode) ];
+        });
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -1008,20 +792,12 @@ let wants_prometheus req =
   | None -> false
   | Some accept ->
     let accept = String.lowercase_ascii accept in
-    let contains needle =
-      let n = String.length needle and m = String.length accept in
-      let rec scan i =
-        if i + n > m then false
-        else String.sub accept i n = needle || scan (i + 1)
-      in
-      scan 0
-    in
-    contains "text/plain" || contains "openmetrics"
+    find_sub accept "text/plain" <> None || find_sub accept "openmetrics" <> None
 
 let prometheus_content_type = "text/plain; version=0.0.4; charset=utf-8"
 
 let handle_request t fd (req : Http.request) accepted_s =
-  count "server.requests";
+  Metrics.incr "server.requests";
   let json = [ ("Content-Type", "application/json") ] in
   match (req.Http.meth, req.Http.path) with
   | "GET", "/healthz" ->
@@ -1038,26 +814,24 @@ let handle_request t fd (req : Http.request) accepted_s =
     let id = String.sub path 6 (String.length path - 6) in
     match int_of_string_opt id with
     | None ->
-      count "server.bad_requests";
-      send_response fd ~headers:json ~status:400
-        ~body:(error_body "job id must be an integer") ()
+      Metrics.incr "server.bad_requests";
+      send_error fd ~headers:json 400 "job id must be an integer"
     | Some id -> (
       match Job_table.find t.jobs id with
       | Some job ->
         send_response fd ~headers:json ~status:200
           ~body:(Job_table.job_json t.jobs job) ()
       | None ->
-        send_response fd ~headers:json ~status:404
-          ~body:(error_body (Printf.sprintf "no such job %d" id)) ()))
-  | "POST", "/partition" -> handle_partition t fd req accepted_s
-  | "POST", "/delta" -> handle_delta t fd req
+        send_error fd ~headers:json 404 (Printf.sprintf "no such job %d" id)))
+  | "POST", "/partition" -> serve t fd req accepted_s (admit_partition t)
+  | "POST", "/delta" ->
+    Metrics.incr "delta.requests";
+    serve t fd req accepted_s (admit_delta t)
   | _, ("/healthz" | "/metrics" | "/partition" | "/delta") ->
-    send_response fd ~headers:json ~status:405
-      ~body:(error_body "method not allowed") ()
+    send_error fd ~headers:json 405 "method not allowed"
   | _ ->
-    send_response fd ~headers:json ~status:404
-      ~body:(error_body (Printf.sprintf "no such endpoint %s" req.Http.path))
-      ()
+    send_error fd ~headers:json 404
+      (Printf.sprintf "no such endpoint %s" req.Http.path)
 
 (* lingering close: after refusing a request mid-upload (413/400) the
    client may still be writing; closing immediately would RST the
@@ -1088,40 +862,32 @@ let handle_connection t (c : conn) =
       match read_request c.fd t.config.max_body with
       | `Closed -> ()
       | `Timeout ->
-        count "server.bad_requests";
-        send_response c.fd ~status:408
-          ~body:(error_body "timed out reading the request") ()
+        Metrics.incr "server.bad_requests";
+        send_error c.fd 408 "timed out reading the request"
       | `Http_error (Http.Body_too_large limit) ->
-        count "server.rejected_oversized";
-        send_response c.fd ~status:413
-          ~body:
-            (error_body
-               (Printf.sprintf "body exceeds the %d byte limit" limit))
-          ();
+        Metrics.incr "server.rejected_oversized";
+        send_error c.fd 413
+          (Printf.sprintf "body exceeds the %d byte limit" limit);
         drain_input c.fd
       | `Http_error (Http.Bad_request msg) ->
-        count "server.bad_requests";
-        send_response c.fd ~status:400 ~body:(error_body msg) ();
+        Metrics.incr "server.bad_requests";
+        send_error c.fd 400 msg;
         drain_input c.fd
       | `Request req ->
         handle_request t c.fd req c.accepted_s;
-        if Tel.is_enabled () then
-          Metrics.observe "server.request_seconds" (Clock.now_s () -. t0))
+        Metrics.observe "server.request_seconds" (Clock.now_s () -. t0))
 
 let worker_loop t () =
   let rec loop () =
     match Job_queue.pop t.queue with
     | None -> ()  (* closed and drained: clean exit *)
     | Some conn ->
-      if Tel.is_enabled () then
-        Metrics.set_gauge "server.queue_depth"
-          (float_of_int (Job_queue.length t.queue));
       (* nothing a request does may kill the worker: parse errors are
          400s, engine failures are 500s, and anything that still
          escapes is logged and dropped with the connection *)
       (try handle_connection t conn
        with e ->
-         count "server.failures";
+         Metrics.incr "server.failures";
          Log.err (fun m ->
              m "connection handler raised: %s" (Printexc.to_string e)));
       loop ()
@@ -1148,15 +914,10 @@ let accept_loop t =
           match Unix.accept t.listen_fd with
           | fd, _ ->
             let c = { fd; accepted_s = Clock.now_s () } in
-            if Job_queue.try_push t.queue c then begin
-              if Tel.is_enabled () then
-                Metrics.set_gauge "server.queue_depth"
-                  (float_of_int (Job_queue.length t.queue))
-            end
-            else begin
+            if not (Job_queue.try_push t.queue c) then begin
               (* backpressure: a full queue answers immediately with
                  Retry-After instead of queueing invisibly *)
-              count "server.rejected_full";
+              Metrics.incr "server.rejected_full";
               (try write_all fd busy_response 0 (String.length busy_response)
                with Unix.Unix_error _ -> ());
               (try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1182,7 +943,7 @@ let run t =
   accept_loop t;
   (* graceful drain: stop admitting, finish everything admitted *)
   Log.info (fun m -> m "draining: %d queued" (Job_queue.length t.queue));
-  count "server.drains";
+  Metrics.incr "server.drains";
   Job_queue.close t.queue;
   Array.iter Domain.join workers;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());

@@ -34,6 +34,30 @@
     gracefully: admitted work completes, new work is refused, workers
     join, and the process exits 0.
 
+    [POST /partition] and [POST /delta] share one request pipeline and
+    therefore one contract.  Each endpoint only validates its own
+    parameters and body and supplies the run; the pipeline does the
+    rest for both:
+    - the request id ([X-Hypart-Request-Id], client-sent or minted) is
+      echoed, stored in the job ledger, stamped on every [request.*]
+      event and attached to every engine span;
+    - a request that fails validation is answered [400] (or [404] for a
+      [/delta] base that is not resident), counted in
+      [server.bad_requests] and logged as [request.rejected]; it never
+      becomes a job;
+    - an admitted request is a job: its dedup key is engine, config
+      fingerprint, instance fingerprint and seed, and a key already in
+      the cache is answered with zero engine runs
+      ([server.cache_served]);
+    - [deadline_ms] counts from admission; it is checked when the
+      request leaves the queue and polled during the run, and expiry
+      is answered [504] ([server.deadline_exceeded]);
+    - a fresh run is recorded in the cache and the run store and
+      counted in [server.jobs_executed]; an engine that raises is
+      answered [500] ([server.failures]);
+    - answers are JSON, or with [out=plain] the partition file with
+      all metadata in [X-Hypart-*] headers.
+
     Protocol reference: [docs/SERVER.md]. *)
 
 type config = {

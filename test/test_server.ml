@@ -127,7 +127,7 @@ let test_http_response_round_trip () =
 (* ---------------- job queue ---------------- *)
 
 let test_queue_bounds () =
-  let q = Job_queue.create ~capacity:2 in
+  let q = Job_queue.create ~capacity:2 () in
   Alcotest.(check bool) "push 1" true (Job_queue.try_push q 1);
   Alcotest.(check bool) "push 2" true (Job_queue.try_push q 2);
   Alcotest.(check bool) "push 3 rejected" false (Job_queue.try_push q 3);
@@ -136,7 +136,7 @@ let test_queue_bounds () =
   Alcotest.(check bool) "room again" true (Job_queue.try_push q 4)
 
 let test_queue_close_drains () =
-  let q = Job_queue.create ~capacity:4 in
+  let q = Job_queue.create ~capacity:4 () in
   ignore (Job_queue.try_push q 1);
   ignore (Job_queue.try_push q 2);
   Job_queue.close q;
@@ -146,7 +146,7 @@ let test_queue_close_drains () =
   Alcotest.(check (option int)) "then None" None (Job_queue.pop q)
 
 let test_queue_blocking_pop () =
-  let q = Job_queue.create ~capacity:1 in
+  let q = Job_queue.create ~capacity:1 () in
   let d = Domain.spawn (fun () -> Job_queue.pop q) in
   Unix.sleepf 0.02;
   ignore (Job_queue.try_push q 42);
@@ -409,6 +409,11 @@ let test_serve_dedup_zero_runs () =
 
 (* ---------------- parsed-instance cache ---------------- *)
 
+(* instance-cache keys as earlier daemons computed them *)
+let test_icache_key_golden () =
+  Alcotest.(check string) "tiny hgr" "32860053fb08ccf2"
+    (Instance_cache.key ~format:"hgr" ~body:tiny_hgr)
+
 let test_icache_lru () =
   let h = parse_tiny () in
   let key i = Instance_cache.key ~format:"hgr" ~body:(string_of_int i) in
@@ -500,26 +505,35 @@ let test_serve_queue_full_503 () =
   with_server ~workers:1 ~queue_capacity:1 (fun _server port ->
       Atomic.set gate_open false;
       Atomic.set gate_entered 0;
-      let a =
-        Domain.spawn (fun () -> submit ~query:"&engine=test-gate&seed=1" port)
-      in
-      (* the worker is provably inside the gated engine... *)
-      while Atomic.get gate_entered < 1 do
-        Unix.sleepf 0.002
-      done;
-      (* ...and B is provably in the queue (depth gauge is set by the
-         accept loop after a successful push) *)
-      let b = Domain.spawn (fun () -> get port "/healthz") in
-      while Hypart_telemetry.Metrics.gauge_value "server.queue_depth" < 1. do
-        Unix.sleepf 0.002
-      done;
-      let c = get port "/healthz" in
-      Alcotest.(check int) "C rejected" 503 c.Http.status;
-      Alcotest.(check string) "Retry-After present" "1" (hdr c "retry-after");
-      Atomic.set gate_open true;
-      let a = Domain.join a and b = Domain.join b in
-      Alcotest.(check int) "A completed" 200 a.Http.status;
-      Alcotest.(check int) "B completed" 200 b.Http.status)
+      (* a failure below must still release the gated worker, or the
+         server's drain waits on it forever *)
+      Fun.protect
+        ~finally:(fun () -> Atomic.set gate_open true)
+        (fun () ->
+          let a =
+            Domain.spawn (fun () ->
+                submit ~query:"&engine=test-gate&seed=1" port)
+          in
+          (* the worker is provably inside the gated engine... *)
+          while Atomic.get gate_entered < 1 do
+            Unix.sleepf 0.002
+          done;
+          (* ...and B is provably in the queue (depth gauge is set by the
+             accept loop after a successful push) *)
+          let b = Domain.spawn (fun () -> get port "/healthz") in
+          while
+            Hypart_telemetry.Metrics.gauge_value "server.queue_depth" < 1.
+          do
+            Unix.sleepf 0.002
+          done;
+          let c = get port "/healthz" in
+          Alcotest.(check int) "C rejected" 503 c.Http.status;
+          Alcotest.(check string) "Retry-After present" "1"
+            (hdr c "retry-after");
+          Atomic.set gate_open true;
+          let a = Domain.join a and b = Domain.join b in
+          Alcotest.(check int) "A completed" 200 a.Http.status;
+          Alcotest.(check int) "B completed" 200 b.Http.status))
 
 let test_serve_deadline_504 () =
   with_server ~workers:1 (fun _server port ->
@@ -893,6 +907,124 @@ let test_serve_delta_rejections () =
       in
       Alcotest.(check int) "header base accepted" 200 via_header.Http.status)
 
+(* a delta warm-started from [tiny_prior] that touches a cell, so the
+   ECO engine really runs *)
+let tiny_delta fp = Printf.sprintf "HGRD 1\nbase %s\nreweight 1 3\n%s" fp tiny_prior
+
+(* /delta shares /partition's deadline contract: a deadline that
+   expires while the request waits behind a busy worker is answered
+   504 without running the engine *)
+let test_serve_delta_deadline_queued () =
+  with_server ~workers:1 (fun _server port ->
+      let fp = hdr (submit ~query:"&engine=flat&seed=10" port) "x-hypart-instance" in
+      Atomic.set gate_open false;
+      Atomic.set gate_entered 0;
+      Fun.protect
+        ~finally:(fun () -> Atomic.set gate_open true)
+        (fun () ->
+          let a =
+            Domain.spawn (fun () ->
+                submit ~query:"&engine=test-gate&seed=12" port)
+          in
+          while Atomic.get gate_entered < 1 do
+            Unix.sleepf 0.002
+          done;
+          Atomic.set count_runs 0;
+          let b =
+            Domain.spawn (fun () ->
+                post_delta
+                  ~query:"&engine=test-count&scratch=test-count&deadline_ms=40"
+                  port (tiny_delta fp))
+          in
+          Unix.sleepf 0.12;
+          Atomic.set gate_open true;
+          let a = Domain.join a and b = Domain.join b in
+          Alcotest.(check int) "gated job fine" 200 a.Http.status;
+          Alcotest.(check int) "queued delta expired" 504 b.Http.status;
+          Alcotest.(check int) "zero engine runs" 0 (Atomic.get count_runs)))
+
+(* ...and a running delta polls the same cancellation hook *)
+let test_serve_delta_deadline_mid_run () =
+  with_server ~workers:1 (fun _server port ->
+      let fp = hdr (submit ~query:"&engine=flat&seed=11" port) "x-hypart-instance" in
+      let resp =
+        post_delta ~query:"&engine=test-poll&scratch=test-poll&deadline_ms=60"
+          port (tiny_delta fp)
+      in
+      Alcotest.(check int) "expired mid-run" 504 resp.Http.status)
+
+(* both endpoints count fresh runs and dedup hits in the same counters *)
+let test_serve_delta_counters () =
+  with_server (fun _server port ->
+      let counter = Hypart_telemetry.Metrics.counter_value in
+      let fp = hdr (submit ~query:"&engine=flat&seed=12" port) "x-hypart-instance" in
+      let executed0 = counter "server.jobs_executed" in
+      let served0 = counter "server.cache_served" in
+      let fresh = post_delta ~query:"&seed=7" port (tiny_delta fp) in
+      Alcotest.(check string) "fresh" "false" (hdr fresh "x-hypart-cached");
+      let dup = post_delta ~query:"&seed=7" port (tiny_delta fp) in
+      Alcotest.(check string) "dup cached" "true" (hdr dup "x-hypart-cached");
+      Alcotest.(check int) "one fresh run counted" (executed0 + 1)
+        (counter "server.jobs_executed");
+      Alcotest.(check int) "one dedup hit counted" (served0 + 1)
+        (counter "server.cache_served"))
+
+(* dedup keys address persistent --store directories: these are the
+   keys earlier daemons wrote for the same requests, so a change here
+   would orphan every existing store *)
+let test_serve_golden_keys () =
+  with_server (fun _server port ->
+      let key resp =
+        match Mini_json.member "key" (Mini_json.parse resp.Http.resp_body) with
+        | Some (Mini_json.Str k) -> k
+        | _ -> Alcotest.fail "answer without a key field"
+      in
+      let base = submit ~query:"&engine=flat&seed=9" port in
+      Alcotest.(check string) "/partition key"
+        "flat/2b05e45156ea17ca/e6ae77df4e998d81/9" (key base);
+      let delta =
+        post_delta port
+          (Printf.sprintf "HGRD 1\nbase %s\naddnet 1 2 3\n%s"
+             (hdr base "x-hypart-instance") tiny_prior)
+      in
+      Alcotest.(check string) "/delta key"
+        "eco_fm/d7a8ce714d3efc56/9ded6495ad6b9cf4/1" (key delta))
+
+(* a non-numeric client id still tags engine spans with one exact,
+   integral trace arg below 2^53 *)
+let test_serve_text_request_id () =
+  Hypart_telemetry.Trace.reset ();
+  Hypart_telemetry.Control.enable ();
+  Fun.protect ~finally:Hypart_telemetry.Control.disable (fun () ->
+      with_server (fun _server port ->
+          let go seed =
+            match
+              Client.http_request ~host:"127.0.0.1" ~port ~meth:"POST"
+                ~path:(Printf.sprintf "/partition?engine=flat&seed=%d" seed)
+                ~headers:[ ("X-Hypart-Request-Id", "trace-abc") ]
+                ~body:tiny_hgr ()
+            with
+            | Ok resp ->
+              Alcotest.(check string) "echoed" "trace-abc"
+                (hdr resp "x-hypart-request-id")
+            | Error msg -> Alcotest.fail ("transport: " ^ msg)
+          in
+          go 13;
+          go 14;
+          let args =
+            List.filter_map
+              (fun e ->
+                if e.Hypart_telemetry.Trace.name = "fm.run" then
+                  List.assoc_opt "request_id" e.Hypart_telemetry.Trace.args
+                else None)
+              (Hypart_telemetry.Trace.events ())
+          in
+          Alcotest.(check int) "both runs tagged" 2 (List.length args);
+          let a = List.hd args in
+          Alcotest.(check bool) "integral, below 2^53" true
+            (Float.is_integer a && a >= 0. && a < 9007199254740992.);
+          List.iter (Alcotest.(check (float 0.)) "same id, same arg" a) args))
+
 (* ---------------- fleet ---------------- *)
 
 let with_two_servers f =
@@ -1154,6 +1286,8 @@ let () =
           Alcotest.test_case "served = offline" `Quick test_serve_matches_offline;
           Alcotest.test_case "dedup zero runs" `Quick test_serve_dedup_zero_runs;
           Alcotest.test_case "instance cache LRU" `Quick test_icache_lru;
+          Alcotest.test_case "instance cache key golden" `Quick
+            test_icache_key_golden;
           Alcotest.test_case "instance cache reuse" `Quick
             test_serve_instance_cache;
           Alcotest.test_case "hgrb format" `Quick test_serve_hgrb_format;
@@ -1170,6 +1304,9 @@ let () =
           Alcotest.test_case "event lifecycle" `Quick
             test_serve_event_lifecycle;
           Alcotest.test_case "shutdown drains" `Quick test_serve_shutdown_drains;
+          Alcotest.test_case "golden dedup keys" `Quick test_serve_golden_keys;
+          Alcotest.test_case "text request id" `Quick
+            test_serve_text_request_id;
         ] );
       ( "delta",
         [
@@ -1178,5 +1315,10 @@ let () =
           Alcotest.test_case "dedup zero runs" `Quick
             test_serve_delta_dedup_zero_runs;
           Alcotest.test_case "rejections" `Quick test_serve_delta_rejections;
+          Alcotest.test_case "deadline while queued" `Quick
+            test_serve_delta_deadline_queued;
+          Alcotest.test_case "deadline mid-run" `Quick
+            test_serve_delta_deadline_mid_run;
+          Alcotest.test_case "shared counters" `Quick test_serve_delta_counters;
         ] );
     ]
