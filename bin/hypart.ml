@@ -1175,7 +1175,11 @@ let instance_payload input scale =
   then (read_file input, "netd")
   else if Filename.check_suffix input ".nodes" then
     let base = Filename.remove_extension input in
-    (read_file (base ^ ".nodes") ^ read_file (base ^ ".nets"), "bookshelf")
+    let nodes = read_file (base ^ ".nodes") in
+    (* the daemon finds the .nets slot by its header at a line start,
+       so a .nodes file without a trailing newline needs one *)
+    let sep = if String.ends_with ~suffix:"\n" nodes then "" else "\n" in
+    (nodes ^ sep ^ read_file (base ^ ".nets"), "bookshelf")
   else begin
     let h = Suite.instance ~scale input in
     let tmp = Filename.temp_file "hypart_submit" ".hgr" in

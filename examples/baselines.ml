@@ -13,6 +13,8 @@ module Problem = Hypart_partition.Problem
 module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module Ml = Hypart_multilevel.Ml_partitioner
+module Ml_engines = Hypart_multilevel.Ml_engines
+module Engine = Hypart_engine.Engine
 module Kl = Hypart_kl.Kl
 module Spectral = Hypart_spectral.Spectral
 module Pareto = Hypart_stats.Pareto
@@ -61,11 +63,13 @@ let () =
             (r.Fm.cut, r.Fm.solution)) );
       ( "ML CLIP x8 + V",
         timed (fun () ->
+            let rng = Rng.create 1 in
             let r, _ =
-              Ml.multistart ~config:Ml.ml_clip ~vcycle_best:1 (Rng.create 1)
-                problem ~starts:8
+              Engine.multistart
+                ~polish_best:(Ml_engines.vcycle_polish ~config:Ml.ml_clip rng problem)
+                Ml_engines.mlclip rng problem ~starts:8
             in
-            (r.Fm.cut, r.Fm.solution)) );
+            (r.Engine.Result.cut, r.Engine.Result.solution)) );
     ]
   in
   Printf.printf "%-16s %8s %10s %14s\n" "heuristic" "cut" "CPU s" "split %";

@@ -9,6 +9,8 @@ module Objective = Hypart_partition.Objective
 module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module Ml = Hypart_multilevel.Ml_partitioner
+module Ml_engines = Hypart_multilevel.Ml_engines
+module Engine = Hypart_engine.Engine
 module Suite = Hypart_generator.Ibm_suite
 
 let () =
@@ -52,10 +54,13 @@ let () =
   report "ML CLIP" (Ml.run ~config:Ml.ml_clip (Rng.create 7) problem);
 
   (* 4. Multistart: 8 independent ML starts, keep the best, V-cycle it. *)
+  let rng = Rng.create 9 in
   let best, records =
-    Ml.multistart ~config:Ml.ml_clip ~vcycle_best:1 (Rng.create 9) problem
-      ~starts:8
+    Engine.multistart
+      ~polish_best:(Ml_engines.vcycle_polish ~config:Ml.ml_clip rng problem)
+      Ml_engines.mlclip rng problem ~starts:8
   in
-  Printf.printf "multistart best-of-8 + V-cycle: cut %d\n" best.Fm.cut;
+  Printf.printf "multistart best-of-8 + V-cycle: cut %d\n" best.Engine.Result.cut;
   Printf.printf "per-start cuts: %s\n"
-    (String.concat " " (List.map (fun r -> string_of_int r.Fm.start_cut) records))
+    (String.concat " "
+       (List.map (fun r -> string_of_int r.Engine.start_cut) records))

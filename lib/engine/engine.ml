@@ -64,90 +64,67 @@ let find_exn n =
          (String.concat " | " (names ())))
 
 (* ------------------------------------------------------------------ *)
-(* Generic multistart combinators                                      *)
+(* Multistart combinators                                              *)
 
 type start = { start_cut : int; start_seconds : float }
 
-let note_start ~metrics_prefix r =
+let note_start r =
   if Tel.is_enabled () then begin
-    Metrics.incr (metrics_prefix ^ ".starts");
-    Metrics.observe (metrics_prefix ^ ".start_cut") (float_of_int r.start_cut);
-    Metrics.observe (metrics_prefix ^ ".start_seconds") r.start_seconds
+    Metrics.incr "engine.starts";
+    Metrics.observe "engine.start_cut" (float_of_int r.start_cut);
+    Metrics.observe "engine.start_seconds" r.start_seconds
   end
 
-let best_of_starts ?(metrics_prefix = "engine") ~starts ~better ~cut_of f =
-  if starts < 1 then invalid_arg "Engine.best_of_starts: starts must be >= 1";
+(* Run [starts] timed starts, keeping the first result no later one
+   betters; per-start records come back in execution order. *)
+let timed_starts ~starts start =
   let best = ref None and records = ref [] in
   for _ = 1 to starts do
     Cancel.check ();
-    let r, dt = Machine.cpu_time f in
-    let record = { start_cut = cut_of r; start_seconds = dt } in
+    let (r : Result.t), dt = Machine.cpu_time start in
+    let record = { start_cut = r.Result.cut; start_seconds = dt } in
     records := record :: !records;
-    note_start ~metrics_prefix record;
+    note_start record;
     match !best with
-    | Some b when not (better r b) -> ()
+    | Some b when not (Result.better r b) -> ()
     | _ -> best := Some r
   done;
   (Option.get !best, List.rev !records)
 
-let pruned_starts ?(metrics_prefix = "engine") ?(prune_factor = 1.5) ~starts
-    ~better ~cut_of ~legal ~peek ~full () =
-  if starts < 1 then invalid_arg "Engine.pruned_starts: starts must be >= 1";
-  if prune_factor < 1.0 then
-    invalid_arg "Engine.pruned_starts: prune_factor must be >= 1";
-  let best = ref None and records = ref [] and pruned = ref 0 in
-  let best_cut () =
-    match !best with Some b when legal b -> cut_of b | _ -> max_int
-  in
-  for _ = 1 to starts do
-    Cancel.check ();
-    let r, dt =
-      Machine.cpu_time (fun () ->
-          let p = peek () in
-          let threshold =
-            let b = best_cut () in
-            if b = max_int then max_int
-            else int_of_float (prune_factor *. float_of_int b)
-          in
-          if cut_of p > threshold then begin
-            incr pruned;
-            p
-          end
-          else full p)
-    in
-    let record = { start_cut = cut_of r; start_seconds = dt } in
-    records := record :: !records;
-    note_start ~metrics_prefix record;
-    (match !best with
-    | Some b when not (better r b) -> ()
-    | _ -> best := Some r)
-  done;
-  if Tel.is_enabled () then
-    Metrics.incr (metrics_prefix ^ ".starts_pruned") ~by:!pruned;
-  (Option.get !best, List.rev !records, !pruned)
-
-(* ------------------------------------------------------------------ *)
-(* Engine-level combinators                                            *)
-
-let result_cut (r : Result.t) = r.Result.cut
-let result_legal (r : Result.t) = r.Result.legal
-
 let multistart ?polish_best (engine : t) rng problem ~starts =
-  let (module E : S) = engine in
-  let best, records =
-    best_of_starts ~starts ~better:Result.better ~cut_of:result_cut (fun () ->
-        E.run rng problem None)
-  in
+  if starts < 1 then invalid_arg "Engine.multistart: starts must be >= 1";
+  let best, records = timed_starts ~starts (fun () -> run engine rng problem None) in
   let best = match polish_best with None -> best | Some f -> f best in
   (best, records)
 
-let multistart_pruned ?prune_factor ~peek (engine : t) rng problem ~starts =
-  let (module E : S) = engine in
-  pruned_starts ?prune_factor ~starts ~better:Result.better ~cut_of:result_cut
-    ~legal:result_legal
-    ~peek:(fun () -> peek rng problem)
-    ~full:(fun p -> E.run rng problem (Some p.Result.solution))
-    ()
+let multistart_pruned ?(prune_factor = 1.5) ~peek (engine : t) rng problem
+    ~starts =
+  if starts < 1 then invalid_arg "Engine.multistart_pruned: starts must be >= 1";
+  if prune_factor < 1.0 then
+    invalid_arg "Engine.multistart_pruned: prune_factor must be >= 1";
+  let best_legal_cut = ref max_int and pruned = ref 0 in
+  let best, records =
+    timed_starts ~starts (fun () ->
+        let p = peek rng problem in
+        let threshold =
+          if !best_legal_cut = max_int then max_int
+          else int_of_float (prune_factor *. float_of_int !best_legal_cut)
+        in
+        let r =
+          if p.Result.cut > threshold then begin
+            incr pruned;
+            p
+          end
+          else run engine rng problem (Some p.Result.solution)
+        in
+        (* the best result's cut once any start was legal: legality
+           ranks first in [Result.better] *)
+        if r.Result.legal && r.Result.cut < !best_legal_cut then
+          best_legal_cut := r.Result.cut;
+        r)
+  in
+  Metrics.incr "engine.starts_pruned" ~by:!pruned;
+  (best, records, !pruned)
 
 let with_vcycles ~name:wrapped_name ?description:desc ~rounds ~vcycle engine =
   if rounds < 0 then invalid_arg "Engine.with_vcycles: rounds must be >= 0";
@@ -192,22 +169,22 @@ let pick_best seeds results =
     None seeds results
   |> Option.get
 
-let finish_seeds ~metrics_prefix seeds results =
+let finish_seeds seeds results =
   let records =
     List.map
       (fun ((r : Result.t), dt) ->
         { start_cut = r.Result.cut; start_seconds = dt })
       results
   in
-  List.iter (note_start ~metrics_prefix) records;
+  List.iter note_start records;
   (pick_best seeds results, records)
 
 let multistart_seeds (engine : t) problem ~seeds =
   if seeds = [] then invalid_arg "Engine.multistart_seeds: empty seed list";
   let results = List.map (run_seed engine problem) seeds in
-  finish_seeds ~metrics_prefix:"engine" seeds results
+  finish_seeds seeds results
 
 let multistart_parallel ?domains (engine : t) problem ~seeds =
   if seeds = [] then invalid_arg "Engine.multistart_parallel: empty seed list";
   let results = Parallel.map_seeds ?domains ~seeds (run_seed engine problem) in
-  finish_seeds ~metrics_prefix:"engine" seeds results
+  finish_seeds seeds results

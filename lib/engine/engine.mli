@@ -86,71 +86,7 @@ val names : unit -> string list
 val all : unit -> t list
 (** Registered engines, sorted by name. *)
 
-(** {1 Generic multistart combinators}
-
-    The polymorphic cores ({!best_of_starts}, {!pruned_starts}) are
-    shared by engines whose native result type is not {!Result.t}
-    (e.g. [Fm.multistart] keeps returning [Fm.result]).  All timing
-    uses {!Machine.cpu_time}, so Tables 4–5 normalization applies
-    uniformly. *)
-
-type start = { start_cut : int; start_seconds : float }
-(** Outcome of one independent start: its final cut and its CPU time. *)
-
-val best_of_starts :
-  ?metrics_prefix:string ->
-  starts:int ->
-  better:('a -> 'a -> bool) ->
-  cut_of:('a -> int) ->
-  (unit -> 'a) ->
-  'a * start list
-(** Run [f] [starts] times, keeping the first result that no later one
-    betters.  Per-start cut/seconds are recorded (and emitted as
-    [<prefix>.starts] / [<prefix>.start_cut] / [<prefix>.start_seconds]
-    metrics; default prefix ["engine"]). *)
-
-val pruned_starts :
-  ?metrics_prefix:string ->
-  ?prune_factor:float ->
-  starts:int ->
-  better:('a -> 'a -> bool) ->
-  cut_of:('a -> int) ->
-  legal:('a -> bool) ->
-  peek:(unit -> 'a) ->
-  full:('a -> 'a) ->
-  unit ->
-  'a * start list * int
-(** Multistart with the §3.2 pruning trick: each start first runs the
-    cheap [peek]; if its cut exceeds [prune_factor] (default 1.5) times
-    the best legal completed start so far, the start is abandoned,
-    otherwise [full] continues it to convergence.  Returns the best
-    result, per-start records (pruned starts report their peek cut) and
-    the number of starts pruned. *)
-
-(** {1 Engine-level combinators} *)
-
-val multistart :
-  ?polish_best:(Result.t -> Result.t) ->
-  t ->
-  Hypart_rng.Rng.t ->
-  Hypart_partition.Problem.t ->
-  starts:int ->
-  Result.t * start list
-(** [starts] independent self-started runs; [polish_best] (e.g. a
-    V-cycle pass) is applied once to the winner.  Per-start records are
-    in execution order, before polishing. *)
-
-val multistart_pruned :
-  ?prune_factor:float ->
-  peek:(Hypart_rng.Rng.t -> Hypart_partition.Problem.t -> Result.t) ->
-  t ->
-  Hypart_rng.Rng.t ->
-  Hypart_partition.Problem.t ->
-  starts:int ->
-  Result.t * start list * int
-(** {!pruned_starts} over an engine: [peek] produces the cheap probe
-    (typically a one-pass run); survivors continue from the probe's
-    solution via the engine's [run]. *)
+(** {1 Wrappers} *)
 
 val with_vcycles :
   name:string ->
@@ -165,6 +101,52 @@ val with_vcycles :
   t
 (** Wrap an engine so each run is followed by up to [rounds] V-cycles,
     stopping early when one fails to improve. *)
+
+(** {1 Multistart}
+
+    The only multistart entry points: {!multistart},
+    {!multistart_pruned}, {!multistart_seeds} and
+    {!multistart_parallel}.  Every per-start CPU time comes from
+    {!Machine.cpu_time}, so Tables 4–5 normalization applies uniformly,
+    and every start is recorded as [engine.starts] /
+    [engine.start_cut] / [engine.start_seconds] metrics.  Each checks
+    {!Cancel} between starts. *)
+
+type start = { start_cut : int; start_seconds : float }
+(** Outcome of one independent start: its final cut and its CPU time. *)
+
+val multistart :
+  ?polish_best:(Result.t -> Result.t) ->
+  t ->
+  Hypart_rng.Rng.t ->
+  Hypart_partition.Problem.t ->
+  starts:int ->
+  Result.t * start list
+(** [starts] independent self-started runs sharing [rng], keeping the
+    first result no later one betters ({!Result.better});
+    [polish_best] (e.g. [Ml_engines.vcycle_polish], the Tables 4–5
+    V-cycle of the best start) is applied once to the winner.
+    Per-start records are in execution order, before polishing.
+    @raise Invalid_argument when [starts < 1]. *)
+
+val multistart_pruned :
+  ?prune_factor:float ->
+  peek:(Hypart_rng.Rng.t -> Hypart_partition.Problem.t -> Result.t) ->
+  t ->
+  Hypart_rng.Rng.t ->
+  Hypart_partition.Problem.t ->
+  starts:int ->
+  Result.t * start list * int
+(** Multistart with the §3.2 pruning trick ("early termination of
+    starts that appear unpromising relative to previous starts"): each
+    start first runs the cheap [peek] (typically
+    [Fm_engines.one_pass_peek]); if its cut exceeds [prune_factor]
+    (default 1.5) times the best legal cut so far, the start is
+    abandoned, otherwise the engine's [run] continues from the peek's
+    solution.  Returns the best result, per-start records (pruned
+    starts report their peek cut) and the number of starts pruned
+    ([engine.starts_pruned]).
+    @raise Invalid_argument when [starts < 1] or [prune_factor < 1]. *)
 
 (** {1 Seeded multistart — sequential and parallel}
 

@@ -1,4 +1,3 @@
-module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
 module Trace = Hypart_telemetry.Trace
 
@@ -27,14 +26,14 @@ let map_seeds ?domains ~seeds f =
       done;
       Trace.end_span "parallel.worker"
         ~args:[ ("block", float_of_int d); ("seeds", float_of_int (hi - lo)) ];
-      if Tel.is_enabled () then Metrics.incr "parallel.seeds" ~by:(hi - lo)
+      Metrics.incr "parallel.seeds" ~by:(hi - lo)
     in
     Trace.begin_span "parallel.map_seeds";
     let handles = Array.init domains (fun d -> Domain.spawn (worker d)) in
     Array.iter Domain.join handles;
     Trace.end_span "parallel.map_seeds"
       ~args:[ ("domains", float_of_int domains); ("seeds", float_of_int n) ];
-    if Tel.is_enabled () then Metrics.incr "parallel.fanouts";
+    Metrics.incr "parallel.fanouts";
     Array.to_list
       (Array.map
          (function Some r -> r | None -> assert false)

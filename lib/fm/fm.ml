@@ -29,20 +29,14 @@ type result = {
   stats : stats;
 }
 
-type start_record = Hypart_engine.Engine.start = {
-  start_cut : int;
-  start_seconds : float;
-}
-
 (* Test hook: force the all-deltas-zero shortcut in [apply_move] off so
    property tests can check it never changes results (it is sound for
    [Nonzero_only] and must never fire under [All_delta_gain]). *)
 let zero_delta_fast_path = ref true
 
-(* Mutable per-run state.  The O(V+E) arrays live in the (possibly
-   caller-provided, reused) workspace; the CSR slices are zero-copy
-   views of the hypergraph so the hot loops below are flat index loops
-   with no closure calls.  [count0/count1.(e)] is the number of pins of
+(* Mutable per-run state.  The O(V+E) arrays live in the domain's
+   workspace; the CSR slices are zero-copy views of the hypergraph so
+   the hot loops below are flat index loops with no closure calls.  [count0/count1.(e)] is the number of pins of
    net [e] on that side; [gain.(v)] is the actual gain (cut decrease)
    of moving [v]; for CLIP the container key is the cumulative delta
    gain [gain.(v) - initial_gain.(v)] instead. *)
@@ -430,18 +424,9 @@ let pass st =
   else st.cur_cut <- cut_from_counts st;
   (!best_cut, !n_applied, undo)
 
-let run ?(config = Fm_config.default) ?workspace rng problem initial =
+let run ?(config = Fm_config.default) rng problem initial =
   let h = problem.Problem.hypergraph in
-  let ws =
-    match workspace with
-    | Some ws ->
-      if not (Fm_workspace.fits ws h) then
-        invalid_arg "Fm.run: workspace smaller than the problem";
-      Fm_workspace.prepare ws ~insertion:config.Fm_config.insertion ~rng h;
-      if Tel.is_enabled () then Metrics.incr "fm.workspace_reuses";
-      ws
-    | None -> Fm_workspace.create ~insertion:config.Fm_config.insertion ~rng h
-  in
+  let ws = Fm_workspace.acquire ~insertion:config.Fm_config.insertion ~rng h in
   let ops0 = Gain_container.ops ws.Fm_workspace.container in
   let st =
     {
@@ -479,8 +464,8 @@ let run ?(config = Fm_config.default) ?workspace rng problem initial =
      while !improving && !n_passes < config.Fm_config.max_passes do
        (* cooperative cancellation (deadlines in [hypart serve]): the
           natural safe point is the pass boundary — counts, cut and the
-          solution are consistent there, and the workspace re-prepares
-          on the next run either way *)
+          solution are consistent there, and the domain's workspace is
+          re-prepared by the next run either way *)
        Hypart_engine.Cancel.check ();
        Trace.begin_span "fm.pass";
        let pass_best, pass_moves, rollback = pass st in
@@ -566,40 +551,5 @@ let run ?(config = Fm_config.default) ?workspace rng problem initial =
       };
   }
 
-let run_random_start ?(config = Fm_config.default) ?workspace rng problem =
-  let initial = Initial.random rng problem in
-  run ~config ?workspace rng problem initial
-
-let better (a : result) b =
-  (a.legal && not b.legal) || (a.legal = b.legal && a.cut < b.cut)
-
-let cut_of (r : result) = r.cut
-
-let multistart ?(config = Fm_config.default) ?workspace rng problem ~starts =
-  let ws =
-    match workspace with
-    | Some ws -> ws
-    | None ->
-      Fm_workspace.create ~insertion:config.Fm_config.insertion ~rng
-        problem.Problem.hypergraph
-  in
-  Hypart_engine.Engine.best_of_starts ~metrics_prefix:"fm" ~starts ~better
-    ~cut_of (fun () -> run_random_start ~config ~workspace:ws rng problem)
-
-let multistart_pruned ?(config = Fm_config.default) ?workspace ?prune_factor rng
-    problem ~starts =
-  let ws =
-    match workspace with
-    | Some ws -> ws
-    | None ->
-      Fm_workspace.create ~insertion:config.Fm_config.insertion ~rng
-        problem.Problem.hypergraph
-  in
-  let one_pass = { config with Fm_config.max_passes = 1 } in
-  Hypart_engine.Engine.pruned_starts ~metrics_prefix:"fm" ?prune_factor ~starts
-    ~better ~cut_of
-    ~legal:(fun r -> r.legal)
-    ~peek:(fun () ->
-      run ~config:one_pass ~workspace:ws rng problem (Initial.random rng problem))
-    ~full:(fun p -> run ~config ~workspace:ws rng problem p.solution)
-    ()
+let run_random_start ?config rng problem =
+  run ?config rng problem (Initial.random rng problem)

@@ -42,7 +42,6 @@ val max_weighted_degree : Hypart_hypergraph.Hypergraph.t -> int
 
 val run :
   ?config:Fm_config.t ->
-  ?workspace:Fm_workspace.t ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_partition.Bipartition.t ->
@@ -52,58 +51,15 @@ val run :
     [config.max_passes] is reached).  The input solution is not
     mutated.  [rng] is used only for [Random] bucket insertion.
 
-    [workspace] provides preallocated scratch state (see
-    {!Fm_workspace}); when given, the run performs no per-start array
-    allocation, and the result is bit-identical to a fresh-allocation
-    run with the same [rng] state.  Do not share one workspace between
-    concurrent domains.
-    @raise Invalid_argument if [workspace] is too small for the
-    problem's hypergraph. *)
+    Scratch state comes from the calling domain's {!Fm_workspace}, so
+    a run allocates no O(V+E) arrays unless the instance outgrows it;
+    the result is the same as on a freshly spawned domain. *)
 
 val run_random_start :
   ?config:Fm_config.t ->
-  ?workspace:Fm_workspace.t ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   result
-(** Generate a {!Hypart_partition.Initial.random} solution and [run]. *)
-
-type start_record = Hypart_engine.Engine.start = {
-  start_cut : int;
-  start_seconds : float;
-}
-(** Outcome of one independent start: its final cut and its CPU time
-    (an alias of the engine layer's generic record). *)
-
-val multistart :
-  ?config:Fm_config.t ->
-  ?workspace:Fm_workspace.t ->
-  Hypart_rng.Rng.t ->
-  Hypart_partition.Problem.t ->
-  starts:int ->
-  result * start_record list
-(** [multistart rng problem ~starts] runs [starts] independent
-    random-start trials and returns the best result (lowest legal cut)
-    together with the per-start records (in execution order) that
-    best-so-far curves and speed-dependent rankings are built from.
-    A thin wrapper over {!Hypart_engine.Engine.best_of_starts}.
-    All starts share one scratch workspace ([workspace] if given, a
-    fresh one otherwise), so only the first start allocates. *)
-
-val multistart_pruned :
-  ?config:Fm_config.t ->
-  ?workspace:Fm_workspace.t ->
-  ?prune_factor:float ->
-  Hypart_rng.Rng.t ->
-  Hypart_partition.Problem.t ->
-  starts:int ->
-  result * start_record list * int
-(** Multistart with pruning — the §3.2 technique of "early termination
-    of starts that appear unpromising relative to previous starts"
-    (which is also why sampling-based ranking methods cannot model
-    advanced metaheuristics).  Each start runs a single FM pass; if its
-    cut exceeds [prune_factor] (default 1.5) times the best completed
-    start so far, the start is abandoned, otherwise it continues to
-    convergence.  Returns the best result, the per-start records
-    (pruned starts report their one-pass cut), and the number of starts
-    pruned. *)
+(** Generate a {!Hypart_partition.Initial.random} solution and [run].
+    Multistart protocols run through {!Hypart_engine.Engine.multistart}
+    over {!Fm_engines}. *)

@@ -1,10 +1,11 @@
 module H = Hypart_hypergraph.Hypergraph
 module Rng = Hypart_rng.Rng
+module Metrics = Hypart_telemetry.Metrics
 
 (* Reusable scratch state for [Fm.run].  One workspace holds every
-   O(V+E) array the engine needs, so multistart and V-cycle callers
-   allocate once per problem instead of once per start/level.  The
-   stamp arrays never need clearing: they carry a monotonically
+   O(V+E) array the engine needs; each domain keeps one in a DLS slot,
+   so runs allocate once per domain instead of once per start/level.
+   The stamp arrays never need clearing: they carry a monotonically
    increasing pass generation, so stale entries from earlier runs are
    simply never equal to the current generation. *)
 
@@ -25,8 +26,9 @@ type t = {
   mutable container : Gain_container.t;
   (* cache of the key bound required by the hypergraph the workspace
      was last prepared for, so repeated runs on the same instance skip
-     the O(pins) weighted-degree scan *)
-  mutable keyed_for : H.t;
+     the O(pins) weighted-degree scan; weak, because the slot outlives
+     the run and must not pin an evicted instance in memory *)
+  keyed_for : H.t Weak.t;
   mutable required_key : int;
 }
 
@@ -45,11 +47,11 @@ let max_weighted_degree h =
    weighted degree, plus one of slack. *)
 let required_max_key h = (2 * max 1 (max_weighted_degree h)) + 1
 
-let create ?(insertion = Fm_config.default.Fm_config.insertion) ~rng h =
-  if Hypart_telemetry.Control.is_enabled () then
-    Hypart_telemetry.Metrics.incr "fm.workspace_creates";
-  let n = H.num_vertices h and ne = H.num_edges h in
+let create ~num_vertices:n ~num_edges:ne ~insertion ~rng h =
+  Metrics.incr "fm.workspace_creates";
   let max_key = required_max_key h in
+  let keyed_for = Weak.create 1 in
+  Weak.set keyed_for 0 (Some h);
   {
     num_vertices = n;
     num_edges = ne;
@@ -65,36 +67,63 @@ let create ?(insertion = Fm_config.default.Fm_config.insertion) ~rng h =
     n_touched = 0;
     generation = 0;
     container = Gain_container.create ~num_vertices:n ~max_key ~insertion ~rng;
-    keyed_for = h;
+    keyed_for;
     required_key = max_key;
   }
 
 let fits t h = H.num_vertices h <= t.num_vertices && H.num_edges h <= t.num_edges
 
-(* Point the workspace at a (run, hypergraph): make sure the cached
-   container can hold the problem's vertices under the requested
-   insertion order and key range (regrowing it once if not — the only
-   allocation a reused workspace can perform), and redirect its RNG at
-   the current run's generator so reused and fresh runs are
-   bit-identical. *)
+(* Point a reused workspace at a (run, hypergraph): make sure the
+   cached container can hold the problem's vertices under the requested
+   insertion order and key range (regrowing it once if not), and
+   redirect its RNG at the current run's generator so reused and fresh
+   runs are bit-identical. *)
 let prepare t ~insertion ~rng h =
   let required =
-    if t.keyed_for == h then t.required_key
-    else begin
+    match Weak.get t.keyed_for 0 with
+    | Some k when k == h -> t.required_key
+    | _ ->
       let k = required_max_key h in
-      t.keyed_for <- h;
+      Weak.set t.keyed_for 0 (Some h);
       t.required_key <- k;
       k
-    end
   in
   let c = t.container in
   if
     Gain_container.insertion c <> insertion
     || Gain_container.max_key c < required
-    || Gain_container.capacity c < H.num_vertices h
   then
     t.container <-
       Gain_container.create ~num_vertices:t.num_vertices
         ~max_key:(max required (Gain_container.max_key c))
         ~insertion ~rng
   else Gain_container.set_rng c rng
+
+let slot : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(* Replace the slot by a workspace fitting [h] and the old capacity
+   too, so instances alternating between many-vertex and many-edge
+   shapes cannot thrash it. *)
+let grow previous ~insertion ~rng h =
+  let n, ne =
+    match previous with
+    | None -> (H.num_vertices h, H.num_edges h)
+    | Some t ->
+      (max t.num_vertices (H.num_vertices h), max t.num_edges (H.num_edges h))
+  in
+  let t = create ~num_vertices:n ~num_edges:ne ~insertion ~rng h in
+  Domain.DLS.set slot (Some t);
+  t
+
+let acquire ~insertion ~rng h =
+  match Domain.DLS.get slot with
+  | Some t when fits t h ->
+    Metrics.incr "fm.workspace_reuses";
+    prepare t ~insertion ~rng h;
+    t
+  | previous -> grow previous ~insertion ~rng h
+
+let reserve ~insertion ~rng h =
+  match Domain.DLS.get slot with
+  | Some t when fits t h -> ()
+  | previous -> ignore (grow previous ~insertion ~rng h)

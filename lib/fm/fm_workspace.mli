@@ -1,19 +1,22 @@
-(** Reusable scratch workspace for the FM engine.
+(** Per-domain scratch workspace for the FM engine.
 
     [Fm.run] needs seven O(V+E) arrays (pin counts per side, gains,
     locks, the per-pass move stack, the CLIP ordering scratch, and the
     incremental-repair stamp/touch arrays) plus the gain container's
-    link arrays.  Allocating them per start made multistart and
-    multilevel refinement allocation-bound; a workspace is sized once
-    for a problem and threaded through every start, level, and V-cycle
-    (see [Fm.multistart], [Ml_partitioner], [Ml_kway]).
+    link arrays.  Each domain keeps one workspace in a [Domain.DLS]
+    slot, and every run on that domain — every start, level, V-cycle
+    and served request — borrows it, so a domain allocates once and
+    again only when an instance outgrows the slot.
 
-    A workspace created for a hypergraph also fits any {e smaller}
-    hypergraph (fewer vertices and edges), which is what lets one
-    workspace sized at the finest level serve a whole multilevel
-    hierarchy.  Reuse is observable via the [fm.workspace_reuses]
-    telemetry counter, and reused runs are bit-identical to
-    fresh-allocation runs (property-tested).
+    A workspace fits any hypergraph with no more vertices and edges
+    than its capacity, which is what lets one slot serve a whole
+    multilevel hierarchy.  The slot is domain-local, so concurrent
+    domains never share one; runs are sequential within a domain, so a
+    run owns the slot until it returns (or raises — every run
+    re-prepares the state it reads).  Reused runs are bit-identical to
+    runs on a freshly spawned domain (property-tested).  Reuse is
+    observable via the [fm.workspace_creates] / [fm.workspace_reuses]
+    telemetry counters.
 
     The record fields are exposed for the engine's hot loops; treat
     them as private elsewhere. *)
@@ -35,24 +38,27 @@ type t = {
   mutable n_touched : int;
   mutable generation : int;  (** bumped once per pass, never reset *)
   mutable container : Gain_container.t;
-  mutable keyed_for : H.t;  (** instance {!required_key} was computed for *)
+  keyed_for : H.t Weak.t;
+      (** instance {!required_key} was computed for, held weakly so the
+          slot never keeps an evicted instance alive *)
   mutable required_key : int;
 }
 
-val create : ?insertion:Fm_config.insertion_order -> rng:Hypart_rng.Rng.t -> H.t -> t
-(** [create ~rng h] allocates a workspace sized for [h] (and any
-    smaller hypergraph).  [insertion] defaults to the default FM
-    configuration's order; [Fm.run] re-checks it per run and regrows
-    the container if a run needs a different order or key range. *)
+val acquire :
+  insertion:Fm_config.insertion_order -> rng:Hypart_rng.Rng.t -> H.t -> t
+(** [acquire ~insertion ~rng h] returns the calling domain's workspace
+    prepared for a run on [h]: the gain container uses [insertion] and
+    draws from [rng], and its key range covers [h]'s gain bound.  When
+    [h] does not fit, the slot is replaced by a workspace covering both
+    the old capacity and [h] (counted as [fm.workspace_creates]);
+    otherwise the run reuses it ([fm.workspace_reuses]). *)
 
-val fits : t -> H.t -> bool
-(** Whether the workspace arrays are large enough for [h]. *)
-
-val prepare : t -> insertion:Fm_config.insertion_order -> rng:Hypart_rng.Rng.t -> H.t -> unit
-(** Called by [Fm.run] on a reused workspace: regrows the gain
-    container if the requested insertion order or the instance's key
-    range outgrew it (the only allocation reuse can perform), and
-    points the container's RNG at the current run's generator. *)
+val reserve :
+  insertion:Fm_config.insertion_order -> rng:Hypart_rng.Rng.t -> H.t -> unit
+(** [reserve ~insertion ~rng h] grows the calling domain's workspace to
+    fit [h] if it does not already.  Multilevel runs reserve for their
+    finest hypergraph before refining coarse levels first, so a cold
+    domain allocates once per run rather than once per level. *)
 
 val max_weighted_degree : H.t -> int
 (** Maximum over vertices of the sum of incident edge weights — the

@@ -1,5 +1,6 @@
 module H = Hypart_hypergraph.Hypergraph
 module Rng = Hypart_rng.Rng
+module Metrics = Hypart_telemetry.Metrics
 
 type result = {
   part_of : int array;
@@ -34,7 +35,7 @@ let gain_of h part_of count v q =
       else acc)
 
 (* Reusable scratch arrays for [run] — the k-way analogue of
-   {!Fm_workspace}.  Sized for a (hypergraph, k) pair; fits any smaller
+   {!Fm_workspace}.  Each domain keeps one per k; it fits any smaller
    hypergraph at the same k, which lets one workspace serve a whole
    multilevel k-way hierarchy (see [Ml_kway]). *)
 type workspace = {
@@ -169,12 +170,8 @@ let pass st =
 
 let max_weighted_degree = Fm_workspace.max_weighted_degree
 
-let make_workspace ~k ~rng h =
-  if k < 2 then invalid_arg "Kway_fm.make_workspace: k must be >= 2";
-  if Hypart_telemetry.Control.is_enabled () then
-    Hypart_telemetry.Metrics.incr "fm.workspace_creates";
-  let n = H.num_vertices h and ne = H.num_edges h in
-  let gmax = max 1 (max_weighted_degree h) in
+let create_workspace ~k ~num_vertices:n ~num_edges:ne ~gmax ~rng =
+  Metrics.incr "fm.workspace_creates";
   {
     ws_k = k;
     ws_num_vertices = n;
@@ -186,12 +183,53 @@ let make_workspace ~k ~rng h =
         ~insertion:Fm_config.Lifo ~rng;
   }
 
-let workspace_fits ws ~k h =
-  ws.ws_k = k
-  && H.num_vertices h <= ws.ws_num_vertices
-  && H.num_edges h <= ws.ws_num_edges
+(* the domain's workspaces, at most one per k *)
+let slot : workspace list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
-let run ?(max_passes = 30) ?(tolerance = 0.10) ?workspace ~k rng h part_of =
+let fits ws h =
+  H.num_vertices h <= ws.ws_num_vertices && H.num_edges h <= ws.ws_num_edges
+
+(* Replace the domain's workspace for [k] by one fitting [h] and the old
+   capacity too. *)
+let grow previous ~k ~gmax ~rng h =
+  let n, ne =
+    match previous with
+    | None -> (H.num_vertices h, H.num_edges h)
+    | Some ws ->
+      ( max ws.ws_num_vertices (H.num_vertices h),
+        max ws.ws_num_edges (H.num_edges h) )
+  in
+  let ws = create_workspace ~k ~num_vertices:n ~num_edges:ne ~gmax ~rng in
+  Domain.DLS.set slot
+    (ws :: List.filter (fun ws -> ws.ws_k <> k) (Domain.DLS.get slot));
+  ws
+
+(* The calling domain's workspace for [k], prepared for a run on [h]
+   with gain bound [gmax]. *)
+let acquire ~k ~gmax ~rng h =
+  match List.find_opt (fun ws -> ws.ws_k = k) (Domain.DLS.get slot) with
+  | Some ws when fits ws h ->
+    (* regrow the container if this instance's gain bound outgrew it
+       (coarse levels can exceed the finest level's bound when
+       contraction merges net weights); otherwise just point its RNG
+       at this run's generator *)
+    if Gain_container.max_key ws.ws_container < gmax then
+      ws.ws_container <-
+        Gain_container.create ~num_vertices:(ws.ws_num_vertices * k)
+          ~max_key:(max gmax (Gain_container.max_key ws.ws_container))
+          ~insertion:Fm_config.Lifo ~rng
+    else Gain_container.set_rng ws.ws_container rng;
+    Metrics.incr "fm.workspace_reuses";
+    ws
+  | previous -> grow previous ~k ~gmax ~rng h
+
+let reserve ~k ~rng h =
+  match List.find_opt (fun ws -> ws.ws_k = k) (Domain.DLS.get slot) with
+  | Some ws when fits ws h -> ()
+  | previous ->
+    ignore (grow previous ~k ~gmax:(max 1 (max_weighted_degree h)) ~rng h)
+
+let run ?(max_passes = 30) ?(tolerance = 0.10) ~k rng h part_of =
   if k < 2 then invalid_arg "Kway_fm.run: k must be >= 2";
   if Array.length part_of <> H.num_vertices h then
     invalid_arg "Kway_fm.run: assignment length mismatch";
@@ -203,26 +241,7 @@ let run ?(max_passes = 30) ?(tolerance = 0.10) ?workspace ~k rng h part_of =
   let lower = int_of_float (Float.floor ((1.0 -. tolerance) *. target)) in
   let upper = int_of_float (Float.ceil ((1.0 +. tolerance) *. target)) in
   let gmax = max 1 (max_weighted_degree h) in
-  let ws =
-    match workspace with
-    | Some ws ->
-      if not (workspace_fits ws ~k h) then
-        invalid_arg "Kway_fm.run: workspace does not fit the problem";
-      (* regrow the container if this instance's gain bound outgrew it
-         (coarse levels can exceed the finest level's bound when
-         contraction merges net weights); otherwise just point its RNG
-         at this run's generator *)
-      if Gain_container.max_key ws.ws_container < gmax then
-        ws.ws_container <-
-          Gain_container.create ~num_vertices:(ws.ws_num_vertices * k)
-            ~max_key:(max gmax (Gain_container.max_key ws.ws_container))
-            ~insertion:Fm_config.Lifo ~rng
-      else Gain_container.set_rng ws.ws_container rng;
-      if Hypart_telemetry.Control.is_enabled () then
-        Hypart_telemetry.Metrics.incr "fm.workspace_reuses";
-      ws
-    | None -> make_workspace ~k ~rng h
-  in
+  let ws = acquire ~k ~gmax ~rng h in
   let st =
     {
       h;
@@ -259,11 +278,11 @@ let run ?(max_passes = 30) ?(tolerance = 0.10) ?workspace ~k rng h part_of =
     moves = st.n_moves;
   }
 
-let run_random_start ?max_passes ?tolerance ?workspace ~k rng h =
+let run_random_start ?max_passes ?tolerance ~k rng h =
   let n = H.num_vertices h in
   (* round-robin over a random permutation: balanced for unit areas and
      close enough otherwise for FM to repair *)
   let perm = Rng.permutation rng n in
   let part_of = Array.make n 0 in
   Array.iteri (fun i v -> part_of.(v) <- i mod k) perm;
-  run ?max_passes ?tolerance ?workspace ~k rng h part_of
+  run ?max_passes ?tolerance ~k rng h part_of

@@ -26,29 +26,9 @@ type result = {
 val cut_of : Hypart_hypergraph.Hypergraph.t -> int array -> int
 (** Weighted k-way cut of an assignment. *)
 
-type workspace
-(** Reusable scratch arrays for {!run} — the k-way analogue of
-    {!Fm_workspace}.  Sized for a (hypergraph, k) pair at
-    {!make_workspace} time; fits any hypergraph with no more vertices
-    and edges at the same [k].  Do not share between concurrent
-    domains. *)
-
-val make_workspace :
-  k:int ->
-  rng:Hypart_rng.Rng.t ->
-  Hypart_hypergraph.Hypergraph.t ->
-  workspace
-(** Allocate a workspace for [h] and [k].
-    @raise Invalid_argument if [k < 2]. *)
-
-val workspace_fits :
-  workspace -> k:int -> Hypart_hypergraph.Hypergraph.t -> bool
-(** Whether the workspace can serve a run on [h] with this [k]. *)
-
 val run :
   ?max_passes:int ->
   ?tolerance:float ->
-  ?workspace:workspace ->
   k:int ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
@@ -57,15 +37,21 @@ val run :
 (** [run ~k rng h part_of] improves the given assignment (entries in
     [0, k)); each part's weight is constrained to
     [(1 ± tolerance) · total / k] (default tolerance 0.10).  The input
-    array is not mutated.  [workspace], when given, supplies all
-    scratch arrays so the run allocates only its result.
-    @raise Invalid_argument on a malformed assignment or a workspace
-    that does not fit. *)
+    array is not mutated.  Scratch arrays come from the calling
+    domain's workspace for [k] (the k-way analogue of
+    {!Fm_workspace}), grown only when [h] outgrows it.
+    @raise Invalid_argument on a malformed assignment. *)
+
+val reserve :
+  k:int -> rng:Hypart_rng.Rng.t -> Hypart_hypergraph.Hypergraph.t -> unit
+(** Grow the calling domain's workspace for [k] to fit [h] if it does
+    not already — what a multilevel run does for its finest level
+    before refining coarse levels first, so a cold domain allocates
+    once per run rather than once per level. *)
 
 val run_random_start :
   ?max_passes:int ->
   ?tolerance:float ->
-  ?workspace:workspace ->
   k:int ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->

@@ -69,16 +69,6 @@ let fold_edges h v ~init ~f =
   iter_edges h v (fun e -> acc := f !acc e);
   !acc
 
-(* Copying accessors: compatibility shims for tests and cold paths only.
-   Hot paths use iter_pins/iter_edges or the Csr view. *)
-let edge_pins h e =
-  let lo = get h.edge_offset e in
-  Array.init (edge_size h e) (fun i -> ug h.edge_pins (lo + i))
-
-let vertex_edges h v =
-  let lo = get h.vertex_offset v in
-  Array.init (vertex_degree h v) (fun i -> ug h.vertex_edges (lo + i))
-
 (* Zero-copy access to the underlying CSR vectors for flat index loops
    in engine hot paths.  The vectors are the hypergraph's own storage:
    callers must treat them as read-only. *)

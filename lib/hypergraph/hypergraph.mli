@@ -85,15 +85,6 @@ val memory_bytes : t -> int
 val edge_size : t -> int -> int
 val vertex_degree : t -> int -> int
 
-val edge_pins : t -> int -> int array
-(** Fresh array of the pins of an edge.  Compatibility shim: allocates
-    O(edge size) per call — tests and cold paths only; hot paths use
-    {!iter_pins} or the {!Csr} view. *)
-
-val vertex_edges : t -> int -> int array
-(** Fresh array of the edges incident to a vertex.  Compatibility shim,
-    same caveat as {!edge_pins}. *)
-
 (** Zero-copy view of the underlying CSR vectors, for flat index loops
     in engine hot paths (FM gain updates walk pin slices millions of
     times per run; going through the raw vectors avoids the closure call

@@ -18,16 +18,12 @@ let default =
     refine_passes = 4;
   }
 
-let run ?(config = default) ?(tolerance = 0.10) ?workspace ~k rng h =
+let run ?(config = default) ?(tolerance = 0.10) ~k rng h =
   if k < 2 then invalid_arg "Ml_kway.run: k must be >= 2";
   if k > H.num_vertices h then invalid_arg "Ml_kway.run: k exceeds vertex count";
-  (* one workspace sized for the finest level serves the coarsest-level
-     starts and every refinement *)
-  let ws =
-    match workspace with
-    | Some ws -> ws
-    | None -> Kway_fm.make_workspace ~k ~rng h
-  in
+  (* size the domain's workspace for the finest level before the
+     coarsest-level starts *)
+  Kway_fm.reserve ~k ~rng h;
   (* clusters must stay well under a part's weight slack *)
   let total = H.total_vertex_weight h in
   let max_cluster_weight =
@@ -43,7 +39,7 @@ let run ?(config = default) ?(tolerance = 0.10) ?workspace ~k rng h =
   (* best-of-N initial k-way partitioning at the coarsest level *)
   let best = ref None in
   for _ = 1 to max 1 config.coarsest_starts do
-    let r = Kway_fm.run_random_start ~tolerance ~workspace:ws ~k rng coarse_h in
+    let r = Kway_fm.run_random_start ~tolerance ~k rng coarse_h in
     let better =
       match !best with
       | None -> true
@@ -71,18 +67,6 @@ let run ?(config = default) ?(tolerance = 0.10) ?workspace ~k rng h =
           (fun c -> result.Kway_fm.part_of.(c))
           level.Coarsen.cluster_of
       in
-      Kway_fm.run ~max_passes:config.refine_passes ~tolerance ~workspace:ws ~k
-        rng fine_h projected)
+      Kway_fm.run ~max_passes:config.refine_passes ~tolerance ~k rng fine_h
+        projected)
     coarsest steps
-
-let multistart ?config ?tolerance ~k rng h ~starts =
-  let ws = Kway_fm.make_workspace ~k ~rng h in
-  let best, records =
-    Hypart_engine.Engine.best_of_starts ~metrics_prefix:"mlk" ~starts
-      ~better:(fun (r : Kway_fm.result) b ->
-        (r.Kway_fm.legal && not b.Kway_fm.legal)
-        || (r.Kway_fm.legal = b.Kway_fm.legal && r.Kway_fm.cut < b.Kway_fm.cut))
-      ~cut_of:(fun (r : Kway_fm.result) -> r.Kway_fm.cut)
-      (fun () -> run ?config ?tolerance ~workspace:ws ~k rng h)
-  in
-  (best, List.map (fun s -> s.Hypart_engine.Engine.start_cut) records)

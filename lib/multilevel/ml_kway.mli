@@ -19,25 +19,12 @@ val default : config
 val run :
   ?config:config ->
   ?tolerance:float ->
-  ?workspace:Hypart_fm.Kway_fm.workspace ->
   k:int ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
   Hypart_fm.Kway_fm.result
 (** [run ~k rng h] partitions into [k] parts with per-part weights in
     [(1 ± tolerance) · total / k] (default tolerance 0.10).
-    [workspace] (sized for [h] at this [k]) is reused by the
-    coarsest-level starts and every refinement; when omitted one is
-    allocated up front.
+    The coarsest-level starts and every refinement borrow the calling
+    domain's k-way FM workspace.
     @raise Invalid_argument when [k < 2] or [k > num_vertices]. *)
-
-val multistart :
-  ?config:config ->
-  ?tolerance:float ->
-  k:int ->
-  Hypart_rng.Rng.t ->
-  Hypart_hypergraph.Hypergraph.t ->
-  starts:int ->
-  Hypart_fm.Kway_fm.result * int list
-(** Best of [starts] independent runs (preferring legal, then lower
-    cut), with the per-start cut list for reporting. *)

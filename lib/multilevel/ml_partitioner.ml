@@ -60,16 +60,15 @@ let refinement_steps (hier : Coarsen.hierarchy) =
   List.rev
     (go problem.Problem.hypergraph problem.Problem.fixed hier.Coarsen.levels)
 
-(* One scratch workspace sized for the finest hypergraph serves every
-   level of the hierarchy (coarse levels have fewer vertices and edges)
-   and every V-cycle, so a whole multilevel run performs no per-level
-   FM array allocation. *)
-let make_workspace config rng problem =
-  Hypart_fm.Fm_workspace.create ~insertion:config.fm.Fm_config.insertion ~rng
+(* Size the domain's FM workspace for the finest hypergraph before the
+   coarsest level's runs, so a cold domain allocates once per run
+   instead of regrowing at every uncoarsening level. *)
+let reserve_workspace config rng problem =
+  Hypart_fm.Fm_workspace.reserve ~insertion:config.fm.Fm_config.insertion ~rng
     problem.Problem.hypergraph
 
 (* Refine a projected solution at one level. *)
-let refine config rng ws problem solution =
+let refine config rng problem solution =
   let fm =
     {
       config.fm with
@@ -77,11 +76,11 @@ let refine config rng ws problem solution =
       Fm_config.boundary_only = config.boundary_refinement;
     }
   in
-  Fm.run ~config:fm ~workspace:ws rng problem solution
+  Fm.run ~config:fm rng problem solution
 
 (* Uncoarsen [coarsest_result] through [hier], refining at every level;
    returns the finest-level result. *)
-let uncoarsen config rng ws hier coarsest_result =
+let uncoarsen config rng hier coarsest_result =
   let problem = hier.Coarsen.problem in
   let balance = problem.Problem.balance in
   List.fold_left
@@ -89,7 +88,7 @@ let uncoarsen config rng ws hier coarsest_result =
       Trace.begin_span "ml.refine";
       let fine_problem = Problem.with_balance ~fixed:fine_fixed balance fine_h in
       let projected = Coarsen.project level result.Fm.solution ~fine:fine_h in
-      let refined = refine config rng ws fine_problem projected in
+      let refined = refine config rng fine_problem projected in
       Trace.end_span "ml.refine"
         ~args:
           [
@@ -103,12 +102,12 @@ let uncoarsen config rng ws hier coarsest_result =
       refined)
     coarsest_result (refinement_steps hier)
 
-let initial_at_coarsest config rng ws problem =
+let initial_at_coarsest config rng problem =
   Trace.begin_span "ml.initial";
   let fm = config.fm in
   let best = ref None in
   for _ = 1 to max 1 config.coarsest_starts do
-    let r = Fm.run_random_start ~config:fm ~workspace:ws rng problem in
+    let r = Fm.run_random_start ~config:fm rng problem in
     let better =
       match !best with
       | None -> true
@@ -127,7 +126,8 @@ let initial_at_coarsest config rng ws problem =
       ];
   best
 
-let run_once ?restrict_to_parts config rng ws problem =
+let run_once ?restrict_to_parts config rng problem =
+  reserve_workspace config rng problem;
   let hier =
     Coarsen.build ~scheme:config.scheme ~rng ~coarsest_size:config.coarsest_size
       ~max_cluster_weight:(cluster_weight_cap problem config.coarsest_size)
@@ -139,7 +139,7 @@ let run_once ?restrict_to_parts config rng ws problem =
   in
   let coarsest_result =
     match restrict_to_parts with
-    | None -> initial_at_coarsest config rng ws coarse_problem
+    | None -> initial_at_coarsest config rng coarse_problem
     | Some part ->
       (* V-cycle: the projected current partition is the start *)
       let coarse_side = Array.make (H.num_vertices coarse_h) 0 in
@@ -150,21 +150,16 @@ let run_once ?restrict_to_parts config rng ws problem =
       in
       Array.iteri (fun v s -> coarse_side.(fine_to_coarse v) <- s) part;
       let sol = Bipartition.make coarse_h coarse_side in
-      refine config rng ws coarse_problem sol
+      refine config rng coarse_problem sol
   in
-  uncoarsen config rng ws hier coarsest_result
+  uncoarsen config rng hier coarsest_result
 
-let vcycle ?(config = default) ?workspace rng problem solution =
-  let ws =
-    match workspace with
-    | Some ws -> ws
-    | None -> make_workspace config rng problem
-  in
+let vcycle ?(config = default) rng problem solution =
   Trace.begin_span "ml.vcycle";
   let before_cut = Bipartition.cut problem.Problem.hypergraph solution in
   let before_legal = Bipartition.is_legal solution problem.Problem.balance in
   let part = Bipartition.assignment solution in
-  let r = run_once ~restrict_to_parts:part config rng ws problem in
+  let r = run_once ~restrict_to_parts:part config rng problem in
   let keep_new =
     (r.Fm.legal && not before_legal)
     || (r.Fm.legal = before_legal && r.Fm.cut <= before_cut)
@@ -195,13 +190,9 @@ let vcycle ?(config = default) ?workspace rng problem solution =
    straddles either parent's cut.  Projecting the better parent onto
    the coarsest hypergraph is therefore well-defined per cluster and
    preserves its cut exactly, and refinement can only improve it. *)
-let recombine ?(config = default) ?workspace rng problem parent_a parent_b =
-  let ws =
-    match workspace with
-    | Some ws -> ws
-    | None -> make_workspace config rng problem
-  in
+let recombine ?(config = default) rng problem parent_a parent_b =
   Trace.begin_span "ml.recombine";
+  reserve_workspace config rng problem;
   let h = problem.Problem.hypergraph in
   let balance = problem.Problem.balance in
   let cut_a = Bipartition.cut h parent_a in
@@ -236,8 +227,8 @@ let recombine ?(config = default) ?workspace rng problem parent_a parent_b =
     (fun v s -> coarse_side.(fine_to_coarse v) <- s)
     (Bipartition.assignment best);
   let sol = Bipartition.make coarse_h coarse_side in
-  let refined = refine config rng ws coarse_problem sol in
-  let r = uncoarsen config rng ws hier refined in
+  let refined = refine config rng coarse_problem sol in
+  let r = uncoarsen config rng hier refined in
   let keep_new =
     (r.Fm.legal && not best_legal)
     || (r.Fm.legal = best_legal && r.Fm.cut <= best_cut)
@@ -263,40 +254,14 @@ let recombine ?(config = default) ?workspace rng problem parent_a parent_b =
       legal = best_legal;
     }
 
-let run ?(config = default) ?workspace rng problem =
-  let ws =
-    match workspace with
-    | Some ws -> ws
-    | None -> make_workspace config rng problem
-  in
+let run ?(config = default) rng problem =
   Trace.span "ml.run" (fun () ->
-      let r = run_once config rng ws problem in
+      let r = run_once config rng problem in
       let rec cycle i (r : Fm.result) =
         if i >= config.vcycles then r
         else begin
-          let r' = vcycle ~config ~workspace:ws rng problem r.Fm.solution in
+          let r' = vcycle ~config rng problem r.Fm.solution in
           if r'.Fm.cut < r.Fm.cut then cycle (i + 1) r' else r'
         end
       in
       cycle 0 r)
-
-let multistart ?(config = default) ?(vcycle_best = 0) ?workspace rng problem
-    ~starts =
-  let ws =
-    match workspace with
-    | Some ws -> ws
-    | None -> make_workspace config rng problem
-  in
-  let best, records =
-    Hypart_engine.Engine.best_of_starts ~metrics_prefix:"ml" ~starts
-      ~better:(fun (r : Fm.result) b ->
-        (r.Fm.legal && not b.Fm.legal)
-        || (r.Fm.legal = b.Fm.legal && r.Fm.cut < b.Fm.cut))
-      ~cut_of:(fun (r : Fm.result) -> r.Fm.cut)
-      (fun () -> run ~config ~workspace:ws rng problem)
-  in
-  let rec cycle i (r : Fm.result) =
-    if i >= vcycle_best then r
-    else cycle (i + 1) (vcycle ~config ~workspace:ws rng problem r.Fm.solution)
-  in
-  (cycle 0 best, records)

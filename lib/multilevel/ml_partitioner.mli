@@ -36,19 +36,17 @@ val hmetis_like : config
 
 val run :
   ?config:config ->
-  ?workspace:Hypart_fm.Fm_workspace.t ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_fm.Fm.result
-(** One multilevel start.  [workspace] (sized for the finest
-    hypergraph; see {!Hypart_fm.Fm_workspace}) is reused by every
-    refinement at every level and V-cycle — when omitted, one is
-    allocated up front, so a run still performs no per-level FM array
-    allocation. *)
+(** One multilevel start.  Every refinement at every level and V-cycle
+    borrows the calling domain's {!Hypart_fm.Fm_workspace}, so a run
+    performs no per-level FM array allocation.  Multistart protocols
+    (Tables 4-5: V-cycle the best of N starts) run through
+    {!Hypart_engine.Engine.multistart} over {!Ml_engines}. *)
 
 val vcycle :
   ?config:config ->
-  ?workspace:Hypart_fm.Fm_workspace.t ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_partition.Bipartition.t ->
@@ -58,7 +56,6 @@ val vcycle :
 
 val recombine :
   ?config:config ->
-  ?workspace:Hypart_fm.Fm_workspace.t ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_partition.Bipartition.t ->
@@ -71,16 +68,3 @@ val recombine :
     cluster, preserving its cut exactly), then refine back up.  Never
     returns a result worse than the better parent (legality first,
     then cut). *)
-
-val multistart :
-  ?config:config ->
-  ?vcycle_best:int ->
-  ?workspace:Hypart_fm.Fm_workspace.t ->
-  Hypart_rng.Rng.t ->
-  Hypart_partition.Problem.t ->
-  starts:int ->
-  Hypart_fm.Fm.result * Hypart_fm.Fm.start_record list
-(** Tables 4-5 protocol: [starts] independent multilevel starts; the
-    best is then V-cycled [vcycle_best] times (default 0).  Per-start
-    records cover the independent starts only.  All starts and V-cycles
-    share one scratch workspace. *)

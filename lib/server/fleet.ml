@@ -1,5 +1,4 @@
 module Parallel = Hypart_engine.Parallel
-module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
 
 type server = { host : string; port : int }
@@ -55,8 +54,6 @@ type outcome = {
   cached : bool;
   served_by : string;
 }
-
-let count name = if Tel.is_enabled () then Metrics.incr name
 
 (* The daemon's out=plain contract: scalars in X-Hypart-* headers, the
    assignment as one side per line in the body (empty on a daemon-side
@@ -138,12 +135,12 @@ let submit ?(attempts_per_server = 3) ?sleep ?(preferred = 0)
       match result with
       | Ok resp when resp.Http.status = 200 ->
         Atomic.set t.down.(idx) false;
-        count "fleet.jobs";
+        Metrics.incr "fleet.jobs";
         parse_outcome ~served_by resp
       | Ok resp when Client.retryable_status resp.Http.status ->
         (* still overloaded / expiring after the retry budget: the
            server is alive, so don't mark it down — just fail over *)
-        count "fleet.failovers";
+        Metrics.incr "fleet.failovers";
         if rest = [] then
           Error
             (Printf.sprintf "%s: HTTP %d after %d attempts" served_by
@@ -155,14 +152,14 @@ let submit ?(attempts_per_server = 3) ?sleep ?(preferred = 0)
       | Ok resp ->
         (* non-retriable HTTP error: the request itself is bad, so the
            answer is the same everywhere — no failover *)
-        count "fleet.rejected";
+        Metrics.incr "fleet.rejected";
         Error
           (Printf.sprintf "%s: HTTP %d %s" served_by resp.Http.status
              (String.trim resp.Http.resp_body))
       | Error msg ->
         if not (Atomic.exchange t.down.(idx) true) then
-          count "fleet.down_marks";
-        count "fleet.failovers";
+          Metrics.incr "fleet.down_marks";
+        Metrics.incr "fleet.failovers";
         try_servers (Error (Printf.sprintf "%s: %s" served_by msg)) rest)
   in
   try_servers

@@ -2,7 +2,7 @@
     domain-safe updates and JSON/CSV/Prometheus snapshot export.
 
     Metric names are flat dotted strings ([fm.moves],
-    [ml.start_seconds]); the first use of a name fixes its kind and a
+    [engine.start_seconds]); the first use of a name fixes its kind and a
     later use under a different kind raises [Invalid_argument].
     Recording calls ({!incr}, {!set_gauge}, {!observe}) are no-ops
     while telemetry is disabled (see {!Control}), so instrumentation

@@ -18,7 +18,7 @@ let test_roundtrip () =
   Alcotest.(check int) "vertices" 5 (H.num_vertices h');
   Alcotest.(check int) "nets" 4 (H.num_edges h');
   for e = 0 to 3 do
-    Alcotest.(check (array int)) "pins" (H.edge_pins h e) (H.edge_pins h' e)
+    Alcotest.(check (array int)) "pins" (Incidence.pins h e) (Incidence.pins h' e)
   done;
   for v = 0 to 4 do
     Alcotest.(check int) "area from width" (H.vertex_weight h v)

@@ -252,6 +252,20 @@ let test_daemon_round_trip () =
     in
     Alcotest.(check int) "submit exit" 0 code;
     Alcotest.(check bool) "submit printed a cut" true (contains out "best cut:");
+    (* a Bookshelf pair whose .nodes file lacks a trailing newline *)
+    let shelf = Filename.concat tmpdir "hypart_cli_shelf" in
+    Hypart_hypergraph.Bookshelf.write ~basename:shelf
+      (Hypart_generator.Ibm_suite.instance ~scale:64.0 "ibm01");
+    let nodes = shelf ^ ".nodes" in
+    let text = In_channel.with_open_bin nodes In_channel.input_all in
+    Out_channel.with_open_bin nodes (fun oc ->
+        output_string oc (String.sub text 0 (String.length text - 1)));
+    let code, shelf_out =
+      run_cmd
+        (Printf.sprintf "submit %s --engine flat --port %d" (Filename.quote nodes)
+           port)
+    in
+    Alcotest.(check int) ("bookshelf submit exit\n" ^ shelf_out) 0 code;
     (* the id the client observed *)
     let rid =
       let marker = "request id: " in

@@ -13,6 +13,7 @@ module Problem = Hypart_partition.Problem
 module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module Ml = Hypart_multilevel.Ml_partitioner
+module Engine = Hypart_engine.Engine
 module D = Hypart_stats.Descriptive
 
 let runs = 12
@@ -122,9 +123,9 @@ let test_multistart_monotone () =
     let rng = Rng.create 5 in
     let (best, _), dt =
       Hypart_engine.Machine.cpu_time (fun () ->
-          Ml.multistart ~config:Ml.ml_clip rng p ~starts)
+          Engine.multistart Hypart_multilevel.Ml_engines.mlclip rng p ~starts)
     in
-    (best.Hypart_fm.Fm.cut, dt)
+    (best.Engine.Result.cut, dt)
   in
   let c1, t1 = eval 1 and c8, t8 = eval 8 in
   Alcotest.(check bool) "8 starts no worse" true (c8 <= c1);

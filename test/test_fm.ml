@@ -7,7 +7,9 @@ module Initial = Hypart_partition.Initial
 module Fm_config = Hypart_fm.Fm_config
 module Gc = Hypart_fm.Gain_container
 module Fm = Hypart_fm.Fm
-module Fm_workspace = Hypart_fm.Fm_workspace
+module Fm_engines = Hypart_fm.Fm_engines
+module Engine = Hypart_engine.Engine
+module Cancel = Hypart_engine.Cancel
 module Telemetry = Hypart_telemetry.Telemetry
 module Metrics = Hypart_telemetry.Metrics
 
@@ -430,28 +432,36 @@ let test_fm_deterministic () =
   Alcotest.(check bool) "same solution" true
     (Bipartition.equal a.Fm.solution b.Fm.solution)
 
+(* the registry multistart over plain FM under the default configuration *)
+let default_fm =
+  Fm_engines.of_config ~name:"fm-default" ~description:"" Fm_config.default
+
 let test_multistart () =
   let h = random_instance 25 in
   let p = Problem.make ~tolerance:0.05 h in
-  let best, records = Fm.multistart (Rng.create 26) p ~starts:8 in
+  let best, records = Engine.multistart default_fm (Rng.create 26) p ~starts:8 in
   Alcotest.(check int) "8 records" 8 (List.length records);
   List.iter
     (fun r ->
       Alcotest.(check bool) "best <= every start" true
-        (best.Fm.cut <= r.Fm.start_cut))
+        (best.Engine.Result.cut <= r.Engine.start_cut))
     records;
   Alcotest.(check bool) "times nonnegative" true
-    (List.for_all (fun r -> r.Fm.start_seconds >= 0.) records)
+    (List.for_all (fun r -> r.Engine.start_seconds >= 0.) records)
+
+let multistart_pruned ?prune_factor rng p ~starts =
+  Engine.multistart_pruned ?prune_factor ~peek:Fm_engines.one_pass_peek default_fm rng p
+    ~starts
 
 let test_multistart_pruned () =
   let h = random_instance ~nv:120 ~ne:260 40 in
   let p = Problem.make ~tolerance:0.05 h in
-  let best, records, pruned = Fm.multistart_pruned (Rng.create 41) p ~starts:12 in
+  let best, records, pruned = multistart_pruned (Rng.create 41) p ~starts:12 in
   Alcotest.(check int) "12 records" 12 (List.length records);
   Alcotest.(check bool) "pruned count sane" true (pruned >= 0 && pruned < 12);
-  Alcotest.(check bool) "best legal" true best.Fm.legal;
+  Alcotest.(check bool) "best legal" true best.Engine.Result.legal;
   Alcotest.(check int) "best cut consistent"
-    (Bipartition.cut h best.Fm.solution) best.Fm.cut
+    (Bipartition.cut h best.Engine.Result.solution) best.Engine.Result.cut
 
 let test_multistart_pruned_tight_factor_prunes () =
   (* factor 1.0: everything not strictly better after one pass gets
@@ -459,7 +469,7 @@ let test_multistart_pruned_tight_factor_prunes () =
   let h = random_instance ~nv:120 ~ne:260 42 in
   let p = Problem.make ~tolerance:0.05 h in
   let _, _, pruned =
-    Fm.multistart_pruned ~prune_factor:1.0 (Rng.create 43) p ~starts:12
+    multistart_pruned ~prune_factor:1.0 (Rng.create 43) p ~starts:12
   in
   Alcotest.(check bool) "some starts pruned" true (pruned > 0)
 
@@ -467,16 +477,16 @@ let test_multistart_pruned_invalid () =
   let h = random_instance 44 in
   let p = Problem.make ~tolerance:0.05 h in
   Alcotest.check_raises "bad factor" (Invalid_argument "x") (fun () ->
-      try ignore (Fm.multistart_pruned ~prune_factor:0.5 (Rng.create 1) p ~starts:2)
+      try ignore (multistart_pruned ~prune_factor:0.5 (Rng.create 1) p ~starts:2)
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let test_multistart_improves_with_starts () =
   let h = random_instance ~nv:120 ~ne:260 27 in
   let p = Problem.make ~tolerance:0.05 h in
-  let best1, _ = Fm.multistart (Rng.create 28) p ~starts:1 in
-  let best16, _ = Fm.multistart (Rng.create 28) p ~starts:16 in
+  let best1, _ = Engine.multistart default_fm (Rng.create 28) p ~starts:1 in
+  let best16, _ = Engine.multistart default_fm (Rng.create 28) p ~starts:16 in
   Alcotest.(check bool) "16 starts at least as good as 1" true
-    (best16.Fm.cut <= best1.Fm.cut)
+    (best16.Engine.Result.cut <= best1.Engine.Result.cut)
 
 let test_clip_corking_detected () =
   (* reported CLIP (no corking fix) on an instance with a macro at the
@@ -609,10 +619,18 @@ let prop_fast_path_never_changes_results =
           && Bipartition.equal on.Fm.solution off.Fm.solution
           && on.Fm.stats.Fm.moves = off.Fm.stats.Fm.moves))
 
+(* [f ()] on a freshly spawned domain, whose workspace slot is empty *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let same_result (x : Fm.result) (y : Fm.result) =
+  x.Fm.cut = y.Fm.cut
+  && Bipartition.equal x.Fm.solution y.Fm.solution
+  && x.Fm.stats = y.Fm.stats
+
 let prop_workspace_reuse_bit_identical =
-  (* sharing one workspace across consecutive runs must give exactly
-     the results of fresh-allocation runs with the same seeds: same
-     cuts, same solutions, same stats *)
+  (* a domain whose workspace was first warmed by a larger instance
+     under a different insertion order must give exactly the results of
+     a freshly spawned domain: same cuts, same solutions, same stats *)
   QCheck.Test.make ~name:"workspace reuse is bit-identical" ~count:50
     QCheck.(quad small_int (int_range 10 60) bool bool)
     (fun (seed, nv, clip, random_insertion) ->
@@ -627,48 +645,98 @@ let prop_workspace_reuse_bit_identical =
             (if random_insertion then Fm_config.Random else Fm_config.Lifo);
         }
       in
-      let rng_a = Rng.create (seed + 3) in
-      let a1 = Fm.run_random_start ~config rng_a p in
-      let a2 = Fm.run_random_start ~config rng_a p in
-      let rng_b = Rng.create (seed + 3) in
-      let ws =
-        Fm_workspace.create ~insertion:config.Fm_config.insertion ~rng:rng_b h
+      let two_runs () =
+        let rng = Rng.create (seed + 3) in
+        let r1 = Fm.run_random_start ~config rng p in
+        let r2 = Fm.run_random_start ~config rng p in
+        (r1, r2)
       in
-      let b1 = Fm.run_random_start ~config ~workspace:ws rng_b p in
-      let b2 = Fm.run_random_start ~config ~workspace:ws rng_b p in
-      let same (x : Fm.result) (y : Fm.result) =
-        x.Fm.cut = y.Fm.cut
-        && Bipartition.equal x.Fm.solution y.Fm.solution
-        && x.Fm.stats = y.Fm.stats
+      let a1, a2 = on_fresh_domain two_runs in
+      let b1, b2 =
+        on_fresh_domain (fun () ->
+            let big =
+              random_instance_large_nets ~nv:(nv + 40) ~ne:((2 * nv) + 100)
+                (seed + 1)
+            in
+            let warm =
+              {
+                config with
+                Fm_config.insertion =
+                  (if random_insertion then Fm_config.Fifo else Fm_config.Random);
+              }
+            in
+            ignore
+              (Fm.run_random_start ~config:warm (Rng.create seed)
+                 (Problem.make ~tolerance:0.10 big));
+            two_runs ())
       in
-      same a1 b1 && same a2 b2)
+      same_result a1 b1 && same_result a2 b2)
 
-let test_workspace_too_small_rejected () =
-  let small = random_instance ~nv:10 ~ne:12 70 in
-  let big = random_instance ~nv:40 ~ne:80 71 in
-  let p = Problem.make ~tolerance:0.10 big in
-  let ws = Fm_workspace.create ~rng:(Rng.create 1) small in
-  Alcotest.check_raises "undersized workspace"
-    (Invalid_argument "Fm.run: workspace smaller than the problem") (fun () ->
-      ignore (Fm.run_random_start ~workspace:ws (Rng.create 2) p))
-
-let test_multistart_zero_allocation_metrics () =
-  (* the acceptance check: multistart with 100 starts allocates one
-     workspace up front and every start reuses it *)
+let with_telemetry f =
   Telemetry.reset ();
   Telemetry.enable ();
   let finally () =
     Telemetry.reset ();
     Telemetry.disable ()
   in
-  Fun.protect ~finally (fun () ->
+  Fun.protect ~finally f
+
+let workspace_counts () =
+  ( Metrics.counter_value "fm.workspace_creates",
+    Metrics.counter_value "fm.workspace_reuses" )
+
+let test_undersized_slot_regrows () =
+  (* a run that outgrows the domain's workspace replaces it once;
+     smaller runs afterwards reuse the grown one *)
+  let small = Problem.make ~tolerance:0.10 (random_instance ~nv:10 ~ne:12 70) in
+  let big = Problem.make ~tolerance:0.10 (random_instance ~nv:40 ~ne:80 71) in
+  with_telemetry (fun () ->
+      on_fresh_domain (fun () ->
+          List.iter
+            (fun p -> ignore (Fm.run_random_start (Rng.create 2) p))
+            [ small; big; small; big ]);
+      let creates, reuses = workspace_counts () in
+      Alcotest.(check int) "created, then grown once" 2 creates;
+      Alcotest.(check int) "later runs reuse" 2 reuses)
+
+let test_cancelled_run_leaves_slot_reusable () =
+  (* cancellation raises at a pass boundary, leaving the slot with a
+     finished pass's counts, stamps and container contents; the next run
+     on that domain must not see any of it *)
+  let p = Problem.make ~tolerance:0.05 (random_instance ~nv:80 ~ne:160 74) in
+  let run () = Fm.run_random_start (Rng.create 75) p in
+  let fresh = on_fresh_domain run in
+  let after_cancel =
+    on_fresh_domain (fun () ->
+        let polls = ref 0 in
+        let hook () =
+          incr polls;
+          !polls > 1
+        in
+        (match Cancel.with_hook hook run with
+         | _ -> Alcotest.fail "run was not cancelled"
+         | exception Cancel.Cancelled -> ());
+        Alcotest.(check int) "cancelled after the first pass" 2 !polls;
+        run ())
+  in
+  Alcotest.(check bool) "same as a fresh domain" true
+    (same_result fresh after_cancel)
+
+let test_multistart_zero_allocation_metrics () =
+  (* the acceptance check: a domain allocates one workspace, and every
+     start after that reuses it *)
+  with_telemetry (fun () ->
       let h = random_instance ~nv:80 ~ne:160 72 in
       let p = Problem.make ~tolerance:0.05 h in
-      let _ = Fm.multistart (Rng.create 73) p ~starts:100 in
-      Alcotest.(check int) "one workspace allocated" 1
-        (Metrics.counter_value "fm.workspace_creates");
-      Alcotest.(check int) "every start reuses it" 100
-        (Metrics.counter_value "fm.workspace_reuses");
+      on_fresh_domain (fun () ->
+          let _ = Engine.multistart default_fm (Rng.create 73) p ~starts:100 in
+          let c0, r0 = workspace_counts () in
+          Alcotest.(check int) "a cold domain allocates once" 1 c0;
+          Alcotest.(check int) "its other starts reuse" 99 r0;
+          let _ = Engine.multistart default_fm (Rng.create 74) p ~starts:100 in
+          let c1, r1 = workspace_counts () in
+          Alcotest.(check int) "a warm domain allocates nothing" 0 (c1 - c0);
+          Alcotest.(check int) "every start reuses it" 100 (r1 - r0));
       Alcotest.(check bool) "later passes repaired incrementally" true
         (Metrics.counter_value "fm.incremental_repairs" > 0))
 
@@ -744,8 +812,10 @@ let () =
         ] );
       ( "workspace",
         [
-          Alcotest.test_case "undersized rejected" `Quick
-            test_workspace_too_small_rejected;
+          Alcotest.test_case "undersized slot regrows" `Quick
+            test_undersized_slot_regrows;
+          Alcotest.test_case "cancelled run leaves slot reusable" `Quick
+            test_cancelled_run_leaves_slot_reusable;
           Alcotest.test_case "multistart zero-allocation metrics" `Quick
             test_multistart_zero_allocation_metrics;
         ] );

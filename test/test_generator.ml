@@ -54,7 +54,7 @@ let test_determinism () =
   Alcotest.(check int) "same pins" (H.num_pins a) (H.num_pins b);
   let same = ref true in
   for e = 0 to H.num_edges a - 1 do
-    if H.edge_pins a e <> H.edge_pins b e then same := false
+    if Incidence.pins a e <> Incidence.pins b e then same := false
   done;
   Alcotest.(check bool) "identical nets" true !same
 
@@ -63,7 +63,7 @@ let test_seed_changes_instance () =
   let b = gen ~seed:2 ~cells:500 ~nets:550 ~pins:2000 () in
   let differs = ref false in
   for e = 0 to H.num_edges a - 1 do
-    if H.edge_pins a e <> H.edge_pins b e then differs := true
+    if Incidence.pins a e <> Incidence.pins b e then differs := true
   done;
   Alcotest.(check bool) "different instance" true !differs
 

@@ -16,14 +16,14 @@ let test_sizes () =
 
 let test_edge_pins () =
   let h = sample () in
-  Alcotest.(check (array int)) "net 0" [| 0; 1; 2 |] (H.edge_pins h 0);
-  Alcotest.(check (array int)) "net 3" [| 0; 4 |] (H.edge_pins h 3);
+  Alcotest.(check (array int)) "net 0" [| 0; 1; 2 |] (Incidence.pins h 0);
+  Alcotest.(check (array int)) "net 3" [| 0; 4 |] (Incidence.pins h 3);
   Alcotest.(check int) "size of net 1" 2 (H.edge_size h 1)
 
 let test_vertex_edges () =
   let h = sample () in
   let sorted v =
-    let a = H.vertex_edges h v in
+    let a = Incidence.edges h v in
     Array.sort compare a;
     a
   in
@@ -52,7 +52,7 @@ let test_explicit_weights () =
 let test_duplicate_pins_merged () =
   let h = H.create ~num_vertices:3 ~edges:[| [| 0; 1; 0; 1; 2; 2 |] |] () in
   Alcotest.(check int) "deduped size" 3 (H.edge_size h 0);
-  Alcotest.(check (array int)) "order preserved" [| 0; 1; 2 |] (H.edge_pins h 0)
+  Alcotest.(check (array int)) "order preserved" [| 0; 1; 2 |] (Incidence.pins h 0)
 
 let test_invalid_inputs () =
   let bad f = Alcotest.check_raises "rejected" (Invalid_argument "") (fun () ->
@@ -70,7 +70,7 @@ let test_iterators_match_arrays () =
   for e = 0 to H.num_edges h - 1 do
     let acc = ref [] in
     H.iter_pins h e (fun v -> acc := v :: !acc);
-    Alcotest.(check (list int)) "iter_pins" (Array.to_list (H.edge_pins h e))
+    Alcotest.(check (list int)) "iter_pins" (Array.to_list (Incidence.pins h e))
       (List.rev !acc)
   done;
   let total = H.fold_edges h 3 ~init:0 ~f:(fun acc _ -> acc + 1) in
@@ -184,7 +184,7 @@ let test_reweight_edges () =
   Alcotest.(check int) "new weight" 5 (H.edge_weight h' 0);
   Alcotest.(check int) "max edge weight updated" 9 (H.max_edge_weight h');
   Alcotest.(check int) "original untouched" 1 (H.edge_weight h 0);
-  Alcotest.(check (array int)) "structure shared" (H.edge_pins h 2) (H.edge_pins h' 2);
+  Alcotest.(check (array int)) "structure shared" (Incidence.pins h 2) (Incidence.pins h' 2);
   Alcotest.check_raises "bad length" (Invalid_argument "x") (fun () ->
       try ignore (H.reweight_edges h ~weights:[| 1 |])
       with Invalid_argument _ -> raise (Invalid_argument "x"));

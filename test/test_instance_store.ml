@@ -30,12 +30,12 @@ let same_structure a b =
   if H.num_edges a <> H.num_edges b then ok := false;
   if H.num_pins a <> H.num_pins b then ok := false;
   for e = 0 to min (H.num_edges a) (H.num_edges b) - 1 do
-    if H.edge_pins a e <> H.edge_pins b e then ok := false;
+    if Incidence.pins a e <> Incidence.pins b e then ok := false;
     if H.edge_weight a e <> H.edge_weight b e then ok := false
   done;
   for v = 0 to min (H.num_vertices a) (H.num_vertices b) - 1 do
     if H.vertex_weight a v <> H.vertex_weight b v then ok := false;
-    if H.vertex_edges a v <> H.vertex_edges b v then ok := false
+    if Incidence.edges a v <> Incidence.edges b v then ok := false
   done;
   !ok
 

@@ -8,6 +8,8 @@ module Fm_config = Hypart_fm.Fm_config
 module Matching = Hypart_multilevel.Matching
 module Coarsen = Hypart_multilevel.Coarsen
 module Ml = Hypart_multilevel.Ml_partitioner
+module Ml_engines = Hypart_multilevel.Ml_engines
+module Engine = Hypart_engine.Engine
 module Suite = Hypart_generator.Ibm_suite
 
 let instance () = Suite.instance ~scale:32.0 "ibm01"
@@ -287,19 +289,27 @@ let test_vcycle_never_worse () =
 let test_ml_multistart () =
   let h = instance () in
   let p = Problem.make ~tolerance:0.02 h in
-  let best, records = Ml.multistart (Rng.create 17) p ~starts:4 in
+  let best, records = Engine.multistart Ml_engines.ml (Rng.create 17) p ~starts:4 in
   Alcotest.(check int) "4 records" 4 (List.length records);
   List.iter
     (fun r ->
-      Alcotest.(check bool) "best <= start" true (best.Fm.cut <= r.Fm.start_cut))
+      Alcotest.(check bool) "best <= start" true
+        (best.Engine.Result.cut <= r.Engine.start_cut))
     records
 
 let test_ml_multistart_with_vcycle () =
   let h = instance () in
   let p = Problem.make ~tolerance:0.02 h in
-  let plain, _ = Ml.multistart (Rng.create 18) p ~starts:2 in
-  let cycled, _ = Ml.multistart ~vcycle_best:2 (Rng.create 18) p ~starts:2 in
-  Alcotest.(check bool) "vcycled best no worse" true (cycled.Fm.cut <= plain.Fm.cut)
+  let plain, _ = Engine.multistart Ml_engines.ml (Rng.create 18) p ~starts:2 in
+  let rng = Rng.create 18 in
+  let polish = Ml_engines.vcycle_polish ~config:Ml.default rng p in
+  let cycled, _ =
+    Engine.multistart
+      ~polish_best:(fun r -> polish (polish r))
+      Ml_engines.ml rng p ~starts:2
+  in
+  Alcotest.(check bool) "vcycled best no worse" true
+    (cycled.Engine.Result.cut <= plain.Engine.Result.cut)
 
 let test_ml_deterministic () =
   let h = instance () in

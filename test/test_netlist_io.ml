@@ -15,7 +15,7 @@ let equal_hypergraphs a b =
   && H.num_edges a = H.num_edges b
   && (let ok = ref true in
       for e = 0 to H.num_edges a - 1 do
-        if H.edge_pins a e <> H.edge_pins b e then ok := false;
+        if Incidence.pins a e <> Incidence.pins b e then ok := false;
         if H.edge_weight a e <> H.edge_weight b e then ok := false
       done;
       for v = 0 to H.num_vertices a - 1 do
@@ -36,7 +36,7 @@ let test_hgr_roundtrip_unweighted () =
   Io.write_hgr ~with_weights:false path h;
   let h' = Io.read_hgr path in
   Alcotest.(check int) "edges preserved" (H.num_edges h) (H.num_edges h');
-  Alcotest.(check (array int)) "pins preserved" (H.edge_pins h 2) (H.edge_pins h' 2);
+  Alcotest.(check (array int)) "pins preserved" (Incidence.pins h 2) (Incidence.pins h' 2);
   Alcotest.(check int) "weights dropped" 1 (H.vertex_weight h' 0)
 
 let test_hgr_comments_and_fmt1 () =
@@ -47,7 +47,7 @@ let test_hgr_comments_and_fmt1 () =
   let h = Io.read_hgr path in
   Alcotest.(check int) "3 edges" 3 (H.num_edges h);
   Alcotest.(check int) "edge weight parsed" 5 (H.edge_weight h 0);
-  Alcotest.(check (array int)) "0-indexed pins" [| 0; 1 |] (H.edge_pins h 0)
+  Alcotest.(check (array int)) "0-indexed pins" [| 0; 1 |] (Incidence.pins h 0)
 
 let test_hgr_errors () =
   let write_and_read content =
@@ -82,7 +82,7 @@ let test_hgr_crlf_and_blanks () =
   Alcotest.(check int) "3 edges" 3 (H.num_edges h);
   Alcotest.(check int) "4 vertices" 4 (H.num_vertices h);
   Alcotest.(check int) "edge weight" 5 (H.edge_weight h 0);
-  Alcotest.(check (array int)) "tab-separated pins" [| 2; 3 |] (H.edge_pins h 1)
+  Alcotest.(check (array int)) "tab-separated pins" [| 2; 3 |] (Incidence.pins h 1)
 
 let test_hgr_located_errors () =
   let read content =
@@ -155,7 +155,7 @@ let test_netd_roundtrip () =
   for e = 0 to 3 do
     Alcotest.(check (array int))
       (Printf.sprintf "net %d pins" e)
-      (H.edge_pins h e) (H.edge_pins h' e)
+      (Incidence.pins h e) (Incidence.pins h' e)
   done;
   (* .netD carries no weights *)
   Alcotest.(check int) "unit area" 1 (H.vertex_weight h' 0)
@@ -189,7 +189,7 @@ let test_netd_pads_mapped () =
   let h, num_pads = Io.read_netd path in
   Alcotest.(check int) "one pad" 1 num_pads;
   Alcotest.(check (array int)) "pad mapped after cells" [| 0; 1; 2 |]
-    (H.edge_pins h 0)
+    (Incidence.pins h 0)
 
 let test_partition_roundtrip () =
   let path = tmp "hypart_test.part" in
@@ -229,7 +229,7 @@ let same_structure a b =
   && H.num_edges a = H.num_edges b
   && (let ok = ref true in
       for e = 0 to H.num_edges a - 1 do
-        if H.edge_pins a e <> H.edge_pins b e then ok := false
+        if Incidence.pins a e <> Incidence.pins b e then ok := false
       done;
       !ok)
 

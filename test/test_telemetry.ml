@@ -266,7 +266,10 @@ let test_gain_removes_equals_fm_moves () =
   let p = Problem.make ~tolerance:0.10 h in
   List.iter
     (fun config ->
-      ignore (Fm.multistart ~config (Rng.create 91) p ~starts:5))
+      let engine =
+        Hypart_fm.Fm_engines.of_config ~name:"fm" ~description:"" config
+      in
+      ignore (Hypart_engine.Engine.multistart engine (Rng.create 91) p ~starts:5))
     [ Fm_config.strong_lifo; Fm_config.strong_clip; Fm_config.reported_clip ];
   let moves = Metrics.counter_value "fm.moves" in
   Alcotest.(check bool) "some moves happened" true (moves > 0);
