@@ -270,6 +270,18 @@ let micro_benches =
       Test.make ~name:"ml_start_reused"
         (ignore1 (fun () ->
              Ml.run (Rng.create 3) (Lazy.force micro_problem)));
+      (* the coarsening phase of a multilevel start on its own:
+         matching and contraction at every level, no FM.  Coarsened to
+         16 vertices rather than the engine's 120, so even CI's
+         ~100-vertex instance builds several levels *)
+      Test.make ~name:"ml_coarsen"
+        (ignore1 (fun () ->
+             let p = Lazy.force micro_problem in
+             let coarsest_size = 16 in
+             Hypart_multilevel.Coarsen.build ~scheme:Ml.default.Ml.scheme
+               ~rng:(Rng.create 3) ~coarsest_size
+               ~max_cluster_weight:(Ml.cluster_weight_cap p coarsest_size)
+               p));
     ]
 
 (* ------------- ingest benches (streaming parse, pack, mmap load) ------------- *)

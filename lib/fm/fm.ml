@@ -125,37 +125,39 @@ let insertable st v =
       || H.vertex_weight st.h v <= Balance.slack st.problem.Problem.balance)
   && ((not st.config.Fm_config.boundary_only) || on_boundary st v)
 
-(* In-place heapsort of [a.(0 .. m-1)] ascending by [(gain, id)] — the
-   CLIP populate order — without the scratch list and [Array.sort]
-   copy the old populate allocated per pass.  The comparison is a
-   total order (ids are distinct), so any correct sort produces the
-   same sequence. *)
-let sort_by_gain gain a m =
-  let[@inline] less x y =
-    gain.(x) < gain.(y) || (gain.(x) = gain.(y) && x < y)
-  in
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let rec sift i len =
-    let l = (2 * i) + 1 in
-    if l < len then begin
-      let c = if l + 1 < len && less a.(l) a.(l + 1) then l + 1 else l in
-      if less a.(i) a.(c) then begin
-        swap i c;
-        sift c len
-      end
-    end
-  in
-  for i = (m / 2) - 1 downto 0 do
-    sift i m
-  done;
-  for len = m - 1 downto 1 do
-    swap 0 len;
-    sift 0 len
-  done
+(* Stable counting sort of [src.(0 .. m-1)] by gain into [dst], over
+   the observed gain range (at most [Array.length count] values: see
+   [Fm_workspace.gain_count]).  [src] holds ids in ascending order, so
+   [dst] comes out ascending by [(gain, id)] — the CLIP populate order.
+   O(m + range), no allocation. *)
+let order_by_gain gain count src dst m =
+  if m > 0 then begin
+    let lo = ref max_int and hi = ref min_int in
+    for i = 0 to m - 1 do
+      let g = Array.unsafe_get gain (Array.unsafe_get src i) in
+      if g < !lo then lo := g;
+      if g > !hi then hi := g
+    done;
+    let lo = !lo and range = !hi - !lo + 1 in
+    Array.fill count 0 range 0;
+    for i = 0 to m - 1 do
+      let b = Array.unsafe_get gain (Array.unsafe_get src i) - lo in
+      count.(b) <- count.(b) + 1
+    done;
+    (* exclusive prefix sums: count.(b) becomes bucket b's first slot *)
+    let sum = ref 0 in
+    for b = 0 to range - 1 do
+      let c = count.(b) in
+      count.(b) <- !sum;
+      sum := !sum + c
+    done;
+    for i = 0 to m - 1 do
+      let v = Array.unsafe_get src i in
+      let b = Array.unsafe_get gain v - lo in
+      dst.(count.(b)) <- v;
+      count.(b) <- count.(b) + 1
+    done
+  end
 
 (* Populate the container for a pass.  The first pass of a run computes
    every insertable gain from scratch; later passes repair only the
@@ -163,8 +165,10 @@ let sort_by_gain gain a m =
    counts moved last pass (every net an applied move touched is
    stamped, whether or not the move survived rollback).  CLIP inserts
    every move with key 0, ordered so the highest-initial-gain cells end
-   up at the bucket heads; classic FM inserts with key = gain in vertex
-   order. *)
+   up at the bucket heads: the insertable ids are collected ascending
+   and counting-sorted by initial gain into the workspace's [sorted]
+   array, a stable O(m + gain range) pass over buffers the workspace
+   holds.  Classic FM inserts with key = gain in vertex order. *)
 let populate st =
   Gain_container.clear st.container;
   let n = H.num_vertices st.h in
@@ -201,7 +205,7 @@ let populate st =
           ~key:st.gain.(v) v
     done
   | Fm_config.Clip_fm ->
-    let order = ws.Fm_workspace.order in
+    let order = ws.Fm_workspace.order and sorted = ws.Fm_workspace.sorted in
     let m = ref 0 in
     for v = 0 to n - 1 do
       if insertable st v then begin
@@ -213,7 +217,7 @@ let populate st =
        gain) vertex lands at the bucket head, as CLIP prescribes; with
        FIFO we insert descending instead so heads still hold the
        highest-gain cells. *)
-    sort_by_gain st.gain order !m;
+    order_by_gain st.gain ws.Fm_workspace.gain_count order sorted !m;
     let insert v =
       Gain_container.insert st.container ~side:(Bipartition.side st.sol v)
         ~key:0 v
@@ -221,11 +225,11 @@ let populate st =
     (match st.config.Fm_config.insertion with
      | Fm_config.Fifo ->
        for i = !m - 1 downto 0 do
-         insert order.(i)
+         insert sorted.(i)
        done
      | Fm_config.Lifo | Fm_config.Random ->
        for i = 0 to !m - 1 do
-         insert order.(i)
+         insert sorted.(i)
        done)
 
 (* Apply the move of [v] and propagate delta gains to its neighbours

@@ -17,7 +17,11 @@ type t = {
   gain : int array;           (* current actual gain per vertex *)
   locked : bool array;
   move_stack : int array;     (* moves applied during the current pass *)
-  order : int array;          (* CLIP populate scratch (sorted by gain) *)
+  order : int array;          (* CLIP populate: insertable ids, ascending *)
+  sorted : int array;         (* CLIP populate: [order] by (gain, id) *)
+  mutable gain_count : int array;
+      (* CLIP populate counting-sort buckets; a gain range spans at most
+         2 * max weighted degree + 1 <= the container's max_key values *)
   edge_stamp : int array;     (* generation a net's counts last changed *)
   vertex_stamp : int array;   (* generation a gain was last repaired *)
   touched : int array;        (* nets touched during the current pass *)
@@ -32,14 +36,21 @@ type t = {
   mutable required_key : int;
 }
 
-let weighted_degree h v =
-  H.fold_edges h v ~init:0 ~f:(fun acc e -> acc + H.edge_weight h e)
+(* top-level so it inlines without flambda, as in [Fm] *)
+let[@inline] ba (a : H.i32) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
 
+(* Runs on every multilevel level (the key cache holds one instance),
+   so it is a flat CSR loop. *)
 let max_weighted_degree h =
+  let voff = H.Csr.vertex_offset h and vedges = H.Csr.vertex_edges h in
+  let ew = H.Csr.edge_weight h in
   let m = ref 0 in
   for v = 0 to H.num_vertices h - 1 do
-    let d = weighted_degree h v in
-    if d > !m then m := d
+    let d = ref 0 in
+    for i = ba voff v to ba voff (v + 1) - 1 do
+      d := !d + ba ew (ba vedges i)
+    done;
+    if !d > !m then m := !d
   done;
   !m
 
@@ -61,6 +72,8 @@ let create ~num_vertices:n ~num_edges:ne ~insertion ~rng h =
     locked = Array.make n false;
     move_stack = Array.make n 0;
     order = Array.make n 0;
+    sorted = Array.make n 0;
+    gain_count = Array.make (max_key + 1) 0;
     edge_stamp = Array.make ne 0;
     vertex_stamp = Array.make n 0;
     touched = Array.make ne 0;
@@ -92,11 +105,14 @@ let prepare t ~insertion ~rng h =
   if
     Gain_container.insertion c <> insertion
     || Gain_container.max_key c < required
-  then
+  then begin
+    let max_key = max required (Gain_container.max_key c) in
     t.container <-
-      Gain_container.create ~num_vertices:t.num_vertices
-        ~max_key:(max required (Gain_container.max_key c))
-        ~insertion ~rng
+      Gain_container.create ~num_vertices:t.num_vertices ~max_key ~insertion
+        ~rng;
+    if Array.length t.gain_count <= max_key then
+      t.gain_count <- Array.make (max_key + 1) 0
+  end
   else Gain_container.set_rng c rng
 
 let slot : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)

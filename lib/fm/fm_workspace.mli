@@ -1,12 +1,13 @@
 (** Per-domain scratch workspace for the FM engine.
 
-    [Fm.run] needs seven O(V+E) arrays (pin counts per side, gains,
-    locks, the per-pass move stack, the CLIP ordering scratch, and the
-    incremental-repair stamp/touch arrays) plus the gain container's
-    link arrays.  Each domain keeps one workspace in a [Domain.DLS]
-    slot, and every run on that domain — every start, level, V-cycle
-    and served request — borrows it, so a domain allocates once and
-    again only when an instance outgrows the slot.
+    [Fm.run] needs O(V+E) arrays (pin counts per side, gains, locks,
+    the per-pass move stack, the two CLIP ordering arrays, and the
+    incremental-repair stamp/touch arrays), the CLIP counting-sort
+    buckets (one per key the gain container can hold) and the gain
+    container's link arrays.  Each domain keeps one workspace in a
+    [Domain.DLS] slot, and every run on that domain — every start,
+    level, V-cycle and served request — borrows it, so a domain
+    allocates once and again only when an instance outgrows the slot.
 
     A workspace fits any hypergraph with no more vertices and edges
     than its capacity, which is what lets one slot serve a whole
@@ -31,7 +32,11 @@ type t = {
   gain : int array;  (** current actual gain per vertex *)
   locked : bool array;
   move_stack : int array;  (** moves applied during the current pass *)
-  order : int array;  (** CLIP populate scratch (sorted by gain) *)
+  order : int array;  (** CLIP populate: insertable ids, ascending *)
+  sorted : int array;  (** CLIP populate: [order] by [(gain, id)] *)
+  mutable gain_count : int array;
+      (** CLIP populate counting-sort buckets, longer than the
+          container's [max_key] (a gain range never exceeds it) *)
   edge_stamp : int array;  (** generation a net's counts last changed *)
   vertex_stamp : int array;  (** generation a gain was last repaired *)
   touched : int array;  (** nets touched during the current pass *)

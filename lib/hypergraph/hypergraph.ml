@@ -356,11 +356,55 @@ let stats h =
     edges_over_50_pins = !big;
   }
 
-(* Hash of a sorted pin array, for identical-net merging in [contract]. *)
-let hash_pins pins lo len =
+(* In-place ascending sort of [a.(lo .. lo+len-1)] for [contract].
+   Pins of one net are distinct, so any correct sort gives the same
+   order: insertion sort for the common small nets, heapsort above
+   [small_net] so huge nets stay O(s log s).  Monomorphic int
+   comparisons throughout. *)
+let small_net = 16
+
+let sort_pins (a : int array) lo len =
+  if len <= small_net then
+    for i = lo + 1 to lo + len - 1 do
+      let x = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= lo && Array.unsafe_get a !j > x do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) x
+    done
+  else begin
+    let rec sift i n =
+      let l = (2 * i) + 1 in
+      if l < n then begin
+        let c =
+          if l + 1 < n && a.(lo + l) < a.(lo + l + 1) then l + 1 else l
+        in
+        if a.(lo + i) < a.(lo + c) then begin
+          let t = a.(lo + i) in
+          a.(lo + i) <- a.(lo + c);
+          a.(lo + c) <- t;
+          sift c n
+        end
+      end
+    in
+    for i = (len / 2) - 1 downto 0 do
+      sift i len
+    done;
+    for n = len - 1 downto 1 do
+      let t = a.(lo) in
+      a.(lo) <- a.(lo + n);
+      a.(lo + n) <- t;
+      sift 0 n
+    done
+  end
+
+(* Hash of a sorted pin run, for identical-net merging in [contract]. *)
+let hash_pins (pins : int array) lo len =
   let h = ref 0x345678 in
   for i = lo to lo + len - 1 do
-    h := (!h * 1000003) lxor pins.(i)
+    h := (!h * 1000003) lxor Array.unsafe_get pins i
   done;
   !h land max_int
 
@@ -377,100 +421,98 @@ let contract h ~cluster_of ~num_clusters =
     let c = cluster_of.(v) in
     vertex_weight.(c) <- vertex_weight.(c) + ug h.vertex_weight v
   done;
-  (* Pass 1: translate and deduplicate each net's pins; drop size-1 nets. *)
+  (* Pass 1: translate and deduplicate each net's pins into one flat
+     buffer ([koff] delimits kept net k, [kedge] is its fine id), sort
+     each run in place and drop nets that collapse to one pin. *)
   let mark = Array.make (max num_clusters 1) (-1) in
-  let tmp = Array.make num_clusters 0 in
-  let kept_pins = ref [] and kept_meta = ref [] in
-  (* kept_meta: (fine edge id, size, weight), pins pushed in reverse net order *)
-  let total_pins = ref 0 in
+  let buf = Array.make (max (dim h.edge_pins) 1) 0 in
+  let koff = Array.make (h.num_edges + 1) 0 in
+  let kedge = Array.make (max h.num_edges 1) 0 in
+  let n_kept = ref 0 and pos = ref 0 in
   for e = 0 to h.num_edges - 1 do
-    let n = ref 0 in
-    iter_pins h e (fun v ->
-        let c = cluster_of.(v) in
-        if mark.(c) <> e then begin
-          mark.(c) <- e;
-          tmp.(!n) <- c;
-          incr n
-        end);
-    if !n >= 2 then begin
-      let pins = Array.sub tmp 0 !n in
-      Array.sort compare pins;
-      kept_pins := pins :: !kept_pins;
-      kept_meta := (e, !n, ug h.edge_weight e) :: !kept_meta;
-      total_pins := !total_pins + !n
+    let start = !pos in
+    for i = ug h.edge_offset e to ug h.edge_offset (e + 1) - 1 do
+      let c = Array.unsafe_get cluster_of (ug h.edge_pins i) in
+      if Array.unsafe_get mark c <> e then begin
+        Array.unsafe_set mark c e;
+        Array.unsafe_set buf !pos c;
+        incr pos
+      end
+    done;
+    let len = !pos - start in
+    if len >= 2 then begin
+      sort_pins buf start len;
+      kedge.(!n_kept) <- e;
+      incr n_kept;
+      koff.(!n_kept) <- !pos
     end
+    else pos := start
   done;
-  let kept_pins = Array.of_list (List.rev !kept_pins) in
-  let kept_meta = Array.of_list (List.rev !kept_meta) in
-  let n_kept = Array.length kept_pins in
-  (* Pass 2: merge identical nets via hashing on sorted pins. *)
-  let table : (int, int list ref) Hashtbl.t = Hashtbl.create (2 * n_kept + 1) in
-  let rep = Array.make n_kept (-1) in      (* index of representative kept-net *)
-  let rep_weight = Array.make n_kept 0 in
-  let num_coarse = ref 0 in
-  for k = 0 to n_kept - 1 do
-    let pins = kept_pins.(k) in
-    let key = hash_pins pins 0 (Array.length pins) in
-    let bucket =
-      match Hashtbl.find_opt table key with
-      | Some b -> b
-      | None ->
-        let b = ref [] in
-        Hashtbl.add table key b;
-        b
-    in
-    let found =
-      List.find_opt (fun k' -> kept_pins.(k') = pins) !bucket
-    in
-    (match found with
-     | Some k' ->
-       rep.(k) <- rep.(k');
-       let _, _, w = kept_meta.(k) in
-       rep_weight.(rep.(k)) <- rep_weight.(rep.(k)) + w
-     | None ->
-       bucket := k :: !bucket;
-       rep.(k) <- k;
-       let _, _, w = kept_meta.(k) in
-       rep_weight.(k) <- w;
-       incr num_coarse)
+  let n_kept = !n_kept in
+  (* Pass 2: merge identical nets through an open-addressing table of
+     kept-net ids (linear probing, power-of-two size, load <= 1/2).
+     The first occurrence represents its class, so coarse ids follow
+     first occurrences in fine net order. *)
+  let size = ref 1 in
+  while !size < 2 * n_kept do
+    size := 2 * !size
   done;
-  (* Assign coarse ids to representatives in kept order. *)
-  let coarse_id = Array.make n_kept (-1) in
-  let next = ref 0 in
+  let mask = !size - 1 in
+  let table = Array.make !size (-1) in
+  let khash = Array.make (max n_kept 1) 0 in
+  let coarse_of = Array.make (max n_kept 1) (-1) in
+  let num_coarse = ref 0 and coarse_pins = ref 0 in
   for k = 0 to n_kept - 1 do
-    if rep.(k) = k then begin
-      coarse_id.(k) <- !next;
-      incr next
+    let lo = koff.(k) and len = koff.(k + 1) - koff.(k) in
+    let hk = hash_pins buf lo len in
+    khash.(k) <- hk;
+    let slot = ref (hk land mask) and found = ref (-1) in
+    while !found < 0 && table.(!slot) >= 0 do
+      let k' = table.(!slot) in
+      let lo' = koff.(k') in
+      if khash.(k') = hk && koff.(k' + 1) - lo' = len then begin
+        let i = ref 0 in
+        while !i < len && buf.(lo + !i) = buf.(lo' + !i) do
+          incr i
+        done;
+        if !i = len then found := k'
+      end;
+      if !found < 0 then slot := (!slot + 1) land mask
+    done;
+    if !found >= 0 then coarse_of.(k) <- coarse_of.(!found)
+    else begin
+      table.(!slot) <- k;
+      coarse_of.(k) <- !num_coarse;
+      incr num_coarse;
+      coarse_pins := !coarse_pins + len
     end
   done;
   let num_coarse = !num_coarse in
-  let edge_offset = Array.make (num_coarse + 1) 0 in
+  let edge_offset = i32_create (num_coarse + 1) in
+  let edge_pins = i32_create !coarse_pins in
   let edge_weight = Array.make num_coarse 0 in
-  for k = 0 to n_kept - 1 do
-    if rep.(k) = k then begin
-      let c = coarse_id.(k) in
-      edge_offset.(c + 1) <- Array.length kept_pins.(k);
-      edge_weight.(c) <- rep_weight.(k)
-    end
-  done;
-  for c = 0 to num_coarse - 1 do
-    edge_offset.(c + 1) <- edge_offset.(c + 1) + edge_offset.(c)
-  done;
-  let edge_pins = Array.make edge_offset.(num_coarse) 0 in
-  for k = 0 to n_kept - 1 do
-    if rep.(k) = k then begin
-      let c = coarse_id.(k) in
-      Array.blit kept_pins.(k) 0 edge_pins edge_offset.(c) (Array.length kept_pins.(k))
-    end
-  done;
   let edge_map = Array.make h.num_edges (-1) in
+  Bigarray.Array1.set edge_offset 0 0l;
+  let next = ref 0 and p = ref 0 in
   for k = 0 to n_kept - 1 do
-    let e, _, _ = kept_meta.(k) in
-    edge_map.(e) <- coarse_id.(rep.(k))
+    let c = coarse_of.(k) in
+    let e = kedge.(k) in
+    edge_map.(e) <- c;
+    edge_weight.(c) <- edge_weight.(c) + ug h.edge_weight e;
+    (* a representative is the first kept net mapped to its class *)
+    if c = !next then begin
+      for i = koff.(k) to koff.(k + 1) - 1 do
+        Bigarray.Array1.unsafe_set edge_pins !p (Int32.of_int buf.(i));
+        incr p
+      done;
+      incr next;
+      Bigarray.Array1.unsafe_set edge_offset !next (Int32.of_int !p)
+    end
   done;
   let coarse =
-    of_csr ~num_vertices:num_clusters ~edge_offset ~edge_pins ~vertex_weight
-      ~edge_weight
+    of_csr32 ~num_vertices:num_clusters ~edge_offset ~edge_pins
+      ~vertex_weight:(i32_of_array vertex_weight)
+      ~edge_weight:(i32_of_array edge_weight)
   in
   (coarse, edge_map)
 

@@ -34,6 +34,11 @@ val ml_clip : config
 val hmetis_like : config
 (** The Tables 4-5 engine: ML CLIP with 2 V-cycles. *)
 
+val cluster_weight_cap : Hypart_partition.Problem.t -> int -> int
+(** [cluster_weight_cap problem coarsest_size] is the heaviest cluster
+    coarsening may form: 45% of the balance slack, or a quarter of the
+    average coarsest-level vertex weight when that is larger. *)
+
 val run :
   ?config:config ->
   Hypart_rng.Rng.t ->

@@ -147,6 +147,19 @@ let parse_head head max_body =
             | _ -> Error (Bad_request (Printf.sprintf "bad Content-Length %S" v))
           ))))
 
+let header req name =
+  List.assoc_opt (String.lowercase_ascii name) req.headers
+
+let expects_continue t =
+  match t.phase with
+  | Body { req; content_length } -> (
+    Buffer.length t.buf < content_length
+    &&
+    match header req "expect" with
+    | Some v -> String.lowercase_ascii (String.trim v) = "100-continue"
+    | None -> false)
+  | Head | Finished -> false
+
 let feed t chunk =
   match t.phase with
   | Finished -> `Error (Bad_request "parser already finished")
@@ -184,9 +197,6 @@ let feed t chunk =
             (String.length s - body_start);
           t.phase <- Body { req; content_length };
           try_finish_body ())))
-
-let header req name =
-  List.assoc_opt (String.lowercase_ascii name) req.headers
 
 let query_param req name = List.assoc_opt name req.query
 

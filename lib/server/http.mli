@@ -38,6 +38,13 @@ val feed :
     incomplete; the other results are terminal (further feeding is an
     error).  An empty chunk is allowed and never terminal. *)
 
+val expects_continue : parser_state -> bool
+(** Whether the client is waiting for an interim
+    [HTTP/1.1 100 Continue] before it sends the body: the head has been
+    parsed, it carried [Expect: 100-continue], and the body is still
+    incomplete.  The caller sends the interim line once (curl waits
+    about a second for it before uploading bodies over 1 MB). *)
+
 val header : request -> string -> string option
 (** Case-insensitive header lookup (first occurrence). *)
 

@@ -143,15 +143,26 @@ let send_response fd ?headers ~status ~body () =
   let bytes = Http.render_response ?headers ~status ~body () in
   try write_all fd bytes 0 (String.length bytes) with Unix.Unix_error _ -> ()
 
+let continue_line = "HTTP/1.1 100 Continue\r\n\r\n"
+
 let read_request fd max_body =
   let parser = Http.create_parser ~max_body () in
   let buf = Bytes.create 8192 in
+  let continued = ref false in
   let rec loop () =
     match Unix.read fd buf 0 (Bytes.length buf) with
     | 0 -> `Closed
     | n -> (
       match Http.feed parser (Bytes.sub_string buf 0 n) with
-      | `More -> loop ()
+      | `More ->
+        (* answer [Expect: 100-continue] once, so the client sends the
+           body now instead of after its own timeout *)
+        if (not !continued) && Http.expects_continue parser then begin
+          continued := true;
+          try write_all fd continue_line 0 (String.length continue_line)
+          with Unix.Unix_error _ -> ()
+        end;
+        loop ()
       | `Request r -> `Request r
       | `Error e -> `Http_error e)
     | exception Unix.Unix_error (EINTR, _, _) -> loop ()

@@ -275,6 +275,59 @@ let prop_contract_no_trivial_nets =
       done;
       !ok)
 
+(* Random inputs for the contraction oracle: a mix of 2-4 pin nets,
+   nets of up to 120 pins (past the kernel's insertion-sort cutoff),
+   verbatim and permuted copies of earlier nets (identical coarse
+   nets), and nets drawn inside one cluster (collapse to one pin). *)
+let contraction_input seed =
+  let rng = Rng.create seed in
+  let nv = 2 + Rng.int rng 200 in
+  let k = 1 + Rng.int rng nv in
+  let cluster_of = Array.init nv (fun v -> if v < k then v else Rng.int rng k) in
+  let members = Array.make k [] in
+  Array.iteri (fun v c -> members.(c) <- v :: members.(c)) cluster_of;
+  let ne = Rng.int rng 150 in
+  let edges = Array.make ne [||] in
+  for e = 0 to ne - 1 do
+    edges.(e) <-
+      (match Rng.int rng 6 with
+       | 0 -> Rng.sample_distinct rng ~n:(min nv (17 + Rng.int rng 104)) ~universe:nv
+       | 1 when e > 0 -> Array.copy edges.(Rng.int rng e)
+       | 2 when e > 0 ->
+         let a = Array.copy edges.(Rng.int rng e) in
+         Rng.shuffle_in_place rng a;
+         a
+       | 3 -> Array.of_list members.(Rng.int rng k)
+       | _ -> Rng.sample_distinct rng ~n:(min nv (2 + Rng.int rng 3)) ~universe:nv)
+  done;
+  let vertex_weights = Array.init nv (fun _ -> 1 + Rng.int rng 9) in
+  let edge_weights = Array.init ne (fun _ -> 1 + Rng.int rng 9) in
+  let h = H.create ~num_vertices:nv ~vertex_weights ~edge_weights ~edges () in
+  (h, cluster_of, k)
+
+let prop_contract_matches_reference =
+  QCheck.Test.make ~name:"contraction matches the list/Hashtbl reference"
+    ~count:300 QCheck.(int_bound 1_000_000) (fun seed ->
+      let h, cluster_of, k = contraction_input seed in
+      let coarse, edge_map = H.contract h ~cluster_of ~num_clusters:k in
+      let edges, edge_weight, vertex_weight, ref_map =
+        Contract_ref.contract h ~cluster_of ~num_clusters:k
+      in
+      let nc = H.num_edges coarse in
+      (* vertex -> edge incidence the reference edges imply *)
+      let incident = Array.make k [] in
+      for c = Array.length edges - 1 downto 0 do
+        Array.iter (fun v -> incident.(v) <- c :: incident.(v)) edges.(c)
+      done;
+      H.num_vertices coarse = k
+      && nc = Array.length edges
+      && edge_map = ref_map
+      && Array.init nc (Incidence.pins coarse) = edges
+      && Array.init nc (H.edge_weight coarse) = edge_weight
+      && Array.init k (H.vertex_weight coarse) = vertex_weight
+      && Array.init k (Incidence.edges coarse)
+         = Array.map Array.of_list incident)
+
 let () =
   Alcotest.run "hypergraph"
     [
@@ -319,5 +372,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_incidence_symmetric;
           QCheck_alcotest.to_alcotest prop_contract_weight_conserved;
           QCheck_alcotest.to_alcotest prop_contract_no_trivial_nets;
+          QCheck_alcotest.to_alcotest prop_contract_matches_reference;
         ] );
     ]

@@ -110,6 +110,43 @@ let test_http_malformed () =
   expect_bad "GET /x HTTP/1.1\r\nContent-Length: -4\r\n\r\n";
   expect_bad "GET /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
 
+(* [Expect: 100-continue] asks for the interim line only while the head
+   is parsed and the body still missing *)
+let test_http_expect_continue () =
+  let head expect =
+    Printf.sprintf "POST /partition HTTP/1.1\r\nHost: x\r\n%sContent-Length: 5\r\n\r\n"
+      expect
+  in
+  let more p chunk =
+    match Http.feed p chunk with
+    | `More -> ()
+    | _ -> Alcotest.fail "request finished early"
+  in
+  let p = Http.create_parser () in
+  Alcotest.(check bool) "no head yet" false (Http.expects_continue p);
+  more p "POST /partition HTTP/1.1\r\nExpect: 100-continue\r\n";
+  Alcotest.(check bool) "head incomplete" false (Http.expects_continue p);
+  more p "Content-Length: 5\r\n\r\n";
+  Alcotest.(check bool) "head parsed, body missing" true (Http.expects_continue p);
+  more p "hel";
+  Alcotest.(check bool) "body partial" true (Http.expects_continue p);
+  (match Http.feed p "lo" with
+   | `Request r -> Alcotest.(check string) "body" "hello" r.Http.body
+   | _ -> Alcotest.fail "request not finished");
+  Alcotest.(check bool) "finished" false (Http.expects_continue p);
+  let p = Http.create_parser () in
+  more p (head "Expect: 100-Continue\r\n");
+  Alcotest.(check bool) "value is case-insensitive" true (Http.expects_continue p);
+  let p = Http.create_parser () in
+  more p (head "");
+  Alcotest.(check bool) "no Expect header" false (Http.expects_continue p);
+  let p = Http.create_parser () in
+  (match Http.feed p (head "Expect: 100-continue\r\n" ^ "hello") with
+   | `Request _ -> ()
+   | _ -> Alcotest.fail "whole request not parsed");
+  Alcotest.(check bool) "body arrived with the head" false
+    (Http.expects_continue p)
+
 let test_http_response_round_trip () =
   let rendered =
     Http.render_response
@@ -589,6 +626,53 @@ let test_serve_survives_malformed () =
       Alcotest.(check int) "unknown job is 404" 404 missing.Http.status;
       let nope = get port "/no-such-endpoint" in
       Alcotest.(check int) "unknown path is 404" 404 nope.Http.status)
+
+(* a client that sends [Expect: 100-continue] holds the body back until
+   the interim line arrives (curl waits about a second): the daemon must
+   send it right after the head *)
+let test_serve_expect_continue () =
+  with_server (fun _server port ->
+      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+          let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+          send
+            (Printf.sprintf
+               "POST /partition?out=json&engine=flat&seed=9 HTTP/1.1\r\n\
+                Host: x\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n"
+               (String.length tiny_hgr));
+          let interim = "HTTP/1.1 100 Continue\r\n\r\n" in
+          let buf = Bytes.create (String.length interim) in
+          let rec read_interim off =
+            if off < Bytes.length buf then
+              match Unix.select [ fd ] [] [] 0.9 with
+              | [], _, _ -> Alcotest.fail "no 100 Continue within 0.9 s"
+              | _ ->
+                let n = Unix.read fd buf off (Bytes.length buf - off) in
+                if n = 0 then Alcotest.fail "closed before 100 Continue";
+                read_interim (off + n)
+          in
+          read_interim 0;
+          Alcotest.(check string) "interim line" interim (Bytes.to_string buf);
+          send tiny_hgr;
+          let out = Buffer.create 1024 and chunk = Bytes.create 4096 in
+          let rec drain () =
+            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+            if n > 0 then begin
+              Buffer.add_subbytes out chunk 0 n;
+              drain ()
+            end
+          in
+          drain ();
+          match Http.parse_response (Buffer.contents out) with
+          | Error msg -> Alcotest.fail msg
+          | Ok resp ->
+            Alcotest.(check int) "final status" 200 resp.Http.status;
+            let plain = submit ~query:"&engine=flat&seed=9" port in
+            Alcotest.(check string) "same cut as without Expect"
+              (hdr plain "x-hypart-cut") (hdr resp "x-hypart-cut")))
 
 let test_serve_jobs_and_metrics () =
   with_server (fun _server port ->
@@ -1247,6 +1331,8 @@ let () =
           Alcotest.test_case "malformed requests" `Quick test_http_malformed;
           Alcotest.test_case "response round trip" `Quick
             test_http_response_round_trip;
+          Alcotest.test_case "expect 100-continue" `Quick
+            test_http_expect_continue;
         ] );
       ( "queue",
         [
@@ -1295,6 +1381,8 @@ let () =
           Alcotest.test_case "deadline 504" `Quick test_serve_deadline_504;
           Alcotest.test_case "survives malformed" `Quick
             test_serve_survives_malformed;
+          Alcotest.test_case "expect 100-continue" `Quick
+            test_serve_expect_continue;
           Alcotest.test_case "jobs and metrics" `Quick test_serve_jobs_and_metrics;
           Alcotest.test_case "request id propagation" `Quick
             test_serve_request_id_propagation;
