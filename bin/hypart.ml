@@ -254,17 +254,38 @@ let generate_cmd =
 
 (* ---------------- partition ---------------- *)
 
+(* a located decoder error ends the command with one line, exit 1 *)
+let or_exit f =
+  try f ()
+  with Io.Parse_error msg | Hypart_hypergraph.Instance_store.Format_error msg ->
+    Printf.eprintf "hypart: %s\n" msg;
+    exit 1
+
+(* an instance argument: a netlist file whose extension names its
+   format, or else a suite name *)
 let load_instance input scale =
-  if Filename.check_suffix input ".hgr" then Io.read_hgr input
-  else if Filename.check_suffix input ".hgrb" then
-    fst (Hypart_hypergraph.Instance_store.load input)
-  else if Filename.check_suffix input ".netD" || Filename.check_suffix input ".netd"
-  then fst (Io.read_netd input)
-  else if Filename.check_suffix input ".nodes" then
-    fst
-      (Hypart_hypergraph.Bookshelf.read
-         ~basename:(Filename.remove_extension input))
-  else Suite.instance ~scale input
+  match Io.format_of_path input with
+  | Some format -> or_exit (fun () -> fst (Io.read format input))
+  | None -> Suite.instance ~scale input
+
+let input_t =
+  let files = List.map (fun f -> List.hd (Io.extensions f)) Io.formats in
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"INPUT"
+        ~doc:
+          (Printf.sprintf
+             "An instance name (ibm01..ibm18) or a netlist file: %s (a \
+              Bookshelf .nodes file with its .nets beside it)."
+             (String.concat ", " files)))
+
+(* [input] with its netlist extension replaced by [ext] (appended for
+   suite names and other formats) *)
+let derived_path input ext =
+  match Io.format_of_path input with
+  | Some Io.Hgr -> Filename.remove_extension input ^ ext
+  | _ -> input ^ ext
 
 let partition_cmd =
   let run () input scale seed tolerance engine starts domains out =
@@ -301,12 +322,6 @@ let partition_cmd =
           (Bipartition.assignment result.Engine.Result.solution);
         Printf.printf "wrote %s\n" path)
       out
-  in
-  let input_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"INPUT" ~doc:"An instance name (ibm01..ibm18) or an .hgr file.")
   in
   let tol_t =
     Arg.(value & opt float 0.02 & info [ "tol" ] ~docv:"T" ~doc:"Balance tolerance.")
@@ -355,10 +370,7 @@ let pack_cmd =
     let out =
       match out with
       | Some o -> o
-      | None ->
-        if Filename.check_suffix input ".hgr" then
-          Filename.remove_extension input ^ ".hgrb"
-        else input ^ ".hgrb"
+      | None -> derived_path input ".hgrb"
     in
     let fingerprint = Hypart_lab.Fingerprint.of_instance h in
     Hypart_hypergraph.Instance_store.save out ~fingerprint h;
@@ -366,15 +378,6 @@ let pack_cmd =
     Printf.printf "fingerprint: %s\n" fingerprint;
     Printf.printf "wrote %s (%d bytes, mmap-loadable)\n" out
       (Unix.stat out).Unix.st_size
-  in
-  let input_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"INPUT"
-          ~doc:
-            "An instance name (ibm01..ibm18), an .hgr/.netD/.nodes file to \
-             convert.")
   in
   let out_t =
     Arg.(
@@ -425,7 +428,6 @@ let evaluate_cmd =
         (100. *. Kway_objective.imbalance h side ~k)
     end
   in
-  let input_t = Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT") in
   let part_t = Arg.(required & pos 1 (some string) None & info [] ~docv:"PARTITION") in
   let tol_t = Arg.(value & opt float 0.02 & info [ "tol" ] ~docv:"T") in
   Cmd.v
@@ -470,7 +472,6 @@ let kway_cmd =
         Printf.printf "wrote %s\n" path)
       out
   in
-  let input_t = Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT") in
   let k_t = Arg.(value & opt int 4 & info [ "k" ] ~docv:"K" ~doc:"Part count.") in
   let tol_t = Arg.(value & opt float 0.10 & info [ "tol" ] ~docv:"T") in
   let engine_t =
@@ -524,12 +525,10 @@ let place_cmd =
       svg_out;
     Option.iter
       (fun basename ->
-        Hypart_hypergraph.Bookshelf.write_pl ~basename ~x:final.Topdown.x
-          ~y:final.Topdown.y;
+        Io.write_pl ~basename ~x:final.Topdown.x ~y:final.Topdown.y;
         Printf.printf "wrote %s.pl\n" basename)
       pl_out
   in
-  let input_t = Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT") in
   let detailed_t =
     Arg.(
       value & flag
@@ -1158,37 +1157,21 @@ let serve_cmd =
       const run $ common_t $ host_t $ port_t $ workers_t $ queue_t $ max_body_t
       $ store_t $ retention_t $ instance_cache_t)
 
-(* the wire form of an instance for daemon submission: raw file bytes
-   plus the daemon's format tag; suite names are generated locally and
-   shipped as .hgr text *)
+(* the wire form of an instance for daemon submission: the file's
+   payload plus the daemon's format tag; suite names are generated
+   locally and shipped as .hgr text *)
 let instance_payload input scale =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  if Filename.check_suffix input ".hgr" then (read_file input, "hgr")
-  else if Filename.check_suffix input ".hgrb" then (read_file input, "hgrb")
-  else if
-    Filename.check_suffix input ".netD" || Filename.check_suffix input ".netd"
-  then (read_file input, "netd")
-  else if Filename.check_suffix input ".nodes" then
-    let base = Filename.remove_extension input in
-    let nodes = read_file (base ^ ".nodes") in
-    (* the daemon finds the .nets slot by its header at a line start,
-       so a .nodes file without a trailing newline needs one *)
-    let sep = if String.ends_with ~suffix:"\n" nodes then "" else "\n" in
-    (nodes ^ sep ^ read_file (base ^ ".nets"), "bookshelf")
-  else begin
+  match Io.format_of_path input with
+  | Some format ->
+    (or_exit (fun () -> Io.payload format input), Io.format_tag format)
+  | None ->
     let h = Suite.instance ~scale input in
     let tmp = Filename.temp_file "hypart_submit" ".hgr" in
     Fun.protect
       ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
       (fun () ->
         Io.write_hgr tmp h;
-        (read_file tmp, "hgr"))
-  end
+        (Io.payload Io.Hgr tmp, "hgr"))
 
 let submit_cmd =
   let run () input scale host port engine seed starts tolerance deadline_ms
@@ -1246,15 +1229,6 @@ let submit_cmd =
           close_out oc;
           Printf.printf "partition written to %s\n" out
         end
-  in
-  let input_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"INPUT"
-          ~doc:
-            "An instance name (ibm01..ibm18), an .hgr, .hgrb (packed binary) \
-             or .netD file, or a Bookshelf .nodes file.")
   in
   let tol_t =
     Arg.(
@@ -1455,15 +1429,6 @@ let evolve_cmd =
           Printf.printf "partition written to %s\n" out)
         out_file
   in
-  let input_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"INPUT"
-          ~doc:
-            "An instance name (ibm01..ibm18), an .hgr, .hgrb (packed binary) \
-             or .netD file, or a Bookshelf .nodes file.")
-  in
   let tol_t =
     Arg.(
       value & opt float 0.02 & info [ "tol" ] ~docv:"T" ~doc:"Balance tolerance.")
@@ -1584,21 +1549,11 @@ let delta_gen_cmd =
     let out =
       match out with
       | Some o -> o
-      | None ->
-        if Filename.check_suffix input ".hgr" then
-          Filename.remove_extension input ^ ".hgrd"
-        else input ^ ".hgrd"
+      | None -> derived_path input ".hgrd"
     in
     Delta.write out delta;
     Printf.printf "wrote %s (%d ops against base %s)\n" out
       (Delta.num_ops delta) fp
-  in
-  let input_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"INPUT"
-          ~doc:"An instance name (ibm01..ibm18) or an .hgr/.hgrb/.netD file.")
   in
   let fraction_t =
     Arg.(

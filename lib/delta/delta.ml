@@ -41,9 +41,9 @@ let is_hex_fp s =
        (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
        s
 
-(* Data lines with 1-based positions, like Netlist_io.read_lines:
-   String.trim strips '\r', blank and '%' lines are skipped but still
-   counted, so diagnostics name the physical line. *)
+(* Data lines with 1-based positions, as Netlist_io's line cursor
+   yields them: String.trim strips '\r', blank and '%' lines are
+   skipped but still counted, so diagnostics name the physical line. *)
 let data_lines body =
   let lines = String.split_on_char '\n' body in
   let acc = ref [] in

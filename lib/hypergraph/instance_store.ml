@@ -98,30 +98,33 @@ let rec read_some fd b pos len =
     | 0 -> pos
     | n -> read_some fd b (pos + n) (len - n)
 
-let decode_header path fd =
-  let b = Bytes.create header_size in
-  let got = read_some fd b 0 header_size in
+(* [header] starts with the input's first [header_size] bytes, or is
+   all of a shorter input *)
+let decode_header source header =
+  let got = String.length header in
   if got < header_size then
-    fail path "truncated header: %d bytes, need %d" got header_size;
-  if Bytes.sub_string b 0 4 <> magic then
-    fail path "bad magic: not a packed instance file";
-  let file_bom = Bytes.get_int32_ne b 4 in
+    fail source "truncated header: %d bytes, need %d" got header_size;
+  if String.sub header 0 4 <> magic then
+    fail source "bad magic: not a packed instance file";
+  let file_bom = String.get_int32_ne header 4 in
   if file_bom <> bom then
     if file_bom = 0x04030201l (* the mark byte-swapped *) then
-      fail path "byte-order mismatch: file written on a foreign-endian host"
-    else fail path "bad byte-order mark";
-  let file_version = Int32.to_int (Bytes.get_int32_le b 8) in
+      fail source "byte-order mismatch: file written on a foreign-endian host"
+    else fail source "bad byte-order mark";
+  let file_version = Int32.to_int (String.get_int32_le header 8) in
   if file_version <> version then
-    fail path "unsupported version %d (this build reads version %d)" file_version
-      version;
-  let fingerprint = Bytes.sub_string b 16 16 in
+    fail source "unsupported version %d (this build reads version %d)"
+      file_version version;
+  let fingerprint = String.sub header 16 16 in
   String.iter
-    (fun c -> if not (is_hex c) then fail path "corrupt fingerprint field")
+    (fun c -> if not (is_hex c) then fail source "corrupt fingerprint field")
     fingerprint;
+  (* every count indexes the int32 CSR, so a corrupt one is caught here
+     and the expected size below cannot overflow *)
   let field off name =
-    let v = Bytes.get_int64_le b off in
-    if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-      fail path "corrupt %s count" name;
+    let v = String.get_int64_le header off in
+    if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int32 Int32.max_int) > 0
+    then fail source "corrupt %s count" name;
     Int64.to_int v
   in
   let nv = field 32 "vertex" in
@@ -129,29 +132,22 @@ let decode_header path fd =
   let pins = field 48 "pin" in
   (fingerprint, nv, ne, pins)
 
-let with_readonly path f =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
-
-let read_fingerprint path =
-  with_readonly path (fun fd ->
-      let fingerprint, _, _, _ = decode_header path fd in
-      fingerprint)
-
-let load path =
-  with_readonly path @@ fun fd ->
-  let fingerprint, nv, ne, pins = decode_header path fd in
+(* the payload element count, once the input's byte size is known to
+   match the header's counts *)
+let check_size source ~size ~nv ~ne ~pins =
   let elems = payload_elems ~nv ~ne ~pins in
   let expected = header_size + (4 * elems) in
-  let actual = (Unix.fstat fd).Unix.st_size in
-  if actual < expected then
-    fail path "truncated sections: %d bytes, need %d" actual expected;
-  if actual > expected then
-    fail path "trailing garbage: %d bytes, expected %d" actual expected;
-  let map = map_payload fd ~shared:false ~elems in
+  if size < expected then
+    fail source "truncated sections: %d bytes, need %d" size expected;
+  if size > expected then
+    fail source "trailing garbage: %d bytes, expected %d" size expected;
+  elems
+
+(* slice the payload into the six sections and validate the CSR *)
+let of_payload source payload ~nv ~ne ~pins fingerprint =
   let pos = ref 0 in
   let section n =
-    let s = Bigarray.Array1.sub map !pos n in
+    let s = Bigarray.Array1.sub payload !pos n in
     pos := !pos + n;
     s
   in
@@ -161,8 +157,43 @@ let load path =
   let vertex_edges = section pins in
   let vertex_weight = section nv in
   let edge_weight = section ne in
-  let h =
+  match
     Hypergraph.of_mapped_csr ~num_vertices:nv ~edge_offset ~edge_pins
       ~vertex_offset ~vertex_edges ~vertex_weight ~edge_weight
+  with
+  | h -> (h, fingerprint)
+  | exception Invalid_argument msg -> fail source "%s" msg
+
+let read_header path fd =
+  let b = Bytes.create header_size in
+  let got = read_some fd b 0 header_size in
+  decode_header path (Bytes.sub_string b 0 got)
+
+let with_readonly path f =
+  let fd =
+    try Unix.openfile path [ Unix.O_RDONLY ] 0
+    with Unix.Unix_error (e, _, _) -> fail path "%s" (Unix.error_message e)
   in
-  (h, fingerprint)
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
+let read_fingerprint path =
+  with_readonly path (fun fd ->
+      let fingerprint, _, _, _ = read_header path fd in
+      fingerprint)
+
+let load path =
+  with_readonly path @@ fun fd ->
+  let fingerprint, nv, ne, pins = read_header path fd in
+  let size = (Unix.fstat fd).Unix.st_size in
+  let elems = check_size path ~size ~nv ~ne ~pins in
+  of_payload path (map_payload fd ~shared:false ~elems) ~nv ~ne ~pins fingerprint
+
+let of_string ~source s =
+  let fingerprint, nv, ne, pins = decode_header source s in
+  let elems = check_size source ~size:(String.length s) ~nv ~ne ~pins in
+  let payload = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout elems in
+  for i = 0 to elems - 1 do
+    Bigarray.Array1.unsafe_set payload i
+      (String.get_int32_ne s (header_size + (4 * i)))
+  done;
+  of_payload source payload ~nv ~ne ~pins fingerprint

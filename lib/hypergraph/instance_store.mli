@@ -13,8 +13,8 @@
     re-deriving it.  See docs/FORMATS.md for the byte-level layout. *)
 
 exception Format_error of string
-(** Raised by {!load} on a truncated, corrupt, or foreign file.  The
-    message is located: ["<path>: <cause>"]. *)
+(** Raised by {!load} and {!of_string} on a truncated, corrupt, foreign
+    or unreadable input.  The message is located: ["<path>: <cause>"]. *)
 
 val magic : string
 (** File magic, ["HGRB"]. *)
@@ -38,9 +38,15 @@ val load : string -> Hypergraph.t * string
     returning; the mapping stays valid until the views are collected.
 
     @raise Format_error on bad magic, wrong version or byte order,
-    truncation, or section checks failing.
-    @raise Invalid_argument when the mapped CSR fails structural
-    validation ({!Hypergraph.of_mapped_csr}). *)
+    truncation, section checks failing, or a mapped CSR that fails
+    structural validation ({!Hypergraph.of_mapped_csr}). *)
+
+val of_string : source:string -> string -> Hypergraph.t * string
+(** [of_string ~source bytes] decodes a packed instance held in memory
+    (a request body, say): the same header decoding and CSR validation
+    as {!load}, with the sections copied out of [bytes] instead of
+    mapped.  [source] names the input in diagnostics.
+    @raise Format_error as for {!load}. *)
 
 val read_fingerprint : string -> string
 (** [read_fingerprint path] reads just the header and returns the

@@ -1,31 +1,61 @@
-(** Reading and writing hypergraph netlists.
+(** Reading and writing hypergraph netlists: the one module that knows
+    the instance formats.  docs/FORMATS.md describes each format.
 
-    Two on-disk formats are supported:
-
-    - {b hMetis [.hgr]}: the standard format of the hMetis distribution.
-      First line: [num_edges num_vertices [fmt]] where [fmt] is omitted
-      (unweighted), [1] (edge weights), [10] (vertex weights) or [11]
-      (both).  Then one line per hyperedge listing 1-indexed pins
-      (prefixed by the edge weight when present), then one line per
-      vertex weight when present.  Comment lines start with ['%'].
-
-    - {b area file [.are]}: one ["<name> <area>"] line per cell, in the
-      style of the ISPD98 distribution; vertex [i] is named [a<i>].
-      Used together with an [.hgr] file to carry actual cell areas.
-
-    - {b ISPD98 netlist [.netD]}: the format the IBM benchmarks were
-      distributed in.  Five header lines (a zero, then the pin, net,
-      module counts and the pad offset), followed by one line per pin:
-      ["<name> <s|l> [direction]"], where ['s'] opens a new net and
-      ['l'] continues the current one.  Cells are named [a<i>] and pads
-      [p<j>]; pads map to the vertex ids after the cells.
-
-    - {b partition file [.part]}: one side (0 or 1) per line, one line
-      per vertex — the interchange format for solutions. *)
+    - hMetis [.hgr]; ISPD98 [.netD] with [.are] cell areas; UCLA
+      Bookshelf [.nodes] / [.nets] / [.pl] (the GSRC format of the
+      paper's own research group); [.part] partition files.  Cells are
+      named [a<i>] and pads [p<j>], pads after the cells.
+    - Every reader runs over one line cursor that reads either a string
+      or a channel; a file is read line by line, never slurped.
+    - The packed binary [.hgrb] lives in {!Instance_store}; {!read} and
+      {!decode} dispatch to it. *)
 
 exception Parse_error of string
-(** Raised with a descriptive message (file, line, cause) on malformed
-    input. *)
+(** Raised with a located message (["<source>:<line>: <cause>"], or
+    ["<source>: <cause>"] for the input as a whole) on malformed input,
+    and with the system's message when a file cannot be opened. *)
+
+(** {1 Instance formats} *)
+
+type format = Hgr | Hgrb | Netd | Bookshelf
+
+val formats : format list
+(** Every instance format, [Hgr] first. *)
+
+val format_tag : format -> string
+(** The wire tag of a format, as the daemon's [format=] parameter
+    spells it: [hgr], [hgrb], [netd], [bookshelf]. *)
+
+val extensions : format -> string list
+(** The path extensions that name a format, the canonical one first:
+    [.hgr], [.hgrb], [.netD] (or [.netd]), [.nodes]. *)
+
+val format_of_path : string -> format option
+(** The format a path's extension names, if any — the one place
+    netlist extensions are tested. *)
+
+val read : format -> string -> Hypergraph.t * string option
+(** [read format path] reads an instance file; a Bookshelf [path] is
+    the [.nodes] file, with its [.nets] beside it.  The second
+    component is the fingerprint an [.hgrb] header carries ([None] for
+    the text formats).
+    @raise Parse_error or {!Instance_store.Format_error}. *)
+
+val decode : source:string -> format -> string -> Hypergraph.t * string option
+(** [decode ~source format bytes] is {!read} over bytes already in
+    memory (a request body).  A Bookshelf body is the [.nodes] text
+    followed by the [.nets] text, as {!payload} builds it; diagnostics
+    name [source] and count lines from the start of [bytes].
+    @raise Parse_error or {!Instance_store.Format_error}. *)
+
+val payload : format -> string -> string
+(** [payload format path] is the wire form of an instance file: its
+    bytes, or for Bookshelf the [.nodes] text, a newline if it lacks
+    a final one, then the [.nets] text.  [decode ~source format
+    (payload format path)] equals [read format path].
+    @raise Parse_error when a file cannot be read. *)
+
+(** {1 Individual formats} *)
 
 val write_hgr : ?with_weights:bool -> string -> Hypergraph.t -> unit
 (** [write_hgr path h] writes [h] in [.hgr] format.  When
@@ -56,6 +86,21 @@ val read_netd : string -> Hypergraph.t * int
 (** Parse a [.netD] file; returns the hypergraph (cells first, then
     pads) and the number of pads.  Vertex areas default to 1 (combine
     with {!read_are}). *)
+
+val write_bookshelf : ?num_pads:int -> basename:string -> Hypergraph.t -> unit
+(** [write_bookshelf ~basename h] writes [basename.nodes] and
+    [basename.nets].  The last [num_pads] (default 0) vertices become
+    terminals. *)
+
+val read_bookshelf : basename:string -> Hypergraph.t * int
+(** Parse [basename.nodes] + [basename.nets]; returns the hypergraph
+    (cell areas from node widths) and the terminal count. *)
+
+val write_pl : basename:string -> x:float array -> y:float array -> unit
+(** Write [basename.pl] with one placement row per cell. *)
+
+val read_pl : string -> num_vertices:int -> float array * float array
+(** Parse a [.pl] file back into coordinate arrays. *)
 
 val write_partition : string -> int array -> unit
 (** Write a solution's side array, one side per line. *)

@@ -1,6 +1,5 @@
 module Rng = Hypart_rng.Rng
 module Io = Hypart_hypergraph.Netlist_io
-module Bookshelf = Hypart_hypergraph.Bookshelf
 module Instance_store = Hypart_hypergraph.Instance_store
 module Problem = Hypart_partition.Problem
 module Bipartition = Hypart_partition.Bipartition
@@ -275,77 +274,22 @@ let parse_params req =
     want_assignment = param_int req "assignment" 1 <> 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Netlist decoding: the body is written to a temp file so the hardened
-   Netlist_io / Bookshelf parsers (with their located errors) are
-   reused verbatim. *)
-
-(* index of the first [needle] in [hay] at or after [from] *)
-let rec find_sub ?(from = 0) hay needle =
-  let n = String.length needle in
-  if from + n > String.length hay then None
-  else if String.sub hay from n = needle then Some from
-  else find_sub ~from:(from + 1) hay needle
-
-let formats =
-  [ ("hgr", `Hgr); ("hgrb", `Hgrb); ("netd", `Netd); ("bookshelf", `Bookshelf) ]
-
-let format_tag format = fst (List.find (fun (_, f) -> f = format) formats)
-
-(* yields the hypergraph together with its lab fingerprint: text
-   formats are fingerprinted after parsing; the packed binary format
-   carries its fingerprint in the header (written by [hypart pack],
-   where it was computed from the same pin arrays), so a mmap-loaded
-   instance skips the refingerprint entirely *)
-let decode_netlist body format =
-  let base = Filename.temp_file "hypart_serve" "" in
-  let written = ref [ base ] in
-  let write ext contents =
-    let path = base ^ ext in
-    let oc = open_out_bin path in
-    output_string oc contents;
-    close_out oc;
-    written := path :: !written;
-    path
-  in
-  let fingerprinted h = (h, Fingerprint.of_instance h) in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !written)
-    (fun () ->
-      match format with
-      | `Hgr -> fingerprinted (Io.read_hgr (write ".hgr" body))
-      | `Hgrb -> Instance_store.load (write ".hgrb" body)
-      | `Netd -> fingerprinted (fst (Io.read_netd (write ".netD" body)))
-      | `Bookshelf -> (
-        (* the two Bookshelf slots travel concatenated; the ".nets"
-           slot starts at its own "UCLA nets" header line *)
-        let marker = "UCLA nets" in
-        let split_at =
-          if String.starts_with ~prefix:marker body then Some 0
-          else Option.map succ (find_sub body ("\n" ^ marker))
-        in
-        match split_at with
-        | None ->
-          raise
-            (Bookshelf.Parse_error
-               "bookshelf body must contain a \"UCLA nets\" section")
-        | Some i ->
-          ignore (write ".nodes" (String.sub body 0 i));
-          ignore (write ".nets" (String.sub body i (String.length body - i)));
-          fingerprinted (fst (Bookshelf.read ~basename:base))))
-
 (* request-body content cache: a repeat submission of the same bytes
    (common when a campaign resubmits one huge instance under many
    seeds) reuses the parsed hypergraph and fingerprint *)
 let load_instance t body format =
-  let ckey = Instance_cache.key ~format:(format_tag format) ~body in
+  let ckey = Instance_cache.key ~format:(Io.format_tag format) ~body in
   match Instance_cache.find t.instances ckey with
   | Some (h, fp) ->
     Metrics.incr "server.instance_cache_hits";
     (h, fp, "cache")
   | None ->
-    let h, fp = decode_netlist body format in
+    (* a packed body carries the fingerprint [hypart pack] computed
+       from the same pin arrays; only text formats are fingerprinted *)
+    let h, stored = Io.decode ~source:"<body>" format body in
+    let fp =
+      match stored with Some fp -> fp | None -> Fingerprint.of_instance h
+    in
     Metrics.incr "server.instance_cache_misses";
     Instance_cache.add t.instances ckey h ~fingerprint:fp;
     Metrics.set_gauge "server.instance_cache_bytes"
@@ -603,19 +547,19 @@ let admit_partition t ~event (req : Http.request) p =
   let engine = param_engine req "engine" "mlclip" in
   let starts = param_int req "starts" 1 in
   if starts < 1 then bad "starts must be >= 1";
-  let format = param_choice req "format" formats in
+  let format =
+    param_choice req "format"
+      (List.map (fun f -> (Io.format_tag f, f)) Io.formats)
+  in
   let h, instance, source =
-    try load_instance t req.Http.body format with
-    | Io.Parse_error msg
-    | Bookshelf.Parse_error msg
-    | Instance_store.Format_error msg
-    | Invalid_argument msg ->
+    try load_instance t req.Http.body format
+    with Io.Parse_error msg | Instance_store.Format_error msg ->
       bad ("netlist: " ^ msg)
   in
   event "request.instance_loaded"
     [
       ("source", Event_log.Str source);
-      ("format", Event_log.Str (format_tag format));
+      ("format", Event_log.Str (Io.format_tag format));
       ("instance", Event_log.Str instance);
       ("vertices", Event_log.Int (Hypart_hypergraph.Hypergraph.num_vertices h));
       ("edges", Event_log.Int (Hypart_hypergraph.Hypergraph.num_edges h));
@@ -802,8 +746,11 @@ let wants_prometheus req =
   match Http.header req "accept" with
   | None -> false
   | Some accept ->
-    let accept = String.lowercase_ascii accept in
-    find_sub accept "text/plain" <> None || find_sub accept "openmetrics" <> None
+    String.split_on_char ',' (String.lowercase_ascii accept)
+    |> List.exists (fun range ->
+           match String.trim (List.hd (String.split_on_char ';' range)) with
+           | "text/plain" | "application/openmetrics-text" -> true
+           | _ -> false)
 
 let prometheus_content_type = "text/plain; version=0.0.4; charset=utf-8"
 

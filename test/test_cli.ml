@@ -103,6 +103,49 @@ let test_validation () =
     "does not exist";
   check_rejected "unknown campaign" "lab run --campaign bogus" "unknown campaign"
 
+(* a missing or malformed instance file ends every command that loads
+   one with a single located line and exit 1, never an uncaught
+   exception *)
+let test_bad_instance () =
+  let file name content =
+    let path = Filename.concat tmpdir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc content);
+    path
+  in
+  let check name args expected =
+    let code, out = run_cmd args in
+    Alcotest.(check int) (name ^ " exit code\n" ^ out) 1 code;
+    if not (contains out ("hypart: " ^ expected)) then
+      Alcotest.failf "%s: expected %S in output:\n%s" name expected out;
+    if contains out "exception" then Alcotest.failf "%s: raw exception:\n%s" name out
+  in
+  let bad = file "hypart_cli_bad.hgr" "2 4\n1 2\nbogus\n" in
+  let located = bad ^ ":3: expected integer" in
+  let part = file "hypart_cli_bad.part" "0\n1\n" in
+  let delta = file "hypart_cli_bad.hgrd" "HGRD 1\n" in
+  List.iter
+    (fun (cmd, args) -> check cmd (Printf.sprintf "%s %s" cmd args) located)
+    [
+      ("partition", bad);
+      ("pack", bad);
+      ("evaluate", bad ^ " " ^ part);
+      ("kway", bad);
+      ("place", bad);
+      ("evolve", bad);
+      ("delta-gen", bad);
+      ("eco", String.concat " " [ bad; part; delta ]);
+    ];
+  let missing = Filename.concat tmpdir "hypart_cli_no_such.hgr" in
+  check "missing .hgr" ("partition " ^ missing) (missing ^ ": No such file");
+  let packed = file "hypart_cli_bad.hgrb" "HGRB not a packed instance" in
+  check "corrupt .hgrb" ("partition " ^ packed) (packed ^ ": truncated header");
+  let nodes =
+    file "hypart_cli_lonely.nodes" "UCLA nodes 1.0\nNumNodes : 0\nNumTerminals : 0\n"
+  in
+  let nets = Filename.concat tmpdir "hypart_cli_lonely.nets" in
+  (try Sys.remove nets with Sys_error _ -> ());
+  check "missing .nets" ("partition " ^ nodes) (nets ^ ": No such file")
+
 (* lab round trip through the CLI: run, 100% cached re-run, resume
    after truncation with a byte-identical report, gc *)
 let test_lab_cli () =
@@ -254,7 +297,7 @@ let test_daemon_round_trip () =
     Alcotest.(check bool) "submit printed a cut" true (contains out "best cut:");
     (* a Bookshelf pair whose .nodes file lacks a trailing newline *)
     let shelf = Filename.concat tmpdir "hypart_cli_shelf" in
-    Hypart_hypergraph.Bookshelf.write ~basename:shelf
+    Hypart_hypergraph.Netlist_io.write_bookshelf ~basename:shelf
       (Hypart_generator.Ibm_suite.instance ~scale:64.0 "ibm01");
     let nodes = shelf ^ ".nodes" in
     let text = In_channel.with_open_bin nodes In_channel.input_all in
@@ -378,6 +421,7 @@ let () =
           Alcotest.test_case "unknown engine" `Quick test_unknown_engine_fails;
           Alcotest.test_case "help" `Quick test_help;
           Alcotest.test_case "argument validation" `Quick test_validation;
+          Alcotest.test_case "bad instance file" `Quick test_bad_instance;
           Alcotest.test_case "lab round trip" `Quick test_lab_cli;
           Alcotest.test_case "bench-diff gate" `Quick test_bench_diff;
           Alcotest.test_case "daemon round trip" `Quick test_daemon_round_trip;

@@ -195,11 +195,54 @@ let test_corrupt_rejection () =
   (* corrupt section payload: a pin out of range inside edge_pins *)
   let poisoned = Bytes.of_string packed in
   Bytes.set_int32_le poisoned 68 1000l;
-  write_file path (Bytes.to_string poisoned);
-  (match Store.load path with
-   | exception Invalid_argument _ -> ()
-   | exception Store.Format_error _ -> ()
-   | _ -> Alcotest.fail "poisoned payload: expected rejection")
+  check_fails "poisoned payload" (Bytes.to_string poisoned);
+  Sys.remove path;
+  match Store.load path with
+  | exception Store.Format_error _ -> ()
+  | exception e ->
+    Alcotest.failf "missing file: expected Format_error, got %s"
+      (Printexc.to_string e)
+  | _ -> Alcotest.fail "missing file: load succeeded"
+
+(* A packed body decodes the same from memory as from its mapped file,
+   and a mutated one — truncated, or with random bytes replaced —
+   fails in both with a located Format_error, never another exception
+   or an out-of-bounds read. *)
+let prop_mutated_packed =
+  QCheck.Test.make ~name:"mutated packed files: load and of_string agree"
+    ~count:200 ~long_factor:100
+    QCheck.(pair arbitrary_hypergraph small_nat)
+    (fun (h, seed) ->
+      let path = tmp "hypart_test_fuzz.hgrb" in
+      Store.save path ~fingerprint:(Fingerprint.of_instance h) h;
+      let packed = read_file path in
+      let rng = Rng.create seed in
+      let n = String.length packed in
+      let body =
+        if Rng.bool rng then String.sub packed 0 (Rng.int rng n)
+        else begin
+          let b = Bytes.of_string packed in
+          for _ = 0 to Rng.int rng 4 do
+            Bytes.set b (Rng.int rng n) (Char.chr (Rng.int rng 256))
+          done;
+          Bytes.to_string b
+        end
+      in
+      write_file path body;
+      let decode f =
+        match f () with
+        | h, fp -> Ok (H.Csr.edge_pins h, H.Csr.vertex_edges h, fp)
+        | exception Store.Format_error msg -> Error msg
+      in
+      match
+        ( decode (fun () -> Store.load path),
+          decode (fun () -> Store.of_string ~source:path body) )
+      with
+      | Ok a, Ok b -> a = b
+      | Error a, Error b -> a = b
+      | _ -> false
+      | exception e ->
+        QCheck.Test.fail_reportf "%s escaped" (Printexc.to_string e))
 
 let test_save_is_atomic () =
   let path = tmp "hypart_test_atomic.hgrb" in
@@ -234,5 +277,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_pack_roundtrip;
           QCheck_alcotest.to_alcotest prop_emit_identical;
+          QCheck_alcotest.to_alcotest prop_mutated_packed;
         ] );
     ]

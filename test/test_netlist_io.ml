@@ -114,6 +114,8 @@ let test_hgr_located_errors () =
   in
   check_located "negative edge count" "-1 4\n" 1;
   check_located "negative vertex count" "1 -4\n1 2\n" 1;
+  check_located "vertex count beyond int32" "1 99999999999999999\n1\n" 1;
+  check_located "edge count beyond the input" "99999999999 4\n1 2\n" 1;
   check_located "pin out of range" "2 4\n1 2\n3 9\n" 3;
   check_located "pin not an integer" "2 4\n1 2\n3 x\n" 3;
   check_located "comment lines keep numbering" "% c\n2 4\n% c\n1 2\n3 9\n" 5
@@ -178,7 +180,8 @@ let test_netd_header_checks () =
   check_fails "net count mismatch" "0\n2\n2\n2\n2\na0 s\na1 l\n";
   check_fails "continuation first" "0\n2\n1\n2\n2\na0 l\na1 l\n";
   check_fails "bad name" "0\n2\n1\n2\n2\nx0 s\na1 l\n";
-  check_fails "pad id out of range" "0\n2\n1\n2\n2\na0 s\np5 l\n"
+  check_fails "pad id out of range" "0\n2\n1\n2\n2\na0 s\np5 l\n";
+  check_fails "module count beyond int32" "0\n1\n1\n99999999999999999\n0\np0 s\n"
 
 let test_netd_pads_mapped () =
   (* 2 cells + 1 pad: pad p0 is vertex 2 *)
@@ -261,9 +264,212 @@ let prop_bookshelf_roundtrip =
     (fun seed ->
       let h = random_hypergraph seed in
       let basename = tmp "hypart_prop_bs" in
-      Hypart_hypergraph.Bookshelf.write ~basename h;
-      let h', _ = Hypart_hypergraph.Bookshelf.read ~basename in
+      Io.write_bookshelf ~basename h;
+      let h', _ = Io.read_bookshelf ~basename in
       same_structure h h')
+
+(* ---------------- decoding from bytes ---------------- *)
+
+module Fingerprint = Hypart_lab.Fingerprint
+module Store = Hypart_hypergraph.Instance_store
+module Rng = Hypart_rng.Rng
+
+let format_of_index i = List.nth Io.formats (i mod List.length Io.formats)
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let write_bytes path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* [h] written in [format] under a per-format temp name; returns the
+   path [Io.read] takes.  A Bookshelf .nodes file sometimes loses its
+   final newline, which the wire convention restores. *)
+let write_instance rng format h =
+  let base = tmp "hypart_prop_decode" in
+  let num_pads = Rng.int rng (1 + (H.num_vertices h / 4)) in
+  match format with
+  | Io.Hgr ->
+    let path = base ^ ".hgr" in
+    Io.write_hgr ~with_weights:(Rng.bool rng) path h;
+    path
+  | Io.Hgrb ->
+    let path = base ^ ".hgrb" in
+    Store.save path ~fingerprint:(Fingerprint.of_instance h) h;
+    path
+  | Io.Netd ->
+    let path = base ^ ".netD" in
+    Io.write_netd ~num_pads path h;
+    path
+  | Io.Bookshelf ->
+    Io.write_bookshelf ~num_pads ~basename:base h;
+    let nodes = base ^ ".nodes" in
+    if Rng.bool rng then begin
+      let text = read_bytes nodes in
+      write_bytes nodes (String.sub text 0 (String.length text - 1))
+    end;
+    nodes
+
+let csr h =
+  H.Csr.
+    ( edge_offset h,
+      edge_pins h,
+      vertex_offset h,
+      vertex_edges h,
+      vertex_weight h,
+      edge_weight h )
+
+let print_case (i, seed) =
+  Printf.sprintf "%s, seed %d" (Io.format_tag (format_of_index i)) seed
+
+let format_case = QCheck.(make ~print:print_case Gen.(pair (int_bound 3) nat))
+
+(* (a) the bytes of a written file decode to the CSR and lab
+   fingerprint that reading the file gives, in every format *)
+let prop_decode_matches_read =
+  QCheck.Test.make ~name:"decode of a file's bytes equals reading it"
+    ~count:100 ~long_factor:100 format_case (fun (i, seed) ->
+      let format = format_of_index i in
+      let rng = Rng.create seed in
+      let path = write_instance rng format (random_hypergraph seed) in
+      let h, stored = Io.read format path in
+      let h', stored' =
+        Io.decode ~source:"<body>" format (Io.payload format path)
+      in
+      csr h = csr h'
+      && stored = stored'
+      && Fingerprint.of_instance h = Fingerprint.of_instance h')
+
+(* [body] truncated at a random offset, or with 1-4 random bytes
+   replaced by random bytes *)
+let mutate rng body =
+  let n = String.length body in
+  if Rng.bool rng then String.sub body 0 (Rng.int rng n)
+  else begin
+    let b = Bytes.of_string body in
+    for _ = 0 to Rng.int rng 4 do
+      Bytes.set b (Rng.int rng n) (Char.chr (Rng.int rng 256))
+    done;
+    Bytes.to_string b
+  end
+
+(* (b) any mutation of a valid body decodes or fails with a located
+   error: no other exception, no out-of-bounds read *)
+let prop_decode_fuzz =
+  QCheck.Test.make ~name:"mutated bodies decode or fail located" ~count:300
+    ~long_factor:100 format_case (fun (i, seed) ->
+      let format = format_of_index i in
+      let rng = Rng.create seed in
+      let path = write_instance rng format (random_hypergraph seed) in
+      let body = mutate rng (Io.payload format path) in
+      match Io.decode ~source:"<fuzz>" format body with
+      | _ -> true
+      | exception (Io.Parse_error msg | Store.Format_error msg) ->
+        String.starts_with ~prefix:"<fuzz>:" msg
+      | exception e ->
+        QCheck.Test.fail_reportf "%s escaped" (Printexc.to_string e))
+
+(* ---------------- Bookshelf ---------------- *)
+
+let bs_sample () =
+  H.create ~num_vertices:5
+    ~vertex_weights:[| 3; 1; 4; 1; 5 |]
+    ~edges:[| [| 0; 1; 2 |]; [| 1; 3 |]; [| 2; 3; 4 |]; [| 0; 4 |] |]
+    ()
+
+let test_bs_roundtrip () =
+  let h = bs_sample () in
+  let basename = tmp "hypart_bs" in
+  Io.write_bookshelf ~num_pads:2 ~basename h;
+  let h', pads = Io.read_bookshelf ~basename in
+  Alcotest.(check int) "pads" 2 pads;
+  Alcotest.(check int) "vertices" 5 (H.num_vertices h');
+  Alcotest.(check int) "nets" 4 (H.num_edges h');
+  for e = 0 to 3 do
+    Alcotest.(check (array int)) "pins" (Incidence.pins h e) (Incidence.pins h' e)
+  done;
+  for v = 0 to 4 do
+    Alcotest.(check int) "area from width" (H.vertex_weight h v)
+      (H.vertex_weight h' v)
+  done
+
+let contains s needle =
+  let nl = String.length needle and sl = String.length s in
+  let rec scan i = i + nl <= sl && (String.sub s i nl = needle || scan (i + 1)) in
+  scan 0
+
+let test_bs_terminal_marking () =
+  let h = bs_sample () in
+  let basename = tmp "hypart_bs_t" in
+  Io.write_bookshelf ~num_pads:1 ~basename h;
+  let contents = read_bytes (basename ^ ".nodes") in
+  Alcotest.(check bool) "terminal keyword present" true (contains contents "terminal");
+  Alcotest.(check bool) "pad named p0" true (contains contents "p0");
+  Alcotest.(check bool) "counts present" true
+    (contains contents "NumTerminals : 1")
+
+let test_bs_malformed () =
+  let write name content = write_bytes (tmp name) content in
+  write "hypart_bs_bad.nodes" "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n  a0 1 1\n";
+  write "hypart_bs_bad.nets" "UCLA nets 1.0\nNumNets : 0\nNumPins : 0\n";
+  Alcotest.check_raises "node count mismatch" (Failure "parse") (fun () ->
+      try ignore (Io.read_bookshelf ~basename:(tmp "hypart_bs_bad"))
+      with Io.Parse_error _ -> raise (Failure "parse"));
+  write "hypart_bs_bad2.nodes"
+    "UCLA nodes 1.0\nNumNodes : 1\nNumTerminals : 0\n  a0 1 1\n";
+  write "hypart_bs_bad2.nets"
+    "UCLA nets 1.0\nNumNets : 1\nNumPins : 3\nNetDegree : 2  n0\n  a0 B\n  a0 B\n";
+  Alcotest.check_raises "pin count mismatch" (Failure "parse") (fun () ->
+      try ignore (Io.read_bookshelf ~basename:(tmp "hypart_bs_bad2"))
+      with Io.Parse_error _ -> raise (Failure "parse"))
+
+(* a body is the .nodes text then the .nets text; its diagnostics
+   count lines from the start of the body *)
+let test_bs_body_located () =
+  let body =
+    "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n  a0 1 1\n  a1 1 1\n\
+     UCLA nets 1.0\nNumNets : 1\nNumPins : 2\nNetDegree : 2  n0\n  a0 B\n\
+    \  a9 B\n"
+  in
+  match Io.decode ~source:"<body>" Io.Bookshelf body with
+  | exception Io.Parse_error msg ->
+    Alcotest.(check string) "line 11 of the body"
+      "<body>:11: node \"a9\" out of range" msg
+  | _ -> Alcotest.fail "expected Parse_error"
+
+let test_bs_pl_roundtrip () =
+  let basename = tmp "hypart_bs_pl" in
+  let x = [| 1.5; 2.25; 0.0 |] and y = [| 10.0; 0.5; 3.75 |] in
+  Io.write_pl ~basename ~x ~y;
+  let x', y' = Io.read_pl (basename ^ ".pl") ~num_vertices:3 in
+  for v = 0 to 2 do
+    Alcotest.(check (float 1e-3)) "x" x.(v) x'.(v);
+    Alcotest.(check (float 1e-3)) "y" y.(v) y'.(v)
+  done
+
+let test_bs_pl_from_placement () =
+  (* export a real placement and read it back *)
+  let h = Hypart_generator.Ibm_suite.instance ~scale:64.0 "ibm01" in
+  let pl = Hypart_placement.Topdown.place (Hypart_rng.Rng.create 1) h in
+  let basename = tmp "hypart_bs_place" in
+  Io.write_pl ~basename ~x:pl.Hypart_placement.Topdown.x
+    ~y:pl.Hypart_placement.Topdown.y;
+  let x, _ = Io.read_pl (basename ^ ".pl") ~num_vertices:(H.num_vertices h) in
+  Alcotest.(check int) "all cells present" (H.num_vertices h) (Array.length x)
+
+let test_format_table () =
+  List.iter
+    (fun f ->
+      List.iter
+        (fun ext ->
+          Alcotest.(check bool)
+            ("extension " ^ ext) true
+            (Io.format_of_path ("dir/x" ^ ext) = Some f))
+        (Io.extensions f))
+    Io.formats;
+  Alcotest.(check (list string)) "wire tags" [ "hgr"; "hgrb"; "netd"; "bookshelf" ]
+    (List.map Io.format_tag Io.formats);
+  Alcotest.(check bool) "suite name" true (Io.format_of_path "ibm01" = None);
+  Alcotest.(check bool) "delta" true (Io.format_of_path "x.hgrd" = None)
 
 let () =
   Alcotest.run "netlist_io"
@@ -289,15 +495,27 @@ let () =
           Alcotest.test_case "header checks" `Quick test_netd_header_checks;
           Alcotest.test_case "pad mapping" `Quick test_netd_pads_mapped;
         ] );
+      ( "bookshelf",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_bs_roundtrip;
+          Alcotest.test_case "terminal marking" `Quick test_bs_terminal_marking;
+          Alcotest.test_case "malformed" `Quick test_bs_malformed;
+          Alcotest.test_case "body located errors" `Quick test_bs_body_located;
+          Alcotest.test_case "pl roundtrip" `Quick test_bs_pl_roundtrip;
+          Alcotest.test_case "pl from placement" `Quick test_bs_pl_from_placement;
+        ] );
       ( "partition files",
         [
           Alcotest.test_case "roundtrip" `Quick test_partition_roundtrip;
           Alcotest.test_case "errors" `Quick test_partition_errors;
         ] );
+      ("formats", [ Alcotest.test_case "table" `Quick test_format_table ]);
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_hgr_roundtrip;
           QCheck_alcotest.to_alcotest prop_netd_roundtrip;
           QCheck_alcotest.to_alcotest prop_bookshelf_roundtrip;
+          QCheck_alcotest.to_alcotest prop_decode_matches_read;
+          QCheck_alcotest.to_alcotest prop_decode_fuzz;
         ] );
     ]

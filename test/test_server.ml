@@ -598,6 +598,13 @@ let test_serve_deadline_504 () =
       Alcotest.(check int) "gated job fine" 200 a.Http.status;
       Alcotest.(check int) "queued job expired" 504 b.Http.status)
 
+let body_has ?(expect = true) needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s %s" needle (if expect then "present" else "absent"))
+    expect (go 0)
+
 let test_serve_survives_malformed () =
   with_server (fun _server port ->
       (* raw garbage must be answered 400 and must not take the worker
@@ -622,6 +629,22 @@ let test_serve_survives_malformed () =
       Alcotest.(check int) "unknown engine is 400" 400 bad.Http.status;
       let bad = submit ~body:"2 4\nbogus pins\n" ~query:"&engine=flat" port in
       Alcotest.(check int) "bad netlist is 400" 400 bad.Http.status;
+      (* the error names the request body and its line, never a file *)
+      let bad = submit ~body:"2 4\n1 2\nbogus\n" ~query:"&engine=flat" port in
+      Alcotest.(check int) "bad hgr is 400" 400 bad.Http.status;
+      body_has "<body>:3: expected integer" bad.Http.resp_body;
+      body_has ~expect:false "/tmp" bad.Http.resp_body;
+      (* Bookshelf lines count from the start of the body, not of its
+         .nets section *)
+      let shelf =
+        "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n  a0 1 1\n  a1 1 1\n\
+         UCLA nets 1.0\nNumNets : 1\nNumPins : 2\nNetDegree : 2  n0\n  a0 B\n\
+        \  a9 B\n"
+      in
+      let bad = submit ~body:shelf ~query:"&engine=flat&format=bookshelf" port in
+      Alcotest.(check int) "bad bookshelf is 400" 400 bad.Http.status;
+      body_has "<body>:11: node" bad.Http.resp_body;
+      body_has ~expect:false "/tmp" bad.Http.resp_body;
       let missing = get port "/jobs/999999" in
       Alcotest.(check int) "unknown job is 404" 404 missing.Http.status;
       let nope = get port "/no-such-endpoint" in
@@ -692,13 +715,6 @@ let test_serve_jobs_and_metrics () =
       has "server.requests" metrics.Http.resp_body;
       let health = get port "/healthz" in
       has "\"status\":\"ok\"" health.Http.resp_body)
-
-let body_has ?(expect = true) needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s %s" needle (if expect then "present" else "absent"))
-    expect (go 0)
 
 let test_serve_request_id_propagation () =
   (* the tentpole contract: a client-supplied X-Hypart-Request-Id is
