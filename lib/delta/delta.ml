@@ -1,4 +1,5 @@
 module Fingerprint = Hypart_lab.Fingerprint
+module Io = Hypart_hypergraph.Netlist_io
 
 type op =
   | Add_cell of int
@@ -24,12 +25,6 @@ let parse_error path line fmt =
 let magic = "HGRD"
 let version = 1
 
-(* same tokenizer conventions as Netlist_io.fields_of_line *)
-let fields_of_line l =
-  String.split_on_char ' ' l
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
 let int_field path line s =
   match int_of_string_opt s with
   | Some v -> v
@@ -41,25 +36,15 @@ let is_hex_fp s =
        (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
        s
 
-(* Data lines with 1-based positions, as Netlist_io's line cursor
-   yields them: String.trim strips '\r', blank and '%' lines are
-   skipped but still counted, so diagnostics name the physical line. *)
-let data_lines body =
-  let lines = String.split_on_char '\n' body in
-  let acc = ref [] in
-  List.iteri
-    (fun i l ->
-      let l = String.trim l in
-      if l <> "" && l.[0] <> '%' then acc := (i + 1, l) :: !acc)
-    lines;
-  List.rev !acc
-
+(* data lines come from Netlist_io's line cursor, which skips blank and
+   '%' lines but counts them, so diagnostics name the physical line *)
 let of_string ?(source = "<delta>") body =
   let path = source in
-  match data_lines body with
-  | [] -> raise (Parse_error (path ^ ": empty delta"))
-  | (hline, header) :: rest ->
-    (match fields_of_line header with
+  let cur = Io.string_cursor ~source body in
+  match Io.next cur with
+  | None -> raise (Parse_error (path ^ ": empty delta"))
+  | Some (hline, header) ->
+    (match Io.fields_of_line header with
     | [ m; v ] when m = magic ->
       let v = int_field path hline v in
       if v <> version then
@@ -75,34 +60,35 @@ let of_string ?(source = "<delta>") body =
       if c < 1 then parse_error path line "cell id %d out of range" c;
       c - 1
     in
-    let rec go = function
-      | [] -> None
-      | (line, l) :: rest -> (
-        match fields_of_line l with
+    let rec go () =
+      match Io.next cur with
+      | None -> None
+      | Some (line, l) -> (
+        match Io.fields_of_line l with
         | "base" :: [ fp ] ->
           if not (is_hex_fp fp) then
             parse_error path line "malformed base fingerprint %S" fp;
           if !base <> None then parse_error path line "duplicate base line";
           base := Some (fp, line);
-          go rest
+          go ()
         | "addcell" :: [ w ] ->
           let w = int_field path line w in
           if w < 1 then parse_error path line "non-positive cell weight %d" w;
           ops := (line, Add_cell w) :: !ops;
-          go rest
+          go ()
         | "rmcell" :: [ c ] ->
           let c = cell_id path line c in
           if Hashtbl.mem removed_cells c then
             parse_error path line "duplicate removal of cell %d" (c + 1);
           Hashtbl.add removed_cells c ();
           ops := (line, Remove_cell c) :: !ops;
-          go rest
+          go ()
         | "reweight" :: [ c; w ] ->
           let c = cell_id path line c in
           let w = int_field path line w in
           if w < 1 then parse_error path line "non-positive cell weight %d" w;
           ops := (line, Reweight_cell (c, w)) :: !ops;
-          go rest
+          go ()
         | "rmnet" :: [ e ] ->
           let e = int_field path line e in
           if e < 1 then parse_error path line "net id %d out of range" e;
@@ -110,7 +96,7 @@ let of_string ?(source = "<delta>") body =
             parse_error path line "duplicate removal of net %d" e;
           Hashtbl.add removed_nets (e - 1) ();
           ops := (line, Remove_net (e - 1)) :: !ops;
-          go rest
+          go ()
         | "addnet" :: w :: pins ->
           let w = int_field path line w in
           if w < 1 then parse_error path line "non-positive net weight %d" w;
@@ -121,40 +107,38 @@ let of_string ?(source = "<delta>") body =
           if List.length pins < 2 then
             parse_error path line "added net needs at least 2 pins";
           ops := (line, Add_net (w, Array.of_list pins)) :: !ops;
-          go rest
+          go ()
         | [ "prior"; n ] ->
           let n = int_field path line n in
           if n < 0 then parse_error path line "negative prior length %d" n;
-          Some (line, n, rest)
+          Some (line, n)
         | tok :: _ -> parse_error path line "unknown delta op %S" tok
         | [] -> assert false)
     in
     let prior =
-      match go rest with
+      match go () with
       | None -> None
-      | Some (pline, n, rest) ->
+      | Some (pline, n) ->
         let sides = Array.make n 0 in
-        let rec fill i = function
-          | rest when i = n ->
-            (match rest with
-            | (line, l) :: _ ->
-              parse_error path line "trailing line %S after prior section" l
-            | [] -> ());
-            Some sides
-          | [] ->
+        let rec fill i =
+          match Io.next cur with
+          | Some (line, l) when i = n ->
+            parse_error path line "trailing line %S after prior section" l
+          | None when i = n -> Some sides
+          | None ->
             parse_error path pline
               "truncated prior section: expected %d side lines, found %d" n i
-          | (line, l) :: rest ->
-            (match fields_of_line l with
+          | Some (line, l) ->
+            (match Io.fields_of_line l with
             | [ s ] ->
               let s = int_field path line s in
               if s <> 0 && s <> 1 then
                 parse_error path line "prior side must be 0 or 1, got %d" s;
               sides.(i) <- s
             | _ -> parse_error path line "expected one side per prior line");
-            fill (i + 1) rest
+            fill (i + 1)
         in
-        fill 0 rest
+        fill 0
     in
     { source; base = !base; ops = Array.of_list (List.rev !ops); prior }
 

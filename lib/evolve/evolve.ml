@@ -14,6 +14,7 @@ module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
 module Trace = Hypart_telemetry.Trace
 module Event_log = Hypart_telemetry.Event_log
+module Jsonl = Hypart_telemetry.Jsonl
 
 type config = {
   base_engine : string;
@@ -176,12 +177,12 @@ let run ?store ?executor ?initial config ~seed problem =
   count "evolve.campaigns";
   Event_log.record "evolve.campaign_start"
     [
-      ("campaign", Event_log.Str campaign);
-      ("engine", Event_log.Str config.base_engine);
-      ("executor", Event_log.Str executor.Executor.name);
-      ("population", Event_log.Int config.population);
-      ("generations", Event_log.Int config.generations);
-      ("seed", Event_log.Int seed);
+      ("campaign", Jsonl.String campaign);
+      ("engine", Jsonl.String config.base_engine);
+      ("executor", Jsonl.String executor.Executor.name);
+      ("population", Jsonl.Int config.population);
+      ("generations", Jsonl.Int config.generations);
+      ("seed", Jsonl.Int seed);
     ];
   let slot_seed g s =
     Fingerprint.mix_seed ~base:seed
@@ -328,20 +329,20 @@ let run ?store ?executor ?initial config ~seed problem =
     end;
     Event_log.record "evolve.generation"
       [
-        ("campaign", Event_log.Str campaign);
-        ("gen", Event_log.Int g);
-        ("best_cut", Event_log.Int b.Population.cut);
-        ("best_legal", Event_log.Bool b.Population.legal);
-        ("evaluated", Event_log.Int fresh);
-        ("replayed", Event_log.Int replay);
-        ("seconds", Event_log.Num seconds);
+        ("campaign", Jsonl.String campaign);
+        ("gen", Jsonl.Int g);
+        ("best_cut", Jsonl.Int b.Population.cut);
+        ("best_legal", Jsonl.Bool b.Population.legal);
+        ("evaluated", Jsonl.Int fresh);
+        ("replayed", Jsonl.Int replay);
+        ("seconds", Jsonl.Float seconds);
       ];
     if improved && g > 0 then
       Event_log.record "evolve.improved"
         [
-          ("campaign", Event_log.Str campaign);
-          ("gen", Event_log.Int g);
-          ("cut", Event_log.Int b.Population.cut);
+          ("campaign", Jsonl.String campaign);
+          ("gen", Jsonl.Int g);
+          ("cut", Jsonl.Int b.Population.cut);
         ];
     history :=
       {
@@ -439,11 +440,11 @@ let run ?store ?executor ?initial config ~seed problem =
   let best = Option.get (Population.best pop) in
   Event_log.record "evolve.campaign_done"
     [
-      ("campaign", Event_log.Str campaign);
-      ("best_cut", Event_log.Int best.Population.cut);
-      ("evaluated", Event_log.Int !evaluated);
-      ("replayed", Event_log.Int !replayed_total);
-      ("seconds", Event_log.Num !cum_seconds);
+      ("campaign", Jsonl.String campaign);
+      ("best_cut", Jsonl.Int best.Population.cut);
+      ("evaluated", Jsonl.Int !evaluated);
+      ("replayed", Jsonl.Int !replayed_total);
+      ("seconds", Jsonl.Float !cum_seconds);
     ];
   Trace.end_span "evolve.campaign"
     ~args:

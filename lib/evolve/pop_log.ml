@@ -1,4 +1,4 @@
-module Jsonl = Hypart_lab.Jsonl
+module Jsonl = Hypart_telemetry.Jsonl
 
 type entry = {
   gen : int;
@@ -32,18 +32,20 @@ let sides_of_string s =
   in
   if !ok && Array.length sides > 0 then Some sides else None
 
-let entry_to_line e =
-  Jsonl.to_line
+let entry_fields e =
+  Jsonl.
     [
-      ("gen", Jsonl.Int e.gen);
-      ("slot", Jsonl.Int e.slot);
-      ("kind", Jsonl.String e.kind);
-      ("seed", Jsonl.Int e.seed);
-      ("cut", Jsonl.Int e.cut);
-      ("legal", Jsonl.Bool e.legal);
-      ("seconds", Jsonl.Float e.seconds);
-      ("sides", Jsonl.String (sides_to_string e.assignment));
+      ("gen", Int e.gen);
+      ("slot", Int e.slot);
+      ("kind", String e.kind);
+      ("seed", Int e.seed);
+      ("cut", Int e.cut);
+      ("legal", Bool e.legal);
+      ("seconds", Float e.seconds);
+      ("sides", String (sides_to_string e.assignment));
     ]
+
+let entry_to_line e = Jsonl.to_line (entry_fields e)
 
 let entry_of_line line =
   match Jsonl.of_line line with
@@ -61,104 +63,49 @@ let entry_of_line line =
     let* assignment = sides_of_string sides in
     Some { gen; slot; kind; seed; cut; legal; seconds; assignment }
 
-let header_line campaign =
-  Jsonl.to_line
-    [ ("proto", Jsonl.String "evolve-v1"); ("campaign", Jsonl.String campaign) ]
+let header_fields campaign =
+  Jsonl.[ ("proto", String "evolve-v1"); ("campaign", String campaign) ]
 
 let header_of_line line =
   Option.bind (Jsonl.of_line line) (Jsonl.string_member "campaign")
 
 type t = {
-  oc : out_channel;
-  lock : Mutex.t;
+  log : Jsonl.t;
   index : (int * int, entry) Hashtbl.t;
-  mutable dropped : int;
+  dropped : int;
 }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (* another domain/process may have won the race *)
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-(* a crash can leave the file ending mid-record; the next append must
-   not glue its record onto that partial line, so an unterminated tail
-   gets its newline first (same contract as Run_store) *)
-let ends_with_newline path =
-  (not (Sys.file_exists path))
-  ||
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      len = 0
-      ||
-      (seek_in ic (len - 1);
-       input_char ic = '\n'))
-
-let fold_lines path f init =
-  if not (Sys.file_exists path) then init
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let acc = ref init in
-        (try
-           while true do
-             acc := f !acc (input_line ic)
-           done
-         with End_of_file -> ());
-        !acc)
-  end
-
 let open_log ~dir ~campaign =
-  mkdir_p dir;
   let path = filename dir in
   let index = Hashtbl.create 64 in
   let header, dropped =
-    fold_lines path
+    Jsonl.fold path
       (fun (header, dropped) line ->
-        if String.trim line = "" then (header, dropped)
-        else
-          match header_of_line line with
-          | Some found ->
-            if found <> campaign then
-              raise (Mismatch { expected = campaign; found });
-            (true, dropped)
-          | None -> (
-            match entry_of_line line with
-            | Some e ->
-              Hashtbl.replace index (e.gen, e.slot) e;
-              (header, dropped)
-            | None -> (header, dropped + 1)))
+        match header_of_line line with
+        | Some found ->
+          if found <> campaign then
+            raise (Mismatch { expected = campaign; found });
+          (true, dropped)
+        | None -> (
+          match entry_of_line line with
+          | Some e ->
+            Hashtbl.replace index (e.gen, e.slot) e;
+            (header, dropped)
+          | None -> (header, dropped + 1)))
       (false, 0)
   in
-  let terminate = not (ends_with_newline path) in
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  if terminate then output_char oc '\n';
+  let log = Jsonl.open_log path in
   (* a crash that truncated the header (or a pre-header crash) leaves
      no intact stamp; restore it so the next open can still verify *)
-  if not header then output_string oc (header_line campaign ^ "\n");
-  flush oc;
-  { oc; lock = Mutex.create (); index; dropped }
+  if not header then Jsonl.append log (header_fields campaign);
+  { log; index; dropped }
 
 let find t ~gen ~slot = Hashtbl.find_opt t.index (gen, slot)
 
 let append t e =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      output_string t.oc (entry_to_line e);
-      output_char t.oc '\n';
-      (* per-entry flush: a killed campaign loses at most the
-         candidate being written *)
-      flush t.oc;
-      Hashtbl.replace t.index (e.gen, e.slot) e)
+  Jsonl.append t.log (entry_fields e);
+  Hashtbl.replace t.index (e.gen, e.slot) e
 
 let entries t = Hashtbl.length t.index
 let dropped t = t.dropped
-let close t = close_out t.oc
+let close t = Jsonl.close t.log

@@ -13,10 +13,10 @@
     The first line is a header stamping the campaign fingerprint
     (everything that parameterizes the search); opening a log written
     by a different campaign raises {!Mismatch} instead of silently
-    mixing incompatible populations.  Like {!Hypart_lab.Run_store},
-    the reader drops malformed lines (a truncated tail after a crash)
-    and the writer repairs an unterminated final line before
-    appending. *)
+    mixing incompatible populations.  The log is a
+    {!Hypart_telemetry.Jsonl} log with its crash contract: the reader
+    drops malformed lines (a truncated tail after a crash) and opening
+    repairs an unterminated final line before appending. *)
 
 type entry = {
   gen : int;

@@ -13,6 +13,7 @@ module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
 module Trace = Hypart_telemetry.Trace
 module Event_log = Hypart_telemetry.Event_log
+module Jsonl = Hypart_telemetry.Jsonl
 
 type stats = {
   passes : int;
@@ -493,16 +494,16 @@ let run ?(config = Fm_config.default) rng problem initial =
          if pass_best < !best then
            Event_log.record "run.pass_improved"
              [
-               ("pass", Event_log.Int !n_passes);
-               ("cut", Event_log.Int pass_best);
-               ("moves", Event_log.Int pass_moves);
+               ("pass", Jsonl.Int !n_passes);
+               ("cut", Jsonl.Int pass_best);
+               ("moves", Jsonl.Int pass_moves);
              ];
          if rollback > 0 then
            Event_log.record "run.rolled_back"
              [
-               ("pass", Event_log.Int !n_passes);
-               ("rollback", Event_log.Int rollback);
-               ("cut", Event_log.Int st.cur_cut);
+               ("pass", Jsonl.Int !n_passes);
+               ("rollback", Jsonl.Int rollback);
+               ("cut", Jsonl.Int st.cur_cut);
              ]
        end;
        Log.debug (fun m ->

@@ -55,6 +55,26 @@ val payload : format -> string -> string
     (payload format path)] equals [read format path].
     @raise Parse_error when a file cannot be read. *)
 
+(** {1 The line cursor}
+
+    Every reader pulls its data lines from one cursor.  Lines are
+    trimmed (which also strips the ['\r'] of CRLF endings); blank lines
+    and comment lines are skipped but still counted, so a diagnostic
+    names the physical line.  Other line-oriented decoders (the [.hgrd]
+    delta format) read through it too. *)
+
+type cursor
+
+val string_cursor : ?comment:char -> source:string -> string -> cursor
+(** A cursor over bytes in memory; [comment] (default ['%']) starts a
+    comment line, and [source] names the input in diagnostics. *)
+
+val next : cursor -> (int * string) option
+(** The next data line with its 1-based physical line number. *)
+
+val fields_of_line : string -> string list
+(** Split a data line on runs of blanks (spaces or tabs). *)
+
 (** {1 Individual formats} *)
 
 val write_hgr : ?with_weights:bool -> string -> Hypergraph.t -> unit

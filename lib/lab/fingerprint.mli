@@ -1,9 +1,10 @@
 (** Content fingerprints for the experiment store.
 
     Cache keys must survive process restarts and be identical across
-    machines and OCaml versions, so they are built from an explicit
-    64-bit FNV-1a hash over canonical byte strings rather than from
-    [Hashtbl.hash] (whose value is not specified across versions).
+    machines and OCaml versions, so they are built from the explicit
+    64-bit FNV-1a hash of {!Hypart_rng.Fnv} over canonical byte strings
+    rather than from [Hashtbl.hash] (whose value is not specified across
+    versions).
 
     A fingerprint is rendered as 16 lowercase hex digits. *)
 

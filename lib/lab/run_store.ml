@@ -1,3 +1,5 @@
+module Jsonl = Hypart_telemetry.Jsonl
+
 type record = {
   engine : string;
   config : string;
@@ -18,19 +20,21 @@ let record_key r =
 
 let filename dir = Filename.concat dir "runs.jsonl"
 
-let record_to_line r =
-  Jsonl.to_line
+let record_fields r =
+  Jsonl.
     [
-      ("engine", Jsonl.String r.engine);
-      ("config", Jsonl.String r.config);
-      ("instance", Jsonl.String r.instance);
-      ("seed", Jsonl.Int r.seed);
-      ("cut", Jsonl.Int r.cut);
-      ("legal", Jsonl.Bool r.legal);
-      ("seconds", Jsonl.Float r.seconds);
-      ("machine", Jsonl.Float r.machine_factor);
-      ("git", Jsonl.String r.git);
+      ("engine", String r.engine);
+      ("config", String r.config);
+      ("instance", String r.instance);
+      ("seed", Int r.seed);
+      ("cut", Int r.cut);
+      ("legal", Bool r.legal);
+      ("seconds", Float r.seconds);
+      ("machine", Float r.machine_factor);
+      ("git", String r.git);
     ]
+
+let record_to_line r = Jsonl.to_line (record_fields r)
 
 let record_of_line line =
   match Jsonl.of_line line with
@@ -48,84 +52,19 @@ let record_of_line line =
     let* git = Jsonl.string_member "git" fields in
     Some { engine; config; instance; seed; cut; legal; seconds; machine_factor; git }
 
-(* -- writing -- *)
+type t = Jsonl.t
 
-type t = { oc : out_channel; lock : Mutex.t }
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (* another domain/process may have won the race *)
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-(* a crash can leave the file ending mid-record; the next append must
-   not glue its record onto that partial line (which would corrupt the
-   new record too), so an unterminated tail gets its newline first *)
-let ends_with_newline path =
-  (not (Sys.file_exists path))
-  ||
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      len = 0
-      ||
-      (seek_in ic (len - 1);
-       input_char ic = '\n'))
-
-let open_store dir =
-  mkdir_p dir;
-  let path = filename dir in
-  let terminate = not (ends_with_newline path) in
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  if terminate then begin
-    output_char oc '\n';
-    flush oc
-  end;
-  { oc; lock = Mutex.create () }
-
-let append t r =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      output_string t.oc (record_to_line r);
-      output_char t.oc '\n';
-      (* per-record flush is the crash-safety contract: a killed
-         campaign loses at most the record being written *)
-      flush t.oc)
-
-let close t = close_out t.oc
-
-(* -- reading -- *)
-
-let fold_lines path f init =
-  if not (Sys.file_exists path) then init
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let acc = ref init in
-        (try
-           while true do
-             acc := f !acc (input_line ic)
-           done
-         with End_of_file -> ());
-        !acc)
-  end
+let open_store dir = Jsonl.open_log (filename dir)
+let append t r = Jsonl.append t (record_fields r)
+let close = Jsonl.close
 
 let load dir =
   let records, dropped =
-    fold_lines (filename dir)
+    Jsonl.fold (filename dir)
       (fun (records, dropped) line ->
-        if String.trim line = "" then (records, dropped)
-        else
-          match record_of_line line with
-          | Some r -> (r :: records, dropped)
-          | None -> (records, dropped + 1))
+        match record_of_line line with
+        | Some r -> (r :: records, dropped)
+        | None -> (records, dropped + 1))
       ([], 0)
   in
   (List.rev records, dropped)

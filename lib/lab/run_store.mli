@@ -1,12 +1,13 @@
 (** The persistent run store: one append-only JSONL file of completed
     runs.
 
-    Every completed engine run becomes one JSON object on its own line,
-    flushed to disk immediately, so a killed campaign loses at most the
-    single run that was being written.  The reader drops malformed
-    lines (in particular a truncated final line) instead of failing, so
-    a crashed store is always reusable as-is — resume is just "run
-    again with the cache warm".
+    Every completed engine run becomes one JSON object on its own line
+    of a {!Hypart_telemetry.Jsonl} log, and inherits its crash contract:
+    a killed campaign loses at most the single run that was being
+    written, and {!load} drops malformed lines (in particular a
+    truncated final line) instead of failing, so a crashed store is
+    always reusable as-is — resume is just "run again with the cache
+    warm".
 
     Records are content-addressed: {!key} combines the engine name,
     the configuration fingerprint, the instance fingerprint and the
@@ -44,8 +45,9 @@ type t
     mutex, so domains of a parallel campaign can share one handle. *)
 
 val open_store : string -> t
-(** [open_store dir] creates [dir] (and parents) if needed and opens
-    the store file for appending. *)
+(** [open_store dir] creates [dir] (and parents) if needed, terminates
+    an unterminated last line, and opens the store file for
+    appending. *)
 
 val append : t -> record -> unit
 (** Append one record and flush. *)

@@ -1,0 +1,22 @@
+(** The one hash: 64-bit FNV-1a over explicit byte sequences.
+
+    Every persistent key (lab fingerprints, derived seeds) and every
+    seed derived from a name ({!Hypart_telemetry.Metrics} reservoirs)
+    folds bytes through these functions, so values are identical across
+    machines, processes and OCaml versions — unlike [Hashtbl.hash]. *)
+
+val offset : int64
+(** The FNV-1a 64-bit offset basis, the hash of no bytes. *)
+
+val prime : int64
+
+val add_byte : int64 -> int -> int64
+(** Fold the low 8 bits of an int. *)
+
+val add_string : int64 -> string -> int64
+
+val add_int : int64 -> int -> int64
+(** Fold an int as 8 little-endian bytes. *)
+
+val to_hex : int64 -> string
+(** 16 lowercase hex digits. *)

@@ -18,6 +18,7 @@ module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
 module Trace = Hypart_telemetry.Trace
 module Event_log = Hypart_telemetry.Event_log
+module Jsonl = Hypart_telemetry.Jsonl
 module Clock = Hypart_telemetry.Clock
 module J = Hypart_telemetry.Json_out
 
@@ -313,7 +314,7 @@ let load_instance t body format =
 type fresh = {
   result : Engine.Result.t;
   seconds : float;  (** engine CPU seconds *)
-  done_fields : (string * Event_log.value) list;  (** on [request.done] *)
+  done_fields : (string * Jsonl.value) list;  (** on [request.done] *)
   fresh_headers : (string * string) list;
   fresh_json : (string * string) list;
 }
@@ -323,7 +324,7 @@ type job_spec = {
   config_fp : string;
   instance_fp : string;
   starts : int;
-  admitted_fields : (string * Event_log.value) list;
+  admitted_fields : (string * Jsonl.value) list;
       (** on [request.admitted] *)
   headers : (string * string) list;  (** on every 200 answer *)
   json : (string * string) list;  (** on every JSON answer *)
@@ -394,7 +395,7 @@ let add_in_flight t d =
 let serve t fd (req : Http.request) accepted_s admit =
   let rid = request_id_of req in
   let event name fields =
-    Event_log.record name (("request_id", Event_log.Str rid) :: fields)
+    Event_log.record name (("request_id", Jsonl.String rid) :: fields)
   in
   let error =
     send_error fd
@@ -406,7 +407,7 @@ let serve t fd (req : Http.request) accepted_s admit =
   with
   | exception Reject (status, msg) ->
     Metrics.incr "server.bad_requests";
-    event "request.rejected" [ ("error", Event_log.Str msg) ];
+    event "request.rejected" [ ("error", Jsonl.String msg) ];
     error status msg
   | p, spec -> (
     let key =
@@ -417,12 +418,12 @@ let serve t fd (req : Http.request) accepted_s admit =
       Job_table.add t.jobs ~request_id:rid ~engine:spec.engine ~key ~seed:p.seed
         ~starts:spec.starts
     in
-    let jobf = [ ("job", Event_log.Int job.Job_table.id) ] in
+    let jobf = [ ("job", Jsonl.Int job.Job_table.id) ] in
     event "request.admitted"
       (jobf
-      @ [ ("engine", Event_log.Str spec.engine); ("seed", Event_log.Int p.seed) ]
+      @ [ ("engine", Jsonl.String spec.engine); ("seed", Jsonl.Int p.seed) ]
       @ spec.admitted_fields
-      @ [ ("key", Event_log.Str key) ]);
+      @ [ ("key", Jsonl.String key) ]);
     let finish status ~cut ~legal ~seconds =
       job.Job_table.cut <- Some cut;
       job.Job_table.legal <- Some legal;
@@ -436,7 +437,7 @@ let serve t fd (req : Http.request) accepted_s admit =
     let deadline_exceeded where when_ =
       Metrics.incr "server.deadline_exceeded";
       Job_table.update t.jobs job Job_table.Deadline_exceeded;
-      event "request.deadline" (jobf @ [ ("where", Event_log.Str where) ]);
+      event "request.deadline" (jobf @ [ ("where", Jsonl.String where) ]);
       error 504 ("deadline exceeded " ^ when_)
     in
     match Cache.find t.cache ~key with
@@ -447,7 +448,7 @@ let serve t fd (req : Http.request) accepted_s admit =
       let cut = r.Run_store.cut and legal = r.Run_store.legal in
       let seconds = r.Run_store.seconds in
       finish Job_table.Served_cached ~cut ~legal ~seconds;
-      event "request.dedup_hit" (jobf @ [ ("cut", Event_log.Int cut) ]);
+      event "request.dedup_hit" (jobf @ [ ("cut", Jsonl.Int cut) ]);
       respond fd p job spec ~cached:true ~cut ~legal ~seconds None
     | None when expired () ->
       (* the deadline elapsed while the request waited in the queue:
@@ -496,9 +497,9 @@ let serve t fd (req : Http.request) accepted_s admit =
         event "request.done"
           (jobf
           @ [
-              ("cut", Event_log.Int cut);
-              ("legal", Event_log.Bool legal);
-              ("seconds", Event_log.Num f.seconds);
+              ("cut", Jsonl.Int cut);
+              ("legal", Jsonl.Bool legal);
+              ("seconds", Jsonl.Float f.seconds);
             ]
           @ f.done_fields);
         respond fd p job spec ~cached:false ~cut ~legal ~seconds:f.seconds
@@ -510,7 +511,7 @@ let serve t fd (req : Http.request) accepted_s admit =
         let msg = Printexc.to_string e in
         Log.err (fun m -> m "job %d failed: %s" job.Job_table.id msg);
         Job_table.update t.jobs job (Job_table.Failed msg);
-        event "request.failed" (jobf @ [ ("error", Event_log.Str msg) ]);
+        event "request.failed" (jobf @ [ ("error", Jsonl.String msg) ]);
         error 500 ("engine failed: " ^ msg)))
 
 (* ------------------------------------------------------------------ *)
@@ -558,19 +559,19 @@ let admit_partition t ~event (req : Http.request) p =
   in
   event "request.instance_loaded"
     [
-      ("source", Event_log.Str source);
-      ("format", Event_log.Str (Io.format_tag format));
-      ("instance", Event_log.Str instance);
-      ("vertices", Event_log.Int (Hypart_hypergraph.Hypergraph.num_vertices h));
-      ("edges", Event_log.Int (Hypart_hypergraph.Hypergraph.num_edges h));
-      ("pins", Event_log.Int (Hypart_hypergraph.Hypergraph.num_pins h));
+      ("source", Jsonl.String source);
+      ("format", Jsonl.String (Io.format_tag format));
+      ("instance", Jsonl.String instance);
+      ("vertices", Jsonl.Int (Hypart_hypergraph.Hypergraph.num_vertices h));
+      ("edges", Jsonl.Int (Hypart_hypergraph.Hypergraph.num_edges h));
+      ("pins", Jsonl.Int (Hypart_hypergraph.Hypergraph.num_pins h));
     ];
   {
     engine = Engine.name engine;
     config_fp = config_fingerprint ~tolerance:p.tolerance ~starts;
     instance_fp = instance;
     starts;
-    admitted_fields = [ ("starts", Event_log.Int starts) ];
+    admitted_fields = [ ("starts", Jsonl.Int starts) ];
     (* the instance fingerprint lets the client name this instance as
        the base of a later POST /delta without re-deriving it locally *)
     headers = [ ("X-Hypart-Instance", instance) ];
@@ -664,14 +665,14 @@ let admit_delta t ~event (req : Http.request) p =
   Metrics.observe "delta.pins_touched" (float_of_int stats.Patch.pins_touched);
   event "request.delta_applied"
     [
-      ("base", Event_log.Str base_fp);
-      ("instance", Event_log.Str patch.Patch.fingerprint);
-      ("ops", Event_log.Int (Delta.num_ops delta));
-      ("pins_touched", Event_log.Int stats.Patch.pins_touched);
-      ("nets_added", Event_log.Int stats.Patch.nets_added);
-      ("nets_removed", Event_log.Int stats.Patch.nets_removed);
-      ("cells_added", Event_log.Int stats.Patch.cells_added);
-      ("cells_removed", Event_log.Int stats.Patch.cells_removed);
+      ("base", Jsonl.String base_fp);
+      ("instance", Jsonl.String patch.Patch.fingerprint);
+      ("ops", Jsonl.Int (Delta.num_ops delta));
+      ("pins_touched", Jsonl.Int stats.Patch.pins_touched);
+      ("nets_added", Jsonl.Int stats.Patch.nets_added);
+      ("nets_removed", Jsonl.Int stats.Patch.nets_removed);
+      ("cells_added", Jsonl.Int stats.Patch.cells_added);
+      ("cells_removed", Jsonl.Int stats.Patch.cells_removed);
     ];
   (* the patched instance becomes resident under its chained
      fingerprint, so the next delta can stack on this one *)
@@ -702,8 +703,8 @@ let admit_delta t ~event (req : Http.request) p =
           seconds = o.Eco.seconds;
           done_fields =
             [
-              ("mode", Event_log.Str mode);
-              ("free_vertices", Event_log.Int o.Eco.free_vertices);
+              ("mode", Jsonl.String mode);
+              ("free_vertices", Jsonl.Int o.Eco.free_vertices);
             ];
           fresh_headers = [ ("X-Hypart-Mode", mode) ];
           fresh_json = [ ("mode", J.string mode) ];

@@ -2,8 +2,9 @@
 
    The lab store records run *outcomes*; this records *what happened in
    between* — request admitted, dedup hit, run started, pass improved,
-   rollback, done/timeout/failure — one flat JSON object per line,
-   flushed per record so a crash loses at most the line being written.
+   rollback, done/timeout/failure — one flat JSON object per line on
+   the shared [Jsonl] log, so it has the same crash contract as the run
+   store: per-line flush, and an unterminated tail repaired on open.
    Timestamps are monotonic microseconds from the same clock as Trace
    spans, so events correlate directly with a trace file.
 
@@ -14,11 +15,9 @@
    are write failures; both totals are published as
    [telemetry.events_*] probe gauges. *)
 
-type value = Str of string | Num of float | Int of int | Bool of bool
-
 type t = {
   lock : Mutex.t;
-  oc : out_channel;
+  log : Jsonl.t;
   path : string;
   max_events : int;
   mutable written : int;
@@ -31,10 +30,9 @@ let total_logged = Atomic.make 0
 let total_dropped = Atomic.make 0
 
 let open_log ?(max_events = default_max_events) path =
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
   {
     lock = Mutex.create ();
-    oc;
+    log = Jsonl.open_log path;
     path;
     max_events;
     written = 0;
@@ -46,41 +44,29 @@ let path t = t.path
 let written t = Mutex.lock t.lock; let n = t.written in Mutex.unlock t.lock; n
 let dropped t = Mutex.lock t.lock; let n = t.dropped in Mutex.unlock t.lock; n
 
-let json_value = function
-  | Str s -> Json_out.string s
-  | Num f -> Json_out.number f
-  | Int i -> Json_out.int i
-  | Bool b -> if b then "true" else "false"
-
-let render_line event fields =
+let record_fields event fields =
   (* merge the domain's trace context so engine events carry
      request_id/job_id without threading them through every call site;
      explicit fields win on a key clash *)
   let explicit = List.map fst fields in
   let ctx =
     List.filter_map
-      (fun (k, v) ->
-        if List.mem k explicit then None else Some (k, Json_out.number v))
+      (fun (k, v) -> if List.mem k explicit then None else Some (k, Jsonl.Float v))
       (Trace.context ())
   in
-  Json_out.obj
-    (("ts_us", Json_out.number (Clock.now_us ()))
-     :: ("event", Json_out.string event)
-     :: (List.map (fun (k, v) -> (k, json_value v)) fields @ ctx))
+  ("ts_us", Jsonl.Float (Clock.now_us ()))
+  :: ("event", Jsonl.String event)
+  :: (fields @ ctx)
 
 let emit t event fields =
-  let line = render_line event fields in
+  let fields = record_fields event fields in
   Mutex.lock t.lock;
   if t.closed || t.written >= t.max_events then begin
     t.dropped <- t.dropped + 1;
     Atomic.incr total_dropped
   end
   else begin
-    match
-      output_string t.oc line;
-      output_char t.oc '\n';
-      flush t.oc
-    with
+    match Jsonl.append t.log fields with
     | () ->
       t.written <- t.written + 1;
       Atomic.incr total_logged
@@ -109,7 +95,7 @@ let close t =
   Mutex.lock t.lock;
   if not t.closed then begin
     t.closed <- true;
-    (try flush t.oc; close_out t.oc with Sys_error _ -> ())
+    (try Jsonl.close t.log with Sys_error _ -> ())
   end;
   Mutex.unlock t.lock
 

@@ -4,23 +4,25 @@
     as {!Trace} spans) and an [event] name; remaining fields are
     caller-supplied, and the recording domain's {!Trace.context} is
     merged in automatically so engine-level events carry
-    [request_id]/[job_id] on the serving path.  Every line is flushed
-    as it is written, so a crash loses at most the partial last line.
+    [request_id]/[job_id] on the serving path.  Lines go through the
+    shared {!Jsonl} log: each is flushed as it is written, so a crash
+    loses at most the partial last line, and opening a log whose last
+    line a crash left unterminated terminates it first.
 
     Emission past [max_events] (and after a write error) is dropped and
     counted; totals are published as the [telemetry.events_logged] /
     [telemetry.events_dropped] probe gauges. *)
 
-type value = Str of string | Num of float | Int of int | Bool of bool
 type t
 
 val default_max_events : int
 (** 100_000 events (~10 MB at typical line sizes). *)
 
 val open_log : ?max_events:int -> string -> t
-(** Open (append mode, created if missing) an event log at [path]. *)
+(** Open (append mode, created with its directory if missing) an event
+    log at [path]. *)
 
-val emit : t -> string -> (string * value) list -> unit
+val emit : t -> string -> (string * Jsonl.value) list -> unit
 (** [emit t event fields] appends one line.  Thread/domain-safe. *)
 
 val close : t -> unit
@@ -40,4 +42,4 @@ val dropped : t -> int
 val install : t -> unit
 val installed : unit -> t option
 val enabled : unit -> bool
-val record : string -> (string * value) list -> unit
+val record : string -> (string * Jsonl.value) list -> unit

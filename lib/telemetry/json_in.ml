@@ -1,8 +1,10 @@
-(* Minimal recursive-descent JSON parser (the container ships no
-   yojson).  Parses the full grammar; numbers become floats, and a
-   malformed document raises [Failure].  Counterpart to [Json_out];
-   used by [Bench_diff] to read metric snapshots back, and re-exported
-   to the test suite. *)
+(* The one JSON scanner (the container ships no yojson).  [parse] reads
+   the full grammar into [t], numbers as floats; [flat_object] reads one
+   object of scalars, keeping the int/float distinction the record logs
+   need.  Both share every lexical rule below, so the two readers can
+   never disagree about what a string, an escape or a number is. *)
+
+type scalar = String of string | Int of int | Float of float | Bool of bool
 
 type t =
   | Null
@@ -12,163 +14,150 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let parse (s : string) : t =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "json: %s at offset %d" msg !pos) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+(* -- the shared scanner -- *)
+
+exception Malformed of int * string
+
+type scanner = { s : string; mutable pos : int }
+
+let fail sc msg = raise (Malformed (sc.pos, msg))
+let peek sc = if sc.pos < String.length sc.s then Some sc.s.[sc.pos] else None
+
+let next sc =
+  match peek sc with
+  | Some c ->
+    sc.pos <- sc.pos + 1;
+    c
+  | None -> fail sc "unexpected end of input"
+
+let rec skip_ws sc =
+  match peek sc with
+  | Some (' ' | '\t' | '\n' | '\r') ->
+    sc.pos <- sc.pos + 1;
+    skip_ws sc
+  | _ -> ()
+
+let expect sc c = if next sc <> c then fail sc (Printf.sprintf "expected %C" c)
+
+let literal sc word v =
+  let l = String.length word in
+  if sc.pos + l <= String.length sc.s && String.sub sc.s sc.pos l = word then begin
+    sc.pos <- sc.pos + l;
+    v
+  end
+  else fail sc ("expected " ^ word)
+
+let hex sc =
+  match next sc with
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> fail sc "bad \\u escape"
+
+(* [\u] takes exactly four hex digits.  A code point up to 0xff decodes
+   to that byte, the inverse of [Json_out.escape]; a wider one decodes
+   to ['?'] rather than to UTF-8. *)
+let string sc =
+  expect sc '"';
+  let b = Buffer.create 16 in
+  let rec go () =
+    match next sc with
+    | '"' -> Buffer.contents b
+    | '\\' ->
+      (match next sc with
+      | ('"' | '\\' | '/') as c -> Buffer.add_char b c
+      | 'b' -> Buffer.add_char b '\b'
+      | 'f' -> Buffer.add_char b '\012'
+      | 'n' -> Buffer.add_char b '\n'
+      | 'r' -> Buffer.add_char b '\r'
+      | 't' -> Buffer.add_char b '\t'
+      | 'u' ->
+        let a = hex sc in
+        let b1 = hex sc in
+        let c = hex sc in
+        let d = hex sc in
+        let code = (a lsl 12) lor (b1 lsl 8) lor (c lsl 4) lor d in
+        Buffer.add_char b (if code <= 0xff then Char.chr code else '?')
+      | _ -> fail sc "bad escape");
+      go ()
+    | c ->
+      Buffer.add_char b c;
+      go ()
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some 'n' ->
-          advance ();
-          Buffer.add_char b '\n';
-          go ()
-        | Some 't' ->
-          advance ();
-          Buffer.add_char b '\t';
-          go ()
-        | Some 'r' ->
-          advance ();
-          Buffer.add_char b '\r';
-          go ()
-        | Some 'b' ->
-          advance ();
-          Buffer.add_char b '\b';
-          go ()
-        | Some 'f' ->
-          advance ();
-          Buffer.add_char b '\012';
-          go ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "bad \\u escape";
-          let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          let code = int_of_string ("0x" ^ hex) in
-          (* callers only need ASCII round-trips; wider code points are
-             replaced rather than UTF-8 encoded *)
-          Buffer.add_char b (if code < 128 then Char.chr code else '?');
-          go ()
-        | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-        | None -> fail "unterminated escape")
-      | Some c ->
-        advance ();
-        Buffer.add_char b c;
-        go ()
+  go ()
+
+(* a number starts with '-' or a digit and runs over digits, signs,
+   '.', 'e' and 'E'; the caller converts the lexeme *)
+let number_lexeme sc =
+  let start = sc.pos in
+  while
+    match peek sc with
+    | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') -> true
+    | _ -> false
+  do
+    sc.pos <- sc.pos + 1
+  done;
+  String.sub sc.s start (sc.pos - start)
+
+let convert sc f lexeme =
+  match f lexeme with Some v -> v | None -> fail sc "bad number"
+
+(* [open_ item (',' item)* close], or an empty [open_ close] *)
+let sequence sc open_ close item =
+  expect sc open_;
+  skip_ws sc;
+  if peek sc = Some close then begin
+    sc.pos <- sc.pos + 1;
+    []
+  end
+  else begin
+    let rec go acc =
+      skip_ws sc;
+      let acc = item sc :: acc in
+      skip_ws sc;
+      match next sc with
+      | ',' -> go acc
+      | c when c = close -> List.rev acc
+      | _ -> fail sc (Printf.sprintf "expected ',' or %C" close)
     in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' -> parse_obj ()
-    | Some '[' -> parse_arr ()
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  and parse_obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then begin
-      advance ();
-      Obj []
-    end
-    else begin
-      let rec members acc =
-        skip_ws ();
-        let k = parse_string () in
-        skip_ws ();
-        expect ':';
-        let v = parse_value () in
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          members ((k, v) :: acc)
-        | Some '}' ->
-          advance ();
-          Obj (List.rev ((k, v) :: acc))
-        | _ -> fail "expected ',' or '}'"
-      in
-      members []
-    end
-  and parse_arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then begin
-      advance ();
-      Arr []
-    end
-    else begin
-      let rec items acc =
-        let v = parse_value () in
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          items (v :: acc)
-        | Some ']' ->
-          advance ();
-          Arr (List.rev (v :: acc))
-        | _ -> fail "expected ',' or ']'"
-      in
-      items []
-    end
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
+    go []
+  end
+
+(* an object's members, [value] reading each member's value *)
+let members sc value =
+  sequence sc '{' '}' (fun sc ->
+      let k = string sc in
+      skip_ws sc;
+      expect sc ':';
+      skip_ws sc;
+      (k, value sc))
+
+(* run [read] over the whole of [s]: only whitespace may follow *)
+let whole read s =
+  let sc = { s; pos = 0 } in
+  skip_ws sc;
+  let v = read sc in
+  skip_ws sc;
+  if sc.pos <> String.length s then fail sc "trailing garbage";
   v
+
+(* -- the full grammar -- *)
+
+let rec value sc =
+  match peek sc with
+  | Some '"' -> Str (string sc)
+  | Some '{' -> Obj (members sc value)
+  | Some '[' -> Arr (sequence sc '[' ']' value)
+  | Some 't' -> literal sc "true" (Bool true)
+  | Some 'f' -> literal sc "false" (Bool false)
+  | Some 'n' -> literal sc "null" Null
+  | Some ('-' | '0' .. '9') -> Num (convert sc float_of_string_opt (number_lexeme sc))
+  | Some _ -> fail sc "expected a value"
+  | None -> fail sc "unexpected end of input"
+
+let parse s =
+  try whole value s
+  with Malformed (pos, msg) -> failwith (Printf.sprintf "json: %s at offset %d" msg pos)
 
 let parse_result s =
   match parse s with v -> Ok v | exception Failure msg -> Error msg
@@ -176,3 +165,21 @@ let parse_result s =
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
+
+(* -- flat records -- *)
+
+(* an integer lexeme goes straight through [int_of_string], never
+   through a float: 62-bit seeds must survive the round trip *)
+let scalar sc : scalar =
+  match peek sc with
+  | Some '"' -> String (string sc)
+  | Some 't' -> literal sc "true" (Bool true : scalar)
+  | Some 'f' -> literal sc "false" (Bool false : scalar)
+  | Some ('-' | '0' .. '9') ->
+    let lexeme = number_lexeme sc in
+    if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) lexeme then
+      Float (convert sc float_of_string_opt lexeme)
+    else Int (convert sc int_of_string_opt lexeme)
+  | _ -> fail sc "expected a scalar"
+
+let flat_object s = try Some (whole (fun sc -> members sc scalar) s) with Malformed _ -> None

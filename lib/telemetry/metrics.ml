@@ -103,15 +103,11 @@ let set_gauge name x =
     | v -> wrong_kind name v "gauge"
 
 (* FNV-1a over the metric name: the reservoir's replacement stream is
-   deterministic per name, so runs are reproducible. *)
+   deterministic per name, so runs are reproducible.  xorshift needs a
+   nonzero state. *)
 let seed_of_name name =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFF)
-    name;
-  if !h = 0 then 0x2545F491 else !h
+  let h = Int64.to_int (Hypart_rng.Fnv.add_string Hypart_rng.Fnv.offset name) land max_int in
+  if h = 0 then 0x2545F491 else h
 
 let next_rand h =
   let s = h.rng in

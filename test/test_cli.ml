@@ -1,6 +1,8 @@
 (* Integration tests: drive the hypart executable end-to-end through a
    temp directory — generate, partition, evaluate, kway, tables. *)
 
+module Json_in = Hypart_telemetry.Json_in
+
 let exe =
   (* test binaries run in _build/default/test; the CLI is a sibling *)
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/hypart.exe"
@@ -371,18 +373,18 @@ let test_daemon_round_trip () =
     close_in ic;
     s
   in
-  let trace_doc = Mini_json.parse (slurp trace) in
+  let trace_doc = Json_in.parse (slurp trace) in
   let span_tagged name =
-    match Mini_json.member "traceEvents" trace_doc with
-    | Some (Mini_json.Arr evs) ->
+    match Json_in.member "traceEvents" trace_doc with
+    | Some (Json_in.Arr evs) ->
       List.exists
         (fun ev ->
-          Mini_json.member "name" ev = Some (Mini_json.Str name)
+          Json_in.member "name" ev = Some (Json_in.Str name)
           &&
-          match Mini_json.member "args" ev with
+          match Json_in.member "args" ev with
           | Some args ->
-            Mini_json.member "request_id" args
-            = Some (Mini_json.Num (float_of_string rid))
+            Json_in.member "request_id" args
+            = Some (Json_in.Num (float_of_string rid))
           | None -> false)
         evs
     | _ -> Alcotest.fail "trace file has no traceEvents array"
@@ -395,10 +397,10 @@ let test_daemon_round_trip () =
   let lifecycle =
     String.trim (slurp events) |> String.split_on_char '\n'
     |> List.filter_map (fun l ->
-           let j = Mini_json.parse l in
-           if Mini_json.member "request_id" j = Some (Mini_json.Str rid) then
-             match Mini_json.member "event" j with
-             | Some (Mini_json.Str n) -> Some n
+           let j = Json_in.parse l in
+           if Json_in.member "request_id" j = Some (Json_in.Str rid) then
+             match Json_in.member "event" j with
+             | Some (Json_in.Str n) -> Some n
              | _ -> None
            else None)
   in

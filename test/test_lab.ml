@@ -4,7 +4,7 @@
    truncated store reproduces the uninterrupted report byte for byte,
    and re-running an unchanged campaign performs zero engine runs. *)
 
-module Jsonl = Hypart_lab.Jsonl
+module Jsonl = Hypart_telemetry.Jsonl
 module Fingerprint = Hypart_lab.Fingerprint
 module Run_store = Hypart_lab.Run_store
 module Cache = Hypart_lab.Cache
@@ -30,6 +30,8 @@ let test_jsonl_round_trip () =
       ("n", Jsonl.Int (-42));
       ("t", Jsonl.Float 1.5);
       ("ok", Jsonl.Bool true);
+      ("max", Jsonl.Int max_int);
+      ("min", Jsonl.Int min_int);
     ]
   in
   match Jsonl.of_line (Jsonl.to_line fields) with
@@ -43,7 +45,12 @@ let test_jsonl_round_trip () =
     Alcotest.(check (option bool)) "bool" (Some true)
       (Jsonl.bool_member "ok" got);
     Alcotest.(check (option int)) "absent member" None
-      (Jsonl.int_member "missing" got)
+      (Jsonl.int_member "missing" got);
+    (* ints never pass through a float: 62-bit seeds survive *)
+    Alcotest.(check (option int)) "max_int" (Some max_int)
+      (Jsonl.int_member "max" got);
+    Alcotest.(check (option int)) "min_int" (Some min_int)
+      (Jsonl.int_member "min" got)
 
 let test_jsonl_malformed () =
   let bad =
@@ -79,6 +86,33 @@ let test_jsonl_truncated_record () =
       true
       (Jsonl.of_line (String.sub line 0 len) = None)
   done
+
+(* arbitrary bytes, and valid lines with one byte overwritten *)
+let arb_line =
+  let valid =
+    Jsonl.to_line
+      [
+        ("engine", Jsonl.String "fl\"at\n\001");
+        ("seed", Jsonl.Int max_int);
+        ("seconds", Jsonl.Float 0.25);
+        ("legal", Jsonl.Bool false);
+      ]
+  in
+  let flip (i, c) =
+    let b = Bytes.of_string valid in
+    Bytes.set b (i mod Bytes.length b) c;
+    Bytes.to_string b
+  in
+  QCheck.(
+    make ~print:(Printf.sprintf "%S")
+      Gen.(oneof [ string; map flip (pair nat char) ]))
+
+let prop_of_line_total =
+  QCheck.Test.make ~name:"of_line is total on arbitrary bytes" ~count:1000
+    ~long_factor:100 arb_line (fun line ->
+      match Jsonl.of_line line with
+      | Some _ | None -> true
+      | exception e -> QCheck.Test.fail_reportf "%s escaped" (Printexc.to_string e))
 
 (* ---------------- fingerprints ---------------- *)
 
@@ -202,6 +236,56 @@ let test_record_line_round_trip () =
   | Some got ->
     Alcotest.(check string) "key preserved" (Run_store.record_key r)
       (Run_store.record_key got)
+
+(* A crash can cut the store at any byte.  Whatever the cut, reopening
+   and appending must keep every record that was complete before it,
+   keep the new one intact, and drop at most the one cut line. *)
+let arb_records =
+  let record =
+    QCheck.Gen.(
+      map
+        (fun (seed, cut, legal, git) ->
+          { (sample_record ~seed ~cut ()) with Run_store.legal; git })
+        (quad int small_nat bool (string_size ~gen:printable (int_bound 6))))
+  in
+  QCheck.(
+    make
+      ~print:(fun rs -> String.concat "\n" (List.map Run_store.record_to_line rs))
+      Gen.(list_size (int_range 1 3) record))
+
+let prop_store_truncation =
+  QCheck.Test.make ~name:"store survives truncation at every byte" ~count:10
+    ~long_factor:10 arb_records (fun records ->
+      let dir = tmp_dir () in
+      let store = Run_store.open_store dir in
+      List.iter (Run_store.append store) records;
+      Run_store.close store;
+      let path = Run_store.filename dir in
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let fresh = sample_record ~seed:(-1) ~cut:1 () in
+      let lines rs = List.map Run_store.record_to_line rs in
+      for cut = 0 to String.length bytes do
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (String.sub bytes 0 cut));
+        (* a record is complete once its closing brace is on disk *)
+        let complete, _ =
+          List.fold_left
+            (fun (kept, stop) r ->
+              let stop = stop + String.length (Run_store.record_to_line r) in
+              ((if stop <= cut then r :: kept else kept), stop + 1))
+            ([], 0) records
+        in
+        let store = Run_store.open_store dir in
+        Run_store.append store fresh;
+        Run_store.close store;
+        let got, dropped = Run_store.load dir in
+        if lines got <> lines (List.rev (fresh :: complete)) || dropped > 1 then
+          QCheck.Test.fail_reportf "cut at byte %d: %d records back, %d dropped"
+            cut (List.length got) dropped
+      done;
+      Sys.remove path;
+      Sys.rmdir dir;
+      true)
 
 (* ---------------- cache ---------------- *)
 
@@ -350,6 +434,7 @@ let () =
           Alcotest.test_case "malformed lines" `Quick test_jsonl_malformed;
           Alcotest.test_case "truncated record" `Quick
             test_jsonl_truncated_record;
+          QCheck_alcotest.to_alcotest prop_of_line_total;
         ] );
       ( "fingerprint",
         [
@@ -366,6 +451,7 @@ let () =
           Alcotest.test_case "compact" `Quick test_store_compact;
           Alcotest.test_case "record line round trip" `Quick
             test_record_line_round_trip;
+          QCheck_alcotest.to_alcotest prop_store_truncation;
         ] );
       ( "cache",
         [ Alcotest.test_case "hit/miss counters" `Quick test_cache_counters ] );

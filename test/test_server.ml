@@ -17,6 +17,7 @@ module Io = Hypart_hypergraph.Netlist_io
 module Instance_store = Hypart_hypergraph.Instance_store
 module Instance_cache = Hypart_server.Instance_cache
 module Fingerprint = Hypart_lab.Fingerprint
+module Json_in = Hypart_telemetry.Json_in
 module Hg = Hypart_hypergraph.Hypergraph
 module Problem = Hypart_partition.Problem
 module Bipartition = Hypart_partition.Bipartition
@@ -500,12 +501,11 @@ let test_serve_instance_cache () =
         (Hypart_telemetry.Metrics.gauge_value "server.instance_cache_bytes"
         > 0.);
       let health = get port "/healthz" in
-      let module Mini_json = Hypart_telemetry.Json_in in
       match
-        Mini_json.member "instances_resident"
-          (Mini_json.parse health.Http.resp_body)
+        Json_in.member "instances_resident"
+          (Json_in.parse health.Http.resp_body)
       with
-      | Some (Mini_json.Num n) ->
+      | Some (Json_in.Num n) ->
         Alcotest.(check bool) "at least one resident" true (n >= 1.)
       | _ -> Alcotest.fail "no instances_resident in /healthz")
 
@@ -826,7 +826,6 @@ let test_serve_event_lifecycle () =
   (* the flight recorder sees the whole request lifecycle, with the
      client's request id on every line *)
   let module Event_log = Hypart_telemetry.Event_log in
-  let module Mini_json = Hypart_telemetry.Json_in in
   let path =
     Filename.concat (Filename.get_temp_dir_name ()) "hypart_server_events.jsonl"
   in
@@ -863,10 +862,10 @@ let test_serve_event_lifecycle () =
   let events =
     List.rev_map
       (fun l ->
-        let j = Mini_json.parse l in
+        let j = Json_in.parse l in
         let name =
-          match Mini_json.member "event" j with
-          | Some (Mini_json.Str s) -> s
+          match Json_in.member "event" j with
+          | Some (Json_in.Str s) -> s
           | _ -> Alcotest.failf "event line without name: %s" l
         in
         (name, j))
@@ -875,7 +874,7 @@ let test_serve_event_lifecycle () =
   let of_rid =
     List.filter
       (fun (_, j) ->
-        Mini_json.member "request_id" j = Some (Mini_json.Str "555001"))
+        Json_in.member "request_id" j = Some (Json_in.Str "555001"))
       events
   in
   let count name =
@@ -888,8 +887,8 @@ let test_serve_event_lifecycle () =
   (* every line is timestamped *)
   List.iter
     (fun (n, j) ->
-      match Mini_json.member "ts_us" j with
-      | Some (Mini_json.Num _) -> ()
+      match Json_in.member "ts_us" j with
+      | Some (Json_in.Num _) -> ()
       | _ -> Alcotest.failf "event %s without ts_us" n)
     events
 
@@ -1075,8 +1074,8 @@ let test_serve_delta_counters () =
 let test_serve_golden_keys () =
   with_server (fun _server port ->
       let key resp =
-        match Mini_json.member "key" (Mini_json.parse resp.Http.resp_body) with
-        | Some (Mini_json.Str k) -> k
+        match Json_in.member "key" (Json_in.parse resp.Http.resp_body) with
+        | Some (Json_in.Str k) -> k
         | _ -> Alcotest.fail "answer without a key field"
       in
       let base = submit ~query:"&engine=flat&seed=9" port in
@@ -1133,8 +1132,8 @@ let with_two_servers f =
 
 let jobs_total port =
   let resp = get port "/healthz" in
-  match Mini_json.member "jobs_total" (Mini_json.parse resp.Http.resp_body) with
-  | Some (Mini_json.Num n) -> int_of_float n
+  match Json_in.member "jobs_total" (Json_in.parse resp.Http.resp_body) with
+  | Some (Json_in.Num n) -> int_of_float n
   | _ -> Alcotest.fail "healthz without jobs_total"
 
 let local port = { Fleet.host = "127.0.0.1"; port }

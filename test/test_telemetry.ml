@@ -5,6 +5,7 @@
 module Telemetry = Hypart_telemetry.Telemetry
 module Metrics = Hypart_telemetry.Metrics
 module Trace = Hypart_telemetry.Trace
+module Json_in = Hypart_telemetry.Json_in
 
 let contains s needle =
   let nl = String.length needle and sl = String.length s in
@@ -222,18 +223,18 @@ let test_prometheus_json_consistency () =
   with_fresh @@ fun () ->
   Metrics.incr ~by:3 "t.alpha";
   Metrics.incr ~by:11 "t.beta.gamma";
-  let json = Mini_json.parse (Metrics.to_json ()) in
+  let json = Json_in.parse (Metrics.to_json ()) in
   let prom = Metrics.to_prometheus () in
   let counters =
-    match Mini_json.member "counters" json with
-    | Some (Mini_json.Obj kvs) -> kvs
+    match Json_in.member "counters" json with
+    | Some (Json_in.Obj kvs) -> kvs
     | _ -> Alcotest.fail "counters object missing"
   in
   (* every JSON counter appears in the Prometheus encoding under its
      sanitised name with the same value *)
   List.iter
     (fun (name, v) ->
-      let v = match v with Mini_json.Num f -> f | _ -> nan in
+      let v = match v with Json_in.Num f -> f | _ -> nan in
       let line =
         Printf.sprintf "%s_total %.0f" (Metrics.prometheus_name name) v
       in
@@ -377,6 +378,7 @@ let test_context_exception_safety () =
 (* -- flight recorder -- *)
 
 module Event_log = Hypart_telemetry.Event_log
+module Jsonl = Hypart_telemetry.Jsonl
 
 let test_event_log_roundtrip () =
   with_fresh @@ fun () ->
@@ -388,38 +390,38 @@ let test_event_log_roundtrip () =
   Fun.protect ~finally:(fun () -> Event_log.close log) (fun () ->
       Alcotest.(check bool) "sink installed" true (Event_log.enabled ());
       Event_log.record "request.admitted"
-        [ ("request_id", Event_log.Str "12345"); ("job", Event_log.Int 1) ];
+        [ ("request_id", Jsonl.String "12345"); ("job", Jsonl.Int 1) ];
       Trace.with_context
         [ ("request_id", 12345.0); ("job_id", 1.0) ]
         (fun () ->
           Event_log.record "run.pass_improved"
-            [ ("pass", Event_log.Int 1); ("cut", Event_log.Int 40) ]));
+            [ ("pass", Jsonl.Int 1); ("cut", Jsonl.Int 40) ]));
   Alcotest.(check bool) "sink uninstalled by close" true
     (not (Event_log.enabled ()));
   let lines =
     read_file path |> String.trim |> String.split_on_char '\n'
   in
   Alcotest.(check int) "two lines" 2 (List.length lines);
-  let parsed = List.map Mini_json.parse lines in
+  let parsed = List.map Json_in.parse lines in
   List.iter
     (fun j ->
-      match Mini_json.member "ts_us" j with
-      | Some (Mini_json.Num _) -> ()
+      match Json_in.member "ts_us" j with
+      | Some (Json_in.Num _) -> ()
       | _ -> Alcotest.fail "event missing numeric ts_us")
     parsed;
   (match parsed with
   | [ admitted; improved ] ->
     Alcotest.(check bool) "event name" true
-      (Mini_json.member "event" admitted = Some (Mini_json.Str "request.admitted"));
+      (Json_in.member "event" admitted = Some (Json_in.Str "request.admitted"));
     Alcotest.(check bool) "string field" true
-      (Mini_json.member "request_id" admitted = Some (Mini_json.Str "12345"));
+      (Json_in.member "request_id" admitted = Some (Json_in.Str "12345"));
     (* the second event carries the ids from the trace context *)
     Alcotest.(check bool) "context merged" true
-      (Mini_json.member "request_id" improved = Some (Mini_json.Num 12345.0));
+      (Json_in.member "request_id" improved = Some (Json_in.Num 12345.0));
     Alcotest.(check bool) "job id merged" true
-      (Mini_json.member "job_id" improved = Some (Mini_json.Num 1.0));
+      (Json_in.member "job_id" improved = Some (Json_in.Num 1.0));
     Alcotest.(check bool) "explicit field kept" true
-      (Mini_json.member "cut" improved = Some (Mini_json.Num 40.0))
+      (Json_in.member "cut" improved = Some (Json_in.Num 40.0))
   | _ -> Alcotest.fail "expected two parsed events");
   Alcotest.(check int) "written counted" 2 (Event_log.written log)
 
@@ -430,7 +432,7 @@ let test_event_log_bounded () =
   @@ fun () ->
   let log = Event_log.open_log ~max_events:2 path in
   for i = 1 to 5 do
-    Event_log.emit log "tick" [ ("i", Event_log.Int i) ]
+    Event_log.emit log "tick" [ ("i", Jsonl.Int i) ]
   done;
   Event_log.close log;
   Alcotest.(check int) "cap respected" 2 (Event_log.written log);
@@ -447,6 +449,33 @@ let test_event_log_bounded () =
   in
   Alcotest.(check bool) "drops visible in snapshot" true
     (match dropped_gauge with Some v -> v >= 3.0 | None -> false)
+
+let test_event_log_tail_repair () =
+  with_fresh @@ fun () ->
+  let path = Filename.temp_file "hypart_events" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (* a crash left the log ending mid-line *)
+  let partial = "{\"ts_us\":1,\"event\":\"run.pa" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc partial);
+  let log = Event_log.open_log path in
+  Event_log.emit log "tick" [ ("i", Jsonl.Int 1) ];
+  Event_log.emit log "tick" [ ("i", Jsonl.Int 2) ];
+  Event_log.close log;
+  match String.split_on_char '\n' (read_file path) with
+  | [ first; a; b; "" ] ->
+    Alcotest.(check string) "partial line left on its own" partial first;
+    List.iteri
+      (fun i line ->
+        let j = Json_in.parse line in
+        Alcotest.(check bool) "event parses" true
+          (Json_in.member "event" j = Some (Json_in.Str "tick"));
+        Alcotest.(check bool) "fields intact" true
+          (Json_in.member "i" j = Some (Json_in.Num (float_of_int (i + 1)))))
+      [ a; b ]
+  | lines ->
+    Alcotest.failf "expected the partial line plus two events, got %d lines"
+      (List.length lines - 1)
 
 (* -- phase summary -- *)
 
@@ -491,24 +520,24 @@ let test_cli_trace_json () =
   Alcotest.(check int) "exit code" 0 code;
   (* the trace must parse as JSON and follow the Chrome trace_event
      object format: {"traceEvents": [{"ph":"X"|"M", "name", ...}, ...]} *)
-  let j = Mini_json.parse (read_file trace) in
+  let j = Json_in.parse (read_file trace) in
   let events =
-    match Mini_json.member "traceEvents" j with
-    | Some (Mini_json.Arr evs) -> evs
+    match Json_in.member "traceEvents" j with
+    | Some (Json_in.Arr evs) -> evs
     | _ -> Alcotest.fail "traceEvents array missing"
   in
   Alcotest.(check bool) "has events" true (List.length events > 0);
   let names =
     List.filter_map
       (fun e ->
-        match (Mini_json.member "ph" e, Mini_json.member "name" e) with
-        | Some (Mini_json.Str ph), Some (Mini_json.Str name) ->
+        match (Json_in.member "ph" e, Json_in.member "name" e) with
+        | Some (Json_in.Str ph), Some (Json_in.Str name) ->
           (* complete events need ts/dur/pid/tid numbers *)
           if ph = "X" then begin
             List.iter
               (fun k ->
-                match Mini_json.member k e with
-                | Some (Mini_json.Num _) -> ()
+                match Json_in.member k e with
+                | Some (Json_in.Num _) -> ()
                 | _ -> Alcotest.failf "event %s missing numeric %s" name k)
               [ "ts"; "dur"; "pid"; "tid" ];
             Some name
@@ -523,14 +552,14 @@ let test_cli_trace_json () =
         Alcotest.failf "expected span %S in trace" expected)
     [ "ml.run"; "ml.coarsen"; "fm.pass" ];
   (* metrics file: counters/gauges/histograms objects *)
-  let m = Mini_json.parse (read_file metrics) in
-  (match Mini_json.member "counters" m with
-  | Some (Mini_json.Obj kvs) ->
+  let m = Json_in.parse (read_file metrics) in
+  (match Json_in.member "counters" m with
+  | Some (Json_in.Obj kvs) ->
     Alcotest.(check bool) "fm.moves counted" true
       (List.exists (fun (k, _) -> k = "fm.moves") kvs)
   | _ -> Alcotest.fail "counters object missing");
-  match Mini_json.member "histograms" m with
-  | Some (Mini_json.Obj kvs) ->
+  match Json_in.member "histograms" m with
+  | Some (Json_in.Obj kvs) ->
     Alcotest.(check bool) "per-start cut histogram" true
       (List.exists (fun (k, _) -> k = "engine.start_cut") kvs)
   | _ -> Alcotest.fail "histograms object missing"
@@ -576,8 +605,8 @@ let test_cli_events_jsonl () =
   let names =
     List.map
       (fun l ->
-        match Mini_json.member "event" (Mini_json.parse l) with
-        | Some (Mini_json.Str s) -> s
+        match Json_in.member "event" (Json_in.parse l) with
+        | Some (Json_in.Str s) -> s
         | _ -> Alcotest.failf "event line without name: %s" l)
       lines
   in
@@ -619,6 +648,8 @@ let () =
             test_event_log_roundtrip;
           Alcotest.test_case "bounded with counted drops" `Quick
             test_event_log_bounded;
+          Alcotest.test_case "unterminated tail repaired" `Quick
+            test_event_log_tail_repair;
         ] );
       ( "trace",
         [
