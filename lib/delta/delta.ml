@@ -41,10 +41,14 @@ let is_hex_fp s =
 let of_string ?(source = "<delta>") body =
   let path = source in
   let cur = Io.string_cursor ~source body in
-  match Io.next cur with
+  (* the next data line's number and fields *)
+  let next () =
+    if Io.next cur then Some (Io.line_number cur, Io.fields cur) else None
+  in
+  match next () with
   | None -> raise (Parse_error (path ^ ": empty delta"))
   | Some (hline, header) ->
-    (match Io.fields_of_line header with
+    (match header with
     | [ m; v ] when m = magic ->
       let v = int_field path hline v in
       if v <> version then
@@ -61,10 +65,10 @@ let of_string ?(source = "<delta>") body =
       c - 1
     in
     let rec go () =
-      match Io.next cur with
+      match next () with
       | None -> None
-      | Some (line, l) -> (
-        match Io.fields_of_line l with
+      | Some (line, fields) -> (
+        match fields with
         | "base" :: [ fp ] ->
           if not (is_hex_fp fp) then
             parse_error path line "malformed base fingerprint %S" fp;
@@ -111,6 +115,9 @@ let of_string ?(source = "<delta>") body =
         | [ "prior"; n ] ->
           let n = int_field path line n in
           if n < 0 then parse_error path line "negative prior length %d" n;
+          (* each side takes a line: a longer prior cannot fit the body *)
+          if n > String.length body then
+            parse_error path line "prior length %d out of range" n;
           Some (line, n)
         | tok :: _ -> parse_error path line "unknown delta op %S" tok
         | [] -> assert false)
@@ -121,15 +128,16 @@ let of_string ?(source = "<delta>") body =
       | Some (pline, n) ->
         let sides = Array.make n 0 in
         let rec fill i =
-          match Io.next cur with
-          | Some (line, l) when i = n ->
-            parse_error path line "trailing line %S after prior section" l
+          match next () with
+          | Some (line, _) when i = n ->
+            parse_error path line "trailing line %S after prior section"
+              (Io.line cur)
           | None when i = n -> Some sides
           | None ->
             parse_error path pline
               "truncated prior section: expected %d side lines, found %d" n i
-          | Some (line, l) ->
-            (match Io.fields_of_line l with
+          | Some (line, fields) ->
+            (match fields with
             | [ s ] ->
               let s = int_field path line s in
               if s <> 0 && s <> 1 then

@@ -19,97 +19,219 @@ let max_i32 = 0x7FFFFFFF
 
 (* ---------------- the line cursor ---------------- *)
 
-(* Every reader pulls its data lines from one cursor, over either a
-   string (a request body) or a channel (a file, read line by line and
-   never slurped, so a million-vertex file streams in bounded memory).
-   [String.trim] strips the '\r' of CRLF line endings along with
-   surrounding blanks; blank lines and comment lines (['%'], or ['#'] in
-   Bookshelf) are skipped but still counted, so a diagnostic names the
-   physical line — of the file, or of the whole body. *)
+(* Every reader pulls its data lines from one cursor.  A string (a
+   request body) is scanned where it lies; a file is read in [chunk]-byte
+   pieces into one buffer the cursor reuses, so a million-vertex file
+   streams in memory bounded by the chunk and the longest line and is
+   never slurped.  The current data line is a slice of that buffer:
+   integer readers scan it in place, and only readers that need names
+   copy it out ({!line}, {!fields}).  Trimming strips what [String.trim]
+   strips, including the '\r' of CRLF line endings; blank lines and
+   comment lines (['%'], or ['#'] in Bookshelf) are skipped but still
+   counted, so a diagnostic names the physical line — of the file, or of
+   the whole body. *)
+
+let chunk = 65536
 
 type cursor = {
   source : string;  (** the file name or ["<body>"], for diagnostics *)
-  read_line : unit -> string option;  (** the next physical line *)
   comment : char;
   size : int;  (** bytes in the input: no count of lines can exceed it *)
-  mutable line : int;
+  mutable input : in_channel option;  (** [None] once [buf] holds the rest *)
+  mutable buf : Bytes.t;
+  mutable len : int;  (** bytes of [buf] that hold input *)
+  mutable pos : int;  (** where the next physical line starts in [buf] *)
+  mutable line : int;  (** physical number of the current line *)
+  mutable start : int;  (** the current data line is [buf.[start .. stop-1]] *)
+  mutable stop : int;
+  mutable tok : int;  (** where {!next_int} resumes in the current line *)
+  mutable value : int;  (** the integer {!next_int} scanned last *)
 }
 
-(* the next data line with its 1-based line number *)
-let rec next c =
-  match c.read_line () with
-  | None -> None
-  | Some l ->
-    c.line <- c.line + 1;
-    let l = String.trim l in
-    if l = "" || l.[0] = c.comment then next c else Some (c.line, l)
-
-let next_or c what =
-  match next c with Some x -> x | None -> input_error c.source "%s" what
-
-let rec iter_lines c f =
-  match next c with
-  | None -> ()
-  | Some (lineno, l) ->
-    f lineno l;
-    iter_lines c f
+let make ~source ~comment ~size ~input ~buf ~len =
+  {
+    source;
+    comment;
+    size;
+    input;
+    buf;
+    len;
+    pos = 0;
+    line = 0;
+    start = 0;
+    stop = 0;
+    tok = 0;
+    value = 0;
+  }
 
 let string_cursor ?(comment = '%') ~source text =
-  let pos = ref 0 and size = String.length text in
-  let read_line () =
-    if !pos >= size then None
-    else begin
-      let stop = Option.value ~default:size (String.index_from_opt text !pos '\n') in
-      let l = String.sub text !pos (stop - !pos) in
-      pos := stop + 1;
-      Some l
-    end
-  in
-  { source; read_line; comment; size; line = 0 }
+  (* never written: only a file cursor refills its buffer *)
+  make ~source ~comment ~size:(String.length text) ~input:None
+    ~buf:(Bytes.unsafe_of_string text) ~len:(String.length text)
 
 let with_file ?(comment = '%') path f =
-  let ic = try open_in path with Sys_error msg -> raise (Parse_error msg) in
+  let ic = try open_in_bin path with Sys_error msg -> raise (Parse_error msg) in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let size = try in_channel_length ic with Sys_error _ -> max_int in
-      let read_line () = In_channel.input_line ic in
-      f { source = path; read_line; comment; size; line = 0 })
+      f
+        (make ~source:path ~comment ~size ~input:(Some ic)
+           ~buf:(Bytes.create chunk) ~len:0))
+
+(* Move the unread tail [pos, len) to the front of the buffer, doubling
+   it when a line fills it whole, and read more input behind it; [false]
+   at the end of the input. *)
+let refill c =
+  match c.input with
+  | None -> false
+  | Some ic ->
+    let keep = c.len - c.pos in
+    if keep = Bytes.length c.buf then begin
+      let grown = Bytes.create (2 * keep) in
+      Bytes.blit c.buf c.pos grown 0 keep;
+      c.buf <- grown
+    end
+    else Bytes.blit c.buf c.pos c.buf 0 keep;
+    c.pos <- 0;
+    let n = input ic c.buf keep (Bytes.length c.buf - keep) in
+    c.len <- keep + n;
+    if n = 0 then c.input <- None;
+    n > 0
+
+(* the next physical line as [start, stop), without its '\n'; [from] is
+   where the search for the '\n' resumes *)
+let rec next_physical c from =
+  let buf = c.buf and len = c.len in
+  let i = ref from in
+  while !i < len && Bytes.unsafe_get buf !i <> '\n' do
+    incr i
+  done;
+  if !i < len then begin
+    c.start <- c.pos;
+    c.stop <- !i;
+    c.pos <- !i + 1;
+    true
+  end
+  else begin
+    let scanned = len - c.pos in
+    if refill c then next_physical c scanned
+    else if c.pos < c.len then begin
+      (* a last line without its '\n' *)
+      c.start <- c.pos;
+      c.stop <- c.len;
+      c.pos <- c.len;
+      true
+    end
+    else false
+  end
+
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* advance to the next data line; [false] at the end of the input *)
+let rec next c =
+  next_physical c c.pos
+  && begin
+    c.line <- c.line + 1;
+    let buf = c.buf in
+    let s = ref c.start and e = ref c.stop in
+    while !s < !e && is_space (Bytes.unsafe_get buf !s) do
+      incr s
+    done;
+    while !e > !s && is_space (Bytes.unsafe_get buf (!e - 1)) do
+      decr e
+    done;
+    if !s = !e || Bytes.unsafe_get buf !s = c.comment then next c
+    else begin
+      c.start <- !s;
+      c.stop <- !e;
+      c.tok <- !s;
+      true
+    end
+  end
+
+let line_number c = c.line
+let line c = Bytes.sub_string c.buf c.start (c.stop - c.start)
+
+let next_or c what = if not (next c) then input_error c.source "%s" what
+
+let iter_lines c f =
+  while next c do
+    f c.line
+  done
 
 (* a count of lines still to come: it must fit in the input, so a
    corrupt header is a located error rather than a huge allocation *)
 let check_lines c lineno what n =
   if n < 0 || n > c.size then parse_error c.source lineno "%s %d out of range" what n
 
-(* Split a data line on runs of blanks — spaces or tabs (files in the
-   wild use both). *)
-let fields_of_line l =
-  String.split_on_char ' ' l
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+(* Fields are runs of non-blanks, and blanks are spaces or tabs (files
+   in the wild use both). *)
+let is_blank ch = ch = ' ' || ch = '\t'
 
-let is_blank c = c = ' ' || c = '\t'
+(* the fields of the current data line, copied out; built right to left
+   so the list needs no reversal *)
+let fields c =
+  let buf = c.buf and first = c.start in
+  let rec go stop acc =
+    let e = ref stop in
+    while !e > first && is_blank (Bytes.unsafe_get buf (!e - 1)) do
+      decr e
+    done;
+    if !e = first then acc
+    else begin
+      let s = ref !e in
+      while !s > first && not (is_blank (Bytes.unsafe_get buf (!s - 1))) do
+        decr s
+      done;
+      go !s (Bytes.sub_string buf !s (!e - !s) :: acc)
+    end
+  in
+  go c.stop []
 
-(* Apply [f] to each integer token of a data line, left to right,
-   without building an intermediate list of tokens. *)
-let iter_ints path lineno line f =
-  let n = String.length line in
-  let i = ref 0 in
-  while !i < n do
-    while !i < n && is_blank line.[!i] do
+(* Scan the next integer token of the current line into [c.value];
+   [false] at the end of the line.  A token of an optional '-' and 1 to
+   18 decimal digits (below [max_int], so it cannot overflow) converts
+   where it lies.  Any other token goes to [int_of_string_opt] as a copy
+   of that token alone, so exactly the tokens [int_of_string_opt]
+   accepts are accepted, with the same values. *)
+let next_int c =
+  let buf = c.buf and stop = c.stop in
+  let i = ref c.tok in
+  while !i < stop && is_blank (Bytes.unsafe_get buf !i) do
+    incr i
+  done;
+  if !i = stop then begin
+    c.tok <- stop;
+    false
+  end
+  else begin
+    let first = !i in
+    let neg = Bytes.unsafe_get buf first = '-' in
+    if neg then incr i;
+    let digits = !i and v = ref 0 in
+    while
+      !i < stop
+      && match Bytes.unsafe_get buf !i with '0' .. '9' -> true | _ -> false
+    do
+      v := (10 * !v) + Char.code (Bytes.unsafe_get buf !i) - 48;
       incr i
     done;
-    if !i < n then begin
-      let start = !i in
-      while !i < n && not (is_blank line.[!i]) do
+    let n = !i - digits in
+    if n >= 1 && n <= 18 && (!i = stop || is_blank (Bytes.unsafe_get buf !i))
+    then c.value <- (if neg then - !v else !v)
+    else begin
+      while !i < stop && not (is_blank (Bytes.unsafe_get buf !i)) do
         incr i
       done;
-      let tok = String.sub line start (!i - start) in
+      let tok = Bytes.sub_string buf first (!i - first) in
       match int_of_string_opt tok with
-      | Some v -> f v
-      | None -> parse_error path lineno "expected integer, got %S" tok
-    end
-  done
+      | Some x -> c.value <- x
+      | None -> parse_error c.source c.line "expected integer, got %S" tok
+    end;
+    c.tok <- !i;
+    true
+  end
 
 (* Growable int32 vector: doubling push, zero-copy view of the filled
    prefix at the end. *)
@@ -160,18 +282,22 @@ let write_hgr ?(with_weights = true) path h =
         done)
 
 (* Single pass: only the current line plus the growing CSR is held in
-   memory. *)
+   memory, and nothing is allocated per line or per pin. *)
 let hgr_of_cursor c =
   let path = c.source in
-  let hline, header = next_or c "empty file" in
-  let counts = ref [] in
-  iter_ints path hline header (fun x -> counts := x :: !counts);
-  let ne, nv, fmt =
-    match List.rev !counts with
-    | [ ne; nv ] -> (ne, nv, 0)
-    | [ ne; nv; fmt ] -> (ne, nv, fmt)
-    | _ -> parse_error path hline "bad header"
-  in
+  next_or c "empty file";
+  let hline = c.line in
+  let count = ref 0 and ne = ref 0 and nv = ref 0 and fmt = ref 0 in
+  while next_int c do
+    (match !count with
+     | 0 -> ne := c.value
+     | 1 -> nv := c.value
+     | 2 -> fmt := c.value
+     | _ -> ());
+    incr count
+  done;
+  if !count < 2 || !count > 3 then parse_error path hline "bad header";
+  let ne = !ne and nv = !nv and fmt = !fmt in
   (* validate the counts here, with a location, rather than letting a
      negative value escape as a bare Invalid_argument from Array.make *)
   if ne < 0 then parse_error path hline "negative edge count %d" ne;
@@ -198,46 +324,45 @@ let hgr_of_cursor c =
      as Hypergraph.create *)
   let mark = Array.make (max nv 1) (-1) in
   for e = 0 to ne - 1 do
-    match next c with
-    | None -> missing e
-    | Some (lineno, l) ->
-      let w = ref 1 and want_weight = ref has_ew and npins = ref 0 in
-      iter_ints path lineno l (fun x ->
-          if !want_weight then begin
-            w := x;
-            want_weight := false
-          end
-          else begin
-            if x < 1 || x > nv then parse_error path lineno "pin %d out of range" x;
-            let v = x - 1 in
-            if mark.(v) <> e then begin
-              mark.(v) <- e;
-              Buf32.push pins v;
-              incr npins
-            end
-          end);
-      if !want_weight then parse_error path lineno "empty edge line";
-      if !npins = 0 then parse_error path lineno "edge with no pins";
-      if !w <= 0 then parse_error path lineno "non-positive weight of edge %d" e;
-      if !w > max_i32 then parse_error path lineno "edge weight exceeds int32";
-      Bigarray.Array1.set edge_weight e (Int32.of_int !w);
-      Bigarray.Array1.set edge_offset (e + 1) (Int32.of_int pins.Buf32.len)
+    if not (next c) then missing e;
+    let w = ref 1 and want_weight = ref has_ew and npins = ref 0 in
+    while next_int c do
+      let x = c.value in
+      if !want_weight then begin
+        w := x;
+        want_weight := false
+      end
+      else begin
+        if x < 1 || x > nv then parse_error path c.line "pin %d out of range" x;
+        let v = x - 1 in
+        if mark.(v) <> e then begin
+          mark.(v) <- e;
+          Buf32.push pins v;
+          incr npins
+        end
+      end
+    done;
+    if !want_weight then parse_error path c.line "empty edge line";
+    if !npins = 0 then parse_error path c.line "edge with no pins";
+    if !w <= 0 then parse_error path c.line "non-positive weight of edge %d" e;
+    if !w > max_i32 then parse_error path c.line "edge weight exceeds int32";
+    Bigarray.Array1.set edge_weight e (Int32.of_int !w);
+    Bigarray.Array1.set edge_offset (e + 1) (Int32.of_int pins.Buf32.len)
   done;
   let vertex_weight = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout nv in
   Bigarray.Array1.fill vertex_weight 1l;
   if has_vw then
     for v = 0 to nv - 1 do
-      match next c with
-      | None -> missing (ne + v)
-      | Some (lineno, l) ->
-        let count = ref 0 and w = ref 1 in
-        iter_ints path lineno l (fun x ->
-            incr count;
-            w := x);
-        if !count <> 1 then parse_error path lineno "expected one vertex weight";
-        if !w <= 0 then parse_error path lineno "non-positive weight of vertex %d" v;
-        if !w > max_i32 then parse_error path lineno "vertex weight exceeds int32";
-        Bigarray.Array1.set vertex_weight v (Int32.of_int !w)
+      if not (next c) then missing (ne + v);
+      let count = ref 0 and w = ref 1 in
+      while next_int c do
+        incr count;
+        w := c.value
+      done;
+      if !count <> 1 then parse_error path c.line "expected one vertex weight";
+      if !w <= 0 then parse_error path c.line "non-positive weight of vertex %d" v;
+      if !w > max_i32 then parse_error path c.line "vertex weight exceeds int32";
+      Bigarray.Array1.set vertex_weight v (Int32.of_int !w)
     done;
   Hypergraph.of_int32_csr ~num_vertices:nv ~edge_offset
     ~edge_pins:(Buf32.contents pins) ~vertex_weight ~edge_weight
@@ -275,8 +400,8 @@ let write_are path h =
 let read_are path ~num_vertices =
   let areas = Array.make num_vertices 1 in
   with_file path (fun c ->
-      iter_lines c (fun lineno l ->
-          match fields_of_line l with
+      iter_lines c (fun lineno ->
+          match fields c with
           | [ name; area ] -> (
             let id =
               match name.[0] with
@@ -319,10 +444,11 @@ let write_netd ?(num_pads = 0) path h =
 let netd_of_cursor c =
   let path = c.source in
   let header () =
-    let lineno, s = next_or c "truncated .netD header" in
+    next_or c "truncated .netD header";
+    let s = line c in
     match int_of_string_opt s with
-    | Some v -> (lineno, v)
-    | None -> parse_error path lineno "expected integer header, got %S" s
+    | Some v -> (c.line, v)
+    | None -> parse_error path c.line "expected integer header, got %S" s
   in
   (match header () with
    | _, 0 -> ()
@@ -339,9 +465,9 @@ let netd_of_cursor c =
     parse_error path l5 "pad offset %d out of range" pad_offset;
   let num_pads = num_modules - pad_offset in
   let nets = ref [] and current = ref [] and found = ref 0 in
-  iter_lines c (fun lineno l ->
+  iter_lines c (fun lineno ->
       incr found;
-      match fields_of_line l with
+      match fields c with
       | name :: flag :: _ -> (
         let v = vertex_of_name path lineno ~num_cells:pad_offset ~num_pads name in
         match flag with
@@ -369,18 +495,19 @@ let read_netd path = with_file path netd_of_cursor
 
 let bookshelf_comment = '#'
 
-(* expects "Key : value" *)
-let header_count path lineno key l =
-  match fields_of_line l with
+(* the next data line, which must read "Key : value" *)
+let header_count c key what =
+  next_or c ("truncated " ^ what ^ " header");
+  match fields c with
   | [ k; ":"; v ] when k = key -> (
     match int_of_string_opt v with
     | Some n when n >= 0 -> n
-    | _ -> parse_error path lineno "bad %s value %S" key v)
-  | _ -> parse_error path lineno "expected \"%s : <n>\"" key
+    | _ -> parse_error c.source c.line "bad %s value %S" key v)
+  | _ -> parse_error c.source c.line "expected \"%s : <n>\"" key
 
 let expect_header c what magic =
-  let lineno, l = next_or c ("missing " ^ what ^ " section") in
-  if l <> magic then parse_error c.source lineno "bad %s header" what
+  next_or c ("missing " ^ what ^ " section");
+  if line c <> magic then parse_error c.source c.line "bad %s header" what
 
 let write_bookshelf ?(num_pads = 0) ~basename h =
   let nv = Hypergraph.num_vertices h in
@@ -410,25 +537,22 @@ let write_bookshelf ?(num_pads = 0) ~basename h =
 let nodes_of_cursor c =
   let path = c.source in
   expect_header c ".nodes" "UCLA nodes 1.0";
-  let l2, s = next_or c "truncated .nodes header" in
-  let nv = header_count path l2 "NumNodes" s in
-  check_lines c l2 "NumNodes" nv;
-  let l3, s = next_or c "truncated .nodes header" in
-  let num_pads = header_count path l3 "NumTerminals" s in
-  if num_pads > nv then parse_error path l3 "NumTerminals %d exceeds NumNodes" num_pads;
+  let nv = header_count c "NumNodes" ".nodes" in
+  check_lines c c.line "NumNodes" nv;
+  let num_pads = header_count c "NumTerminals" ".nodes" in
+  if num_pads > nv then
+    parse_error path c.line "NumTerminals %d exceeds NumNodes" num_pads;
   let num_cells = nv - num_pads in
   let widths = Array.make nv 1 in
   for i = 0 to nv - 1 do
-    match next c with
-    | None -> input_error path "expected %d node lines, found %d" nv i
-    | Some (lineno, l) -> (
-      match fields_of_line l with
-      | name :: width :: _ -> (
-        let v = vertex_of_name path lineno ~num_cells ~num_pads name in
-        match int_of_string_opt width with
-        | Some w when w > 0 && w <= max_i32 -> widths.(v) <- w
-        | _ -> parse_error path lineno "bad width %S" width)
-      | _ -> parse_error path lineno "expected \"name width height\"")
+    if not (next c) then input_error path "expected %d node lines, found %d" nv i;
+    match fields c with
+    | name :: width :: _ -> (
+      let v = vertex_of_name path c.line ~num_cells ~num_pads name in
+      match int_of_string_opt width with
+      | Some w when w > 0 && w <= max_i32 -> widths.(v) <- w
+      | _ -> parse_error path c.line "bad width %S" width)
+    | _ -> parse_error path c.line "expected \"name width height\""
   done;
   (nv, num_pads, widths)
 
@@ -436,29 +560,27 @@ let nodes_of_cursor c =
 let nets_of_cursor c ~num_cells ~num_pads =
   let path = c.source in
   expect_header c ".nets" "UCLA nets 1.0";
-  let l2, s = next_or c "truncated .nets header" in
-  let num_nets = header_count path l2 "NumNets" s in
-  check_lines c l2 "NumNets" num_nets;
-  let l3, s = next_or c "truncated .nets header" in
-  let num_pins = header_count path l3 "NumPins" s in
+  let num_nets = header_count c "NumNets" ".nets" in
+  check_lines c c.line "NumNets" num_nets;
+  let num_pins = header_count c "NumPins" ".nets" in
   let total_pins = ref 0 in
   let nets =
     Array.init num_nets (fun _ ->
-        let lineno, l = next_or c "fewer nets than promised" in
-        match fields_of_line l with
+        next_or c "fewer nets than promised";
+        match fields c with
         | "NetDegree" :: ":" :: d :: _ ->
           let d =
             match int_of_string_opt d with
             | Some d when d >= 1 && d <= c.size -> d
-            | _ -> parse_error path lineno "bad net degree %S" d
+            | _ -> parse_error path c.line "bad net degree %S" d
           in
           total_pins := !total_pins + d;
           Array.init d (fun _ ->
-              let lineno, l = next_or c "truncated net pin list" in
-              match fields_of_line l with
-              | name :: _ -> vertex_of_name path lineno ~num_cells ~num_pads name
-              | [] -> parse_error path lineno "empty pin line")
-        | _ -> parse_error path lineno "expected \"NetDegree : d\"")
+              next_or c "truncated net pin list";
+              match fields c with
+              | name :: _ -> vertex_of_name path c.line ~num_cells ~num_pads name
+              | [] -> parse_error path c.line "empty pin line")
+        | _ -> parse_error path c.line "expected \"NetDegree : d\"")
   in
   if !total_pins <> num_pins then
     input_error path "header promised %d pins, found %d" num_pins !total_pins;
@@ -471,9 +593,7 @@ let read_bookshelf ~basename =
   let ((nv, num_pads, _) as nodes) =
     with_file ~comment:bookshelf_comment (basename ^ ".nodes") (fun c ->
         let nodes = nodes_of_cursor c in
-        (match next c with
-         | Some (lineno, _) -> parse_error c.source lineno "more node lines than NumNodes"
-         | None -> ());
+        if next c then parse_error c.source c.line "more node lines than NumNodes";
         nodes)
   in
   let edges =
@@ -500,8 +620,8 @@ let read_pl path ~num_vertices =
   let x = Array.make num_vertices 0.0 and y = Array.make num_vertices 0.0 in
   with_file ~comment:bookshelf_comment path (fun c ->
       expect_header c ".pl" "UCLA pl 1.0";
-      iter_lines c (fun lineno l ->
-          match fields_of_line l with
+      iter_lines c (fun lineno ->
+          match fields c with
           | name :: xs :: ys :: _ -> (
             let v = vertex_of_name path lineno ~num_cells:num_vertices ~num_pads:0 name in
             match (float_of_string_opt xs, float_of_string_opt ys) with
@@ -522,13 +642,15 @@ let read_partition path ~num_vertices =
   let side = Array.make num_vertices 0 in
   let found = ref 0 in
   with_file path (fun c ->
-      iter_lines c (fun lineno l ->
-          if !found < num_vertices then
+      iter_lines c (fun lineno ->
+          if !found < num_vertices then begin
+            let l = line c in
             side.(!found) <-
               (match int_of_string_opt l with
                | Some s when s >= 0 -> s
                | Some _ -> parse_error path lineno "side must be nonnegative"
-               | None -> parse_error path lineno "bad side %S" l);
+               | None -> parse_error path lineno "bad side %S" l)
+          end;
           incr found));
   if !found <> num_vertices then
     input_error path "expected %d lines, found %d" num_vertices !found;

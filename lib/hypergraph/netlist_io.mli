@@ -5,8 +5,8 @@
       Bookshelf [.nodes] / [.nets] / [.pl] (the GSRC format of the
       paper's own research group); [.part] partition files.  Cells are
       named [a<i>] and pads [p<j>], pads after the cells.
-    - Every reader runs over one line cursor that reads either a string
-      or a channel; a file is read line by line, never slurped.
+    - Every reader runs over one line cursor that scans a string in
+      place or a file in fixed-size chunks; a file is never slurped.
     - The packed binary [.hgrb] lives in {!Instance_store}; {!read} and
       {!decode} dispatch to it. *)
 
@@ -57,11 +57,15 @@ val payload : format -> string -> string
 
 (** {1 The line cursor}
 
-    Every reader pulls its data lines from one cursor.  Lines are
-    trimmed (which also strips the ['\r'] of CRLF endings); blank lines
-    and comment lines are skipped but still counted, so a diagnostic
-    names the physical line.  Other line-oriented decoders (the [.hgrd]
-    delta format) read through it too. *)
+    Every reader pulls its data lines from one cursor.  A string is
+    scanned in place; a file is read in fixed-size chunks into one
+    reused buffer, so it streams in memory bounded by the chunk and its
+    longest line.  Lines are trimmed (which also strips the ['\r'] of
+    CRLF endings); blank lines and comment lines are skipped but still
+    counted, so a diagnostic names the physical line.  The current line
+    is a slice of the cursor's buffer, copied out only on request.
+    Other line-oriented decoders (the [.hgrd] delta format) read
+    through it too. *)
 
 type cursor
 
@@ -69,11 +73,18 @@ val string_cursor : ?comment:char -> source:string -> string -> cursor
 (** A cursor over bytes in memory; [comment] (default ['%']) starts a
     comment line, and [source] names the input in diagnostics. *)
 
-val next : cursor -> (int * string) option
-(** The next data line with its 1-based physical line number. *)
+val next : cursor -> bool
+(** Advance to the next data line; [false] at the end of the input. *)
 
-val fields_of_line : string -> string list
-(** Split a data line on runs of blanks (spaces or tabs). *)
+val line_number : cursor -> int
+(** The 1-based physical line number of the current data line. *)
+
+val line : cursor -> string
+(** A copy of the current data line. *)
+
+val fields : cursor -> string list
+(** Copies of the fields of the current data line: its runs of
+    non-blanks, blanks being spaces and tabs. *)
 
 (** {1 Individual formats} *)
 

@@ -19,22 +19,16 @@ let of_pairs pairs =
   to_hex h
 
 let of_instance hg =
-  let h = ref (add_int offset (H.num_vertices hg)) in
-  h := add_int !h (H.num_edges hg);
-  h := add_int !h (H.num_pins hg);
+  let h = add_int offset (H.num_vertices hg) in
+  let h = add_int h (H.num_edges hg) in
+  let h = add_int h (H.num_pins hg) in
   (* element values fold as ints, exactly as when CSR storage was
      [int array] — fingerprints are bit-identical across the int32
      Bigarray migration *)
-  let fold_i32 (a : H.i32) =
-    for i = 0 to Bigarray.Array1.dim a - 1 do
-      h := add_int !h (Int32.to_int (Bigarray.Array1.unsafe_get a i))
-    done
-  in
-  fold_i32 (H.Csr.vertex_weight hg);
-  fold_i32 (H.Csr.edge_weight hg);
-  fold_i32 (H.Csr.edge_offset hg);
-  fold_i32 (H.Csr.edge_pins hg);
-  to_hex !h
+  let h = add_i32s h (H.Csr.vertex_weight hg) in
+  let h = add_i32s h (H.Csr.edge_weight hg) in
+  let h = add_i32s h (H.Csr.edge_offset hg) in
+  to_hex (add_i32s h (H.Csr.edge_pins hg))
 
 let mix_seed ~base parts =
   let h = add_int offset base in

@@ -23,4 +23,28 @@ let add_int h i =
   done;
   !h
 
+(* [add_int] of every element, left to right.  The loop lives here so
+   the running hash stays an unboxed local instead of an [int64] boxed
+   by every [add_int] call returning it.  An int32 that is not negative
+   has four zero high bytes, and folding a zero byte is one multiply by
+   [prime], so those four steps are one multiply by [prime4]. *)
+let prime4 = Int64.mul (Int64.mul prime prime) (Int64.mul prime prime)
+
+let add_i32s h
+    (a : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t) =
+  let h = ref h in
+  for i = 0 to Bigarray.Array1.dim a - 1 do
+    let x = Int32.to_int (Bigarray.Array1.unsafe_get a i) in
+    h := add_byte !h x;
+    h := add_byte !h (x asr 8);
+    h := add_byte !h (x asr 16);
+    h := add_byte !h (x asr 24);
+    if x >= 0 then h := Int64.mul !h prime4
+    else
+      for _ = 4 to 7 do
+        h := add_byte !h 0xff
+      done
+  done;
+  !h
+
 let to_hex h = Printf.sprintf "%016Lx" h

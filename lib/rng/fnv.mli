@@ -18,5 +18,11 @@ val add_string : int64 -> string -> int64
 val add_int : int64 -> int -> int64
 (** Fold an int as 8 little-endian bytes. *)
 
+val add_i32s :
+  int64 ->
+  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  int64
+(** Fold each element with {!add_int}, in index order. *)
+
 val to_hex : int64 -> string
 (** 16 lowercase hex digits. *)

@@ -108,6 +108,12 @@ let test_codec_line_numbers () =
     (* the SECOND rmnet line (line 3) is the corrupt one *)
     Alcotest.(check bool) "line 3" true (is_infix ~affix:":3:" msg)
 
+(* a prior longer than the body is refused before its sides are
+   allocated *)
+let test_codec_oversized_prior () =
+  check_located "oversized prior" "prior length" (fun () ->
+      Delta.of_string "HGRD 1\nprior 99999999999999\n0\n")
+
 (* ---------------- patcher ---------------- *)
 
 let apply h text =
@@ -325,6 +331,71 @@ let test_gen_rejects_bad_fraction () =
   | _ -> Alcotest.fail "fraction 1.5 accepted"
   | exception Invalid_argument _ -> ()
 
+(* ---------------- properties ---------------- *)
+
+(* a generated delta against a small twin, with a prior of random
+   sides half the time *)
+let generated seed =
+  let rng = Rng.create seed in
+  let h = Suite.instance ~scale:256. ~seed "ibm01" in
+  let fp = base_fp h in
+  let d =
+    Delta_gen.perturb ~base_fingerprint:fp ~rng
+      ~fraction:(0.01 +. Rng.float rng 0.2)
+      h
+  in
+  let d =
+    if Rng.bool rng then
+      Delta.with_prior d
+        (Some (Array.init (H.num_vertices h) (fun _ -> Rng.int rng 2)))
+    else d
+  in
+  (rng, h, fp, d)
+
+(* [text] with CRLF endings, or with '%' comment and blank lines
+   interleaved: layouts the codec must read the same *)
+let relayout rng text =
+  let lines = String.split_on_char '\n' text in
+  if Rng.bool rng then String.concat "\r\n" lines
+  else
+    String.concat "\n"
+      (List.concat_map
+         (fun l ->
+           match Rng.int rng 6 with
+           | 0 -> [ "% note"; l ]
+           | 1 -> [ " \t"; l ]
+           | _ -> [ l ])
+         lines)
+
+let prop_codec_round_trip =
+  QCheck.Test.make ~name:"generated deltas round-trip" ~count:100
+    ~long_factor:100 QCheck.small_nat (fun seed ->
+      let rng, _, _, d = generated seed in
+      let text = Delta.to_string d in
+      let d' = Delta.of_string (relayout rng text) in
+      Delta.to_string d' = text
+      && Array.map snd d'.Delta.ops = Array.map snd d.Delta.ops
+      && Option.map fst d'.Delta.base = Option.map fst d.Delta.base
+      && d'.Delta.prior = d.Delta.prior)
+
+(* a corrupted delta either parses and applies, or fails with the
+   codec's located Parse_error or the patcher's Apply_error *)
+let prop_codec_fuzz =
+  QCheck.Test.make ~name:"mutated deltas apply or fail located" ~count:300
+    ~long_factor:100 QCheck.small_nat (fun seed ->
+      let rng, h, fp, d = generated seed in
+      let body = Fuzz.mutate rng (Delta.to_string d) in
+      match
+        Patch.apply ~base:h ~base_fingerprint:fp
+          (Delta.of_string ~source:"<fuzz>" body)
+      with
+      | _ -> true
+      | exception Delta.Parse_error msg ->
+        String.starts_with ~prefix:"<fuzz>:" msg
+      | exception Patch.Apply_error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "%s escaped" (Printexc.to_string e))
+
 let () =
   Alcotest.run "delta"
     [
@@ -333,6 +404,9 @@ let () =
           Alcotest.test_case "round trip" `Quick test_codec_round_trip;
           Alcotest.test_case "corruption matrix" `Quick test_codec_corruption;
           Alcotest.test_case "line numbers" `Quick test_codec_line_numbers;
+          Alcotest.test_case "oversized prior" `Quick test_codec_oversized_prior;
+          QCheck_alcotest.to_alcotest prop_codec_round_trip;
+          QCheck_alcotest.to_alcotest prop_codec_fuzz;
         ] );
       ( "patch",
         [

@@ -339,19 +339,6 @@ let prop_decode_matches_read =
       && stored = stored'
       && Fingerprint.of_instance h = Fingerprint.of_instance h')
 
-(* [body] truncated at a random offset, or with 1-4 random bytes
-   replaced by random bytes *)
-let mutate rng body =
-  let n = String.length body in
-  if Rng.bool rng then String.sub body 0 (Rng.int rng n)
-  else begin
-    let b = Bytes.of_string body in
-    for _ = 0 to Rng.int rng 4 do
-      Bytes.set b (Rng.int rng n) (Char.chr (Rng.int rng 256))
-    done;
-    Bytes.to_string b
-  end
-
 (* (b) any mutation of a valid body decodes or fails with a located
    error: no other exception, no out-of-bounds read *)
 let prop_decode_fuzz =
@@ -360,13 +347,233 @@ let prop_decode_fuzz =
       let format = format_of_index i in
       let rng = Rng.create seed in
       let path = write_instance rng format (random_hypergraph seed) in
-      let body = mutate rng (Io.payload format path) in
+      let body = Fuzz.mutate rng (Io.payload format path) in
       match Io.decode ~source:"<fuzz>" format body with
       | _ -> true
       | exception (Io.Parse_error msg | Store.Format_error msg) ->
         String.starts_with ~prefix:"<fuzz>:" msg
       | exception e ->
         QCheck.Test.fail_reportf "%s escaped" (Printexc.to_string e))
+
+(* ---------------- string and file cursors ---------------- *)
+
+(* The decoder reads a file in 64 KiB chunks into one reused buffer and
+   scans a string in place.  A body and a file holding the same bytes
+   must decode alike: same CSR, or the same located error. *)
+
+let chunk = 65536
+
+(* integer tokens around the fast path's edges: signs, radix prefixes,
+   underscores, leading zeros, and 18 to 20 digits *)
+let odd_tokens =
+  [| "+5"; "0x1F"; "1_000"; "007"; "-0"; "-7"; "-"; "+"; "5-"; "1e3";
+     "0b101"; "0o17"; "0u5"; "999999999999999999"; "1000000000000000000";
+     "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+     "99999999999999999999"; "00000000000000000042" |]
+
+let lines_of text =
+  let l = String.split_on_char '\n' text in
+  match List.rev l with "" :: rest -> List.rev rest | _ -> l
+
+(* [text] re-laid out: blanks as tabs or runs, comment, blank and
+   whitespace-only lines interleaved, and each of these at random: CRLF
+   endings, no final newline, a leading comment sized to put the lines
+   across a chunk edge, one comment line longer than a chunk.  Section
+   header lines (Bookshelf's "UCLA ...") keep their exact text. *)
+let relayout rng ~comment text =
+  let b = Buffer.create (String.length text + (3 * chunk)) in
+  let crlf = Rng.bool rng in
+  let eol () = Buffer.add_string b (if crlf then "\r\n" else "\n") in
+  let comment_line n =
+    Buffer.add_char b comment;
+    for i = 1 to n - 1 do
+      Buffer.add_char b (if i mod 7 = 0 then ' ' else 'c')
+    done;
+    eol ()
+  in
+  (match Rng.int rng 3 with
+   | 0 -> ()
+   | k -> comment_line ((k * chunk) - Rng.int rng 64));
+  let long_at = if Rng.bool rng then Rng.int rng 50 else -1 in
+  List.iteri
+    (fun i l ->
+      if i = long_at then comment_line (chunk + 1 + Rng.int rng chunk);
+      (match Rng.int rng 8 with
+       | 0 -> eol ()
+       | 1 -> Buffer.add_string b " \t "; eol ()
+       | 2 -> comment_line (1 + Rng.int rng 20)
+       | _ -> ());
+      if String.starts_with ~prefix:"UCLA" l then Buffer.add_string b l
+      else
+        String.iter
+          (fun ch ->
+            if ch = ' ' then
+              Buffer.add_string b
+                (match Rng.int rng 4 with 0 -> "\t" | 1 -> " \t " | _ -> " ")
+            else Buffer.add_char b ch)
+          l;
+      eol ())
+    (lines_of text);
+  let s = Buffer.contents b in
+  if Rng.bool rng then s
+  else String.sub s 0 (String.length s - if crlf then 2 else 1)
+
+(* an .hgr edge line repeated past a chunk's length: the decoder drops
+   the repeated pins, so the instance is unchanged *)
+let lengthen_edge rng text =
+  let lines = Array.of_list (lines_of text) in
+  let i = 1 + Rng.int rng (max 1 (Array.length lines - 1)) in
+  if i < Array.length lines then begin
+    let pins =
+      (* the fmt-11 line starts with the edge weight *)
+      match String.index_opt lines.(i) ' ' with
+      | Some j -> String.sub lines.(i) j (String.length lines.(i) - j)
+      | None -> ""
+    in
+    if pins <> "" then begin
+      let b = Buffer.create (chunk + 64) in
+      Buffer.add_string b lines.(i);
+      while Buffer.length b <= chunk do
+        Buffer.add_string b pins
+      done;
+      lines.(i) <- Buffer.contents b
+    end
+  end;
+  String.concat "\n" (Array.to_list lines) ^ "\n"
+
+(* one integer token of a data line replaced by an odd one *)
+let odd_token rng text =
+  let lines = Array.of_list (lines_of text) in
+  let i = Rng.int rng (Array.length lines) in
+  let fields = Array.of_list (String.split_on_char ' ' lines.(i)) in
+  let ints =
+    List.filter
+      (fun j -> int_of_string_opt fields.(j) <> None)
+      (List.init (Array.length fields) Fun.id)
+  in
+  if ints <> [] then begin
+    let j = List.nth ints (Rng.int rng (List.length ints)) in
+    fields.(j) <- odd_tokens.(Rng.int rng (Array.length odd_tokens));
+    lines.(i) <- String.concat " " (Array.to_list fields)
+  end;
+  String.concat "\n" (Array.to_list lines) ^ "\n"
+
+let outcome f =
+  match f () with
+  | h, _ -> Ok (csr h)
+  | exception Io.Parse_error msg -> Error msg
+
+let text_format i = List.nth [ Io.Hgr; Io.Netd; Io.Bookshelf ] (i mod 3)
+
+let print_text_case (i, seed) =
+  Printf.sprintf "%s, seed %d" (Io.format_tag (text_format i)) seed
+
+let text_case = QCheck.(make ~print:print_text_case Gen.(pair (int_bound 2) nat))
+
+(* A Bookshelf file pair and its body differ in more than the cursor: the
+   body's .nets lines count on from its .nodes lines, and one size bounds
+   both sections.  So a Bookshelf pair must decode to the same CSR or
+   fail on both sides; .hgr and .netD must fail with the same message. *)
+let prop_string_file_cursors =
+  QCheck.Test.make ~name:"a body and a file of the same bytes decode alike"
+    ~count:100 ~long_factor:10 text_case (fun (i, seed) ->
+      let format = text_format i in
+      let rng = Rng.create seed in
+      let h = random_hypergraph seed in
+      let vary ~comment text =
+        let text = if Rng.int rng 3 = 0 then odd_token rng text else text in
+        relayout rng ~comment text
+      in
+      let base = tmp "hypart_prop_cursor" in
+      match format with
+      | Io.Bookshelf ->
+        let num_pads = Rng.int rng (1 + (H.num_vertices h / 4)) in
+        Io.write_bookshelf ~num_pads ~basename:base h;
+        List.iter
+          (fun ext ->
+            let path = base ^ ext in
+            write_bytes path (vary ~comment:'#' (read_bytes path)))
+          [ ".nodes"; ".nets" ];
+        let path = base ^ ".nodes" in
+        let body = Io.payload Io.Bookshelf path in
+        (match
+           ( outcome (fun () -> Io.read Io.Bookshelf path),
+             outcome (fun () -> Io.decode ~source:path Io.Bookshelf body) )
+         with
+         | Ok a, Ok b -> a = b
+         | Error _, Error _ -> true
+         | _ -> false)
+      | _ ->
+        let path = base ^ List.hd (Io.extensions format) in
+        if format = Io.Hgr then Io.write_hgr ~with_weights:(Rng.bool rng) path h
+        else Io.write_netd path h;
+        let text = read_bytes path in
+        let text =
+          if format = Io.Hgr && Rng.int rng 4 = 0 then lengthen_edge rng text
+          else text
+        in
+        let text = vary ~comment:'%' text in
+        write_bytes path text;
+        outcome (fun () -> Io.read format path)
+        = outcome (fun () -> Io.decode ~source:path format text))
+
+(* every token is accepted exactly when int_of_string_opt accepts it,
+   with its value, from a body and from a file: an .hgr edge weight
+   carries it, so the value shows in the decoded instance *)
+let prop_int_tokens =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofa odd_tokens;
+          string_size ~gen:(oneofl (String.to_seq "0123456789-+_xob" |> List.of_seq))
+            (int_range 1 22);
+        ])
+  in
+  QCheck.Test.make ~name:"integer tokens parse as int_of_string_opt" ~count:500
+    (QCheck.make ~print:Fun.id gen) (fun tok ->
+      let path = tmp "hypart_prop_token.hgr" in
+      let text = "1 2 1\n" ^ tok ^ " 1 2\n" in
+      write_bytes path text;
+      let expected =
+        match int_of_string_opt tok with
+        | None -> Error (Printf.sprintf "%s:2: expected integer, got %S" path tok)
+        | Some w when w <= 0 ->
+          Error (Printf.sprintf "%s:2: non-positive weight of edge 0" path)
+        | Some w when w > 0x7FFFFFFF ->
+          Error (Printf.sprintf "%s:2: edge weight exceeds int32" path)
+        | Some w -> Ok w
+      in
+      let weight f =
+        match f () with
+        | h, _ -> Ok (H.edge_weight h 0)
+        | exception Io.Parse_error msg -> Error msg
+      in
+      weight (fun () -> Io.read Io.Hgr path) = expected
+      && weight (fun () -> Io.decode ~source:path Io.Hgr text) = expected)
+
+(* Decoding allocates nothing per line or per pin on the minor heap:
+   the budget is a deterministic count of minor words per input byte
+   on a 1.9 MB ibm18 twin, not a timing. *)
+let test_alloc_budget () =
+  let h = Hypart_generator.Ibm_suite.instance ~scale:3.0 "ibm18" in
+  let path = tmp "hypart_alloc_ibm18.hgr" in
+  Io.write_hgr path h;
+  let body = read_bytes path in
+  let per_byte f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.minor_words () -. w0) /. float_of_int (String.length body)
+  in
+  let decode () = Io.decode ~source:"<body>" Io.Hgr body in
+  let read () = Io.read_hgr path in
+  Alcotest.(check bool) "same instance" true (csr (fst (decode ())) = csr (read ()));
+  List.iter
+    (fun (name, words) ->
+      if words > 0.1 then
+        Alcotest.failf "%s allocates %.3f minor words per byte (budget 0.1)" name
+          words)
+    [ ("decode Hgr", per_byte decode); ("read_hgr", per_byte read) ]
 
 (* ---------------- Bookshelf ---------------- *)
 
@@ -517,5 +724,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_bookshelf_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_matches_read;
           QCheck_alcotest.to_alcotest prop_decode_fuzz;
+          QCheck_alcotest.to_alcotest prop_string_file_cursors;
+          QCheck_alcotest.to_alcotest prop_int_tokens;
         ] );
+      ("allocation", [ Alcotest.test_case "budget" `Quick test_alloc_budget ]);
     ]

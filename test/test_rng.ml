@@ -149,6 +149,30 @@ let prop_permutation =
       Array.iter (fun v -> seen.(v) <- true) p;
       Array.for_all (fun b -> b) seen)
 
+(* Fnv.add_i32s folds an int32 array exactly as add_int over its
+   elements does, whatever their sign: the lab fingerprint of every
+   instance rests on it *)
+module Fnv = Hypart_rng.Fnv
+
+let prop_add_i32s =
+  let special = [| 0l; 1l; -1l; Int32.max_int; Int32.min_int; 255l; -256l |] in
+  QCheck.Test.make ~name:"add_i32s equals add_int per element" ~count:300
+    QCheck.(pair small_nat small_int)
+    (fun (n, seed) ->
+      let r = Rng.create seed in
+      let a = Bigarray.(Array1.create Int32 c_layout n) in
+      for i = 0 to n - 1 do
+        a.{i} <-
+          (if Rng.int r 4 = 0 then special.(Rng.int r (Array.length special))
+           else Int32.of_int (Rng.int r 0x7FFFFFFF - (0x7FFFFFFF / 2)))
+      done;
+      let start = Fnv.add_int Fnv.offset seed in
+      let reference = ref start in
+      for i = 0 to n - 1 do
+        reference := Fnv.add_int !reference (Int32.to_int a.{i})
+      done;
+      Fnv.add_i32s start a = !reference)
+
 let () =
   Alcotest.run "rng"
     [
@@ -181,5 +205,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_int_bound;
           QCheck_alcotest.to_alcotest prop_permutation;
+          QCheck_alcotest.to_alcotest prop_add_i32s;
         ] );
     ]
