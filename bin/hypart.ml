@@ -25,7 +25,6 @@ module Bench_diff = Hypart_telemetry.Bench_diff
 module Reporter = Hypart_telemetry.Reporter
 module Server = Hypart_server.Server
 module Client = Hypart_server.Client
-module Http = Hypart_server.Http
 module Fleet = Hypart_server.Fleet
 module Evolve = Hypart_evolve.Evolve
 module Exec = Hypart_evolve.Executor
@@ -36,6 +35,7 @@ module Eco = Hypart_delta.Eco
 module Delta_gen = Hypart_delta.Delta_gen
 module Eco_lab = Hypart_delta.Eco_lab
 module Kway_objective = Hypart_partition.Kway_objective
+module Balance = Hypart_partition.Balance
 
 (* populate the engine registry before any term is evaluated *)
 let () = Hypart_engines.init ()
@@ -93,18 +93,45 @@ let out_path_conv =
   in
   Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
 
+(* a number that [ok] accepts; [range] names the accepted values *)
+let float_conv what range ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when ok f -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "%s must be in %s (got %s)" what range s))
+  in
+  Arg.conv ~docv:"F" (parse, Format.pp_print_float)
+
+(* the tolerance range is Balance's own, so a value the engines would
+   refuse (or NaN, which every comparison lets through) never parses *)
+let tolerance_conv = float_conv "tolerance" "[0, 1)" Balance.valid_tolerance
+
+let is_suite_name s = match Suite.find s with _ -> true | exception Not_found -> false
+
+let unknown_instance s =
+  Printf.sprintf "unknown instance %s (expected ibm01 .. ibm18)" s
+
+let suite_conv =
+  let parse s = if is_suite_name s then Ok s else Error (`Msg (unknown_instance s)) in
+  Arg.conv ~docv:"NAME" (parse, Format.pp_print_string)
+
+(* Each flag is declared once below; a command that needs another
+   default or its own wording passes them in. *)
+
 let seed_t =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
-let scale_t =
+let scale_of default =
   Arg.(
     value
-    & opt (pos_float_conv "scale") 4.0
+    & opt (pos_float_conv "scale") default
     & info [ "scale" ]
         ~docv:"S"
         ~doc:
           "Instance size divisor; 1.0 regenerates the published ISPD98 sizes, \
            larger values shrink instances proportionally.")
+
+let scale_t = scale_of 4.0
 
 let runs_t default =
   Arg.(
@@ -113,14 +140,50 @@ let runs_t default =
     & info [ "runs" ] ~docv:"N"
         ~doc:"Independent single-start trials per table cell (the paper used 100).")
 
+let repeats_t ?(doc = "Protocol repetitions.") default =
+  Arg.(value & opt (pos_int_conv "repeats") default & info [ "repeats" ] ~docv:"N" ~doc)
+
 let csv_t =
   Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of an aligned table.")
 
 let instances_t default =
   Arg.(
     value
-    & opt (list string) default
+    & opt (list suite_conv) default
     & info [ "instances" ] ~docv:"NAMES" ~doc:"Comma-separated instance names.")
+
+let suite_instance_t =
+  Arg.(
+    value & opt suite_conv "ibm01"
+    & info [ "instance" ] ~docv:"NAME" ~doc:"Suite instance (ibm01 .. ibm18).")
+
+let tol_t ?(doc = "Balance tolerance, in [0, 1).") default =
+  Arg.(value & opt tolerance_conv default & info [ "tol" ] ~docv:"T" ~doc)
+
+let engine_t ?(name = "engine")
+    ?(doc = Printf.sprintf "Partitioning engine: %s." (engine_list_doc ())) default =
+  Arg.(value & opt engine_conv default & info [ name ] ~docv:"E" ~doc)
+
+let starts_t ?(doc = "Independent starts.") default =
+  Arg.(value & opt (pos_int_conv "starts") default & info [ "starts" ] ~docv:"N" ~doc)
+
+let domains_t doc =
+  Arg.(
+    value
+    & opt (some (pos_int_conv "domains")) None
+    & info [ "domains" ] ~docv:"D" ~doc)
+
+let attempts_t ~doc default =
+  Arg.(value & opt (pos_int_conv "attempts") default & info [ "attempts" ] ~docv:"N" ~doc)
+
+let store_t doc = Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
+
+let partition_out_t =
+  Arg.(
+    value
+    & opt (some out_path_conv) None
+    & info [ "o"; "out" ] ~docv:"FILE"
+        ~doc:"Write the winning partition (one side per line).")
 
 let emit csv table =
   if csv then print_string (Table.to_csv table) else Table.print table
@@ -254,19 +317,29 @@ let generate_cmd =
 
 (* ---------------- partition ---------------- *)
 
-(* a located decoder error ends the command with one line, exit 1 *)
+(* the one error exit: a bad input ends the command with one line *)
+let die msg =
+  Printf.eprintf "hypart: %s\n" msg;
+  exit 1
+
+(* every located decoder and patcher error, whichever command hit it *)
 let or_exit f =
   try f ()
-  with Io.Parse_error msg | Hypart_hypergraph.Instance_store.Format_error msg ->
-    Printf.eprintf "hypart: %s\n" msg;
-    exit 1
+  with
+  | Io.Parse_error msg
+  | Hypart_hypergraph.Instance_store.Format_error msg
+  | Delta.Parse_error msg
+  | Patch.Apply_error msg
+  ->
+    die msg
 
 (* an instance argument: a netlist file whose extension names its
    format, or else a suite name *)
 let load_instance input scale =
   match Io.format_of_path input with
-  | Some format -> or_exit (fun () -> fst (Io.read format input))
-  | None -> Suite.instance ~scale input
+  | Some format -> fst (Io.read format input)
+  | None when is_suite_name input -> Suite.instance ~scale input
+  | None -> die (unknown_instance input)
 
 let input_t =
   let files = List.map (fun f -> List.hd (Io.extensions f)) Io.formats in
@@ -287,27 +360,37 @@ let derived_path input ext =
   | Some Io.Hgr -> Filename.remove_extension input ^ ext
   | _ -> input ^ ext
 
+let legality legal = if legal then "legal" else "ILLEGAL"
+
+(* [-o FILE]: every partition file is written by Io.write_partition *)
+let save_partition ?(say = Printf.printf "wrote %s\n") out sides =
+  Option.iter
+    (fun path ->
+      Io.write_partition path sides;
+      say path)
+    out
+
 let partition_cmd =
   let run () input scale seed tolerance engine starts domains out =
     let h = load_instance input scale in
     let problem = Problem.make ~tolerance h in
     let (result, records), dt =
       Machine.cpu_time (fun () ->
-          if domains > 1 then begin
+          match domains with
+          | Some domains when domains > 1 ->
             (* parallel fan-out: one derived seed per start *)
             let seeds = List.init starts (fun i -> seed + i) in
             let (_seed, best), records =
               Engine.multistart_parallel ~domains engine problem ~seeds
             in
             (best, records)
-          end
-          else Engine.multistart engine (Rng.create seed) problem ~starts)
+          | _ -> Engine.multistart engine (Rng.create seed) problem ~starts)
     in
     Format.printf "%a@." H.pp h;
     Printf.printf "engine: %s, %d start(s), tolerance %.0f%%\n"
       (Engine.name engine) starts (100. *. tolerance);
     Printf.printf "best cut: %d (%s)\n" result.Engine.Result.cut
-      (if result.Engine.Result.legal then "legal" else "ILLEGAL");
+      (legality result.Engine.Result.legal);
     let weights = Bipartition.block_weights result.Engine.Result.solution in
     Printf.printf "part weights: %d / %d (imbalance %.2f%%)\n" weights.(0)
       weights.(1)
@@ -316,51 +399,20 @@ let partition_cmd =
       (String.concat " "
          (List.map (fun r -> string_of_int r.Engine.start_cut) records));
     Printf.printf "CPU: %.3fs\n" (Machine.normalize dt);
-    Option.iter
-      (fun path ->
-        Io.write_partition path
-          (Bipartition.assignment result.Engine.Result.solution);
-        Printf.printf "wrote %s\n" path)
-      out
-  in
-  let tol_t =
-    Arg.(value & opt float 0.02 & info [ "tol" ] ~docv:"T" ~doc:"Balance tolerance.")
-  in
-  let engine_t =
-    Arg.(
-      value
-      & opt engine_conv Hypart_multilevel.Ml_engines.mlclip
-      & info [ "engine" ] ~docv:"E"
-          ~doc:(Printf.sprintf "Partitioning engine: %s." (engine_list_doc ())))
-  in
-  let starts_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "starts") 1
-      & info [ "starts" ] ~docv:"N" ~doc:"Independent starts.")
+    save_partition out (Bipartition.assignment result.Engine.Result.solution)
   in
   let domains_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "domains") 1
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Fan independent starts out over D domains (multicore).  Parallel \
-             runs derive one seed per start, so results differ from the \
-             sequential seed stream but remain deterministic.")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some out_path_conv) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the winning partition (one side per line).")
+    domains_t
+      "Fan independent starts out over D domains (multicore).  Parallel \
+       runs derive one seed per start, so results differ from the \
+       sequential seed stream but remain deterministic."
   in
   Cmd.v
     (Cmd.info "partition" ~doc:"Bipartition an instance and report the cut.")
     Term.(
-      const run $ common_t $ input_t $ scale_t $ seed_t $ tol_t $ engine_t
-      $ starts_t $ domains_t $ out_t)
+      const run $ common_t $ input_t $ scale_t $ seed_t $ tol_t 0.02
+      $ engine_t Hypart_multilevel.Ml_engines.mlclip $ starts_t 1 $ domains_t
+      $ partition_out_t)
 
 (* ---------------- pack ---------------- *)
 
@@ -429,65 +481,57 @@ let evaluate_cmd =
     end
   in
   let part_t = Arg.(required & pos 1 (some string) None & info [] ~docv:"PARTITION") in
-  let tol_t = Arg.(value & opt float 0.02 & info [ "tol" ] ~docv:"T") in
   Cmd.v
     (Cmd.info "evaluate"
        ~doc:"Evaluate a partition file against an instance: cut, balance, objectives.")
-    Term.(const run $ common_t $ input_t $ part_t $ scale_t $ tol_t)
+    Term.(const run $ common_t $ input_t $ part_t $ scale_t $ tol_t 0.02)
 
 (* ---------------- kway ---------------- *)
 
 let kway_cmd =
+  let engines = [ ("rb", `Rb); ("direct", `Direct); ("mlk", `Mlk) ] in
   let run () input k scale seed tolerance engine out =
     let h = load_instance input scale in
     let rng = Rng.create seed in
+    let kway (r : Hypart_fm.Kway_fm.result) =
+      (r.part_of, r.cut, Kway_objective.part_weights h r.part_of ~k)
+    in
     let (part_of, cut, weights), dt =
       Machine.cpu_time (fun () ->
           match engine with
-          | "rb" ->
+          | `Rb ->
             let r = Hypart_multilevel.Recursive_bisection.run ~tolerance ~k rng h in
             ( r.Hypart_multilevel.Recursive_bisection.part_of,
               r.Hypart_multilevel.Recursive_bisection.cut,
               r.Hypart_multilevel.Recursive_bisection.part_weights )
-          | "direct" | "mlk" ->
-            let r =
-              if engine = "mlk" then
-                Hypart_multilevel.Ml_kway.run ~tolerance ~k rng h
-              else Hypart_fm.Kway_fm.run_random_start ~tolerance ~k rng h
-            in
-            ( r.Hypart_fm.Kway_fm.part_of,
-              r.Hypart_fm.Kway_fm.cut,
-              Kway_objective.part_weights h r.Hypart_fm.Kway_fm.part_of ~k )
-          | other -> failwith ("unknown kway engine: " ^ other))
+          | `Direct -> kway (Hypart_fm.Kway_fm.run_random_start ~tolerance ~k rng h)
+          | `Mlk -> kway (Hypart_multilevel.Ml_kway.run ~tolerance ~k rng h))
     in
+    let name = fst (List.find (fun (_, e) -> e = engine) engines) in
     Format.printf "%a@." H.pp h;
-    Printf.printf "%d-way cut (%s): %d (%.3fs)\n" k engine cut (Machine.normalize dt);
+    Printf.printf "%d-way cut (%s): %d (%.3fs)\n" k name cut (Machine.normalize dt);
     Printf.printf "part weights:";
     Array.iter (Printf.printf " %d") weights;
     Printf.printf " (imbalance %.2f%%)\n"
       (100. *. Kway_objective.imbalance h part_of ~k);
-    Option.iter
-      (fun path ->
-        Io.write_partition path part_of;
-        Printf.printf "wrote %s\n" path)
-      out
+    save_partition out part_of
   in
-  let k_t = Arg.(value & opt int 4 & info [ "k" ] ~docv:"K" ~doc:"Part count.") in
-  let tol_t = Arg.(value & opt float 0.10 & info [ "tol" ] ~docv:"T") in
+  let k_t =
+    Arg.(value & opt (pos_int_conv "k") 4 & info [ "k" ] ~docv:"K" ~doc:"Part count.")
+  in
   let engine_t =
     Arg.(
       value
-      & opt string "rb"
+      & opt (enum engines) `Rb
       & info [ "engine" ] ~docv:"E"
           ~doc:"rb (recursive bisection) | direct (flat k-way FM) | mlk (multilevel k-way).")
   in
-  let out_t = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "kway"
        ~doc:"k-way partitioning (recursive bisection or direct k-way FM).")
     Term.(
-      const run $ common_t $ input_t $ k_t $ scale_t $ seed_t $ tol_t
-      $ engine_t $ out_t)
+      const run $ common_t $ input_t $ k_t $ scale_t $ seed_t $ tol_t 0.10
+      $ engine_t $ partition_out_t)
 
 (* ---------------- place ---------------- *)
 
@@ -593,17 +637,13 @@ let table3_cmd =
 (* run-store persistence for the long experiments: an interrupted
    regeneration resumes from the stored runs, an unchanged one performs
    zero engine runs *)
-let store_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:
-          "Persist every run in the lab run store under $(docv) and serve \
-           already-stored runs from it (resume + caching; see \
-           docs/EXPERIMENTS_STORE.md).  Store-backed runs derive one seed per \
-           run, so numbers differ from the storeless protocol but stay \
-           deterministic.")
+let run_store_t =
+  store_t
+    "Persist every run in the lab run store under $(docv) and serve \
+     already-stored runs from it (resume + caching; see \
+     docs/EXPERIMENTS_STORE.md).  Store-backed runs derive one seed per \
+     run, so numbers differ from the storeless protocol but stay \
+     deterministic."
 
 let tables45_cmd =
   let run () scale repeats seed csv instances tolerance configs store =
@@ -612,23 +652,15 @@ let tables45_cmd =
          ?store ~tolerance ~seed ())
   in
   let tol_t =
-    Arg.(
-      value
-      & opt float 0.02
-      & info [ "tol" ] ~docv:"T"
-          ~doc:"Balance tolerance: 0.02 regenerates Table 4, 0.10 Table 5.")
+    tol_t ~doc:"Balance tolerance: 0.02 regenerates Table 4, 0.10 Table 5." 0.02
   in
   let repeats_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "repeats") 5
-      & info [ "repeats" ] ~docv:"N"
-          ~doc:"Protocol repetitions per configuration (the paper used 50).")
+    repeats_t ~doc:"Protocol repetitions per configuration (the paper used 50)." 5
   in
   let configs_t =
     Arg.(
       value
-      & opt (list int) [ 1; 2; 4; 8; 16; 100 ]
+      & opt (list (pos_int_conv "configs")) [ 1; 2; 4; 8; 16; 100 ]
       & info [ "configs" ] ~docv:"NS" ~doc:"Starts per configuration.")
   in
   Cmd.v
@@ -638,27 +670,20 @@ let tables45_cmd =
           (avg cut / avg CPU s per configuration).")
     Term.(
       const run $ common_t $ scale_t $ repeats_t $ seed_t $ csv_t
-      $ instances_t Suite.names_eval $ tol_t $ configs_t $ store_t)
+      $ instances_t Suite.names_eval $ tol_t $ configs_t $ run_store_t)
 
 let bsf_cmd =
   let run () scale starts seed csv instance =
     emit csv (Experiments.bsf_figure ~scale ~starts ~instance ~seed ())
-  in
-  let starts_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "starts") 20
-      & info [ "starts" ] ~docv:"N" ~doc:"Recorded starts.")
-  in
-  let instance_t =
-    Arg.(value & opt string "ibm01" & info [ "instance" ] ~docv:"NAME")
   in
   Cmd.v
     (Cmd.info "bsf"
        ~doc:
          "Best-so-far curves (expected best cut vs CPU budget) for flat LIFO, \
           flat CLIP and ML CLIP.")
-    Term.(const run $ common_t $ scale_t $ starts_t $ seed_t $ csv_t $ instance_t)
+    Term.(
+      const run $ common_t $ scale_t $ starts_t ~doc:"Recorded starts." 20
+      $ seed_t $ csv_t $ suite_instance_t)
 
 let pareto_cmd =
   let run () scale repeats seed csv instance =
@@ -673,41 +698,30 @@ let pareto_cmd =
         Printf.printf "  %-20s %8.1f %8.3f\n" label cost runtime)
       frontier
   in
-  let repeats_t =
-    Arg.(value & opt (pos_int_conv "repeats") 3 & info [ "repeats" ] ~docv:"N")
-  in
-  let instance_t =
-    Arg.(value & opt string "ibm01" & info [ "instance" ] ~docv:"NAME")
-  in
   Cmd.v
     (Cmd.info "pareto"
        ~doc:"(cost, runtime) performance points and their non-dominated frontier.")
-    Term.(const run $ common_t $ scale_t $ repeats_t $ seed_t $ csv_t $ instance_t)
+    Term.(const run $ common_t $ scale_t $ repeats_t 3 $ seed_t $ csv_t $ suite_instance_t)
 
 let ranking_cmd =
   let run () scale starts seed csv instances =
     emit csv (Experiments.ranking_figure ~scale ~starts ~instances ~seed ())
   in
-  let starts_t =
-    Arg.(value & opt (pos_int_conv "starts") 15 & info [ "starts" ] ~docv:"N")
-  in
   Cmd.v
     (Cmd.info "ranking"
        ~doc:"Speed-dependent ranking diagram: dominant heuristic per (instance, budget).")
     Term.(
-      const run $ common_t $ scale_t $ starts_t $ seed_t $ csv_t $ instances_t Suite.names_small)
+      const run $ common_t $ scale_t $ starts_t 15 $ seed_t $ csv_t
+      $ instances_t Suite.names_small)
 
 let corking_cmd =
   let run () scale runs seed csv instance =
     emit csv (Experiments.corking_report ~scale ~runs ~instance ~seed ())
   in
-  let instance_t =
-    Arg.(value & opt string "ibm01" & info [ "instance" ] ~docv:"NAME")
-  in
   Cmd.v
     (Cmd.info "corking"
        ~doc:"CLIP corking diagnostic: corking events with and without the fix.")
-    Term.(const run $ common_t $ scale_t $ runs_t 10 $ seed_t $ csv_t $ instance_t)
+    Term.(const run $ common_t $ scale_t $ runs_t 10 $ seed_t $ csv_t $ suite_instance_t)
 
 let compare_cmd =
   let run () scale runs seed engine_a engine_b instance store =
@@ -722,9 +736,6 @@ let compare_cmd =
   in
   let a_t = Arg.(required & pos 0 (some engine_conv) None & info [] ~docv:"ENGINE_A") in
   let b_t = Arg.(required & pos 1 (some engine_conv) None & info [] ~docv:"ENGINE_B") in
-  let instance_t =
-    Arg.(value & opt string "ibm01" & info [ "instance" ] ~docv:"NAME")
-  in
   Cmd.v
     (Cmd.info "compare"
        ~doc:
@@ -735,7 +746,7 @@ let compare_cmd =
             (engine_list_doc ())))
     Term.(
       const run $ common_t $ scale_t $ runs_t 20 $ seed_t $ a_t $ b_t
-      $ instance_t $ store_t)
+      $ suite_instance_t $ run_store_t)
 
 let engines_cmd =
   let run () =
@@ -755,15 +766,12 @@ let placement_cmd =
   let run () scale runs seed csv instance =
     emit csv (Experiments.placement_table ~scale ~runs ~instance ~seed ())
   in
-  let instance_t =
-    Arg.(value & opt string "ibm01" & info [ "instance" ] ~docv:"NAME")
-  in
   Cmd.v
     (Cmd.info "placement-quality"
        ~doc:
          "Use-model consequence of partitioner quality: placement HPWL per \
           partitioning engine.")
-    Term.(const run $ common_t $ scale_t $ runs_t 3 $ seed_t $ csv_t $ instance_t)
+    Term.(const run $ common_t $ scale_t $ runs_t 3 $ seed_t $ csv_t $ suite_instance_t)
 
 let regime_cmd =
   let run () seed csv big =
@@ -786,22 +794,16 @@ let fixed_cmd =
   let run () scale runs seed csv instance =
     emit csv (Experiments.fixed_terminals_table ~scale ~runs ~instance ~seed ())
   in
-  let instance_t =
-    Arg.(value & opt string "ibm01" & info [ "instance" ] ~docv:"NAME")
-  in
   Cmd.v
     (Cmd.info "fixed"
        ~doc:
          "Fixed-terminals study (§2.1): cut, variance and runtime as a growing \
           fraction of vertices is fixed.")
-    Term.(const run $ common_t $ scale_t $ runs_t 12 $ seed_t $ csv_t $ instance_t)
+    Term.(const run $ common_t $ scale_t $ runs_t 12 $ seed_t $ csv_t $ suite_instance_t)
 
 let ablation_cmd =
   let run () scale runs seed csv instance =
     emit csv (Experiments.ablation_table ~scale ~runs ~instance ~seed ())
-  in
-  let instance_t =
-    Arg.(value & opt string "ibm01" & info [ "instance" ] ~docv:"NAME")
   in
   Cmd.v
     (Cmd.info "ablation"
@@ -809,7 +811,7 @@ let ablation_cmd =
          "Quality ablation of every design dimension: insertion order, \
           illegal-head policy, oversized-cell handling, pass-best rule, \
           initial generator, coarsening scheme, boundary refinement.")
-    Term.(const run $ common_t $ scale_t $ runs_t 10 $ seed_t $ csv_t $ instance_t)
+    Term.(const run $ common_t $ scale_t $ runs_t 10 $ seed_t $ csv_t $ suite_instance_t)
 
 let all_cmd =
   let run () scale runs seed out store =
@@ -872,7 +874,7 @@ let all_cmd =
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Regenerate every table and figure at the given scale.")
-    Term.(const run $ common_t $ scale_t $ runs_t 20 $ seed_t $ out_t $ store_t)
+    Term.(const run $ common_t $ scale_t $ runs_t 20 $ seed_t $ out_t $ run_store_t)
 
 (* ---------------- lab ---------------- *)
 
@@ -908,31 +910,14 @@ let lab_cmd =
                (String.concat " | " campaign_names)))
   in
   let store_dir_t =
-    Arg.(
-      value
-      & opt string "lab"
-      & info [ "store" ] ~docv:"DIR" ~doc:"Run store directory.")
-  in
-  let lab_scale_t =
-    Arg.(
-      value
-      & opt (pos_float_conv "scale") 8.0
-      & info [ "scale" ] ~docv:"S" ~doc:"Instance size divisor.")
-  in
-  let lab_runs_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "runs") 20
-      & info [ "runs" ] ~docv:"N" ~doc:"Independent runs per table cell.")
+    Term.(
+      const (Option.value ~default:"lab")
+      $ store_t "Run store directory (default: lab).")
   in
   let domains_t =
-    Arg.(
-      value
-      & opt (some (pos_int_conv "domains")) None
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Execute pending jobs over D domains.  Per-job derived seeds make \
-             the stored results bit-identical for every D.")
+    domains_t
+      "Execute pending jobs over D domains.  Per-job derived seeds make \
+       the stored results bit-identical for every D."
   in
   let execute ~what campaign store scale runs seed domains =
     if campaign = "eco" then begin
@@ -970,8 +955,8 @@ let lab_cmd =
             cells from the run store, fan the rest out over domains, append \
             one flushed JSONL record per completed run.")
       Term.(
-        const run $ common_t $ campaign_t $ store_dir_t $ lab_scale_t
-        $ lab_runs_t $ seed_t $ domains_t)
+        const run $ common_t $ campaign_t $ store_dir_t $ scale_of 8.0
+        $ runs_t 20 $ seed_t $ domains_t)
   in
   let resume_cmd =
     let run () campaign store scale runs seed domains =
@@ -991,8 +976,8 @@ let lab_cmd =
             the checkpoint — completed cells are cache hits, the rest \
             execute), but refuses to start from an absent store.")
       Term.(
-        const run $ common_t $ campaign_t $ store_dir_t $ lab_scale_t
-        $ lab_runs_t $ seed_t $ domains_t)
+        const run $ common_t $ campaign_t $ store_dir_t $ scale_of 8.0
+        $ runs_t 20 $ seed_t $ domains_t)
   in
   let report_cmd =
     let run () campaign store scale runs seed out timing =
@@ -1035,8 +1020,8 @@ let lab_cmd =
            "Rebuild the campaign tables (min/avg cuts, bootstrap confidence \
             intervals) purely from the run store — no engine runs.")
       Term.(
-        const run $ common_t $ campaign_t $ store_dir_t $ lab_scale_t
-        $ lab_runs_t $ seed_t $ out_t $ timing_t)
+        const run $ common_t $ campaign_t $ store_dir_t $ scale_of 8.0
+        $ runs_t 20 $ seed_t $ out_t $ timing_t)
   in
   let gc_cmd =
     let run () store =
@@ -1123,13 +1108,9 @@ let serve_cmd =
           ~doc:"Request bodies above this are answered 413.")
   in
   let store_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Persist completed runs to this lab run store and warm the dedup \
-             cache from it at startup.")
+    store_t
+      "Persist completed runs to this lab run store and warm the dedup \
+       cache from it at startup."
   in
   let retention_t =
     Arg.(
@@ -1162,90 +1143,44 @@ let serve_cmd =
    locally and shipped as .hgr text *)
 let instance_payload input scale =
   match Io.format_of_path input with
-  | Some format ->
-    (or_exit (fun () -> Io.payload format input), Io.format_tag format)
-  | None ->
-    let h = Suite.instance ~scale input in
-    let tmp = Filename.temp_file "hypart_submit" ".hgr" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-      (fun () ->
-        Io.write_hgr tmp h;
-        (Io.payload Io.Hgr tmp, "hgr"))
+  | Some format -> (Io.payload format input, Io.format_tag format)
+  | None -> (Io.hgr_string (load_instance input scale), "hgr")
+
+(* one daemon round trip; a failure ends the command under [what] *)
+let round_trip ~what ~host ~port ~attempts ~path ~body =
+  match Client.post ~attempts ~host ~port ~path ~body () with
+  | Ok answer -> answer
+  | Error failure ->
+    Printf.eprintf "%s: %s\n" what (Client.failure_message failure);
+    exit 1
+
+let save_answer out (a : Client.answer) =
+  match (out, a.Client.assignment) with
+  | Some path, None ->
+    (* a cached record holds only scalars, not the assignment *)
+    Printf.eprintf "note: cached result carries no assignment; %s not written\n"
+      path
+  | _, sides ->
+    Option.iter
+      (save_partition ~say:(Printf.printf "partition written to %s\n") out)
+      sides
 
 let submit_cmd =
   let run () input scale host port engine seed starts tolerance deadline_ms
-      attempts out_file =
+      attempts out =
     let body, format = instance_payload input scale in
     let path =
-      Printf.sprintf
-        "/partition?engine=%s&seed=%d&starts=%d&tol=%.9g&format=%s&out=plain%s"
-        (Engine.name engine) seed starts tolerance format
-        (if deadline_ms > 0 then Printf.sprintf "&deadline_ms=%d" deadline_ms
-         else "")
+      Client.partition_path ~engine:(Engine.name engine) ~seed ~starts ~tolerance
+        ~format ~deadline_ms ()
     in
-    (* mint a request id so daemon-side spans and flight-recorder
-       events can be correlated with this submission *)
-    let rid = Client.mint_request_id () in
-    match
-      Client.with_retries ~attempts (fun () ->
-          Client.http_request ~host ~port ~meth:"POST" ~path
-            ~headers:[ ("X-Hypart-Request-Id", rid) ]
-            ~body ())
-    with
-    | Error msg ->
-      Printf.eprintf "submit failed: %s\n" msg;
-      exit 1
-    | Ok resp when resp.Client.status <> 200 ->
-      Printf.eprintf "submit failed: HTTP %d %s\n%s\n" resp.Client.status
-        (Http.status_text resp.Client.status)
-        resp.Client.resp_body;
-      exit 1
-    | Ok resp ->
-      let hdr name =
-        Option.value ~default:"?" (Http.resp_header resp name)
-      in
-      let cached = hdr "x-hypart-cached" = "true" in
-      Printf.printf "engine: %s, %d start(s), tolerance %.0f%%\n"
-        (Engine.name engine) starts (100. *. tolerance);
-      Printf.printf "best cut: %s (%s)%s\n" (hdr "x-hypart-cut")
-        (if hdr "x-hypart-legal" = "true" then "legal" else "ILLEGAL")
-        (if cached then " [cached]" else "");
-      Printf.printf "server job %s, engine CPU %ss\n" (hdr "x-hypart-job")
-        (hdr "x-hypart-seconds");
-      Printf.printf "request id: %s\n"
-        (Option.value ~default:rid
-           (Http.resp_header resp "x-hypart-request-id"));
-      match out_file with
-      | None -> ()
-      | Some out ->
-        if cached then
-          (* a cached record holds only scalars, not the assignment *)
-          Printf.eprintf
-            "note: cached result carries no assignment; %s not written\n" out
-        else begin
-          let oc = open_out out in
-          output_string oc resp.Client.resp_body;
-          close_out oc;
-          Printf.printf "partition written to %s\n" out
-        end
-  in
-  let tol_t =
-    Arg.(
-      value & opt float 0.02 & info [ "tol" ] ~docv:"T" ~doc:"Balance tolerance.")
-  in
-  let engine_t =
-    Arg.(
-      value
-      & opt engine_conv Hypart_multilevel.Ml_engines.mlclip
-      & info [ "engine" ] ~docv:"E"
-          ~doc:(Printf.sprintf "Partitioning engine: %s." (engine_list_doc ())))
-  in
-  let starts_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "starts") 1
-      & info [ "starts" ] ~docv:"N" ~doc:"Independent starts.")
+    let a = round_trip ~what:"submit failed" ~host ~port ~attempts ~path ~body in
+    Printf.printf "engine: %s, %d start(s), tolerance %.0f%%\n"
+      (Engine.name engine) starts (100. *. tolerance);
+    Printf.printf "best cut: %d (%s)%s\n" a.Client.cut (legality a.Client.legal)
+      (if a.Client.cached then " [cached]" else "");
+    Printf.printf "server job %d, engine CPU %.6fs\n" a.Client.job a.Client.seconds;
+    Printf.printf "request id: %s\n" a.Client.request_id;
+    save_answer out a
   in
   let deadline_t =
     Arg.(
@@ -1255,20 +1190,10 @@ let submit_cmd =
           ~doc:"Per-request deadline; 0 means none.  Expiry is answered 504.")
   in
   let attempts_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "attempts") 6
-      & info [ "attempts" ] ~docv:"N"
-          ~doc:
-            "Total tries when the daemon is unreachable or answers 503 \
-             (exponential backoff with jitter, honouring Retry-After).")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some out_path_conv) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the winning partition (one side per line).")
+    attempts_t 6
+      ~doc:
+        "Total tries when the daemon is unreachable or answers 503 \
+         (exponential backoff with jitter, honouring Retry-After)."
   in
   Cmd.v
     (Cmd.info "submit"
@@ -1276,8 +1201,9 @@ let submit_cmd =
          "Submit a partitioning job to a running daemon and print the result \
           in the same shape as $(b,partition).")
     Term.(
-      const run $ common_t $ input_t $ scale_t $ host_t $ port_t $ engine_t
-      $ seed_t $ starts_t $ tol_t $ deadline_t $ attempts_t $ out_t)
+      const run $ common_t $ input_t $ scale_t $ host_t $ port_t
+      $ engine_t Hypart_multilevel.Ml_engines.mlclip $ seed_t $ starts_t 1
+      $ tol_t 0.02 $ deadline_t $ attempts_t $ partition_out_t)
 
 (* ---------------- evolve ---------------- *)
 
@@ -1302,18 +1228,18 @@ let fleet_executor fleet ~body ~format ~tolerance ~attempts =
         (fun (j : Exec.job) res ->
           Result.map
             (fun (o : Fleet.outcome) ->
-              match o.Fleet.assignment with
+              match o.Client.assignment with
               | Some assignment ->
                 {
-                  Exec.cut = o.Fleet.cut;
-                  legal = o.Fleet.legal;
-                  seconds = o.Fleet.seconds;
+                  Exec.cut = o.Client.cut;
+                  legal = o.Client.legal;
+                  seconds = o.Client.seconds;
                   assignment;
-                  source = o.Fleet.served_by;
+                  source = o.Client.served_by;
                 }
               | None ->
                 { (Exec.run_local problem j) with
-                  Exec.source = o.Fleet.served_by ^ "+local" })
+                  Exec.source = o.Client.served_by ^ "+local" })
             res)
         jobs results)
 
@@ -1381,7 +1307,7 @@ let evolve_cmd =
             "gen %2d  best %6d (%s)  evaluated %2d  replayed %2d  cpu %8.3fs  \
              total %8.3fs\n"
             g.Evolve.g_index g.Evolve.g_best_cut
-            (if g.Evolve.g_best_legal then "legal" else "ILLEGAL")
+            (legality g.Evolve.g_best_legal)
             g.Evolve.g_evaluated g.Evolve.g_replayed
             (Machine.normalize g.Evolve.g_seconds)
             (Machine.normalize g.Evolve.g_cum_seconds))
@@ -1389,7 +1315,7 @@ let evolve_cmd =
       let best = o.Evolve.best in
       Printf.printf "best cut: %d (%s), found by %s at gen %d\n"
         best.Hypart_evolve.Population.cut
-        (if best.Hypart_evolve.Population.legal then "legal" else "ILLEGAL")
+        (legality best.Hypart_evolve.Population.legal)
         best.Hypart_evolve.Population.kind best.Hypart_evolve.Population.gen;
       Printf.printf "part weights: %d / %d\n"
         (Bipartition.part_weight best.Hypart_evolve.Population.solution 0)
@@ -1419,28 +1345,16 @@ let evolve_cmd =
          domain count or fleet size *)
       Printf.printf "trajectory %s\n"
         (Hypart_lab.Fingerprint.of_string (Evolve.trajectory o));
-      Option.iter
-        (fun out ->
-          let oc = open_out out in
-          Array.iter
-            (fun s -> output_string oc (string_of_int s ^ "\n"))
-            (Bipartition.assignment best.Hypart_evolve.Population.solution);
-          close_out oc;
-          Printf.printf "partition written to %s\n" out)
+      save_partition
+        ~say:(Printf.printf "partition written to %s\n")
         out_file
-  in
-  let tol_t =
-    Arg.(
-      value & opt float 0.02 & info [ "tol" ] ~docv:"T" ~doc:"Balance tolerance.")
+        (Bipartition.assignment best.Hypart_evolve.Population.solution)
   in
   let engine_t =
-    Arg.(
-      value
-      & opt engine_conv Hypart_multilevel.Ml_engines.mlclip
-      & info [ "engine" ] ~docv:"E"
-          ~doc:
-            "Base engine evaluated for population seeds and immigrants \
-             (recombination always refines multilevel).")
+    engine_t Hypart_multilevel.Ml_engines.mlclip
+      ~doc:
+        "Base engine evaluated for population seeds and immigrants \
+         (recombination always refines multilevel)."
   in
   let population_t =
     Arg.(
@@ -1470,13 +1384,7 @@ let evolve_cmd =
           ~doc:
             "Fresh multistart entrants per generation (default population/4).")
   in
-  let starts_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "starts") 1
-      & info [ "starts" ] ~docv:"N"
-          ~doc:"Seeded multistart width per evaluation.")
-  in
+  let starts_t = starts_t ~doc:"Seeded multistart width per evaluation." 1 in
   let servers_t =
     Arg.(
       value
@@ -1487,39 +1395,19 @@ let evolve_cmd =
              (round-robin with failover); omit to evaluate in-process.")
   in
   let store_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Persist the population log and run records here; re-running the \
-             same campaign resumes from it without recomputing logged \
-             candidates.")
+    store_t
+      "Persist the population log and run records here; re-running the \
+       same campaign resumes from it without recomputing logged \
+       candidates."
   in
   let domains_t =
-    Arg.(
-      value
-      & opt (some (pos_int_conv "domains")) None
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Local fan-out for recombinations and in-process evaluations.  \
-             The trajectory is bit-identical for every D.")
+    domains_t
+      "Local fan-out for recombinations and in-process evaluations.  \
+       The trajectory is bit-identical for every D."
   in
   let attempts_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "attempts") 3
-      & info [ "attempts" ] ~docv:"N"
-          ~doc:
-            "Per-server tries before failing over to the next daemon \
-             (fleet mode).")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some out_path_conv) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the winning partition (one side per line).")
+    attempts_t 3
+      ~doc:"Per-server tries before failing over to the next daemon (fleet mode)."
   in
   Cmd.v
     (Cmd.info "evolve"
@@ -1529,18 +1417,15 @@ let evolve_cmd =
           immigrants, evaluated in-process or across a daemon fleet \
           (docs/SERVER.md).")
     Term.(
-      const run $ common_t $ input_t $ scale_t $ seed_t $ tol_t $ engine_t
+      const run $ common_t $ input_t $ scale_t $ seed_t $ tol_t 0.02 $ engine_t
       $ population_t $ generations_t $ recombinations_t $ immigrants_t
-      $ starts_t $ servers_t $ store_t $ domains_t $ attempts_t $ out_t)
+      $ starts_t $ servers_t $ store_t $ domains_t $ attempts_t
+      $ partition_out_t)
 
 (* ---------------- delta-gen / eco ---------------- *)
 
 let delta_gen_cmd =
   let run () input scale fraction seed out =
-    if fraction > 1. then begin
-      Printf.eprintf "delta-gen: fraction must be in (0, 1]\n";
-      exit 1
-    end;
     let h = load_instance input scale in
     let fp = Hypart_lab.Fingerprint.of_instance h in
     let delta =
@@ -1558,7 +1443,7 @@ let delta_gen_cmd =
   let fraction_t =
     Arg.(
       value
-      & opt (pos_float_conv "fraction") 0.01
+      & opt (float_conv "fraction" "(0, 1]" (fun f -> f > 0. && f <= 1.)) 0.01
       & info [ "fraction" ] ~docv:"F"
           ~doc:"Perturbation size as a fraction of the instance (0 < F <= 1).")
   in
@@ -1582,12 +1467,7 @@ let eco_cmd =
       radius fallback compare out submit host port attempts =
     let h = load_instance base scale in
     let fp = Hypart_lab.Fingerprint.of_instance h in
-    let delta =
-      try Delta.read delta_file
-      with Delta.Parse_error msg ->
-        Printf.eprintf "eco: %s\n" msg;
-        exit 1
-    in
+    let delta = Delta.read delta_file in
     let prior =
       match delta.Delta.prior with
       | Some p -> p  (* the delta already embeds its warm start *)
@@ -1603,57 +1483,22 @@ let eco_cmd =
           (Engine.name engine) (Engine.name scratch) seed tolerance radius
           fallback
       in
-      let rid = Client.mint_request_id () in
-      match
-        Client.with_retries ~attempts (fun () ->
-            Client.http_request ~host ~port ~meth:"POST" ~path
-              ~headers:[ ("X-Hypart-Request-Id", rid) ]
-              ~body:(Delta.to_string delta) ())
-      with
-      | Error msg ->
-        Printf.eprintf "eco: %s\n" msg;
-        exit 1
-      | Ok resp when resp.Client.status <> 200 ->
-        Printf.eprintf "eco: HTTP %d %s\n%s\n" resp.Client.status
-          (Http.status_text resp.Client.status)
-          resp.Client.resp_body;
-        exit 1
-      | Ok resp -> (
-        let hdr name =
-          Option.value ~default:"?" (Http.resp_header resp name)
-        in
-        let cached = hdr "x-hypart-cached" = "true" in
-        Printf.printf "delta fingerprint: %s\n"
-          (hdr "x-hypart-delta-fingerprint");
-        Printf.printf "warm cut: %s (%s) in %ss%s\n" (hdr "x-hypart-cut")
-          (if hdr "x-hypart-legal" = "true" then "legal" else "ILLEGAL")
-          (hdr "x-hypart-seconds")
-          (if cached then " [cached]"
-           else Printf.sprintf " [mode %s]" (hdr "x-hypart-mode"));
-        Printf.printf "server job %s, request id %s\n" (hdr "x-hypart-job")
-          (Option.value ~default:rid
-             (Http.resp_header resp "x-hypart-request-id"));
-        match out with
-        | None -> ()
-        | Some path ->
-          if cached then
-            Printf.eprintf
-              "note: cached result carries no assignment; %s not written\n"
-              path
-          else begin
-            let oc = open_out path in
-            output_string oc resp.Client.resp_body;
-            close_out oc;
-            Printf.printf "partition written to %s\n" path
-          end)
+      let a =
+        round_trip ~what:"eco" ~host ~port ~attempts ~path
+          ~body:(Delta.to_string delta)
+      in
+      let hdr name = Option.value ~default:"?" (Client.header a name) in
+      Printf.printf "delta fingerprint: %s\n" (hdr "x-hypart-delta-fingerprint");
+      Printf.printf "warm cut: %d (%s) in %.6fs%s\n" a.Client.cut
+        (legality a.Client.legal) a.Client.seconds
+        (if a.Client.cached then " [cached]"
+         else Printf.sprintf " [mode %s]" (hdr "x-hypart-mode"));
+      Printf.printf "server job %d, request id %s\n" a.Client.job
+        a.Client.request_id;
+      save_answer out a
     end
     else begin
-      let patch =
-        try Patch.apply ~base:h ~base_fingerprint:fp delta
-        with Patch.Apply_error msg ->
-          Printf.eprintf "eco: %s\n" msg;
-          exit 1
-      in
+      let patch = Patch.apply ~base:h ~base_fingerprint:fp delta in
       let st = patch.Patch.stats in
       Format.printf "%a@." H.pp h;
       Printf.printf
@@ -1675,8 +1520,7 @@ let eco_cmd =
         (H.num_vertices patch.Patch.hypergraph);
       let r = outcome.Eco.result in
       Printf.printf "warm cut: %d (%s) in %.4fs [mode %s]\n"
-        r.Engine.Result.cut
-        (if r.Engine.Result.legal then "legal" else "ILLEGAL")
+        r.Engine.Result.cut (legality r.Engine.Result.legal)
         outcome.Eco.seconds
         (match outcome.Eco.mode with Eco.Warm -> "warm" | Eco.Scratch -> "scratch");
       if compare then begin
@@ -1687,16 +1531,10 @@ let eco_cmd =
                 None)
         in
         Printf.printf "scratch cut: %d (%s) in %.4fs\n" sres.Engine.Result.cut
-          (if sres.Engine.Result.legal then "legal" else "ILLEGAL")
-          ss;
+          (legality sres.Engine.Result.legal) ss;
         Printf.printf "speedup: %.1fx\n" (ss /. Float.max outcome.Eco.seconds 1e-9)
       end;
-      Option.iter
-        (fun path ->
-          Io.write_partition path
-            (Bipartition.assignment r.Engine.Result.solution);
-          Printf.printf "wrote %s\n" path)
-        out
+      save_partition out (Bipartition.assignment r.Engine.Result.solution)
     end
   in
   let base_t =
@@ -1722,23 +1560,13 @@ let eco_cmd =
       & pos 2 (some string) None
       & info [] ~docv:"DELTA.hgrd" ~doc:"The .hgrd edit script.")
   in
-  let tol_t =
-    Arg.(
-      value & opt float 0.02 & info [ "tol" ] ~docv:"T" ~doc:"Balance tolerance.")
+  let scratch_t =
+    engine_t ~name:"scratch" Hypart_multilevel.Ml_engines.mlclip
+      ~doc:"From-scratch fallback (and --compare baseline) engine."
   in
   let engine_t =
-    Arg.(
-      value
-      & opt engine_conv Hypart_delta.Eco_engines.eco_fm
-      & info [ "engine" ] ~docv:"E"
-          ~doc:"Warm-start refinement engine (eco_fm | eco_ml).")
-  in
-  let scratch_t =
-    Arg.(
-      value
-      & opt engine_conv Hypart_multilevel.Ml_engines.mlclip
-      & info [ "scratch" ] ~docv:"E"
-          ~doc:"From-scratch fallback (and --compare baseline) engine.")
+    engine_t Hypart_delta.Eco_engines.eco_fm
+      ~doc:"Warm-start refinement engine (eco_fm | eco_ml)."
   in
   let radius_t =
     Arg.(
@@ -1752,7 +1580,9 @@ let eco_cmd =
   let fallback_t =
     Arg.(
       value
-      & opt float Eco.default_config.Eco.fallback_fraction
+      & opt
+          (float_conv "fallback fraction" "[0, 1]" (fun f -> f >= 0. && f <= 1.))
+          Eco.default_config.Eco.fallback_fraction
       & info [ "fallback-fraction" ] ~docv:"F"
           ~doc:
             "Touched fraction above which the warm start is abandoned and the \
@@ -1766,13 +1596,6 @@ let eco_cmd =
             "Also run the scratch engine from scratch on the patched instance \
              and print the speedup.")
   in
-  let out_t =
-    Arg.(
-      value
-      & opt (some out_path_conv) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the repartitioned solution (one side per line).")
-  in
   let submit_t =
     Arg.(
       value & flag
@@ -1783,11 +1606,7 @@ let eco_cmd =
              (submit it first); the prior is embedded in the request body.")
   in
   let attempts_t =
-    Arg.(
-      value
-      & opt (pos_int_conv "attempts") 6
-      & info [ "attempts" ] ~docv:"N"
-          ~doc:"Total tries against an unreachable or busy daemon.")
+    attempts_t 6 ~doc:"Total tries against an unreachable or busy daemon."
   in
   Cmd.v
     (Cmd.info "eco"
@@ -1798,8 +1617,8 @@ let eco_cmd =
           (docs/FORMATS.md, docs/SERVER.md).")
     Term.(
       const run $ common_t $ base_t $ prior_t $ delta_t $ scale_t $ seed_t
-      $ tol_t $ engine_t $ scratch_t $ radius_t $ fallback_t $ compare_t
-      $ out_t $ submit_t $ host_t $ port_t $ attempts_t)
+      $ tol_t 0.02 $ engine_t $ scratch_t $ radius_t $ fallback_t $ compare_t
+      $ partition_out_t $ submit_t $ host_t $ port_t $ attempts_t)
 
 (* ---------------- bench-diff ---------------- *)
 
@@ -1865,4 +1684,6 @@ let main_cmd =
       bench_diff_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+(* cmdliner's own catch would turn a located input error into an
+   "internal error" report; [or_exit] makes it one line and exit 1 *)
+let () = exit (or_exit (fun () -> Cmd.eval ~catch:false main_cmd))

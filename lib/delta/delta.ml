@@ -151,13 +151,9 @@ let of_string ?(source = "<delta>") body =
     { source; base = !base; ops = Array.of_list (List.rev !ops); prior }
 
 let read path =
-  let ic = open_in_bin path in
-  let body =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string ~source:path body
+  match In_channel.with_open_bin path In_channel.input_all with
+  | body -> of_string ~source:path body
+  | exception Sys_error msg -> raise (Parse_error msg)
 
 let op_to_line = function
   | Add_cell w -> Printf.sprintf "addcell %d" w

@@ -58,7 +58,8 @@ val of_string : ?source:string -> string -> t
 
 val read : string -> t
 (** Parse a [.hgrd] file.  @raise Parse_error (located with the file
-    path); [Sys_error] if the file cannot be opened. *)
+    path), also when the file cannot be opened or read (the message
+    then names the path, as {!Hypart_hypergraph.Netlist_io} does). *)
 
 val to_string : ?with_prior:bool -> t -> string
 (** Canonical text rendering; [with_prior] (default [true]) controls

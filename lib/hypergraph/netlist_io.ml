@@ -260,26 +260,32 @@ end
 
 (* ---------------- hMetis .hgr ---------------- *)
 
-let write_hgr ?(with_weights = true) path h =
-  with_out path (fun oc ->
-      let ne = Hypergraph.num_edges h and nv = Hypergraph.num_vertices h in
-      if with_weights then Printf.fprintf oc "%d %d 11\n" ne nv
-      else Printf.fprintf oc "%d %d\n" ne nv;
-      for e = 0 to ne - 1 do
-        if with_weights then Printf.fprintf oc "%d" (Hypergraph.edge_weight h e);
-        let first = ref (not with_weights) in
-        Hypergraph.iter_pins h e (fun v ->
-            if !first then begin
-              Printf.fprintf oc "%d" (v + 1);
-              first := false
-            end
-            else Printf.fprintf oc " %d" (v + 1));
-        output_char oc '\n'
-      done;
-      if with_weights then
-        for v = 0 to nv - 1 do
-          Printf.fprintf oc "%d\n" (Hypergraph.vertex_weight h v)
-        done)
+let hgr_string ?(with_weights = true) h =
+  let ne = Hypergraph.num_edges h and nv = Hypergraph.num_vertices h in
+  let b = Buffer.create (16 * (ne + nv)) in
+  let int x = Buffer.add_string b (string_of_int x) in
+  int ne;
+  Buffer.add_char b ' ';
+  int nv;
+  Buffer.add_string b (if with_weights then " 11\n" else "\n");
+  for e = 0 to ne - 1 do
+    if with_weights then int (Hypergraph.edge_weight h e);
+    let first = ref (not with_weights) in
+    Hypergraph.iter_pins h e (fun v ->
+        if not !first then Buffer.add_char b ' ';
+        first := false;
+        int (v + 1));
+    Buffer.add_char b '\n'
+  done;
+  if with_weights then
+    for v = 0 to nv - 1 do
+      int (Hypergraph.vertex_weight h v);
+      Buffer.add_char b '\n'
+    done;
+  Buffer.contents b
+
+let write_hgr ?with_weights path h =
+  with_out path (fun oc -> output_string oc (hgr_string ?with_weights h))
 
 (* Single pass: only the current line plus the growing CSR is held in
    memory, and nothing is allocated per line or per pin. *)

@@ -93,6 +93,9 @@ val write_hgr : ?with_weights:bool -> string -> Hypergraph.t -> unit
     [with_weights] (default [true]) both edge and vertex weights are
     written (fmt 11); otherwise the instance is written unweighted. *)
 
+val hgr_string : ?with_weights:bool -> Hypergraph.t -> string
+(** The bytes {!write_hgr} writes, in memory. *)
+
 val read_hgr : string -> Hypergraph.t
 (** Parse an [.hgr] file.  Accepts fmt 0 / 1 / 10 / 11. *)
 

@@ -1,8 +1,11 @@
 type t = { lower : int; upper : int; total : int; tolerance : float }
 
+(* written so that NaN fails it *)
+let valid_tolerance tolerance = tolerance >= 0.0 && tolerance < 1.0
+
 let check_common ~total ~tolerance =
   if total <= 0 then invalid_arg "Balance: non-positive total";
-  if tolerance < 0.0 || tolerance >= 1.0 then
+  if not (valid_tolerance tolerance) then
     invalid_arg "Balance: tolerance must be in [0, 1)"
 
 let of_tolerance ~total ~tolerance =

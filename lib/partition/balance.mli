@@ -14,6 +14,11 @@ type t = private {
   tolerance : float;
 }
 
+val valid_tolerance : float -> bool
+(** Whether a tolerance lies in [[0, 1)], the range {!of_tolerance} and
+    {!of_fraction} accept.  NaN does not.  Every front end (the CLI's
+    [--tol], the daemon's [tol=]) validates through this predicate. *)
+
 val of_tolerance : total:int -> tolerance:float -> t
 (** Symmetric bounds: part 0 within [[(0.5 - t/2) W, (0.5 + t/2) W]]
     (and part 1 by complement).  Bounds are complements of each other
@@ -25,7 +30,8 @@ val of_fraction : total:int -> fraction:float -> tolerance:float -> t
 (** Asymmetric bounds for uneven splits (recursive bisection into an
     odd number of parts): part 0 within
     [[(f - t/2) W, (f + t/2) W]], clamped to [[0, W]].
-    @raise Invalid_argument if [fraction] is outside (0, 1). *)
+    @raise Invalid_argument if [fraction] is outside (0, 1), or as
+    {!of_tolerance} does. *)
 
 val is_legal : t -> part0_weight:int -> bool
 (** Part 0 within bounds (part 1 is bounded by complement). *)

@@ -100,11 +100,6 @@ let backoff_delay ?(base = 0.25) ?(cap = 8.0) ~attempt ~retry_after jitter =
   let d = (u /. 2.) +. (Float.max 0. (Float.min 1. jitter) *. u /. 2.) in
   match retry_after with None -> d | Some ra -> Float.max ra d
 
-let retry_after_of resp =
-  match Http.resp_header resp "retry-after" with
-  | None -> None
-  | Some s -> float_of_string_opt (String.trim s)
-
 (* Retriable statuses are the transient ones the daemon emits under
    load: queue-full 503 and deadline 504 (a fresh submission restarts
    the deadline clock).  Everything else — 400 bad request, 413 too
@@ -124,7 +119,9 @@ let with_retries ?(attempts = 6) ?base ?cap ?(sleep = Unix.sleepf)
            error (daemon not up yet / connection reset) *)
         let retry_after =
           match outcome with
-          | Ok resp -> retry_after_of resp
+          | Ok resp ->
+            Option.bind (Http.resp_header resp "retry-after") (fun s ->
+                float_of_string_opt (String.trim s))
           | Error _ -> None
         in
         if attempt = attempts - 1 then outcome
@@ -134,3 +131,75 @@ let with_retries ?(attempts = 6) ?base ?cap ?(sleep = Unix.sleepf)
         end
   in
   go 0 (Error "no attempts made")
+
+let partition_path ~engine ~seed ~starts ~tolerance ~format ?(deadline_ms = 0) () =
+  Printf.sprintf "/partition?engine=%s&seed=%d&starts=%d&tol=%.9g&format=%s&out=plain%s"
+    engine seed starts tolerance format
+    (if deadline_ms > 0 then Printf.sprintf "&deadline_ms=%d" deadline_ms else "")
+
+type answer = {
+  cut : int;
+  legal : bool;
+  cached : bool;
+  seconds : float;
+  job : int;
+  request_id : string;
+  assignment : int array option;
+  served_by : string;
+  headers : (string * string) list;
+}
+
+let header a name = List.assoc_opt (String.lowercase_ascii name) a.headers
+
+(* The daemon's out=plain contract: scalars in X-Hypart-* headers, the
+   assignment as one side per line in the body (empty on a daemon-side
+   cache hit). *)
+let decode_answer ~served_by ~request_id resp =
+  let hdr = Http.resp_header resp in
+  let flag name = hdr name = Some "true" in
+  let int_hdr name k =
+    match Option.bind (hdr name) int_of_string_opt with
+    | Some v -> k v
+    | None -> Error (Printf.sprintf "%s: missing %s header" served_by name)
+  in
+  let side line = match String.trim line with "" -> None | s -> Some (int_of_string s) in
+  match List.filter_map side (String.split_on_char '\n' resp.resp_body) with
+  | exception Failure _ -> Error (Printf.sprintf "%s: unparsable assignment body" served_by)
+  | sides ->
+    int_hdr "x-hypart-cut" @@ fun cut ->
+    int_hdr "x-hypart-job" @@ fun job ->
+    let seconds = Option.bind (hdr "x-hypart-seconds") float_of_string_opt in
+    Ok
+      {
+        cut;
+        legal = flag "x-hypart-legal";
+        cached = flag "x-hypart-cached";
+        seconds = Option.value ~default:0. seconds;
+        job;
+        request_id = Option.value ~default:request_id (hdr "x-hypart-request-id");
+        assignment = (if sides = [] then None else Some (Array.of_list sides));
+        served_by;
+        headers = resp.resp_headers;
+      }
+
+type failure = Unreachable of string | Refused of response | Malformed of string
+
+let failure_message = function
+  | Unreachable msg | Malformed msg -> msg
+  | Refused r ->
+    Printf.sprintf "HTTP %d %s\n%s" r.status (Http.status_text r.status) r.resp_body
+
+let post ?attempts ?sleep ~host ~port ~path ~body () =
+  (* one id for every retry, so daemon-side spans and flight-recorder
+     events correlate with this submission *)
+  let request_id = mint_request_id () in
+  let headers = [ ("X-Hypart-Request-Id", request_id) ] in
+  match
+    with_retries ?attempts ?sleep (fun () ->
+        http_request ~host ~port ~meth:"POST" ~path ~headers ~body ())
+  with
+  | Error msg -> Error (Unreachable msg)
+  | Ok resp when resp.status <> 200 -> Error (Refused resp)
+  | Ok resp ->
+    decode_answer ~served_by:(Printf.sprintf "%s:%d" host port) ~request_id resp
+    |> Result.map_error (fun msg -> Malformed msg)

@@ -1,4 +1,5 @@
-(** The daemon's CLI client ([hypart submit]).
+(** The daemon's client: [hypart submit], [hypart eco --submit] and
+    {!Fleet} all make their round trips through {!post}.
 
     A blocking HTTP/1.1 client over stdlib [Unix] sockets with retry
     logic tuned for the daemon's backpressure contract: the transient
@@ -66,3 +67,62 @@ val with_retries :
     errors ([Error _]) are always retried.  [sleep] and [rng] are
     injectable for tests; [rng] defaults to a fixed mid-range jitter
     of [0.5] so the client needs no global random state. *)
+
+(** {1 The daemon's [out=plain] answer} *)
+
+val partition_path :
+  engine:string ->
+  seed:int ->
+  starts:int ->
+  tolerance:float ->
+  format:string ->
+  ?deadline_ms:int ->
+  unit ->
+  string
+(** The [/partition] request path for one job, answered [out=plain].
+    [deadline_ms] (default 0, none) adds the per-request deadline. *)
+
+type answer = {
+  cut : int;
+  legal : bool;
+  cached : bool;  (** served from the daemon's dedup cache *)
+  seconds : float;  (** server-side engine CPU seconds (not normalized) *)
+  job : int;  (** the daemon's job id *)
+  request_id : string;
+      (** as echoed by the daemon, else the id the client sent *)
+  assignment : int array option;
+      (** one side per vertex; [None] on a cache hit, whose record holds
+          only scalars *)
+  served_by : string;  (** ["host:port"] of the daemon that answered *)
+  headers : (string * string) list;  (** every response header *)
+}
+
+val header : answer -> string -> string option
+(** A response header by case-insensitive name — for the
+    endpoint-specific ones such as [X-Hypart-Mode] and
+    [X-Hypart-Delta-Fingerprint]. *)
+
+type failure =
+  | Unreachable of string  (** transport error, retries exhausted *)
+  | Refused of response  (** a non-200 answer (retryable ones exhausted) *)
+  | Malformed of string
+      (** a 200 without [X-Hypart-Cut] or [X-Hypart-Job], or whose body
+          is not one integer side per line; names the daemon *)
+
+val failure_message : failure -> string
+(** One human-readable message; a refusal reads
+    ["HTTP <status> <reason>\n<body>"]. *)
+
+val post :
+  ?attempts:int ->
+  ?sleep:(float -> unit) ->
+  host:string ->
+  port:int ->
+  path:string ->
+  body:string ->
+  unit ->
+  (answer, failure) result
+(** One daemon round trip: POST [body] to [path] under a freshly minted
+    [X-Hypart-Request-Id] (the same id on every retry), retried as
+    {!with_retries} does, and decoded from the [X-Hypart-*] headers and
+    the one-side-per-line body.  [path] must ask for [out=plain]. *)

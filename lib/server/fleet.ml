@@ -19,19 +19,13 @@ let parse_server entry =
   | _ -> Error (Printf.sprintf "bad server %S (want host:port)" entry)
 
 let parse_servers spec =
-  let entries =
-    List.filter
-      (fun s -> String.trim s <> "")
-      (String.split_on_char ',' spec)
-  in
-  if entries = [] then Error "no servers given"
-  else
+  match List.filter (fun s -> String.trim s <> "") (String.split_on_char ',' spec) with
+  | [] -> Error "no servers given"
+  | entries ->
+    (* the first offending entry is the one reported *)
     List.fold_left
       (fun acc entry ->
-        match (acc, parse_server entry) with
-        | Error _, _ -> acc
-        | _, (Error _ as e) -> e
-        | Ok servers, Ok s -> Ok (s :: servers))
+        Result.bind acc (fun l -> Result.map (fun s -> s :: l) (parse_server entry)))
       (Ok []) entries
     |> Result.map List.rev
 
@@ -46,66 +40,7 @@ let servers t = Array.to_list t.fleet
 
 type job = { engine : string; seed : int; starts : int }
 
-type outcome = {
-  cut : int;
-  legal : bool;
-  seconds : float;
-  assignment : int array option;
-  cached : bool;
-  served_by : string;
-}
-
-(* The daemon's out=plain contract: scalars in X-Hypart-* headers, the
-   assignment as one side per line in the body (empty on a daemon-side
-   cache hit). *)
-let parse_outcome ~served_by (resp : Http.response) =
-  let hdr name = Http.resp_header resp name in
-  let int_hdr name =
-    match Option.bind (hdr name) int_of_string_opt with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "%s: missing %s header" served_by name)
-  in
-  let bool_hdr name = hdr name = Some "true" in
-  match int_hdr "x-hypart-cut" with
-  | Error _ as e -> e
-  | Ok cut ->
-    let legal = bool_hdr "x-hypart-legal" in
-    let cached = bool_hdr "x-hypart-cached" in
-    let seconds =
-      Option.value ~default:0.
-        (Option.bind (hdr "x-hypart-seconds") float_of_string_opt)
-    in
-    let assignment =
-      if String.trim resp.Http.resp_body = "" then Ok None
-      else
-        let lines =
-          List.filter
-            (fun l -> l <> "")
-            (String.split_on_char '\n' resp.Http.resp_body)
-        in
-        let sides = Array.make (List.length lines) 0 in
-        let ok =
-          List.fold_left
-            (fun (i, ok) line ->
-              match int_of_string_opt (String.trim line) with
-              | Some s ->
-                sides.(i) <- s;
-                (i + 1, ok)
-              | None -> (i + 1, false))
-            (0, true) lines
-          |> snd
-        in
-        if ok then Ok (Some sides)
-        else Error (Printf.sprintf "%s: unparsable assignment body" served_by)
-    in
-    Result.map
-      (fun assignment ->
-        { cut; legal; seconds; assignment; cached; served_by })
-      assignment
-
-let request_path ~tolerance ~format job =
-  Printf.sprintf "/partition?engine=%s&seed=%d&starts=%d&tol=%.9g&out=plain&format=%s"
-    job.engine job.seed job.starts tolerance format
+type outcome = Client.answer
 
 (* Candidate order for one submission: rotation from the preferred
    server, servers currently marked down moved to the back (they are
@@ -120,47 +55,40 @@ let candidate_order t ~preferred =
 let submit ?(attempts_per_server = 3) ?sleep ?(preferred = 0)
     ?(tolerance = 0.02) t ~body ~format job =
   let n = Array.length t.fleet in
-  let path = request_path ~tolerance ~format job in
+  let path =
+    Client.partition_path ~engine:job.engine ~seed:job.seed ~starts:job.starts
+      ~tolerance ~format ()
+  in
   let rec try_servers last = function
     | [] -> last
     | idx :: rest -> (
       let s = t.fleet.(idx) in
-      let served_by = address s in
-      let headers = [ ("X-Hypart-Request-Id", Client.mint_request_id ()) ] in
-      let result =
-        Client.with_retries ~attempts:attempts_per_server ?sleep (fun () ->
-            Client.http_request ~host:s.host ~port:s.port ~meth:"POST"
-              ~path ~headers ~body ())
-      in
-      match result with
-      | Ok resp when resp.Http.status = 200 ->
+      let fail fmt = Printf.ksprintf (fun m -> Error (address s ^ ": " ^ m)) fmt in
+      match
+        Client.post ~attempts:attempts_per_server ?sleep ~host:s.host
+          ~port:s.port ~path ~body ()
+      with
+      | (Ok _ | Error (Client.Malformed _)) as answer ->
         Atomic.set t.down.(idx) false;
         Metrics.incr "fleet.jobs";
-        parse_outcome ~served_by resp
-      | Ok resp when Client.retryable_status resp.Http.status ->
+        Result.map_error Client.failure_message answer
+      | Error (Client.Refused { status; _ }) when Client.retryable_status status ->
         (* still overloaded / expiring after the retry budget: the
            server is alive, so don't mark it down — just fail over *)
         Metrics.incr "fleet.failovers";
         if rest = [] then
-          Error
-            (Printf.sprintf "%s: HTTP %d after %d attempts" served_by
-               resp.Http.status attempts_per_server)
-        else
-          try_servers
-            (Error (Printf.sprintf "%s: HTTP %d" served_by resp.Http.status))
-            rest
-      | Ok resp ->
+          fail "HTTP %d after %d attempts" status attempts_per_server
+        else try_servers (fail "HTTP %d" status) rest
+      | Error (Client.Refused { status; resp_body; _ }) ->
         (* non-retriable HTTP error: the request itself is bad, so the
            answer is the same everywhere — no failover *)
         Metrics.incr "fleet.rejected";
-        Error
-          (Printf.sprintf "%s: HTTP %d %s" served_by resp.Http.status
-             (String.trim resp.Http.resp_body))
-      | Error msg ->
+        fail "HTTP %d %s" status (String.trim resp_body)
+      | Error (Client.Unreachable msg) ->
         if not (Atomic.exchange t.down.(idx) true) then
           Metrics.incr "fleet.down_marks";
         Metrics.incr "fleet.failovers";
-        try_servers (Error (Printf.sprintf "%s: %s" served_by msg)) rest)
+        try_servers (fail "%s" msg) rest)
   in
   try_servers
     (Error "fleet exhausted")

@@ -41,15 +41,9 @@ type job = {
   starts : int;  (** daemon-side seeded multistart width *)
 }
 
-type outcome = {
-  cut : int;
-  legal : bool;
-  seconds : float;  (** server-side CPU seconds (not normalized) *)
-  assignment : int array option;
-      (** [None] when the daemon answered from its cache *)
-  cached : bool;
-  served_by : string;  (** ["host:port"] of the daemon that answered *)
-}
+type outcome = Client.answer
+(** The daemon's decoded answer; [served_by] names the daemon that
+    answered, and [assignment] is [None] on a daemon-side cache hit. *)
 
 val submit :
   ?attempts_per_server:int ->

@@ -3,6 +3,7 @@ module Io = Hypart_hypergraph.Netlist_io
 module Instance_store = Hypart_hypergraph.Instance_store
 module Problem = Hypart_partition.Problem
 module Bipartition = Hypart_partition.Bipartition
+module Balance = Hypart_partition.Balance
 module Engine = Hypart_engine.Engine
 module Machine = Hypart_engine.Machine
 module Parallel = Hypart_engine.Parallel
@@ -259,7 +260,9 @@ type params = {
 
 let parse_params req =
   let tolerance = param_float req "tol" 0.02 in
-  if tolerance <= 0. then bad "tol must be positive";
+  (* outside Balance's range (NaN included) the engine would raise *)
+  if tolerance = 0. || not (Balance.valid_tolerance tolerance) then
+    bad "tol must be in (0, 1)";
   let deadline_s =
     match param_int req "deadline_ms" 0 with
     | 0 -> None

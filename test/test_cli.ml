@@ -88,8 +88,19 @@ let test_help () =
 let check_rejected name args needle =
   let code, out = run_cmd args in
   Alcotest.(check bool) (name ^ " nonzero exit") true (code <> 0);
-  if not (contains out needle) then
-    Alcotest.failf "%s: expected %S in output:\n%s" name needle out
+  (* cmdliner wraps a long message onto indented lines *)
+  let unwrapped = String.concat " " (List.map String.trim (String.split_on_char '\n' out)) in
+  if not (contains unwrapped needle) then
+    Alcotest.failf "%s: expected %S in output:\n%s" name needle out;
+  (* one error report, never a crash dump *)
+  let reports =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"hypart:" l)
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check int) (name ^ " one error line\n" ^ out) 1 (List.length reports);
+  if contains out "internal error" || contains out "exception" then
+    Alcotest.failf "%s: raw exception:\n%s" name out
 
 let test_validation () =
   check_rejected "runs = 0" "table1 --scale 64 --runs 0" "positive";
@@ -103,7 +114,25 @@ let test_validation () =
   check_rejected "bad trace dir"
     "table1 --scale 64 --runs 1 --trace /hypart_no_such_dir/t.json"
     "does not exist";
-  check_rejected "unknown campaign" "lab run --campaign bogus" "unknown campaign"
+  check_rejected "unknown campaign" "lab run --campaign bogus" "unknown campaign";
+  (* every tolerance flag accepts exactly Balance's range, [0, 1) *)
+  check_rejected "tol nan" "partition ibm01 --scale 64 --tol nan" "tolerance";
+  check_rejected "negative tol" "partition ibm01 --scale 64 --tol=-1" "tolerance";
+  check_rejected "tol 1" "partition ibm01 --scale 64 --tol 1" "tolerance";
+  check_rejected "tables45 tol nan" "tables45 --scale 64 --tol nan" "tolerance";
+  check_rejected "k = 0" "kway ibm01 --scale 64 -k 0" "positive";
+  check_rejected "unknown kway engine" "kway ibm01 --scale 64 --engine bogus"
+    "invalid value 'bogus'";
+  check_rejected "kway --output is gone" "kway ibm01 --scale 64 --output x.part"
+    "unknown option";
+  check_rejected "unknown suite instance" "bsf --scale 64 --instance ibm99"
+    "unknown instance ibm99";
+  check_rejected "unknown suite in a list"
+    "tables45 --scale 64 --instances ibm01,nope" "unknown instance nope";
+  check_rejected "configs = 0" "tables45 --scale 64 --configs 1,0" "positive";
+  check_rejected "fraction > 1" "delta-gen ibm01 --scale 64 --fraction 2" "(0, 1]";
+  check_rejected "fallback fraction nan"
+    "eco ibm01 a.part b.hgrd --fallback-fraction nan" "[0, 1]"
 
 (* a missing or malformed instance file ends every command that loads
    one with a single located line and exit 1, never an uncaught
@@ -139,6 +168,11 @@ let test_bad_instance () =
     ];
   let missing = Filename.concat tmpdir "hypart_cli_no_such.hgr" in
   check "missing .hgr" ("partition " ^ missing) (missing ^ ": No such file");
+  check "unknown instance name" "partition nosuch" "unknown instance nosuch";
+  let no_delta = Filename.concat tmpdir "hypart_cli_no_such.hgrd" in
+  check "missing .hgrd"
+    (Printf.sprintf "eco ibm01 %s %s --scale 64" part no_delta)
+    (no_delta ^ ": No such file");
   let packed = file "hypart_cli_bad.hgrb" "HGRB not a packed instance" in
   check "corrupt .hgrb" ("partition " ^ packed) (packed ^ ": truncated header");
   let nodes =
@@ -297,6 +331,23 @@ let test_daemon_round_trip () =
     in
     Alcotest.(check int) "submit exit" 0 code;
     Alcotest.(check bool) "submit printed a cut" true (contains out "best cut:");
+    (* the daemon's partition file is the offline one, byte for byte *)
+    let offline = Filename.concat tmpdir "hypart_cli_offline.part" in
+    let served = Filename.concat tmpdir "hypart_cli_served.part" in
+    List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ offline; served ];
+    check_ok "partition -o"
+      (run_cmd
+         (Printf.sprintf "partition ibm01 --scale 64 --engine mlclip --seed 5 -o %s"
+            (Filename.quote offline)))
+      [ "wrote" ];
+    check_ok "submit -o"
+      (run_cmd
+         (Printf.sprintf
+            "submit ibm01 --scale 64 --engine mlclip --seed 5 --port %d -o %s" port
+            (Filename.quote served)))
+      [ "partition written to" ];
+    let read f = In_channel.with_open_bin f In_channel.input_all in
+    Alcotest.(check string) "submit -o = partition -o" (read offline) (read served);
     (* a Bookshelf pair whose .nodes file lacks a trailing newline *)
     let shelf = Filename.concat tmpdir "hypart_cli_shelf" in
     Hypart_hypergraph.Netlist_io.write_bookshelf ~basename:shelf

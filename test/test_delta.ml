@@ -108,6 +108,17 @@ let test_codec_line_numbers () =
     (* the SECOND rmnet line (line 3) is the corrupt one *)
     Alcotest.(check bool) "line 3" true (is_infix ~affix:":3:" msg)
 
+(* an unopenable file is a Parse_error naming the path, like every
+   other decoder error, never a raw Sys_error *)
+let test_codec_missing_file () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "hypart_no_such.hgrd" in
+  (try Sys.remove path with Sys_error _ -> ());
+  match Delta.read path with
+  | _ -> Alcotest.fail "missing file read"
+  | exception Delta.Parse_error msg ->
+    Alcotest.(check bool) ("path in message: " ^ msg) true
+      (is_infix ~affix:path msg)
+
 (* a prior longer than the body is refused before its sides are
    allocated *)
 let test_codec_oversized_prior () =
@@ -405,6 +416,7 @@ let () =
           Alcotest.test_case "corruption matrix" `Quick test_codec_corruption;
           Alcotest.test_case "line numbers" `Quick test_codec_line_numbers;
           Alcotest.test_case "oversized prior" `Quick test_codec_oversized_prior;
+          Alcotest.test_case "missing file" `Quick test_codec_missing_file;
           QCheck_alcotest.to_alcotest prop_codec_round_trip;
           QCheck_alcotest.to_alcotest prop_codec_fuzz;
         ] );

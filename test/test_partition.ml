@@ -74,6 +74,29 @@ let test_balance_invalid () =
       try ignore (Balance.of_tolerance ~total:0 ~tolerance:0.1)
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
+(* NaN compares false with everything, so a range check written as
+   [t < 0. || t >= 1.] would let it through with [lower = 0] *)
+let test_balance_rejects_non_range () =
+  List.iter
+    (fun tolerance ->
+      let name = Printf.sprintf "tolerance %g" tolerance in
+      Alcotest.(check bool) (name ^ " invalid") false
+        (Balance.valid_tolerance tolerance);
+      Alcotest.check_raises (name ^ " of_tolerance") (Invalid_argument "x")
+        (fun () ->
+          try ignore (Balance.of_tolerance ~total:10 ~tolerance)
+          with Invalid_argument _ -> raise (Invalid_argument "x"));
+      Alcotest.check_raises (name ^ " of_fraction") (Invalid_argument "x")
+        (fun () ->
+          try ignore (Balance.of_fraction ~total:10 ~fraction:0.5 ~tolerance)
+          with Invalid_argument _ -> raise (Invalid_argument "x")))
+    [ Float.nan; Float.infinity; -0.1; 1.0 ];
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) (Printf.sprintf "tolerance %g valid" t) true
+        (Balance.valid_tolerance t))
+    [ 0.0; 0.02; 0.999 ]
+
 (* -- Bipartition -- *)
 
 let test_bipartition_weights () =
@@ -289,6 +312,8 @@ let () =
           Alcotest.test_case "fraction" `Quick test_balance_fraction;
           Alcotest.test_case "fraction clamped" `Quick test_balance_fraction_clamped;
           Alcotest.test_case "invalid" `Quick test_balance_invalid;
+          Alcotest.test_case "NaN and out-of-range tolerance" `Quick
+            test_balance_rejects_non_range;
         ] );
       ( "bipartition",
         [

@@ -650,6 +650,20 @@ let test_serve_survives_malformed () =
       let nope = get port "/no-such-endpoint" in
       Alcotest.(check int) "unknown path is 404" 404 nope.Http.status)
 
+(* a tolerance outside Balance's range is the request's fault: 400
+   before any job runs, never a 500 engine failure *)
+let test_serve_rejects_bad_tolerance () =
+  with_server (fun _server port ->
+      let counter = Hypart_telemetry.Metrics.counter_value in
+      let failures0 = counter "server.failures" in
+      List.iter
+        (fun tol ->
+          let resp = submit ~query:("&engine=flat&tol=" ^ tol) port in
+          Alcotest.(check int) ("tol=" ^ tol ^ " is 400") 400 resp.Http.status)
+        [ "1.5"; "1"; "0"; "-0.1"; "nan" ];
+      Alcotest.(check int) "no engine failure counted" failures0
+        (counter "server.failures"))
+
 (* a client that sends [Expect: 100-continue] holds the body back until
    the interim line arrives (curl waits about a second): the daemon must
    send it right after the head *)
@@ -1180,7 +1194,7 @@ let test_fleet_shards_both_servers () =
       List.iter
         (function
           | Ok o -> Alcotest.(check bool) "has assignment" true
-              (o.Fleet.assignment <> None)
+              (o.Client.assignment <> None)
           | Error msg -> Alcotest.fail msg)
         results;
       (* round-robin preference: both daemons actually served *)
@@ -1194,7 +1208,7 @@ let test_fleet_shards_both_servers () =
       match List.hd results with
       | Ok o ->
         Alcotest.(check int) "fleet cut = local cut" reference.Executor.cut
-          o.Fleet.cut
+          o.Client.cut
       | Error msg -> Alcotest.fail msg)
 
 let test_fleet_failover_on_dead_server () =
@@ -1209,7 +1223,7 @@ let test_fleet_failover_on_dead_server () =
       | Ok o ->
         Alcotest.(check string) "served by the live daemon"
           (Printf.sprintf "127.0.0.1:%d" port)
-          o.Fleet.served_by
+          o.Client.served_by
       | Error msg -> Alcotest.fail msg)
 
 let test_fleet_failover_mid_campaign () =
@@ -1273,14 +1287,14 @@ let fleet_campaign_executor fleet =
         (fun (j : Executor.job) res ->
           Result.map
             (fun (o : Fleet.outcome) ->
-              match o.Fleet.assignment with
+              match o.Client.assignment with
               | Some assignment ->
                 {
-                  Executor.cut = o.Fleet.cut;
-                  legal = o.Fleet.legal;
-                  seconds = o.Fleet.seconds;
+                  Executor.cut = o.Client.cut;
+                  legal = o.Client.legal;
+                  seconds = o.Client.seconds;
                   assignment;
-                  source = o.Fleet.served_by;
+                  source = o.Client.served_by;
                 }
               | None -> Executor.run_local problem j)
             res)
@@ -1396,6 +1410,8 @@ let () =
           Alcotest.test_case "deadline 504" `Quick test_serve_deadline_504;
           Alcotest.test_case "survives malformed" `Quick
             test_serve_survives_malformed;
+          Alcotest.test_case "bad tolerance is 400" `Quick
+            test_serve_rejects_bad_tolerance;
           Alcotest.test_case "expect 100-continue" `Quick
             test_serve_expect_continue;
           Alcotest.test_case "jobs and metrics" `Quick test_serve_jobs_and_metrics;
