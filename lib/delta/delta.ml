@@ -36,9 +36,30 @@ let is_hex_fp s =
        (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
        s
 
+(* The [n] side lines of a prior section, each read in place: nothing
+   is allocated per line. *)
+let prior_sides cur ~path ~pline n =
+  let sides = Array.make n 0 and one = [| 0 |] in
+  for i = 0 to n - 1 do
+    if not (Io.next cur) then
+      parse_error path pline
+        "truncated prior section: expected %d side lines, found %d" n i;
+    let line = Io.line_number cur in
+    if Io.line_ints cur one <> 1 then
+      parse_error path line "expected one side per prior line";
+    let s = one.(0) in
+    if s <> 0 && s <> 1 then
+      parse_error path line "prior side must be 0 or 1, got %d" s;
+    sides.(i) <- s
+  done;
+  if Io.next cur then
+    parse_error path (Io.line_number cur) "trailing line %S after prior section"
+      (Io.line cur);
+  sides
+
 (* data lines come from Netlist_io's line cursor, which skips blank and
    '%' lines but counts them, so diagnostics name the physical line *)
-let of_string ?(source = "<delta>") body =
+let decode ~source body =
   let path = source in
   let cur = Io.string_cursor ~source body in
   (* the next data line's number and fields *)
@@ -125,30 +146,14 @@ let of_string ?(source = "<delta>") body =
     let prior =
       match go () with
       | None -> None
-      | Some (pline, n) ->
-        let sides = Array.make n 0 in
-        let rec fill i =
-          match next () with
-          | Some (line, _) when i = n ->
-            parse_error path line "trailing line %S after prior section"
-              (Io.line cur)
-          | None when i = n -> Some sides
-          | None ->
-            parse_error path pline
-              "truncated prior section: expected %d side lines, found %d" n i
-          | Some (line, fields) ->
-            (match fields with
-            | [ s ] ->
-              let s = int_field path line s in
-              if s <> 0 && s <> 1 then
-                parse_error path line "prior side must be 0 or 1, got %d" s;
-              sides.(i) <- s
-            | _ -> parse_error path line "expected one side per prior line");
-            fill (i + 1)
-        in
-        fill 0
+      | Some (pline, n) -> Some (prior_sides cur ~path ~pline n)
     in
     { source; base = !base; ops = Array.of_list (List.rev !ops); prior }
+
+(* the cursor's own located errors (a prior side that is not an
+   integer) carry the same text and leave as this module's *)
+let of_string ?(source = "<delta>") body =
+  try decode ~source body with Io.Parse_error msg -> raise (Parse_error msg)
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -65,4 +65,6 @@ val run :
   outcome
 (** Warm-start [engine] on the patched instance from [prior], falling
     back to [scratch] per the guard above.  Emits [eco.warm_runs] /
-    [eco.fallback_runs] counters and the [eco.free_fraction] gauge. *)
+    [eco.fallback_runs] counters and the [eco.free_fraction] gauge, and
+    a warm run traces its phases as [eco.localize], [eco.extract],
+    [eco.refine] and [eco.splice] spans. *)

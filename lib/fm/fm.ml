@@ -310,26 +310,29 @@ let balance_margin st =
   let w0 = Bipartition.part_weight st.sol 0 in
   min (w0 - b.Balance.lower) (b.Balance.upper - w0)
 
-let select_side st side =
+(* A move is acceptable when it lands inside the balance window, or —
+   balance repair, needed when the initial solution starts outside an
+   asymmetric window — when it strictly reduces the violation.  [run]
+   applies this to its state once, so selecting a move allocates no
+   closure. *)
+let legal_move st v =
   let b = st.problem.Problem.balance in
-  (* a move is acceptable when it lands inside the balance window, or —
-     balance repair, needed when the initial solution starts outside an
-     asymmetric window — when it strictly reduces the violation *)
-  let legal v =
-    let w0 = Bipartition.part_weight st.sol 0 in
-    let w = H.vertex_weight st.h v in
-    let w0' = if Bipartition.side st.sol v = 0 then w0 - w else w0 + w in
-    let before = Balance.violation b ~part0_weight:w0 in
-    let after = Balance.violation b ~part0_weight:w0' in
-    if before = 0 then after = 0 else after < before
-  in
-  let r =
+  let w0 = Bipartition.part_weight st.sol 0 in
+  let w = H.vertex_weight st.h v in
+  let w0' = if Bipartition.side st.sol v = 0 then w0 - w else w0 + w in
+  let before = Balance.violation b ~part0_weight:w0 in
+  let after = Balance.violation b ~part0_weight:w0' in
+  if before = 0 then after = 0 else after < before
+
+(* the proposed move of [side], or -1 *)
+let select_side st legal side =
+  let v =
     Gain_container.select st.container ~side ~legal
       ~illegal_head:st.config.Fm_config.illegal_head
   in
   if Gain_container.last_select_corked st.container then
     st.n_corking <- st.n_corking + 1;
-  r
+  v
 
 (* Cut recomputed from the (repaired) pin counts in O(E) — only needed
    when a pass saw no legal prefix at all. *)
@@ -346,7 +349,7 @@ let cut_from_counts st =
    rollback depth (moves undone).  Rollback repairs [count0/count1] and
    [cur_cut] incrementally by replaying only the undone moves — the
    next pass starts from exact counts without an O(pins) rescan. *)
-let pass st =
+let pass st legal =
   let ws = st.ws in
   ws.Fm_workspace.generation <- ws.Fm_workspace.generation + 1;
   populate st;
@@ -379,16 +382,15 @@ let pass st =
   let last_from = ref (-1) in
   let continue = ref true in
   while !continue do
-    let c0 = select_side st 0 and c1 = select_side st 1 in
-    let chosen =
-      match (c0, c1) with
-      | None, None -> None
-      | Some (v, _), None | None, Some (v, _) -> Some v
-      | Some (v0, _), Some (v1, _) ->
+    let v0 = select_side st legal 0 and v1 = select_side st legal 1 in
+    let v =
+      if v0 < 0 then v1
+      else if v1 < 0 then v0
+      else
         let k0 = Gain_container.key st.container v0
         and k1 = Gain_container.key st.container v1 in
-        if k0 > k1 then Some v0
-        else if k1 > k0 then Some v1
+        if k0 > k1 then v0
+        else if k1 > k0 then v1
         else begin
           (* equal highest gains on both sides: the §2.2 tie-break *)
           let preferred =
@@ -397,17 +399,17 @@ let pass st =
             | Fm_config.Away -> if !last_from < 0 then 0 else 1 - !last_from
             | Fm_config.Toward -> if !last_from < 0 then 0 else !last_from
           in
-          Some (if preferred = 0 then v0 else v1)
+          if preferred = 0 then v0 else v1
         end
     in
-    match chosen with
-    | None -> continue := false
-    | Some v ->
+    if v < 0 then continue := false
+    else begin
       last_from := Bipartition.side st.sol v;
       apply_move st v;
       stack.(!n_applied) <- v;
       incr n_applied;
       consider !n_applied
+    end
   done;
   (* roll back to the best prefix (all of it if nothing legal was seen),
      repairing the pin counts move by move *)
@@ -462,6 +464,7 @@ let run ?(config = Fm_config.default) rng problem initial =
   st.cur_cut <- cut_from_counts st;
   let initial_legal = Bipartition.is_legal st.sol problem.Problem.balance in
   let best = ref (if initial_legal then st.cur_cut else max_int) in
+  let legal = legal_move st in
   let n_passes = ref 0 and n_empty = ref 0 in
   Trace.begin_span "fm.run";
   let improving = ref true in
@@ -473,7 +476,7 @@ let run ?(config = Fm_config.default) rng problem initial =
           re-prepared by the next run either way *)
        Hypart_engine.Cancel.check ();
        Trace.begin_span "fm.pass";
-       let pass_best, pass_moves, rollback = pass st in
+       let pass_best, pass_moves, rollback = pass st legal in
        incr n_passes;
        if pass_moves = 0 then incr n_empty;
        Trace.end_span "fm.pass"

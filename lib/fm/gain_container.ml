@@ -179,47 +179,42 @@ let head_of_max_bucket c ~side =
 
 let last_select_corked c = c.corked
 
+(* Loops, not local recursive functions: a selection runs once per
+   move and allocates nothing. *)
 let select c ~side ~legal ~illegal_head =
   c.corked <- false;
   let heads = c.heads.(side) in
   let b = settle_max c side in
-  if b < 0 then None
+  if b < 0 then nil
   else
     match illegal_head with
     | Fm_config.Skip_side ->
       let h = heads.(b) in
-      if legal h then Some (h, false)
+      if legal h then h
       else begin
         c.corked <- true;
-        None
+        nil
       end
     | Fm_config.Skip_bucket ->
-      let rec down b =
-        if b < 0 then None
-        else if heads.(b) = nil then down (b - 1)
-        else
-          let h = heads.(b) in
-          if legal h then Some (h, c.corked)
+      let b = ref b and found = ref nil in
+      while !found = nil && !b >= 0 do
+        let h = heads.(!b) in
+        if h <> nil then
+          if legal h then found := h else c.corked <- true;
+        decr b
+      done;
+      !found
+    | Fm_config.Scan_bucket ->
+      let b = ref b and found = ref nil in
+      while !found = nil && !b >= 0 do
+        let v = ref heads.(!b) in
+        while !found = nil && !v <> nil do
+          if legal !v then found := !v
           else begin
             c.corked <- true;
-            down (b - 1)
+            v := c.next.(!v)
           end
-      in
-      down b
-    | Fm_config.Scan_bucket ->
-      let rec scan_list v =
-        if v = nil then None
-        else if legal v then Some v
-        else begin
-          c.corked <- true;
-          scan_list c.next.(v)
-        end
-      in
-      let rec down b =
-        if b < 0 then None
-        else
-          match scan_list heads.(b) with
-          | Some v -> Some (v, c.corked)
-          | None -> down (b - 1)
-      in
-      down b
+        done;
+        decr b
+      done;
+      !found

@@ -73,14 +73,13 @@ val select :
   side:int ->
   legal:(int -> bool) ->
   illegal_head:Fm_config.illegal_head ->
-  (int * bool) option
+  int
 (** [select c ~side ~legal ~illegal_head] proposes the move for [side]:
     the head of the highest nonempty bucket, subject to the
-    illegal-head policy.  Returns [Some (v, corked)] where [corked]
-    reports whether at least one bucket head had to be skipped on the
-    way (a corking event), or [None] when the policy found no legal
-    move on this side ([None] with corking is recorded by the engine
-    via {!last_select_corked}). *)
+    illegal-head policy.  Returns the vertex, or [-1] when the policy
+    found no legal move on this side.  Whether at least one bucket head
+    had to be skipped on the way (a corking event) is read afterwards
+    with {!last_select_corked}.  Allocates nothing. *)
 
 val last_select_corked : t -> bool
 (** Whether the most recent {!select} call on this container skipped at

@@ -134,14 +134,15 @@ let pass st =
   done;
   let applied = ref [] and n_applied = ref 0 in
   let best_cut = ref st.cur_cut and best_idx = ref 0 in
+  let legal = legal_move st in
   let continue = ref true in
   while !continue do
-    match
-      Gain_container.select st.container ~side:0 ~legal:(legal_move st)
+    let m =
+      Gain_container.select st.container ~side:0 ~legal
         ~illegal_head:Fm_config.Skip_bucket
-    with
-    | None -> continue := false
-    | Some (m, _) ->
+    in
+    if m < 0 then continue := false
+    else begin
       let v = m / st.k and from = st.part_of.(m / st.k) in
       apply_move st m;
       applied := (v, from) :: !applied;
@@ -150,6 +151,7 @@ let pass st =
         best_cut := st.cur_cut;
         best_idx := !n_applied
       end
+    end
   done;
   (* roll back past the best prefix *)
   let undo = !n_applied - !best_idx in

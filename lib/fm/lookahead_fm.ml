@@ -126,24 +126,24 @@ let pass st =
     best_cut := st.cur_cut;
     best_idx := 0
   end;
+  let legal = legal_move st in
+  let pick side =
+    Gain_container.select st.container ~side ~legal
+      ~illegal_head:Fm_config.Skip_bucket
+  in
   let continue = ref true in
   while !continue do
-    let pick side =
-      Gain_container.select st.container ~side ~legal:(legal_move st)
-        ~illegal_head:Fm_config.Skip_bucket
+    let v0 = pick 0 and v1 = pick 1 in
+    let v =
+      if v0 < 0 then v1
+      else if v1 < 0 then v0
+      else if Gain_container.key st.container v0
+              >= Gain_container.key st.container v1
+      then v0
+      else v1
     in
-    let chosen =
-      match (pick 0, pick 1) with
-      | None, None -> None
-      | Some (v, _), None | None, Some (v, _) -> Some v
-      | Some (v0, _), Some (v1, _) ->
-        let k0 = Gain_container.key st.container v0
-        and k1 = Gain_container.key st.container v1 in
-        Some (if k0 >= k1 then v0 else v1)
-    in
-    match chosen with
-    | None -> continue := false
-    | Some v ->
+    if v < 0 then continue := false
+    else begin
       apply_move st v;
       moves := v :: !moves;
       incr n_applied;
@@ -153,6 +153,7 @@ let pass st =
         best_cut := st.cur_cut;
         best_idx := !n_applied
       end
+    end
   done;
   let undo = if !best_cut = max_int then !n_applied else !n_applied - !best_idx in
   let rec undo_moves k = function

@@ -233,6 +233,32 @@ let next_int c =
     true
   end
 
+(* Count the fields of the current line first, so a line with more
+   fields than [dst] holds is reported by its count and none of its
+   tokens is converted; otherwise convert them with [next_int]. *)
+let line_ints c dst =
+  let buf = c.buf and stop = c.stop in
+  let n = ref 0 and i = ref c.start in
+  while !i < stop do
+    while !i < stop && is_blank (Bytes.unsafe_get buf !i) do
+      incr i
+    done;
+    if !i < stop then begin
+      incr n;
+      while !i < stop && not (is_blank (Bytes.unsafe_get buf !i)) do
+        incr i
+      done
+    end
+  done;
+  if !n <= Array.length dst then begin
+    c.tok <- c.start;
+    for k = 0 to !n - 1 do
+      ignore (next_int c);
+      dst.(k) <- c.value
+    done
+  end;
+  !n
+
 (* Growable int32 vector: doubling push, zero-copy view of the filled
    prefix at the end. *)
 module Buf32 = struct
@@ -287,6 +313,10 @@ let hgr_string ?(with_weights = true) h =
 let write_hgr ?with_weights path h =
   with_out path (fun oc -> output_string oc (hgr_string ?with_weights h))
 
+(* vertices an .hgr header may name beyond its input size: a vertex
+   needs no line of its own, so isolated vertices are legal *)
+let isolated_allowance = 1 lsl 20
+
 (* Single pass: only the current line plus the growing CSR is held in
    memory, and nothing is allocated per line or per pin. *)
 let hgr_of_cursor c =
@@ -309,6 +339,10 @@ let hgr_of_cursor c =
   if ne < 0 then parse_error path hline "negative edge count %d" ne;
   if nv < 0 then parse_error path hline "negative vertex count %d" nv;
   if nv > max_i32 then parse_error path hline "vertex count %d exceeds int32" nv;
+  (* like [check_lines]: a 17-byte body cannot make the decoder
+     allocate gigabytes *)
+  if nv - isolated_allowance > c.size then
+    parse_error path hline "vertex count %d out of range" nv;
   if fmt <> 0 && fmt <> 1 && fmt <> 10 && fmt <> 11 then
     parse_error path hline "unsupported fmt %d" fmt;
   let has_ew = fmt = 1 || fmt = 11 in

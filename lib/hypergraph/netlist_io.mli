@@ -86,6 +86,17 @@ val fields : cursor -> string list
 (** Copies of the fields of the current data line: its runs of
     non-blanks, blanks being spaces and tabs. *)
 
+val line_ints : cursor -> int array -> int
+(** [line_ints c dst] reads the current data line as integer fields,
+    converting them where they lie: it returns the line's field count
+    and, when that count is at most [Array.length dst], stores the
+    values in [dst.(0 ..)] (a longer line is counted, not converted).
+    A field of an optional ['-'] and at most 18 decimal digits converts
+    without allocating; any other field is accepted exactly when
+    [int_of_string_opt] accepts it, with the same value.
+    @raise Parse_error ["<source>:<line>: expected integer, got <field>"]
+    for a field that is not an integer. *)
+
 (** {1 Individual formats} *)
 
 val write_hgr : ?with_weights:bool -> string -> Hypergraph.t -> unit

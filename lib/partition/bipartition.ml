@@ -1,17 +1,23 @@
 module H = Hypart_hypergraph.Hypergraph
+module Csr = Hypart_hypergraph.Hypergraph.Csr
 
 type t = { side : int array; weight : int array (* length 2 *) }
+
+(* One int32 CSR element as int; the compiler unboxes the [Int32.t]. *)
+let[@inline] ba (a : H.i32) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
 
 let make h side =
   if Array.length side <> H.num_vertices h then
     invalid_arg "Bipartition.make: assignment length mismatch";
-  let weight = [| 0; 0 |] in
-  Array.iteri
-    (fun v s ->
-      if s <> 0 && s <> 1 then invalid_arg "Bipartition.make: side must be 0 or 1";
-      weight.(s) <- weight.(s) + H.vertex_weight h v)
-    side;
-  { side = Array.copy side; weight }
+  let vw = Csr.vertex_weight h in
+  let w0 = ref 0 and w1 = ref 0 in
+  for v = 0 to Array.length side - 1 do
+    match side.(v) with
+    | 0 -> w0 := !w0 + ba vw v
+    | 1 -> w1 := !w1 + ba vw v
+    | _ -> invalid_arg "Bipartition.make: side must be 0 or 1"
+  done;
+  { side = Array.copy side; weight = [| !w0; !w1 |] }
 
 let side s v = s.side.(v)
 let num_vertices s = Array.length s.side
@@ -40,11 +46,23 @@ let pins_on_side h s e =
   H.iter_pins h e (fun v -> if s.side.(v) = 0 then incr c0 else incr c1);
   (!c0, !c1)
 
+(* a net is cut as soon as one pin sits on the other side from its
+   first pin: the scan of each pin slice stops there *)
 let cut h s =
+  let eoff = Csr.edge_offset h and epins = Csr.edge_pins h in
+  let ew = Csr.edge_weight h and side = s.side in
   let total = ref 0 in
   for e = 0 to H.num_edges h - 1 do
-    let c0, c1 = pins_on_side h s e in
-    if c0 > 0 && c1 > 0 then total := !total + H.edge_weight h e
+    let stop = ba eoff (e + 1) in
+    let first = ba eoff e in
+    if first < stop then begin
+      let s0 = side.(ba epins first) in
+      let i = ref (first + 1) in
+      while !i < stop && side.(ba epins !i) = s0 do
+        incr i
+      done;
+      if !i < stop then total := !total + ba ew e
+    end
   done;
   !total
 

@@ -16,6 +16,8 @@ module Problem = Hypart_partition.Problem
 module Engine = Hypart_engine.Engine
 module Rng = Hypart_rng.Rng
 module Fingerprint = Hypart_lab.Fingerprint
+module Trace = Hypart_telemetry.Trace
+module Control = Hypart_telemetry.Control
 
 let () = Eco_engines.register ()
 
@@ -100,6 +102,34 @@ let test_codec_corruption () =
   | exception Delta.Parse_error msg ->
     Alcotest.(check bool) "source in message" true
       (String.length msg >= 7 && String.sub msg 0 7 = "x.hgrd:"))
+
+(* prior lines are scanned in place; each malformed one still fails
+   with the message and line it always had *)
+let test_codec_prior_lines () =
+  List.iter
+    (fun (body, expected) ->
+      match Delta.of_string body with
+      | _ -> Alcotest.failf "accepted %S" body
+      | exception Delta.Parse_error msg ->
+        Alcotest.(check string) (String.escaped body) expected msg)
+    [
+      ("HGRD 1\nprior 2\n0\n2\n", "<delta>:4: prior side must be 0 or 1, got 2");
+      ("HGRD 1\nprior 2\n0\n-1\n", "<delta>:4: prior side must be 0 or 1, got -1");
+      ("HGRD 1\nprior 2\n0\n0 1\n", "<delta>:4: expected one side per prior line");
+      ("HGRD 1\nprior 2\n0\n0 x\n", "<delta>:4: expected one side per prior line");
+      ("HGRD 1\nprior 2\n0\nx 0\n", "<delta>:4: expected one side per prior line");
+      ("HGRD 1\nprior 2\n0\nx\n", "<delta>:4: expected integer, got \"x\"");
+      ( "HGRD 1\nprior 2\n0\n99999999999999999999\n",
+        "<delta>:4: expected integer, got \"99999999999999999999\"" );
+      ( "HGRD 1\nprior 2\n0\n",
+        "<delta>:2: truncated prior section: expected 2 side lines, found 1" );
+      ( "HGRD 1\nprior 1\n0\n% note\n1\n",
+        "<delta>:5: trailing line \"1\" after prior section" );
+    ];
+  (* a side token int_of_string_opt reads is a side, as it always was *)
+  match (Delta.of_string "HGRD 1\nprior 3\n 1\t\n0x1\r\n+0\n").Delta.prior with
+  | Some p -> Alcotest.(check (array int)) "sides" [| 1; 1; 0 |] p
+  | None -> Alcotest.fail "prior lost"
 
 let test_codec_line_numbers () =
   match Delta.of_string "HGRD 1\nrmnet 1\nrmnet 1\n" with
@@ -307,6 +337,71 @@ let test_rebalance_restores_legality () =
   let o = eco_run ~seed:5 p prior in
   Alcotest.(check bool) "legal" true o.Eco.result.Engine.Result.legal
 
+(* ---------------- the warm path's cost ---------------- *)
+
+(* the ibm01 twin at full size, an mlclip prior and one 1% delta: the
+   fixture of the daemon's eco_chain workload *)
+let ibm01_eco =
+  lazy
+    (let h = Suite.instance ~scale:1.0 "ibm01" in
+     let fp = Fingerprint.of_instance h in
+     let prior =
+       Bipartition.assignment
+         (Engine.run Hypart_multilevel.Ml_engines.mlclip (Rng.create 7)
+            (Problem.make ~tolerance:0.02 h)
+            None)
+           .Engine.Result.solution
+     in
+     let delta = Delta_gen.perturb ~rng:(Rng.create 11) ~fraction:0.01 h in
+     (Patch.apply ~base:h ~base_fingerprint:fp delta, prior, delta))
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* Deterministic counts of minor words, not timings.  On this fixture a
+   warm Eco.run used to allocate 1,436,621 minor words (lists and
+   closures per net and per pin in extraction and localization, tuples
+   in the cut); the budget is a tenth of that.  Decoding the delta with
+   its 12,752-line prior used to allocate 8.51 minor words per byte (a
+   string list per prior line); the budget is 0.5. *)
+let test_alloc_budget () =
+  let p, prior, delta = Lazy.force ibm01_eco in
+  let run () = eco_run ~seed:5 p prior in
+  (* the first run sizes the domain's FM workspace *)
+  Alcotest.(check bool) "warm" true ((run ()).Eco.mode = Eco.Warm);
+  let words = minor_words run in
+  if words > 143_662. then
+    Alcotest.failf "a warm Eco.run allocates %.0f minor words (budget 143662)"
+      words;
+  let body = Delta.to_string (Delta.with_prior delta (Some prior)) in
+  Alcotest.(check int) "prior lines" 12752 (Array.length prior);
+  ignore (Delta.of_string body);
+  let per_byte =
+    minor_words (fun () -> Delta.of_string body)
+    /. float_of_int (String.length body)
+  in
+  if per_byte > 0.5 then
+    Alcotest.failf
+      "Delta.of_string allocates %.2f minor words per byte (budget 0.5)"
+      per_byte
+
+(* a traced warm run attributes its time to the four ECO phases *)
+let test_eco_spans () =
+  let p, prior, _ = Lazy.force ibm01_eco in
+  Trace.reset ();
+  Control.enable ();
+  let o = Fun.protect ~finally:Control.disable (fun () -> eco_run ~seed:5 p prior) in
+  Alcotest.(check bool) "warm" true (o.Eco.mode = Eco.Warm);
+  let names = List.map (fun e -> e.Trace.name) (Trace.events ()) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " span") true (List.mem name names))
+    [ "eco.localize"; "eco.extract"; "eco.refine"; "eco.splice" ];
+  Alcotest.(check int) "balanced" 0 (Trace.unbalanced_spans ());
+  Trace.reset ()
+
 (* ---------------- generator ---------------- *)
 
 let test_gen_deterministic_and_applies () =
@@ -415,6 +510,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_codec_round_trip;
           Alcotest.test_case "corruption matrix" `Quick test_codec_corruption;
           Alcotest.test_case "line numbers" `Quick test_codec_line_numbers;
+          Alcotest.test_case "prior lines" `Quick test_codec_prior_lines;
           Alcotest.test_case "oversized prior" `Quick test_codec_oversized_prior;
           Alcotest.test_case "missing file" `Quick test_codec_missing_file;
           QCheck_alcotest.to_alcotest prop_codec_round_trip;
@@ -440,6 +536,11 @@ let () =
           Alcotest.test_case "fallback guard" `Quick test_fallback_guard;
           Alcotest.test_case "rebalance legality" `Quick
             test_rebalance_restores_legality;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
+          Alcotest.test_case "eco spans" `Quick test_eco_spans;
         ] );
       ( "generator",
         [

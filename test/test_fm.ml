@@ -143,10 +143,10 @@ let test_gc_drain_and_refill () =
   Gc.insert c ~side:0 ~key:(-9) 4;
   Alcotest.(check (option int)) "max tracks the refill" (Some 4)
     (Gc.head_of_max_bucket c ~side:0);
-  Alcotest.(check bool) "select sees the refilled side" true
+  Alcotest.(check int) "select sees the refilled side" 4
     (Gc.select c ~side:0 ~legal:(fun _ -> true)
-       ~illegal_head:Fm_config.Skip_side
-    = Some (4, false))
+       ~illegal_head:Fm_config.Skip_side);
+  Alcotest.(check bool) "no cork" false (Gc.last_select_corked c)
 
 let test_gc_ops_counters_disjoint () =
   (* update_key/refresh are repositions, not insert+remove pairs: the
@@ -178,8 +178,9 @@ let test_gc_select_skip_side () =
   let sel legal =
     Gc.select c ~side:0 ~legal ~illegal_head:Fm_config.Skip_side
   in
-  Alcotest.(check bool) "legal head selected" true (sel (fun _ -> true) = Some (1, false));
-  Alcotest.(check bool) "illegal head -> None" true (sel (fun v -> v <> 1) = None);
+  Alcotest.(check int) "legal head selected" 1 (sel (fun _ -> true));
+  Alcotest.(check bool) "no cork" false (Gc.last_select_corked c);
+  Alcotest.(check int) "illegal head -> none" (-1) (sel (fun v -> v <> 1));
   Alcotest.(check bool) "corked flag set" true (Gc.last_select_corked c)
 
 let test_gc_select_skip_bucket () =
@@ -190,7 +191,8 @@ let test_gc_select_skip_bucket () =
     Gc.select c ~side:0 ~legal:(fun v -> v <> 1)
       ~illegal_head:Fm_config.Skip_bucket
   in
-  Alcotest.(check bool) "falls through to lower bucket" true (r = Some (2, true))
+  Alcotest.(check int) "falls through to lower bucket" 2 r;
+  Alcotest.(check bool) "corked" true (Gc.last_select_corked c)
 
 let test_gc_select_scan_bucket () =
   let c = mk_container ~insertion:Fm_config.Lifo () in
@@ -201,13 +203,13 @@ let test_gc_select_scan_bucket () =
     Gc.select c ~side:0 ~legal:(fun v -> v = 1)
       ~illegal_head:Fm_config.Scan_bucket
   in
-  Alcotest.(check bool) "found beyond head" true (r = Some (1, true))
+  Alcotest.(check int) "found beyond head" 1 r;
+  Alcotest.(check bool) "corked" true (Gc.last_select_corked c)
 
 let test_gc_select_empty () =
   let c = mk_container () in
-  Alcotest.(check bool) "empty side" true
-    (Gc.select c ~side:0 ~legal:(fun _ -> true) ~illegal_head:Fm_config.Skip_side
-     = None);
+  Alcotest.(check int) "empty side" (-1)
+    (Gc.select c ~side:0 ~legal:(fun _ -> true) ~illegal_head:Fm_config.Skip_side);
   Alcotest.(check bool) "no cork on empty" false (Gc.last_select_corked c)
 
 let prop_gc_random_ops =

@@ -1,5 +1,7 @@
-(* Bit-identity pins for the multilevel kernels: CLIP populate order,
-   contraction and the four matching schemes.
+(* Bit-identity pins for the multilevel kernels (CLIP populate order,
+   contraction, the four matching schemes) and for the ECO warm path
+   (projection, localization, subproblem extraction, refinement and
+   splice).
 
    Each case digests a full assignment (or cluster map), not just a
    cut, on ibm01 at scale 4 — large enough that nets exceed the
@@ -18,6 +20,13 @@ module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module Matching = Hypart_multilevel.Matching
 module Ml = Hypart_multilevel.Ml_partitioner
+module Engine = Hypart_engine.Engine
+module Ml_engines = Hypart_multilevel.Ml_engines
+module Fingerprint = Hypart_lab.Fingerprint
+module Delta_gen = Hypart_delta.Delta_gen
+module Patch = Hypart_delta.Patch
+module Eco = Hypart_delta.Eco
+module Eco_engines = Hypart_delta.Eco_engines
 
 let instance = lazy (Suite.instance ~scale:4.0 "ibm01")
 let problem () = Problem.make ~tolerance:0.10 (Lazy.force instance)
@@ -127,6 +136,62 @@ let matching scheme () =
 
 let matching_cases =
   List.map (fun (name, s) -> ("matching " ^ name, matching s)) schemes
+
+(* An 8-link chain of stacked 1% deltas, each warm-started by eco_fm
+   from the previous link's answer, starting from an mlclip prior.  A
+   link digests its mode, free-set size, cut and assignment. *)
+let eco_links = 8
+
+let eco_digest (o : Eco.outcome) =
+  let r = o.Eco.result in
+  Printf.sprintf "%s/%d/%d:%s"
+    (match o.Eco.mode with Eco.Warm -> "warm" | Eco.Scratch -> "scratch")
+    o.Eco.free_vertices r.Engine.Result.cut
+    (digest_ints (Bipartition.assignment r.Engine.Result.solution))
+
+(* each link's patch and prior, and its eco_fm outcome *)
+let eco_chain =
+  lazy
+    (let h = Lazy.force instance in
+     let prior =
+       Engine.run Ml_engines.mlclip (Rng.create 1)
+         (Problem.make ~tolerance:0.02 h)
+         None
+     in
+     let rec go i h prior acc =
+       if i = eco_links then List.rev acc
+       else begin
+         let delta =
+           Delta_gen.perturb ~rng:(Rng.create (100 + i)) ~fraction:0.01 h
+         in
+         let p =
+           Patch.apply ~base:h ~base_fingerprint:(Fingerprint.of_instance h)
+             delta
+         in
+         let o =
+           Eco.run ~engine:Eco_engines.eco_fm ~scratch:Ml_engines.mlclip
+             ~seed:(i + 1) ~prior p
+         in
+         go (i + 1) p.Patch.hypergraph
+           (Bipartition.assignment o.Eco.result.Engine.Result.solution)
+           ((p, prior, o) :: acc)
+       end
+     in
+     go 0 h (Bipartition.assignment prior.Engine.Result.solution) [])
+
+let eco_cases =
+  [
+    ( "eco chain",
+      fun () ->
+        String.concat " "
+          (List.map (fun (_, _, o) -> eco_digest o) (Lazy.force eco_chain)) );
+    ( "eco chain eco_ml link",
+      fun () ->
+        let p, prior, _ = List.nth (Lazy.force eco_chain) 3 in
+        eco_digest
+          (Eco.run ~engine:Eco_engines.eco_ml ~scratch:Ml_engines.mlclip
+             ~seed:4 ~prior p) );
+  ]
 
 let expected =
   [
@@ -280,6 +345,19 @@ let expected =
           "2267:21fae97a1c66103840ce395e92808ff1/2623:c0f7c7e17baf078b06c0b006d2f9cb8d";
           "2265:5afc34f4bb84843caf00c9a0b977b41a/2626:f7258d96c76aba493f81baf8fadab36e";
         ] );
+    ( "eco chain",
+      String.concat " "
+        [
+          "warm/1617/244:9ac2c313e919fcc4f53e05ad25097d98";
+          "warm/1809/244:9e6a41dd3433b10088427b9b013467dc";
+          "warm/1250/248:bc5ae23f198b9344bece8e6028669407";
+          "warm/492/244:0c679aa011a231f9137d10d3021faa99";
+          "warm/1493/240:6ee2772821fe7af49eb76133da705ce2";
+          "warm/1302/241:f71c843b256b79806674043ad967f75b";
+          "warm/1752/241:3a0cc637d23cdb42114ce94d060532f0";
+          "warm/1782/240:c04c77ce905a52b05cb8999da2e5f32b";
+        ] );
+    ("eco chain eco_ml link", "warm/492/244:0a437d3ac013f0b188c697f5883cc559");
   ]
 
 let check (name, f) =
@@ -295,4 +373,5 @@ let () =
       ("multilevel", List.map check ml_cases);
       ("flat clip", List.map check flat_cases);
       ("matching", List.map check matching_cases);
+      ("eco", List.map check eco_cases);
     ]

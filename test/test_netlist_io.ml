@@ -116,9 +116,25 @@ let test_hgr_located_errors () =
   check_located "negative vertex count" "1 -4\n1 2\n" 1;
   check_located "vertex count beyond int32" "1 99999999999999999\n1\n" 1;
   check_located "edge count beyond the input" "99999999999 4\n1 2\n" 1;
+  check_located "vertex count beyond the input" "1 2000000000\n1 2\n" 1;
   check_located "pin out of range" "2 4\n1 2\n3 9\n" 3;
   check_located "pin not an integer" "2 4\n1 2\n3 x\n" 3;
   check_located "comment lines keep numbering" "% c\n2 4\n% c\n1 2\n3 9\n" 5
+
+(* A vertex needs no line, so an .hgr header may name isolated
+   vertices, but only up to the input's size plus 2^20 of them: a
+   17-byte body naming two billion vertices is refused before anything
+   is allocated for them, from a body and from a file alike. *)
+let test_hgr_vertex_count_bound () =
+  let huge = "1 2000000000\n1 2\n" in
+  (match Io.decode ~source:"<body>" Io.Hgr huge with
+  | _ -> Alcotest.fail "two billion vertices accepted"
+  | exception Io.Parse_error msg ->
+    Alcotest.(check string) "located" "<body>:1: vertex count 2000000000 out of range"
+      msg);
+  let h, _ = Io.decode ~source:"<body>" Io.Hgr "1 1000000\n1 2\n" in
+  Alcotest.(check int) "isolated vertices within the allowance" 1_000_000
+    (H.num_vertices h)
 
 let test_are_roundtrip () =
   let h = sample () in
@@ -689,6 +705,7 @@ let () =
           Alcotest.test_case "malformed inputs" `Quick test_hgr_errors;
           Alcotest.test_case "CRLF, blanks, tabs" `Quick test_hgr_crlf_and_blanks;
           Alcotest.test_case "located errors" `Quick test_hgr_located_errors;
+          Alcotest.test_case "vertex count bound" `Quick test_hgr_vertex_count_bound;
         ] );
       ( "are",
         [

@@ -297,6 +297,38 @@ let prop_initial_weights_consistent =
       && Bipartition.part_weight s 0 + Bipartition.part_weight s 1
          = H.total_vertex_weight h)
 
+(* The flat cut (a pin slice scan that stops at the first pin on the
+   other side) and the flat part weights against a recount through
+   [pins_on_side] and [vertex_weight], on random weighted hypergraphs
+   (single-pin nets included) and random assignments. *)
+let prop_flat_cut =
+  QCheck.Test.make ~name:"flat cut and weights equal a recount" ~count:200
+    ~long_factor:100 QCheck.small_nat (fun seed ->
+      let rng = Rng.create seed in
+      let nv = 1 + Rng.int rng 40 and ne = Rng.int rng 60 in
+      let edges =
+        Array.init ne (fun _ -> Array.init (1 + Rng.int rng 8) (fun _ -> Rng.int rng nv))
+      in
+      let h =
+        H.create ~num_vertices:nv
+          ~vertex_weights:(Array.init nv (fun _ -> 1 + Rng.int rng 9))
+          ~edge_weights:(Array.init ne (fun _ -> 1 + Rng.int rng 9))
+          ~edges ()
+      in
+      let s = Bipartition.make h (Array.init nv (fun _ -> Rng.int rng 2)) in
+      let cut = ref 0 in
+      for e = 0 to ne - 1 do
+        let c0, c1 = Bipartition.pins_on_side h s e in
+        if c0 > 0 && c1 > 0 then cut := !cut + H.edge_weight h e
+      done;
+      let w0 = ref 0 in
+      for v = 0 to nv - 1 do
+        if Bipartition.side s v = 0 then w0 := !w0 + H.vertex_weight h v
+      done;
+      Bipartition.cut h s = !cut
+      && Bipartition.part_weight s 0 = !w0
+      && Bipartition.part_weight s 1 = H.total_vertex_weight h - !w0)
+
 let () =
   Alcotest.run "partition"
     [
@@ -345,5 +377,9 @@ let () =
           Alcotest.test_case "cluster grown" `Quick test_initial_cluster_grown;
           Alcotest.test_case "cluster-grown respects fixed" `Quick test_initial_cluster_grown_fixed;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_initial_weights_consistent ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_initial_weights_consistent;
+          QCheck_alcotest.to_alcotest prop_flat_cut;
+        ] );
     ]

@@ -664,6 +664,19 @@ let test_serve_rejects_bad_tolerance () =
       Alcotest.(check int) "no engine failure counted" failures0
         (counter "server.failures"))
 
+(* an .hgr header naming far more vertices than its body could hold is
+   the request's fault: a located 400 before anything is allocated for
+   them, never a 500 engine failure *)
+let test_serve_rejects_huge_vertex_count () =
+  with_server (fun _server port ->
+      let counter = Hypart_telemetry.Metrics.counter_value in
+      let failures0 = counter "server.failures" in
+      let resp = submit ~body:"1 2000000000\n1 2\n" ~query:"&engine=flat" port in
+      Alcotest.(check int) "huge vertex count is 400" 400 resp.Http.status;
+      body_has "<body>:1: vertex count 2000000000 out of range" resp.Http.resp_body;
+      Alcotest.(check int) "no engine failure counted" failures0
+        (counter "server.failures"))
+
 (* a client that sends [Expect: 100-continue] holds the body back until
    the interim line arrives (curl waits about a second): the daemon must
    send it right after the head *)
@@ -1412,6 +1425,8 @@ let () =
             test_serve_survives_malformed;
           Alcotest.test_case "bad tolerance is 400" `Quick
             test_serve_rejects_bad_tolerance;
+          Alcotest.test_case "rejects huge vertex count" `Quick
+            test_serve_rejects_huge_vertex_count;
           Alcotest.test_case "expect 100-continue" `Quick
             test_serve_expect_continue;
           Alcotest.test_case "jobs and metrics" `Quick test_serve_jobs_and_metrics;
