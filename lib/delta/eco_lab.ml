@@ -5,10 +5,8 @@ module Bipartition = Hypart_partition.Bipartition
 module Engine = Hypart_engine.Engine
 module Machine = Hypart_engine.Machine
 module Rng = Hypart_rng.Rng
-module Cache = Hypart_lab.Cache
 module Run_store = Hypart_lab.Run_store
 module Fingerprint = Hypart_lab.Fingerprint
-module Provenance = Hypart_lab.Provenance
 
 type params = {
   scale : float;
@@ -65,10 +63,10 @@ let eco_config p =
     tolerance = p.tolerance;
   }
 
-(* Walk one instance's chain.  [on_step] sees every (step, key-side)
+(* Walk one instance's chain.  [on_cell] sees every (step, key-side)
    cell; when [execute] is set the engines actually run and fresh
-   records are appended, otherwise only the delta/patch replay happens
-   (the store-only report path). *)
+   records go into [store], otherwise only the delta/patch replay
+   happens (the store-only report path). *)
 type cell = {
   step : int;  (** 0 = the base from-scratch run *)
   role : string;  (** "warm" | "scratch" | "base" *)
@@ -76,59 +74,35 @@ type cell = {
   ops : int;
 }
 
-let fold_chain p ~instance ~execute ~cache ~store ~on_cell =
-  let cfg = config_fp p ~instance in
+let fold_chain p ~instance ~execute ~store ~on_cell =
+  let config = config_fp p ~instance in
   let h0 = Suite.instance ~scale:p.scale instance in
   let fp0 = Fingerprint.of_instance h0 in
-  let counts = ref (0, 0) in
-  (* cached, executed *)
-  let lookup_or_run ~engine ~instance_fp ~seed ~run =
-    let key = Run_store.key ~engine ~config:cfg ~instance:instance_fp ~seed in
-    match Cache.find cache ~key with
-    | Some r ->
-      let c, e = !counts in
-      counts := (c + 1, e);
-      (key, Some r, `Cached)
-    | None ->
-      if not execute then (key, None, `Pending)
-      else begin
-        let record = run key in
-        Cache.add cache record;
-        Option.iter (fun s -> Run_store.append s record) store;
-        let c, e = !counts in
-        counts := (c, e + 1);
-        (key, Some record, `Ran)
-      end
-  in
-  let mk_record ~engine ~instance_fp ~seed ~cut ~legal ~seconds =
-    {
-      Run_store.engine;
-      config = cfg;
-      instance = instance_fp;
-      seed;
-      cut;
-      legal;
-      seconds;
-      machine_factor = Provenance.machine_factor ();
-      git = Provenance.git_describe ();
-    }
-  in
-  let run_scratch problem seed instance_fp _key =
-    let result, seconds =
-      Machine.cpu_time (fun () ->
-          Engine.run Hypart_multilevel.Ml_engines.mlclip (Rng.create seed)
-            problem None)
+  let cached = ref 0 and executed = ref 0 in
+  (* [run ()] returns the engine result and its CPU seconds *)
+  let lookup_or_run ~role ~step ~ops ~engine ~instance ~seed ~run =
+    let key = Run_store.key ~engine ~config ~instance ~seed in
+    let record =
+      match Run_store.find store ~key with
+      | Some r ->
+        incr cached;
+        Some r
+      | None when not execute -> None
+      | None ->
+        let result, seconds = run () in
+        incr executed;
+        Some
+          (Run_store.record store ~engine ~config ~instance ~seed
+             ~cut:result.Engine.Result.cut ~legal:result.Engine.Result.legal
+             ~seconds)
     in
-    ( mk_record ~engine:scratch_engine ~instance_fp ~seed
-        ~cut:result.Engine.Result.cut ~legal:result.Engine.Result.legal
-        ~seconds,
-      Some result )
+    on_cell { step; role; key; ops } record
   in
   (* base run: needed both as a record and as the chain's first prior.
      An ECO flow starts from a carefully optimized full run, so the
      base is a multistart best-of-4 (a single unlucky start would
      handicap the whole warm chain).  On a warm store the record is
-     served from the cache and the assignment is recomputed
+     served from the store and the assignment is recomputed
      (bit-identical by the seeded-run contract); only the stored
      timing is ever reported. *)
   let base_seed = job_seed p ~instance ~role:"base" ~step:0 in
@@ -146,29 +120,18 @@ let fold_chain p ~instance ~execute ~cache ~store ~on_cell =
               base_problem None)
       in
       total := !total +. secs;
-      let better =
-        match !best with
-        | None -> true
-        | Some (b : Engine.Result.t) ->
-          (r.Engine.Result.legal && not b.Engine.Result.legal)
-          || r.Engine.Result.legal = b.Engine.Result.legal
-             && r.Engine.Result.cut < b.Engine.Result.cut
-      in
-      if better then best := Some r
+      match !best with
+      | Some b when not (Engine.Result.better r b) -> ()
+      | _ -> best := Some r
     done;
     (Option.get !best, !total)
   in
   let base_result = ref None in
-  let base_key, base_record, _ =
-    lookup_or_run ~engine:scratch_engine ~instance_fp:fp0 ~seed:base_seed
-      ~run:(fun _key ->
-        let result, seconds = run_base () in
-        base_result := Some result;
-        mk_record ~engine:scratch_engine ~instance_fp:fp0 ~seed:base_seed
-          ~cut:result.Engine.Result.cut ~legal:result.Engine.Result.legal
-          ~seconds)
-  in
-  on_cell { step = 0; role = "base"; key = base_key; ops = 0 } base_record;
+  lookup_or_run ~role:"base" ~step:0 ~ops:0 ~engine:scratch_engine
+    ~instance:fp0 ~seed:base_seed ~run:(fun () ->
+      let result, seconds = run_base () in
+      base_result := Some result;
+      (result, seconds));
   let prior =
     if execute then begin
       let result =
@@ -192,46 +155,31 @@ let fold_chain p ~instance ~execute ~cache ~store ~on_cell =
       let ops = Delta.num_ops delta in
       let warm_seed = job_seed p ~instance ~role:"warm" ~step:i in
       let scratch_seed = job_seed p ~instance ~role:"scratch" ~step:i in
+      let run_warm () =
+        Eco.run ~config:(eco_config p) ~engine:Eco_engines.eco_fm
+          ~scratch:Hypart_multilevel.Ml_engines.mlclip ~seed:warm_seed
+          ~prior:(Option.get prior) patch
+      in
       let warm_outcome = ref None in
-      let warm_key, warm_record, _ =
-        lookup_or_run ~engine:warm_engine ~instance_fp:patch.Patch.fingerprint
-          ~seed:warm_seed ~run:(fun _key ->
-            let o =
-              Eco.run ~config:(eco_config p) ~engine:Eco_engines.eco_fm
-                ~scratch:Hypart_multilevel.Ml_engines.mlclip ~seed:warm_seed
-                ~prior:(Option.get prior) patch
-            in
-            warm_outcome := Some o;
-            mk_record ~engine:warm_engine ~instance_fp:patch.Patch.fingerprint
-              ~seed:warm_seed ~cut:o.Eco.result.Engine.Result.cut
-              ~legal:o.Eco.result.Engine.Result.legal ~seconds:o.Eco.seconds)
-      in
-      on_cell { step = i; role = "warm"; key = warm_key; ops } warm_record;
-      let patched_problem =
-        lazy (Problem.make ~tolerance:p.tolerance patch.Patch.hypergraph)
-      in
-      let scratch_key, scratch_record, _ =
-        lookup_or_run ~engine:scratch_engine
-          ~instance_fp:patch.Patch.fingerprint ~seed:scratch_seed
-          ~run:(fun key ->
-            fst
-              (run_scratch (Lazy.force patched_problem) scratch_seed
-                 patch.Patch.fingerprint key))
-      in
-      on_cell
-        { step = i; role = "scratch"; key = scratch_key; ops }
-        scratch_record;
+      lookup_or_run ~role:"warm" ~step:i ~ops ~engine:warm_engine
+        ~instance:patch.Patch.fingerprint ~seed:warm_seed ~run:(fun () ->
+          let o = run_warm () in
+          warm_outcome := Some o;
+          (o.Eco.result, o.Eco.seconds));
+      lookup_or_run ~role:"scratch" ~step:i ~ops ~engine:scratch_engine
+        ~instance:patch.Patch.fingerprint ~seed:scratch_seed ~run:(fun () ->
+          let problem =
+            Problem.make ~tolerance:p.tolerance patch.Patch.hypergraph
+          in
+          Machine.cpu_time (fun () ->
+              Engine.run Hypart_multilevel.Ml_engines.mlclip
+                (Rng.create scratch_seed) problem None));
       let prior' =
         if execute then begin
-          (* the chain continues from the warm result; a cache hit
+          (* the chain continues from the warm result; a stored record
              recomputes it (deterministic), a fresh run reuses it *)
           let o =
-            match !warm_outcome with
-            | Some o -> o
-            | None ->
-              Eco.run ~config:(eco_config p) ~engine:Eco_engines.eco_fm
-                ~scratch:Hypart_multilevel.Ml_engines.mlclip ~seed:warm_seed
-                ~prior:(Option.get prior) patch
+            match !warm_outcome with Some o -> o | None -> run_warm ()
           in
           Some (Bipartition.assignment o.Eco.result.Engine.Result.solution)
         end
@@ -241,11 +189,10 @@ let fold_chain p ~instance ~execute ~cache ~store ~on_cell =
     end
   in
   step 1 h0 fp0 prior;
-  !counts
+  (!cached, !executed)
 
 let run p ~store_dir =
   Eco_engines.register ();
-  let cache = Cache.of_store store_dir in
   let store = Run_store.open_store store_dir in
   Fun.protect
     ~finally:(fun () -> Run_store.close store)
@@ -254,7 +201,7 @@ let run p ~store_dir =
       List.iter
         (fun instance ->
           let c, e =
-            fold_chain p ~instance ~execute:true ~cache ~store:(Some store)
+            fold_chain p ~instance ~execute:true ~store
               ~on_cell:(fun _ _ -> ())
           in
           cached := !cached + c;
@@ -264,11 +211,11 @@ let run p ~store_dir =
         jobs = List.length p.instances * ((2 * p.steps) + 1);
         cached = !cached;
         executed = !executed;
-        dropped = Cache.dropped cache;
+        dropped = Run_store.dropped store;
       })
 
 let report p ~store_dir =
-  let cache = Cache.of_store store_dir in
+  let store = Run_store.load store_dir in
   let b = Buffer.create 4096 in
   Printf.bprintf b "# eco campaign\n\n";
   Printf.bprintf b
@@ -284,7 +231,7 @@ let report p ~store_dir =
       Printf.bprintf b "|---:|---:|---:|---:|---:|---:|\n";
       let cells = Hashtbl.create 32 in
       ignore
-        (fold_chain p ~instance ~execute:false ~cache ~store:None
+        (fold_chain p ~instance ~execute:false ~store
            ~on_cell:(fun cell record ->
              Hashtbl.replace cells (cell.step, cell.role) (cell, record)));
       let fmt_cut = function

@@ -7,8 +7,6 @@ module Ml = Hypart_multilevel.Ml_partitioner
 module Fm = Hypart_fm.Fm
 module Fingerprint = Hypart_lab.Fingerprint
 module Run_store = Hypart_lab.Run_store
-module Cache = Hypart_lab.Cache
-module Provenance = Hypart_lab.Provenance
 module Rng = Hypart_rng.Rng
 module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
@@ -160,13 +158,11 @@ let run ?store ?executor ?initial config ~seed problem =
   let instance_fp = Fingerprint.of_instance h in
   let campaign = campaign_fingerprint config ~seed ~instance:instance_fp in
   let eval_fp = eval_fingerprint config in
-  let log, runs, cache =
+  let log, runs =
     match store with
-    | None -> (None, None, Cache.in_memory ())
+    | None -> (None, None)
     | Some dir ->
-      ( Some (Pop_log.open_log ~dir ~campaign),
-        Some (Run_store.open_store dir),
-        Cache.of_store dir )
+      (Some (Pop_log.open_log ~dir ~campaign), Some (Run_store.open_store dir))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -246,34 +242,17 @@ let run ?store ?executor ?initial config ~seed problem =
      record) and admit one candidate *)
   let persist_and_admit g (c : candidate) =
     if c.c_fresh then begin
-      (match runs with
-      | None -> ()
-      | Some rs ->
-        let engine, config_fp =
-          if c.c_kind = "recombine" then ("memetic-recombine", campaign)
-          else (config.base_engine, eval_fp)
-        in
-        let key =
-          Run_store.key ~engine ~config:config_fp ~instance:instance_fp
-            ~seed:c.c_seed
-        in
-        if not (Cache.mem cache ~key) then begin
-          let r =
-            {
-              Run_store.engine;
-              config = config_fp;
-              instance = instance_fp;
-              seed = c.c_seed;
-              cut = c.c_cut;
-              legal = c.c_legal;
-              seconds = c.c_seconds;
-              machine_factor = Machine.normalization_factor ();
-              git = Provenance.git_describe ();
-            }
+      Option.iter
+        (fun rs ->
+          let engine, config =
+            if c.c_kind = "recombine" then ("memetic-recombine", campaign)
+            else (config.base_engine, eval_fp)
           in
-          Run_store.append rs r;
-          Cache.add cache r
-        end);
+          ignore
+            (Run_store.record rs ~engine ~config ~instance:instance_fp
+               ~seed:c.c_seed ~cut:c.c_cut ~legal:c.c_legal
+               ~seconds:c.c_seconds))
+        runs;
       Option.iter
         (fun l ->
           Pop_log.append l

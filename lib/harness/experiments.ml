@@ -15,10 +15,9 @@ module Engine = Hypart_engine.Engine
 module Machine = Hypart_engine.Machine
 module Fm_engines = Hypart_fm.Fm_engines
 module Ml_engines = Hypart_multilevel.Ml_engines
-module Lab_cache = Hypart_lab.Cache
 module Lab_store = Hypart_lab.Run_store
 module Lab_fp = Hypart_lab.Fingerprint
-module Provenance = Hypart_lab.Provenance
+module Manifest = Hypart_lab.Manifest
 
 type fm_variant = Flat_lifo | Flat_clip | Ml_lifo | Ml_clip
 
@@ -81,58 +80,18 @@ let cuts_of_runs ~runs f =
 
 (* When a protocol is given a store directory, each unit of work (one
    seeded run) is content-addressed in the lib/lab run store: stored
-   runs are served from the cache — an unchanged re-invocation performs
-   zero engine runs — and fresh runs are appended, flushed per record.
+   runs are served from it — an unchanged re-invocation performs zero
+   engine runs — and fresh runs are recorded, flushed per record.
    Store-backed protocols derive one seed per run from the cell
    identity instead of consuming a shared RNG stream, so cached and
    fresh runs are interchangeable; the numbers therefore differ from
    the storeless shared-stream protocol but remain deterministic. *)
-type store_ctx = { cache : Lab_cache.t; handle : Lab_store.t; git : string }
-
-let open_store_ctx dir =
-  {
-    cache = Lab_cache.of_store dir;
-    handle = Lab_store.open_store dir;
-    git = Provenance.git_describe ();
-  }
-
-let close_store_ctx ctx = Lab_store.close ctx.handle
-
-(* [run] computes (cut, legal); timing, provenance and persistence are
-   handled here.  Returns stored or fresh (cut, seconds). *)
-let cached_run ctx ~engine_name ~config ~instance_fp ~seed run =
-  let key =
-    Lab_store.key ~engine:engine_name ~config ~instance:instance_fp ~seed
-  in
-  match Lab_cache.find ctx.cache ~key with
-  | Some r -> (r.Lab_store.cut, r.Lab_store.seconds)
-  | None ->
-    let (cut, legal), dt = Machine.cpu_time run in
-    let r =
-      {
-        Lab_store.engine = engine_name;
-        config;
-        instance = instance_fp;
-        seed;
-        cut;
-        legal;
-        seconds = dt;
-        machine_factor = Provenance.machine_factor ();
-        git = ctx.git;
-      }
-    in
-    Lab_store.append ctx.handle r;
-    Lab_cache.add ctx.cache r;
-    (cut, dt)
-
-let store_config ~scale ~tolerance ~protocol extra =
-  Lab_fp.of_pairs
-    ([
-       ("scale", Printf.sprintf "%.17g" scale);
-       ("tolerance", Printf.sprintf "%.17g" tolerance);
-       ("protocol", protocol);
-     ]
-    @ extra)
+let with_store store f =
+  match store with
+  | None -> f None
+  | Some dir ->
+    let s = Lab_store.open_store dir in
+    Fun.protect ~finally:(fun () -> Lab_store.close s) (fun () -> f (Some s))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -222,7 +181,7 @@ let table_multistart_eval ?(scale = 8.0) ?(repeats = 5)
     ?(configs = [ 1; 2; 4; 8; 16; 100 ]) ?(instances = Suite.names_eval)
     ?store ~tolerance ~seed () =
   Trace.span "exp.table_multistart_eval" @@ fun () ->
-  let ctx = Option.map open_store_ctx store in
+  with_store store @@ fun ctx ->
   let headers =
     "Circuit" :: List.map (fun n -> Printf.sprintf "%d start%s" n (if n = 1 then "" else "s")) configs
   in
@@ -275,18 +234,19 @@ let table_multistart_eval ?(scale = 8.0) ?(repeats = 5)
                     [ "tables45"; name; string_of_int starts; string_of_int r ]
                 in
                 let config =
-                  store_config ~scale ~tolerance ~protocol:"multistart+vcycle"
+                  Manifest.config_fingerprint ~scale ~tolerance
+                    ~protocol:"multistart+vcycle"
                     [ ("starts", string_of_int starts) ]
                 in
-                let cut, dt =
-                  cached_run ctx ~engine_name:"mlclip" ~config ~instance_fp
-                    ~seed:repeat_seed (fun () ->
+                let stored =
+                  Lab_store.memo ctx ~engine:"mlclip" ~config
+                    ~instance:instance_fp ~seed:repeat_seed (fun () ->
                       let rng = Rng.create repeat_seed in
                       let best, _ = repetition rng problem starts in
                       (best.Engine.Result.cut, best.Engine.Result.legal))
                 in
-                cuts.(r) <- float_of_int cut;
-                times.(r) <- Machine.normalize dt
+                cuts.(r) <- float_of_int stored.Lab_store.cut;
+                times.(r) <- Machine.normalize stored.Lab_store.seconds
             done;
             Printf.sprintf "%.1f/%.2f" (Descriptive.mean cuts)
               (Descriptive.mean times))
@@ -294,7 +254,6 @@ let table_multistart_eval ?(scale = 8.0) ?(repeats = 5)
       in
       Table.add_row table (name :: cells))
     instances;
-  Option.iter close_store_ctx ctx;
   table
 
 (* ------------------------------------------------------------------ *)
@@ -434,11 +393,12 @@ let ranking_figure ?(scale = 8.0) ?(starts = 15) ?(tolerance = 0.02)
 let compare_engines ?(scale = 8.0) ?(runs = 20) ?(tolerance = 0.02) ?store
     ~engine_a ~engine_b ~instance ~seed () =
   Hypart_engines.init ();
+  (* unknown names raise Invalid_argument listing the registry, before
+     anything is generated or a store is created *)
+  let a = Engine.find_exn engine_a in
+  let b = Engine.find_exn engine_b in
   let problem = instance_problem ~scale ~tolerance instance in
-  let ctx = Option.map open_store_ctx store in
-  let sample name =
-    (* unknown names raise Invalid_argument listing the registry *)
-    let engine = Engine.find_exn name in
+  let sample ctx name engine =
     match ctx with
     | None ->
       let rng = Rng.create seed in
@@ -455,7 +415,8 @@ let compare_engines ?(scale = 8.0) ?(runs = 20) ?(tolerance = 0.02) ?store
         Lab_fp.of_instance problem.Hypart_partition.Problem.hypergraph
       in
       let config =
-        store_config ~scale ~tolerance ~protocol:"single-start" []
+        Manifest.config_fingerprint ~scale ~tolerance ~protocol:"single-start"
+          []
       in
       let cuts = Array.make runs 0 in
       let total = ref 0.0 in
@@ -464,20 +425,22 @@ let compare_engines ?(scale = 8.0) ?(runs = 20) ?(tolerance = 0.02) ?store
           Lab_fp.mix_seed ~base:seed
             [ "compare"; name; instance; string_of_int i ]
         in
-        let cut, dt =
-          cached_run ctx ~engine_name:name ~config ~instance_fp ~seed:run_seed
-            (fun () ->
+        let stored =
+          Lab_store.memo ctx ~engine:name ~config ~instance:instance_fp
+            ~seed:run_seed (fun () ->
               let r = Engine.run engine (Rng.create run_seed) problem None in
               (r.Engine.Result.cut, r.Engine.Result.legal))
         in
-        cuts.(i) <- cut;
-        total := !total +. dt
+        cuts.(i) <- stored.Lab_store.cut;
+        total := !total +. stored.Lab_store.seconds
       done;
       (cuts, !total /. float_of_int runs)
   in
-  let cuts_a, time_a = sample engine_a in
-  let cuts_b, time_b = sample engine_b in
-  Option.iter close_store_ctx ctx;
+  let (cuts_a, time_a), (cuts_b, time_b) =
+    with_store store (fun ctx ->
+        let sa = sample ctx engine_a a in
+        (sa, sample ctx engine_b b))
+  in
   let table =
     Table.make
       ~headers:

@@ -117,15 +117,19 @@ let jobs t =
 let cell_id job =
   Printf.sprintf "%s/%s/%s" job.experiment.exp_name job.engine job.instance
 
-let config_fingerprint e =
+let config_fingerprint ~scale ~tolerance ~protocol extra =
   Fingerprint.of_pairs
-    [
-      ("scale", Printf.sprintf "%.17g" e.scale);
-      ("tolerance", Printf.sprintf "%.17g" e.tolerance);
-      ("protocol", "single-start");
-    ]
+    ([
+       ("scale", Printf.sprintf "%.17g" scale);
+       ("tolerance", Printf.sprintf "%.17g" tolerance);
+       ("protocol", protocol);
+     ]
+    @ extra)
+
+let job_config job =
+  config_fingerprint ~scale:job.experiment.scale
+    ~tolerance:job.experiment.tolerance ~protocol:"single-start" []
 
 let job_key ~instance_fp job =
-  Run_store.key ~engine:job.engine
-    ~config:(config_fingerprint job.experiment)
+  Run_store.key ~engine:job.engine ~config:(job_config job)
     ~instance:instance_fp ~seed:job.job_seed

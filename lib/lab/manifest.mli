@@ -67,10 +67,17 @@ val jobs : t -> job list
 val cell_id : job -> string
 (** ["exp/engine/instance"] — identifies a report cell. *)
 
-val config_fingerprint : experiment -> string
+val config_fingerprint :
+  scale:float -> tolerance:float -> protocol:string -> (string * string) list -> string
 (** Fingerprint of everything that parameterizes a run besides the
-    engine name, the instance content and the seed: scale, tolerance
-    and the run protocol. *)
+    engine name, the instance content and the seed: scale, tolerance,
+    the run protocol (["single-start"] for manifest jobs) and any extra
+    pairs the protocol adds.  The config of every store-backed
+    experiment protocol. *)
+
+val job_config : job -> string
+(** The {!config_fingerprint} of a job: its experiment's scale and
+    tolerance under the single-start protocol. *)
 
 val job_key : instance_fp:string -> job -> string
 (** The {!Run_store.key} of a job, given the fingerprint of its

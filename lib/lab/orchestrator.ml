@@ -49,64 +49,46 @@ let run ?domains ~store_dir ~(manifest : Manifest.t) () =
   Trace.span "lab.campaign" @@ fun () ->
   let jobs = Manifest.jobs manifest in
   let problems = build_problems manifest in
-  let cache = Cache.of_store store_dir in
+  let store = Run_store.open_store store_dir in
+  Fun.protect ~finally:(fun () -> Run_store.close store) @@ fun () ->
   let cached, pending =
     List.partition
       (fun job ->
         let _, instance_fp = problem_of problems job in
-        Cache.find cache ~key:(Manifest.job_key ~instance_fp job) <> None)
+        Run_store.find store ~key:(Manifest.job_key ~instance_fp job) <> None)
       jobs
   in
   if Tel.is_enabled () then begin
     Metrics.incr "lab.jobs" ~by:(List.length jobs);
     Metrics.incr "lab.jobs_cached" ~by:(List.length cached)
   end;
-  let executed =
-    if pending = [] then 0
-    else begin
-      let store = Run_store.open_store store_dir in
-      Fun.protect
-        ~finally:(fun () -> Run_store.close store)
-        (fun () ->
-          let pending = Array.of_list pending in
-          let git = Provenance.git_describe () in
-          let run_one i =
-            let job = pending.(i) in
-            let problem, instance_fp = problem_of problems job in
-            let engine = Engine.find_exn job.Manifest.engine in
-            let rng = Rng.create job.Manifest.job_seed in
-            let result, seconds =
-              Machine.cpu_time (fun () -> Engine.run engine rng problem None)
-            in
-            let record =
-              {
-                Run_store.engine = job.Manifest.engine;
-                config = Manifest.config_fingerprint job.Manifest.experiment;
-                instance = instance_fp;
-                seed = job.Manifest.job_seed;
-                cut = result.Engine.Result.cut;
-                legal = result.Engine.Result.legal;
-                seconds;
-                machine_factor = Provenance.machine_factor ();
-                git;
-              }
-            in
-            Run_store.append store record;
-            Cache.add cache record;
-            if Tel.is_enabled () then Metrics.incr "lab.runs"
-          in
-          (* shard by job index: each job carries its own derived seed,
-             so the results are bit-identical for any domain count and
-             only the append order in the file varies (the report is
-             order-independent) *)
-          let indices = List.init (Array.length pending) Fun.id in
-          ignore (Parallel.map_seeds ?domains ~seeds:indices run_one);
-          Array.length pending)
-    end
+  let pending = Array.of_list pending in
+  let run_one i =
+    let job = pending.(i) in
+    let problem, instance_fp = problem_of problems job in
+    let engine = Engine.find_exn job.Manifest.engine in
+    let rng = Rng.create job.Manifest.job_seed in
+    let result, seconds =
+      Machine.cpu_time (fun () -> Engine.run engine rng problem None)
+    in
+    ignore
+      (Run_store.record store ~engine:job.Manifest.engine
+         ~config:(Manifest.job_config job) ~instance:instance_fp
+         ~seed:job.Manifest.job_seed ~cut:result.Engine.Result.cut
+         ~legal:result.Engine.Result.legal ~seconds);
+    if Tel.is_enabled () then Metrics.incr "lab.runs"
   in
+  (* shard by job index: each job carries its own derived seed, so the
+     results are bit-identical for any domain count and only the append
+     order in the file varies (the report is order-independent) *)
+  if pending <> [||] then
+    ignore
+      (Parallel.map_seeds ?domains
+         ~seeds:(List.init (Array.length pending) Fun.id)
+         run_one);
   {
     jobs = List.length jobs;
     cached = List.length cached;
-    executed;
-    dropped = Cache.dropped cache;
+    executed = Array.length pending;
+    dropped = Run_store.dropped store;
   }

@@ -5,8 +5,8 @@
     derived from the cell identity, so the set of stored records is
     bit-identical whatever the domain count, and an interrupted
     campaign is resumed simply by running it again — completed cells
-    are served from the {!Cache} ([lab.cache_hits]), the rest execute
-    and append to the {!Run_store} one flushed record at a time. *)
+    are served from the {!Run_store} ([lab.cache_hits]), the rest
+    execute and are recorded into it one flushed record at a time. *)
 
 type outcome = {
   jobs : int;  (** total jobs the manifest expands to *)

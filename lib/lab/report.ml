@@ -29,7 +29,7 @@ type cell = {
 (* Look every job of a cell up by its content address; the result is a
    pure function of (manifest, store contents) — store file order, and
    hence domain scheduling, cannot influence it. *)
-let cell_of index fps (jobs : Manifest.job list) =
+let cell_of store fps (jobs : Manifest.job list) =
   let stored =
     List.filter_map
       (fun (job : Manifest.job) ->
@@ -37,7 +37,7 @@ let cell_of index fps (jobs : Manifest.job list) =
           Hashtbl.find fps
             (job.Manifest.instance, job.Manifest.experiment.Manifest.scale)
         in
-        Hashtbl.find_opt index (Manifest.job_key ~instance_fp job))
+        Run_store.find ~quiet:true store ~key:(Manifest.job_key ~instance_fp job))
       jobs
   in
   { stored; expected = List.length jobs }
@@ -63,13 +63,7 @@ let md_row cells = "| " ^ String.concat " | " cells ^ " |"
 let md_rule n = md_row (List.init n (fun _ -> "---"))
 
 let generate ?(timing = false) ~store_dir ~(manifest : Manifest.t) () =
-  let records, _dropped = Run_store.load store_dir in
-  let index = Hashtbl.create (max 64 (List.length records)) in
-  List.iter
-    (fun r ->
-      let k = Run_store.record_key r in
-      if not (Hashtbl.mem index k) then Hashtbl.add index k r)
-    records;
+  let store = Run_store.load store_dir in
   let fps = instance_fps manifest in
   (* group the flat job list back into cells, preserving run order *)
   let cell_jobs : (string, Manifest.job list) Hashtbl.t = Hashtbl.create 64 in
@@ -84,7 +78,7 @@ let generate ?(timing = false) ~store_dir ~(manifest : Manifest.t) () =
       Printf.sprintf "%s/%s/%s" e.Manifest.exp_name engine instance
     in
     let jobs = try List.rev (Hashtbl.find cell_jobs id) with Not_found -> [] in
-    cell_of index fps jobs
+    cell_of store fps jobs
   in
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in

@@ -1,4 +1,7 @@
 module Jsonl = Hypart_telemetry.Jsonl
+module Tel = Hypart_telemetry.Control
+module Metrics = Hypart_telemetry.Metrics
+module Machine = Hypart_engine.Machine
 
 type record = {
   engine : string;
@@ -52,40 +55,91 @@ let record_of_line line =
     let* git = Jsonl.string_member "git" fields in
     Some { engine; config; instance; seed; cut; legal; seconds; machine_factor; git }
 
-type t = Jsonl.t
+(* Read a store file: its index, the first record of every key in
+   file order, and the counts of malformed lines and of records that
+   repeat an earlier key.  The one "first record wins" rule. *)
+let scan dir =
+  let index = Hashtbl.create 64 in
+  let firsts, dropped, duplicates =
+    Jsonl.fold (filename dir)
+      (fun (firsts, dropped, duplicates) line ->
+        match record_of_line line with
+        | None -> (firsts, dropped + 1, duplicates)
+        | Some r ->
+          let k = record_key r in
+          if Hashtbl.mem index k then (firsts, dropped, duplicates + 1)
+          else begin
+            Hashtbl.add index k r;
+            (r :: firsts, dropped, duplicates)
+          end)
+      ([], 0, 0)
+  in
+  (index, List.rev firsts, dropped, duplicates)
 
-let open_store dir = Jsonl.open_log (filename dir)
-let append t r = Jsonl.append t (record_fields r)
-let close = Jsonl.close
+type t = {
+  index : (string, record) Hashtbl.t;
+  log : Jsonl.t option;
+  dropped : int;
+  lock : Mutex.t;
+}
 
 let load dir =
-  let records, dropped =
-    Jsonl.fold (filename dir)
-      (fun (records, dropped) line ->
-        match record_of_line line with
-        | Some r -> (r :: records, dropped)
-        | None -> (records, dropped + 1))
-      ([], 0)
+  let index, _, dropped, _ = scan dir in
+  { index; log = None; dropped; lock = Mutex.create () }
+
+(* the log opens first: it terminates a torn last line before the
+   index reads the file *)
+let open_store dir =
+  let log = Jsonl.open_log (filename dir) in
+  { (load dir) with log = Some log }
+
+let in_memory () =
+  { index = Hashtbl.create 64; log = None; dropped = 0; lock = Mutex.create () }
+
+let close t = Option.iter Jsonl.close t.log
+let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.index)
+let dropped t = t.dropped
+
+let find ?(quiet = false) t ~key =
+  let r = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.index key) in
+  if (not quiet) && Tel.is_enabled () then
+    Metrics.incr (match r with Some _ -> "lab.cache_hits" | None -> "lab.cache_misses");
+  r
+
+let record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds =
+  let r =
+    {
+      engine;
+      config;
+      instance;
+      seed;
+      cut;
+      legal;
+      seconds;
+      machine_factor = Provenance.machine_factor ();
+      git = Provenance.git_describe ();
+    }
   in
-  (List.rev records, dropped)
+  let k = record_key r in
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.index k with
+      | Some first -> first
+      | None ->
+        Option.iter (fun log -> Jsonl.append log (record_fields r)) t.log;
+        Hashtbl.add t.index k r;
+        r)
+
+let memo t ~engine ~config ~instance ~seed run =
+  match find t ~key:(key ~engine ~config ~instance ~seed) with
+  | Some r -> r
+  | None ->
+    let (cut, legal), seconds = Machine.cpu_time run in
+    record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds
 
 (* -- maintenance -- *)
 
 let compact dir =
-  let records, corrupt = load dir in
-  let seen = Hashtbl.create 256 in
-  let kept, duplicates =
-    List.fold_left
-      (fun (kept, dups) r ->
-        let k = record_key r in
-        if Hashtbl.mem seen k then (kept, dups + 1)
-        else begin
-          Hashtbl.add seen k ();
-          (r :: kept, dups)
-        end)
-      ([], 0) records
-  in
-  let kept = List.rev kept in
+  let _, kept, corrupt, duplicates = scan dir in
   let path = filename dir in
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in

@@ -1,19 +1,19 @@
 (** The persistent run store: one append-only JSONL file of completed
-    runs.
+    runs, and the one handle every writer records through.
 
     Every completed engine run becomes one JSON object on its own line
     of a {!Hypart_telemetry.Jsonl} log, and inherits its crash contract:
     a killed campaign loses at most the single run that was being
-    written, and {!load} drops malformed lines (in particular a
+    written, and loading drops malformed lines (in particular a
     truncated final line) instead of failing, so a crashed store is
-    always reusable as-is — resume is just "run again with the cache
+    always reusable as-is — resume is just "run again with the store
     warm".
 
     Records are content-addressed: {!key} combines the engine name,
     the configuration fingerprint, the instance fingerprint and the
     seed.  Two runs with equal keys are bit-identical by construction
-    (engines are deterministic functions of their seed), so the store
-    never needs to distinguish them.
+    (engines are deterministic functions of their seed), so the first
+    record of a key is the only one the store keeps.
 
     See [docs/EXPERIMENTS_STORE.md] for the on-disk schema. *)
 
@@ -38,35 +38,77 @@ val filename : string -> string
 (** [filename dir] is the JSONL path inside a store directory
     ([dir/runs.jsonl]). *)
 
-(** {1 Writing} *)
+(** {1 The store handle} *)
 
 type t
-(** An open store handle (append side).  Appends are serialized with a
-    mutex, so domains of a parallel campaign can share one handle. *)
+(** The key index (first record per key wins) and, for a store opened
+    on a directory, its append log.  Index and log change together
+    under one mutex, so the domains of a parallel campaign and the
+    daemon's workers share one handle. *)
 
 val open_store : string -> t
 (** [open_store dir] creates [dir] (and parents) if needed, terminates
-    an unterminated last line, and opens the store file for
+    an unterminated last line, loads the index and opens the file for
     appending. *)
 
-val append : t -> record -> unit
-(** Append one record and flush. *)
+val load : string -> t
+(** [load dir] loads the index read-only: it creates nothing on disk
+    (an absent store loads as empty), and {!record} on it indexes in
+    memory only. *)
+
+val in_memory : unit -> t
+(** An empty store backed by no file — for processes (the [hypart
+    serve] daemon without [--store], [evolve] without a store) that
+    deduplicate within their own lifetime. *)
 
 val close : t -> unit
+(** Close the append log, if any. *)
 
-(** {1 Reading} *)
+val size : t -> int
+(** Number of distinct keys held. *)
 
-val load : string -> record list * int
-(** [load dir] reads every intact record of the store, in file order,
-    plus the number of malformed lines dropped.  An absent store reads
-    as empty. *)
+val dropped : t -> int
+(** Malformed lines dropped while loading — non-zero after a crash
+    truncated the final record. *)
+
+val find : ?quiet:bool -> t -> key:string -> record option
+(** The record of [key].  Counts a [lab.cache_hits] or
+    [lab.cache_misses] unless [quiet] (default [false]). *)
+
+val record :
+  t ->
+  engine:string ->
+  config:string ->
+  instance:string ->
+  seed:int ->
+  cut:int ->
+  legal:bool ->
+  seconds:float ->
+  record
+(** Record one completed run: stamp it with the machine factor and the
+    [git describe] of this process ({!Provenance}), then index and
+    append it (flushed) under the store's lock.  A key that is already
+    indexed appends nothing and returns its first record. *)
+
+val memo :
+  t ->
+  engine:string ->
+  config:string ->
+  instance:string ->
+  seed:int ->
+  (unit -> int * bool) ->
+  record
+(** [memo t ~engine ~config ~instance ~seed run] is the stored record
+    of the key when there is one ({!find}); otherwise it times [run]
+    (returning [(cut, legal)]) with {!Hypart_engine.Machine.cpu_time}
+    and {!record}s the result. *)
 
 (** {1 Maintenance} *)
 
 val compact : string -> int * int
-(** [compact dir] rewrites the store atomically (write-temp + rename),
-    dropping malformed lines and duplicate keys (first occurrence
-    wins).  Returns [(kept, dropped)]. *)
+(** [compact dir] rewrites the store atomically (write-temp + rename)
+    with the records {!load} keeps, dropping malformed lines and
+    duplicate keys.  Returns [(kept, dropped)]. *)
 
 (** {1 Serialization (exposed for tests)} *)
 

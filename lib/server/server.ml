@@ -11,10 +11,8 @@ module Cancel = Hypart_engine.Cancel
 module Delta = Hypart_delta.Delta
 module Patch = Hypart_delta.Patch
 module Eco = Hypart_delta.Eco
-module Cache = Hypart_lab.Cache
 module Run_store = Hypart_lab.Run_store
 module Fingerprint = Hypart_lab.Fingerprint
-module Provenance = Hypart_lab.Provenance
 module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
 module Trace = Hypart_telemetry.Trace
@@ -61,9 +59,8 @@ type t = {
   bound_port : int;
   queue : conn Job_queue.t;
   jobs : Job_table.t;
-  cache : Cache.t;
+  runs : Run_store.t;
   instances : Instance_cache.t;
-  store : Run_store.t option;
   stop : bool Atomic.t;
   in_flight : int Atomic.t;
   started_s : float;  (* monotonic, for /healthz uptime *)
@@ -95,12 +92,11 @@ let create config =
     | ADDR_INET (_, p) -> p
     | _ -> config.port
   in
-  let cache =
+  let runs =
     match config.store with
-    | Some dir -> Cache.of_store dir
-    | None -> Cache.in_memory ()
+    | Some dir -> Run_store.open_store dir
+    | None -> Run_store.in_memory ()
   in
-  let store = Option.map Run_store.open_store config.store in
   let pipe_r, pipe_w = Unix.pipe () in
   {
     config;
@@ -112,9 +108,8 @@ let create config =
           Metrics.set_gauge "server.queue_depth" (float_of_int n))
         ();
     jobs = Job_table.create ~retention:config.retention;
-    cache;
+    runs;
     instances = Instance_cache.create ~max_bytes:config.instance_cache_bytes ();
-    store;
     stop = Atomic.make false;
     in_flight = Atomic.make 0;
     started_s = Clock.now_s ();
@@ -443,10 +438,10 @@ let serve t fd (req : Http.request) accepted_s admit =
       event "request.deadline" (jobf @ [ ("where", Jsonl.String where) ]);
       error 504 ("deadline exceeded " ^ when_)
     in
-    match Cache.find t.cache ~key with
+    match Run_store.find t.runs ~key with
     | Some r ->
       (* duplicate submission: answered from the content-addressed
-         cache, zero engine runs *)
+         run store, zero engine runs *)
       Metrics.incr "server.cache_served";
       let cut = r.Run_store.cut and legal = r.Run_store.legal in
       let seconds = r.Run_store.seconds in
@@ -479,21 +474,10 @@ let serve t fd (req : Http.request) accepted_s admit =
       | f ->
         let cut = f.result.Engine.Result.cut in
         let legal = f.result.Engine.Result.legal in
-        let record =
-          {
-            Run_store.engine = spec.engine;
-            config = spec.config_fp;
-            instance = spec.instance_fp;
-            seed = p.seed;
-            cut;
-            legal;
-            seconds = f.seconds;
-            machine_factor = Provenance.machine_factor ();
-            git = Provenance.git_describe ();
-          }
-        in
-        Cache.add t.cache record;
-        Option.iter (fun store -> Run_store.append store record) t.store;
+        ignore
+          (Run_store.record t.runs ~engine:spec.engine ~config:spec.config_fp
+             ~instance:spec.instance_fp ~seed:p.seed ~cut ~legal
+             ~seconds:f.seconds);
         Metrics.incr "server.jobs_executed";
         Metrics.observe "server.engine_seconds" f.seconds;
         finish Job_table.Done ~cut ~legal ~seconds:f.seconds;
@@ -728,7 +712,7 @@ let healthz_body t =
       ("in_flight", J.int (Atomic.get t.in_flight));
       ("workers", J.int t.config.workers);
       ("jobs_total", J.int (Job_table.total t.jobs));
-      ("cache_size", J.int (Cache.size t.cache));
+      ("cache_size", J.int (Run_store.size t.runs));
       ("instances_resident", J.int (Instance_cache.resident t.instances));
       ("instance_cache_bytes", J.int (Instance_cache.bytes t.instances));
       (* instrumentation self-check: nonzero means some code path has
@@ -911,5 +895,5 @@ let run t =
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
   (try Unix.close t.pipe_w with Unix.Unix_error _ -> ());
-  Option.iter Run_store.close t.store;
+  Run_store.close t.runs;
   Log.info (fun m -> m "drained, exiting")

@@ -14,13 +14,12 @@
     the CLI's [--domains] path — deterministic regardless of the
     worker pool size.
 
-    Duplicate submissions are content-addressed through
-    {!Hypart_lab.Cache}: the key combines engine name, config
+    Duplicate submissions are content-addressed through a
+    {!Hypart_lab.Run_store}: the key combines engine name, config
     fingerprint, instance fingerprint and seed, so an identical
-    resubmission is answered from the cache with zero engine runs
-    (and, with [store], the cache is persistent across daemon
-    restarts — every fresh run appends a {!Hypart_lab.Run_store}
-    record).  Request bodies are content-cached too
+    resubmission is answered from the store with zero engine runs
+    (in memory, or, with [store], persistent across daemon restarts —
+    every fresh run appends one record).  Request bodies are content-cached too
     ({!Instance_cache}): resubmitting the same netlist bytes — one
     huge instance under many seeds, say — reuses the parsed
     hypergraph and fingerprint without reparsing, and the packed
@@ -52,8 +51,9 @@
     - [deadline_ms] counts from admission; it is checked when the
       request leaves the queue and polled during the run, and expiry
       is answered [504] ([server.deadline_exceeded]);
-    - a fresh run is recorded in the cache and the run store and
-      counted in [server.jobs_executed]; an engine that raises is
+    - a fresh run is recorded in the run store (a key that a
+      concurrent run already recorded appends nothing) and counted in
+      [server.jobs_executed]; an engine that raises is
       answered [500] ([server.failures]);
     - answers are JSON, or with [out=plain] the partition file with
       all metadata in [X-Hypart-*] headers.
@@ -82,8 +82,9 @@ val default_config : config
 type t
 
 val create : config -> t
-(** Bind and listen (so {!port} is valid immediately), load the cache
-    (from [store] when given), and enable telemetry collection.
+(** Bind and listen (so {!port} is valid immediately), open the run
+    store ([store], or an in-memory one), and enable telemetry
+    collection.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val port : t -> int

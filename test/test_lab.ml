@@ -7,7 +7,6 @@
 module Jsonl = Hypart_telemetry.Jsonl
 module Fingerprint = Hypart_lab.Fingerprint
 module Run_store = Hypart_lab.Run_store
-module Cache = Hypart_lab.Cache
 module Manifest = Hypart_lab.Manifest
 module Orchestrator = Hypart_lab.Orchestrator
 module Report = Hypart_lab.Report
@@ -169,51 +168,111 @@ let sample_record ?(seed = 1) ?(cut = 70) () =
     git = "deadbee";
   }
 
+(* the raw file: every intact record in file order, duplicate keys
+   included, plus the count of malformed lines *)
+let read_store dir =
+  let records, dropped =
+    Jsonl.fold (Run_store.filename dir)
+      (fun (records, dropped) line ->
+        match Run_store.record_of_line line with
+        | Some r -> (r :: records, dropped)
+        | None -> (records, dropped + 1))
+      ([], 0)
+  in
+  (List.rev records, dropped)
+
+(* fixtures with exact or duplicate fields bypass [Run_store.record],
+   which stamps git and machine itself and refuses a known key *)
+let write_fixture dir records =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644
+    (Run_store.filename dir) (fun oc ->
+      List.iter
+        (fun r -> output_string oc (Run_store.record_to_line r ^ "\n"))
+        records)
+
+let record store (r : Run_store.record) =
+  Run_store.record store ~engine:r.Run_store.engine ~config:r.Run_store.config
+    ~instance:r.Run_store.instance ~seed:r.Run_store.seed ~cut:r.Run_store.cut
+    ~legal:r.Run_store.legal ~seconds:r.Run_store.seconds
+
 let test_store_append_load () =
   let dir = tmp_dir () in
   let store = Run_store.open_store dir in
-  Run_store.append store (sample_record ~seed:1 ~cut:70 ());
-  Run_store.append store (sample_record ~seed:2 ~cut:72 ());
+  ignore (record store (sample_record ~seed:1 ~cut:70 ()));
+  ignore (record store (sample_record ~seed:2 ~cut:72 ()));
   Run_store.close store;
-  let records, dropped = Run_store.load dir in
+  let records, dropped = read_store dir in
   Alcotest.(check int) "two records" 2 (List.length records);
   Alcotest.(check int) "nothing dropped" 0 dropped;
   let r = List.hd records in
   Alcotest.(check string) "engine survives" "flat" r.Run_store.engine;
   Alcotest.(check int) "cut survives" 70 r.Run_store.cut;
   Alcotest.(check bool) "legal survives" true r.Run_store.legal;
-  Alcotest.(check string) "git survives" "deadbee" r.Run_store.git
+  Alcotest.(check string) "git stamped" (Hypart_lab.Provenance.git_describe ())
+    r.Run_store.git;
+  let loaded = Run_store.load dir in
+  Alcotest.(check int) "load indexes both" 2 (Run_store.size loaded);
+  Alcotest.(check (option int)) "load finds the cut" (Some 72)
+    (Option.map
+       (fun r -> r.Run_store.cut)
+       (Run_store.find loaded
+          ~key:(Run_store.record_key (sample_record ~seed:2 ()))))
+
+let test_store_duplicate_record () =
+  let dir = tmp_dir () in
+  let store = Run_store.open_store dir in
+  let first = record store (sample_record ~seed:1 ~cut:70 ()) in
+  let again = record store (sample_record ~seed:1 ~cut:99 ()) in
+  Run_store.close store;
+  Alcotest.(check int) "second record returns the first" first.Run_store.cut
+    again.Run_store.cut;
+  let records, _ = read_store dir in
+  Alcotest.(check int) "one line" 1 (List.length records);
+  (* the same holds across handles: a reopened store knows the key *)
+  let store = Run_store.open_store dir in
+  ignore (record store (sample_record ~seed:1 ~cut:99 ()));
+  Run_store.close store;
+  Alcotest.(check int) "still one line" 1 (List.length (fst (read_store dir)))
+
+let test_store_load_read_only () =
+  let dir = tmp_dir () in
+  let store = Run_store.load dir in
+  Alcotest.(check int) "absent store is empty" 0 (Run_store.size store);
+  ignore (record store (sample_record ()));
+  Run_store.close store;
+  Alcotest.(check int) "indexed in memory" 1 (Run_store.size store);
+  Alcotest.(check bool) "nothing created" false (Sys.file_exists dir)
 
 let test_store_truncated_tail () =
   let dir = tmp_dir () in
-  let store = Run_store.open_store dir in
-  Run_store.append store (sample_record ~seed:1 ());
-  Run_store.append store (sample_record ~seed:2 ());
-  Run_store.close store;
+  write_fixture dir [ sample_record ~seed:1 (); sample_record ~seed:2 () ];
   (* simulate a crash mid-write: chop the last 10 bytes *)
   let path = Run_store.filename dir in
   let len = (Unix.stat path).Unix.st_size in
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
   Unix.ftruncate fd (len - 10);
   Unix.close fd;
-  let records, dropped = Run_store.load dir in
+  let records, dropped = read_store dir in
   Alcotest.(check int) "intact record kept" 1 (List.length records);
   Alcotest.(check int) "truncated record dropped" 1 dropped;
   (* the store stays appendable after the crash *)
   let store = Run_store.open_store dir in
-  Run_store.append store (sample_record ~seed:3 ());
+  Alcotest.(check int) "open counts the torn line" 1 (Run_store.dropped store);
+  ignore (record store (sample_record ~seed:3 ()));
   Run_store.close store;
-  let records, _ = Run_store.load dir in
+  let records, _ = read_store dir in
   Alcotest.(check int) "append after crash" 2 (List.length records)
 
 let test_store_compact () =
   let dir = tmp_dir () in
-  let store = Run_store.open_store dir in
-  Run_store.append store (sample_record ~seed:1 ~cut:70 ());
-  Run_store.append store (sample_record ~seed:1 ~cut:99 ());
-  (* duplicate key *)
-  Run_store.append store (sample_record ~seed:2 ~cut:72 ());
-  Run_store.close store;
+  write_fixture dir
+    [
+      sample_record ~seed:1 ~cut:70 ();
+      sample_record ~seed:1 ~cut:99 ();
+      (* duplicate key *)
+      sample_record ~seed:2 ~cut:72 ();
+    ];
   let oc =
     open_out_gen [ Open_append ] 0o644 (Run_store.filename dir)
   in
@@ -222,7 +281,7 @@ let test_store_compact () =
   let kept, dropped = Run_store.compact dir in
   Alcotest.(check int) "kept distinct keys" 2 kept;
   Alcotest.(check int) "dropped dup + malformed" 2 dropped;
-  let records, d = Run_store.load dir in
+  let records, d = read_store dir in
   Alcotest.(check int) "clean after compact" 0 d;
   let first =
     List.find (fun r -> r.Run_store.seed = 1) records
@@ -257,12 +316,9 @@ let prop_store_truncation =
   QCheck.Test.make ~name:"store survives truncation at every byte" ~count:10
     ~long_factor:10 arb_records (fun records ->
       let dir = tmp_dir () in
-      let store = Run_store.open_store dir in
-      List.iter (Run_store.append store) records;
-      Run_store.close store;
+      write_fixture dir records;
       let path = Run_store.filename dir in
       let bytes = In_channel.with_open_bin path In_channel.input_all in
-      let fresh = sample_record ~seed:(-1) ~cut:1 () in
       let lines rs = List.map Run_store.record_to_line rs in
       for cut = 0 to String.length bytes do
         Out_channel.with_open_bin path (fun oc ->
@@ -276,9 +332,9 @@ let prop_store_truncation =
             ([], 0) records
         in
         let store = Run_store.open_store dir in
-        Run_store.append store fresh;
+        let fresh = record store (sample_record ~seed:(-1) ~cut:1 ()) in
         Run_store.close store;
-        let got, dropped = Run_store.load dir in
+        let got, dropped = read_store dir in
         if lines got <> lines (List.rev (fresh :: complete)) || dropped > 1 then
           QCheck.Test.fail_reportf "cut at byte %d: %d records back, %d dropped"
             cut (List.length got) dropped
@@ -291,16 +347,15 @@ let prop_store_truncation =
 
 let test_cache_counters () =
   let dir = tmp_dir () in
-  let store = Run_store.open_store dir in
   let r = sample_record () in
-  Run_store.append store r;
-  Run_store.close store;
-  let cache = Cache.of_store dir in
-  Alcotest.(check int) "one key" 1 (Cache.size cache);
+  write_fixture dir [ r ];
+  let cache = Run_store.load dir in
+  Alcotest.(check int) "one key" 1 (Run_store.size cache);
   Control.with_enabled (fun () ->
       Metrics.reset ();
-      ignore (Cache.find cache ~key:(Run_store.record_key r));
-      ignore (Cache.find cache ~key:"missing/key/x/1");
+      ignore (Run_store.find cache ~key:(Run_store.record_key r));
+      ignore (Run_store.find cache ~key:"missing/key/x/1");
+      ignore (Run_store.find ~quiet:true cache ~key:"missing/key/x/2");
       Alcotest.(check int) "one hit" 1 (Metrics.counter_value "lab.cache_hits");
       Alcotest.(check int) "one miss" 1
         (Metrics.counter_value "lab.cache_misses");
@@ -424,6 +479,107 @@ let test_report_incomplete_cells () =
   Alcotest.(check bool) "empty store renders" true
     (String.length empty > 0)
 
+(* ---------------- store writers ---------------- *)
+
+(* Every module that writes the run store, driven at tiny scale into a
+   fresh store.  The digest covers the store's sorted lines with the
+   timing and provenance fields masked, so it pins the keys, cuts and
+   legality flags (the store bytes a change to the writers must keep);
+   a second pass over the same store must run no engine and append
+   nothing. *)
+
+let store_lines dir =
+  In_channel.with_open_bin (Run_store.filename dir) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let masked_digest dir =
+  store_lines dir
+  |> List.map (fun line ->
+         match Run_store.record_of_line line with
+         | None -> Alcotest.failf "malformed store line %S" line
+         | Some r ->
+           Run_store.record_to_line
+             { r with Run_store.seconds = 0.; machine_factor = 0.; git = "" })
+  |> List.sort compare |> String.concat "\n" |> Fingerprint.of_string
+
+(* [write dir] drives the writer and returns its count of executed
+   runs, or [None] for writers that report none (their rerun must then
+   run no FM pass at all) *)
+let check_writer ~lines ~digest write () =
+  let dir = tmp_dir () in
+  ignore (write dir);
+  let first = store_lines dir in
+  Alcotest.(check int) "records" lines (List.length first);
+  Alcotest.(check string) "masked digest" digest (masked_digest dir);
+  Control.with_enabled (fun () ->
+      Metrics.reset ();
+      (match write dir with
+      | Some executed -> Alcotest.(check int) "rerun executes nothing" 0 executed
+      | None ->
+        Alcotest.(check int) "rerun runs no engine" 0
+          (Metrics.counter_value "fm.runs"));
+      Alcotest.(check int) "rerun misses nothing" 0
+        (Metrics.counter_value "lab.cache_misses");
+      Metrics.reset ());
+  Alcotest.(check (list string)) "rerun appends nothing" first (store_lines dir)
+
+let orchestrator_writer dir =
+  let manifest = Manifest.campaign ~scale:64.0 ~runs:3 ~seed:1 "smoke" in
+  Some (Orchestrator.run ~domains:2 ~store_dir:dir ~manifest ()).Orchestrator.executed
+
+let tables45_writer store =
+  ignore
+    (Hypart_harness.Experiments.table_multistart_eval ~scale:64.0 ~repeats:2
+       ~configs:[ 1; 2 ] ~instances:[ "ibm01" ] ~store ~tolerance:0.1 ~seed:1
+       ());
+  None
+
+let compare_writer store =
+  ignore
+    (Hypart_harness.Experiments.compare_engines ~scale:64.0 ~runs:3 ~store
+       ~engine_a:"flat" ~engine_b:"clip" ~instance:"ibm01" ~seed:1 ());
+  None
+
+let eco_writer store_dir =
+  let p =
+    { (Hypart_delta.Eco_lab.params ~scale:64.0 ~steps:2 ~seed:1 ()) with
+      Hypart_delta.Eco_lab.instances = [ "ibm01" ] }
+  in
+  Some (Hypart_delta.Eco_lab.run p ~store_dir).Hypart_delta.Eco_lab.executed
+
+(* an unknown engine is refused before the store directory exists *)
+let test_compare_unknown_engine () =
+  let dir = tmp_dir () in
+  Alcotest.check_raises "unknown engine"
+    (Invalid_argument
+       (Printf.sprintf "unknown engine %S (registered: %s)" "bogus"
+          (String.concat " | " (Hypart_engine.Engine.names ()))))
+    (fun () ->
+      ignore
+        (Hypart_harness.Experiments.compare_engines ~scale:64.0 ~runs:1
+           ~store:dir ~engine_a:"bogus" ~engine_b:"flat" ~instance:"ibm01"
+           ~seed:1 ()));
+  Alcotest.(check bool) "no store created" false (Sys.file_exists dir)
+
+let evolve_writer store =
+  let module Evolve = Hypart_evolve.Evolve in
+  let config =
+    {
+      Evolve.default with
+      Evolve.population = 4;
+      generations = 2;
+      recombinations = 2;
+      immigrants = 1;
+      domains = Some 1;
+    }
+  in
+  let problem =
+    Hypart_partition.Problem.make ~tolerance:0.02
+      (Hypart_generator.Ibm_suite.instance ~scale:64.0 "ibm01")
+  in
+  Some (Evolve.run ~store config ~seed:5 problem).Evolve.evaluated
+
 let () =
   Hypart_engines.init ();
   Alcotest.run "lab"
@@ -449,12 +605,30 @@ let () =
           Alcotest.test_case "append/load" `Quick test_store_append_load;
           Alcotest.test_case "truncated tail" `Quick test_store_truncated_tail;
           Alcotest.test_case "compact" `Quick test_store_compact;
+          Alcotest.test_case "duplicate record" `Quick
+            test_store_duplicate_record;
+          Alcotest.test_case "read-only load" `Quick test_store_load_read_only;
           Alcotest.test_case "record line round trip" `Quick
             test_record_line_round_trip;
           QCheck_alcotest.to_alcotest prop_store_truncation;
         ] );
       ( "cache",
         [ Alcotest.test_case "hit/miss counters" `Quick test_cache_counters ] );
+      ( "writers",
+        [
+          Alcotest.test_case "orchestrator" `Quick
+            (check_writer ~lines:3 ~digest:"339eccf17edff468" orchestrator_writer);
+          Alcotest.test_case "tables45" `Quick
+            (check_writer ~lines:4 ~digest:"9b3cdfe11b802393" tables45_writer);
+          Alcotest.test_case "compare" `Quick
+            (check_writer ~lines:6 ~digest:"0468b6bc4c130a6a" compare_writer);
+          Alcotest.test_case "eco" `Quick
+            (check_writer ~lines:5 ~digest:"a09de8d565e38662" eco_writer);
+          Alcotest.test_case "evolve" `Quick
+            (check_writer ~lines:10 ~digest:"7c51c347451743d1" evolve_writer);
+          Alcotest.test_case "compare unknown engine" `Quick
+            test_compare_unknown_engine;
+        ] );
       ( "campaign",
         [
           Alcotest.test_case "manifest validation" `Quick

@@ -366,7 +366,7 @@ let () =
          done;
          trivial_result problem rng))
 
-let with_server ?(workers = 2) ?(queue_capacity = 8) f =
+let with_server ?(workers = 2) ?(queue_capacity = 8) ?store f =
   let server =
     Server.create
       {
@@ -375,6 +375,7 @@ let with_server ?(workers = 2) ?(queue_capacity = 8) f =
         workers;
         queue_capacity;
         retention = 64;
+        store;
       }
   in
   let port = Server.port server in
@@ -444,6 +445,36 @@ let test_serve_dedup_zero_runs () =
       Alcotest.(check string) "other fresh" "false"
         (hdr other "x-hypart-cached");
       Alcotest.(check int) "second engine run" 2 (Atomic.get count_runs))
+
+(* a persistent --store: one fresh run appends one record, and a
+   second daemon on the same directory answers the same request from
+   it without running the engine *)
+let test_serve_store_persists () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hypart_serve_store_%d" (Unix.getpid ()))
+  in
+  let lines () =
+    In_channel.with_open_bin (Filename.concat dir "runs.jsonl")
+      In_channel.input_lines
+  in
+  Atomic.set count_runs 0;
+  let first =
+    with_server ~store:dir (fun _server port ->
+        submit ~query:"&engine=test-count&seed=41" port)
+  in
+  Alcotest.(check string) "first fresh" "false" (hdr first "x-hypart-cached");
+  Alcotest.(check int) "one record appended" 1 (List.length (lines ()));
+  let again =
+    with_server ~store:dir (fun _server port ->
+        submit ~query:"&engine=test-count&seed=41" port)
+  in
+  Alcotest.(check string) "restart cached" "true"
+    (hdr again "x-hypart-cached");
+  Alcotest.(check string) "same cut" (hdr first "x-hypart-cut")
+    (hdr again "x-hypart-cut");
+  Alcotest.(check int) "one engine run in total" 1 (Atomic.get count_runs);
+  Alcotest.(check int) "still one record" 1 (List.length (lines ()))
 
 (* ---------------- parsed-instance cache ---------------- *)
 
@@ -1413,6 +1444,7 @@ let () =
         [
           Alcotest.test_case "served = offline" `Quick test_serve_matches_offline;
           Alcotest.test_case "dedup zero runs" `Quick test_serve_dedup_zero_runs;
+          Alcotest.test_case "store persists" `Quick test_serve_store_persists;
           Alcotest.test_case "instance cache LRU" `Quick test_icache_lru;
           Alcotest.test_case "instance cache key golden" `Quick
             test_icache_key_golden;
