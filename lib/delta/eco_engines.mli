@@ -9,6 +9,8 @@
     is given, so they remain well-defined registry citizens. *)
 
 val eco_fm : Hypart_engine.Engine.t
+
+(* kept: the engine value the kernel digest test pins *)
 val eco_ml : Hypart_engine.Engine.t
 
 val register : unit -> unit

@@ -26,9 +26,6 @@ val with_hook : (unit -> bool) -> (unit -> 'a) -> 'a
     multistart start — and should return [true] once cancellation is
     requested (e.g. [fun () -> Clock.now_s () > deadline]). *)
 
-val cancelled : unit -> bool
-(** Whether the current domain's hook (if any) requests cancellation. *)
-
 val check : unit -> unit
-(** @raise Cancelled when {!cancelled}[ ()] is true.  No-op (one DLS
-    read) when no hook is installed. *)
+(** @raise Cancelled when the current domain's hook requests
+    cancellation.  No-op (one DLS read) when no hook is installed. *)

@@ -68,6 +68,9 @@ let find_exn n =
 
 type start = { start_cut : int; start_seconds : float }
 
+let cpu_seconds records =
+  List.fold_left (fun acc r -> acc +. r.start_seconds) 0. records
+
 let note_start r =
   if Tel.is_enabled () then begin
     Metrics.incr "engine.starts";
@@ -97,35 +100,6 @@ let multistart ?polish_best (engine : t) rng problem ~starts =
   let best = match polish_best with None -> best | Some f -> f best in
   (best, records)
 
-let multistart_pruned ?(prune_factor = 1.5) ~peek (engine : t) rng problem
-    ~starts =
-  if starts < 1 then invalid_arg "Engine.multistart_pruned: starts must be >= 1";
-  if prune_factor < 1.0 then
-    invalid_arg "Engine.multistart_pruned: prune_factor must be >= 1";
-  let best_legal_cut = ref max_int and pruned = ref 0 in
-  let best, records =
-    timed_starts ~starts (fun () ->
-        let p = peek rng problem in
-        let threshold =
-          if !best_legal_cut = max_int then max_int
-          else int_of_float (prune_factor *. float_of_int !best_legal_cut)
-        in
-        let r =
-          if p.Result.cut > threshold then begin
-            incr pruned;
-            p
-          end
-          else run engine rng problem (Some p.Result.solution)
-        in
-        (* the best result's cut once any start was legal: legality
-           ranks first in [Result.better] *)
-        if r.Result.legal && r.Result.cut < !best_legal_cut then
-          best_legal_cut := r.Result.cut;
-        r)
-  in
-  Metrics.incr "engine.starts_pruned" ~by:!pruned;
-  (best, records, !pruned)
-
 let with_vcycles ~name:wrapped_name ?description:desc ~rounds ~vcycle engine =
   if rounds < 0 then invalid_arg "Engine.with_vcycles: rounds must be >= 0";
   let (module E : S) = engine in
@@ -145,11 +119,11 @@ let with_vcycles ~name:wrapped_name ?description:desc ~rounds ~vcycle engine =
       !best)
 
 (* ------------------------------------------------------------------ *)
-(* Seeded multistart, sequential and parallel.  Each seed gets a fresh
-   RNG, so the two variants compute identical per-seed results; the
-   winner is picked by Result.better with ties broken toward the
-   numerically lowest seed, making the outcome independent of seed-list
-   order and domain scheduling. *)
+(* Seeded multistart.  Each seed gets a fresh RNG, so a start's result
+   does not depend on where it runs; the winner is picked by
+   Result.better with ties broken toward the numerically lowest seed,
+   making the outcome independent of seed-list order, domain count and
+   scheduling. *)
 
 let run_seed (engine : t) problem seed =
   let (module E : S) = engine in
@@ -169,7 +143,13 @@ let pick_best seeds results =
     None seeds results
   |> Option.get
 
-let finish_seeds seeds results =
+let multistart_seeds ?domains (engine : t) problem ~seeds =
+  if seeds = [] then invalid_arg "Engine.multistart_seeds: empty seed list";
+  let results =
+    match domains with
+    | None | Some 1 -> List.map (run_seed engine problem) seeds
+    | Some domains -> Parallel.map_seeds ~domains ~seeds (run_seed engine problem)
+  in
   let records =
     List.map
       (fun ((r : Result.t), dt) ->
@@ -178,13 +158,3 @@ let finish_seeds seeds results =
   in
   List.iter note_start records;
   (pick_best seeds results, records)
-
-let multistart_seeds (engine : t) problem ~seeds =
-  if seeds = [] then invalid_arg "Engine.multistart_seeds: empty seed list";
-  let results = List.map (run_seed engine problem) seeds in
-  finish_seeds seeds results
-
-let multistart_parallel ?domains (engine : t) problem ~seeds =
-  if seeds = [] then invalid_arg "Engine.multistart_parallel: empty seed list";
-  let results = Parallel.map_seeds ?domains ~seeds (run_seed engine problem) in
-  finish_seeds seeds results

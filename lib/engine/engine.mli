@@ -104,16 +104,19 @@ val with_vcycles :
 
 (** {1 Multistart}
 
-    The only multistart entry points: {!multistart},
-    {!multistart_pruned}, {!multistart_seeds} and
-    {!multistart_parallel}.  Every per-start CPU time comes from
-    {!Machine.cpu_time}, so Tables 4–5 normalization applies uniformly,
-    and every start is recorded as [engine.starts] /
-    [engine.start_cut] / [engine.start_seconds] metrics.  Each checks
-    {!Cancel} between starts. *)
+    The only multistart entry points: {!multistart}, the shared-stream
+    Tables 4–5 protocol, and {!multistart_seeds}, the seeded one that
+    [hypart partition], the daemon and memetic campaigns all run.
+    Every per-start CPU time comes from {!Machine.cpu_time}, so Tables
+    4–5 normalization applies uniformly, and every start is recorded as
+    [engine.starts] / [engine.start_cut] / [engine.start_seconds]
+    metrics.  Each checks {!Cancel} between starts. *)
 
 type start = { start_cut : int; start_seconds : float }
 (** Outcome of one independent start: its final cut and its CPU time. *)
+
+val cpu_seconds : start list -> float
+(** The summed CPU seconds of a multistart's starts. *)
 
 val multistart :
   ?polish_best:(Result.t -> Result.t) ->
@@ -129,44 +132,19 @@ val multistart :
     Per-start records are in execution order, before polishing.
     @raise Invalid_argument when [starts < 1]. *)
 
-val multistart_pruned :
-  ?prune_factor:float ->
-  peek:(Hypart_rng.Rng.t -> Hypart_partition.Problem.t -> Result.t) ->
-  t ->
-  Hypart_rng.Rng.t ->
-  Hypart_partition.Problem.t ->
-  starts:int ->
-  Result.t * start list * int
-(** Multistart with the §3.2 pruning trick ("early termination of
-    starts that appear unpromising relative to previous starts"): each
-    start first runs the cheap [peek] (typically
-    [Fm_engines.one_pass_peek]); if its cut exceeds [prune_factor]
-    (default 1.5) times the best legal cut so far, the start is
-    abandoned, otherwise the engine's [run] continues from the peek's
-    solution.  Returns the best result, per-start records (pruned
-    starts report their peek cut) and the number of starts pruned
-    ([engine.starts_pruned]).
-    @raise Invalid_argument when [starts < 1] or [prune_factor < 1]. *)
-
-(** {1 Seeded multistart — sequential and parallel}
-
-    Each seed gets a fresh RNG, so both variants compute identical
-    per-seed results and pick the same winner: {!Result.better}, ties
-    broken toward the numerically lowest seed — deterministic
-    regardless of seed-list order or domain scheduling.  Returns
-    [((winning_seed, result), records)] with records in seed-list
-    order. *)
-
 val multistart_seeds :
-  t ->
-  Hypart_partition.Problem.t ->
-  seeds:int list ->
-  (int * Result.t) * start list
-
-val multistart_parallel :
   ?domains:int ->
   t ->
   Hypart_partition.Problem.t ->
   seeds:int list ->
   (int * Result.t) * start list
-(** {!Parallel.map_seeds}-backed fan-out over domains. *)
+(** One start per seed, each from a fresh [Rng.create seed].  The
+    winner is {!Result.better}, ties broken toward the numerically
+    lowest seed, so the answer does not depend on seed-list order,
+    domain count or scheduling.  Returns [((winning_seed, result),
+    records)] with records in seed-list order.
+
+    With no [domains] or [domains = 1] the starts run on the calling
+    domain, where a {!Cancel} hook installed by the caller is seen;
+    with more they fan out through {!Parallel.map_seeds}.
+    @raise Invalid_argument on an empty seed list. *)

@@ -39,17 +39,3 @@ let map_seeds ?domains ~seeds f =
          (function Some r -> r | None -> assert false)
          results)
   end
-
-let best_of ?domains ~seeds run =
-  let results = map_seeds ?domains ~seeds run in
-  (* tie-break on the numerically lowest seed so the winner is
-     reproducible regardless of seed-list order or domain scheduling *)
-  List.fold_left2
-    (fun best seed r ->
-      match best with
-      | None -> Some (seed, r)
-      | Some (bseed, (bc, _)) ->
-        let c = fst r in
-        if c < bc || (c = bc && seed < bseed) then Some (seed, r) else best)
-    None seeds results
-  |> Option.map snd

@@ -18,14 +18,3 @@ val map_seeds : ?domains:int -> seeds:int list -> (int -> 'a) -> 'a list
     returns the results in seed order — identical to
     [List.map f seeds], just faster on multicore.  Exceptions raised by
     [f] are re-raised in the caller. *)
-
-val best_of :
-  ?domains:int ->
-  seeds:int list ->
-  (int -> int * 'a) ->
-  (int * 'a) option
-(** [best_of ~seeds run] evaluates [run seed] (returning a cost and a
-    payload) across domains and keeps the lowest cost; cut ties break
-    deterministically toward the {e numerically lowest} seed, so the
-    winner does not depend on seed-list order or domain scheduling.
-    [None] when [seeds] is empty. *)

@@ -42,10 +42,6 @@ val default : config
 (** [mlclip] base, population 12, 8 generations of 6 recombinations +
     2 immigrants, single-start evaluations, tolerance 0.02. *)
 
-val campaign_fingerprint : config -> seed:int -> instance:string -> string
-(** Everything that parameterizes the search (not [generations]:
-    extending a campaign is a resume, not a new campaign). *)
-
 type generation = {
   g_index : int;  (** 0 is the seeding generation *)
   g_best_cut : int;  (** population best after admission *)

@@ -6,9 +6,5 @@
     [initial] solution, when given, is admitted into the starting
     population. *)
 
-val engine_config : Evolve.config
-(** The embedded campaign shape (smaller than {!Evolve.default}:
-    population 6, 4 generations of 3 recombinations + 1 immigrant). *)
-
 val register : unit -> unit
 (** Idempotent. *)

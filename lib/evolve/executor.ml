@@ -1,8 +1,6 @@
 module Engine = Hypart_engine.Engine
-module Machine = Hypart_engine.Machine
 module Parallel = Hypart_engine.Parallel
 module Bipartition = Hypart_partition.Bipartition
-module Rng = Hypart_rng.Rng
 
 type job = { engine : string; seed : int; starts : int }
 
@@ -22,26 +20,13 @@ type t = {
 
 let run_local problem (j : job) =
   let engine = Engine.find_exn j.engine in
-  let result, seconds =
-    if j.starts = 1 then
-      (* the daemon's (and CLI's) sequential single-start path *)
-      Machine.cpu_time (fun () ->
-          Engine.run engine (Rng.create j.seed) problem None)
-    else begin
-      (* the daemon's seeded multistart: one derived seed per start *)
-      let seeds = List.init j.starts (fun i -> j.seed + i) in
-      let (_seed, best), records =
-        Engine.multistart_seeds engine problem ~seeds
-      in
-      ( best,
-        List.fold_left (fun acc r -> acc +. r.Engine.start_seconds) 0. records
-      )
-    end
-  in
+  (* `partition --starts n --seed s`, at any --domains *)
+  let seeds = List.init j.starts (fun i -> j.seed + i) in
+  let (_seed, result), records = Engine.multistart_seeds engine problem ~seeds in
   {
     cut = result.Engine.Result.cut;
     legal = result.Engine.Result.legal;
-    seconds;
+    seconds = Engine.cpu_seconds records;
     assignment = Bipartition.assignment result.Engine.Result.solution;
     source = "local";
   }

@@ -36,10 +36,9 @@ type t = {
 
 val in_process : ?domains:int -> unit -> t
 (** Evaluate jobs locally, fanned out over up to [domains] domains;
-    results are in job order.  A job with [starts = 1] is the CLI's
-    sequential single-start path bit for bit; [starts > 1] is the
-    seeded multistart ([Engine.multistart_seeds]) — both exactly as
-    the daemon computes them. *)
+    results are in job order.  Each job is the seeded multistart
+    [Engine.multistart_seeds] over [seed .. seed+starts-1], exactly as
+    [hypart partition] and the daemon compute it. *)
 
 val of_fun :
   name:string ->

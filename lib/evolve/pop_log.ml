@@ -45,8 +45,6 @@ let entry_fields e =
       ("sides", String (sides_to_string e.assignment));
     ]
 
-let entry_to_line e = Jsonl.to_line (entry_fields e)
-
 let entry_of_line line =
   match Jsonl.of_line line with
   | None -> None

@@ -56,8 +56,3 @@ val dropped : t -> int
 (** Malformed lines dropped during replay. *)
 
 val close : t -> unit
-
-(** {1 Serialization (exposed for tests)} *)
-
-val entry_to_line : entry -> string
-val entry_of_line : string -> entry option

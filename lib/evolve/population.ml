@@ -22,7 +22,6 @@ type t = {
   cap : int;
   mutable members : member list;  (* id-ascending *)
   mutable next_id : int;
-  mutable evicted : int;
   (* (id_lo, id_hi) -> similarity; pairs die with their members *)
   sims : (int * int, float) Hashtbl.t;
 }
@@ -33,14 +32,12 @@ let create ~capacity =
     cap = capacity;
     members = [];
     next_id = 0;
-    evicted = 0;
     sims = Hashtbl.create 64;
   }
 
 let capacity t = t.cap
 let size t = List.length t.members
 let members t = t.members
-let evictions t = t.evicted
 
 let best t =
   match t.members with
@@ -89,7 +86,6 @@ let insert t ~gen ~slot ~kind ~seed ~cut ~legal ~seconds solution =
       (fun (lo, hi) s ->
         if lo = evictee.id || hi = evictee.id then None else Some s)
       t.sims;
-    t.evicted <- t.evicted + 1;
     if Tel.is_enabled () then Metrics.incr "evolve.evictions";
     (m, Some evictee)
   end

@@ -46,8 +46,6 @@ val members : t -> member list
 val best : t -> member option
 (** The {!beats}-minimum member; [None] while empty. *)
 
-val evictions : t -> int
-
 val insert :
   t ->
   gen:int ->

@@ -29,6 +29,7 @@ type result = {
   stats : stats;
 }
 
+(* kept: the reference switch the fast-path property compares against *)
 val zero_delta_fast_path : bool ref
 (** Test hook (default [true]): when set to [false], [run] skips the
     all-deltas-zero shortcut in its neighbour-update loop and scans

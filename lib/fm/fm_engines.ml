@@ -62,13 +62,6 @@ let lookahead =
           ];
       })
 
-let one_pass_peek ?(config = Fm_config.default) rng problem =
-  of_result
-    (Fm.run
-       ~config:{ config with Fm_config.max_passes = 1 }
-       rng problem
-       (Initial.random rng problem))
-
 let registered =
   lazy (List.iter Engine.register [ flat; clip; reported; reported_clip; lookahead ])
 

@@ -7,6 +7,7 @@ val of_result : Fm.result -> Hypart_engine.Engine.Result.t
 (** Adapt an FM result to the unified result type (stats become the
     [(name, value)] list). *)
 
+(* kept: an engine for any Fm_config.t, how tests run FM variants *)
 val of_config :
   name:string ->
   description:string ->
@@ -19,14 +20,6 @@ val clip : Hypart_engine.Engine.t
 val reported : Hypart_engine.Engine.t
 val reported_clip : Hypart_engine.Engine.t
 val lookahead : Hypart_engine.Engine.t
-
-val one_pass_peek :
-  ?config:Fm_config.t ->
-  Hypart_rng.Rng.t ->
-  Hypart_partition.Problem.t ->
-  Hypart_engine.Engine.Result.t
-(** A single FM pass from a random start — the cheap probe for
-    {!Hypart_engine.Engine.multistart_pruned}. *)
 
 val register : unit -> unit
 (** Add the family to the registry (idempotent). *)

@@ -86,6 +86,7 @@ val last_select_corked : t -> bool
     least one illegal bucket head (including calls that returned
     [None]).  Used for the corking diagnostics of §2.3. *)
 
+(* kept: exposes bucket order, which the container tests assert *)
 val head_of_max_bucket : t -> side:int -> int option
 (** Peek at the head of the highest nonempty bucket, ignoring legality
     (test hook). *)

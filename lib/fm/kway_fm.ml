@@ -10,17 +10,6 @@ type result = {
   moves : int;
 }
 
-let cut_of h part_of =
-  let total = ref 0 in
-  for e = 0 to H.num_edges h - 1 do
-    let first = ref (-1) and spans = ref false in
-    H.iter_pins h e (fun v ->
-        if !first = -1 then first := part_of.(v)
-        else if part_of.(v) <> !first then spans := true);
-    if !spans then total := !total + H.edge_weight h e
-  done;
-  !total
-
 (* Gain of moving [v] from its part to [q], given per-net part counts:
    +w when the move makes net [e] uncut (v's part holds exactly v and q
    holds the rest), -w when it cuts a fully-internal net. *)
@@ -263,7 +252,7 @@ let run ?(max_passes = 30) ?(tolerance = 0.10) ~k rng h part_of =
     }
   in
   recompute_counts st;
-  st.cur_cut <- cut_of h st.part_of;
+  st.cur_cut <- Hypart_partition.Kway_objective.cut h st.part_of;
   let best = ref st.cur_cut in
   let passes = ref 0 and improving = ref true in
   while !improving && !passes < max_passes do

@@ -23,9 +23,6 @@ type result = {
   moves : int;
 }
 
-val cut_of : Hypart_hypergraph.Hypergraph.t -> int array -> int
-(** Weighted k-way cut of an assignment. *)
-
 val run :
   ?max_passes:int ->
   ?tolerance:float ->

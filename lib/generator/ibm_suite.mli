@@ -14,9 +14,6 @@ type profile = {
   pins : int;
 }
 
-val profiles : profile list
-(** All 18 profiles, in order. *)
-
 val find : string -> profile
 (** Look up by name ("ibm01" or the synthetic alias "ibm01s").
     @raise Not_found on unknown names. *)

@@ -10,13 +10,6 @@
 
 type fm_variant = Flat_lifo | Flat_clip | Ml_lifo | Ml_clip
 
-val variant_name : fm_variant -> string
-
-val instance_problem :
-  ?scale:float -> tolerance:float -> string -> Hypart_partition.Problem.t
-(** Generate the synthetic twin of an ISPD98 instance and wrap it with
-    the paper's balance convention. *)
-
 (** {1 Table 1} — implicit-decision matrix *)
 
 val table1 :

@@ -34,7 +34,6 @@ type t = {
   total_vertex_weight : int;
   max_vertex_weight : int;
   max_vertex_degree : int;
-  max_edge_weight : int;
 }
 
 let num_vertices h = h.num_vertices
@@ -45,9 +44,7 @@ let vertex_degree h v = get h.vertex_offset (v + 1) - get h.vertex_offset v
 let vertex_weight h v = get h.vertex_weight v
 let edge_weight h e = get h.edge_weight e
 let total_vertex_weight h = h.total_vertex_weight
-let max_vertex_weight h = h.max_vertex_weight
 let max_vertex_degree h = h.max_vertex_degree
-let max_edge_weight h = h.max_edge_weight
 
 let iter_pins h e f =
   for i = get h.edge_offset e to get h.edge_offset (e + 1) - 1 do
@@ -100,11 +97,6 @@ let finish ~num_vertices ~num_edges ~edge_offset ~edge_pins ~vertex_offset
     let d = ug vertex_offset (v + 1) - ug vertex_offset v in
     if d > !max_d then max_d := d
   done;
-  let max_ew = ref 0 in
-  for e = 0 to num_edges - 1 do
-    let w = ug edge_weight e in
-    if w > !max_ew then max_ew := w
-  done;
   {
     num_vertices;
     num_edges;
@@ -117,7 +109,6 @@ let finish ~num_vertices ~num_edges ~edge_offset ~edge_pins ~vertex_offset
     total_vertex_weight = !total;
     max_vertex_weight = !max_w;
     max_vertex_degree = !max_d;
-    max_edge_weight = !max_ew;
   }
 
 (* Build the vertex -> edges CSR from the edge -> pins CSR by counting
@@ -522,25 +513,7 @@ let reweight_edges h ~weights =
   Array.iter
     (fun w -> if w <= 0 then invalid_arg "Hypergraph.reweight_edges: non-positive weight")
     weights;
-  {
-    h with
-    edge_weight = i32_of_array weights;
-    max_edge_weight = Array.fold_left max 0 weights;
-  }
-
-let with_vertex_weights h ~weights =
-  if Array.length weights <> h.num_vertices then
-    invalid_arg "Hypergraph.with_vertex_weights: weights length mismatch";
-  Array.iter
-    (fun w ->
-      if w <= 0 then invalid_arg "Hypergraph.with_vertex_weights: non-positive weight")
-    weights;
-  {
-    h with
-    vertex_weight = i32_of_array weights;
-    total_vertex_weight = Array.fold_left ( + ) 0 weights;
-    max_vertex_weight = Array.fold_left max 0 weights;
-  }
+  { h with edge_weight = i32_of_array weights }
 
 let induce h ~keep =
   if Array.length keep <> h.num_vertices then

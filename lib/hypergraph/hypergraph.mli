@@ -83,6 +83,8 @@ val memory_bytes : t -> int
 (** {1 Incidence} *)
 
 val edge_size : t -> int -> int
+
+(* kept: the vertex-side twin of [edge_size]; test/incidence.ml sizes lists by it *)
 val vertex_degree : t -> int -> int
 
 (** Zero-copy view of the underlying CSR vectors, for flat index loops
@@ -126,12 +128,11 @@ val fold_edges : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 val vertex_weight : t -> int -> int
 val edge_weight : t -> int -> int
 val total_vertex_weight : t -> int
-val max_vertex_weight : t -> int
 val max_vertex_degree : t -> int
-val max_edge_weight : t -> int
 
 (** {1 Whole-graph queries} *)
 
+(* kept: instance connectivity, a whole-graph query no command reports yet *)
 val components : t -> int array * int
 (** [components h] labels every vertex with its connected-component id
     (two vertices are connected when they share a hyperedge) and returns
@@ -158,12 +159,6 @@ val reweight_edges : t -> weights:int array -> t
     the mechanism behind timing- or congestion-driven partitioning,
     where critical nets get boosted weights so min-cut avoids cutting
     them.  Structure is shared where possible.
-    @raise Invalid_argument on wrong length or non-positive weights. *)
-
-val with_vertex_weights : t -> weights:int array -> t
-(** [with_vertex_weights h ~weights] is [h] with new vertex weights
-    (cell areas), sharing all incidence structure — the mechanism behind
-    [.are] actual-area overlays.
     @raise Invalid_argument on wrong length or non-positive weights. *)
 
 val induce : t -> keep:bool array -> t * int array

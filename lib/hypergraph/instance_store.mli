@@ -48,6 +48,7 @@ val of_string : source:string -> string -> Hypergraph.t * string
     mapped.  [source] names the input in diagnostics.
     @raise Format_error as for {!load}. *)
 
+(* kept: a header-only read; the packed-layout test checks the header *)
 val read_fingerprint : string -> string
 (** [read_fingerprint path] reads just the header and returns the
     stored fingerprint without mapping the sections.

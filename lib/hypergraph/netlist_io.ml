@@ -412,11 +412,7 @@ let read_hgr path = with_file path hgr_of_cursor
 (* ---------------- cell names ---------------- *)
 
 (* Cells are named [a<i>] and pads [p<j>]; pad [j] is vertex
-   [num_cells + j].  Shared by .netD, .are and Bookshelf. *)
-let vertex_name ~num_cells v =
-  if v < num_cells then Printf.sprintf "a%d" v
-  else Printf.sprintf "p%d" (v - num_cells)
-
+   [num_cells + j].  Shared by .netD and Bookshelf. *)
 let vertex_of_name path lineno ~num_cells ~num_pads name =
   let id =
     if String.length name < 2 then None
@@ -436,50 +432,7 @@ let write_are path h =
         Printf.fprintf oc "a%d %d\n" v (Hypergraph.vertex_weight h v)
       done)
 
-(* an area row names a cell [a<i>] or, by its vertex id, a pad [p<i>] *)
-let read_are path ~num_vertices =
-  let areas = Array.make num_vertices 1 in
-  with_file path (fun c ->
-      iter_lines c (fun lineno ->
-          match fields c with
-          | [ name; area ] -> (
-            let id =
-              match name.[0] with
-              | 'p' -> vertex_of_name path lineno ~num_cells:0 ~num_pads:num_vertices name
-              | _ -> vertex_of_name path lineno ~num_cells:num_vertices ~num_pads:0 name
-            in
-            match int_of_string_opt area with
-            | Some a when a > 0 && a <= max_i32 -> areas.(id) <- a
-            | Some _ -> parse_error path lineno "area %s out of range" area
-            | None -> parse_error path lineno "bad area %S" area)
-          | _ -> parse_error path lineno "expected \"<name> <area>\""));
-  areas
-
-let read_hgr_with_are ~hgr ~are =
-  let h = read_hgr hgr in
-  let nv = Hypergraph.num_vertices h in
-  let areas = read_are are ~num_vertices:nv in
-  (* overlay the areas on the shared incidence structure instead of
-     rebuilding the CSR from copied pin arrays *)
-  Hypergraph.with_vertex_weights h ~weights:areas
-
 (* ---------------- ISPD98 .netD ---------------- *)
-
-let write_netd ?(num_pads = 0) path h =
-  let nv = Hypergraph.num_vertices h in
-  if num_pads < 0 || num_pads > nv then
-    invalid_arg "Netlist_io.write_netd: bad pad count";
-  let num_cells = nv - num_pads in
-  with_out path (fun oc ->
-      Printf.fprintf oc "0\n%d\n%d\n%d\n%d\n" (Hypergraph.num_pins h)
-        (Hypergraph.num_edges h) nv num_cells;
-      for e = 0 to Hypergraph.num_edges h - 1 do
-        let first = ref true in
-        Hypergraph.iter_pins h e (fun v ->
-            Printf.fprintf oc "%s %c\n" (vertex_name ~num_cells v)
-              (if !first then 's' else 'l');
-            first := false)
-      done)
 
 let netd_of_cursor c =
   let path = c.source in
@@ -527,9 +480,7 @@ let netd_of_cursor c =
   if List.length nets <> num_nets then
     input_error path "header promised %d nets, found %d" num_nets (List.length nets);
   let edges = Array.of_list (List.map Array.of_list nets) in
-  (Hypergraph.create ~num_vertices:num_modules ~edges (), num_pads)
-
-let read_netd path = with_file path netd_of_cursor
+  Hypergraph.create ~num_vertices:num_modules ~edges ()
 
 (* ---------------- UCLA Bookshelf ---------------- *)
 
@@ -548,30 +499,6 @@ let header_count c key what =
 let expect_header c what magic =
   next_or c ("missing " ^ what ^ " section");
   if line c <> magic then parse_error c.source c.line "bad %s header" what
-
-let write_bookshelf ?(num_pads = 0) ~basename h =
-  let nv = Hypergraph.num_vertices h in
-  if num_pads < 0 || num_pads > nv then
-    invalid_arg "Netlist_io.write_bookshelf: bad pad count";
-  let num_cells = nv - num_pads in
-  with_out (basename ^ ".nodes") (fun oc ->
-      output_string oc "UCLA nodes 1.0\n";
-      Printf.fprintf oc "NumNodes : %d\n" nv;
-      Printf.fprintf oc "NumTerminals : %d\n" num_pads;
-      for v = 0 to nv - 1 do
-        Printf.fprintf oc "  %s %d 1%s\n" (vertex_name ~num_cells v)
-          (Hypergraph.vertex_weight h v)
-          (if v >= num_cells then " terminal" else "")
-      done);
-  with_out (basename ^ ".nets") (fun oc ->
-      output_string oc "UCLA nets 1.0\n";
-      Printf.fprintf oc "NumNets : %d\n" (Hypergraph.num_edges h);
-      Printf.fprintf oc "NumPins : %d\n" (Hypergraph.num_pins h);
-      for e = 0 to Hypergraph.num_edges h - 1 do
-        Printf.fprintf oc "NetDegree : %d  n%d\n" (Hypergraph.edge_size h e) e;
-        Hypergraph.iter_pins h e (fun v ->
-            Printf.fprintf oc "  %s B\n" (vertex_name ~num_cells v))
-      done)
 
 (* the .nodes section: vertex count, terminal count, cell widths *)
 let nodes_of_cursor c =
@@ -626,8 +553,8 @@ let nets_of_cursor c ~num_cells ~num_pads =
     input_error path "header promised %d pins, found %d" num_pins !total_pins;
   nets
 
-let bookshelf_hypergraph (nv, num_pads, widths) edges =
-  (Hypergraph.create ~vertex_weights:widths ~num_vertices:nv ~edges (), num_pads)
+let bookshelf_hypergraph (nv, _num_pads, widths) edges =
+  Hypergraph.create ~vertex_weights:widths ~num_vertices:nv ~edges ()
 
 let read_bookshelf ~basename =
   let ((nv, num_pads, _) as nodes) =
@@ -655,22 +582,6 @@ let write_pl ~basename ~x ~y =
       Array.iteri
         (fun v _ -> Printf.fprintf oc "  a%d %.4f %.4f : N\n" v x.(v) y.(v))
         x)
-
-let read_pl path ~num_vertices =
-  let x = Array.make num_vertices 0.0 and y = Array.make num_vertices 0.0 in
-  with_file ~comment:bookshelf_comment path (fun c ->
-      expect_header c ".pl" "UCLA pl 1.0";
-      iter_lines c (fun lineno ->
-          match fields c with
-          | name :: xs :: ys :: _ -> (
-            let v = vertex_of_name path lineno ~num_cells:num_vertices ~num_pads:0 name in
-            match (float_of_string_opt xs, float_of_string_opt ys) with
-            | Some xv, Some yv ->
-              x.(v) <- xv;
-              y.(v) <- yv
-            | _ -> parse_error path lineno "bad coordinates")
-          | _ -> parse_error path lineno "expected \"name x y : orient\""));
-  (x, y)
 
 (* ---------------- partition files ---------------- *)
 
@@ -723,9 +634,8 @@ let read format path =
   | Hgrb ->
     let h, fingerprint = Instance_store.load path in
     (h, Some fingerprint)
-  | Netd -> (fst (read_netd path), None)
-  | Bookshelf ->
-    (fst (read_bookshelf ~basename:(Filename.remove_extension path)), None)
+  | Netd -> (with_file path netd_of_cursor, None)
+  | Bookshelf -> (read_bookshelf ~basename:(Filename.remove_extension path), None)
 
 let decode ~source format body =
   match format with
@@ -733,12 +643,9 @@ let decode ~source format body =
   | Hgrb ->
     let h, fingerprint = Instance_store.of_string ~source body in
     (h, Some fingerprint)
-  | Netd -> (fst (netd_of_cursor (string_cursor ~source body)), None)
+  | Netd -> (netd_of_cursor (string_cursor ~source body), None)
   | Bookshelf ->
-    ( fst
-        (bookshelf_of_cursor
-           (string_cursor ~comment:bookshelf_comment ~source body)),
-      None )
+    (bookshelf_of_cursor (string_cursor ~comment:bookshelf_comment ~source body), None)
 
 let read_file path =
   try In_channel.with_open_bin path In_channel.input_all

@@ -1,10 +1,12 @@
 (** Reading and writing hypergraph netlists: the one module that knows
     the instance formats.  docs/FORMATS.md describes each format.
 
-    - hMetis [.hgr]; ISPD98 [.netD] with [.are] cell areas; UCLA
-      Bookshelf [.nodes] / [.nets] / [.pl] (the GSRC format of the
-      paper's own research group); [.part] partition files.  Cells are
-      named [a<i>] and pads [p<j>], pads after the cells.
+    - Read: hMetis [.hgr]; ISPD98 [.netD]; UCLA Bookshelf [.nodes] /
+      [.nets] (the GSRC format of the paper's own research group);
+      [.part] partition files.  Cells are named [a<i>] and pads
+      [p<j>], pads after the cells.
+    - Written besides: [.hgr], [.are] cell areas, Bookshelf [.pl]
+      placements and [.part] files.
     - Every reader runs over one line cursor that scans a string in
       place or a file in fixed-size chunks; a file is never slurped.
     - The packed binary [.hgrb] lives in {!Instance_store}; {!read} and
@@ -97,7 +99,7 @@ val line_ints : cursor -> int array -> int
     @raise Parse_error ["<source>:<line>: expected integer, got <field>"]
     for a field that is not an integer. *)
 
-(** {1 Individual formats} *)
+(** {1 Writers and the .hgr reader} *)
 
 val write_hgr : ?with_weights:bool -> string -> Hypergraph.t -> unit
 (** [write_hgr path h] writes [h] in [.hgr] format.  When
@@ -113,39 +115,8 @@ val read_hgr : string -> Hypergraph.t
 val write_are : string -> Hypergraph.t -> unit
 (** [write_are path h] writes cell areas, one ["a<i> <area>"] per line. *)
 
-val read_are : string -> num_vertices:int -> int array
-(** [read_are path ~num_vertices] parses an area file into an array
-    indexed by vertex id. *)
-
-val read_hgr_with_are : hgr:string -> are:string -> Hypergraph.t
-(** Combine an (unweighted or weighted) [.hgr] with actual areas from an
-    [.are] file; the [.are] areas win. *)
-
-val write_netd : ?num_pads:int -> string -> Hypergraph.t -> unit
-(** [write_netd path h] writes ISPD98 [.netD].  The last [num_pads]
-    vertices (default 0) are written as pads ([p<j>]); the rest as
-    cells ([a<i>]).  Edge weights are not representable in [.netD] and
-    are dropped. *)
-
-val read_netd : string -> Hypergraph.t * int
-(** Parse a [.netD] file; returns the hypergraph (cells first, then
-    pads) and the number of pads.  Vertex areas default to 1 (combine
-    with {!read_are}). *)
-
-val write_bookshelf : ?num_pads:int -> basename:string -> Hypergraph.t -> unit
-(** [write_bookshelf ~basename h] writes [basename.nodes] and
-    [basename.nets].  The last [num_pads] (default 0) vertices become
-    terminals. *)
-
-val read_bookshelf : basename:string -> Hypergraph.t * int
-(** Parse [basename.nodes] + [basename.nets]; returns the hypergraph
-    (cell areas from node widths) and the terminal count. *)
-
 val write_pl : basename:string -> x:float array -> y:float array -> unit
 (** Write [basename.pl] with one placement row per cell. *)
-
-val read_pl : string -> num_vertices:int -> float array * float array
-(** Parse a [.pl] file back into coordinate arrays. *)
 
 val write_partition : string -> int array -> unit
 (** Write a solution's side array, one side per line. *)

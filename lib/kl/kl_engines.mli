@@ -5,7 +5,5 @@
     side cardinalities differing by at most one ({!Kl.run} raises
     otherwise). *)
 
-val kl : Hypart_engine.Engine.t
-
 val register : unit -> unit
 (** Add [kl] to the registry (idempotent). *)

@@ -32,8 +32,6 @@ type record = {
 val key : engine:string -> config:string -> instance:string -> seed:int -> string
 (** The content address of a run. *)
 
-val record_key : record -> string
-
 val filename : string -> string
 (** [filename dir] is the JSONL path inside a store directory
     ([dir/runs.jsonl]). *)
@@ -110,7 +108,10 @@ val compact : string -> int * int
     with the records {!load} keeps, dropping malformed lines and
     duplicate keys.  Returns [(kept, dropped)]. *)
 
-(** {1 Serialization (exposed for tests)} *)
+(** {1 The line codec} *)
 
+(* kept: the corruption properties build and cut store files line by line with it *)
 val record_to_line : record -> string
+
+(* kept: the store tests parse what [record_to_line] and the writers produced *)
 val record_of_line : string -> record option

@@ -6,16 +6,8 @@
 
 val of_result : Hypart_fm.Fm.result -> Hypart_engine.Engine.Result.t
 
-val ml_engine :
-  name:string ->
-  description:string ->
-  Ml_partitioner.config ->
-  Hypart_engine.Engine.t
-(** An engine running {!Ml_partitioner.run} under a fixed configuration. *)
-
 val ml : Hypart_engine.Engine.t
 val mlclip : Hypart_engine.Engine.t
-val hmetis : Hypart_engine.Engine.t
 
 val vcycle_polish :
   ?config:Ml_partitioner.config ->

@@ -31,10 +31,6 @@ let of_fraction ~total ~fraction ~tolerance =
 
 let is_legal b ~part0_weight = part0_weight >= b.lower && part0_weight <= b.upper
 
-let move_is_legal b ~part0_weight ~weight ~from_side =
-  let w0 = if from_side = 0 then part0_weight - weight else part0_weight + weight in
-  is_legal b ~part0_weight:w0
-
 let slack b = b.upper - b.lower
 
 let violation b ~part0_weight =

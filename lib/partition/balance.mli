@@ -36,10 +36,6 @@ val of_fraction : total:int -> fraction:float -> tolerance:float -> t
 val is_legal : t -> part0_weight:int -> bool
 (** Part 0 within bounds (part 1 is bounded by complement). *)
 
-val move_is_legal : t -> part0_weight:int -> weight:int -> from_side:int -> bool
-(** Would moving a vertex of [weight] out of [from_side] keep the
-    solution legal? *)
-
 val slack : t -> int
 (** [upper - lower]: the width of the legal window.  A cell heavier than
     this can never move in a legal solution — the corking threshold. *)

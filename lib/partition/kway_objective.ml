@@ -17,7 +17,17 @@ let fold_nets h part_of ~f =
   done;
   !total
 
-let cut h part_of = fold_nets h part_of ~f:(fun w l -> if l >= 2 then w else 0)
+(* a net is cut once a pin leaves the first pin's part; no lambda *)
+let cut h part_of =
+  let total = ref 0 in
+  for e = 0 to H.num_edges h - 1 do
+    let first = ref (-1) and spans = ref false in
+    H.iter_pins h e (fun v ->
+        if !first = -1 then first := part_of.(v)
+        else if part_of.(v) <> !first then spans := true);
+    if !spans then total := !total + H.edge_weight h e
+  done;
+  !total
 let k_minus_1 h part_of = fold_nets h part_of ~f:(fun w l -> w * (l - 1))
 let soed h part_of = fold_nets h part_of ~f:(fun w l -> if l >= 2 then w * l else 0)
 

@@ -12,11 +12,17 @@
     - {b SOED} (sum of external degrees): cut nets contribute
       [w(e) lambda(e)]. *)
 
+(* kept: the per-net term of the (k-1) and SOED objectives below *)
 val lambda : Hypart_hypergraph.Hypergraph.t -> int array -> int -> int
 (** Number of distinct parts net [e] touches. *)
 
 val cut : Hypart_hypergraph.Hypergraph.t -> int array -> int
+(** Weighted hyperedge cut; k-way FM's starting cut. *)
+
+(* kept: the (k-1) objective this module defines; no command reports it yet *)
 val k_minus_1 : Hypart_hypergraph.Hypergraph.t -> int array -> int
+
+(* kept: the SOED objective this module defines; no command reports it yet *)
 val soed : Hypart_hypergraph.Hypergraph.t -> int array -> int
 
 val part_weights : Hypart_hypergraph.Hypergraph.t -> int array -> k:int -> int array

@@ -14,6 +14,7 @@ val evaluate : t -> Hypart_hypergraph.Hypergraph.t -> Bipartition.t -> float
 (** Evaluate an objective; lower is better for [Cut], [Ratio_cut] and
     [Scaled_cost], higher is better for [Absorption] (see {!direction}). *)
 
+(* kept: which way [evaluate]'s value improves, per objective *)
 val direction : t -> [ `Minimize | `Maximize ]
 
 val cut : Hypart_hypergraph.Hypergraph.t -> Bipartition.t -> int
@@ -22,10 +23,3 @@ val cut : Hypart_hypergraph.Hypergraph.t -> Bipartition.t -> int
 val ratio_cut : Hypart_hypergraph.Hypergraph.t -> Bipartition.t -> float
 (** [cut / (w(P0) * w(P1))], scaled by the squared half-total so that
     perfectly balanced solutions have ratio cut equal to the cut. *)
-
-val scaled_cost : Hypart_hypergraph.Hypergraph.t -> Bipartition.t -> float
-(** [(1/(n(k-1))) * sum_i cut / w(P_i)] with [k = 2]. *)
-
-val absorption : Hypart_hypergraph.Hypergraph.t -> Bipartition.t -> float
-(** Sum over nets and parts of [(pins in part - 1) / (net size - 1)];
-    totally absorbed designs score [num_edges]. *)

@@ -29,14 +29,4 @@ let make ?fixed ?fraction ~tolerance h =
   in
   { hypergraph = h; balance; fixed }
 
-let num_fixed p =
-  Array.fold_left (fun acc s -> if s >= 0 then acc + 1 else acc) 0 p.fixed
-
 let is_free p v = p.fixed.(v) < 0
-
-let fixed_weight p side =
-  let total = ref 0 in
-  Array.iteri
-    (fun v s -> if s = side then total := !total + H.vertex_weight p.hypergraph v)
-    p.fixed;
-  !total

@@ -36,8 +36,4 @@ val with_balance :
     Invalid_argument if the hypergraph's total weight disagrees with
     the constraint's. *)
 
-val num_fixed : t -> int
 val is_free : t -> int -> bool
-
-val fixed_weight : t -> int -> int
-(** Total weight fixed to the given side. *)

@@ -8,11 +8,6 @@
 val offset : int64
 (** The FNV-1a 64-bit offset basis, the hash of no bytes. *)
 
-val prime : int64
-
-val add_byte : int64 -> int -> int64
-(** Fold the low 8 bits of an int. *)
-
 val add_string : int64 -> string -> int64
 
 val add_int : int64 -> int -> int64

@@ -16,6 +16,7 @@ val create : int -> t
 val copy : t -> t
 (** Independent duplicate of the current state. *)
 
+(* kept: independent sub-streams; in-tree callers derive seeds instead *)
 val split : t -> t
 (** [split r] draws from [r] and returns a new generator whose stream is
     (statistically) independent of the remainder of [r]'s stream.  Used
@@ -28,6 +29,7 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int r bound] is uniform on [0, bound-1].  [bound] must be positive. *)
 
+(* kept: the bounded draw [sample_distinct] uses; tested directly *)
 val int_in : t -> int -> int -> int
 (** [int_in r lo hi] is uniform on [lo, hi] inclusive.  Requires
     [lo <= hi]. *)
@@ -40,9 +42,6 @@ val bool : t -> bool
 val geometric : t -> p:float -> int
 (** Geometric variate with success probability [p] (0 < p <= 1): the
     number of trials until first success, support {1, 2, ...}. *)
-
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
 
 val permutation : t -> int -> int array
 (** [permutation r n] is a uniformly random permutation of [0..n-1]. *)

@@ -35,6 +35,7 @@ val http_request :
     is [Connection: close]); reads to EOF, then parses.  [Error] is a
     human-readable transport or parse failure. *)
 
+(* kept: the pure retry schedule, tested without a daemon *)
 val backoff_delay :
   ?base:float -> ?cap:float -> attempt:int -> retry_after:float option ->
   float ->
@@ -53,6 +54,7 @@ val retryable_status : int -> bool
     (deadline) are; success and request-shaped errors ([400], [413], …)
     are not. *)
 
+(* kept: the retry loop, tested with injected sleep and jitter *)
 val with_retries :
   ?attempts:int ->
   ?base:float ->

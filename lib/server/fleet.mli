@@ -25,6 +25,7 @@ val parse_servers : string -> (server list, string) result
     defaults the host to 127.0.0.1).  [Error] names the offending
     entry. *)
 
+(* kept: the host:port name fleet errors carry; tested directly *)
 val address : server -> string
 (** ["host:port"]. *)
 

@@ -15,8 +15,6 @@ type status =
   | Deadline_exceeded
   | Failed of string  (** engine raised; the daemon survived *)
 
-val status_name : status -> string
-
 type job = {
   id : int;
   request_id : string;  (** client-supplied or daemon-minted trace id *)

@@ -1,11 +1,9 @@
-module Rng = Hypart_rng.Rng
 module Io = Hypart_hypergraph.Netlist_io
 module Instance_store = Hypart_hypergraph.Instance_store
 module Problem = Hypart_partition.Problem
 module Bipartition = Hypart_partition.Bipartition
 module Balance = Hypart_partition.Balance
 module Engine = Hypart_engine.Engine
-module Machine = Hypart_engine.Machine
 module Parallel = Hypart_engine.Parallel
 module Cancel = Hypart_engine.Cancel
 module Delta = Hypart_delta.Delta
@@ -516,21 +514,6 @@ let config_fingerprint ~tolerance ~starts =
       ("starts", string_of_int starts);
     ]
 
-let run_engine engine ~seed ~starts problem =
-  if starts = 1 then
-    (* the CLI's sequential single-start path, bit for bit *)
-    Machine.cpu_time (fun () -> Engine.run engine (Rng.create seed) problem None)
-  else begin
-    (* the CLI's seeded multistart: one derived seed per start, so the
-       winner is identical to `partition --domains D` for every D *)
-    let seeds = List.init starts (fun i -> seed + i) in
-    let (_seed, best), records = Engine.multistart_seeds engine problem ~seeds in
-    let seconds =
-      List.fold_left (fun acc r -> acc +. r.Engine.start_seconds) 0. records
-    in
-    (best, seconds)
-  end
-
 let admit_partition t ~event (req : Http.request) p =
   let engine = param_engine req "engine" "mlclip" in
   let starts = param_int req "starts" 1 in
@@ -566,7 +549,10 @@ let admit_partition t ~event (req : Http.request) p =
     run =
       (fun () ->
         let problem = Problem.make ~tolerance:p.tolerance h in
-        let result, seconds = run_engine engine ~seed:p.seed ~starts problem in
+        (* `partition --starts n --seed s`, at any --domains *)
+        let seeds = List.init starts (fun i -> p.seed + i) in
+        let (_seed, result), records = Engine.multistart_seeds engine problem ~seeds in
+        let seconds = Engine.cpu_seconds records in
         { result; seconds; done_fields = []; fresh_headers = []; fresh_json = [] });
   }
 

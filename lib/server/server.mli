@@ -8,11 +8,10 @@
     codec and runs partitioning jobs.
 
     Served results are bit-identical to offline runs: a request with
-    [starts=1] executes [Engine.run engine (Rng.create seed)], exactly
-    the CLI's sequential path, and [starts=n] executes
-    [Engine.multistart_seeds] over seeds [seed .. seed+n-1], exactly
-    the CLI's [--domains] path — deterministic regardless of the
-    worker pool size.
+    [starts=n] executes [Engine.multistart_seeds] over seeds
+    [seed .. seed+n-1] on its worker domain, exactly as
+    [hypart partition --starts n] does at every [--domains] —
+    deterministic regardless of the worker pool size.
 
     Duplicate submissions are content-addressed through a
     {!Hypart_lab.Run_store}: the key combines engine name, config

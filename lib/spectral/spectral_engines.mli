@@ -4,7 +4,5 @@
     window; any initial solution is ignored (the Fiedler vector does
     not take hints). *)
 
-val spectral : Hypart_engine.Engine.t
-
 val register : unit -> unit
 (** Add [spectral] to the registry (idempotent). *)

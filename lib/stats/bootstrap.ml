@@ -2,24 +2,19 @@ module Rng = Hypart_rng.Rng
 
 type interval = { lo : float; hi : float; point : float }
 
-let confidence_interval ?(resamples = 1000) ?(level = 0.95) rng ~statistic xs =
+let mean_ci ?(resamples = 1000) ?(level = 0.95) rng xs =
   let n = Array.length xs in
-  if n = 0 then invalid_arg "Bootstrap.confidence_interval: empty sample";
+  if n = 0 then invalid_arg "Bootstrap.mean_ci: empty sample";
   if level <= 0.0 || level >= 1.0 then
-    invalid_arg "Bootstrap.confidence_interval: level outside (0, 1)";
-  if resamples < 1 then
-    invalid_arg "Bootstrap.confidence_interval: resamples must be >= 1";
-  let stats =
+    invalid_arg "Bootstrap.mean_ci: level outside (0, 1)";
+  if resamples < 1 then invalid_arg "Bootstrap.mean_ci: resamples must be >= 1";
+  let means =
     Array.init resamples (fun _ ->
-        let resample = Array.init n (fun _ -> xs.(Rng.int rng n)) in
-        statistic resample)
+        Descriptive.mean (Array.init n (fun _ -> xs.(Rng.int rng n))))
   in
   let alpha = (1.0 -. level) /. 2.0 in
   {
-    lo = Descriptive.quantile stats alpha;
-    hi = Descriptive.quantile stats (1.0 -. alpha);
-    point = statistic xs;
+    lo = Descriptive.quantile means alpha;
+    hi = Descriptive.quantile means (1.0 -. alpha);
+    point = Descriptive.mean xs;
   }
-
-let mean_ci ?resamples ?level rng xs =
-  confidence_interval ?resamples ?level rng ~statistic:Descriptive.mean xs

@@ -5,20 +5,11 @@
 
 type interval = { lo : float; hi : float; point : float }
 
-val confidence_interval :
-  ?resamples:int ->
-  ?level:float ->
-  Hypart_rng.Rng.t ->
-  statistic:(float array -> float) ->
-  float array ->
-  interval
-(** Percentile bootstrap: resample with replacement [resamples] times
-    (default 1000), evaluate [statistic] on each, and take the
-    [(1-level)/2] and [(1+level)/2] quantiles (default [level] 0.95).
-    [point] is the statistic of the original sample.
-    @raise Invalid_argument on an empty sample or a [level] outside
-    (0, 1). *)
-
 val mean_ci :
   ?resamples:int -> ?level:float -> Hypart_rng.Rng.t -> float array -> interval
-(** {!confidence_interval} for the mean. *)
+(** Percentile bootstrap of the mean: resample with replacement
+    [resamples] times (default 1000), take each resample's mean, and
+    return the [(1-level)/2] and [(1+level)/2] quantiles (default
+    [level] 0.95).  [point] is the mean of the original sample.
+    @raise Invalid_argument on an empty sample, a [level] outside
+    (0, 1) or [resamples < 1]. *)

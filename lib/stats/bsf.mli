@@ -26,12 +26,14 @@ val expected_curve :
     does), then averaged over sequences.  This is the
     speed-dependent-ranking primitive of Schreiber & Martin. *)
 
+(* kept: the step lookup the curve samplers use; tested directly *)
 val value_at : point list -> float -> float
 (** [value_at curve tau]: the curve's cost at budget [tau] (infinity
     before the first point). *)
 
 type band = { p10 : float array; median : float array; p90 : float array }
 
+(* kept: BSF spread over resampled start orders; no report draws it yet *)
 val quantile_band :
   Hypart_rng.Rng.t ->
   records:(float * float) array ->

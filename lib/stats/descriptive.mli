@@ -26,6 +26,7 @@ val quantile : float array -> float -> float
 
 val median : float array -> float
 
+(* kept: a one-call summary for library users; tested directly *)
 val summarize : float array -> summary
 (** @raise Invalid_argument on empty input. *)
 

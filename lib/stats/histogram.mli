@@ -15,6 +15,7 @@ val build : bins:int -> float array -> t
     inclusive.  A constant sample lands in the middle bin.
     @raise Invalid_argument on empty input or [bins < 1]. *)
 
+(* kept: the bin rule [build] applies, tested point by point *)
 val bin_of : t -> float -> int option
 (** Bin index of a value; [None] outside the range. *)
 

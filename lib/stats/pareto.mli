@@ -8,6 +8,7 @@
 
 type 'a point = { label : 'a; cost : float; runtime : float }
 
+(* kept: the relation the frontier is defined by; tested directly *)
 val dominates : 'a point -> 'a point -> bool
 (** [dominates b a]: strictly lower cost {e and} strictly lower
     runtime. *)

@@ -12,6 +12,7 @@ type 'name row = {
   values : ('name * float) list;  (** all heuristics' expected costs *)
 }
 
+(* kept: the per-budget ranking the table is built from; tested directly *)
 val rank_at_budgets :
   budgets:float array ->
   curves:('name * float array) list ->

@@ -19,5 +19,6 @@ val mann_whitney_u : float array -> float array -> test_result
     correction — appropriate for cut distributions, which are skewed.
     Requires at least two observations per sample. *)
 
+(* kept: the CDF [welch_t_test] rests on, checked against tables *)
 val student_t_cdf : df:float -> float -> float
 (** CDF of the Student t distribution (exposed for tests). *)

@@ -24,6 +24,7 @@ type report = {
   new_factor : float;
 }
 
+(* kept: the comparison bench-diff runs, tested on in-memory JSON *)
 val diff :
   ?prefix:string ->
   tolerance:float ->

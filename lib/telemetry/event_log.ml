@@ -25,11 +25,10 @@ type t = {
   mutable closed : bool;
 }
 
-let default_max_events = 100_000
 let total_logged = Atomic.make 0
 let total_dropped = Atomic.make 0
 
-let open_log ?(max_events = default_max_events) path =
+let open_log ?(max_events = 100_000) path =
   {
     lock = Mutex.create ();
     log = Jsonl.open_log path;

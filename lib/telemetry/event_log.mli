@@ -15,12 +15,10 @@
 
 type t
 
-val default_max_events : int
-(** 100_000 events (~10 MB at typical line sizes). *)
-
 val open_log : ?max_events:int -> string -> t
 (** Open (append mode, created with its directory if missing) an event
-    log at [path]. *)
+    log at [path], keeping at most [max_events] events (default
+    100_000, about 10 MB at typical line sizes). *)
 
 val emit : t -> string -> (string * Jsonl.value) list -> unit
 (** [emit t event fields] appends one line.  Thread/domain-safe. *)
@@ -30,6 +28,8 @@ val close : t -> unit
     emits to [t] are counted as dropped. *)
 
 val path : t -> string
+
+(* kept: the count the flight-recorder tests check against the file *)
 val written : t -> int
 val dropped : t -> int
 

@@ -1,6 +1,5 @@
 (** Internal JSON string building (no external JSON dependency). *)
 
-val escape : string -> string
 val string : string -> string
 
 val number : float -> string

@@ -25,6 +25,7 @@ type entry =
   | E_gauge of string * float
   | E_histogram of string * stats
 
+(* kept: the retention bound the reservoir tests fill past *)
 val reservoir_cap : int
 (** Maximum retained samples per histogram (4096).  Below the cap
     quantiles are exact; above it a per-histogram seeded reservoir
@@ -55,8 +56,10 @@ val counter_value : string -> int
 val gauge_value : string -> float
 (** Current gauge value; [0.] for unknown names. *)
 
+(* kept: one histogram's summary, as the metric tests read it *)
 val histogram_stats : string -> stats option
 
+(* kept: the reservoir fill the cap tests check *)
 val histogram_retained : string -> int
 (** Number of samples currently retained in the reservoir ([<=]
     {!reservoir_cap}); [0] for unknown names. *)
@@ -76,6 +79,7 @@ val to_json : ?provenance:(string * string) list -> unit -> string
 
 val to_csv : unit -> string
 
+(* kept: the exposition name rule, tested directly *)
 val prometheus_name : string -> string
 (** Sanitise a metric name for Prometheus: every character outside
     [[a-zA-Z0-9_:]] becomes [_], and a leading digit is prefixed with

@@ -6,11 +6,6 @@
     the duration of each message and tags every line with the
     recording domain id and the source name. *)
 
-val reporter :
-  ?app:Format.formatter -> ?dst:Format.formatter -> unit -> Logs.reporter
-(** [App]-level messages go to [app] (default [std_formatter]), all
-    other levels to [dst] (default [err_formatter]). *)
-
 val setup :
   ?app:Format.formatter ->
   ?dst:Format.formatter ->

@@ -22,6 +22,7 @@ type phase = {
   max_us : float;
 }
 
+(* kept: the data behind --profile, tested without the table *)
 val phase_summary : unit -> phase list
 (** Spans aggregated by name, sorted by total time descending — the
     data behind the CLI's [--profile] table. *)

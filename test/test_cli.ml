@@ -48,6 +48,25 @@ let test_partition_name () =
     (run_cmd "partition ibm01 --scale 64 --engine flat --starts 2")
     [ "best cut:"; "legal"; "per-start cuts:" ]
 
+(* the seeded multistart answers the same at every --domains: start i
+   runs from seed 5+i wherever it runs, and the winner is picked the
+   same way *)
+let test_partition_domains_agree () =
+  let answer args =
+    let code, out = run_cmd ("partition ibm01 --scale 8 --seed 5 --starts 4" ^ args) in
+    Alcotest.(check int) (args ^ " exit code") 0 code;
+    String.split_on_char '\n' out
+    |> List.filter (fun l ->
+           String.starts_with ~prefix:"best cut:" l
+           || String.starts_with ~prefix:"per-start cuts:" l)
+  in
+  let reference = answer "" in
+  Alcotest.(check int) "both lines printed" 2 (List.length reference);
+  List.iter
+    (fun d ->
+      Alcotest.(check (list string)) ("same answer at" ^ d) reference (answer d))
+    [ " --domains 1"; " --domains 2" ]
+
 let test_partition_file () =
   check_ok "partition .hgr file"
     (run_cmd (Printf.sprintf "partition %s.hgr --engine mlclip" base))
@@ -350,7 +369,7 @@ let test_daemon_round_trip () =
     Alcotest.(check string) "submit -o = partition -o" (read offline) (read served);
     (* a Bookshelf pair whose .nodes file lacks a trailing newline *)
     let shelf = Filename.concat tmpdir "hypart_cli_shelf" in
-    Hypart_hypergraph.Netlist_io.write_bookshelf ~basename:shelf
+    Netlists.write_bookshelf ~basename:shelf
       (Hypart_generator.Ibm_suite.instance ~scale:64.0 "ibm01");
     let nodes = shelf ^ ".nodes" in
     let text = In_channel.with_open_bin nodes In_channel.input_all in
@@ -468,6 +487,8 @@ let () =
           Alcotest.test_case "generate" `Quick test_generate;
           Alcotest.test_case "partition by name" `Quick test_partition_name;
           Alcotest.test_case "partition file" `Quick test_partition_file;
+          Alcotest.test_case "partition at any --domains" `Quick
+            test_partition_domains_agree;
           Alcotest.test_case "kway + evaluate" `Quick test_kway_and_evaluate;
           Alcotest.test_case "table csv" `Quick test_table_csv;
           Alcotest.test_case "fixed" `Quick test_fixed_subcommand;

@@ -143,15 +143,16 @@ let test_multistart_zero_starts () =
       try ignore (Engine.multistart engine (Rng.create 1) problem ~starts:0)
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
-let test_parallel_matches_sequential () =
+(* the seeded multistart on the calling domain and fanned out over
+   [domains] domains agree on the winner and on every per-seed cut *)
+let check_domains_agree ~domains seeds =
   let problem = ibm_problem () in
   let engine = Engine.find_exn "mlclip" in
-  let seeds = [ 11; 5; 23; 2 ] in
   let (seq_seed, seq_best), seq_records =
     Engine.multistart_seeds engine problem ~seeds
   in
   let (par_seed, par_best), par_records =
-    Engine.multistart_parallel ~domains:3 engine problem ~seeds
+    Engine.multistart_seeds ~domains engine problem ~seeds
   in
   Alcotest.(check int) "same winning seed" seq_seed par_seed;
   Alcotest.(check int) "same winning cut" seq_best.Engine.Result.cut
@@ -161,44 +162,17 @@ let test_parallel_matches_sequential () =
     (List.map (fun r -> r.Engine.start_cut) seq_records)
     (List.map (fun r -> r.Engine.start_cut) par_records)
 
-(* degenerate sharding still matches the sequential protocol: more
+let test_parallel_matches_sequential () =
+  check_domains_agree ~domains:3 [ 11; 5; 23; 2 ]
+
+(* degenerate sharding still matches the calling-domain run: more
    domains than jobs (some domains get an empty block) and exactly one
-   domain (the parallel path collapsing to sequential) *)
+   domain *)
 let test_parallel_more_domains_than_jobs () =
-  let problem = ibm_problem () in
-  let engine = Engine.find_exn "mlclip" in
-  let seeds = [ 11; 5; 23 ] in
-  let (seq_seed, seq_best), seq_records =
-    Engine.multistart_seeds engine problem ~seeds
-  in
-  let (par_seed, par_best), par_records =
-    Engine.multistart_parallel ~domains:8 engine problem ~seeds
-  in
-  Alcotest.(check int) "same winning seed" seq_seed par_seed;
-  Alcotest.(check int) "same winning cut" seq_best.Engine.Result.cut
-    par_best.Engine.Result.cut;
-  Alcotest.(check (list int))
-    "same per-seed cuts"
-    (List.map (fun r -> r.Engine.start_cut) seq_records)
-    (List.map (fun r -> r.Engine.start_cut) par_records)
+  check_domains_agree ~domains:8 [ 11; 5; 23 ]
 
 let test_parallel_single_domain () =
-  let problem = ibm_problem () in
-  let engine = Engine.find_exn "mlclip" in
-  let seeds = [ 11; 5; 23; 2 ] in
-  let (seq_seed, seq_best), seq_records =
-    Engine.multistart_seeds engine problem ~seeds
-  in
-  let (par_seed, par_best), par_records =
-    Engine.multistart_parallel ~domains:1 engine problem ~seeds
-  in
-  Alcotest.(check int) "same winning seed" seq_seed par_seed;
-  Alcotest.(check int) "same winning cut" seq_best.Engine.Result.cut
-    par_best.Engine.Result.cut;
-  Alcotest.(check (list int))
-    "same per-seed cuts"
-    (List.map (fun r -> r.Engine.start_cut) seq_records)
-    (List.map (fun r -> r.Engine.start_cut) par_records)
+  check_domains_agree ~domains:1 [ 11; 5; 23; 2 ]
 
 let test_seeded_tie_break_lowest_seed () =
   (* a constant engine: every seed produces the same solution, so the
@@ -221,7 +195,7 @@ let test_seeded_tie_break_lowest_seed () =
   in
   Alcotest.(check int) "lowest seed wins ties (sequential)" 4 seed;
   let (pseed, _), _ =
-    Engine.multistart_parallel ~domains:2 constant problem
+    Engine.multistart_seeds ~domains:2 constant problem
       ~seeds:[ 9; 4; 17; 6 ]
   in
   Alcotest.(check int) "lowest seed wins ties (parallel)" 4 pseed
@@ -231,46 +205,6 @@ let test_seeded_empty_seeds () =
   let engine = Engine.find_exn "flat" in
   Alcotest.check_raises "empty seeds" (Invalid_argument "x") (fun () ->
       try ignore (Engine.multistart_seeds engine problem ~seeds:[])
-      with Invalid_argument _ -> raise (Invalid_argument "x"))
-
-let test_multistart_pruned_threshold () =
-  let problem = ibm_problem () in
-  let engine = Engine.find_exn "flat" in
-  let prune_factor = 1.1 in
-  let peek rng problem = Hypart_fm.Fm_engines.one_pass_peek rng problem in
-  let best, records, pruned =
-    Engine.multistart_pruned ~prune_factor ~peek engine (Rng.create 17) problem
-      ~starts:16
-  in
-  Alcotest.(check int) "all starts recorded" 16 (List.length records);
-  Alcotest.(check bool) "pruned count in range" true
-    (pruned >= 0 && pruned < 16);
-  (* the winner is legal and at least as good as every completed start;
-     pruned starts carry their peek cut, which must exceed the
-     threshold implied by some completed cut at the time of pruning —
-     in particular it must exceed prune_factor * final best cut. *)
-  Alcotest.(check bool) "winner legal" true best.Engine.Result.legal;
-  let threshold =
-    int_of_float (prune_factor *. float_of_int best.Engine.Result.cut)
-  in
-  let completed_cuts =
-    List.filter (fun r -> r.Engine.start_cut <= threshold) records
-  in
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "best beats completed starts" true
-        (best.Engine.Result.cut <= r.Engine.start_cut))
-    completed_cuts
-
-let test_pruned_bad_factor () =
-  let problem = tiny_problem 1 in
-  let engine = Engine.find_exn "flat" in
-  let peek rng problem = Hypart_fm.Fm_engines.one_pass_peek rng problem in
-  Alcotest.check_raises "factor < 1" (Invalid_argument "x") (fun () ->
-      try
-        ignore
-          (Engine.multistart_pruned ~prune_factor:0.5 ~peek engine
-             (Rng.create 1) problem ~starts:2)
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let test_polish_best_applied () =
@@ -350,9 +284,6 @@ let () =
           Alcotest.test_case "tie-break lowest seed" `Quick
             test_seeded_tie_break_lowest_seed;
           Alcotest.test_case "empty seeds" `Quick test_seeded_empty_seeds;
-          Alcotest.test_case "pruned threshold" `Quick
-            test_multistart_pruned_threshold;
-          Alcotest.test_case "pruned bad factor" `Quick test_pruned_bad_factor;
           Alcotest.test_case "polish_best applied" `Quick
             test_polish_best_applied;
           Alcotest.test_case "with_vcycles" `Quick

@@ -100,9 +100,17 @@ let entry gen slot cut =
     assignment = Array.init 8 (fun v -> (v + slot) mod 2);
   }
 
+(* an entry appended, then replayed from its line by a reopen *)
 let test_pop_log_line_roundtrip () =
   let e = entry 3 1 42 in
-  match Pop_log.entry_of_line (Pop_log.entry_to_line e) with
+  let dir = temp_dir "hypart_poplog_line" in
+  let log = Pop_log.open_log ~dir ~campaign:"cafe0123" in
+  Pop_log.append log e;
+  Pop_log.close log;
+  let log = Pop_log.open_log ~dir ~campaign:"cafe0123" in
+  let replayed = Pop_log.find log ~gen:3 ~slot:1 in
+  Pop_log.close log;
+  match replayed with
   | None -> Alcotest.fail "round trip failed"
   | Some e' ->
     Alcotest.(check int) "gen" e.Pop_log.gen e'.Pop_log.gen;

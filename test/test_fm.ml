@@ -451,37 +451,6 @@ let test_multistart () =
   Alcotest.(check bool) "times nonnegative" true
     (List.for_all (fun r -> r.Engine.start_seconds >= 0.) records)
 
-let multistart_pruned ?prune_factor rng p ~starts =
-  Engine.multistart_pruned ?prune_factor ~peek:Fm_engines.one_pass_peek default_fm rng p
-    ~starts
-
-let test_multistart_pruned () =
-  let h = random_instance ~nv:120 ~ne:260 40 in
-  let p = Problem.make ~tolerance:0.05 h in
-  let best, records, pruned = multistart_pruned (Rng.create 41) p ~starts:12 in
-  Alcotest.(check int) "12 records" 12 (List.length records);
-  Alcotest.(check bool) "pruned count sane" true (pruned >= 0 && pruned < 12);
-  Alcotest.(check bool) "best legal" true best.Engine.Result.legal;
-  Alcotest.(check int) "best cut consistent"
-    (Bipartition.cut h best.Engine.Result.solution) best.Engine.Result.cut
-
-let test_multistart_pruned_tight_factor_prunes () =
-  (* factor 1.0: everything not strictly better after one pass gets
-     pruned, so most starts after the first should be cut short *)
-  let h = random_instance ~nv:120 ~ne:260 42 in
-  let p = Problem.make ~tolerance:0.05 h in
-  let _, _, pruned =
-    multistart_pruned ~prune_factor:1.0 (Rng.create 43) p ~starts:12
-  in
-  Alcotest.(check bool) "some starts pruned" true (pruned > 0)
-
-let test_multistart_pruned_invalid () =
-  let h = random_instance 44 in
-  let p = Problem.make ~tolerance:0.05 h in
-  Alcotest.check_raises "bad factor" (Invalid_argument "x") (fun () ->
-      try ignore (multistart_pruned ~prune_factor:0.5 (Rng.create 1) p ~starts:2)
-      with Invalid_argument _ -> raise (Invalid_argument "x"))
-
 let test_multistart_improves_with_starts () =
   let h = random_instance ~nv:120 ~ne:260 27 in
   let p = Problem.make ~tolerance:0.05 h in
@@ -806,11 +775,6 @@ let () =
           Alcotest.test_case "records and best" `Quick test_multistart;
           Alcotest.test_case "more starts help" `Quick
             test_multistart_improves_with_starts;
-          Alcotest.test_case "pruned multistart" `Quick test_multistart_pruned;
-          Alcotest.test_case "tight prune factor prunes" `Quick
-            test_multistart_pruned_tight_factor_prunes;
-          Alcotest.test_case "pruned invalid factor" `Quick
-            test_multistart_pruned_invalid;
         ] );
       ( "workspace",
         [

@@ -85,8 +85,13 @@ let test_locality () =
     (Printf.sprintf "ordering cut fraction %.3f < 0.25" frac)
     true (frac < 0.25)
 
+(* ibm01 .. ibm18, through the public lookup *)
+let all_profiles = List.init 18 (fun i -> Suite.find (Printf.sprintf "ibm%02d" (i + 1)))
+
 let test_suite_profiles () =
-  Alcotest.(check int) "18 profiles" 18 (List.length Suite.profiles);
+  Alcotest.(check (list string)) "18 profiles, in order"
+    (List.init 18 (fun i -> Printf.sprintf "ibm%02d" (i + 1)))
+    (List.map (fun p -> p.Suite.name) all_profiles);
   let p = Suite.find "ibm01" in
   Alcotest.(check int) "ibm01 cells" 12752 p.Suite.cells;
   let p18 = Suite.find "ibm18s" in
@@ -121,7 +126,7 @@ let test_all_profiles_generate () =
         (Printf.sprintf "%s avg net size %.2f realistic" name s.S.avg_edge_size)
         true
         (s.S.avg_edge_size >= 2.0 && s.S.avg_edge_size <= 7.0))
-    Suite.profiles
+    all_profiles
 
 let prop_all_nets_at_least_two_pins =
   QCheck.Test.make ~name:"every generated net has >= 2 pins" ~count:20

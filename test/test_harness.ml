@@ -75,26 +75,6 @@ let test_parallel_engine_runs () =
   Alcotest.(check (list int)) "parallel = sequential" (List.map run seeds)
     (Parallel.map_seeds ~domains:2 ~seeds run)
 
-let test_parallel_best_of () =
-  let result = Parallel.best_of ~domains:2 ~seeds:[ 3; 1; 2 ] (fun s -> (s, -s)) in
-  Alcotest.(check bool) "lowest cost wins" true (result = Some (1, -1));
-  Alcotest.(check bool) "empty -> None" true
-    (Parallel.best_of ~seeds:[] (fun s -> (s, s)) = None)
-
-let test_parallel_best_of_tie_break () =
-  (* equal costs everywhere: the numerically lowest seed must win, so
-     multistart reruns are reproducible regardless of domain count *)
-  let result = Parallel.best_of ~domains:2 ~seeds:[ 5; 2; 9 ] (fun s -> (7, s)) in
-  Alcotest.(check bool) "lowest seed wins tie" true (result = Some (7, 2));
-  let result = Parallel.best_of ~seeds:[ 9; 5; 2 ] (fun s -> (7, s)) in
-  Alcotest.(check bool) "order-independent" true (result = Some (7, 2));
-  (* a strictly better cut still beats a lower seed *)
-  let result =
-    Parallel.best_of ~domains:2 ~seeds:[ 1; 2; 3 ]
-      (fun s -> ((if s = 3 then 0 else 7), s))
-  in
-  Alcotest.(check bool) "cut dominates seed" true (result = Some (0, 3))
-
 let test_parallel_more_domains_than_seeds () =
   Alcotest.(check (list int)) "caps domains" [ 10 ]
     (Parallel.map_seeds ~domains:8 ~seeds:[ 5 ] (fun s -> 2 * s))
@@ -239,9 +219,6 @@ let () =
           Alcotest.test_case "matches sequential" `Quick
             test_parallel_matches_sequential;
           Alcotest.test_case "engine fan-out" `Quick test_parallel_engine_runs;
-          Alcotest.test_case "best_of" `Quick test_parallel_best_of;
-          Alcotest.test_case "best_of tie-break" `Quick
-            test_parallel_best_of_tie_break;
           Alcotest.test_case "domain cap" `Quick
             test_parallel_more_domains_than_seeds;
           Alcotest.test_case "invalid" `Quick test_parallel_invalid;

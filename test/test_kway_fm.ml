@@ -32,8 +32,8 @@ let test_cut_of () =
   let h = four_clusters () in
   let perfect = Array.init 24 (fun v -> v / 6) in
   Alcotest.(check int) "perfect clustering cuts bridges only" 4
-    (Kway.cut_of h perfect);
-  Alcotest.(check int) "all in one part" 0 (Kway.cut_of h (Array.make 24 0))
+    (Hypart_partition.Kway_objective.cut h perfect);
+  Alcotest.(check int) "all in one part" 0 (Hypart_partition.Kway_objective.cut h (Array.make 24 0))
 
 let test_kway_finds_clusters () =
   let h = four_clusters () in
@@ -44,7 +44,7 @@ let test_kway_finds_clusters () =
 let test_kway_cut_consistent () =
   let h = random_instance 2 in
   let r = Kway.run_random_start ~k:3 (Rng.create 3) h in
-  Alcotest.(check int) "reported = recomputed" (Kway.cut_of h r.Kway.part_of)
+  Alcotest.(check int) "reported = recomputed" (Hypart_partition.Kway_objective.cut h r.Kway.part_of)
     r.Kway.cut
 
 let test_kway_balanced () =
@@ -65,7 +65,7 @@ let test_kway_improves_initial () =
   let h = random_instance 5 in
   let rng = Rng.create 6 in
   let initial = Array.init 60 (fun v -> v mod 3) in
-  let before = Kway.cut_of h initial in
+  let before = Hypart_partition.Kway_objective.cut h initial in
   let r = Kway.run ~k:3 rng h initial in
   Alcotest.(check bool) "no worse" true (r.Kway.cut <= before);
   Alcotest.(check (array int)) "input untouched"
@@ -98,7 +98,7 @@ let test_kway_vs_recursive_bisection () =
 let test_kway_k2_matches_bipartition_semantics () =
   let h = random_instance 9 in
   let r = Kway.run_random_start ~k:2 (Rng.create 10) h in
-  (* 2-way cut_of is the ordinary cut *)
+  (* the 2-way k-way cut is the ordinary cut *)
   let side = r.Kway.part_of in
   let s = Hypart_partition.Bipartition.make h side in
   Alcotest.(check int) "k=2 cut is the bipartition cut"
@@ -112,7 +112,7 @@ let prop_kway_valid =
       let h = random_instance ~nv ~ne:(2 * nv) seed in
       let r = Kway.run_random_start ~k (Rng.create seed) h in
       Array.for_all (fun p -> p >= 0 && p < k) r.Kway.part_of
-      && r.Kway.cut = Kway.cut_of h r.Kway.part_of)
+      && r.Kway.cut = Hypart_partition.Kway_objective.cut h r.Kway.part_of)
 
 let () =
   Alcotest.run "kway_fm"

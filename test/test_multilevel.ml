@@ -380,7 +380,7 @@ let test_ml_kway_valid () =
   let h = instance () in
   let r = Mlk.run ~k:4 (Rng.create 50) h in
   Alcotest.(check bool) "legal" true r.Kway_fm.legal;
-  Alcotest.(check int) "cut consistent" (Kway_fm.cut_of h r.Kway_fm.part_of)
+  Alcotest.(check int) "cut consistent" (Hypart_partition.Kway_objective.cut h r.Kway_fm.part_of)
     r.Kway_fm.cut;
   Array.iter
     (fun p -> Alcotest.(check bool) "part in range" true (p >= 0 && p < 4))

@@ -56,6 +56,66 @@ let check_simple = function
 let test_http_whole () =
   check_simple (Http.feed (Http.create_parser ()) simple_request)
 
+(* [s] cut at 0-5 random offsets (empty chunks included) *)
+let random_splits rng s =
+  let n = String.length s in
+  let cuts =
+    List.sort compare (List.init (Rng.int rng 6) (fun _ -> Rng.int rng (n + 1)))
+  in
+  let rec go start = function
+    | [] -> [ String.sub s start (n - start) ]
+    | c :: rest -> String.sub s start (c - start) :: go c rest
+  in
+  go 0 cuts
+
+let random_token rng =
+  String.init (1 + Rng.int rng 8) (fun _ -> Char.chr (Char.code 'a' + Rng.int rng 26))
+
+(* a well-formed request: random method, path, query, headers and a
+   body of random bytes framed by Content-Length *)
+let random_request rng =
+  let meth = if Rng.bool rng then "GET" else "POST" in
+  let query =
+    List.init (Rng.int rng 4) (fun _ -> random_token rng ^ "=" ^ random_token rng)
+  in
+  let target =
+    "/" ^ random_token rng ^ if query = [] then "" else "?" ^ String.concat "&" query
+  in
+  let body = String.init (Rng.int rng 200) (fun _ -> Char.chr (Rng.int rng 256)) in
+  let headers =
+    List.init (Rng.int rng 4) (fun _ -> "X-" ^ random_token rng ^ ": " ^ random_token rng)
+    @ [ Printf.sprintf "Content-Length: %d" (String.length body) ]
+  in
+  let eol = if Rng.bool rng then "\r\n" else "\n" in
+  String.concat eol ((meth ^ " " ^ target ^ " HTTP/1.1") :: headers) ^ eol ^ eol ^ body
+
+let prop_http_splits =
+  QCheck.Test.make ~name:"a request fed in random splits parses as when fed whole"
+    ~count:300 ~long_factor:100 QCheck.(int_bound 0x3FFFFFFF) (fun seed ->
+      let rng = Rng.create seed in
+      let raw = random_request rng in
+      match Http.feed (Http.create_parser ()) raw with
+      | `Request whole ->
+        feed_all (Http.create_parser ()) (random_splits rng raw) = `Request whole
+      | `More | `Error _ -> QCheck.Test.fail_reportf "whole request not parsed: %S" raw)
+
+(* any bytes, whole or split, end in `More, a request or a Bad_request
+   naming what it rejected; nothing else escapes *)
+let prop_http_garbage =
+  QCheck.Test.make ~name:"garbage yields a request or a located error"
+    ~count:300 ~long_factor:100 QCheck.(int_bound 0x3FFFFFFF) (fun seed ->
+      let rng = Rng.create seed in
+      let raw =
+        match Rng.int rng 3 with
+        | 0 -> String.init (Rng.int rng 300) (fun _ -> Char.chr (Rng.int rng 256))
+        | 1 -> Fuzz.mutate rng (random_request rng)
+        | _ -> "POST /partition HTTP/1.1\r\n" ^ Fuzz.mutate rng (random_request rng)
+      in
+      match feed_all (Http.create_parser ~max_body:100 ()) (random_splits rng raw) with
+      | `More | `Request _ | `Error (Http.Body_too_large _) -> true
+      | `Error (Http.Bad_request msg) -> msg <> ""
+      | exception e -> QCheck.Test.fail_reportf "%s escaped on %S" (Printexc.to_string e) raw)
+
 (* the parser must not care where [Unix.read] split the bytes: feeding
    one byte at a time parses identically to one whole-buffer feed *)
 let test_http_byte_at_a_time () =
@@ -424,6 +484,40 @@ let test_serve_matches_offline () =
       Alcotest.(check string) "served cut = offline cut"
         (string_of_int offline.Engine.Result.cut)
         (hdr resp "x-hypart-cut"))
+
+(* a starts=4 request answers what `hypart partition --starts 4
+   --domains 1` prints and writes: both run the one seeded multistart
+   over seeds 5..8 *)
+let test_serve_matches_cli_multistart () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/hypart.exe" in
+  let part = Filename.temp_file "hypart_cli_multistart" ".part" in
+  let out = Filename.temp_file "hypart_cli_multistart" ".txt" in
+  let cmd =
+    Printf.sprintf
+      "%s partition ibm01 --scale 8 --seed 5 --starts 4 --domains 1 -o %s > %s 2>&1"
+      (Filename.quote exe) (Filename.quote part) (Filename.quote out)
+  in
+  Alcotest.(check int) "cli exit code" 0 (Sys.command cmd);
+  let cli_cut =
+    In_channel.with_open_bin out In_channel.input_lines
+    |> List.find_map (fun l -> Scanf.sscanf_opt l "best cut: %d" Fun.id)
+    |> Option.get
+  in
+  let h = Hypart_generator.Ibm_suite.instance ~scale:8.0 "ibm01" in
+  let cli_sides = Io.read_partition part ~num_vertices:(Hg.num_vertices h) in
+  List.iter Sys.remove [ part; out ];
+  with_server (fun _server port ->
+      let path =
+        Client.partition_path ~engine:"mlclip" ~seed:5 ~starts:4 ~tolerance:0.02
+          ~format:"hgr" ()
+      in
+      match Client.post ~host:"127.0.0.1" ~port ~path ~body:(Io.hgr_string h) () with
+      | Error f -> Alcotest.fail (Client.failure_message f)
+      | Ok served ->
+        Alcotest.(check int) "served cut = cli cut" cli_cut served.Client.cut;
+        Alcotest.(check (option (array int)))
+          "served assignment = cli partition" (Some cli_sides)
+          served.Client.assignment)
 
 let test_serve_dedup_zero_runs () =
   with_server (fun _server port ->
@@ -1406,6 +1500,8 @@ let () =
             test_http_response_round_trip;
           Alcotest.test_case "expect 100-continue" `Quick
             test_http_expect_continue;
+          QCheck_alcotest.to_alcotest prop_http_splits;
+          QCheck_alcotest.to_alcotest prop_http_garbage;
         ] );
       ( "queue",
         [
@@ -1443,6 +1539,8 @@ let () =
       ( "live",
         [
           Alcotest.test_case "served = offline" `Quick test_serve_matches_offline;
+          Alcotest.test_case "starts=4 = partition --starts 4" `Quick
+            test_serve_matches_cli_multistart;
           Alcotest.test_case "dedup zero runs" `Quick test_serve_dedup_zero_runs;
           Alcotest.test_case "store persists" `Quick test_serve_store_persists;
           Alcotest.test_case "instance cache LRU" `Quick test_icache_lru;
