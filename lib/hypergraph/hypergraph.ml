@@ -112,33 +112,41 @@ let finish ~num_vertices ~num_edges ~edge_offset ~edge_pins ~vertex_offset
   }
 
 (* Build the vertex -> edges CSR from the edge -> pins CSR by counting
-   sort.  Shared by every constructor that arrives without one. *)
+   sort.  Shared by every constructor that arrives without one.  The
+   counting happens in [vertex_offset] itself: slot [v + 1] holds the
+   degree of [v], then the start of [v] (a fill cursor), and after the
+   fill the end of [v] — so no O(V) scratch array is allocated. *)
 let transpose ~num_vertices ~edge_offset ~edge_pins =
   let num_edges = dim edge_offset - 1 in
   let num_pins = dim edge_pins in
-  let degree = Array.make (max num_vertices 1) 0 in
-  for i = 0 to num_pins - 1 do
-    let v = ug edge_pins i in
-    degree.(v) <- degree.(v) + 1
-  done;
   let vertex_offset = i32_create (num_vertices + 1) in
-  Bigarray.Array1.set vertex_offset 0 0l;
-  for v = 0 to num_vertices - 1 do
+  Bigarray.Array1.fill vertex_offset 0l;
+  let bump v =
     Bigarray.Array1.unsafe_set vertex_offset (v + 1)
-      (Int32.of_int (ug vertex_offset v + degree.(v)))
+      (Int32.of_int (ug vertex_offset (v + 1) + 1))
+  in
+  for i = 0 to num_pins - 1 do
+    bump (ug edge_pins i)
+  done;
+  let start = ref 0 in
+  for v = 0 to num_vertices - 1 do
+    let d = ug vertex_offset (v + 1) in
+    Bigarray.Array1.unsafe_set vertex_offset (v + 1) (Int32.of_int !start);
+    start := !start + d
   done;
   let vertex_edges = i32_create num_pins in
-  let cursor = Array.init num_vertices (fun v -> ug vertex_offset v) in
   for e = 0 to num_edges - 1 do
     for i = ug edge_offset e to ug edge_offset (e + 1) - 1 do
       let v = ug edge_pins i in
-      Bigarray.Array1.unsafe_set vertex_edges cursor.(v) (Int32.of_int e);
-      cursor.(v) <- cursor.(v) + 1
+      Bigarray.Array1.unsafe_set vertex_edges (ug vertex_offset (v + 1))
+        (Int32.of_int e);
+      bump v
     done
   done;
   (vertex_offset, vertex_edges)
 
-let of_csr32 ~num_vertices ~edge_offset ~edge_pins ~vertex_weight ~edge_weight =
+let of_int32_csr_unchecked ~num_vertices ~edge_offset ~edge_pins ~vertex_weight
+    ~edge_weight =
   let num_edges = dim edge_offset - 1 in
   let vertex_offset, vertex_edges =
     transpose ~num_vertices ~edge_offset ~edge_pins
@@ -148,14 +156,15 @@ let of_csr32 ~num_vertices ~edge_offset ~edge_pins ~vertex_weight ~edge_weight =
 
 (* int-array entry point kept for the in-memory constructors below *)
 let of_csr ~num_vertices ~edge_offset ~edge_pins ~vertex_weight ~edge_weight =
-  of_csr32 ~num_vertices
+  of_int32_csr_unchecked ~num_vertices
     ~edge_offset:(i32_of_array edge_offset)
     ~edge_pins:(i32_of_array edge_pins)
     ~vertex_weight:(i32_of_array vertex_weight)
     ~edge_weight:(i32_of_array edge_weight)
 
-(* Validation for externally supplied CSR (streaming reader, binary
-   loader): cheap linear scans, located errors via Invalid_argument. *)
+(* Validation for externally supplied CSR (binary loader, delta patches,
+   ECO subproblems): cheap linear scans, located errors via
+   Invalid_argument. *)
 let validate_csr ~what ~num_vertices ~edge_offset ~edge_pins ~vertex_weight
     ~edge_weight =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
@@ -197,7 +206,8 @@ let of_int32_csr ~num_vertices ~edge_offset ~edge_pins ~vertex_weight
     ~edge_weight =
   validate_csr ~what:"Hypergraph.of_int32_csr" ~num_vertices ~edge_offset
     ~edge_pins ~vertex_weight ~edge_weight;
-  of_csr32 ~num_vertices ~edge_offset ~edge_pins ~vertex_weight ~edge_weight
+  of_int32_csr_unchecked ~num_vertices ~edge_offset ~edge_pins ~vertex_weight
+    ~edge_weight
 
 let of_mapped_csr ~num_vertices ~edge_offset ~edge_pins ~vertex_offset
     ~vertex_edges ~vertex_weight ~edge_weight =
@@ -501,7 +511,7 @@ let contract h ~cluster_of ~num_clusters =
     end
   done;
   let coarse =
-    of_csr32 ~num_vertices:num_clusters ~edge_offset ~edge_pins
+    of_int32_csr_unchecked ~num_vertices:num_clusters ~edge_offset ~edge_pins
       ~vertex_weight:(i32_of_array vertex_weight)
       ~edge_weight:(i32_of_array edge_weight)
   in

@@ -44,7 +44,7 @@ val of_int32_csr :
   edge_weight:i32 ->
   t
 (** [of_int32_csr] adopts already-built CSR vectors without copying —
-    the constructor behind the streaming [.hgr] reader.  The vectors
+    the constructor behind delta patches and ECO subproblems.  The vectors
     become the hypergraph's storage: the caller must not mutate them
     afterwards.  Requirements (checked, O(pins)): [edge_offset] has
     length [num_edges + 1], starts at 0, is monotone and ends at
@@ -52,6 +52,19 @@ val of_int32_csr :
     weights are positive.  The vertex -> edges CSR is built here.
 
     @raise Invalid_argument when a requirement fails. *)
+
+val of_int32_csr_unchecked :
+  num_vertices:int ->
+  edge_offset:i32 ->
+  edge_pins:i32 ->
+  vertex_weight:i32 ->
+  edge_weight:i32 ->
+  t
+(** {!of_int32_csr} without its checks, for a caller that has enforced
+    every requirement itself: the [.hgr] reader rejects out-of-range
+    and duplicate pins and bad weights with located errors while it
+    parses, so a second O(pins) pass with an O(V) mark array would only
+    repeat them.  A violated requirement goes undetected here. *)
 
 val of_mapped_csr :
   num_vertices:int ->

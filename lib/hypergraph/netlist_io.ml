@@ -259,8 +259,7 @@ let line_ints c dst =
   end;
   !n
 
-(* Growable int32 vector: doubling push, zero-copy view of the filled
-   prefix at the end. *)
+(* Growable int32 vector: doubling push, exactly sized contents. *)
 module Buf32 = struct
   type t = { mutable data : Hypergraph.i32; mutable len : int }
 
@@ -281,7 +280,19 @@ module Buf32 = struct
     Bigarray.Array1.unsafe_set b.data b.len (Int32.of_int x);
     b.len <- b.len + 1
 
-  let contents b = Bigarray.Array1.sub b.data 0 b.len
+  (* The filled prefix in an array of exactly [len] slots, so no spare
+     capacity stays alive behind the instance: [Hypergraph.memory_bytes],
+     the instance cache's accounting, counts [dim].  One blit, made only
+     when the doubling left spare capacity. *)
+  let contents b =
+    if Bigarray.Array1.dim b.data = b.len then b.data
+    else begin
+      let exact =
+        Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout b.len
+      in
+      Bigarray.Array1.blit (Bigarray.Array1.sub b.data 0 b.len) exact;
+      exact
+    end
 end
 
 (* ---------------- hMetis .hgr ---------------- *)
@@ -404,7 +415,9 @@ let hgr_of_cursor c =
       if !w > max_i32 then parse_error path c.line "vertex weight exceeds int32";
       Bigarray.Array1.set vertex_weight v (Int32.of_int !w)
     done;
-  Hypergraph.of_int32_csr ~num_vertices:nv ~edge_offset
+  (* every requirement of [of_int32_csr] was checked above, with a
+     location *)
+  Hypergraph.of_int32_csr_unchecked ~num_vertices:nv ~edge_offset
     ~edge_pins:(Buf32.contents pins) ~vertex_weight ~edge_weight
 
 let read_hgr path = with_file path hgr_of_cursor

@@ -69,14 +69,19 @@ let http_request ~host ~port ~meth ~path ?(headers = []) ?(body = "") () =
           Buffer.add_string b
             (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
           Buffer.add_string b "Connection: close\r\n\r\n";
-          Buffer.add_string b body;
-          let msg = Buffer.contents b in
+          let head = Buffer.contents b in
+          (* the head and the body go out as two writes, the body from
+             the caller's own string; without Nagle's algorithm the
+             second write is not held back waiting for the daemon to
+             acknowledge the first *)
+          Unix.setsockopt fd TCP_NODELAY true;
           (* a request the daemon refuses mid-upload (413) ends our
              write early; the response that explains why is still on
              the socket, so prefer it over the write error *)
           let write_err =
             try
-              write_all fd msg 0 (String.length msg);
+              write_all fd head 0 (String.length head);
+              write_all fd body 0 (String.length body);
               None
             with Unix.Unix_error (e, _, _) -> Some (Unix.error_message e)
           in

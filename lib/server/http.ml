@@ -83,34 +83,65 @@ let parse_header_line line =
       ( String.lowercase_ascii (String.trim (String.sub line 0 i)),
         String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
 
+(* The body goes into one buffer that grows through the shares
+   [content_length / 2^k] (rounded up): it starts at the largest share
+   not above [first_body] and doubles, ending exactly at the declared
+   length, where it becomes the request body with no further copy.  It
+   grows only when received bytes fill it, so beyond [first_body] it
+   never holds more than twice the bytes received: a client that
+   declares a large body and sends little costs little. *)
+let first_body = 65536
+
+let share content_length k = (content_length + (1 lsl k) - 1) asr k
+
+type body = {
+  req : request;
+  content_length : int;
+  mutable shift : int;  (** [buf] holds [share content_length shift] bytes *)
+  mutable buf : Bytes.t;
+  mutable received : int;  (** bytes of [buf] that hold body *)
+}
+
 type phase =
   | Head  (** accumulating until the blank line *)
-  | Body of { req : request; content_length : int }
+  | Body of body
   | Finished
 
 type parser_state = {
-  buf : Buffer.t;
+  head : Buffer.t;  (** the head bytes so far, never body bytes *)
   max_body : int;
   mutable phase : phase;
 }
 
 let create_parser ?(max_body = 64 * 1024 * 1024) () =
-  { buf = Buffer.create 512; max_body; phase = Head }
+  { head = Buffer.create 512; max_body; phase = Head }
 
-(* find "\r\n\r\n" (or a bare "\n\n" from sloppy clients) in the
-   buffer; returns (head_end, body_start) *)
-let find_head_end s =
-  let n = String.length s in
+(* The byte [k] places before [b.[i]] in the request, looking back into
+   the head buffer (the bytes fed before [off]) when [i - k] falls
+   before [off]; ['\000'] before the first byte. *)
+let before head b off i k =
+  if i - k >= off then Bytes.unsafe_get b (i - k)
+  else
+    let j = Buffer.length head - (off - (i - k)) in
+    if j >= 0 then Buffer.nth head j else '\000'
+
+(* where the head's blank line — "\r\n\r\n", or a bare "\n\n" from
+   sloppy clients — ends in [b.[off .. off+len)]: the first body byte *)
+let head_end head b off len =
   let rec scan i =
-    if i >= n then None
-    else if s.[i] = '\n' then
-      if i + 1 < n && s.[i + 1] = '\n' then Some (i, i + 2)
-      else if i + 2 < n && s.[i + 1] = '\r' && s.[i + 2] = '\n' then
-        Some (i, i + 3)
-      else scan (i + 1)
+    if i >= off + len then None
+    else if
+      Bytes.unsafe_get b i = '\n'
+      && (before head b off i 1 = '\n'
+         || (before head b off i 1 = '\r' && before head b off i 2 = '\n'))
+    then Some (i + 1)
     else scan (i + 1)
   in
-  scan 0
+  scan off
+
+(* the length of the blank line ending at [stop], given the byte two
+   places before [stop]: "\n\n" or "\n\r\n" *)
+let blank_length c = if c = '\n' then 2 else 3
 
 let strip_cr s =
   let n = String.length s in
@@ -152,51 +183,81 @@ let header req name =
 
 let expects_continue t =
   match t.phase with
-  | Body { req; content_length } -> (
-    Buffer.length t.buf < content_length
+  | Body { req; content_length; received; _ } -> (
+    received < content_length
     &&
     match header req "expect" with
     | Some v -> String.lowercase_ascii (String.trim v) = "100-continue"
     | None -> false)
   | Head | Finished -> false
 
-let feed t chunk =
+(* append [b.[off .. off+len)] to the body; bytes past Content-Length
+   are dropped *)
+let add_body t s b off len =
+  let n = min len (s.content_length - s.received) in
+  let need = s.received + n in
+  if need > Bytes.length s.buf then begin
+    while share s.content_length s.shift < need do
+      s.shift <- s.shift - 1
+    done;
+    let grown = Bytes.create (share s.content_length s.shift) in
+    Bytes.blit s.buf 0 grown 0 s.received;
+    s.buf <- grown
+  end;
+  Bytes.blit b off s.buf s.received n;
+  s.received <- need;
+  if need < s.content_length then `More
+  else begin
+    (* the buffer is the last share, exactly [content_length] long,
+       and nothing else holds it *)
+    t.phase <- Finished;
+    `Request { s.req with body = Bytes.unsafe_to_string s.buf }
+  end
+
+let feed_bytes t b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Http.feed_bytes";
   match t.phase with
   | Finished -> `Error (Bad_request "parser already finished")
-  | _ -> (
-    Buffer.add_string t.buf chunk;
-    let try_finish_body () =
-      match t.phase with
-      | Body { req; content_length } when Buffer.length t.buf >= content_length
-        ->
-        let body = Buffer.sub t.buf 0 content_length in
+  | Body s -> add_body t s b off len
+  | Head -> (
+    match head_end t.head b off len with
+    | None ->
+      Buffer.add_subbytes t.head b off len;
+      if Buffer.length t.head > max_header_bytes then begin
         t.phase <- Finished;
-        `Request { req with body }
-      | _ -> `More
-    in
-    match t.phase with
-    | Finished -> assert false
-    | Body _ -> try_finish_body ()
-    | Head -> (
-      let s = Buffer.contents t.buf in
-      match find_head_end s with
-      | None ->
-        if Buffer.length t.buf > max_header_bytes then begin
-          t.phase <- Finished;
-          `Error (Bad_request "request head too large")
-        end
-        else `More
-      | Some (head_end, body_start) -> (
-        match parse_head (String.sub s 0 head_end) t.max_body with
-        | Error e ->
-          t.phase <- Finished;
-          `Error e
-        | Ok (req, content_length) ->
-          Buffer.clear t.buf;
-          Buffer.add_substring t.buf s body_start
-            (String.length s - body_start);
-          t.phase <- Body { req; content_length };
-          try_finish_body ())))
+        `Error (Bad_request "request head too large")
+      end
+      else `More
+    | Some stop -> (
+      Buffer.add_subbytes t.head b off (stop - off);
+      let n = Buffer.length t.head in
+      let blank = blank_length (Buffer.nth t.head (n - 2)) in
+      let head = Buffer.sub t.head 0 (n - blank) in
+      Buffer.reset t.head;
+      match parse_head head t.max_body with
+      | Error e ->
+        t.phase <- Finished;
+        `Error e
+      | Ok (req, content_length) ->
+        let rec first k =
+          if share content_length k <= first_body then k else first (k + 1)
+        in
+        let shift = first 0 in
+        let s =
+          {
+            req;
+            content_length;
+            shift;
+            buf = Bytes.create (share content_length shift);
+            received = 0;
+          }
+        in
+        t.phase <- Body s;
+        add_body t s b stop (off + len - stop)))
+
+let feed t chunk =
+  feed_bytes t (Bytes.unsafe_of_string chunk) 0 (String.length chunk)
 
 let query_param req name = List.assoc_opt name req.query
 
@@ -242,10 +303,12 @@ let resp_header r name =
   List.assoc_opt (String.lowercase_ascii name) r.resp_headers
 
 let parse_response raw =
-  match find_head_end raw with
+  let n = String.length raw in
+  match head_end (Buffer.create 0) (Bytes.unsafe_of_string raw) 0 n with
   | None -> Error "truncated response (no header terminator)"
-  | Some (head_end, body_start) -> (
-    let head = String.sub raw 0 head_end in
+  | Some body_start -> (
+    let blank = blank_length raw.[body_start - 2] in
+    let head = String.sub raw 0 (body_start - blank) in
     match String.split_on_char '\n' head |> List.map strip_cr with
     | [] -> Error "empty response"
     | status_line :: header_lines -> (
@@ -269,16 +332,14 @@ let parse_response raw =
                 | Error _ -> None)
             header_lines
         in
-        let body_all =
-          String.sub raw body_start (String.length raw - body_start)
-        in
-        let resp_body =
+        let available = n - body_start in
+        let length =
           match List.assoc_opt "content-length" resp_headers with
           | Some v -> (
             match int_of_string_opt (String.trim v) with
-            | Some n when n >= 0 && n <= String.length body_all ->
-              String.sub body_all 0 n
-            | _ -> body_all)
-          | None -> body_all
+            | Some n when n >= 0 && n <= available -> n
+            | _ -> available)
+          | None -> available
         in
+        let resp_body = String.sub raw body_start length in
         Ok { status; resp_headers; resp_body }))

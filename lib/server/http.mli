@@ -32,11 +32,31 @@ type parser_state
 val create_parser : ?max_body:int -> unit -> parser_state
 (** A parser for one request.  [max_body] defaults to 64 MiB. *)
 
+val feed_bytes :
+  parser_state ->
+  Bytes.t ->
+  int ->
+  int ->
+  [ `More | `Request of request | `Error of error ]
+(** [feed_bytes p b off len] appends [b.[off .. off+len)].  [`More]
+    means the request is still incomplete; the other results are
+    terminal (further feeding is an error).  An empty chunk is allowed
+    and never terminal.  The bytes are copied out, so the caller may
+    reuse [b] for its next read.  Body bytes past [Content-Length] are
+    dropped.
+
+    The body is read into one buffer that starts at the declared length
+    halved until it fits in 64 KiB and doubles as bytes arrive, ending
+    at exactly the declared length; that buffer becomes [body] without
+    a further copy.  It never holds more than [max 64 KiB (2 * received)]
+    bytes, whatever length the head declared.
+
+    @raise Invalid_argument when [off] and [len] do not name a range of
+    [b]. *)
+
 val feed :
   parser_state -> string -> [ `More | `Request of request | `Error of error ]
-(** Append a chunk of bytes.  [`More] means the request is still
-    incomplete; the other results are terminal (further feeding is an
-    error).  An empty chunk is allowed and never terminal. *)
+(** {!feed_bytes} over a whole string. *)
 
 val expects_continue : parser_state -> bool
 (** Whether the client is waiting for an interim

@@ -76,6 +76,13 @@ let create config =
   (* the daemon is observability-first: /metrics is an endpoint, so
      collection is on for the whole process lifetime *)
   Tel.enable ();
+  (* the whole process's heap, read at scrape time: Gc.quick_stat sums
+     every domain, so allocation on worker domains counts here *)
+  List.iter
+    (fun (name, f) -> Metrics.register_probe name (fun () -> f (Gc.quick_stat ())))
+    [ ("runtime.major_words", fun s -> s.Gc.major_words);
+      ("runtime.major_collections", fun s -> float s.Gc.major_collections);
+      ("runtime.heap_words", fun s -> float s.Gc.heap_words) ];
   let listen_fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.setsockopt listen_fd SO_REUSEADDR true;
   (try
@@ -141,13 +148,13 @@ let continue_line = "HTTP/1.1 100 Continue\r\n\r\n"
 
 let read_request fd max_body =
   let parser = Http.create_parser ~max_body () in
-  let buf = Bytes.create 8192 in
+  let buf = Bytes.create 65536 in
   let continued = ref false in
   let rec loop () =
     match Unix.read fd buf 0 (Bytes.length buf) with
     | 0 -> `Closed
     | n -> (
-      match Http.feed parser (Bytes.sub_string buf 0 n) with
+      match Http.feed_bytes parser buf 0 n with
       | `More ->
         (* answer [Expect: 100-continue] once, so the client sends the
            body now instead of after its own timeout *)

@@ -1,5 +1,6 @@
 module H = Hypart_hypergraph.Hypergraph
 module Io = Hypart_hypergraph.Netlist_io
+module Http = Hypart_server.Http
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 
@@ -562,11 +563,15 @@ let prop_int_tokens =
 (* Decoding allocates nothing per line or per pin on the minor heap:
    the budget is a deterministic count of minor words per input byte
    on a 1.9 MB ibm18 twin, not a timing. *)
+let ibm18_body =
+  lazy
+    (let h = Hypart_generator.Ibm_suite.instance ~scale:3.0 "ibm18" in
+     let path = tmp "hypart_alloc_ibm18.hgr" in
+     Io.write_hgr path h;
+     (path, read_bytes path))
+
 let test_alloc_budget () =
-  let h = Hypart_generator.Ibm_suite.instance ~scale:3.0 "ibm18" in
-  let path = tmp "hypart_alloc_ibm18.hgr" in
-  Io.write_hgr path h;
-  let body = read_bytes path in
+  let path, body = Lazy.force ibm18_body in
   let per_byte f =
     let w0 = Gc.minor_words () in
     ignore (Sys.opaque_identity (f ()));
@@ -581,6 +586,47 @@ let test_alloc_budget () =
         Alcotest.failf "%s allocates %.3f minor words per byte (budget 0.1)" name
           words)
     [ ("decode Hgr", per_byte decode); ("read_hgr", per_byte read) ]
+
+(* Major-heap words per body byte on the same twin, along the daemon's
+   path from socket bytes to a parsed instance; deterministic counts,
+   not timings.  The request goes through the HTTP parser's bytes entry
+   point in the daemon's 64 KiB reads, into one doubling body buffer
+   (0.40 when every read became a string and the body a Buffer).  The
+   body then goes through the .hgr decoder, whose only O(V) array is the
+   pin dedup mark (0.15 with a second mark and two transpose arrays). *)
+let test_major_budget () =
+  let _, body = Lazy.force ibm18_body in
+  let n = String.length body in
+  let per_byte f =
+    let w0 = (Gc.quick_stat ()).Gc.major_words in
+    ignore (Sys.opaque_identity (f ()));
+    ((Gc.quick_stat ()).Gc.major_words -. w0) /. float_of_int n
+  in
+  let request =
+    Printf.sprintf "POST /partition?format=hgr HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+      n body
+  in
+  let chunk = Bytes.create 65536 in
+  let parse () =
+    let p = Http.create_parser () in
+    let rec go off =
+      let len = min (Bytes.length chunk) (String.length request - off) in
+      Bytes.blit_string request off chunk 0 len;
+      match Http.feed_bytes p chunk 0 len with
+      | `More -> go (off + len)
+      | `Request r -> r
+      | `Error _ -> Alcotest.fail "request refused"
+    in
+    go 0
+  in
+  Alcotest.(check bool) "body intact" true ((parse ()).Http.body = body);
+  let decode () = Io.decode ~source:"<body>" Io.Hgr body in
+  List.iter
+    (fun (name, budget, words) ->
+      if words > budget then
+        Alcotest.failf "%s allocates %.3f major words per body byte (budget %.2f)"
+          name words budget)
+    [ ("HTTP request", 0.26, per_byte parse); ("decode Hgr", 0.05, per_byte decode) ]
 
 (* ---------------- Bookshelf ---------------- *)
 
@@ -755,5 +801,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_string_file_cursors;
           QCheck_alcotest.to_alcotest prop_int_tokens;
         ] );
-      ("allocation", [ Alcotest.test_case "budget" `Quick test_alloc_budget ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "budget" `Quick test_alloc_budget;
+          Alcotest.test_case "major budget" `Quick test_major_budget;
+        ] );
     ]

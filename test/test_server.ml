@@ -73,7 +73,7 @@ let random_token rng =
 
 (* a well-formed request: random method, path, query, headers and a
    body of random bytes framed by Content-Length *)
-let random_request rng =
+let random_request ?body rng =
   let meth = if Rng.bool rng then "GET" else "POST" in
   let query =
     List.init (Rng.int rng 4) (fun _ -> random_token rng ^ "=" ^ random_token rng)
@@ -81,7 +81,11 @@ let random_request rng =
   let target =
     "/" ^ random_token rng ^ if query = [] then "" else "?" ^ String.concat "&" query
   in
-  let body = String.init (Rng.int rng 200) (fun _ -> Char.chr (Rng.int rng 256)) in
+  let body =
+    match body with
+    | Some b -> b
+    | None -> String.init (Rng.int rng 200) (fun _ -> Char.chr (Rng.int rng 256))
+  in
   let headers =
     List.init (Rng.int rng 4) (fun _ -> "X-" ^ random_token rng ^ ": " ^ random_token rng)
     @ [ Printf.sprintf "Content-Length: %d" (String.length body) ]
@@ -89,15 +93,30 @@ let random_request rng =
   let eol = if Rng.bool rng then "\r\n" else "\n" in
   String.concat eol ((meth ^ " " ^ target ^ " HTTP/1.1") :: headers) ^ eol ^ eol ^ body
 
+(* [n] bytes: a random block of at most 256 bytes, repeated, so bodies
+   of hundreds of KiB stay cheap to generate *)
+let random_body rng n =
+  let block = String.init (1 + Rng.int rng 256) (fun _ -> Char.chr (Rng.int rng 256)) in
+  String.init n (fun i -> block.[i mod String.length block])
+
+(* Bodies run from 0 B to 300 KiB, across the parser's 64 KiB first
+   body buffer and each doubling of it, and half the requests are
+   followed by bytes past Content-Length, which must be dropped
+   wherever the splits fall. *)
 let prop_http_splits =
   QCheck.Test.make ~name:"a request fed in random splits parses as when fed whole"
     ~count:300 ~long_factor:100 QCheck.(int_bound 0x3FFFFFFF) (fun seed ->
       let rng = Rng.create seed in
-      let raw = random_request rng in
+      let size = if Rng.int rng 4 = 0 then Rng.int rng (300 * 1024 + 1) else Rng.int rng 200 in
+      let body = random_body rng size in
+      let raw = random_request ~body rng in
+      let extra = if Rng.bool rng then "" else random_body rng (1 + Rng.int rng 70_000) in
       match Http.feed (Http.create_parser ()) raw with
-      | `Request whole ->
-        feed_all (Http.create_parser ()) (random_splits rng raw) = `Request whole
-      | `More | `Error _ -> QCheck.Test.fail_reportf "whole request not parsed: %S" raw)
+      | `Request whole when whole.Http.body = body ->
+        feed_all (Http.create_parser ()) (random_splits rng (raw ^ extra)) = `Request whole
+      | `Request _ -> QCheck.Test.fail_reportf "a %d-byte body changed in parsing" size
+      | `More | `Error _ ->
+        QCheck.Test.fail_reportf "whole request with a %d-byte body not parsed" size)
 
 (* any bytes, whole or split, end in `More, a request or a Bad_request
    naming what it rejected; nothing else escapes *)
@@ -145,6 +164,44 @@ let test_http_oversized_body () =
   | `Error (Http.Bad_request msg) -> Alcotest.fail ("wrong error: " ^ msg)
   | `More -> Alcotest.fail "oversized body not rejected"
   | `Request _ -> Alcotest.fail "oversized body accepted"
+
+(* words allocated so far on this domain, minor and major *)
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* The body buffer follows the bytes received, not the length the head
+   declares: a head promising 60 MB followed by 10 bytes costs the
+   parser its 64 KiB first buffer, and a parser that allocated the
+   declared length up front fails here. *)
+let test_http_body_bound () =
+  let p = Http.create_parser () in
+  let w0 = allocated_words () in
+  let more chunk =
+    match Http.feed p chunk with
+    | `More -> ()
+    | _ -> Alcotest.fail "a 60 MB body is incomplete after 10 bytes"
+  in
+  more "POST /partition HTTP/1.1\r\nContent-Length: 60000000\r\n\r\n";
+  more "0123456789";
+  let bytes = (allocated_words () -. w0) *. float_of_int (Sys.word_size / 8) in
+  if bytes >= 1048576. then
+    Alcotest.failf "the parser allocated %.0f bytes for 10 body bytes" bytes;
+  (* over the limit: 413 from the head alone, though body bytes came
+     with it, and nothing buffered *)
+  let p = Http.create_parser ~max_body:1_000_000 () in
+  let w0 = allocated_words () in
+  (match
+     Http.feed p
+       "POST /partition HTTP/1.1\r\nContent-Length: 60000000\r\n\r\n0123456789"
+   with
+   | `Error (Http.Body_too_large limit) ->
+     Alcotest.(check int) "limit reported" 1_000_000 limit
+   | _ -> Alcotest.fail "over-limit Content-Length not refused");
+  let bytes = (allocated_words () -. w0) *. float_of_int (Sys.word_size / 8) in
+  if bytes >= 65536. then
+    Alcotest.failf "a refused body allocated %.0f bytes" bytes;
+  Alcotest.(check bool) "no interim line" false (Http.expects_continue p)
 
 let test_http_at_limit_body () =
   match
@@ -960,6 +1017,52 @@ let test_serve_prometheus_negotiation () =
                    && v <> "NaN" && v <> "+Inf" && v <> "-Inf"
                  then Alcotest.failf "bad sample value %S in: %s" v line))
 
+(* The runtime.* probes read the whole process's heap, so the words a
+   live worker domain allocates count in runtime.major_words. *)
+let test_serve_runtime_gauges () =
+  with_server (fun _server port ->
+      let gauge name =
+        List.find_map
+          (function
+            | Hypart_telemetry.Metrics.E_gauge (n, v) when n = name -> Some v
+            | _ -> None)
+          (Hypart_telemetry.Metrics.snapshot ())
+        |> function
+        | Some v -> v
+        | None -> Alcotest.failf "no %s gauge" name
+      in
+      let before = gauge "runtime.major_words" in
+      let allocated = Atomic.make false and release = Atomic.make false in
+      let worker =
+        Domain.spawn (fun () ->
+            (* 100 blocks of 10,001 words, each allocated on the major
+               heap; a domain folds such words into its counts at its
+               next major slice *)
+            let keep = List.init 100 (fun _ -> Array.make 10_000 0) in
+            ignore (Gc.major_slice 0);
+            Atomic.set allocated true;
+            while not (Atomic.get release) do
+              Unix.sleepf 0.001
+            done;
+            List.length keep)
+      in
+      while not (Atomic.get allocated) do
+        Unix.sleepf 0.001
+      done;
+      (* a minor collection stops every domain, which publishes its
+         counts *)
+      Gc.minor ();
+      let after = gauge "runtime.major_words" in
+      Atomic.set release true;
+      Alcotest.(check int) "worker kept its blocks" 100 (Domain.join worker);
+      if after -. before < 1_000_100. then
+        Alcotest.failf "runtime.major_words rose by %.0f, not the worker's 1000100"
+          (after -. before);
+      Alcotest.(check bool) "heap words" true (gauge "runtime.heap_words" > 0.);
+      Alcotest.(check bool) "collections" true
+        (gauge "runtime.major_collections" >= 0.);
+      body_has "runtime.major_collections" (get port "/metrics").Http.resp_body)
+
 let test_serve_job_durations () =
   with_server (fun _server port ->
       let resp = submit ~query:"&engine=flat&seed=31" port in
@@ -1495,6 +1598,7 @@ let () =
           Alcotest.test_case "split everywhere" `Quick test_http_split_everywhere;
           Alcotest.test_case "oversized body" `Quick test_http_oversized_body;
           Alcotest.test_case "body at limit" `Quick test_http_at_limit_body;
+          Alcotest.test_case "body memory bound" `Quick test_http_body_bound;
           Alcotest.test_case "malformed requests" `Quick test_http_malformed;
           Alcotest.test_case "response round trip" `Quick
             test_http_response_round_trip;
@@ -1564,6 +1668,7 @@ let () =
             test_serve_request_id_propagation;
           Alcotest.test_case "prometheus negotiation" `Quick
             test_serve_prometheus_negotiation;
+          Alcotest.test_case "runtime gauges" `Quick test_serve_runtime_gauges;
           Alcotest.test_case "job durations" `Quick test_serve_job_durations;
           Alcotest.test_case "event lifecycle" `Quick
             test_serve_event_lifecycle;
