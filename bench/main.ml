@@ -18,33 +18,38 @@ module Matching = Hypart_multilevel.Matching
 module Ml = Hypart_multilevel.Ml_partitioner
 module Kl = Hypart_kl.Kl
 module Experiments = Hypart_harness.Experiments
+module Campaigns = Hypart_harness.Campaigns
+module Report = Hypart_lab.Report
 
 let ignore1 f = Staged.stage (fun () -> ignore (f ()))
 
 (* ------------- per-table/figure regeneration benches ------------- *)
 
+let tables_bench name experiments render =
+  Test.make ~name
+    (ignore1 (fun () ->
+         let manifest = Hypart_lab.Manifest.make ~name ~seed:1 ~experiments in
+         render (fst (Campaigns.execute ~domains:1 ~store:None manifest))))
+
 let table_benches =
+  let instances = [ "ibm01" ] in
+  let t1 = Campaigns.table1 ~scale:64.0 ~runs:2 ~instances () in
+  let t2 = Campaigns.table23 `Lifo ~scale:64.0 ~runs:2 ~instances in
+  let t3 = Campaigns.table23 `Clip ~scale:64.0 ~runs:2 ~instances in
+  let t45 tolerance =
+    Campaigns.tables45 ~scale:64.0 ~repeats:1 ~configs:[ 1; 2 ] ~instances ~tolerance
+  in
+  let t4 = t45 0.02 and t5 = t45 0.10 in
   Test.make_grouped ~name:"tables"
     [
-      Test.make ~name:"table1"
-        (ignore1 (fun () ->
-             Experiments.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] ~seed:1 ()));
-      Test.make ~name:"table2"
-        (ignore1 (fun () ->
-             Experiments.table_reported_vs_ours ~engine:`Lifo ~scale:64.0 ~runs:2
-               ~instances:[ "ibm01" ] ~seed:1 ()));
-      Test.make ~name:"table3"
-        (ignore1 (fun () ->
-             Experiments.table_reported_vs_ours ~engine:`Clip ~scale:64.0 ~runs:2
-               ~instances:[ "ibm01" ] ~seed:1 ()));
-      Test.make ~name:"table4_2pct"
-        (ignore1 (fun () ->
-             Experiments.table_multistart_eval ~scale:64.0 ~repeats:1
-               ~configs:[ 1; 2 ] ~instances:[ "ibm01" ] ~tolerance:0.02 ~seed:1 ()));
-      Test.make ~name:"table5_10pct"
-        (ignore1 (fun () ->
-             Experiments.table_multistart_eval ~scale:64.0 ~repeats:1
-               ~configs:[ 1; 2 ] ~instances:[ "ibm01" ] ~tolerance:0.10 ~seed:1 ()));
+      (* each table as the CLI runs it: a fresh in-memory store, so
+         every cell executes, on one domain, then rendered from the
+         store *)
+      tables_bench "table1" [ t1 ] (fun r -> Campaigns.table1_table r t1);
+      tables_bench "table2" t2 (fun r -> Campaigns.table23_table r t2);
+      tables_bench "table3" t3 (fun r -> Campaigns.table23_table r t3);
+      tables_bench "table4_2pct" [ t4 ] (fun r -> Report.cut_cpu_table r t4);
+      tables_bench "table5_10pct" [ t5 ] (fun r -> Report.cut_cpu_table r t5);
       Test.make ~name:"fig_bsf"
         (ignore1 (fun () ->
              Experiments.bsf_figure ~scale:64.0 ~starts:4 ~budgets:[| 0.01; 0.1 |]

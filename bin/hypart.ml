@@ -13,7 +13,7 @@ module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module Ml = Hypart_multilevel.Ml_partitioner
 module Kl = Hypart_kl.Kl
-module Table = Hypart_harness.Table
+module Table = Hypart_lab.Table
 module Experiments = Hypart_harness.Experiments
 module Machine = Hypart_engine.Machine
 module Engine = Hypart_engine.Engine
@@ -377,10 +377,8 @@ let partition_cmd =
     (* the daemon's seeded multistart: one derived seed per start, so
        the answer is the same at every --domains *)
     let seeds = List.init starts (fun i -> seed + i) in
-    (* process CPU of the whole call: per-start times overlap when the
-       starts run on several domains *)
-    let ((_seed, result), records), dt =
-      Machine.cpu_time (fun () -> Engine.multistart_seeds ?domains engine problem ~seeds)
+    let (_seed, result), records =
+      Engine.multistart_seeds ?domains engine problem ~seeds
     in
     Format.printf "%a@." H.pp h;
     Printf.printf "engine: %s, %d start(s), tolerance %.0f%%\n"
@@ -394,7 +392,7 @@ let partition_cmd =
     Printf.printf "per-start cuts: %s\n"
       (String.concat " "
          (List.map (fun r -> string_of_int r.Engine.start_cut) records));
-    Printf.printf "CPU: %.3fs\n" (Machine.normalize dt);
+    Printf.printf "CPU: %.3fs\n" (Machine.normalize (Engine.cpu_seconds records));
     save_partition out (Bipartition.assignment result.Engine.Result.solution)
   in
   let domains_t =
@@ -591,9 +589,34 @@ let place_cmd =
 
 (* ---------------- tables ---------------- *)
 
+module Campaigns = Hypart_harness.Campaigns
+module Lab_manifest = Hypart_lab.Manifest
+module Lab_orchestrator = Hypart_lab.Orchestrator
+module Lab_report = Hypart_lab.Report
+module Lab_store = Hypart_lab.Run_store
+
+let run_store_t =
+  store_t
+    "Persist every run in the lab run store under $(docv) and serve \
+     already-stored runs from it (resume + caching; see \
+     docs/EXPERIMENTS_STORE.md).  Without it the runs live in memory \
+     for this command only."
+
+(* Every paper table is a lab campaign: run its experiments against the
+   store, report on stderr how much of the campaign the store already
+   held (stdout stays the table alone, identical on a warm rerun), and
+   return the store view the table is rendered from. *)
+let run_tables ?store ~name ~seed experiments =
+  let manifest = Lab_manifest.make ~name ~seed ~experiments in
+  let report, o = Campaigns.execute ~store manifest in
+  Printf.eprintf "%s: %d jobs, %d cached, %d executed\n%!" name o.Lab_orchestrator.jobs
+    o.Lab_orchestrator.cached o.Lab_orchestrator.executed;
+  report
+
 let table1_cmd =
-  let run () scale runs seed csv instances =
-    emit csv (Experiments.table1 ~scale ~runs ~instances ~seed ())
+  let run () scale runs seed csv instances store =
+    let e = Campaigns.table1 ~scale ~runs ~instances () in
+    emit csv (Campaigns.table1_table (run_tables ?store ~name:"table1" ~seed [ e ]) e)
   in
   Cmd.v
     (Cmd.info "table1"
@@ -601,50 +624,34 @@ let table1_cmd =
          "Regenerate Table 1: min/avg cuts for the implicit-decision matrix \
           (updates x bias x engine), 2% tolerance, actual areas.")
     Term.(
-      const run $ common_t $ scale_t $ runs_t 20 $ seed_t $ csv_t $ instances_t Suite.names_small)
+      const run $ common_t $ scale_t $ runs_t 20 $ seed_t $ csv_t
+      $ instances_t Suite.names_small $ run_store_t)
+
+let table23_cmd which name ~doc =
+  let run () scale runs seed csv instances store =
+    let es = Campaigns.table23 which ~scale ~runs ~instances in
+    emit csv (Campaigns.table23_table (run_tables ?store ~name ~seed es) es)
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ common_t $ scale_t $ runs_t 20 $ seed_t $ csv_t
+      $ instances_t Suite.names_small $ run_store_t)
 
 let table2_cmd =
-  let run () scale runs seed csv instances =
-    emit csv
-      (Experiments.table_reported_vs_ours ~engine:`Lifo ~scale ~runs ~instances
-         ~seed ())
-  in
-  Cmd.v
-    (Cmd.info "table2"
-       ~doc:"Regenerate Table 2: our LIFO FM vs the weak 'Reported LIFO' baseline.")
-    Term.(
-      const run $ common_t $ scale_t $ runs_t 20 $ seed_t $ csv_t $ instances_t Suite.names_small)
+  table23_cmd `Lifo "table2"
+    ~doc:"Regenerate Table 2: our LIFO FM vs the weak 'Reported LIFO' baseline."
 
 let table3_cmd =
-  let run () scale runs seed csv instances =
-    emit csv
-      (Experiments.table_reported_vs_ours ~engine:`Clip ~scale ~runs ~instances
-         ~seed ())
-  in
-  Cmd.v
-    (Cmd.info "table3"
-       ~doc:
-         "Regenerate Table 3: our CLIP FM (with the corking fix) vs the weak \
-          'Reported CLIP' baseline.")
-    Term.(
-      const run $ common_t $ scale_t $ runs_t 20 $ seed_t $ csv_t $ instances_t Suite.names_small)
-
-(* run-store persistence for the long experiments: an interrupted
-   regeneration resumes from the stored runs, an unchanged one performs
-   zero engine runs *)
-let run_store_t =
-  store_t
-    "Persist every run in the lab run store under $(docv) and serve \
-     already-stored runs from it (resume + caching; see \
-     docs/EXPERIMENTS_STORE.md).  Store-backed runs derive one seed per \
-     run, so numbers differ from the storeless protocol but stay \
-     deterministic."
+  table23_cmd `Clip "table3"
+    ~doc:
+      "Regenerate Table 3: our CLIP FM (with the corking fix) vs the weak \
+       'Reported CLIP' baseline."
 
 let tables45_cmd =
   let run () scale repeats seed csv instances tolerance configs store =
+    let e = Campaigns.tables45 ~scale ~repeats ~configs ~instances ~tolerance in
     emit csv
-      (Experiments.table_multistart_eval ~scale ~repeats ~configs ~instances
-         ?store ~tolerance ~seed ())
+      (Lab_report.cut_cpu_table ~timing:true (run_tables ?store ~name:"tables45" ~seed [ e ]) e)
   in
   let tol_t =
     tol_t ~doc:"Balance tolerance: 0.02 regenerates Table 4, 0.10 Table 5." 0.02
@@ -655,7 +662,7 @@ let tables45_cmd =
   let configs_t =
     Arg.(
       value
-      & opt (list (pos_int_conv "configs")) [ 1; 2; 4; 8; 16; 100 ]
+      & opt (list (pos_int_conv "configs")) Campaigns.default_configs
       & info [ "configs" ] ~docv:"NS" ~doc:"Starts per configuration.")
   in
   Cmd.v
@@ -720,14 +727,18 @@ let corking_cmd =
 
 let compare_cmd =
   let run () scale runs seed engine_a engine_b instance store =
-    let table, verdict =
-      Experiments.compare_engines ~scale ~runs ?store
-        ~engine_a:(Engine.name engine_a) ~engine_b:(Engine.name engine_b)
-        ~instance ~seed ()
+    let e =
+      Campaigns.compare ~scale ~runs ~engine_a:(Engine.name engine_a)
+        ~engine_b:(Engine.name engine_b) ~instance ()
     in
+    let report = run_tables ?store ~name:"compare" ~seed [ e ] in
+    let table, verdict = Lab_report.compare ~timing:true report e ~instance in
     Table.print table;
-    print_newline ();
-    print_endline verdict
+    Option.iter
+      (fun v ->
+        print_newline ();
+        print_endline v)
+      verdict
   in
   let a_t = Arg.(required & pos 0 (some engine_conv) None & info [] ~docv:"ENGINE_A") in
   let b_t = Arg.(required & pos 1 (some engine_conv) None & info [] ~docv:"ENGINE_B") in
@@ -827,18 +838,22 @@ let all_cmd =
           write ".csv" (Table.to_csv table))
         out
     in
-    emit "table1" "Table 1 (implicit decisions)"
-      (Experiments.table1 ~scale ~runs ~seed ());
-    emit "table2" "Table 2 (LIFO: reported vs ours)"
-      (Experiments.table_reported_vs_ours ~engine:`Lifo ~scale ~runs ~seed ());
-    emit "table3" "Table 3 (CLIP: reported vs ours)"
-      (Experiments.table_reported_vs_ours ~engine:`Clip ~scale ~runs ~seed ());
-    emit "table4" "Table 4 (multistart eval, 2%)"
-      (Experiments.table_multistart_eval ~scale:(scale *. 2.) ?store
-         ~tolerance:0.02 ~seed ());
-    emit "table5" "Table 5 (multistart eval, 10%)"
-      (Experiments.table_multistart_eval ~scale:(scale *. 2.) ?store
-         ~tolerance:0.10 ~seed ());
+    (* Tables 1-5 are one campaign; Tables 4-5 run at half size *)
+    let small = Suite.names_small in
+    let t1 = Campaigns.table1 ~scale ~runs ~instances:small () in
+    let t2 = Campaigns.table23 `Lifo ~scale ~runs ~instances:small in
+    let t3 = Campaigns.table23 `Clip ~scale ~runs ~instances:small in
+    let t45 tolerance =
+      Campaigns.tables45 ~scale:(scale *. 2.) ~repeats:5 ~configs:Campaigns.default_configs
+        ~instances:Suite.names_eval ~tolerance
+    in
+    let t4 = t45 0.02 and t5 = t45 0.10 in
+    let report = run_tables ?store ~name:"all" ~seed ((t1 :: t2) @ t3 @ [ t4; t5 ]) in
+    emit "table1" "Table 1 (implicit decisions)" (Campaigns.table1_table report t1);
+    emit "table2" "Table 2 (LIFO: reported vs ours)" (Campaigns.table23_table report t2);
+    emit "table3" "Table 3 (CLIP: reported vs ours)" (Campaigns.table23_table report t3);
+    emit "table4" "Table 4 (multistart eval, 2%)" (Lab_report.cut_cpu_table ~timing:true report t4);
+    emit "table5" "Table 5 (multistart eval, 10%)" (Lab_report.cut_cpu_table ~timing:true report t5);
     (* the flat-vs-multilevel crossover only shows on instances large
        enough that flat FM cannot reach multilevel quality, so the
        figures run at the base scale, not the reduced tables45 scale *)
@@ -873,17 +888,12 @@ let all_cmd =
 
 (* ---------------- lab ---------------- *)
 
-module Lab_manifest = Hypart_lab.Manifest
-module Lab_orchestrator = Hypart_lab.Orchestrator
-module Lab_report = Hypart_lab.Report
-module Lab_store = Hypart_lab.Run_store
-
 let lab_cmd =
   (* "eco" is not a manifest campaign: its cells form a chain (each
      step's instance and prior derive from the previous step), which
      the declarative grid cannot express, so it dispatches to
      Eco_lab *)
-  let campaign_names = Lab_manifest.campaign_names @ [ "eco" ] in
+  let campaign_names = Campaigns.names @ [ "eco" ] in
   let campaign_conv =
     let parse s =
       if List.mem s campaign_names then Ok s
@@ -929,8 +939,8 @@ let lab_cmd =
           outcome.Eco_lab.dropped
     end
     else begin
-      let manifest = Lab_manifest.campaign ~scale ~runs ~seed campaign in
-      let outcome = Lab_orchestrator.run ?domains ~store_dir:store ~manifest () in
+      let manifest = Campaigns.campaign ~scale ~runs ~seed campaign in
+      let _, outcome = Campaigns.execute ?domains ~store:(Some store) manifest in
       Printf.printf "%s campaign %s into %s: %d jobs, %d cached, %d executed\n"
         what campaign store outcome.Lab_orchestrator.jobs
         outcome.Lab_orchestrator.cached outcome.Lab_orchestrator.executed;
@@ -982,8 +992,8 @@ let lab_cmd =
             (Eco_lab.params ~scale ~steps:runs ~seed ())
             ~store_dir:store
         else
-          let manifest = Lab_manifest.campaign ~scale ~runs ~seed campaign in
-          Lab_report.generate ~timing ~store_dir:store ~manifest ()
+          let manifest = Campaigns.campaign ~scale ~runs ~seed campaign in
+          Lab_report.generate ~timing ~store:(Lab_store.load store) ~manifest ()
       in
       match out with
       | None -> print_string report

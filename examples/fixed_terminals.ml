@@ -17,7 +17,7 @@
 module H = Hypart_hypergraph.Hypergraph
 module Suite = Hypart_generator.Ibm_suite
 module Experiments = Hypart_harness.Experiments
-module Table = Hypart_harness.Table
+module Table = Hypart_lab.Table
 
 let () =
   let h = Suite.instance ~scale:8.0 "ibm01" in

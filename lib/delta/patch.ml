@@ -28,43 +28,7 @@ let apply_error path line fmt =
     (fun msg -> raise (Apply_error (Printf.sprintf "%s:%d: %s" path line msg)))
     fmt
 
-(* growable int32 vector (the Netlist_io.Buf32 pattern), plus a bulk
-   blit so untouched pin slices are copied without a per-pin loop *)
-module Buf32 = struct
-  type t = { mutable data : H.i32; mutable len : int }
-
-  let create capacity =
-    {
-      data =
-        Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout
-          (max capacity 16);
-      len = 0;
-    }
-
-  let ensure b extra =
-    let cap = A1.dim b.data in
-    if b.len + extra > cap then begin
-      let cap' = ref (2 * cap) in
-      while b.len + extra > !cap' do
-        cap' := 2 * !cap'
-      done;
-      let grown = A1.create Bigarray.Int32 Bigarray.c_layout !cap' in
-      A1.blit b.data (A1.sub grown 0 cap);
-      b.data <- grown
-    end
-
-  let push b x =
-    ensure b 1;
-    A1.unsafe_set b.data b.len (Int32.of_int x);
-    b.len <- b.len + 1
-
-  let blit b src off len =
-    ensure b len;
-    A1.blit (A1.sub src off len) (A1.sub b.data b.len len);
-    b.len <- b.len + len
-
-  let contents b = A1.sub b.data 0 b.len
-end
+module Buf32 = Hypart_hypergraph.Buf32
 
 let apply ~base ~base_fingerprint (d : Delta.t) =
   let path = d.Delta.source in
@@ -121,6 +85,7 @@ let apply ~base ~base_fingerprint (d : Delta.t) =
       | Delta.Add_net _ -> ())
     d.Delta.ops;
   (* second pass: checks that need the full removal sets *)
+  let added_pins = ref 0 in
   Array.iter
     (fun (line, op) ->
       match op with
@@ -131,6 +96,8 @@ let apply ~base ~base_fingerprint (d : Delta.t) =
         Bytes.set touched c '\001';
         incr cells_reweighted
       | Delta.Add_net (_, pins) ->
+        added_pins := !added_pins + Array.length pins;
+        incr nets_added;
         Array.iter
           (fun p ->
             if p >= total_v then
@@ -164,11 +131,14 @@ let apply ~base ~base_fingerprint (d : Delta.t) =
      pin slices blit wholesale; otherwise each kept net remaps per pin
      (compaction shifts ids) and nets that lost pins are rewritten. *)
   let csr_pins = H.Csr.edge_pins base and csr_off = H.Csr.edge_offset base in
-  let pins = Buf32.create (H.num_pins base) in
-  let offsets = Buf32.create (ne + 8) in
-  let eweights = Buf32.create (ne + 8) in
+  (* sized for every base pin and net plus the added ones, so the
+     buffers never double and, with nothing removed, come out exact *)
+  let pins = Buf32.create (H.num_pins base + !added_pins) in
+  let offsets = Buf32.create (ne + !nets_added + 1) in
+  let eweights = Buf32.create (ne + !nets_added) in
   Buf32.push offsets 0;
   let identity = base_cells_removed = 0 in
+  let kept_pins = ref [||] in
   for e = 0 to ne - 1 do
     let off = Int32.to_int (A1.unsafe_get csr_off e) in
     let size = Int32.to_int (A1.unsafe_get csr_off (e + 1)) - off in
@@ -182,16 +152,22 @@ let apply ~base ~base_fingerprint (d : Delta.t) =
     end
     else if identity then begin
       Buf32.blit pins csr_pins off size;
-      Buf32.push offsets pins.Buf32.len;
+      Buf32.push offsets (Buf32.length pins);
       Buf32.push eweights (H.edge_weight base e)
     end
     else begin
-      let before = pins.Buf32.len in
+      (* the survivors gather in [kept_pins] and join [pins] in one
+         call per net, not one per pin *)
+      if size > Array.length !kept_pins then kept_pins := Array.make size 0;
+      let kept = ref 0 in
       for i = off to off + size - 1 do
         let v = Int32.to_int (A1.unsafe_get csr_pins i) in
-        if Bytes.get removed_v v = '\000' then Buf32.push pins new_id.(v)
+        if Bytes.get removed_v v = '\000' then begin
+          Array.unsafe_set !kept_pins !kept new_id.(v);
+          incr kept
+        end
       done;
-      let kept = pins.Buf32.len - before in
+      let kept = !kept in
       if kept < size then begin
         (* the net lost pins to a cell removal: its survivors are
            boundary candidates, and a net reduced below 2 pins drops
@@ -202,12 +178,10 @@ let apply ~base ~base_fingerprint (d : Delta.t) =
           if Bytes.get removed_v v = '\000' then Bytes.set touched v '\001'
         done
       end;
-      if kept < 2 then begin
-        pins.Buf32.len <- before;
-        incr nets_removed
-      end
+      if kept < 2 then incr nets_removed
       else begin
-        Buf32.push offsets pins.Buf32.len;
+        Buf32.push_ints pins !kept_pins kept;
+        Buf32.push offsets (Buf32.length pins);
         Buf32.push eweights (H.edge_weight base e)
       end
     end
@@ -222,12 +196,11 @@ let apply ~base ~base_fingerprint (d : Delta.t) =
             Buf32.push pins new_id.(p))
           net_pins;
         pins_touched := !pins_touched + Array.length net_pins;
-        Buf32.push offsets pins.Buf32.len;
-        Buf32.push eweights w;
-        incr nets_added
+        Buf32.push offsets (Buf32.length pins);
+        Buf32.push eweights w
       | _ -> ())
     d.Delta.ops;
-  let ne' = eweights.Buf32.len in
+  let ne' = Buf32.length eweights in
   let vertex_weight = A1.create Bigarray.Int32 Bigarray.c_layout nv' in
   for v = 0 to total_v - 1 do
     if new_id.(v) >= 0 then

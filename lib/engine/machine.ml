@@ -1,7 +1,20 @@
+external thread_cpu_seconds : unit -> (float[@unboxed])
+  = "hypart_thread_cpu_seconds" "hypart_thread_cpu_seconds_unboxed"
+[@@noalloc]
+
+(* CPU seconds of the domains this one spawned and joined *)
+let joined = Domain.DLS.new_key (fun () -> ref 0.0)
+
+let charge_joined seconds =
+  let r = Domain.DLS.get joined in
+  r := !r +. seconds
+
+let domain_cpu () = thread_cpu_seconds () +. !(Domain.DLS.get joined)
+
 let cpu_time f =
-  let t0 = Sys.time () in
+  let t0 = domain_cpu () in
   let r = f () in
-  (r, Sys.time () -. t0)
+  (r, domain_cpu () -. t0)
 
 let calibrate () =
   let iterations = 20_000_000 in

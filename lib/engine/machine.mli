@@ -9,7 +9,15 @@
 
 val cpu_time : (unit -> 'a) -> 'a * float
 (** [cpu_time f] runs [f] and returns its result with the CPU seconds
-    consumed (via [Sys.time]). *)
+    the calling thread consumed ([CLOCK_THREAD_CPUTIME_ID]) plus those
+    of the domains [f] fanned out to through {!Parallel.map_seeds}.
+    Domains running at the same time for someone else are not charged
+    to [f], so a job timed inside a parallel campaign, a memetic
+    recombination or a daemon worker reports what it alone cost. *)
+
+val charge_joined : float -> unit
+(** [charge_joined s] adds [s] seconds, spent by domains the calling
+    domain spawned and has joined, to what {!cpu_time} counts on it. *)
 
 val calibrate : unit -> float
 (** A machine score: millions of iterations per CPU second of a fixed

@@ -17,20 +17,31 @@ let map_seeds ?domains ~seeds f =
   else begin
     let domains = min domains n in
     let results = Array.make n None in
-    (* static block partition: domain d owns seeds [lo, hi) *)
+    (* each worker claims the next unclaimed seed, so seeds of uneven
+       cost spread over the domains; results land by index *)
+    let next = Atomic.make 0 in
+    (* a worker returns its domain's CPU seconds, which the caller
+       charges to its own clock *)
     let worker d () =
-      let lo = d * n / domains and hi = (d + 1) * n / domains in
+      snd @@ Machine.cpu_time @@ fun () ->
       Trace.begin_span "parallel.worker";
-      for i = lo to hi - 1 do
-        results.(i) <- Some (f seeds.(i))
-      done;
+      let count = ref 0 in
+      let rec claim () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          results.(i) <- Some (f seeds.(i));
+          incr count;
+          claim ()
+        end
+      in
+      claim ();
       Trace.end_span "parallel.worker"
-        ~args:[ ("block", float_of_int d); ("seeds", float_of_int (hi - lo)) ];
-      Metrics.incr "parallel.seeds" ~by:(hi - lo)
+        ~args:[ ("worker", float_of_int d); ("seeds", float_of_int !count) ];
+      Metrics.incr "parallel.seeds" ~by:!count
     in
     Trace.begin_span "parallel.map_seeds";
     let handles = Array.init domains (fun d -> Domain.spawn (worker d)) in
-    Array.iter Domain.join handles;
+    Machine.charge_joined (Array.fold_left (fun acc h -> acc +. Domain.join h) 0.0 handles);
     Trace.end_span "parallel.map_seeds"
       ~args:[ ("domains", float_of_int domains); ("seeds", float_of_int n) ];
     Metrics.incr "parallel.fanouts";

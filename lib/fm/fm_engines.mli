@@ -7,7 +7,6 @@ val of_result : Fm.result -> Hypart_engine.Engine.Result.t
 (** Adapt an FM result to the unified result type (stats become the
     [(name, value)] list). *)
 
-(* kept: an engine for any Fm_config.t, how tests run FM variants *)
 val of_config :
   name:string ->
   description:string ->

@@ -8,16 +8,11 @@ module Descriptive = Hypart_stats.Descriptive
 module Bsf = Hypart_stats.Bsf
 module Pareto = Hypart_stats.Pareto
 module Ranking = Hypart_stats.Ranking
-module Tel = Hypart_telemetry.Control
-module Metrics = Hypart_telemetry.Metrics
-module Trace = Hypart_telemetry.Trace
 module Engine = Hypart_engine.Engine
 module Machine = Hypart_engine.Machine
 module Fm_engines = Hypart_fm.Fm_engines
 module Ml_engines = Hypart_multilevel.Ml_engines
-module Lab_store = Hypart_lab.Run_store
-module Lab_fp = Hypart_lab.Fingerprint
-module Manifest = Hypart_lab.Manifest
+module Table = Hypart_lab.Table
 
 type fm_variant = Flat_lifo | Flat_clip | Ml_lifo | Ml_clip
 
@@ -37,224 +32,6 @@ let variant_engine = function
 
 let instance_problem ?(scale = 4.0) ~tolerance name =
   Problem.make ~tolerance (Suite.instance ~scale name)
-
-(* Per-start telemetry, mirroring the paper's avg-cut/avg-CPU reporting
-   unit: every independent start contributes one cut and one CPU-seconds
-   sample. *)
-let record_start cut dt =
-  if Tel.is_enabled () then begin
-    Metrics.incr "exp.starts";
-    Metrics.observe "exp.start_cut" (float_of_int cut);
-    Metrics.observe "exp.start_seconds" dt
-  end
-
-let timed_start f =
-  let cut, dt = Machine.cpu_time f in
-  record_start cut dt;
-  cut
-
-(* One single-start trial of a variant; returns the final cut. *)
-let run_variant variant fm_config rng problem =
-  timed_start (fun () ->
-      match variant with
-      | Flat_lifo | Flat_clip ->
-        (Fm.run_random_start ~config:fm_config rng problem).Fm.cut
-      | Ml_lifo | Ml_clip ->
-        let config = { Ml.default with Ml.fm = fm_config } in
-        (Ml.run ~config rng problem).Fm.cut)
-
-let fm_config_of_variant variant ~bias ~update =
-  let base =
-    match variant with
-    | Flat_lifo | Ml_lifo -> Fm_config.strong_lifo
-    | Flat_clip | Ml_clip -> Fm_config.strong_clip
-  in
-  Fm_config.with_bias bias (Fm_config.with_update update base)
-
-let cuts_of_runs ~runs f =
-  Array.init runs (fun i -> f i)
-
-(* ------------------------------------------------------------------ *)
-(* Run-store integration (lib/lab)                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* When a protocol is given a store directory, each unit of work (one
-   seeded run) is content-addressed in the lib/lab run store: stored
-   runs are served from it — an unchanged re-invocation performs zero
-   engine runs — and fresh runs are recorded, flushed per record.
-   Store-backed protocols derive one seed per run from the cell
-   identity instead of consuming a shared RNG stream, so cached and
-   fresh runs are interchangeable; the numbers therefore differ from
-   the storeless shared-stream protocol but remain deterministic. *)
-let with_store store f =
-  match store with
-  | None -> f None
-  | Some dir ->
-    let s = Lab_store.open_store dir in
-    Fun.protect ~finally:(fun () -> Lab_store.close s) (fun () -> f (Some s))
-
-(* ------------------------------------------------------------------ *)
-(* Table 1                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let updates = [ (Fm_config.All_delta_gain, "All-dg"); (Fm_config.Nonzero_only, "Nonzero") ]
-let biases = [ (Fm_config.Away, "Away"); (Fm_config.Part0, "Part0"); (Fm_config.Toward, "Toward") ]
-
-let table1 ?(scale = 4.0) ?(runs = 20) ?(tolerance = 0.02)
-    ?(instances = Suite.names_small) ~seed () =
-  Trace.span "exp.table1" @@ fun () ->
-  let problems =
-    List.map (fun name -> instance_problem ~scale ~tolerance name) instances
-  in
-  let table = Table.make ~headers:([ "Updates"; "Bias" ] @ instances) in
-  let first = ref true in
-  List.iter
-    (fun variant ->
-      if not !first then Table.add_separator table;
-      first := false;
-      Table.add_span table (variant_name variant);
-      Table.add_separator table;
-      List.iter
-        (fun (update, update_name) ->
-          List.iter
-            (fun (bias, bias_name) ->
-              let config = fm_config_of_variant variant ~bias ~update in
-              let cells =
-                List.map
-                  (fun problem ->
-                    let rng = Rng.create seed in
-                    let cuts =
-                      cuts_of_runs ~runs (fun _ -> run_variant variant config rng problem)
-                    in
-                    Descriptive.min_avg cuts)
-                  problems
-              in
-              Table.add_row table ([ update_name; bias_name ] @ cells))
-            biases)
-        updates)
-    [ Flat_lifo; Flat_clip; Ml_lifo; Ml_clip ];
-  table
-
-(* ------------------------------------------------------------------ *)
-(* Tables 2 and 3                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let table_reported_vs_ours ~engine ?(scale = 4.0) ?(runs = 20)
-    ?(instances = Suite.names_small) ~seed () =
-  Trace.span "exp.table_reported_vs_ours" @@ fun () ->
-  let reported, ours, label =
-    match engine with
-    | `Lifo -> (Fm_config.reported_lifo, Fm_config.strong_lifo, "LIFO")
-    | `Clip -> (Fm_config.reported_clip, Fm_config.strong_clip, "CLIP")
-  in
-  let table = Table.make ~headers:([ "Tolerance"; "Algorithm" ] @ instances) in
-  List.iter
-    (fun tolerance ->
-      let problems =
-        List.map (fun name -> instance_problem ~scale ~tolerance name) instances
-      in
-      List.iter
-        (fun (config, alg_name) ->
-          let cells =
-            List.map
-              (fun problem ->
-                let rng = Rng.create seed in
-                let cuts =
-                  cuts_of_runs ~runs (fun _ ->
-                      timed_start (fun () ->
-                          (Fm.run_random_start ~config rng problem).Fm.cut))
-                in
-                Descriptive.min_avg cuts)
-              problems
-          in
-          Table.add_row table
-            ([ Printf.sprintf "%02.0f%%" (100. *. tolerance); alg_name ] @ cells))
-        [ (reported, "Reported " ^ label); (ours, "Our " ^ label) ])
-    [ 0.02; 0.10 ];
-  table
-
-(* ------------------------------------------------------------------ *)
-(* Tables 4 and 5                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let table_multistart_eval ?(scale = 8.0) ?(repeats = 5)
-    ?(configs = [ 1; 2; 4; 8; 16; 100 ]) ?(instances = Suite.names_eval)
-    ?store ~tolerance ~seed () =
-  Trace.span "exp.table_multistart_eval" @@ fun () ->
-  with_store store @@ fun ctx ->
-  let headers =
-    "Circuit" :: List.map (fun n -> Printf.sprintf "%d start%s" n (if n = 1 then "" else "s")) configs
-  in
-  let table = Table.make ~headers in
-  (* One protocol repetition: N starts, V-cycle the best.  [rng] drives
-     the whole repetition (starts and polish). *)
-  let repetition rng problem starts =
-    Trace.begin_span "exp.multistart";
-    let (best, _), dt =
-      Machine.cpu_time (fun () ->
-          Engine.multistart
-            ~polish_best:
-              (Ml_engines.vcycle_polish ~config:Ml.ml_clip rng problem)
-            Ml_engines.mlclip rng problem ~starts)
-    in
-    Trace.end_span "exp.multistart"
-      ~args:
-        [
-          ("starts", float_of_int starts);
-          ("cut", float_of_int best.Engine.Result.cut);
-          ("seconds", dt);
-        ];
-    record_start best.Engine.Result.cut dt;
-    (best, dt)
-  in
-  List.iter
-    (fun name ->
-      let problem = instance_problem ~scale ~tolerance name in
-      let instance_fp =
-        match ctx with
-        | None -> ""
-        | Some _ -> Lab_fp.of_instance problem.Hypart_partition.Problem.hypergraph
-      in
-      let cells =
-        List.map
-          (fun starts ->
-            let rng = Rng.create seed in
-            let cuts = Array.make repeats 0.0 in
-            let times = Array.make repeats 0.0 in
-            for r = 0 to repeats - 1 do
-              match ctx with
-              | None ->
-                (* storeless protocol: one shared stream, as published *)
-                let best, dt = repetition rng problem starts in
-                cuts.(r) <- float_of_int best.Engine.Result.cut;
-                times.(r) <- Machine.normalize dt
-              | Some ctx ->
-                let repeat_seed =
-                  Lab_fp.mix_seed ~base:seed
-                    [ "tables45"; name; string_of_int starts; string_of_int r ]
-                in
-                let config =
-                  Manifest.config_fingerprint ~scale ~tolerance
-                    ~protocol:"multistart+vcycle"
-                    [ ("starts", string_of_int starts) ]
-                in
-                let stored =
-                  Lab_store.memo ctx ~engine:"mlclip" ~config
-                    ~instance:instance_fp ~seed:repeat_seed (fun () ->
-                      let rng = Rng.create repeat_seed in
-                      let best, _ = repetition rng problem starts in
-                      (best.Engine.Result.cut, best.Engine.Result.legal))
-                in
-                cuts.(r) <- float_of_int stored.Lab_store.cut;
-                times.(r) <- Machine.normalize stored.Lab_store.seconds
-            done;
-            Printf.sprintf "%.1f/%.2f" (Descriptive.mean cuts)
-              (Descriptive.mean times))
-          configs
-      in
-      Table.add_row table (name :: cells))
-    instances;
-  table
 
 (* ------------------------------------------------------------------ *)
 (* BSF curves                                                          *)
@@ -385,104 +162,6 @@ let ranking_figure ?(scale = 8.0) ?(starts = 15) ?(tolerance = 0.02)
     (fun (name, row) -> Table.add_row table (name :: Array.to_list row))
     winners;
   table
-
-(* ------------------------------------------------------------------ *)
-(* Head-to-head comparison                                             *)
-(* ------------------------------------------------------------------ *)
-
-let compare_engines ?(scale = 8.0) ?(runs = 20) ?(tolerance = 0.02) ?store
-    ~engine_a ~engine_b ~instance ~seed () =
-  Hypart_engines.init ();
-  (* unknown names raise Invalid_argument listing the registry, before
-     anything is generated or a store is created *)
-  let a = Engine.find_exn engine_a in
-  let b = Engine.find_exn engine_b in
-  let problem = instance_problem ~scale ~tolerance instance in
-  let sample ctx name engine =
-    match ctx with
-    | None ->
-      let rng = Rng.create seed in
-      let cuts = Array.make runs 0 in
-      let (), dt =
-        Machine.cpu_time (fun () ->
-            for i = 0 to runs - 1 do
-              cuts.(i) <- (Engine.run engine rng problem None).Engine.Result.cut
-            done)
-      in
-      (cuts, dt /. float_of_int runs)
-    | Some ctx ->
-      let instance_fp =
-        Lab_fp.of_instance problem.Hypart_partition.Problem.hypergraph
-      in
-      let config =
-        Manifest.config_fingerprint ~scale ~tolerance ~protocol:"single-start"
-          []
-      in
-      let cuts = Array.make runs 0 in
-      let total = ref 0.0 in
-      for i = 0 to runs - 1 do
-        let run_seed =
-          Lab_fp.mix_seed ~base:seed
-            [ "compare"; name; instance; string_of_int i ]
-        in
-        let stored =
-          Lab_store.memo ctx ~engine:name ~config ~instance:instance_fp
-            ~seed:run_seed (fun () ->
-              let r = Engine.run engine (Rng.create run_seed) problem None in
-              (r.Engine.Result.cut, r.Engine.Result.legal))
-        in
-        cuts.(i) <- stored.Lab_store.cut;
-        total := !total +. stored.Lab_store.seconds
-      done;
-      (cuts, !total /. float_of_int runs)
-  in
-  let (cuts_a, time_a), (cuts_b, time_b) =
-    with_store store (fun ctx ->
-        let sa = sample ctx engine_a a in
-        (sa, sample ctx engine_b b))
-  in
-  let table =
-    Table.make
-      ~headers:
-        [ "Engine"; "min/avg"; "stddev"; "95% CI of mean"; "CPU s/run" ]
-  in
-  let row name cuts dt =
-    let xs = Descriptive.of_ints cuts in
-    let ci = Hypart_stats.Bootstrap.mean_ci (Rng.create (seed + 7)) xs in
-    Table.add_row table
-      [
-        name;
-        Descriptive.min_avg cuts;
-        Printf.sprintf "%.1f" (Descriptive.stddev xs);
-        Printf.sprintf "[%.1f, %.1f]" ci.Hypart_stats.Bootstrap.lo
-          ci.Hypart_stats.Bootstrap.hi;
-        Printf.sprintf "%.3f" (Machine.normalize dt);
-      ]
-  in
-  row engine_a cuts_a time_a;
-  row engine_b cuts_b time_b;
-  let xa = Descriptive.of_ints cuts_a and xb = Descriptive.of_ints cuts_b in
-  let t = Hypart_stats.Significance.welch_t_test xa xb in
-  let u = Hypart_stats.Significance.mann_whitney_u xa xb in
-  let mean_a = Descriptive.mean xa and mean_b = Descriptive.mean xb in
-  let verdict =
-    let p = Float.min t.Hypart_stats.Significance.p_value
-        u.Hypart_stats.Significance.p_value in
-    if p > 0.05 then
-      Printf.sprintf
-        "no significant difference at the 5%% level (Welch p=%.3f, MWU p=%.3f) \
-         — per Brglez, do not report one as better"
-        t.Hypart_stats.Significance.p_value
-        u.Hypart_stats.Significance.p_value
-    else
-      Printf.sprintf
-        "%s is significantly better (mean %.1f vs %.1f; Welch p=%.4f, MWU p=%.4f)"
-        (if mean_a < mean_b then engine_a else engine_b)
-        (Float.min mean_a mean_b) (Float.max mean_a mean_b)
-        t.Hypart_stats.Significance.p_value
-        u.Hypart_stats.Significance.p_value
-  in
-  (table, verdict)
 
 (* ------------------------------------------------------------------ *)
 (* Placement quality                                                   *)

@@ -259,42 +259,6 @@ let line_ints c dst =
   end;
   !n
 
-(* Growable int32 vector: doubling push, exactly sized contents. *)
-module Buf32 = struct
-  type t = { mutable data : Hypergraph.i32; mutable len : int }
-
-  let create capacity =
-    {
-      data =
-        Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout (max capacity 16);
-      len = 0;
-    }
-
-  let push b x =
-    let cap = Bigarray.Array1.dim b.data in
-    if b.len = cap then begin
-      let grown = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout (2 * cap) in
-      Bigarray.Array1.blit b.data (Bigarray.Array1.sub grown 0 cap);
-      b.data <- grown
-    end;
-    Bigarray.Array1.unsafe_set b.data b.len (Int32.of_int x);
-    b.len <- b.len + 1
-
-  (* The filled prefix in an array of exactly [len] slots, so no spare
-     capacity stays alive behind the instance: [Hypergraph.memory_bytes],
-     the instance cache's accounting, counts [dim].  One blit, made only
-     when the doubling left spare capacity. *)
-  let contents b =
-    if Bigarray.Array1.dim b.data = b.len then b.data
-    else begin
-      let exact =
-        Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout b.len
-      in
-      Bigarray.Array1.blit (Bigarray.Array1.sub b.data 0 b.len) exact;
-      exact
-    end
-end
-
 (* ---------------- hMetis .hgr ---------------- *)
 
 let hgr_string ?(with_weights = true) h =
@@ -374,6 +338,8 @@ let hgr_of_cursor c =
   (* timestamped per-edge pin dedup, same first-occurrence semantics
      as Hypergraph.create *)
   let mark = Array.make (max nv 1) (-1) in
+  (* one net's pins, joining [pins] in one call per net *)
+  let net = ref (Array.make 64 0) in
   for e = 0 to ne - 1 do
     if not (next c) then missing e;
     let w = ref 1 and want_weight = ref has_ew and npins = ref 0 in
@@ -388,7 +354,9 @@ let hgr_of_cursor c =
         let v = x - 1 in
         if mark.(v) <> e then begin
           mark.(v) <- e;
-          Buf32.push pins v;
+          if !npins = Array.length !net then
+            net := Array.append !net (Array.make !npins 0);
+          Array.unsafe_set !net !npins v;
           incr npins
         end
       end
@@ -397,8 +365,9 @@ let hgr_of_cursor c =
     if !npins = 0 then parse_error path c.line "edge with no pins";
     if !w <= 0 then parse_error path c.line "non-positive weight of edge %d" e;
     if !w > max_i32 then parse_error path c.line "edge weight exceeds int32";
+    Buf32.push_ints pins !net !npins;
     Bigarray.Array1.set edge_weight e (Int32.of_int !w);
-    Bigarray.Array1.set edge_offset (e + 1) (Int32.of_int pins.Buf32.len)
+    Bigarray.Array1.set edge_offset (e + 1) (Int32.of_int (Buf32.length pins))
   done;
   let vertex_weight = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout nv in
   Bigarray.Array1.fill vertex_weight 1l;

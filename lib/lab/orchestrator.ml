@@ -13,6 +13,7 @@ type outcome = {
   cached : int;
   executed : int;
   dropped : int;
+  instance_fps : ((string * float) * string) list;
 }
 
 (* One generated problem per distinct (instance, scale, tolerance),
@@ -24,58 +25,63 @@ let build_problems (manifest : Manifest.t) =
     (fun (e : Manifest.experiment) ->
       List.iter
         (fun instance ->
-          let k = (instance, e.Manifest.scale, e.Manifest.tolerance) in
+          let k = (instance, e.scale, e.tolerance) in
           if not (Hashtbl.mem table k) then begin
-            let h = Suite.instance ~scale:e.Manifest.scale instance in
-            let problem = Problem.make ~tolerance:e.Manifest.tolerance h in
-            Hashtbl.add table k (problem, Fingerprint.of_instance h)
+            let h = Suite.instance ~scale:e.scale instance in
+            Hashtbl.add table k (Problem.make ~tolerance:e.tolerance h, Fingerprint.of_instance h)
           end)
-        e.Manifest.instances)
-    manifest.Manifest.experiments;
+        e.instances)
+    manifest.experiments;
   table
 
 let problem_of table (job : Manifest.job) =
-  Hashtbl.find table
-    ( job.Manifest.instance,
-      job.Manifest.experiment.Manifest.scale,
-      job.Manifest.experiment.Manifest.tolerance )
+  Hashtbl.find table (job.instance, job.experiment.scale, job.experiment.tolerance)
 
-(* engines are resolved by name at execution time; the calling binary
-   registers them (Hypart_engines.init) — the lab layer itself stays
-   below the engine implementations in the dependency order, so new
-   engine families (e.g. the memetic layer, which itself builds on the
-   lab store) can register without a cycle *)
-let run ?domains ~store_dir ~(manifest : Manifest.t) () =
+(* A job's protocol, from a fresh RNG on its derived seed. *)
+let execute problem (job : Manifest.job) =
+  let rng = Rng.create job.job_seed in
+  match job.protocol with
+  | Single_start -> Engine.run job.engine rng problem None
+  | Multistart starts ->
+    (* the engine improves the best start once more from it: for the
+       multilevel engines, one V-cycle *)
+    let polish_best best =
+      let r = Engine.run job.engine rng problem (Some best.Engine.Result.solution) in
+      if Engine.Result.better r best then r else best
+    in
+    fst (Engine.multistart ~polish_best job.engine rng problem ~starts)
+
+let run ?domains ~store ~(manifest : Manifest.t) () =
   Trace.span "lab.campaign" @@ fun () ->
-  let jobs = Manifest.jobs manifest in
   let problems = build_problems manifest in
-  let store = Run_store.open_store store_dir in
-  Fun.protect ~finally:(fun () -> Run_store.close store) @@ fun () ->
-  let cached, pending =
-    List.partition
+  (* one job per key: an engine listed twice in an experiment, as in
+     [compare flat flat], is one set of runs *)
+  let seen = Hashtbl.create 64 in
+  let jobs =
+    List.filter_map
       (fun job ->
-        let _, instance_fp = problem_of problems job in
-        Run_store.find store ~key:(Manifest.job_key ~instance_fp job) <> None)
-      jobs
+        let key = Manifest.job_key ~instance_fp:(snd (problem_of problems job)) job in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          Some (key, job)
+        end)
+      (Manifest.jobs manifest)
   in
+  let cached, pending = List.partition (fun (key, _) -> Run_store.find store ~key <> None) jobs in
   if Tel.is_enabled () then begin
     Metrics.incr "lab.jobs" ~by:(List.length jobs);
     Metrics.incr "lab.jobs_cached" ~by:(List.length cached)
   end;
-  let pending = Array.of_list pending in
+  let pending = Array.of_list (List.map snd pending) in
   let run_one i =
     let job = pending.(i) in
     let problem, instance_fp = problem_of problems job in
-    let engine = Engine.find_exn job.Manifest.engine in
-    let rng = Rng.create job.Manifest.job_seed in
-    let result, seconds =
-      Machine.cpu_time (fun () -> Engine.run engine rng problem None)
-    in
+    let result, seconds = Machine.cpu_time (fun () -> execute problem job) in
     ignore
-      (Run_store.record store ~engine:job.Manifest.engine
-         ~config:(Manifest.job_config job) ~instance:instance_fp
-         ~seed:job.Manifest.job_seed ~cut:result.Engine.Result.cut
-         ~legal:result.Engine.Result.legal ~seconds);
+      (Run_store.record store ~engine:(Engine.name job.engine)
+         ~config:(Manifest.job_config job) ~instance:instance_fp ~seed:job.job_seed
+         ~cut:result.Engine.Result.cut ~legal:result.Engine.Result.legal ~seconds);
     if Tel.is_enabled () then Metrics.incr "lab.runs"
   in
   (* shard by job index: each job carries its own derived seed, so the
@@ -83,12 +89,14 @@ let run ?domains ~store_dir ~(manifest : Manifest.t) () =
      order in the file varies (the report is order-independent) *)
   if pending <> [||] then
     ignore
-      (Parallel.map_seeds ?domains
-         ~seeds:(List.init (Array.length pending) Fun.id)
-         run_one);
+      (Parallel.map_seeds ?domains ~seeds:(List.init (Array.length pending) Fun.id) run_one);
   {
     jobs = List.length jobs;
     cached = List.length cached;
     executed = Array.length pending;
     dropped = Run_store.dropped store;
+    instance_fps =
+      Hashtbl.fold
+        (fun (instance, scale, _) (_, fp) acc -> ((instance, scale), fp) :: acc)
+        problems [];
   }

@@ -9,17 +9,24 @@
     execute and are recorded into it one flushed record at a time. *)
 
 type outcome = {
-  jobs : int;  (** total jobs the manifest expands to *)
+  jobs : int;
+      (** distinct jobs the manifest expands to: jobs sharing a cache
+          key, as when an experiment lists an engine twice, count and
+          run once *)
   cached : int;  (** served from the store without running an engine *)
   executed : int;  (** engine runs actually performed *)
   dropped : int;  (** malformed store lines dropped on load *)
+  instance_fps : ((string * float) * string) list;
+      (** the fingerprint of every (instance, scale) the campaign
+          generated, for {!Report.create} *)
 }
 
-val run :
-  ?domains:int -> store_dir:string -> manifest:Manifest.t -> unit -> outcome
-(** Execute the campaign against the store at [store_dir] (created if
-    absent), fanning pending jobs over [domains]
-    ({!Hypart_engine.Parallel.recommended_domains} by default).
-    Re-running an unchanged campaign performs zero engine runs.
-    Telemetry: [lab.jobs], [lab.jobs_cached], [lab.runs],
-    [lab.cache_hits], [lab.cache_misses]. *)
+val run : ?domains:int -> store:Run_store.t -> manifest:Manifest.t -> unit -> outcome
+(** Execute the campaign against [store] (which the caller opens and
+    closes), fanning pending jobs over [domains]
+    ({!Hypart_engine.Parallel.recommended_domains} by default).  Each
+    job runs its protocol from a fresh RNG on its derived seed and is
+    timed on its own domain's CPU clock.  Re-running an unchanged
+    campaign performs zero engine runs.  Telemetry: [lab.jobs],
+    [lab.jobs_cached], [lab.runs], [lab.cache_hits],
+    [lab.cache_misses]. *)

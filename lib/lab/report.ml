@@ -1,176 +1,190 @@
 module Rng = Hypart_rng.Rng
 module Suite = Hypart_generator.Ibm_suite
+module Engine = Hypart_engine.Engine
+module Machine = Hypart_engine.Machine
 module Descriptive = Hypart_stats.Descriptive
 module Bootstrap = Hypart_stats.Bootstrap
+module Significance = Hypart_stats.Significance
 
-(* Instance fingerprints only — the report never builds problems or
-   runs engines.  Keyed by (instance, scale); the fingerprint does not
-   depend on tolerance. *)
-let instance_fps (manifest : Manifest.t) =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Manifest.experiment) ->
-      List.iter
-        (fun instance ->
-          let k = (instance, e.Manifest.scale) in
-          if not (Hashtbl.mem table k) then
-            Hashtbl.add table k
-              (Fingerprint.of_instance
-                 (Suite.instance ~scale:e.Manifest.scale instance)))
-        e.Manifest.instances)
-    manifest.Manifest.experiments;
-  table
-
-type cell = {
-  stored : Run_store.record list;  (** in run-index order *)
-  expected : int;
+type t = {
+  store : Run_store.t;
+  manifest : Manifest.t;
+  fps : (string * float, string) Hashtbl.t;
 }
 
-(* Look every job of a cell up by its content address; the result is a
-   pure function of (manifest, store contents) — store file order, and
+let create ?(instance_fps = []) store manifest =
+  let fps = Hashtbl.create 16 in
+  List.iter (fun (k, fp) -> Hashtbl.replace fps k fp) instance_fps;
+  { store; manifest; fps }
+
+(* Instance fingerprints only — the report never builds problems or
+   runs engines; an instance the caller did not fingerprint is generated
+   once.  The fingerprint does not depend on tolerance. *)
+let instance_fp t instance scale =
+  match Hashtbl.find_opt t.fps (instance, scale) with
+  | Some fp -> fp
+  | None ->
+    let fp = Fingerprint.of_instance (Suite.instance ~scale instance) in
+    Hashtbl.add t.fps (instance, scale) fp;
+    fp
+
+let lookup t (job : Manifest.job) =
+  let instance_fp = instance_fp t job.instance job.experiment.scale in
+  Run_store.find ~quiet:true t.store ~key:(Manifest.job_key ~instance_fp job)
+
+type cell = { stored : Run_store.record list; expected : int }
+
+(* Every job of a cell looked up by its content address: a pure
+   function of (manifest, store contents), so store file order, and
    hence domain scheduling, cannot influence it. *)
-let cell_of store fps (jobs : Manifest.job list) =
-  let stored =
-    List.filter_map
-      (fun (job : Manifest.job) ->
-        let instance_fp =
-          Hashtbl.find fps
-            (job.Manifest.instance, job.Manifest.experiment.Manifest.scale)
-        in
-        Run_store.find ~quiet:true store ~key:(Manifest.job_key ~instance_fp job))
-      jobs
+let cell t e engine ~instance protocol =
+  let jobs = Manifest.cell_jobs t.manifest e engine ~instance protocol in
+  { stored = List.filter_map (lookup t) jobs; expected = List.length jobs }
+
+let int_cuts c = Array.of_list (List.map (fun r -> r.Run_store.cut) c.stored)
+let cuts c = Descriptive.of_ints (int_cuts c)
+
+let cpu_per_run c =
+  Machine.normalize
+    (List.fold_left (fun acc r -> acc +. r.Run_store.seconds) 0. c.stored
+    /. float_of_int (List.length c.stored))
+
+(* a cell's text, marked "†" when it holds an illegal run and "(k/N)"
+   when runs are missing *)
+let marked c f =
+  let n = List.length c.stored in
+  if n = 0 then Printf.sprintf "(0/%d)" c.expected
+  else begin
+    let s = f c in
+    let s = if List.exists (fun r -> not r.Run_store.legal) c.stored then s ^ "†" else s in
+    if n < c.expected then Printf.sprintf "%s (%d/%d)" s n c.expected else s
+  end
+
+let min_avg t e engine ~instance =
+  marked (cell t e engine ~instance Single_start) (fun c -> Descriptive.min_avg (int_cuts c))
+
+let min_avg_table t (e : Manifest.experiment) =
+  let table = Table.make ~headers:("engine" :: e.instances) in
+  List.iter
+    (fun engine ->
+      Table.add_row table
+        (Engine.name engine :: List.map (fun instance -> min_avg t e engine ~instance) e.instances))
+    e.engines;
+  table
+
+let cut_cpu_table ?(timing = false) t (e : Manifest.experiment) =
+  let configs =
+    List.filter_map (function Manifest.Multistart n -> Some n | Single_start -> None) e.protocols
   in
-  { stored; expected = List.length jobs }
+  let table =
+    Table.make
+      ~headers:
+        ("Circuit"
+        :: List.map (fun n -> Printf.sprintf "%d start%s" n (if n = 1 then "" else "s")) configs)
+  in
+  let several = List.length e.engines > 1 in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun instance ->
+          let cell_of starts =
+            marked (cell t e engine ~instance (Multistart starts)) (fun c ->
+                let avg = Descriptive.mean (cuts c) in
+                if timing then Printf.sprintf "%.1f/%.2f" avg (cpu_per_run c)
+                else Printf.sprintf "%.1f" avg)
+          in
+          let label = if several then Engine.name engine ^ ":" ^ instance else instance in
+          Table.add_row table (label :: List.map cell_of configs))
+        e.instances)
+    e.engines;
+  table
+
+let verdict ~name_a ~name_b xa xb =
+  let t = Significance.welch_t_test xa xb and u = Significance.mann_whitney_u xa xb in
+  let mean_a = Descriptive.mean xa and mean_b = Descriptive.mean xb in
+  if Float.min t.p_value u.p_value > 0.05 then
+    Printf.sprintf
+      "no significant difference at the 5%% level (Welch p=%.3f, MWU p=%.3f) — per Brglez, \
+       do not report one as better"
+      t.p_value u.p_value
+  else
+    Printf.sprintf "%s is significantly better (mean %.1f vs %.1f; Welch p=%.4f, MWU p=%.4f)"
+      (if mean_a < mean_b then name_a else name_b)
+      (Float.min mean_a mean_b) (Float.max mean_a mean_b) t.p_value u.p_value
+
+let compare ?(timing = false) t (e : Manifest.experiment) ~instance =
+  let columns = [ "min/avg"; "stddev"; "95% CI of mean" ] @ if timing then [ "CPU s/run" ] else [] in
+  let table = Table.make ~headers:("Engine" :: "n" :: columns) in
+  let cells =
+    List.map
+      (fun engine ->
+        let c = cell t e engine ~instance Single_start in
+        let n = List.length c.stored in
+        let stats =
+          if n = 0 then List.map (fun _ -> "—") columns
+          else begin
+            let xs = cuts c in
+            let stddev = (Descriptive.summarize xs).stddev in
+            let ci_seed =
+              Fingerprint.mix_seed ~base:t.manifest.seed
+                [ "ci"; e.exp_name; Engine.name engine; instance ]
+            in
+            let ci = Bootstrap.mean_ci (Rng.create ci_seed) xs in
+            [
+              Descriptive.min_avg (int_cuts c);
+              Printf.sprintf "%.1f" stddev;
+              Printf.sprintf "[%.1f, %.1f]" ci.lo ci.hi;
+            ]
+            @ if timing then [ Printf.sprintf "%.3f" (cpu_per_run c) ] else []
+          end
+        in
+        let runs = if n < c.expected then Printf.sprintf "%d/%d" n c.expected else string_of_int n in
+        Table.add_row table (Engine.name engine :: runs :: stats);
+        (engine, c))
+      e.engines
+  in
+  let complete (_, c) = List.length c.stored = c.expected && c.expected >= 2 in
+  let verdict =
+    match cells with
+    | [ ((a, ca) as cell_a); ((b, cb) as cell_b) ] when complete cell_a && complete cell_b ->
+      Some (verdict ~name_a:(Engine.name a) ~name_b:(Engine.name b) (cuts ca) (cuts cb))
+    | _ -> None
+  in
+  (table, verdict)
 
 let pct tolerance = Printf.sprintf "%g%%" (100. *. tolerance)
 
-let cell_summary cell =
-  if cell.stored = [] then Printf.sprintf "(0/%d)" cell.expected
-  else begin
-    let cuts = Array.of_list (List.map (fun r -> r.Run_store.cut) cell.stored) in
-    let base = Descriptive.min_avg cuts in
-    let illegal =
-      List.length (List.filter (fun r -> not r.Run_store.legal) cell.stored)
-    in
-    let base = if illegal > 0 then base ^ "†" else base in
-    if List.length cell.stored < cell.expected then
-      Printf.sprintf "%s (%d/%d)" base (List.length cell.stored) cell.expected
-    else base
-  end
-
-let md_row cells = "| " ^ String.concat " | " cells ^ " |"
-
-let md_rule n = md_row (List.init n (fun _ -> "---"))
-
-let generate ?(timing = false) ~store_dir ~(manifest : Manifest.t) () =
-  let store = Run_store.load store_dir in
-  let fps = instance_fps manifest in
-  (* group the flat job list back into cells, preserving run order *)
-  let cell_jobs : (string, Manifest.job list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun job ->
-      let id = Manifest.cell_id job in
-      let prev = try Hashtbl.find cell_jobs id with Not_found -> [] in
-      Hashtbl.replace cell_jobs id (job :: prev))
-    (Manifest.jobs manifest);
-  let lookup_cell e ~engine ~instance =
-    let id =
-      Printf.sprintf "%s/%s/%s" e.Manifest.exp_name engine instance
-    in
-    let jobs = try List.rev (Hashtbl.find cell_jobs id) with Not_found -> [] in
-    cell_of store fps jobs
-  in
+let generate ?(timing = false) ~store ~(manifest : Manifest.t) () =
+  let t = create store manifest in
+  let jobs = Manifest.jobs manifest in
+  let stored = List.length (List.filter (fun job -> lookup t job <> None) jobs) in
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "# Lab report — campaign %s (seed %d)" manifest.Manifest.name
-    manifest.Manifest.seed;
+  line "# Lab report — campaign %s (seed %d)" manifest.name manifest.seed;
   line "";
-  let total_expected = ref 0 and total_stored = ref 0 in
-  let sections = Buffer.create 4096 in
-  let sline fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string sections (s ^ "\n")) fmt
-  in
+  line
+    "Rebuilt from the run store alone: %d of %d runs stored.  `(k/N)` marks incomplete \
+     cells, `†` cells containing an illegal run."
+    stored (List.length jobs);
   List.iter
     (fun (e : Manifest.experiment) ->
-      sline "## %s — tolerance %s, scale %g, %d runs/cell" e.Manifest.exp_name
-        (pct e.Manifest.tolerance) e.Manifest.scale e.Manifest.runs;
-      sline "";
-      sline "%s" (md_row ("engine" :: e.Manifest.instances));
-      sline "%s" (md_rule (1 + List.length e.Manifest.instances));
-      List.iter
-        (fun engine ->
-          let cells =
-            List.map
-              (fun instance ->
-                let cell = lookup_cell e ~engine ~instance in
-                total_expected := !total_expected + cell.expected;
-                total_stored := !total_stored + List.length cell.stored;
-                cell_summary cell)
-              e.Manifest.instances
-          in
-          sline "%s" (md_row (engine :: cells)))
-        e.Manifest.engines;
-      sline "";
-      (* per-cell detail: bootstrap CI of the mean, deterministic via a
-         seed derived from the campaign seed and the cell identity *)
-      let detail_headers =
-        [ "cell"; "n"; "min/avg"; "95% CI of mean" ]
-        @ (if timing then [ "CPU s/run" ] else [])
-      in
-      sline "%s" (md_row detail_headers);
-      sline "%s" (md_rule (List.length detail_headers));
-      List.iter
-        (fun engine ->
-          List.iter
-            (fun instance ->
-              let cell = lookup_cell e ~engine ~instance in
-              let id =
-                Printf.sprintf "%s:%s" engine instance
-              in
-              if cell.stored = [] then
-                sline "%s"
-                  (md_row
-                     ([ id; "0"; "—"; "—" ]
-                     @ (if timing then [ "—" ] else [])))
-              else begin
-                let cuts =
-                  Array.of_list (List.map (fun r -> r.Run_store.cut) cell.stored)
-                in
-                let xs = Descriptive.of_ints cuts in
-                let ci_seed =
-                  Fingerprint.mix_seed ~base:manifest.Manifest.seed
-                    [ "ci"; e.Manifest.exp_name; engine; instance ]
-                in
-                let ci = Bootstrap.mean_ci (Rng.create ci_seed) xs in
-                let row =
-                  [
-                    id;
-                    string_of_int (List.length cell.stored);
-                    Descriptive.min_avg cuts;
-                    Printf.sprintf "[%.1f, %.1f]" ci.Bootstrap.lo ci.Bootstrap.hi;
-                  ]
-                  @
-                  if timing then
-                    [
-                      Printf.sprintf "%.3f"
-                        (List.fold_left
-                           (fun acc r -> acc +. r.Run_store.seconds)
-                           0. cell.stored
-                        /. float_of_int (List.length cell.stored));
-                    ]
-                  else []
-                in
-                sline "%s" (md_row row)
-              end)
-            e.Manifest.instances)
-        e.Manifest.engines;
-      sline "")
-    manifest.Manifest.experiments;
-  line
-    "Rebuilt from the run store alone: %d of %d runs stored.  Cells show \
-     min/avg cut; `(k/N)` marks incomplete cells, `†` cells containing an \
-     illegal run."
-    !total_stored !total_expected;
-  line "";
-  Buffer.add_buffer buf sections;
+      line "";
+      line "## %s — tolerance %s, scale %g, %d runs/cell" e.exp_name (pct e.tolerance) e.scale
+        e.runs;
+      if List.mem Manifest.Single_start e.protocols then begin
+        line "";
+        Buffer.add_string buf (Table.to_markdown (min_avg_table t e));
+        List.iter
+          (fun instance ->
+            let table, verdict = compare ~timing t e ~instance in
+            line "\n### %s\n" instance;
+            Buffer.add_string buf (Table.to_markdown table);
+            Option.iter (fun v -> line "\n%s" v) verdict)
+          e.instances
+      end;
+      if List.exists (( <> ) Manifest.Single_start) e.protocols then begin
+        line "";
+        Buffer.add_string buf (Table.to_markdown (cut_cpu_table ~timing t e))
+      end)
+    manifest.experiments;
   Buffer.contents buf

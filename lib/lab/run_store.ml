@@ -1,7 +1,6 @@
 module Jsonl = Hypart_telemetry.Jsonl
 module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
-module Machine = Hypart_engine.Machine
 
 type record = {
   engine : string;
@@ -106,6 +105,10 @@ let find ?(quiet = false) t ~key =
     Metrics.incr (match r with Some _ -> "lab.cache_hits" | None -> "lab.cache_misses");
   r
 
+(* a float as the log keeps it, so a recorded run reads the same
+   before and after a reload *)
+let as_logged f = Float.of_string (Hypart_telemetry.Json_out.number f)
+
 let record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds =
   let r =
     {
@@ -115,8 +118,8 @@ let record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds =
       seed;
       cut;
       legal;
-      seconds;
-      machine_factor = Provenance.machine_factor ();
+      seconds = as_logged seconds;
+      machine_factor = as_logged (Provenance.machine_factor ());
       git = Provenance.git_describe ();
     }
   in
@@ -128,13 +131,6 @@ let record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds =
         Option.iter (fun log -> Jsonl.append log (record_fields r)) t.log;
         Hashtbl.add t.index k r;
         r)
-
-let memo t ~engine ~config ~instance ~seed run =
-  match find t ~key:(key ~engine ~config ~instance ~seed) with
-  | Some r -> r
-  | None ->
-    let (cut, legal), seconds = Machine.cpu_time run in
-    record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds
 
 (* -- maintenance -- *)
 

@@ -85,21 +85,10 @@ val record :
   record
 (** Record one completed run: stamp it with the machine factor and the
     [git describe] of this process ({!Provenance}), then index and
-    append it (flushed) under the store's lock.  A key that is already
+    append it (flushed) under the store's lock.  Its floats are kept at
+    the log's precision, so the indexed record equals the one a reload
+    reads back.  A key that is already
     indexed appends nothing and returns its first record. *)
-
-val memo :
-  t ->
-  engine:string ->
-  config:string ->
-  instance:string ->
-  seed:int ->
-  (unit -> int * bool) ->
-  record
-(** [memo t ~engine ~config ~instance ~seed run] is the stored record
-    of the key when there is one ({!find}); otherwise it times [run]
-    (returning [(cut, legal)]) with {!Hypart_engine.Machine.cpu_time}
-    and {!record}s the result. *)
 
 (** {1 Maintenance} *)
 

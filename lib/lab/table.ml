@@ -78,4 +78,17 @@ let to_csv t =
     (List.rev t.rows);
   Buffer.contents buf
 
+let to_markdown t =
+  let row cells = "| " ^ String.concat " | " cells ^ " |\n" in
+  let blank = List.map (fun _ -> "") (List.tl t.headers) in
+  String.concat ""
+    (row t.headers
+    :: row (List.map (fun _ -> "---") t.headers)
+    :: List.filter_map
+         (function
+           | Cells cells -> Some (row cells)
+           | Span label -> Some (row (label :: blank))
+           | Separator -> None)
+         (List.rev t.rows))
+
 let print t = print_string (render t)

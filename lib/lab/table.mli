@@ -23,5 +23,9 @@ val to_csv : t -> string
 (** Headers + data rows (spans become single-cell rows; separators are
     dropped). *)
 
+val to_markdown : t -> string
+(** A Markdown pipe table (spans become rows labelled in their first
+    cell; separators are dropped). *)
+
 val print : t -> unit
 (** [render] to stdout. *)

@@ -3,7 +3,7 @@ module Fm_engines = Hypart_fm.Fm_engines
 
 let of_result = Fm_engines.of_result
 
-let ml_engine ~name ~description config =
+let of_config ~name ~description config =
   Engine.make ~name ~description (fun rng problem initial ->
       let r =
         match initial with
@@ -13,12 +13,12 @@ let ml_engine ~name ~description config =
       of_result r)
 
 let ml =
-  ml_engine ~name:"ml"
+  of_config ~name:"ml"
     ~description:"multilevel LIFO FM (edge coarsening + FM refinement)"
     Ml_partitioner.ml_lifo
 
 let mlclip =
-  ml_engine ~name:"mlclip"
+  of_config ~name:"mlclip"
     ~description:"multilevel CLIP FM (edge coarsening + CLIP refinement)"
     Ml_partitioner.ml_clip
 
@@ -37,7 +37,7 @@ let hmetis =
        the result (Tables 4-5)"
     ~rounds:1
     ~vcycle:(vcycle_polish ~config:Ml_partitioner.hmetis_like)
-    (ml_engine ~name:"hmetis-base" ~description:"internal hmetis base"
+    (of_config ~name:"hmetis-base" ~description:"internal hmetis base"
        Ml_partitioner.hmetis_like)
 
 let registered = lazy (List.iter Engine.register [ ml; mlclip; hmetis ])

@@ -6,6 +6,15 @@
 
 val of_result : Hypart_fm.Fm.result -> Hypart_engine.Engine.Result.t
 
+val of_config :
+  name:string ->
+  description:string ->
+  Ml_partitioner.config ->
+  Hypart_engine.Engine.t
+(** An engine running {!Ml_partitioner.run} (or, given an initial
+    solution, one {!Ml_partitioner.vcycle} from it) under a fixed
+    configuration — the multilevel side of [Fm_engines.of_config]. *)
+
 val ml : Hypart_engine.Engine.t
 val mlclip : Hypart_engine.Engine.t
 

@@ -2,7 +2,5 @@
     given initial solution when provided, otherwise from a random legal
     start. *)
 
-val sa : Hypart_engine.Engine.t
-
 val register : unit -> unit
 (** Add [sa] to the registry (idempotent). *)

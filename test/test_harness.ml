@@ -1,6 +1,9 @@
 module Machine = Hypart_engine.Machine
-module Table = Hypart_harness.Table
+module Table = Hypart_lab.Table
 module Experiments = Hypart_harness.Experiments
+module Campaigns = Hypart_harness.Campaigns
+module Manifest = Hypart_lab.Manifest
+module Report = Hypart_lab.Report
 
 (* -- Machine -- *)
 
@@ -8,6 +11,49 @@ let test_cpu_time () =
   let r, dt = Machine.cpu_time (fun () -> 42) in
   Alcotest.(check int) "result passed through" 42 r;
   Alcotest.(check bool) "time nonnegative" true (dt >= 0.0)
+
+(* A fixed integer workload that allocates nothing, so no collection
+   ties its domain to another. *)
+let spin n =
+  let acc = ref 0 in
+  for i = 1 to n do
+    acc := ((!acc * 31) + i) land 0xFFFFFF
+  done;
+  Sys.opaque_identity !acc
+
+(* the clock is per domain: another domain spinning meanwhile is not
+   charged to the timed job (a process clock charges both) *)
+let test_cpu_time_per_domain () =
+  let n = 100_000_000 in
+  let _, solo = Machine.cpu_time (fun () -> spin n) in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          ignore (spin 10_000)
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let _, contended = Machine.cpu_time (fun () -> spin n) in
+  Atomic.set stop true;
+  Domain.join other;
+  if contended > 1.5 *. solo then
+    Alcotest.failf "charged %.3fs while another domain spun, %.3fs alone" contended solo
+
+(* a call timed around a fan-out is charged the CPU of the worker
+   domains, not just the joining one *)
+let test_cpu_time_fan_out () =
+  let per_seed, total =
+    Machine.cpu_time (fun () ->
+        Hypart_engine.Parallel.map_seeds ~domains:2 ~seeds:[ 1; 2; 3; 4 ] (fun _ ->
+            snd (Machine.cpu_time (fun () -> spin 20_000_000))))
+  in
+  let workers = List.fold_left ( +. ) 0.0 per_seed in
+  if total < workers then
+    Alcotest.failf "charged %.3fs around a fan-out whose workers spent %.3fs" total workers
 
 let test_normalization () =
   Machine.set_normalization_factor 2.0;
@@ -91,32 +137,35 @@ let contains s needle =
   let rec scan i = i + nl <= sl && (String.sub s i nl = needle || scan (i + 1)) in
   scan 0
 
+(* a table as the CLI renders it: its experiments run into a fresh
+   in-memory store *)
+let run ?domains ?(seed = 1) experiments =
+  fst (Campaigns.execute ?domains ~store:None (Manifest.make ~name:"test" ~seed ~experiments))
+
+let table1 ?domains ~seed () =
+  let e = Campaigns.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] () in
+  Table.render (Campaigns.table1_table (run ?domains ~seed [ e ]) e)
+
 let test_table1_smoke () =
-  let t =
-    Experiments.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] ~seed:1 ()
-  in
-  let s = Table.render t in
+  let s = table1 ~seed:1 () in
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " present") true (contains s needle))
     [ "Flat LIFO FM"; "Flat CLIP FM"; "ML LIFO FM"; "ML CLIP FM";
       "Away"; "Part0"; "Toward"; "All-dg"; "Nonzero"; "ibm01" ]
 
 let test_table23_smoke () =
-  let t =
-    Experiments.table_reported_vs_ours ~engine:`Clip ~scale:64.0 ~runs:2
-      ~instances:[ "ibm01" ] ~seed:1 ()
-  in
-  let s = Table.render t in
+  let es = Campaigns.table23 `Clip ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] in
+  let s = Table.render (Campaigns.table23_table (run es) es) in
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " present") true (contains s needle))
     [ "Reported CLIP"; "Our CLIP"; "02%"; "10%" ]
 
 let test_table45_smoke () =
-  let t =
-    Experiments.table_multistart_eval ~scale:64.0 ~repeats:1 ~configs:[ 1; 2 ]
-      ~instances:[ "ibm01" ] ~tolerance:0.10 ~seed:1 ()
+  let e =
+    Campaigns.tables45 ~scale:64.0 ~repeats:1 ~configs:[ 1; 2 ] ~instances:[ "ibm01" ]
+      ~tolerance:0.10
   in
-  let s = Table.render t in
+  let s = Table.render (Report.cut_cpu_table ~timing:true (run [ e ]) e) in
   Alcotest.(check bool) "has starts columns" true (contains s "2 starts");
   Alcotest.(check bool) "has instance" true (contains s "ibm01")
 
@@ -142,31 +191,26 @@ let test_corking_smoke () =
   Alcotest.(check bool) "both variants shown" true
     (contains s "Reported CLIP (no fix)" && contains s "Our CLIP (corking fix)")
 
+let compare ~scale ~runs engine_a engine_b =
+  let e = Campaigns.compare ~scale ~runs ~engine_a ~engine_b ~instance:"ibm01" () in
+  Report.compare (run [ e ]) e ~instance:"ibm01"
+
 let test_compare_engines () =
   (* reported vs strong: clearly significant at modest run counts *)
-  let table, verdict =
-    Experiments.compare_engines ~scale:16.0 ~runs:12 ~engine_a:"reported"
-      ~engine_b:"flat" ~instance:"ibm01" ~seed:1 ()
-  in
+  let table, verdict = compare ~scale:16.0 ~runs:12 "reported" "flat" in
   let s = Table.render table in
   Alcotest.(check bool) "both rows present" true
     (contains s "reported" && contains s "flat");
   Alcotest.(check bool) "flat wins significantly" true
-    (contains verdict "flat is significantly better");
+    (contains (Option.get verdict) "flat is significantly better");
   (* engine vs itself: never significant *)
-  let _, same =
-    Experiments.compare_engines ~scale:32.0 ~runs:10 ~engine_a:"flat"
-      ~engine_b:"flat" ~instance:"ibm01" ~seed:1 ()
-  in
+  let _, same = compare ~scale:32.0 ~runs:10 "flat" "flat" in
   Alcotest.(check bool) "identical samples not significant" true
-    (contains same "no significant difference")
+    (contains (Option.get same) "no significant difference")
 
 let test_compare_unknown_engine () =
   Alcotest.check_raises "unknown engine" (Invalid_argument "x") (fun () ->
-      try
-        ignore
-          (Experiments.compare_engines ~scale:64.0 ~runs:2 ~engine_a:"bogus"
-             ~engine_b:"flat" ~instance:"ibm01" ~seed:1 ())
+      try ignore (compare ~scale:64.0 ~runs:2 "bogus" "flat")
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let test_placement_table_smoke () =
@@ -190,15 +234,9 @@ let test_ablation_smoke () =
       "first-choice" ]
 
 let test_experiments_deterministic () =
-  let a =
-    Table.render
-      (Experiments.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] ~seed:7 ())
-  in
-  let b =
-    Table.render
-      (Experiments.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] ~seed:7 ())
-  in
-  Alcotest.(check string) "same seed, same table" a b
+  (* per-cell derived seeds: the same table however many domains ran it *)
+  Alcotest.(check string) "same seed, same table" (table1 ~domains:1 ~seed:7 ())
+    (table1 ~domains:2 ~seed:7 ())
 
 let () =
   Alcotest.run "harness"
@@ -206,6 +244,8 @@ let () =
       ( "machine",
         [
           Alcotest.test_case "cpu_time" `Quick test_cpu_time;
+          Alcotest.test_case "cpu_time per domain" `Quick test_cpu_time_per_domain;
+          Alcotest.test_case "cpu_time fan-out" `Quick test_cpu_time_fan_out;
           Alcotest.test_case "normalization" `Quick test_normalization;
         ] );
       ( "table",

@@ -326,9 +326,33 @@ let prop_contract_matches_reference =
       && Array.init k (Incidence.edges coarse)
          = Array.map Array.of_list incident)
 
+(* -- Buf32: the CSR buffer of the decoders and the delta patcher -- *)
+
+module Buf32 = Hypart_hypergraph.Buf32
+
+let test_buf32_exact_contents () =
+  let b = Buf32.create 0 in
+  for i = 1 to 40 do
+    Buf32.push b i
+  done;
+  let src = Bigarray.Array1.of_array Bigarray.Int32 Bigarray.c_layout [| 7l; 8l; 9l |] in
+  Buf32.blit b src 1 2;
+  Buf32.push_ints b [| 5; 6; 7 |] 2;
+  Alcotest.(check int) "length" 44 (Buf32.length b);
+  let c = Buf32.contents b in
+  (* a sub view would keep the 64-slot buffer alive behind an instance
+     and hide it from Hypergraph.memory_bytes *)
+  Alcotest.(check int) "exactly sized" 44 (Bigarray.Array1.dim c);
+  Alcotest.(check (list int32)) "pushed, blitted, pushed in a run" [ 40l; 8l; 9l; 5l; 6l ]
+    (List.init 5 (fun i -> c.{39 + i}));
+  c.{0} <- 99l;
+  Alcotest.(check int32) "detached from the buffer" 1l (Buf32.contents b).{0}
+
 let () =
   Alcotest.run "hypergraph"
     [
+      ( "buf32",
+        [ Alcotest.test_case "exact detached contents" `Quick test_buf32_exact_contents ] );
       ( "construction",
         [
           Alcotest.test_case "sizes" `Quick test_sizes;

@@ -10,6 +10,8 @@ module Run_store = Hypart_lab.Run_store
 module Manifest = Hypart_lab.Manifest
 module Orchestrator = Hypart_lab.Orchestrator
 module Report = Hypart_lab.Report
+module Campaigns = Hypart_harness.Campaigns
+module Fm_engines = Hypart_fm.Fm_engines
 module Metrics = Hypart_telemetry.Metrics
 module Control = Hypart_telemetry.Control
 
@@ -373,41 +375,38 @@ let tiny_manifest seed =
   Manifest.make ~name:"test" ~seed
     ~experiments:
       [
-        {
-          Manifest.exp_name = "t";
-          engines = [ "flat"; "clip" ];
-          instances = [ "ibm01" ];
-          scale = 64.0;
-          tolerance = 0.1;
-          runs = 2;
-        };
+        Manifest.experiment ~tolerance:0.1 ~scale:64.0 ~runs:2 "t"
+          [ Fm_engines.flat; Fm_engines.clip ] [ "ibm01" ];
       ]
 
+(* the orchestrator over a store directory, as [hypart lab run] drives it *)
+let run_campaign ?domains dir manifest =
+  let store = Run_store.open_store dir in
+  Fun.protect
+    ~finally:(fun () -> Run_store.close store)
+    (fun () -> Orchestrator.run ?domains ~store ~manifest ())
+
+let report ?timing dir manifest = Report.generate ?timing ~store:(Run_store.load dir) ~manifest ()
+
 let test_manifest_validation () =
-  let bad runs scale =
+  let bad ?(protocols = [ Manifest.Single_start ]) runs scale =
     try
       ignore
         (Manifest.make ~name:"x" ~seed:1
            ~experiments:
-             [
-               {
-                 Manifest.exp_name = "t";
-                 engines = [ "flat" ];
-                 instances = [ "ibm01" ];
-                 scale;
-                 tolerance = 0.1;
-                 runs;
-               };
-             ]);
+             [ Manifest.experiment ~protocols ~scale ~runs "t" [ Fm_engines.flat ] [ "ibm01" ] ]);
       false
     with Invalid_argument _ -> true
   in
   Alcotest.(check bool) "runs = 0 rejected" true (bad 0 64.0);
   Alcotest.(check bool) "negative scale rejected" true (bad 2 (-1.0));
+  Alcotest.(check bool) "no protocol rejected" true (bad ~protocols:[] 2 64.0);
+  Alcotest.(check bool) "zero starts rejected" true
+    (bad ~protocols:[ Manifest.Multistart 0 ] 2 64.0);
   Alcotest.(check bool) "valid accepted" false (bad 2 64.0);
   Alcotest.(check bool) "unknown campaign rejected" true
     (try
-       ignore (Manifest.campaign ~seed:1 "bogus");
+       ignore (Campaigns.campaign ~seed:1 "bogus");
        false
      with Invalid_argument _ -> true)
 
@@ -424,13 +423,13 @@ let test_jobs_deterministic () =
 let test_campaign_fresh_then_cached () =
   let dir = tmp_dir () in
   let manifest = tiny_manifest 3 in
-  let o1 = Orchestrator.run ~domains:2 ~store_dir:dir ~manifest () in
+  let o1 = run_campaign ~domains:2 dir manifest in
   Alcotest.(check int) "fresh: all executed" o1.Orchestrator.jobs
     o1.Orchestrator.executed;
   Alcotest.(check int) "fresh: none cached" 0 o1.Orchestrator.cached;
   Control.with_enabled (fun () ->
       Metrics.reset ();
-      let o2 = Orchestrator.run ~domains:2 ~store_dir:dir ~manifest () in
+      let o2 = run_campaign ~domains:2 dir manifest in
       Alcotest.(check int) "rerun: zero engine runs" 0 o2.Orchestrator.executed;
       Alcotest.(check int) "rerun: all cached" o2.Orchestrator.jobs
         o2.Orchestrator.cached;
@@ -442,11 +441,11 @@ let test_resume_report_byte_identical () =
   let manifest = tiny_manifest 5 in
   (* uninterrupted reference run *)
   let full_dir = tmp_dir () in
-  ignore (Orchestrator.run ~domains:1 ~store_dir:full_dir ~manifest ());
-  let full = Report.generate ~store_dir:full_dir ~manifest () in
+  ignore (run_campaign ~domains:1 full_dir manifest);
+  let full = report full_dir manifest in
   (* interrupted run: keep only the first k lines of the store *)
   let cut_dir = tmp_dir () in
-  ignore (Orchestrator.run ~domains:1 ~store_dir:cut_dir ~manifest ());
+  ignore (run_campaign ~domains:1 cut_dir manifest);
   let path = Run_store.filename cut_dir in
   let ic = open_in path in
   let first = input_line ic in
@@ -456,7 +455,7 @@ let test_resume_report_byte_identical () =
   close_out oc;
   Control.with_enabled (fun () ->
       Metrics.reset ();
-      let o = Orchestrator.run ~domains:3 ~store_dir:cut_dir ~manifest () in
+      let o = run_campaign ~domains:3 cut_dir manifest in
       Alcotest.(check int) "resume: cached = surviving runs" 1
         o.Orchestrator.cached;
       Alcotest.(check int) "resume: cache_hits = surviving runs" 1
@@ -464,23 +463,22 @@ let test_resume_report_byte_identical () =
       Alcotest.(check int) "resume: executed = missing runs"
         (o.Orchestrator.jobs - 1) o.Orchestrator.executed;
       Metrics.reset ());
-  let resumed = Report.generate ~store_dir:cut_dir ~manifest () in
+  let resumed = report cut_dir manifest in
   Alcotest.(check string) "resumed report byte-identical" full resumed
 
 let test_report_domain_count_invariant () =
   let manifest = tiny_manifest 9 in
   let d1 = tmp_dir () and d4 = tmp_dir () in
-  ignore (Orchestrator.run ~domains:1 ~store_dir:d1 ~manifest ());
-  ignore (Orchestrator.run ~domains:4 ~store_dir:d4 ~manifest ());
-  Alcotest.(check string) "domains=1 report = domains=4 report"
-    (Report.generate ~store_dir:d1 ~manifest ())
-    (Report.generate ~store_dir:d4 ~manifest ())
+  ignore (run_campaign ~domains:1 d1 manifest);
+  ignore (run_campaign ~domains:4 d4 manifest);
+  Alcotest.(check string) "domains=1 report = domains=4 report" (report d1 manifest)
+    (report d4 manifest)
 
 let test_report_incomplete_cells () =
   let manifest = tiny_manifest 11 in
   let dir = tmp_dir () in
   (* report over an empty store renders every cell as (0/N), not an error *)
-  let empty = Report.generate ~store_dir:dir ~manifest () in
+  let empty = report dir manifest in
   Alcotest.(check bool) "empty store renders" true
     (String.length empty > 0)
 
@@ -530,21 +528,24 @@ let check_writer ~lines ~digest write () =
   Alcotest.(check (list string)) "rerun appends nothing" first (store_lines dir)
 
 let orchestrator_writer dir =
-  let manifest = Manifest.campaign ~scale:64.0 ~runs:3 ~seed:1 "smoke" in
-  Some (Orchestrator.run ~domains:2 ~store_dir:dir ~manifest ()).Orchestrator.executed
+  let manifest = Campaigns.campaign ~scale:64.0 ~runs:3 ~seed:1 "smoke" in
+  Some (run_campaign ~domains:2 dir manifest).Orchestrator.executed
 
-let tables45_writer store =
-  ignore
-    (Hypart_harness.Experiments.table_multistart_eval ~scale:64.0 ~repeats:2
-       ~configs:[ 1; 2 ] ~instances:[ "ibm01" ] ~store ~tolerance:0.1 ~seed:1
-       ());
-  None
+(* a table command's campaign against a store directory *)
+let table_writer ~name experiment store =
+  let manifest = Manifest.make ~name ~seed:1 ~experiments:[ experiment ] in
+  Some (snd (Campaigns.execute ~store:(Some store) manifest)).Orchestrator.executed
+
+let tables45_writer =
+  table_writer ~name:"tables45"
+    (Campaigns.tables45 ~scale:64.0 ~repeats:2 ~configs:[ 1; 2 ] ~instances:[ "ibm01" ]
+       ~tolerance:0.1)
 
 let compare_writer store =
-  ignore
-    (Hypart_harness.Experiments.compare_engines ~scale:64.0 ~runs:3 ~store
-       ~engine_a:"flat" ~engine_b:"clip" ~instance:"ibm01" ~seed:1 ());
-  None
+  table_writer ~name:"compare"
+    (Campaigns.compare ~scale:64.0 ~runs:3 ~engine_a:"flat" ~engine_b:"clip" ~instance:"ibm01"
+       ())
+    store
 
 let eco_writer store_dir =
   let p =
@@ -560,12 +561,61 @@ let test_compare_unknown_engine () =
     (Invalid_argument
        (Printf.sprintf "unknown engine %S (registered: %s)" "bogus"
           (String.concat " | " (Hypart_engine.Engine.names ()))))
-    (fun () ->
-      ignore
-        (Hypart_harness.Experiments.compare_engines ~scale:64.0 ~runs:1
-           ~store:dir ~engine_a:"bogus" ~engine_b:"flat" ~instance:"ibm01"
-           ~seed:1 ()));
+    (fun () -> ignore (table_writer ~name:"compare" (Campaigns.compare ~scale:64.0 ~runs:1
+           ~engine_a:"bogus" ~engine_b:"flat" ~instance:"ibm01" ()) dir));
   Alcotest.(check bool) "no store created" false (Sys.file_exists dir)
+
+(* an engine listed twice is one set of runs: each key runs once *)
+let test_compare_same_engine () =
+  let dir = tmp_dir () in
+  let runs = 3 in
+  let executed =
+    table_writer ~name:"compare"
+      (Campaigns.compare ~scale:64.0 ~runs ~engine_a:"flat" ~engine_b:"flat" ~instance:"ibm01" ())
+      dir
+  in
+  Alcotest.(check (option int)) "executed once per run" (Some runs) executed;
+  Alcotest.(check int) "records" runs (List.length (store_lines dir))
+
+(* ---------------- a tiny tables campaign ---------------- *)
+
+(* One experiment of each paper layout at scale 64: Table 1's 24
+   variants, Table 3's two engines at two tolerances, and a Tables 4–5
+   multistart pair. *)
+let tiny_tables =
+  let instances = [ "ibm01" ] in
+  Manifest.make ~name:"tiny-tables" ~seed:4
+    ~experiments:
+      ((Campaigns.table1 ~scale:64.0 ~runs:1 ~instances ()
+       :: Campaigns.table23 `Clip ~scale:64.0 ~runs:1 ~instances)
+      @ [ Campaigns.tables45 ~scale:64.0 ~repeats:1 ~configs:[ 1; 2 ] ~instances ~tolerance:0.1 ])
+
+let test_tables_domain_invariant () =
+  let d1 = tmp_dir () and d2 = tmp_dir () in
+  ignore (run_campaign ~domains:1 d1 tiny_tables);
+  ignore (run_campaign ~domains:2 d2 tiny_tables);
+  Alcotest.(check int) "every job stored" (List.length (Manifest.jobs tiny_tables))
+    (List.length (store_lines d1));
+  Alcotest.(check string) "domains=1 store = domains=2 store" (masked_digest d1)
+    (masked_digest d2)
+
+(* The resume property: the store cut after each of its
+   records, resumed, renders the uninterrupted campaign's report *)
+let test_tables_resume_every_boundary () =
+  let full_dir = tmp_dir () in
+  ignore (run_campaign ~domains:1 full_dir tiny_tables);
+  let full = report full_dir tiny_tables in
+  let lines = store_lines full_dir in
+  List.iteri
+    (fun k _ ->
+      let dir = tmp_dir () in
+      Sys.mkdir dir 0o755;
+      Out_channel.with_open_bin (Run_store.filename dir) (fun oc ->
+          List.iteri (fun i l -> if i < k then output_string oc (l ^ "\n")) lines);
+      let o = run_campaign ~domains:2 dir tiny_tables in
+      Alcotest.(check int) (Printf.sprintf "cut at %d: cached" k) k o.Orchestrator.cached;
+      if report dir tiny_tables <> full then Alcotest.failf "cut at record %d: report differs" k)
+    lines
 
 let evolve_writer store =
   let module Evolve = Hypart_evolve.Evolve in
@@ -633,6 +683,7 @@ let () =
             (check_writer ~lines:10 ~digest:"7c51c347451743d1" evolve_writer);
           Alcotest.test_case "compare unknown engine" `Quick
             test_compare_unknown_engine;
+          Alcotest.test_case "compare same engine" `Quick test_compare_same_engine;
         ] );
       ( "campaign",
         [
@@ -647,5 +698,9 @@ let () =
             test_report_domain_count_invariant;
           Alcotest.test_case "empty store report" `Quick
             test_report_incomplete_cells;
+          Alcotest.test_case "tables store identical across domains" `Quick
+            test_tables_domain_invariant;
+          Alcotest.test_case "tables resume at every record" `Quick
+            test_tables_resume_every_boundary;
         ] );
     ]

@@ -14,8 +14,8 @@ module Ml_partitioner = Hypart_multilevel.Ml_partitioner
 module Recursive_bisection = Hypart_multilevel.Recursive_bisection
 module Topdown = Hypart_placement.Topdown
 module Descriptive = Hypart_stats.Descriptive
-module Experiments = Hypart_harness.Experiments
-module Table = Hypart_harness.Table
+module Campaigns = Hypart_harness.Campaigns
+module Table = Hypart_lab.Table
 
 let test_end_to_end () =
   let h = Ibm_suite.instance ~scale:64.0 "ibm01" in
@@ -42,10 +42,13 @@ let test_end_to_end () =
   Alcotest.(check int) "stats lib reachable" 2 summary.Descriptive.n
 
 let test_table_pipeline () =
-  let table =
-    Experiments.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] ~seed:1 ()
+  let e = Campaigns.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] () in
+  let report, _ =
+    Campaigns.execute ~store:None
+      (Hypart_lab.Manifest.make ~name:"smoke" ~seed:1 ~experiments:[ e ])
   in
-  Alcotest.(check bool) "table renders" true (String.length (Table.render table) > 0)
+  Alcotest.(check bool) "table renders" true
+    (String.length (Table.render (Campaigns.table1_table report e)) > 0)
 
 let () =
   Alcotest.run "smoke"

@@ -271,39 +271,6 @@ let prop_pareto_duplicates_retained =
       in
       List.sort compare expected = canon (Pareto.frontier doubled))
 
-(* -- Histogram -- *)
-
-module Hist = Hypart_stats.Histogram
-
-let test_histogram_counts () =
-  let h = Hist.build ~bins:4 [| 0.0; 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check int) "total" 5 h.Hist.n;
-  Alcotest.(check int) "sums to n" 5 (Array.fold_left ( + ) 0 h.Hist.counts);
-  (* top edge inclusive: 4.0 lands in the last bin *)
-  Alcotest.(check int) "last bin has the max" 2 h.Hist.counts.(3)
-
-let test_histogram_constant_sample () =
-  let h = Hist.build ~bins:5 [| 7.0; 7.0; 7.0 |] in
-  Alcotest.(check int) "middle bin" 3 h.Hist.counts.(2);
-  Alcotest.(check (option int)) "bin_of" (Some 2) (Hist.bin_of h 7.0)
-
-let test_histogram_bin_of () =
-  let h = Hist.build ~bins:2 [| 0.0; 10.0 |] in
-  Alcotest.(check (option int)) "low half" (Some 0) (Hist.bin_of h 2.0);
-  Alcotest.(check (option int)) "high half" (Some 1) (Hist.bin_of h 8.0);
-  Alcotest.(check (option int)) "outside" None (Hist.bin_of h 11.0)
-
-let test_histogram_render () =
-  let h = Hist.build ~bins:3 [| 1.0; 2.0; 3.0; 3.0 |] in
-  let s = Hist.render h in
-  Alcotest.(check int) "three lines" 3
-    (List.length (String.split_on_char '\n' (String.trim s)))
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "empty" (Invalid_argument "x") (fun () ->
-      try ignore (Hist.build ~bins:3 [||])
-      with Invalid_argument _ -> raise (Invalid_argument "x"))
-
 (* -- Bootstrap -- *)
 
 module Bootstrap = Hypart_stats.Bootstrap
@@ -410,14 +377,6 @@ let () =
           Alcotest.test_case "dominates" `Quick test_pareto_dominates;
           Alcotest.test_case "frontier" `Quick test_pareto_frontier;
           Alcotest.test_case "equal points" `Quick test_pareto_equal_points_kept;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "counts" `Quick test_histogram_counts;
-          Alcotest.test_case "constant sample" `Quick test_histogram_constant_sample;
-          Alcotest.test_case "bin_of" `Quick test_histogram_bin_of;
-          Alcotest.test_case "render" `Quick test_histogram_render;
-          Alcotest.test_case "invalid" `Quick test_histogram_invalid;
         ] );
       ( "bootstrap",
         [
