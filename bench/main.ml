@@ -40,28 +40,22 @@ let table_benches =
     Campaigns.tables45 ~scale:64.0 ~repeats:1 ~configs:[ 1; 2 ] ~instances ~tolerance
   in
   let t4 = t45 0.02 and t5 = t45 0.10 in
+  let fig = Campaigns.figures ~scale:64.0 ~starts:4 ~instances in
+  let label = Campaigns.figure_label and budgets = [| 0.01; 0.1 |] in
   Test.make_grouped ~name:"tables"
     [
-      (* each table as the CLI runs it: a fresh in-memory store, so
-         every cell executes, on one domain, then rendered from the
-         store *)
+      (* each table and figure as the CLI runs it: a fresh in-memory
+         store, so every cell executes, on one domain, then rendered
+         from the store *)
       tables_bench "table1" [ t1 ] (fun r -> Campaigns.table1_table r t1);
       tables_bench "table2" t2 (fun r -> Campaigns.table23_table r t2);
       tables_bench "table3" t3 (fun r -> Campaigns.table23_table r t3);
       tables_bench "table4_2pct" [ t4 ] (fun r -> Report.cut_cpu_table r t4);
       tables_bench "table5_10pct" [ t5 ] (fun r -> Report.cut_cpu_table r t5);
-      Test.make ~name:"fig_bsf"
-        (ignore1 (fun () ->
-             Experiments.bsf_figure ~scale:64.0 ~starts:4 ~budgets:[| 0.01; 0.1 |]
-               ~instance:"ibm01" ~seed:1 ()));
-      Test.make ~name:"fig_pareto"
-        (ignore1 (fun () ->
-             Experiments.pareto_figure ~scale:64.0 ~repeats:1 ~instance:"ibm01"
-               ~seed:1 ()));
-      Test.make ~name:"fig_ranking"
-        (ignore1 (fun () ->
-             Experiments.ranking_figure ~scale:64.0 ~starts:4
-               ~budgets:[| 0.01; 0.1 |] ~instances:[ "ibm01" ] ~seed:1 ()));
+      tables_bench "fig_bsf" [ fig ] (fun r ->
+          Report.bsf_table ~label ~budgets r fig ~instance:"ibm01");
+      tables_bench "fig_pareto" [ fig ] (fun r -> Report.pareto ~label r fig ~instance:"ibm01");
+      tables_bench "fig_ranking" [ fig ] (fun r -> Report.ranking_table ~label ~budgets r fig);
       Test.make ~name:"fig_corking"
         (ignore1 (fun () ->
              Experiments.corking_report ~scale:32.0 ~runs:2 ~instance:"ibm01"

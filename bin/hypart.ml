@@ -140,7 +140,7 @@ let runs_t default =
     & info [ "runs" ] ~docv:"N"
         ~doc:"Independent single-start trials per table cell (the paper used 100).")
 
-let repeats_t ?(doc = "Protocol repetitions.") default =
+let repeats_t ~doc default =
   Arg.(value & opt (pos_int_conv "repeats") default & info [ "repeats" ] ~docv:"N" ~doc)
 
 let csv_t =
@@ -674,24 +674,30 @@ let tables45_cmd =
       const run $ common_t $ scale_t $ repeats_t $ seed_t $ csv_t
       $ instances_t Suite.names_eval $ tol_t $ configs_t $ run_store_t)
 
+(* The §3.2 figures are views over one experiment's stored starts: at
+   the same scale and seed, bsf, pareto and ranking share their runs. *)
+let figures_report ?store ~name ~seed ~scale ~starts instances =
+  let e = Campaigns.figures ~scale ~starts ~instances in
+  (run_tables ?store ~name ~seed [ e ], e)
+
 let bsf_cmd =
-  let run () scale starts seed csv instance =
-    emit csv (Experiments.bsf_figure ~scale ~starts ~instance ~seed ())
+  let run () scale starts seed csv instance store =
+    let report, e = figures_report ?store ~name:"bsf" ~seed ~scale ~starts [ instance ] in
+    emit csv (Lab_report.bsf_table ~label:Campaigns.figure_label report e ~instance)
   in
   Cmd.v
     (Cmd.info "bsf"
        ~doc:
          "Best-so-far curves (expected best cut vs CPU budget) for flat LIFO, \
-          flat CLIP and ML CLIP.")
+          flat CLIP, ML LIFO and ML CLIP.")
     Term.(
       const run $ common_t $ scale_t $ starts_t ~doc:"Recorded starts." 20
-      $ seed_t $ csv_t $ suite_instance_t)
+      $ seed_t $ csv_t $ suite_instance_t $ run_store_t)
 
 let pareto_cmd =
-  let run () scale repeats seed csv instance =
-    let table, frontier =
-      Experiments.pareto_figure ~scale ~repeats ~instance ~seed ()
-    in
+  let run () scale starts seed csv instance store =
+    let report, e = figures_report ?store ~name:"pareto" ~seed ~scale ~starts [ instance ] in
+    let table, frontier = Lab_report.pareto ~label:Campaigns.figure_label report e ~instance in
     emit csv table;
     print_newline ();
     print_endline "non-dominated frontier (cost, CPU s):";
@@ -702,19 +708,25 @@ let pareto_cmd =
   in
   Cmd.v
     (Cmd.info "pareto"
-       ~doc:"(cost, runtime) performance points and their non-dominated frontier.")
-    Term.(const run $ common_t $ scale_t $ repeats_t 3 $ seed_t $ csv_t $ suite_instance_t)
+       ~doc:
+         "(cost, runtime) points of best-of-1/4/16 starts per engine and their \
+          non-dominated frontier.")
+    Term.(
+      const run $ common_t $ scale_t
+      $ starts_t ~doc:"Recorded starts best-of-k is drawn from." 20
+      $ seed_t $ csv_t $ suite_instance_t $ run_store_t)
 
 let ranking_cmd =
-  let run () scale starts seed csv instances =
-    emit csv (Experiments.ranking_figure ~scale ~starts ~instances ~seed ())
+  let run () scale starts seed csv instances store =
+    let report, e = figures_report ?store ~name:"ranking" ~seed ~scale ~starts instances in
+    emit csv (Lab_report.ranking_table ~label:Campaigns.figure_label report e)
   in
   Cmd.v
     (Cmd.info "ranking"
        ~doc:"Speed-dependent ranking diagram: dominant heuristic per (instance, budget).")
     Term.(
       const run $ common_t $ scale_t $ starts_t 15 $ seed_t $ csv_t
-      $ instances_t Suite.names_small)
+      $ instances_t Suite.names_small $ run_store_t)
 
 let corking_cmd =
   let run () scale runs seed csv instance =
@@ -808,16 +820,19 @@ let fixed_cmd =
     Term.(const run $ common_t $ scale_t $ runs_t 12 $ seed_t $ csv_t $ suite_instance_t)
 
 let ablation_cmd =
-  let run () scale runs seed csv instance =
-    emit csv (Experiments.ablation_table ~scale ~runs ~instance ~seed ())
+  let run () scale runs seed csv instance store =
+    let e = Campaigns.ablation ~scale ~runs ~instance in
+    emit csv (Campaigns.ablation_table (run_tables ?store ~name:"ablation" ~seed [ e ]) e)
   in
   Cmd.v
     (Cmd.info "ablation"
        ~doc:
          "Quality ablation of every design dimension: insertion order, \
           illegal-head policy, oversized-cell handling, pass-best rule, \
-          initial generator, coarsening scheme, boundary refinement.")
-    Term.(const run $ common_t $ scale_t $ runs_t 10 $ seed_t $ csv_t $ suite_instance_t)
+          initial generator, coarsening scheme, LIFO and CLIP boundary refinement.")
+    Term.(
+      const run $ common_t $ scale_t $ runs_t 10 $ seed_t $ csv_t $ suite_instance_t
+      $ run_store_t)
 
 let all_cmd =
   let run () scale runs seed out store =
@@ -838,7 +853,10 @@ let all_cmd =
           write ".csv" (Table.to_csv table))
         out
     in
-    (* Tables 1-5 are one campaign; Tables 4-5 run at half size *)
+    (* Tables 1-5, the figures and the ablation are one campaign;
+       Tables 4-5 run at half size.  The flat-vs-multilevel crossover
+       only shows on instances large enough that flat FM cannot reach
+       multilevel quality, so the figures run at the base scale. *)
     let small = Suite.names_small in
     let t1 = Campaigns.table1 ~scale ~runs ~instances:small () in
     let t2 = Campaigns.table23 `Lifo ~scale ~runs ~instances:small in
@@ -848,30 +866,31 @@ let all_cmd =
         ~instances:Suite.names_eval ~tolerance
     in
     let t4 = t45 0.02 and t5 = t45 0.10 in
-    let report = run_tables ?store ~name:"all" ~seed ((t1 :: t2) @ t3 @ [ t4; t5 ]) in
+    let figures =
+      Campaigns.figures ~scale:(Float.max 1.0 (scale /. 8.)) ~starts:12 ~instances:small
+    in
+    let ablation = Campaigns.ablation ~scale ~runs:10 ~instance:"ibm01" in
+    let report =
+      run_tables ?store ~name:"all" ~seed ((t1 :: t2) @ t3 @ [ t4; t5; figures; ablation ])
+    in
+    let label = Campaigns.figure_label in
     emit "table1" "Table 1 (implicit decisions)" (Campaigns.table1_table report t1);
     emit "table2" "Table 2 (LIFO: reported vs ours)" (Campaigns.table23_table report t2);
     emit "table3" "Table 3 (CLIP: reported vs ours)" (Campaigns.table23_table report t3);
     emit "table4" "Table 4 (multistart eval, 2%)" (Lab_report.cut_cpu_table ~timing:true report t4);
     emit "table5" "Table 5 (multistart eval, 10%)" (Lab_report.cut_cpu_table ~timing:true report t5);
-    (* the flat-vs-multilevel crossover only shows on instances large
-       enough that flat FM cannot reach multilevel quality, so the
-       figures run at the base scale, not the reduced tables45 scale *)
-    let fig_scale = Float.max 1.0 (scale /. 8.) in
     emit "fig_bsf" "BSF curves (ibm03)"
-      (Experiments.bsf_figure ~scale:fig_scale ~starts:12 ~instance:"ibm03" ~seed ());
+      (Lab_report.bsf_table ~label report figures ~instance:"ibm03");
     emit "fig_pareto" "Pareto frontier (ibm03)"
-      (fst (Experiments.pareto_figure ~scale:fig_scale ~instance:"ibm03" ~seed ()));
-    emit "fig_ranking" "Ranking diagram"
-      (Experiments.ranking_figure ~scale:fig_scale ~starts:10 ~seed ());
+      (fst (Lab_report.pareto ~label report figures ~instance:"ibm03"));
+    emit "fig_ranking" "Ranking diagram" (Lab_report.ranking_table ~label report figures);
+    emit "ablation" "Ablations (ibm01)" (Campaigns.ablation_table report ablation);
     emit "regime" "Runtime regimes (full-size instances)"
       (Experiments.runtime_regime_table ~seed ());
     emit "placement_quality" "Placement quality per engine (ibm01)"
       (Experiments.placement_table ~scale ~instance:"ibm01" ~seed ());
     emit "fixed_terminals" "Fixed terminals (ibm01)"
       (Experiments.fixed_terminals_table ~scale ~instance:"ibm01" ~seed ());
-    emit "ablation" "Ablations (ibm01)"
-      (Experiments.ablation_table ~scale ~instance:"ibm01" ~seed ());
     emit "corking" "Corking diagnostic (ibm01)"
       (Experiments.corking_report ~instance:"ibm01" ~scale ~seed ())
   in

@@ -1,9 +1,12 @@
 module Suite = Hypart_generator.Ibm_suite
 module Engine = Hypart_engine.Engine
+module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module Fm_engines = Hypart_fm.Fm_engines
 module Ml = Hypart_multilevel.Ml_partitioner
 module Ml_engines = Hypart_multilevel.Ml_engines
+module Matching = Hypart_multilevel.Matching
+module Initial = Hypart_partition.Initial
 module Manifest = Hypart_lab.Manifest
 module Orchestrator = Hypart_lab.Orchestrator
 module Report = Hypart_lab.Report
@@ -113,9 +116,118 @@ let compare ?tolerance ~scale ~runs ~engine_a ~engine_b ~instance () =
     [ Engine.find_exn engine_a; Engine.find_exn engine_b ]
     [ instance ]
 
+(* -- §3.2 figures -- *)
+
+let figure_engines =
+  [
+    (Fm_engines.flat, "Flat LIFO FM");
+    (Fm_engines.clip, "Flat CLIP FM");
+    (Ml_engines.ml, "ML LIFO FM");
+    (Ml_engines.mlclip, "ML CLIP FM");
+  ]
+
+let figures ~scale ~starts ~instances =
+  Manifest.experiment ~scale ~runs:starts "figures" (List.map fst figure_engines) instances
+
+let figure_label engine = List.assq engine figure_engines
+
+(* -- ablation -- *)
+
+(* One block per design dimension, a row per setting.  A setting equal
+   to a registered engine is that engine, so the rows sharing a
+   baseline share its runs. *)
+let ablation_rows =
+  let variant make dimension setting x =
+    make
+      ~name:(Printf.sprintf "ablation:%s=%s" dimension setting)
+      ~description:(Printf.sprintf "ablation: %s = %s" dimension setting)
+      x
+  in
+  let flat = variant Fm_engines.of_config and ml = variant Ml_engines.of_config in
+  let initial setting generate =
+    variant Engine.make "initial" setting (fun rng problem initial ->
+        let s = match initial with Some s -> s | None -> generate rng problem in
+        Fm_engines.of_result (Fm.run ~config:Fm_config.strong_lifo rng problem s))
+  in
+  let lifo = Fm_config.strong_lifo and clip = Fm_config.strong_clip in
+  [
+    ( "insertion",
+      [
+        ("lifo", Fm_engines.flat);
+        ("fifo", flat "insertion" "fifo" { lifo with insertion = Fifo });
+        ("random", flat "insertion" "random" { lifo with insertion = Random });
+      ] );
+    ( "illegal head",
+      [
+        ("skip-side", Fm_engines.flat);
+        ("skip-bucket", flat "illegal-head" "skip-bucket" { lifo with illegal_head = Skip_bucket });
+        ("scan-bucket", flat "illegal-head" "scan-bucket" { lifo with illegal_head = Scan_bucket });
+      ] );
+    ( "oversized cells",
+      [
+        ("excluded (fix)", Fm_engines.clip);
+        ("inserted (cork)", flat "oversized" "inserted" { clip with exclude_oversized = false });
+      ] );
+    ( "pass best",
+      [
+        ("first", flat "pass-best" "first" { lifo with pass_best = First });
+        ("last", flat "pass-best" "last" { lifo with pass_best = Last });
+        ("most-balanced", Fm_engines.flat);
+      ] );
+    ( "initial solution",
+      [
+        ("random", Fm_engines.flat);
+        ("area-levelled", initial "area-levelled" Initial.area_levelled);
+        ("cluster-grown", initial "cluster-grown" Initial.cluster_grown);
+      ] );
+    ( "coarsening",
+      [
+        ("edge-coarsening", Ml_engines.ml);
+        ("heavy-edge", ml "coarsening" "heavy-edge" { Ml.ml_lifo with scheme = Matching.Heavy_edge });
+        ( "first-choice",
+          ml "coarsening" "first-choice" { Ml.ml_lifo with scheme = Matching.First_choice } );
+        ( "hyperedge",
+          ml "coarsening" "hyperedge" { Ml.ml_lifo with scheme = Matching.Hyperedge_coarsening } );
+      ] );
+    ( "refinement",
+      [
+        ("LIFO full", Ml_engines.ml);
+        ( "LIFO boundary-only",
+          ml "refinement" "boundary-only" { Ml.ml_lifo with boundary_refinement = true } );
+        ("CLIP full", Ml_engines.mlclip);
+        ( "CLIP boundary-only",
+          ml "refinement" "clip-boundary-only" { Ml.ml_clip with boundary_refinement = true } );
+      ] );
+  ]
+
+let ablation ~scale ~runs ~instance =
+  Manifest.experiment ~scale ~runs "ablation"
+    (List.concat_map (fun (_, rows) -> List.map snd rows) ablation_rows)
+    [ instance ]
+
+let ablation_table report (e : Manifest.experiment) =
+  let instance = List.hd e.instances in
+  let table = Table.make ~headers:[ "Dimension"; "Setting"; "min/avg cut"; "CPU s/run" ] in
+  List.iteri
+    (fun i (dimension, rows) ->
+      if i > 0 then Table.add_separator table;
+      List.iter
+        (fun (setting, engine) ->
+          Table.add_row table
+            [
+              dimension;
+              setting;
+              Report.min_avg report e engine ~instance;
+              Report.cpu report e engine ~instance;
+            ])
+        rows)
+    ablation_rows;
+  table
+
 (* -- built-in campaigns -- *)
 
-let names = [ "smoke"; "tables"; "multistart"; "ablation"; "corking"; "memetic" ]
+let names =
+  [ "smoke"; "tables"; "multistart"; "figures"; "ablation"; "engines"; "corking"; "memetic" ]
 
 let campaign ?(scale = 8.0) ?(runs = 20) ~seed name =
   Hypart_engines.init ();
@@ -135,9 +247,11 @@ let campaign ?(scale = 8.0) ?(runs = 20) ~seed name =
           tables45 ~scale ~repeats:runs ~configs:default_configs ~instances:Suite.names_eval
             ~tolerance)
         [ 0.02; 0.10 ]
-    | "ablation" ->
+    | "figures" -> [ figures ~scale ~starts:runs ~instances:Suite.names_small ]
+    | "ablation" -> [ ablation ~scale ~runs ~instance:"ibm01" ]
+    | "engines" ->
       [
-        registry "ablation"
+        registry "engines"
           [ "flat"; "clip"; "ml"; "mlclip"; "lookahead"; "kl"; "sa"; "spectral" ]
           [ "ibm01" ];
       ]

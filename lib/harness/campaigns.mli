@@ -1,12 +1,14 @@
-(** The paper's Tables 1–5 and the head-to-head comparison as lab
-    experiments, and the built-in campaigns that bundle them.
+(** The paper's Tables 1–5, the head-to-head comparison, the §3.2
+    figures and the ablation as lab experiments, and the built-in
+    campaigns that bundle them.
 
-    Every table is one path: a {!Hypart_lab.Manifest} experiment,
-    executed by {!Hypart_lab.Orchestrator.run} (per-cell derived seeds,
-    sharded over domains, served from the run store when already
-    recorded) and rendered from the store by {!Hypart_lab.Report}.  So
-    [hypart table1] and [hypart lab run --campaign tables] are the same
-    runs, and a store written by either serves the other. *)
+    Every table and figure is one path: a {!Hypart_lab.Manifest}
+    experiment, executed by {!Hypart_lab.Orchestrator.run} (per-cell
+    derived seeds, sharded over domains, served from the run store when
+    already recorded) and rendered from the store by
+    {!Hypart_lab.Report}.  So [hypart table1] and [hypart lab run
+    --campaign tables] are the same runs, and a store written by either
+    serves the other. *)
 
 module Manifest = Hypart_lab.Manifest
 module Report = Hypart_lab.Report
@@ -55,10 +57,38 @@ val compare :
     @raise Invalid_argument on an unknown engine name, listing the
     registered ones. *)
 
+val figures : scale:float -> starts:int -> instances:string list -> Manifest.experiment
+(** The §3.2 figures' runs: [starts] single starts of [flat], [clip],
+    [ml] and [mlclip] per instance at 2%.  The BSF curves, the Pareto
+    points and the ranking diagram are all views over these cells
+    ({!Hypart_lab.Report.bsf_table}, {!Hypart_lab.Report.pareto},
+    {!Hypart_lab.Report.ranking_table}), and a run's seed depends on
+    neither [starts] nor the other instances, so the three share their
+    stored runs. *)
+
+val figure_label : Hypart_engine.Engine.t -> string
+(** The paper's name of a {!figures} engine (["Flat LIFO FM"] for
+    [flat], ...).  @raise Not_found for any other engine. *)
+
+val ablation : scale:float -> runs:int -> instance:string -> Manifest.experiment
+(** One row per setting of each design dimension DESIGN.md §5 calls
+    out — bucket insertion order, illegal-head policy, oversized-cell
+    exclusion, pass-best tie-break, initial-solution generator,
+    coarsening scheme, LIFO and CLIP boundary refinement — [runs]
+    single starts each at 2%, every other knob at its strong default.
+    A setting equal to a registered engine ([flat], [clip], [ml],
+    [mlclip]) runs as that engine, so rows sharing a baseline share its
+    runs; the others are named like ["ablation:insertion=fifo"]. *)
+
+val ablation_table : Report.t -> Manifest.experiment -> Table.t
+(** The {!ablation} layout: dimension, setting, min/avg cut and CPU
+    seconds per run. *)
+
 (** {1 Built-in campaigns} *)
 
 val names : string list
-(** ["smoke"; "tables"; "multistart"; "ablation"; "corking"; "memetic"]. *)
+(** ["smoke"; "tables"; "multistart"; "figures"; "ablation"; "engines";
+    "corking"; "memetic"]. *)
 
 val campaign : ?scale:float -> ?runs:int -> seed:int -> string -> Manifest.t
 (** [campaign ~seed name] at [scale] (default 8.0) with [runs] per
@@ -67,7 +97,10 @@ val campaign : ?scale:float -> ?runs:int -> seed:int -> string -> Manifest.t
     - ["tables"]: Tables 1–3 on the small instances;
     - ["multistart"]: Tables 4–5 on the evaluation suite, [runs]
       repetitions of each default configuration;
-    - ["ablation"]: every registered engine family on ibm01;
+    - ["figures"]: the §3.2 figures' runs on the small instances,
+      [runs] starts per engine;
+    - ["ablation"]: [hypart ablation]'s experiment on ibm01;
+    - ["engines"]: every registered engine family on ibm01;
     - ["corking"]: CLIP with and without the corking fix;
     - ["memetic"]: the memetic campaign engine against its plain
       multilevel baseline on the small instances.

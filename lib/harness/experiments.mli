@@ -1,54 +1,14 @@
-(** The paper's studies that still run serially: the §3.2 figures
-    (BSF, Pareto, ranking), the §2.1 placement, runtime-regime and
-    fixed-terminal studies, the ablations and the corking diagnostic.
-    Tables 1–5 and the head-to-head comparison are lab campaigns
-    ({!Campaigns}).
+(** The paper's studies that still run serially: the §2.1 placement,
+    runtime-regime and fixed-terminal studies and the corking
+    diagnostic.  Tables 1–5, the head-to-head comparison, the §3.2
+    figures and the ablation are lab campaigns ({!Campaigns}).
 
-    [scale] divides instance sizes (1.0 = the published sizes),
-    [runs]/[repeats]/[starts] control the trial counts; the defaults
-    are sized so a full regeneration finishes in minutes on a laptop,
-    and the [bin/] runners expose flags for paper-faithful settings.
-    Each study draws from one RNG stream seeded by [seed], so it is
-    deterministic given [seed]. *)
-
-(** {1 §3.2 figures} *)
-
-val bsf_figure :
-  ?scale:float ->
-  ?starts:int ->
-  ?tolerance:float ->
-  ?budgets:float array ->
-  instance:string ->
-  seed:int ->
-  unit ->
-  Hypart_lab.Table.t
-(** Expected best-so-far cut vs CPU budget for flat LIFO, flat CLIP and
-    the multilevel engine (Monte-Carlo resampling of per-start
-    records). *)
-
-val pareto_figure :
-  ?scale:float ->
-  ?repeats:int ->
-  ?tolerance:float ->
-  instance:string ->
-  seed:int ->
-  unit ->
-  Hypart_lab.Table.t * (string * float * float) list
-(** (cost, runtime) performance points for every engine × starts
-    configuration, with the non-dominated frontier marked; also returns
-    the frontier as data. *)
-
-val ranking_figure :
-  ?scale:float ->
-  ?starts:int ->
-  ?tolerance:float ->
-  ?budgets:float array ->
-  ?instances:string list ->
-  seed:int ->
-  unit ->
-  Hypart_lab.Table.t
-(** Speed-dependent ranking diagram: for each instance (rows) and CPU
-    budget (columns), the heuristic with the best expected BSF value. *)
+    [scale] divides instance sizes (1.0 = the published sizes), [runs]
+    controls the trial counts; the defaults are sized so a full
+    regeneration finishes in minutes on a laptop, and the [bin/]
+    runners expose flags for paper-faithful settings.  Each study draws
+    from one RNG stream seeded by [seed], so it is deterministic given
+    [seed]. *)
 
 (** {1 Placement quality (§2.1)} *)
 
@@ -100,22 +60,6 @@ val fixed_terminals_table :
     standard deviation, average passes and CPU per run.  Fixed
     instances converge faster with far smaller start-to-start
     variance. *)
-
-(** {1 Ablations} *)
-
-val ablation_table :
-  ?scale:float ->
-  ?runs:int ->
-  ?tolerance:float ->
-  instance:string ->
-  seed:int ->
-  unit ->
-  Hypart_lab.Table.t
-(** One block per design dimension DESIGN.md §5 calls out — bucket
-    insertion order, illegal-head policy, oversized-cell exclusion,
-    pass-best tie-break, initial-solution generator, coarsening scheme,
-    boundary refinement — with min/avg cut and average CPU seconds per
-    setting, all other knobs at their strong defaults. *)
 
 (** {1 Corking diagnostic (§2.3)} *)
 

@@ -1,10 +1,12 @@
 module Rng = Hypart_rng.Rng
 module Suite = Hypart_generator.Ibm_suite
 module Engine = Hypart_engine.Engine
-module Machine = Hypart_engine.Machine
 module Descriptive = Hypart_stats.Descriptive
 module Bootstrap = Hypart_stats.Bootstrap
 module Significance = Hypart_stats.Significance
+module Bsf = Hypart_stats.Bsf
+module Pareto = Hypart_stats.Pareto
+module Ranking = Hypart_stats.Ranking
 
 type t = {
   store : Run_store.t;
@@ -44,10 +46,13 @@ let cell t e engine ~instance protocol =
 let int_cuts c = Array.of_list (List.map (fun r -> r.Run_store.cut) c.stored)
 let cuts c = Descriptive.of_ints (int_cuts c)
 
+(* a run's CPU seconds under the normalization factor stored with it,
+   so runs recorded under different factors stay comparable *)
+let normalized_seconds r = r.Run_store.seconds *. r.Run_store.machine_factor
+
 let cpu_per_run c =
-  Machine.normalize
-    (List.fold_left (fun acc r -> acc +. r.Run_store.seconds) 0. c.stored
-    /. float_of_int (List.length c.stored))
+  List.fold_left (fun acc r -> acc +. normalized_seconds r) 0. c.stored
+  /. float_of_int (List.length c.stored)
 
 (* a cell's text, marked "†" when it holds an illegal run and "(k/N)"
    when runs are missing *)
@@ -62,6 +67,9 @@ let marked c f =
 
 let min_avg t e engine ~instance =
   marked (cell t e engine ~instance Single_start) (fun c -> Descriptive.min_avg (int_cuts c))
+
+let cpu t e engine ~instance =
+  marked (cell t e engine ~instance Single_start) (fun c -> Printf.sprintf "%.3f" (cpu_per_run c))
 
 let min_avg_table t (e : Manifest.experiment) =
   let table = Table.make ~headers:("engine" :: e.instances) in
@@ -151,6 +159,85 @@ let compare ?(timing = false) t (e : Manifest.experiment) ~instance =
     | _ -> None
   in
   (table, verdict)
+
+(* -- §3.2 figures: views over the per-run (normalized CPU s, cut)
+   records of single-start cells -- *)
+
+let default_budgets = [| 0.1; 0.25; 0.5; 1.0; 2.0; 5.0; 10.0 |]
+
+(* a cell's expected BSF curve, resampled from a seed derived from the
+   campaign seed; infinite at every budget for an empty cell *)
+let bsf_curve t e engine ~instance ~budgets =
+  match (cell t e engine ~instance Single_start).stored with
+  | [] -> Array.map (fun _ -> infinity) budgets
+  | stored ->
+    let records =
+      Array.of_list
+        (List.map (fun r -> (normalized_seconds r, float_of_int r.Run_store.cut)) stored)
+    in
+    let seed = Fingerprint.mix_seed ~base:t.manifest.seed [ "bsf"; Engine.name engine; instance ] in
+    Bsf.expected_curve (Rng.create seed) ~records ~budgets ~resamples:200
+
+let bsf_table ~label ?(budgets = default_budgets) t (e : Manifest.experiment) ~instance =
+  let curves = List.map (fun engine -> bsf_curve t e engine ~instance ~budgets) e.engines in
+  let table = Table.make ~headers:("CPU budget (s)" :: List.map label e.engines) in
+  Array.iteri
+    (fun i tau ->
+      Table.add_row table
+        (Printf.sprintf "%.2f" tau
+        :: List.map
+             (fun curve -> if curve.(i) = infinity then "-" else Printf.sprintf "%.1f" curve.(i))
+             curves))
+    budgets;
+  table
+
+let ranking_table ~label ?(budgets = default_budgets) t (e : Manifest.experiment) =
+  let per_instance =
+    List.map
+      (fun instance ->
+        ( instance,
+          List.map (fun engine -> (label engine, bsf_curve t e engine ~instance ~budgets)) e.engines
+        ))
+      e.instances
+  in
+  let table =
+    Table.make ~headers:("Circuit" :: Array.to_list (Array.map (Printf.sprintf "%.2fs") budgets))
+  in
+  List.iter
+    (fun (instance, winners) -> Table.add_row table (instance :: Array.to_list winners))
+    (Ranking.dominance_table ~budgets ~per_instance);
+  table
+
+let pareto ~label t (e : Manifest.experiment) ~instance =
+  let points =
+    List.concat_map
+      (fun engine ->
+        let c = cell t e engine ~instance Single_start in
+        if c.stored = [] then []
+        else
+          List.map
+            (fun k ->
+              {
+                Pareto.label = Printf.sprintf "%s x%d" (label engine) k;
+                cost = Bsf.expected_best ~k (cuts c);
+                runtime = float_of_int k *. cpu_per_run c;
+              })
+            [ 1; 4; 16 ])
+      e.engines
+  in
+  let frontier = Pareto.frontier points in
+  let table = Table.make ~headers:[ "Configuration"; "E[best cut]"; "CPU (s)"; "Frontier" ] in
+  List.iter
+    (fun (p : _ Pareto.point) ->
+      Table.add_row table
+        [
+          p.label;
+          Printf.sprintf "%.1f" p.cost;
+          Printf.sprintf "%.3f" p.runtime;
+          (if List.memq p frontier then "*" else "");
+        ])
+    points;
+  (table, List.map (fun (p : _ Pareto.point) -> (p.label, p.cost, p.runtime)) frontier)
 
 let pct tolerance = Printf.sprintf "%g%%" (100. *. tolerance)
 

@@ -18,47 +18,6 @@ let value_at points tau =
     (fun acc p -> if p.budget <= tau then p.cost else acc)
     infinity points
 
-type band = { p10 : float array; median : float array; p90 : float array }
-
-(* one resampled run sequence long enough to cover the largest budget *)
-let resample_curve rng records max_budget =
-  let n = Array.length records in
-  let seq = ref [] and elapsed = ref 0.0 in
-  while !elapsed < max_budget do
-    let seconds, cost = records.(Rng.int rng n) in
-    let seconds = Float.max seconds 1e-9 in
-    elapsed := !elapsed +. seconds;
-    seq := (seconds, cost) :: !seq
-  done;
-  curve (List.rev !seq)
-
-let quantile_band rng ~records ~budgets ~resamples =
-  if Array.length records = 0 then invalid_arg "Bsf.quantile_band: no records";
-  if resamples < 1 then invalid_arg "Bsf.quantile_band: resamples must be >= 1";
-  let max_budget = Array.fold_left max 0.0 budgets in
-  let nb = Array.length budgets in
-  let samples = Array.init nb (fun _ -> Array.make resamples infinity) in
-  for r = 0 to resamples - 1 do
-    let points = resample_curve rng records max_budget in
-    Array.iteri (fun i tau -> samples.(i).(r) <- value_at points tau) budgets
-  done;
-  let quantile q i =
-    let xs = samples.(i) in
-    if Array.exists (fun x -> x = infinity) xs then
-      (* quantiles over a sample containing infinities are only finite
-         when the quantile position avoids them; sorting handles it *)
-      (let sorted = Array.copy xs in
-       Array.sort compare sorted;
-       let pos = int_of_float (q *. float_of_int (resamples - 1)) in
-       sorted.(pos))
-    else Descriptive.quantile xs q
-  in
-  {
-    p10 = Array.init nb (quantile 0.10);
-    median = Array.init nb (quantile 0.50);
-    p90 = Array.init nb (quantile 0.90);
-  }
-
 let expected_curve rng ~records ~budgets ~resamples =
   if Array.length records = 0 then invalid_arg "Bsf.expected_curve: no records";
   if resamples < 1 then invalid_arg "Bsf.expected_curve: resamples must be >= 1";
@@ -82,3 +41,16 @@ let expected_curve rng ~records ~budgets ~resamples =
       budgets
   done;
   Array.map (fun t -> t /. float_of_int resamples) totals
+
+let expected_best ~k xs =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Bsf.expected_best: no samples";
+  if k < 1 then invalid_arg "Bsf.expected_best: k must be >= 1";
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  (* the i-th smallest (1-based) is the best of k draws iff every draw
+     lands at rank >= i and not every draw at rank > i *)
+  let at_least i = Float.pow (float_of_int (n - i + 1) /. float_of_int n) (float_of_int k) in
+  let total = ref 0.0 in
+  Array.iteri (fun j x -> total := !total +. (x *. (at_least (j + 1) -. at_least (j + 2)))) sorted;
+  !total

@@ -31,17 +31,9 @@ val value_at : point list -> float -> float
 (** [value_at curve tau]: the curve's cost at budget [tau] (infinity
     before the first point). *)
 
-type band = { p10 : float array; median : float array; p90 : float array }
-
-(* kept: BSF spread over resampled start orders; no report draws it yet *)
-val quantile_band :
-  Hypart_rng.Rng.t ->
-  records:(float * float) array ->
-  budgets:float array ->
-  resamples:int ->
-  band
-(** Like {!expected_curve}, but returning the 10th/50th/90th percentile
-    envelope of the resampled BSF values at each budget — the
-    "descriptors of the distributions" the paper asks to accompany
-    averages.  Budgets where fewer than all resamples produced a finite
-    value report [infinity] for the affected quantiles. *)
+val expected_best : k:int -> float array -> float
+(** [expected_best ~k xs]: the exact expected minimum of [k] draws with
+    replacement from the sample [xs] — a BSF value after [k] starts,
+    without resampling.  With [xs] sorted ascending as x₁ ≤ … ≤ x_N it
+    is Σᵢ xᵢ·[((N−i+1)/N)^k − ((N−i)/N)^k].
+    @raise Invalid_argument on an empty sample or [k < 1]. *)

@@ -241,6 +241,22 @@ let test_lab_cli () =
     (run_cmd (Printf.sprintf "lab gc --store %s" (Filename.quote store)))
     [ "kept 2" ]
 
+(* bsf, pareto and ranking are views over one experiment's stored
+   starts: pareto runs nothing bsf stored, ranking runs only the
+   instance bsf did not, and a warm rerun prints the same output *)
+let test_figures_share_runs () =
+  let store = Filename.concat tmpdir "hypart_cli_figures_store" in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store)));
+  let args cmd = Printf.sprintf "%s --scale 64 --starts 3 --store %s" cmd (Filename.quote store) in
+  check_ok "bsf" (run_cmd (args "bsf --instance ibm01")) [ "bsf: 12 jobs, 0 cached, 12 executed" ];
+  let pareto = run_cmd (args "pareto --instance ibm01") in
+  check_ok "pareto on bsf's runs" pareto [ "pareto: 12 jobs, 12 cached, 0 executed"; "*" ];
+  Alcotest.(check string) "pareto rerun identical" (snd pareto)
+    (snd (run_cmd (args "pareto --instance ibm01")));
+  check_ok "ranking runs ibm02 only"
+    (run_cmd (args "ranking --instances ibm01,ibm02"))
+    [ "ranking: 24 jobs, 12 cached, 12 executed"; "ibm02" ]
+
 (* bench-diff: the regression gate compares bench.* gauges between two
    metric snapshots and exits nonzero on regression *)
 let test_bench_diff () =
@@ -497,6 +513,7 @@ let () =
           Alcotest.test_case "argument validation" `Quick test_validation;
           Alcotest.test_case "bad instance file" `Quick test_bad_instance;
           Alcotest.test_case "lab round trip" `Quick test_lab_cli;
+          Alcotest.test_case "figures share runs" `Quick test_figures_share_runs;
           Alcotest.test_case "bench-diff gate" `Quick test_bench_diff;
           Alcotest.test_case "daemon round trip" `Quick test_daemon_round_trip;
         ] );

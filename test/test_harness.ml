@@ -169,18 +169,22 @@ let test_table45_smoke () =
   Alcotest.(check bool) "has starts columns" true (contains s "2 starts");
   Alcotest.(check bool) "has instance" true (contains s "ibm01")
 
+let figures () =
+  let e = Campaigns.figures ~scale:64.0 ~starts:3 ~instances:[ "ibm01" ] in
+  (run [ e ], e)
+
 let test_bsf_smoke () =
+  let report, e = figures () in
   let t =
-    Experiments.bsf_figure ~scale:64.0 ~starts:3 ~budgets:[| 0.01; 1.0 |]
-      ~instance:"ibm01" ~seed:1 ()
+    Report.bsf_table ~label:Campaigns.figure_label ~budgets:[| 0.01; 1.0 |] report e
+      ~instance:"ibm01"
   in
   let s = Table.render t in
   Alcotest.(check bool) "has heuristics" true (contains s "Flat LIFO FM")
 
 let test_pareto_smoke () =
-  let t, frontier =
-    Experiments.pareto_figure ~scale:64.0 ~repeats:1 ~instance:"ibm01" ~seed:1 ()
-  in
+  let report, e = figures () in
+  let t, frontier = Report.pareto ~label:Campaigns.figure_label report e ~instance:"ibm01" in
   let s = Table.render t in
   Alcotest.(check bool) "frontier nonempty" true (List.length frontier >= 1);
   Alcotest.(check bool) "table marks frontier" true (contains s "*")
@@ -222,16 +226,24 @@ let test_placement_table_smoke () =
     (fun needle -> Alcotest.(check bool) (needle ^ " present") true (contains s needle))
     [ "random placement"; "Reported LIFO FM"; "multilevel"; "avg HPWL" ]
 
+let ablation () =
+  let e = Campaigns.ablation ~scale:64.0 ~runs:2 ~instance:"ibm01" in
+  Table.render (Campaigns.ablation_table (run [ e ]) e)
+
 let test_ablation_smoke () =
-  let t =
-    Experiments.ablation_table ~scale:64.0 ~runs:2 ~instance:"ibm01" ~seed:1 ()
-  in
-  let s = Table.render t in
+  let s = ablation () in
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " present") true (contains s needle))
     [ "insertion"; "illegal head"; "oversized cells"; "pass best";
       "initial solution"; "coarsening"; "refinement"; "cluster-grown";
       "first-choice" ]
+
+(* boundary-only refinement under CLIP sits beside the LIFO pair *)
+let test_ablation_clip_refinement () =
+  let s = ablation () in
+  List.iter
+    (fun needle -> Alcotest.(check bool) (needle ^ " present") true (contains s needle))
+    [ "LIFO full"; "LIFO boundary-only"; "CLIP full"; "CLIP boundary-only" ]
 
 let test_experiments_deterministic () =
   (* per-cell derived seeds: the same table however many domains ran it *)
@@ -272,6 +284,7 @@ let () =
           Alcotest.test_case "pareto" `Quick test_pareto_smoke;
           Alcotest.test_case "corking" `Quick test_corking_smoke;
           Alcotest.test_case "ablation" `Quick test_ablation_smoke;
+          Alcotest.test_case "ablation CLIP refinement" `Quick test_ablation_clip_refinement;
           Alcotest.test_case "placement quality" `Quick test_placement_table_smoke;
           Alcotest.test_case "compare engines" `Quick test_compare_engines;
           Alcotest.test_case "compare unknown engine" `Quick

@@ -617,6 +617,56 @@ let test_tables_resume_every_boundary () =
       if report dir tiny_tables <> full then Alcotest.failf "cut at record %d: report differs" k)
     lines
 
+(* the figures and the ablation: one store whatever the domain count *)
+let tiny_figures =
+  Manifest.make ~name:"tiny-figures" ~seed:4
+    ~experiments:
+      [
+        Campaigns.figures ~scale:64.0 ~starts:2 ~instances:[ "ibm01" ];
+        Campaigns.ablation ~scale:64.0 ~runs:1 ~instance:"ibm01";
+      ]
+
+let test_figures_domain_invariant () =
+  let d1 = tmp_dir () and d2 = tmp_dir () in
+  let o = run_campaign ~domains:1 d1 tiny_figures in
+  ignore (run_campaign ~domains:2 d2 tiny_figures);
+  Alcotest.(check int) "every key stored" o.Orchestrator.jobs (List.length (store_lines d1));
+  Alcotest.(check string) "domains=1 store = domains=2 store" (masked_digest d1)
+    (masked_digest d2)
+
+(* CPU columns read each record's own normalization factor, not the
+   reporting process's *)
+let test_report_record_factor () =
+  let e = Manifest.experiment ~scale:64.0 ~runs:1 "factor" [ Fm_engines.flat ] [ "ibm01" ] in
+  let manifest = Manifest.make ~name:"factor" ~seed:1 ~experiments:[ e ] in
+  let job = List.hd (Manifest.jobs manifest) in
+  let dir = tmp_dir () in
+  Sys.mkdir dir 0o755;
+  let record =
+    {
+      Run_store.engine = "flat";
+      config = Manifest.job_config job;
+      instance = Fingerprint.of_instance (Hypart_generator.Ibm_suite.instance ~scale:64.0 "ibm01");
+      seed = job.job_seed;
+      cut = 50;
+      legal = true;
+      seconds = 0.25;
+      machine_factor = 2.0;
+      git = "test";
+    }
+  in
+  Out_channel.with_open_bin (Run_store.filename dir) (fun oc ->
+      output_string oc (Run_store.record_to_line record ^ "\n"));
+  Alcotest.(check (float 0.)) "process factor" 1.0
+    (Hypart_engine.Machine.normalization_factor ());
+  let report = Report.create (Run_store.load dir) manifest in
+  Alcotest.(check string) "cpu: twice the stored seconds" "0.500"
+    (Report.cpu report e Fm_engines.flat ~instance:"ibm01");
+  let table, _ = Report.compare ~timing:true report e ~instance:"ibm01" in
+  let row = List.nth (String.split_on_char '\n' (Hypart_lab.Table.render table)) 2 in
+  Alcotest.(check string) "compare: twice the stored seconds" "0.500"
+    (String.trim (List.hd (List.rev (String.split_on_char '|' row))))
+
 let evolve_writer store =
   let module Evolve = Hypart_evolve.Evolve in
   let config =
@@ -698,6 +748,9 @@ let () =
             test_report_domain_count_invariant;
           Alcotest.test_case "empty store report" `Quick
             test_report_incomplete_cells;
+          Alcotest.test_case "figures store identical across domains" `Quick
+            test_figures_domain_invariant;
+          Alcotest.test_case "cpu uses the record's factor" `Quick test_report_record_factor;
           Alcotest.test_case "tables store identical across domains" `Quick
             test_tables_domain_invariant;
           Alcotest.test_case "tables resume at every record" `Quick

@@ -127,22 +127,19 @@ let test_bsf_expected_reaches_min () =
   let curve = Bsf.expected_curve rng ~records ~budgets:[| 50.0 |] ~resamples:50 in
   Alcotest.(check (float 1e-9)) "huge budget reaches minimum" 20.0 curve.(0)
 
-let test_bsf_quantile_band () =
-  let rng = Rng.create 3 in
-  let records =
-    Array.init 40 (fun i -> (0.2, float_of_int (100 + (i * 13 mod 50))))
-  in
-  let budgets = [| 1.0; 5.0 |] in
-  let band = Bsf.quantile_band rng ~records ~budgets ~resamples:100 in
-  for i = 0 to 1 do
-    Alcotest.(check bool) "band ordered" true
-      (band.Bsf.p10.(i) <= band.Bsf.median.(i)
-      && band.Bsf.median.(i) <= band.Bsf.p90.(i))
-  done;
-  (* the band narrows as the budget grows (more starts to choose from) *)
-  Alcotest.(check bool) "narrows with budget" true
-    (band.Bsf.p90.(1) -. band.Bsf.p10.(1)
-    <= band.Bsf.p90.(0) -. band.Bsf.p10.(0))
+(* the closed form against the mean over every one of the 4^k ordered
+   k-draw sequences *)
+let test_bsf_expected_best () =
+  let xs = [| 30.0; 10.0; 20.0; 10.0 |] in
+  let n = Array.length xs in
+  for k = 1 to 3 do
+    let rec sum k best =
+      if k = 0 then best
+      else Array.fold_left (fun acc x -> acc +. sum (k - 1) (Float.min best x)) 0.0 xs
+    in
+    let brute = sum k infinity /. Float.pow (float_of_int n) (float_of_int k) in
+    Alcotest.(check (float 1e-9)) (Printf.sprintf "k=%d" k) brute (Bsf.expected_best ~k xs)
+  done
 
 (* -- Pareto -- *)
 
@@ -370,7 +367,7 @@ let () =
           Alcotest.test_case "value_at" `Quick test_bsf_value_at;
           Alcotest.test_case "expected monotone" `Quick test_bsf_expected_monotone;
           Alcotest.test_case "expected reaches min" `Quick test_bsf_expected_reaches_min;
-          Alcotest.test_case "quantile band" `Quick test_bsf_quantile_band;
+          Alcotest.test_case "expected best of k" `Quick test_bsf_expected_best;
         ] );
       ( "pareto",
         [
