@@ -209,7 +209,10 @@ let common_t =
       | exception Sys_error msg ->
         Printf.eprintf "hypart: cannot open events file: %s\n%!" msg));
     if trace <> None || metrics <> None || profile then begin
-      Telemetry.enable ();
+      (* spans only when something reads them: a --metrics-only daemon
+         would otherwise buffer every span it records until exit *)
+      if trace <> None || profile then Telemetry.enable ()
+      else Telemetry.enable_metrics ();
       let write_or_warn what f path =
         try f path
         with Sys_error msg ->

@@ -55,7 +55,6 @@ type state = {
   count0 : int array;
   count1 : int array;
   gain : int array;
-  locked : bool array;
   container : Gain_container.t;
   mutable cur_cut : int;
   mutable n_moves : int;
@@ -237,14 +236,16 @@ let populate st =
    per the naive "four cut values" scheme the paper describes: for each
    incident net, each unlocked neighbour's contribution is recomputed
    from the pin counts before and after the move, and the neighbour is
-   repositioned unless the delta is zero and the policy says skip.
+   repositioned unless the delta is zero and the policy says skip.  A
+   neighbour is unlocked exactly when it is still in the gain
+   container: a move removes its vertex, and nothing is inserted again
+   before the next pass's [populate], so membership is the lock.
    Every incident net is stamped as touched so the next pass can repair
    exactly the gains this move could have invalidated. *)
 let apply_move st v =
   let f = Bipartition.side st.sol v in
   st.cur_cut <- st.cur_cut - st.gain.(v);
   Gain_container.remove st.container v;
-  st.locked.(v) <- true;
   let ws = st.ws in
   let gen = ws.Fm_workspace.generation in
   let estamp = ws.Fm_workspace.edge_stamp in
@@ -278,9 +279,7 @@ let apply_move st v =
     else begin
       for j = ba eoff e to ba eoff (e + 1) - 1 do
         let u = ba epins j in
-        if u <> v && (not (Array.unsafe_get st.locked u))
-           && Gain_container.mem st.container u
-        then begin
+        if u <> v && Gain_container.mem st.container u then begin
           let s = Bipartition.side st.sol u in
           let cb_s, cb_o = if s = f then (cb_f, cb_t) else (cb_t, cb_f) in
           let ca_s, ca_o = if s = f then (ca_f, ca_t) else (ca_t, ca_f) in
@@ -354,7 +353,6 @@ let pass st legal =
   ws.Fm_workspace.generation <- ws.Fm_workspace.generation + 1;
   populate st;
   st.first_pass_done <- true;
-  Array.fill st.locked 0 (H.num_vertices st.h) false;
   let stack = ws.Fm_workspace.move_stack in
   let n_applied = ref 0 in
   let best_cut = ref max_int
@@ -450,7 +448,6 @@ let run ?(config = Fm_config.default) rng problem initial =
       count0 = ws.Fm_workspace.count0;
       count1 = ws.Fm_workspace.count1;
       gain = ws.Fm_workspace.gain;
-      locked = ws.Fm_workspace.locked;
       container = ws.Fm_workspace.container;
       cur_cut = 0;
       n_moves = 0;

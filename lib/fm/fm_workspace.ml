@@ -15,7 +15,6 @@ type t = {
   count0 : int array;         (* pins of net e on side 0 *)
   count1 : int array;
   gain : int array;           (* current actual gain per vertex *)
-  locked : bool array;
   move_stack : int array;     (* moves applied during the current pass *)
   order : int array;          (* CLIP populate: insertable ids, ascending *)
   sorted : int array;         (* CLIP populate: [order] by (gain, id) *)
@@ -69,7 +68,6 @@ let create ~num_vertices:n ~num_edges:ne ~insertion ~rng h =
     count0 = Array.make ne 0;
     count1 = Array.make ne 0;
     gain = Array.make n 0;
-    locked = Array.make n false;
     move_stack = Array.make n 0;
     order = Array.make n 0;
     sorted = Array.make n 0;

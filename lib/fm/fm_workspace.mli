@@ -1,6 +1,6 @@
 (** Per-domain scratch workspace for the FM engine.
 
-    [Fm.run] needs O(V+E) arrays (pin counts per side, gains, locks,
+    [Fm.run] needs O(V+E) arrays (pin counts per side, gains,
     the per-pass move stack, the two CLIP ordering arrays, and the
     incremental-repair stamp/touch arrays), the CLIP counting-sort
     buckets (one per key the gain container can hold) and the gain
@@ -30,7 +30,6 @@ type t = {
   count0 : int array;  (** pins of net [e] on side 0 *)
   count1 : int array;
   gain : int array;  (** current actual gain per vertex *)
-  locked : bool array;
   move_stack : int array;  (** moves applied during the current pass *)
   order : int array;  (** CLIP populate: insertable ids, ascending *)
   sorted : int array;  (** CLIP populate: [order] by [(gain, id)] *)

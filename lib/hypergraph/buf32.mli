@@ -1,9 +1,9 @@
-(** A growable int32 vector: the one CSR buffer of the instance
-    decoders and the delta patcher.  Capacity doubles when a push or
-    blit does not fit; {!contents} hands back the filled prefix in an
-    array of exactly {!length} slots, so no spare capacity stays alive
-    behind a built instance ({!Hypergraph.memory_bytes}, and with it
-    the daemon's instance-cache accounting, counts [dim]). *)
+(** A growable int32 vector: the CSR buffer of the delta patcher.
+    Capacity doubles when a push or blit does not fit; {!contents}
+    hands back the filled prefix in an array of exactly {!length}
+    slots, so no spare capacity stays alive behind a built instance
+    ({!Hypergraph.memory_bytes}, and with it the daemon's instance-cache
+    accounting, counts [dim]). *)
 
 type t
 

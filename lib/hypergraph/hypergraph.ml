@@ -22,100 +22,42 @@ let[@inline] ug (a : i32) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
 let[@inline] get (a : i32) i = Int32.to_int (Bigarray.Array1.get a i)
 let[@inline] dim (a : i32) = Bigarray.Array1.dim a
 
+(* The vertex -> edges CSR, built from the edge CSR on first use: a
+   cold request answered from the lab cache, or an instance that is only
+   fingerprinted and cached, never reads it. *)
+type vertex_csr = {
+  vertex_offset : i32; (* length num_vertices + 1 *)
+  vertex_edges : i32;
+  max_vertex_degree : int;
+}
+
 type t = {
   num_vertices : int;
   num_edges : int;
   edge_offset : i32;   (* length num_edges + 1 *)
   edge_pins : i32;     (* pins of edge e at [edge_offset.(e), edge_offset.(e+1)) *)
-  vertex_offset : i32; (* length num_vertices + 1 *)
-  vertex_edges : i32;
   vertex_weight : i32;
   edge_weight : i32;
   total_vertex_weight : int;
   max_vertex_weight : int;
-  max_vertex_degree : int;
+  vertex : vertex_csr option Atomic.t;
+      (* [None] until first read; shared by [reweight_edges] copies,
+         whose vertex CSR is the same *)
 }
 
-let num_vertices h = h.num_vertices
-let num_edges h = h.num_edges
-let num_pins h = dim h.edge_pins
-let edge_size h e = get h.edge_offset (e + 1) - get h.edge_offset e
-let vertex_degree h v = get h.vertex_offset (v + 1) - get h.vertex_offset v
-let vertex_weight h v = get h.vertex_weight v
-let edge_weight h e = get h.edge_weight e
-let total_vertex_weight h = h.total_vertex_weight
-let max_vertex_degree h = h.max_vertex_degree
-
-let iter_pins h e f =
-  for i = get h.edge_offset e to get h.edge_offset (e + 1) - 1 do
-    f (ug h.edge_pins i)
-  done
-
-let iter_edges h v f =
-  for i = get h.vertex_offset v to get h.vertex_offset (v + 1) - 1 do
-    f (ug h.vertex_edges i)
-  done
-
-let fold_pins h e ~init ~f =
-  let acc = ref init in
-  iter_pins h e (fun v -> acc := f !acc v);
-  !acc
-
-let fold_edges h v ~init ~f =
-  let acc = ref init in
-  iter_edges h v (fun e -> acc := f !acc e);
-  !acc
-
-(* Zero-copy access to the underlying CSR vectors for flat index loops
-   in engine hot paths.  The vectors are the hypergraph's own storage:
-   callers must treat them as read-only. *)
-module Csr = struct
-  let edge_offset h = h.edge_offset
-  let edge_pins h = h.edge_pins
-  let vertex_offset h = h.vertex_offset
-  let vertex_edges h = h.vertex_edges
-  let vertex_weight h = h.vertex_weight
-  let edge_weight h = h.edge_weight
-end
-
-let memory_bytes h =
-  4
-  * (dim h.edge_offset + dim h.edge_pins + dim h.vertex_offset
-    + dim h.vertex_edges + dim h.vertex_weight + dim h.edge_weight)
-
-(* Derived statistics shared by every construction path. *)
-let finish ~num_vertices ~num_edges ~edge_offset ~edge_pins ~vertex_offset
-    ~vertex_edges ~vertex_weight ~edge_weight =
-  let total = ref 0 and max_w = ref 0 in
-  for v = 0 to num_vertices - 1 do
-    let w = ug vertex_weight v in
-    total := !total + w;
-    if w > !max_w then max_w := w
-  done;
+let max_degree vertex_offset num_vertices =
   let max_d = ref 0 in
   for v = 0 to num_vertices - 1 do
     let d = ug vertex_offset (v + 1) - ug vertex_offset v in
     if d > !max_d then max_d := d
   done;
-  {
-    num_vertices;
-    num_edges;
-    edge_offset;
-    edge_pins;
-    vertex_offset;
-    vertex_edges;
-    vertex_weight;
-    edge_weight;
-    total_vertex_weight = !total;
-    max_vertex_weight = !max_w;
-    max_vertex_degree = !max_d;
-  }
+  !max_d
 
 (* Build the vertex -> edges CSR from the edge -> pins CSR by counting
-   sort.  Shared by every constructor that arrives without one.  The
-   counting happens in [vertex_offset] itself: slot [v + 1] holds the
-   degree of [v], then the start of [v] (a fill cursor), and after the
-   fill the end of [v] — so no O(V) scratch array is allocated. *)
+   sort.  The counting happens in [vertex_offset] itself: slot [v + 1]
+   holds the degree of [v], then the start of [v] (a fill cursor), and
+   after the fill the end of [v] — so no O(V) scratch array is
+   allocated. *)
 let transpose ~num_vertices ~edge_offset ~edge_pins =
   let num_edges = dim edge_offset - 1 in
   let num_pins = dim edge_pins in
@@ -145,14 +87,108 @@ let transpose ~num_vertices ~edge_offset ~edge_pins =
   done;
   (vertex_offset, vertex_edges)
 
+(* The first reader builds the vertex CSR and publishes it with one
+   compare-and-set.  Domains that race each build a copy from the same
+   edge CSR; the first to publish wins and the others adopt its copy,
+   so every reader sees physically the same arrays. *)
+let vertex_csr h =
+  match Atomic.get h.vertex with
+  | Some v -> v
+  | None ->
+    let vertex_offset, vertex_edges =
+      transpose ~num_vertices:h.num_vertices ~edge_offset:h.edge_offset
+        ~edge_pins:h.edge_pins
+    in
+    let built =
+      Some
+        {
+          vertex_offset;
+          vertex_edges;
+          max_vertex_degree = max_degree vertex_offset h.num_vertices;
+        }
+    in
+    ignore (Atomic.compare_and_set h.vertex None built);
+    Option.get (Atomic.get h.vertex)
+
+let num_vertices h = h.num_vertices
+let num_edges h = h.num_edges
+let num_pins h = dim h.edge_pins
+let edge_size h e = get h.edge_offset (e + 1) - get h.edge_offset e
+let vertex_degree h v =
+  let vo = (vertex_csr h).vertex_offset in
+  get vo (v + 1) - get vo v
+let vertex_weight h v = get h.vertex_weight v
+let edge_weight h e = get h.edge_weight e
+let total_vertex_weight h = h.total_vertex_weight
+let max_vertex_degree h = (vertex_csr h).max_vertex_degree
+
+let iter_pins h e f =
+  for i = get h.edge_offset e to get h.edge_offset (e + 1) - 1 do
+    f (ug h.edge_pins i)
+  done
+
+let iter_edges h v f =
+  let { vertex_offset; vertex_edges; _ } = vertex_csr h in
+  for i = get vertex_offset v to get vertex_offset (v + 1) - 1 do
+    f (ug vertex_edges i)
+  done
+
+let fold_pins h e ~init ~f =
+  let acc = ref init in
+  iter_pins h e (fun v -> acc := f !acc v);
+  !acc
+
+let fold_edges h v ~init ~f =
+  let acc = ref init in
+  iter_edges h v (fun e -> acc := f !acc e);
+  !acc
+
+(* Zero-copy access to the underlying CSR vectors for flat index loops
+   in engine hot paths.  The vectors are the hypergraph's own storage:
+   callers must treat them as read-only. *)
+module Csr = struct
+  let edge_offset h = h.edge_offset
+  let edge_pins h = h.edge_pins
+  let vertex_offset h = (vertex_csr h).vertex_offset
+  let vertex_edges h = (vertex_csr h).vertex_edges
+  let vertex_weight h = h.vertex_weight
+  let edge_weight h = h.edge_weight
+end
+
+(* the vertex CSR counts whether it is built yet or not: its size is
+   fixed by the edge CSR, and the instance cache's accounting must not
+   move when an engine first reads it *)
+let memory_bytes h =
+  4
+  * (dim h.edge_offset + (2 * dim h.edge_pins) + (h.num_vertices + 1)
+    + dim h.vertex_weight + dim h.edge_weight)
+
+(* Derived statistics shared by every construction path; [vertex] is
+   the vertex CSR when it arrives built (a mapped instance). *)
+let finish ?vertex ~num_vertices ~num_edges ~edge_offset ~edge_pins
+    ~vertex_weight ~edge_weight () =
+  let total = ref 0 and max_w = ref 0 in
+  for v = 0 to num_vertices - 1 do
+    let w = ug vertex_weight v in
+    total := !total + w;
+    if w > !max_w then max_w := w
+  done;
+  {
+    num_vertices;
+    num_edges;
+    edge_offset;
+    edge_pins;
+    vertex_weight;
+    edge_weight;
+    total_vertex_weight = !total;
+    max_vertex_weight = !max_w;
+    vertex = Atomic.make vertex;
+  }
+
 let of_int32_csr_unchecked ~num_vertices ~edge_offset ~edge_pins ~vertex_weight
     ~edge_weight =
-  let num_edges = dim edge_offset - 1 in
-  let vertex_offset, vertex_edges =
-    transpose ~num_vertices ~edge_offset ~edge_pins
-  in
-  finish ~num_vertices ~num_edges ~edge_offset ~edge_pins ~vertex_offset
-    ~vertex_edges ~vertex_weight ~edge_weight
+  finish ~num_vertices ~num_edges:(dim edge_offset - 1) ~edge_offset ~edge_pins
+    ~vertex_weight ~edge_weight ()
 
 (* int-array entry point kept for the in-memory constructors below *)
 let of_csr ~num_vertices ~edge_offset ~edge_pins ~vertex_weight ~edge_weight =
@@ -237,8 +273,15 @@ let of_mapped_csr ~num_vertices ~edge_offset ~edge_pins ~vertex_offset
     if e < 0 || e >= num_edges then
       fail "%s: vertex_edges entry %d out of range" what e
   done;
-  finish ~num_vertices ~num_edges ~edge_offset ~edge_pins ~vertex_offset
-    ~vertex_edges ~vertex_weight ~edge_weight
+  finish
+    ~vertex:
+      {
+        vertex_offset;
+        vertex_edges;
+        max_vertex_degree = max_degree vertex_offset num_vertices;
+      }
+    ~num_vertices ~num_edges ~edge_offset ~edge_pins ~vertex_weight
+    ~edge_weight ()
 
 let max_i32 = 0x7FFFFFFF
 
@@ -350,7 +393,7 @@ let stats h =
     avg_vertex_degree = (if nv = 0 then 0. else float_of_int pins /. float_of_int nv);
     avg_edge_size = (if ne = 0 then 0. else float_of_int pins /. float_of_int ne);
     max_edge_size = !max_size;
-    max_vertex_degree = h.max_vertex_degree;
+    max_vertex_degree = max_vertex_degree h;
     total_area = h.total_vertex_weight;
     max_area = h.max_vertex_weight;
     min_area = (if nv = 0 then 0 else !min_area);

@@ -4,6 +4,12 @@
     and integer-weighted hyperedges (net weights).  Both incidence
     directions are stored: edge -> pins and vertex -> incident edges, so
     that gain updates in FM-style partitioners touch contiguous memory.
+    Constructors build only the edge -> pins direction; the vertex ->
+    edges CSR is built by the first call that reads it ({!Csr},
+    {!iter_edges}, {!vertex_degree}, {!max_vertex_degree}, {!stats}),
+    once per instance even when domains race for it.  A request answered
+    from the lab cache, which only fingerprints its instance, never pays
+    for it.
 
     Storage is [(int32, c_layout)] Bigarray-1 vectors: half the memory
     of boxed [int array]s at million-vertex scale, GC-opaque, and
@@ -49,7 +55,7 @@ val of_int32_csr :
     afterwards.  Requirements (checked, O(pins)): [edge_offset] has
     length [num_edges + 1], starts at 0, is monotone and ends at
     [dim edge_pins]; pins are in range and distinct within each edge;
-    weights are positive.  The vertex -> edges CSR is built here.
+    weights are positive.
 
     @raise Invalid_argument when a requirement fails. *)
 
@@ -91,7 +97,9 @@ val num_pins : t -> int
 (** Total pin count: sum of edge sizes. *)
 
 val memory_bytes : t -> int
-(** Resident bytes of the six CSR vectors (excludes the record itself). *)
+(** Resident bytes of the six CSR vectors (excludes the record itself).
+    The vertex CSR counts whether it has been built yet or not, so the
+    figure never changes over an instance's life. *)
 
 (** {1 Incidence} *)
 

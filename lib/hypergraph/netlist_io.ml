@@ -292,8 +292,36 @@ let write_hgr ?with_weights path h =
    needs no line of its own, so isolated vertices are legal *)
 let isolated_allowance = 1 lsl 20
 
-(* Single pass: only the current line plus the growing CSR is held in
-   memory, and nothing is allocated per line or per pin. *)
+(* Per-domain decode scratch, reused by every .hgr decode on the domain
+   (the [Fm_workspace] pattern): the pin buffer, which doubles when a
+   line may not fit and never shrinks, and the per-net dedup marks.  A
+   decode reserves the stamps [stamp .. stamp + ne - 1] before it reads
+   a net, so no mark left by an earlier decode on the domain, finished
+   or failed, can equal a stamp of a later one. *)
+type scratch = {
+  mutable pins : Hypergraph.i32;
+  mutable marks : int array;
+  mutable stamp : int;
+}
+
+let i32_create n = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout n
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { pins = i32_create 0; marks = [||]; stamp = 0 })
+
+(* room for [n] pins, keeping the first [len] *)
+let reserve_pins s ~len n =
+  let cap = Bigarray.Array1.dim s.pins in
+  if n > cap then begin
+    let grown = i32_create (max n (2 * cap)) in
+    Bigarray.Array1.blit (Bigarray.Array1.sub s.pins 0 len)
+      (Bigarray.Array1.sub grown 0 len);
+    s.pins <- grown
+  end
+
+(* Single pass: the current line and the pins so far sit in the
+   domain's scratch, and the instance's arrays are each allocated once,
+   at their final size; nothing is allocated per line or per pin. *)
 let hgr_of_cursor c =
   let path = c.source in
   next_or c "empty file";
@@ -327,22 +355,21 @@ let hgr_of_cursor c =
   let missing found =
     input_error path "expected %d data lines, found %d" expected found
   in
-  let edge_offset =
-    Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout (ne + 1)
-  in
+  let edge_offset = i32_create (ne + 1) in
   Bigarray.Array1.set edge_offset 0 0l;
-  let edge_weight = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout ne in
-  (* VLSI netlists average ~4 pins per net; the buffer doubles if the
-     guess is short *)
-  let pins = Buf32.create (4 * ne) in
-  (* timestamped per-edge pin dedup, same first-occurrence semantics
-     as Hypergraph.create *)
-  let mark = Array.make (max nv 1) (-1) in
-  (* one net's pins, joining [pins] in one call per net *)
-  let net = ref (Array.make 64 0) in
+  let edge_weight = i32_create ne in
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.marks < nv then s.marks <- Array.make nv (-1);
+  let marks = s.marks and base = s.stamp in
+  s.stamp <- base + ne;
+  let len = ref 0 in
   for e = 0 to ne - 1 do
     if not (next c) then missing e;
-    let w = ref 1 and want_weight = ref has_ew and npins = ref 0 in
+    (* tokens are separated by blanks, so the line holds at most half
+       its length, rounded up, of them *)
+    reserve_pins s ~len:!len (!len + ((c.stop - c.tok + 1) / 2));
+    let pins = s.pins and stamp = base + e and first = !len in
+    let w = ref 1 and want_weight = ref has_ew in
     while next_int c do
       let x = c.value in
       if !want_weight then begin
@@ -351,25 +378,25 @@ let hgr_of_cursor c =
       end
       else begin
         if x < 1 || x > nv then parse_error path c.line "pin %d out of range" x;
+        (* first-occurrence dedup, as in Hypergraph.create *)
         let v = x - 1 in
-        if mark.(v) <> e then begin
-          mark.(v) <- e;
-          if !npins = Array.length !net then
-            net := Array.append !net (Array.make !npins 0);
-          Array.unsafe_set !net !npins v;
-          incr npins
+        if Array.unsafe_get marks v <> stamp then begin
+          Array.unsafe_set marks v stamp;
+          Bigarray.Array1.unsafe_set pins !len (Int32.of_int v);
+          incr len
         end
       end
     done;
     if !want_weight then parse_error path c.line "empty edge line";
-    if !npins = 0 then parse_error path c.line "edge with no pins";
+    if !len = first then parse_error path c.line "edge with no pins";
     if !w <= 0 then parse_error path c.line "non-positive weight of edge %d" e;
     if !w > max_i32 then parse_error path c.line "edge weight exceeds int32";
-    Buf32.push_ints pins !net !npins;
     Bigarray.Array1.set edge_weight e (Int32.of_int !w);
-    Bigarray.Array1.set edge_offset (e + 1) (Int32.of_int (Buf32.length pins))
+    Bigarray.Array1.set edge_offset (e + 1) (Int32.of_int !len)
   done;
-  let vertex_weight = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout nv in
+  let edge_pins = i32_create !len in
+  Bigarray.Array1.blit (Bigarray.Array1.sub s.pins 0 !len) edge_pins;
+  let vertex_weight = i32_create nv in
   Bigarray.Array1.fill vertex_weight 1l;
   if has_vw then
     for v = 0 to nv - 1 do
@@ -386,8 +413,8 @@ let hgr_of_cursor c =
     done;
   (* every requirement of [of_int32_csr] was checked above, with a
      location *)
-  Hypergraph.of_int32_csr_unchecked ~num_vertices:nv ~edge_offset
-    ~edge_pins:(Buf32.contents pins) ~vertex_weight ~edge_weight
+  Hypergraph.of_int32_csr_unchecked ~num_vertices:nv ~edge_offset ~edge_pins
+    ~vertex_weight ~edge_weight
 
 let read_hgr path = with_file path hgr_of_cursor
 

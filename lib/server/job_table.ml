@@ -1,5 +1,6 @@
 module J = Hypart_telemetry.Json_out
 module Clock = Hypart_telemetry.Clock
+module Metrics = Hypart_telemetry.Metrics
 
 type status =
   | Queued
@@ -31,6 +32,8 @@ type job = {
   mutable cut : int option;
   mutable legal : bool option;
   mutable seconds : float;
+  mutable phases : (string * float) list;
+  mutable wall_seconds : float;
 }
 
 type t = {
@@ -74,6 +77,8 @@ let add t ~request_id ~engine ~key ~seed ~starts =
           cut = None;
           legal = None;
           seconds = 0.;
+          phases = [];
+          wall_seconds = 0.;
         }
       in
       Hashtbl.replace t.by_id id job;
@@ -96,6 +101,53 @@ let update t job status =
       | _ -> ());
       job.status <- status)
 
+type phase = Queue_wait | Decode | Key | Parse | Fingerprint | Engine | Encode
+
+(* in the order a request passes through them *)
+let phase_names =
+  [| "queue_wait"; "decode"; "key"; "parse"; "fingerprint"; "engine"; "encode" |]
+
+let phase_index = function
+  | Queue_wait -> 0
+  | Decode -> 1
+  | Key -> 2
+  | Parse -> 3
+  | Fingerprint -> 4
+  | Engine -> 5
+  | Encode -> 6
+
+let phase_metrics = Array.map (fun n -> "server.phase_seconds." ^ n) phase_names
+
+type timing = { accepted_s : float; seconds : float array }
+
+let timing ~accepted_s ~taken_s =
+  let seconds = Array.make (Array.length phase_names) 0. in
+  seconds.(phase_index Queue_wait) <- taken_s -. accepted_s;
+  { accepted_s; seconds }
+
+let accepted_s tm = tm.accepted_s
+
+let timed tm phase f =
+  let t0 = Clock.now_s () in
+  let r = f () in
+  let i = phase_index phase in
+  tm.seconds.(i) <- tm.seconds.(i) +. (Clock.now_s () -. t0);
+  r
+
+let record_phases t job tm =
+  let phases =
+    Array.to_list
+      (Array.mapi
+         (fun i name ->
+           Metrics.observe phase_metrics.(i) tm.seconds.(i);
+           (name, tm.seconds.(i)))
+         phase_names)
+  in
+  let wall = Clock.now_s () -. tm.accepted_s in
+  with_lock t (fun () ->
+      job.phases <- phases;
+      job.wall_seconds <- wall)
+
 let find t id = with_lock t (fun () -> Hashtbl.find_opt t.by_id id)
 
 let total t = with_lock t (fun () -> t.next_id - 1)
@@ -108,6 +160,15 @@ let job_json t job =
         | _ -> []
       in
       let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+      let phases =
+        match job.phases with
+        | [] -> []
+        | ps ->
+          [
+            ("phases", J.obj (List.map (fun (k, v) -> (k, J.number v)) ps));
+            ("wall_seconds", J.number job.wall_seconds);
+          ]
+      in
       let now = Clock.now_s () in
       (* queue wait: submission to start of execution (to termination
          for jobs answered without running, e.g. cache hits; to "now"
@@ -142,4 +203,5 @@ let job_json t job =
         @ [ ("seconds", J.number job.seconds) ]
         @ opt "cut" J.int job.cut
         @ opt "legal" (fun b -> if b then "true" else "false") job.legal
+        @ phases
         @ detail))

@@ -74,8 +74,10 @@ let create config =
     invalid_arg "Server.create: queue_capacity must be >= 1";
   Hypart_engines.init ();
   (* the daemon is observability-first: /metrics is an endpoint, so
-     collection is on for the whole process lifetime *)
-  Tel.enable ();
+     metrics are on for the whole process lifetime.  Spans are not: no
+     endpoint drains them, so they stay on only when `--trace` or
+     `--profile` turned them on for a trace written at exit *)
+  Tel.enable_metrics ();
   (* the whole process's heap, read at scrape time: Gc.quick_stat sums
      every domain, so allocation on worker domains counts here *)
   List.iter
@@ -140,9 +142,11 @@ let rec write_all fd s off len =
 
 (* best-effort: the client may already be gone; that must never take a
    worker down *)
-let send_response fd ?headers ~status ~body () =
-  let bytes = Http.render_response ?headers ~status ~body () in
+let send fd bytes =
   try write_all fd bytes 0 (String.length bytes) with Unix.Unix_error _ -> ()
+
+let send_response fd ?headers ~status ~body () =
+  send fd (Http.render_response ?headers ~status ~body ())
 
 let continue_line = "HTTP/1.1 100 Continue\r\n\r\n"
 
@@ -281,18 +285,26 @@ let parse_params req =
 (* request-body content cache: a repeat submission of the same bytes
    (common when a campaign resubmits one huge instance under many
    seeds) reuses the parsed hypergraph and fingerprint *)
-let load_instance t body format =
-  let ckey = Instance_cache.key ~format:(Io.format_tag format) ~body in
-  match Instance_cache.find t.instances ckey with
+let load_instance t tm body format =
+  let ckey, resident =
+    Job_table.timed tm Key (fun () ->
+        let ckey = Instance_cache.key ~format:(Io.format_tag format) ~body in
+        (ckey, Instance_cache.find t.instances ckey))
+  in
+  match resident with
   | Some (h, fp) ->
     Metrics.incr "server.instance_cache_hits";
     (h, fp, "cache")
   | None ->
     (* a packed body carries the fingerprint [hypart pack] computed
        from the same pin arrays; only text formats are fingerprinted *)
-    let h, stored = Io.decode ~source:"<body>" format body in
+    let h, stored =
+      Job_table.timed tm Parse (fun () -> Io.decode ~source:"<body>" format body)
+    in
     let fp =
-      match stored with Some fp -> fp | None -> Fingerprint.of_instance h
+      match stored with
+      | Some fp -> fp
+      | None -> Job_table.timed tm Fingerprint (fun () -> Fingerprint.of_instance h)
     in
     Metrics.incr "server.instance_cache_misses";
     Instance_cache.add t.instances ckey h ~fingerprint:fp;
@@ -334,7 +346,8 @@ type job_spec = {
   run : unit -> fresh;
 }
 
-let respond fd p (job : Job_table.job) spec ~cached ~cut ~legal ~seconds
+(* the rendered 200 answer *)
+let respond p (job : Job_table.job) spec ~cached ~cut ~legal ~seconds
     ?(headers = []) ?(json = []) assignment =
   let headers =
     [
@@ -366,7 +379,7 @@ let respond fd p (job : Job_table.job) spec ~cached ~cut ~legal ~seconds
         Buffer.contents b
       | None -> ""
     in
-    send_response fd ~headers ~status:200 ~body ()
+    Http.render_response ~headers ~status:200 ~body ()
   | `Json ->
     let fields =
       [
@@ -389,13 +402,13 @@ let respond fd p (job : Job_table.job) spec ~cached ~cut ~legal ~seconds
         [ ("assignment", J.arr (Array.to_list (Array.map J.int sides))) ]
       | _ -> []
     in
-    send_response fd ~headers ~status:200 ~body:(J.obj fields) ()
+    Http.render_response ~headers ~status:200 ~body:(J.obj fields) ()
 
 let add_in_flight t d =
   let n = Atomic.fetch_and_add t.in_flight d + d in
   Metrics.set_gauge "server.in_flight" (float_of_int n)
 
-let serve t fd (req : Http.request) accepted_s admit =
+let serve t fd (req : Http.request) tm admit =
   let rid = request_id_of req in
   let event name fields =
     Event_log.record name (("request_id", Jsonl.String rid) :: fields)
@@ -406,7 +419,7 @@ let serve t fd (req : Http.request) accepted_s admit =
   in
   match
     let p = parse_params req in
-    (p, admit ~event req p)
+    (p, admit ~event tm req p)
   with
   | exception Reject (status, msg) ->
     Metrics.incr "server.bad_requests";
@@ -433,7 +446,16 @@ let serve t fd (req : Http.request) accepted_s admit =
       job.Job_table.seconds <- seconds;
       Job_table.update t.jobs job status
     in
-    let deadline_abs = Option.map (fun d -> accepted_s +. d) p.deadline_s in
+    (* the phases are in the ledger before the answer leaves, so a
+       client that reads /jobs/<id> after the answer always finds them *)
+    let reply render =
+      let bytes = Job_table.timed tm Encode render in
+      Job_table.record_phases t.jobs job tm;
+      send fd bytes
+    in
+    let deadline_abs =
+      Option.map (fun d -> Job_table.accepted_s tm +. d) p.deadline_s
+    in
     let expired () =
       match deadline_abs with Some dl -> Clock.now_s () > dl | None -> false
     in
@@ -452,7 +474,7 @@ let serve t fd (req : Http.request) accepted_s admit =
       let seconds = r.Run_store.seconds in
       finish Job_table.Served_cached ~cut ~legal ~seconds;
       event "request.dedup_hit" (jobf @ [ ("cut", Jsonl.Int cut) ]);
-      respond fd p job spec ~cached:true ~cut ~legal ~seconds None
+      reply (fun () -> respond p job spec ~cached:true ~cut ~legal ~seconds None)
     | None when expired () ->
       (* the deadline elapsed while the request waited in the queue:
          refuse without burning engine time *)
@@ -474,7 +496,8 @@ let serve t fd (req : Http.request) accepted_s admit =
                 ("request_id", request_id_arg rid);
                 ("job_id", float_of_int job.Job_table.id);
               ]
-              (fun () -> Cancel.with_hook expired spec.run))
+              (fun () ->
+                Job_table.timed tm Engine (fun () -> Cancel.with_hook expired spec.run)))
       with
       | f ->
         let cut = f.result.Engine.Result.cut in
@@ -494,9 +517,10 @@ let serve t fd (req : Http.request) accepted_s admit =
               ("seconds", Jsonl.Float f.seconds);
             ]
           @ f.done_fields);
-        respond fd p job spec ~cached:false ~cut ~legal ~seconds:f.seconds
-          ~headers:f.fresh_headers ~json:f.fresh_json
-          (Some (Bipartition.assignment f.result.Engine.Result.solution))
+        reply (fun () ->
+            respond p job spec ~cached:false ~cut ~legal ~seconds:f.seconds
+              ~headers:f.fresh_headers ~json:f.fresh_json
+              (Some (Bipartition.assignment f.result.Engine.Result.solution)))
       | exception Cancel.Cancelled -> deadline_exceeded "run" "during the run"
       | exception e ->
         Metrics.incr "server.failures";
@@ -521,7 +545,7 @@ let config_fingerprint ~tolerance ~starts =
       ("starts", string_of_int starts);
     ]
 
-let admit_partition t ~event (req : Http.request) p =
+let admit_partition t ~event tm (req : Http.request) p =
   let engine = param_engine req "engine" "mlclip" in
   let starts = param_int req "starts" 1 in
   if starts < 1 then bad "starts must be >= 1";
@@ -530,7 +554,7 @@ let admit_partition t ~event (req : Http.request) p =
       (List.map (fun f -> (Io.format_tag f, f)) Io.formats)
   in
   let h, instance, source =
-    try load_instance t req.Http.body format
+    try load_instance t tm req.Http.body format
     with Io.Parse_error msg | Instance_store.Format_error msg ->
       bad ("netlist: " ^ msg)
   in
@@ -594,7 +618,7 @@ let delta_config_fingerprint (c : Eco.config) ~scratch ~prior_fp =
 
 let mode_string = function Eco.Warm -> "warm" | Eco.Scratch -> "scratch"
 
-let admit_delta t ~event (req : Http.request) p =
+let admit_delta t ~event tm (req : Http.request) p =
   let radius = param_int req "radius" Eco.default_config.Eco.radius in
   if radius < 0 then bad "radius must be >= 0";
   let fallback_fraction =
@@ -605,8 +629,9 @@ let admit_delta t ~event (req : Http.request) p =
   let engine = param_engine req "engine" "eco_fm" in
   let scratch = param_engine req "scratch" "mlclip" in
   let delta =
-    try Delta.of_string ~source:"<delta>" req.Http.body
-    with Delta.Parse_error msg -> bad ("delta: " ^ msg)
+    Job_table.timed tm Parse (fun () ->
+        try Delta.of_string ~source:"<delta>" req.Http.body
+        with Delta.Parse_error msg -> bad ("delta: " ^ msg))
   in
   let base_fp =
     match (delta.Delta.base, Http.header req "x-hypart-base") with
@@ -623,16 +648,21 @@ let admit_delta t ~event (req : Http.request) p =
       bad "delta: the request must embed a prior partition (prior <n> section)"
   in
   let base =
-    match Instance_cache.find_fingerprint t.instances base_fp with
+    match
+      Job_table.timed tm Key (fun () -> Instance_cache.find_fingerprint t.instances base_fp)
+    with
     | Some base -> base
     | None ->
       raise (Reject (404, Printf.sprintf "base instance %s is not resident; \
                                           submit it first via POST /partition"
                           base_fp))
   in
+  (* the patched instance is this endpoint's parse: the instance the
+     engine runs on, built from the request body *)
   let patch =
-    try Patch.apply ~base ~base_fingerprint:base_fp delta with
-    | Patch.Apply_error msg | Invalid_argument msg -> bad ("delta: " ^ msg)
+    Job_table.timed tm Parse (fun () ->
+        try Patch.apply ~base ~base_fingerprint:base_fp delta with
+        | Patch.Apply_error msg | Invalid_argument msg -> bad ("delta: " ^ msg))
   in
   if Array.length prior <> patch.Patch.num_base_vertices then
     bad
@@ -735,7 +765,7 @@ let wants_prometheus req =
 
 let prometheus_content_type = "text/plain; version=0.0.4; charset=utf-8"
 
-let handle_request t fd (req : Http.request) accepted_s =
+let handle_request t fd (req : Http.request) tm =
   Metrics.incr "server.requests";
   let json = [ ("Content-Type", "application/json") ] in
   match (req.Http.meth, req.Http.path) with
@@ -762,10 +792,10 @@ let handle_request t fd (req : Http.request) accepted_s =
           ~body:(Job_table.job_json t.jobs job) ()
       | None ->
         send_error fd ~headers:json 404 (Printf.sprintf "no such job %d" id)))
-  | "POST", "/partition" -> serve t fd req accepted_s (admit_partition t)
+  | "POST", "/partition" -> serve t fd req tm (admit_partition t)
   | "POST", "/delta" ->
     Metrics.incr "delta.requests";
-    serve t fd req accepted_s (admit_delta t)
+    serve t fd req tm (admit_delta t)
   | _, ("/healthz" | "/metrics" | "/partition" | "/delta") ->
     send_error fd ~headers:json 405 "method not allowed"
   | _ ->
@@ -791,6 +821,7 @@ let drain_input fd =
 
 let handle_connection t (c : conn) =
   let t0 = Clock.now_s () in
+  let tm = Job_table.timing ~accepted_s:c.accepted_s ~taken_s:t0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close c.fd with Unix.Unix_error _ -> ())
     (fun () ->
@@ -798,7 +829,9 @@ let handle_connection t (c : conn) =
          time we wait for request bytes *)
       (try Unix.setsockopt_float c.fd SO_RCVTIMEO 30. with
       | Unix.Unix_error _ -> ());
-      match read_request c.fd t.config.max_body with
+      match
+        Job_table.timed tm Decode (fun () -> read_request c.fd t.config.max_body)
+      with
       | `Closed -> ()
       | `Timeout ->
         Metrics.incr "server.bad_requests";
@@ -813,7 +846,7 @@ let handle_connection t (c : conn) =
         send_error c.fd 400 msg;
         drain_input c.fd
       | `Request req ->
-        handle_request t c.fd req c.accepted_s;
+        handle_request t c.fd req tm;
         Metrics.observe "server.request_seconds" (Clock.now_s () -. t0))
 
 let worker_loop t () =

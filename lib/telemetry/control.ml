@@ -1,9 +1,24 @@
-let enabled = Atomic.make false
-let enable () = Atomic.set enabled true
-let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
+let metrics = Atomic.make false
+let spans = Atomic.make false
+
+let enable () =
+  Atomic.set metrics true;
+  Atomic.set spans true
+
+let enable_metrics () = Atomic.set metrics true
+
+let disable () =
+  Atomic.set metrics false;
+  Atomic.set spans false
+
+let is_enabled () = Atomic.get metrics
+let spans_enabled () = Atomic.get spans
 
 let with_enabled f =
-  let was = Atomic.get enabled in
-  Atomic.set enabled true;
-  Fun.protect ~finally:(fun () -> Atomic.set enabled was) f
+  let m = Atomic.get metrics and s = Atomic.get spans in
+  enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set metrics m;
+      Atomic.set spans s)
+    f

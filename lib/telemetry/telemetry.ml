@@ -1,4 +1,5 @@
 let enable = Control.enable
+let enable_metrics = Control.enable_metrics
 let disable = Control.disable
 let is_enabled = Control.is_enabled
 let with_enabled = Control.with_enabled

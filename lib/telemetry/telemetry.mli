@@ -1,4 +1,4 @@
-(** Telemetry facade: the collection switch plus phase-time summaries
+(** Telemetry facade: the collection switches plus phase-time summaries
     derived from the span tracer.
 
     See {!Metrics} for the metrics registry, {!Trace} for span tracing
@@ -7,6 +7,11 @@
     and span taxonomy used across the engines. *)
 
 val enable : unit -> unit
+(** Turn on metrics and spans ({!Control.enable}). *)
+
+val enable_metrics : unit -> unit
+(** Turn on metrics only ({!Control.enable_metrics}). *)
+
 val disable : unit -> unit
 val is_enabled : unit -> bool
 val with_enabled : (unit -> 'a) -> 'a

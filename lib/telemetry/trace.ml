@@ -63,13 +63,13 @@ let with_context kvs f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set context_key prev) f
 
 let begin_span ?(cat = "hypart") name =
-  if Control.is_enabled () then begin
+  if Control.spans_enabled () then begin
     let b = my_buffer () in
     b.stack <- (name, cat, Clock.now_us ()) :: b.stack
   end
 
 let end_span ?(args = []) name =
-  if Control.is_enabled () then begin
+  if Control.spans_enabled () then begin
     let b = my_buffer () in
     match b.stack with
     | (n, cat, t0) :: rest when n = name ->

@@ -326,7 +326,105 @@ let prop_contract_matches_reference =
       && Array.init k (Incidence.edges coarse)
          = Array.map Array.of_list incident)
 
-(* -- Buf32: the CSR buffer of the decoders and the delta patcher -- *)
+(* -- the vertex CSR, built on first use -- *)
+
+(* edges incident to each vertex, ascending, from the edge CSR alone *)
+let reference_transpose g =
+  let lists = Array.make (H.num_vertices g) [] in
+  for e = H.num_edges g - 1 downto 0 do
+    H.iter_pins g e (fun v -> lists.(v) <- e :: lists.(v))
+  done;
+  Array.map Array.of_list lists
+
+let copy_i32 a =
+  let b = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout (Bigarray.Array1.dim a) in
+  Bigarray.Array1.blit a b;
+  b
+
+(* the same random instance through every constructor; only the mapped
+   one has its vertex CSR before the first read *)
+let every_constructor seed nv ne =
+  let base = random_hypergraph seed nv ne in
+  let csr f =
+    f ~num_vertices:nv
+      ~edge_offset:(copy_i32 (H.Csr.edge_offset base))
+      ~edge_pins:(copy_i32 (H.Csr.edge_pins base))
+      ~vertex_weight:(copy_i32 (H.Csr.vertex_weight base))
+      ~edge_weight:(copy_i32 (H.Csr.edge_weight base))
+  in
+  let checked = csr H.of_int32_csr and unchecked = csr H.of_int32_csr_unchecked in
+  let coarse, _ =
+    H.contract base ~cluster_of:(Array.init nv (fun v -> v / 2)) ~num_clusters:((nv + 1) / 2)
+  in
+  let sub, _ = H.induce base ~keep:(Array.init nv (fun v -> v mod 3 <> 0)) in
+  let heavy = H.reweight_edges base ~weights:(Array.make (H.num_edges base) 2) in
+  let decoded, _ =
+    Hypart_hypergraph.Netlist_io.decode ~source:"<body>" Hypart_hypergraph.Netlist_io.Hgr
+      (Hypart_hypergraph.Netlist_io.hgr_string base)
+  in
+  (* a mapped instance arrives with its vertex CSR *)
+  let lists = reference_transpose base in
+  let vertex_offset = Array.make (nv + 1) 0 in
+  Array.iteri (fun v a -> vertex_offset.(v + 1) <- vertex_offset.(v) + Array.length a) lists;
+  let i32 a = Bigarray.Array1.of_array Bigarray.Int32 Bigarray.c_layout (Array.map Int32.of_int a) in
+  let mapped =
+    H.of_mapped_csr ~num_vertices:nv
+      ~edge_offset:(copy_i32 (H.Csr.edge_offset base))
+      ~edge_pins:(copy_i32 (H.Csr.edge_pins base))
+      ~vertex_offset:(i32 vertex_offset)
+      ~vertex_edges:(i32 (Array.concat (Array.to_list lists)))
+      ~vertex_weight:(copy_i32 (H.Csr.vertex_weight base))
+      ~edge_weight:(copy_i32 (H.Csr.edge_weight base))
+  in
+  [
+    ("create", base); ("of_int32_csr", checked); ("of_int32_csr_unchecked", unchecked);
+    ("of_mapped_csr", mapped);
+    ("contract", coarse); ("induce", sub); ("reweight_edges", heavy); (".hgr decode", decoded);
+  ]
+
+let prop_lazy_vertex_csr =
+  QCheck.Test.make ~name:"the vertex CSR built on first use is the transpose"
+    ~count:100
+    QCheck.(triple small_int (int_range 2 60) (int_range 0 120))
+    (fun (seed, nv, ne) ->
+      List.for_all
+        (fun (name, g) ->
+          let bytes = H.memory_bytes g in
+          let expected = reference_transpose g in
+          let built = Array.init (H.num_vertices g) (Incidence.edges g) in
+          let max_degree = Array.fold_left (fun m a -> max m (Array.length a)) 0 expected in
+          if built <> expected then QCheck.Test.fail_reportf "%s: vertex CSR differs" name;
+          if H.max_vertex_degree g <> max_degree then
+            QCheck.Test.fail_reportf "%s: max degree %d, expected %d" name
+              (H.max_vertex_degree g) max_degree;
+          if H.memory_bytes g <> bytes then
+            QCheck.Test.fail_reportf "%s: memory_bytes %d before the first read, %d after"
+              name bytes (H.memory_bytes g);
+          true)
+        (every_constructor seed nv ne))
+
+(* two domains read one fresh instance's vertex CSR at the same moment:
+   whichever publishes first, both hold the very same arrays *)
+let test_lazy_vertex_csr_race () =
+  for seed = 1 to 20 do
+    let g = random_hypergraph seed 2000 4000 in
+    let ready = Atomic.make 0 in
+    let read () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      (H.Csr.vertex_offset g, H.Csr.vertex_edges g)
+    in
+    let other = Domain.spawn read in
+    let off_a, edges_a = read () in
+    let off_b, edges_b = Domain.join other in
+    Alcotest.(check bool) "same vertex_offset" true (off_a == off_b);
+    Alcotest.(check bool) "same vertex_edges" true (edges_a == edges_b);
+    Alcotest.(check bool) "kept" true (H.Csr.vertex_offset g == off_a)
+  done
+
+(* -- Buf32: the CSR buffer of the delta patcher -- *)
 
 module Buf32 = Hypart_hypergraph.Buf32
 
@@ -395,5 +493,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_contract_weight_conserved;
           QCheck_alcotest.to_alcotest prop_contract_no_trivial_nets;
           QCheck_alcotest.to_alcotest prop_contract_matches_reference;
+          QCheck_alcotest.to_alcotest prop_lazy_vertex_csr;
         ] );
+      ( "vertex CSR",
+        [ Alcotest.test_case "racing first reads share one copy" `Quick test_lazy_vertex_csr_race ] );
     ]

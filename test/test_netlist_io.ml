@@ -85,6 +85,20 @@ let test_hgr_crlf_and_blanks () =
   Alcotest.(check int) "edge weight" 5 (H.edge_weight h 0);
   Alcotest.(check (array int)) "tab-separated pins" [| 2; 3 |] (Incidence.pins h 1)
 
+(* The decoder's dedup marks live on in the domain's scratch: a decode
+   that fails after marking pins must not make a later decode on the
+   same domain drop pins as duplicates. *)
+let test_hgr_stale_marks () =
+  let decode body = fst (Io.decode ~source:"<body>" Io.Hgr body) in
+  (match decode "2 3\n1 2\n3 x\n" with
+   | _ -> Alcotest.fail "a bad token decoded"
+   | exception Io.Parse_error _ -> ());
+  let h = decode "2 3\n1 2\n2 3\n" in
+  let expected = H.create ~num_vertices:3 ~edges:[| [| 0; 1 |]; [| 1; 2 |] |] () in
+  Alcotest.(check (array (array int))) "pins"
+    (Array.init 2 (Incidence.pins expected))
+    (Array.init (H.num_edges h) (Incidence.pins h))
+
 let test_hgr_located_errors () =
   let read content =
     let path = tmp "hypart_test_loc.hgr" in
@@ -628,6 +642,22 @@ let test_major_budget () =
           name words budget)
     [ ("HTTP request", 0.26, per_byte parse); ("decode Hgr", 0.05, per_byte decode) ]
 
+(* A second decode of the same twin on the same domain finds its pin
+   buffer and dedup marks in the domain's scratch, so the instance's own
+   arrays (off the heap) are all it allocates: 0.0375 words per byte
+   when every decode allocated an O(V) mark array. *)
+let test_second_decode_major_budget () =
+  let _, body = Lazy.force ibm18_body in
+  let decode () = Io.decode ~source:"<body>" Io.Hgr body in
+  let first = fst (decode ()) in
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  let second = fst (Sys.opaque_identity (decode ())) in
+  let words = ((Gc.quick_stat ()).Gc.major_words -. w0) /. float_of_int (String.length body) in
+  Alcotest.(check bool) "same instance" true (csr first = csr second);
+  if words > 0.005 then
+    Alcotest.failf "a second decode allocates %.4f major words per body byte (budget 0.005)"
+      words
+
 (* ---------------- Bookshelf ---------------- *)
 
 let bs_sample () =
@@ -764,6 +794,7 @@ let () =
           Alcotest.test_case "malformed inputs" `Quick test_hgr_errors;
           Alcotest.test_case "CRLF, blanks, tabs" `Quick test_hgr_crlf_and_blanks;
           Alcotest.test_case "located errors" `Quick test_hgr_located_errors;
+          Alcotest.test_case "stale dedup marks" `Quick test_hgr_stale_marks;
           Alcotest.test_case "vertex count bound" `Quick test_hgr_vertex_count_bound;
         ] );
       ( "are",
@@ -805,5 +836,7 @@ let () =
         [
           Alcotest.test_case "budget" `Quick test_alloc_budget;
           Alcotest.test_case "major budget" `Quick test_major_budget;
+          Alcotest.test_case "second decode major budget" `Quick
+            test_second_decode_major_budget;
         ] );
     ]

@@ -1077,6 +1077,78 @@ let test_serve_job_durations () =
       body_has "\"queue_seconds\":" dup_job.Http.resp_body;
       body_has "\"exec_seconds\":" ~expect:false dup_job.Http.resp_body)
 
+(* /jobs/<id> of an answered job: its phase split and wall time *)
+let job_phases port resp =
+  let job = Json_in.parse (get port ("/jobs/" ^ hdr resp "x-hypart-job")).Http.resp_body in
+  let num = function Some (Json_in.Num f) -> f | _ -> Alcotest.fail "not a number" in
+  match Json_in.member "phases" job with
+  | Some (Json_in.Obj kvs) ->
+    (List.map (fun (k, v) -> (k, num (Some v))) kvs, num (Json_in.member "wall_seconds" job))
+  | _ -> Alcotest.fail "no phases object"
+
+(* A cold /partition — an instance-cache miss — accounts for its wall
+   time phase by phase; served again by a daemon that shares the run
+   store but not the instance cache, the same request parses again and
+   is answered from the lab cache without an engine run. *)
+let test_serve_phases () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hypart_serve_phases_%d" (Unix.getpid ()))
+  in
+  (* the first send must run the engine, whatever an earlier process
+     with this pid left behind *)
+  (try Sys.remove (Filename.concat dir "runs.jsonl") with Sys_error _ -> ());
+  let body = Io.hgr_string (Hypart_generator.Ibm_suite.instance ~scale:4.0 "ibm01") in
+  let query = "&engine=mlclip&seed=3" in
+  let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0. in
+  let phase name phases =
+    match List.assoc_opt name phases with
+    | Some s -> s
+    | None -> Alcotest.fail ("no phase " ^ name)
+  in
+  let names = [ "queue_wait"; "decode"; "key"; "parse"; "fingerprint"; "engine"; "encode" ] in
+  with_server ~store:dir (fun _server port ->
+      let resp = submit ~query ~body port in
+      Alcotest.(check string) "fresh" "false" (hdr resp "x-hypart-cached");
+      let phases, wall = job_phases port resp in
+      Alcotest.(check (list string)) "phase names" names (List.map fst phases);
+      Alcotest.(check bool) "parse > 0" true (phase "parse" phases > 0.);
+      Alcotest.(check bool) "engine > 0" true (phase "engine" phases > 0.);
+      if Float.abs (sum phases -. wall) > 0.05 *. wall then
+        Alcotest.failf "phases sum to %.6f s of a %.6f s handler" (sum phases) wall);
+  with_server ~store:dir (fun _server port ->
+      let resp = submit ~query ~body port in
+      Alcotest.(check string) "lab cache" "true" (hdr resp "x-hypart-cached");
+      let phases, wall = job_phases port resp in
+      Alcotest.(check bool) "parse > 0" true (phase "parse" phases > 0.);
+      Alcotest.(check (float 0.)) "engine" 0. (phase "engine" phases);
+      Alcotest.(check bool) "within the wall" true (sum phases <= wall))
+
+(* The daemon records metrics but no spans unless a trace was asked
+   for: nothing drains the per-domain span buffers, so an untraced
+   daemon would grow them with every fm.pass of every request. *)
+let test_serve_untraced_records_no_spans () =
+  Hypart_telemetry.Control.disable ();
+  let fm_runs port =
+    match
+      Option.bind
+        (Json_in.member "counters" (Json_in.parse (get port "/metrics").Http.resp_body))
+        (Json_in.member "fm.runs")
+    with
+    | Some (Json_in.Num n) -> n
+    | _ -> 0.
+  in
+  with_server (fun _server port ->
+      let spans = Hypart_telemetry.Trace.event_count () in
+      let runs = fm_runs port in
+      List.iter
+        (fun seed ->
+          let resp = submit ~query:(Printf.sprintf "&engine=flat&seed=%d" seed) port in
+          Alcotest.(check string) "engine ran" "false" (hdr resp "x-hypart-cached"))
+        [ 41; 42 ];
+      Alcotest.(check int) "no spans recorded" spans (Hypart_telemetry.Trace.event_count ());
+      Alcotest.(check bool) "fm.runs advanced" true (fm_runs port >= runs +. 2.))
+
 let test_serve_event_lifecycle () =
   (* the flight recorder sees the whole request lifecycle, with the
      client's request id on every line *)
@@ -1670,6 +1742,9 @@ let () =
             test_serve_prometheus_negotiation;
           Alcotest.test_case "runtime gauges" `Quick test_serve_runtime_gauges;
           Alcotest.test_case "job durations" `Quick test_serve_job_durations;
+          Alcotest.test_case "request phases" `Quick test_serve_phases;
+          Alcotest.test_case "untraced daemon records no spans" `Quick
+            test_serve_untraced_records_no_spans;
           Alcotest.test_case "event lifecycle" `Quick
             test_serve_event_lifecycle;
           Alcotest.test_case "shutdown drains" `Quick test_serve_shutdown_drains;
