@@ -3,7 +3,6 @@ module H = Hypart_hypergraph.Hypergraph
 open Hypart_rng.Fnv
 
 let of_string s = to_hex (add_string offset s)
-let of_strings parts = to_hex (List.fold_left add_string offset parts)
 
 let of_pairs pairs =
   let pairs = List.sort (fun (a, _) (b, _) -> compare a b) pairs in

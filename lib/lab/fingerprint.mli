@@ -11,10 +11,6 @@
 val of_string : string -> string
 (** FNV-1a of the raw bytes. *)
 
-val of_strings : string list -> string
-(** FNV-1a of the parts' concatenation, without building it:
-    [of_strings [a; b] = of_string (a ^ b)]. *)
-
 val of_pairs : (string * string) list -> string
 (** Fingerprint of a key/value configuration, independent of the
     order in which the pairs are listed (they are sorted by key).

@@ -1,9 +1,13 @@
-(** The one hash: 64-bit FNV-1a over explicit byte sequences.
+(** The one hash for persisted and displayed identities: 64-bit FNV-1a
+    over explicit byte sequences.
 
-    Every persistent key (lab fingerprints, derived seeds) and every
-    seed derived from a name ({!Hypart_telemetry.Metrics} reservoirs)
-    folds bytes through these functions, so values are identical across
-    machines, processes and OCaml versions — unlike [Hashtbl.hash]. *)
+    Every persistent key (lab fingerprints, run keys, derived seeds),
+    every request id derived from text, and every seed derived from a
+    name ({!Hypart_telemetry.Metrics} reservoirs) folds bytes through
+    these functions, so values are identical across machines, processes
+    and OCaml versions — unlike [Hashtbl.hash].  A key that never
+    leaves one process may use a faster hash: the daemon's request-body
+    key ([Instance_cache.key]) does. *)
 
 val offset : int64
 (** The FNV-1a 64-bit offset basis, the hash of no bytes. *)

@@ -24,24 +24,29 @@ let rec write_all fd s off len =
     | n -> write_all fd s (off + n) (len - n)
     | exception Unix.Unix_error (EINTR, _, _) -> write_all fd s off len
 
-(* a daemon that answers without reading the whole request (the
-   queue-full 503) closes with unread bytes pending, so the connection
-   may end in a reset rather than EOF; what arrived before it is still
-   the complete response *)
+(* the response is read straight into one [Bytes] that doubles when
+   full, and the parser reads it in place up to its filled length: no
+   per-read chunk, no [Buffer], no whole-response string.  A daemon that answers without
+   reading the whole request (the queue-full 503) closes with unread
+   bytes pending, so the connection may end in a reset rather than EOF;
+   what arrived before it is still the complete response. *)
 let read_to_eof fd =
-  let buf = Bytes.create 65536 in
-  let out = Buffer.create 4096 in
-  let rec loop () =
-    match Unix.read fd buf 0 (Bytes.length buf) with
-    | 0 -> Buffer.contents out
-    | n ->
-      Buffer.add_subbytes out buf 0 n;
-      loop ()
-    | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error (ECONNRESET, _, _) when Buffer.length out > 0 ->
-      Buffer.contents out
+  let rec loop buf len =
+    let buf =
+      if len < Bytes.length buf then buf
+      else begin
+        let grown = Bytes.create (2 * Bytes.length buf) in
+        Bytes.blit buf 0 grown 0 len;
+        grown
+      end
+    in
+    match Unix.read fd buf len (Bytes.length buf - len) with
+    | 0 -> (buf, len)
+    | n -> loop buf (len + n)
+    | exception Unix.Unix_error (EINTR, _, _) -> loop buf len
+    | exception Unix.Unix_error (ECONNRESET, _, _) when len > 0 -> (buf, len)
   in
-  loop ()
+  loop (Bytes.create 65536) 0
 
 let http_request ~host ~port ~meth ~path ?(headers = []) ?(body = "") () =
   match Unix.socket PF_INET SOCK_STREAM 0 with
@@ -92,11 +97,11 @@ let http_request ~host ~port ~meth ~path ?(headers = []) ?(body = "") () =
             Error
               (Printf.sprintf "i/o %s:%d: %s" host port
                  (Unix.error_message e))
-          | "" ->
+          | _, 0 ->
             Error
               (Printf.sprintf "i/o %s:%d: %s" host port
                  (Option.value ~default:"empty response" write_err))
-          | raw -> Http.parse_response raw))
+          | buf, len -> Http.parse_response_bytes buf len))
 
 let backoff_delay ?(base = 0.25) ?(cap = 8.0) ~attempt ~retry_after jitter =
   let u = Float.min cap (base *. Float.pow 2. (float_of_int attempt)) in

@@ -277,18 +277,28 @@ let status_text = function
   | 504 -> "Gateway Timeout"
   | _ -> "Unknown"
 
-let render_response ?(headers = []) ~status ~body () =
-  let b = Buffer.create (256 + String.length body) in
+(* the whole response is one allocation: the head is rendered first
+   (it is small), then head and body are written into one [Bytes] of
+   their exact total length, which becomes the response uncopied *)
+let render_response_with ?(headers = []) ~status ~length write =
+  let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (status_text status));
   List.iter
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
     headers;
   Buffer.add_string b
-    (Printf.sprintf "Content-Length: %d\r\nConnection: close\r\n\r\n"
-       (String.length body));
-  Buffer.add_string b body;
-  Buffer.contents b
+    (Printf.sprintf "Content-Length: %d\r\nConnection: close\r\n\r\n" length);
+  let head = Buffer.length b in
+  let out = Bytes.create (head + length) in
+  Buffer.blit b 0 out 0 head;
+  write out head;
+  Bytes.unsafe_to_string out
+
+let render_response ?headers ~status ~body () =
+  let n = String.length body in
+  render_response_with ?headers ~status ~length:n (fun out off ->
+      Bytes.blit_string body 0 out off n)
 
 (* ------------------------------------------------------------------ *)
 (* Client-side response parsing                                        *)
@@ -302,13 +312,13 @@ type response = {
 let resp_header r name =
   List.assoc_opt (String.lowercase_ascii name) r.resp_headers
 
-let parse_response raw =
-  let n = String.length raw in
-  match head_end (Buffer.create 0) (Bytes.unsafe_of_string raw) 0 n with
+let parse_response_bytes raw n =
+  if n < 0 || n > Bytes.length raw then invalid_arg "Http.parse_response_bytes";
+  match head_end (Buffer.create 0) raw 0 n with
   | None -> Error "truncated response (no header terminator)"
   | Some body_start -> (
-    let blank = blank_length raw.[body_start - 2] in
-    let head = String.sub raw 0 (body_start - blank) in
+    let blank = blank_length (Bytes.get raw (body_start - 2)) in
+    let head = Bytes.sub_string raw 0 (body_start - blank) in
     match String.split_on_char '\n' head |> List.map strip_cr with
     | [] -> Error "empty response"
     | status_line :: header_lines -> (
@@ -341,5 +351,8 @@ let parse_response raw =
             | _ -> available)
           | None -> available
         in
-        let resp_body = String.sub raw body_start length in
+        let resp_body = Bytes.sub_string raw body_start length in
         Ok { status; resp_headers; resp_body }))
+
+let parse_response raw =
+  parse_response_bytes (Bytes.unsafe_of_string raw) (String.length raw)

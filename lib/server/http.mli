@@ -78,8 +78,20 @@ val status_text : int -> string
 
 val render_response :
   ?headers:(string * string) list -> status:int -> body:string -> unit -> string
-(** A full response: status line, [Content-Length], the given extra
-    headers, [Connection: close], blank line, body. *)
+(** A full response: status line, the given extra headers,
+    [Content-Length], [Connection: close], blank line, body. *)
+
+val render_response_with :
+  ?headers:(string * string) list ->
+  status:int ->
+  length:int ->
+  (Bytes.t -> int -> unit) ->
+  string
+(** {!render_response} for a body of [length] bytes that [write]
+    renders in place: [write b off] must fill exactly
+    [b.[off .. off+length)].  Head and body are one allocation of
+    their exact total size, which becomes the response without a
+    further copy. *)
 
 (** {1 Client-side response parsing} *)
 
@@ -91,7 +103,14 @@ type response = {
 
 val resp_header : response -> string -> string option
 
+(* kept: the whole-string form the codec tests parse *)
 val parse_response : string -> (response, string) result
 (** Parse a complete response (the client reads to EOF first —
     [Connection: close] delimits the body even without a
     [Content-Length]). *)
+
+val parse_response_bytes : Bytes.t -> int -> (response, string) result
+(** [parse_response_bytes b n] is {!parse_response} of [b.[0 .. n)],
+    read in place: the client hands over its read buffer without
+    first copying it into a string.
+    @raise Invalid_argument when [n] is not within [b]. *)

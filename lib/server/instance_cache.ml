@@ -30,10 +30,56 @@ let create ?(max_bytes = 512 * 1024 * 1024) () =
     tick = 0;
   }
 
-(* FNV-1a 64 over the format tag and the raw request body.  The body is
+(* The key of the format tag and the raw request body.  The body is
    hashed as transmitted — before parsing — so a repeat submission is
-   recognized without touching the parser at all. *)
-let key ~format ~body = Hypart_lab.Fingerprint.of_strings [ format; "\x00"; body ]
+   recognized without touching the parser at all.
+
+   The key lives only in this cache, so it need not be the persisted
+   FNV-1a of {!Hypart_rng.Fnv}: FNV folds one byte per dependent
+   multiply, which on a 1.9 MB body costs milliseconds on every
+   request.  This is MurmurHash64A in structure, over 8-byte
+   little-endian words: each part (the tag, a NUL separator, the body)
+   is seeded with its length, folds its words, then its tail bytes,
+   and the final avalanche runs once at the end.  Everything stays in
+   one function so the running hash is an unboxed local: the only
+   allocation is the 16-digit result. *)
+let murmur_m = 0xc6a4a7935bd1e995L
+let murmur_r = 47
+let hex_digits = "0123456789abcdef"
+
+let key ~format ~body =
+  let h = ref 0L in
+  for part = 0 to 2 do
+    let s = match part with 0 -> format | 1 -> "\x00" | _ -> body in
+    let n = String.length s in
+    h := Int64.logxor !h (Int64.mul (Int64.of_int n) murmur_m);
+    let words = n lsr 3 in
+    for i = 0 to words - 1 do
+      let k = Int64.mul (String.get_int64_le s (i lsl 3)) murmur_m in
+      let k =
+        Int64.mul (Int64.logxor k (Int64.shift_right_logical k murmur_r)) murmur_m
+      in
+      h := Int64.mul (Int64.logxor !h k) murmur_m
+    done;
+    if n land 7 <> 0 then begin
+      let tail = ref 0L in
+      for i = n - 1 downto words lsl 3 do
+        tail :=
+          Int64.logor (Int64.shift_left !tail 8)
+            (Int64.of_int (Char.code (String.unsafe_get s i)))
+      done;
+      h := Int64.mul (Int64.logxor !h !tail) murmur_m
+    end
+  done;
+  h := Int64.logxor !h (Int64.shift_right_logical !h murmur_r);
+  h := Int64.mul !h murmur_m;
+  h := Int64.logxor !h (Int64.shift_right_logical !h murmur_r);
+  let out = Bytes.create 16 in
+  for i = 0 to 15 do
+    let d = Int64.to_int (Int64.shift_right_logical !h (60 - (4 * i))) land 15 in
+    Bytes.unsafe_set out i (String.unsafe_get hex_digits d)
+  done;
+  Bytes.unsafe_to_string out
 
 let locked t f =
   Mutex.lock t.mutex;

@@ -21,8 +21,12 @@ val create : ?max_bytes:int -> unit -> t
     @raise Invalid_argument when [max_bytes < 1]. *)
 
 val key : format:string -> body:string -> string
-(** Content key: FNV-1a 64 (hex) over the format tag and the raw,
-    unparsed request body. *)
+(** Content key: a 64-bit hash, as 16 lowercase hex digits, of the
+    format tag and the raw, unparsed request body.  It folds the body
+    8 bytes at a time (MurmurHash64A in structure) and allocates
+    nothing but its result.  The key lives only in this cache — it is
+    never persisted or shown — so it is not the {!Hypart_rng.Fnv} hash
+    that fingerprints use, and its value may change between versions. *)
 
 val find : t -> string -> (Hypart_hypergraph.Hypergraph.t * string) option
 (** Cached instance and fingerprint for a key, marking it

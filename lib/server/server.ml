@@ -346,9 +346,50 @@ type job_spec = {
   run : unit -> fresh;
 }
 
+(* An answer is rendered in one allocation ({!Http.render_response_with}):
+   the partition is written side by side into the response itself.  A
+   side is 0 or 1, one digit, so the plain body is exactly two bytes a
+   vertex and the JSON array two bytes a vertex plus its bracket. *)
+let write_sides b off solution sep =
+  for v = 0 to Bipartition.num_vertices solution - 1 do
+    Bytes.unsafe_set b (off + (2 * v))
+      (Char.unsafe_chr (Char.code '0' + Bipartition.side solution v));
+    Bytes.unsafe_set b (off + (2 * v) + 1) sep
+  done
+
+let render_answer ~out ~want_assignment ~headers ~fields solution =
+  match (out, solution) with
+  | `Plain, Some s ->
+    (* body is exactly a Netlist_io partition file (one side per line);
+       all metadata travels in X-Hypart-* headers *)
+    Http.render_response_with ~headers ~status:200
+      ~length:(2 * Bipartition.num_vertices s)
+      (fun b off -> write_sides b off s '\n')
+  | `Plain, None ->
+    (* a cached record has no assignment: the body is empty and the
+       headers say so *)
+    Http.render_response ~headers ~status:200 ~body:"" ()
+  | `Json, Some s when want_assignment ->
+    (* the object as [J.obj] renders it with an empty [assignment]
+       value, and the array written before its closing brace *)
+    let obj = J.obj (fields @ [ ("assignment", "") ]) in
+    let prefix = String.length obj - 1 in
+    let n = Bipartition.num_vertices s in
+    let array = if n = 0 then 2 else 2 * n + 1 in
+    Http.render_response_with ~headers ~status:200 ~length:(prefix + array + 1)
+      (fun b off ->
+        Bytes.blit_string obj 0 b off prefix;
+        let off = off + prefix in
+        Bytes.unsafe_set b off '[';
+        write_sides b (off + 1) s ',';
+        (* the last side's comma becomes the closing bracket *)
+        Bytes.unsafe_set b (off + array - 1) ']';
+        Bytes.unsafe_set b (off + array) '}')
+  | `Json, _ -> Http.render_response ~headers ~status:200 ~body:(J.obj fields) ()
+
 (* the rendered 200 answer *)
 let respond p (job : Job_table.job) spec ~cached ~cut ~legal ~seconds
-    ?(headers = []) ?(json = []) assignment =
+    ?(headers = []) ?(json = []) solution =
   let headers =
     [
       ( "Content-Type",
@@ -362,26 +403,10 @@ let respond p (job : Job_table.job) spec ~cached ~cut ~legal ~seconds
     ]
     @ spec.headers @ headers
   in
-  match p.out with
-  | `Plain ->
-    (* body is exactly a Netlist_io partition file (one side per line);
-       all metadata travels in X-Hypart-* headers.  A cached record has
-       no assignment — the body is empty and the headers say so. *)
-    let body =
-      match assignment with
-      | Some sides ->
-        let b = Buffer.create (2 * Array.length sides) in
-        Array.iter
-          (fun s ->
-            Buffer.add_string b (string_of_int s);
-            Buffer.add_char b '\n')
-          sides;
-        Buffer.contents b
-      | None -> ""
-    in
-    Http.render_response ~headers ~status:200 ~body ()
-  | `Json ->
-    let fields =
+  let fields =
+    match p.out with
+    | `Plain -> []
+    | `Json ->
       [
         ("job", J.int job.Job_table.id);
         ("engine", J.string job.Job_table.engine);
@@ -396,13 +421,9 @@ let respond p (job : Job_table.job) spec ~cached ~cut ~legal ~seconds
           ("seconds", J.number seconds);
         ]
       @ json
-      @
-      match assignment with
-      | Some sides when p.want_assignment ->
-        [ ("assignment", J.arr (Array.to_list (Array.map J.int sides))) ]
-      | _ -> []
-    in
-    Http.render_response ~headers ~status:200 ~body:(J.obj fields) ()
+  in
+  render_answer ~out:p.out ~want_assignment:p.want_assignment ~headers ~fields
+    solution
 
 let add_in_flight t d =
   let n = Atomic.fetch_and_add t.in_flight d + d in
@@ -520,7 +541,7 @@ let serve t fd (req : Http.request) tm admit =
         reply (fun () ->
             respond p job spec ~cached:false ~cut ~legal ~seconds:f.seconds
               ~headers:f.fresh_headers ~json:f.fresh_json
-              (Some (Bipartition.assignment f.result.Engine.Result.solution)))
+              (Some f.result.Engine.Result.solution))
       | exception Cancel.Cancelled -> deadline_exceeded "run" "during the run"
       | exception e ->
         Metrics.incr "server.failures";

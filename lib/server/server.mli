@@ -93,6 +93,21 @@ val run : t -> unit
 (** Spawn the worker pool and serve until {!shutdown}; returns after
     the graceful drain completes.  Call at most once. *)
 
+(* kept: the answer encoder, tested against the renderer it replaced *)
+val render_answer :
+  out:[ `Json | `Plain ] ->
+  want_assignment:bool ->
+  headers:(string * string) list ->
+  fields:(string * string) list ->
+  Hypart_partition.Bipartition.t option ->
+  string
+(** A rendered [200] answer carrying [headers].  With [out = `Plain]
+    the body is the solution's partition file (one side per line) and
+    empty without a solution; with [`Json] it is the object of [fields]
+    (rendered JSON values, in order) followed, when [want_assignment]
+    and a solution is given, by its [assignment] array.  The whole
+    response, the sides included, is one allocation. *)
+
 val shutdown : t -> unit
 (** Initiate the drain from any thread or from a signal handler:
     stop accepting, let queued and in-flight requests finish, then

@@ -279,6 +279,98 @@ let test_http_response_round_trip () =
       (Http.resp_header resp "Retry-After");
     Alcotest.(check string) "body" "busy" resp.Http.resp_body
 
+(* The answer renderer as it was before answers were written in one
+   allocation: a [Buffer] of [string_of_int] sides (plain), a list of
+   [J.int] strings (JSON), and a head and body copied into one more
+   [Buffer].  The daemon's answers must stay byte-identical to it. *)
+module J = Hypart_telemetry.Json_out
+
+let reference_response ~headers ~body =
+  let b = Buffer.create (256 + String.length body) in
+  Buffer.add_string b "HTTP/1.1 200 OK\r\n";
+  List.iter
+    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
+    headers;
+  Buffer.add_string b
+    (Printf.sprintf "Content-Length: %d\r\nConnection: close\r\n\r\n"
+       (String.length body));
+  Buffer.add_string b body;
+  Buffer.contents b
+
+let reference_answer ~out ~want_assignment ~headers ~fields assignment =
+  match out with
+  | `Plain ->
+    let body =
+      match assignment with
+      | Some sides ->
+        let b = Buffer.create (2 * Array.length sides) in
+        Array.iter
+          (fun s ->
+            Buffer.add_string b (string_of_int s);
+            Buffer.add_char b '\n')
+          sides;
+        Buffer.contents b
+      | None -> ""
+    in
+    reference_response ~headers ~body
+  | `Json ->
+    let fields =
+      fields
+      @
+      match assignment with
+      | Some sides when want_assignment ->
+        [ ("assignment", J.arr (Array.to_list (Array.map J.int sides))) ]
+      | _ -> []
+    in
+    reference_response ~headers ~body:(J.obj fields)
+
+let prop_answer_bytes =
+  QCheck.Test.make ~name:"answers are byte-identical to the earlier renderer"
+    ~count:300 ~long_factor:20 QCheck.(int_bound 0x3FFFFFFF) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      (* one case in eight has no vertices: the JSON array is "[]" *)
+      let n = if seed mod 8 = 0 then 0 else Random.State.int rng 300 in
+      let sides = Array.init n (fun _ -> Random.State.int rng 2) in
+      let solution =
+        Bipartition.make (Hg.create ~num_vertices:n ~edges:[||] ()) sides
+      in
+      let text () =
+        String.init (Random.State.int rng 12) (fun _ ->
+            Char.chr (Random.State.int rng 128))
+      in
+      let headers =
+        List.init (Random.State.int rng 5) (fun i ->
+            (Printf.sprintf "X-Test-%d" i, text ()))
+      in
+      let fields =
+        List.init (Random.State.int rng 6) (fun _ ->
+            ( text (),
+              if Random.State.bool rng then J.int (Random.State.bits rng)
+              else J.string (text ()) ))
+      in
+      List.for_all
+        (fun (out, want_assignment, with_solution) ->
+          let got =
+            Server.render_answer ~out ~want_assignment ~headers ~fields
+              (if with_solution then Some solution else None)
+          in
+          let want =
+            reference_answer ~out ~want_assignment ~headers ~fields
+              (if with_solution then Some sides else None)
+          in
+          got = want
+          || QCheck.Test.fail_reportf
+               "%d sides, solution %b, assignment=%b:\n%S\n%S" n with_solution
+               want_assignment got want)
+        [
+          (`Plain, true, true);
+          (`Plain, true, false);
+          (`Plain, false, true);
+          (`Json, true, true);
+          (`Json, true, false);
+          (`Json, false, true);
+        ])
+
 (* ---------------- job queue ---------------- *)
 
 let test_queue_bounds () =
@@ -629,10 +721,70 @@ let test_serve_store_persists () =
 
 (* ---------------- parsed-instance cache ---------------- *)
 
-(* instance-cache keys as earlier daemons computed them *)
+(* instance-cache keys as earlier daemons computed them.  The key is
+   in-memory state only, so its value moved once, when the byte-serial
+   FNV-1a (32860053fb08ccf2 here) gave way to the word-at-a-time hash;
+   nothing persisted or displayed carries it. *)
 let test_icache_key_golden () =
-  Alcotest.(check string) "tiny hgr" "32860053fb08ccf2"
+  Alcotest.(check string) "tiny hgr" "656d4f54f8defc4d"
     (Instance_cache.key ~format:"hgr" ~body:tiny_hgr)
+
+let hgr_key body = Instance_cache.key ~format:"hgr" ~body
+
+(* one byte changed anywhere changes the key: full words, the top byte
+   of a word and the tail bytes after the last full word *)
+let prop_icache_key_byte =
+  QCheck.Test.make ~name:"changing any one byte changes the key" ~count:500
+    ~long_factor:100
+    QCheck.(triple (string_of_size Gen.(1 -- 64)) small_nat (int_range 1 255))
+    (fun (body, at, flip) ->
+      let at = at mod String.length body in
+      let changed = Bytes.of_string body in
+      Bytes.set changed at (Char.chr (Char.code body.[at] lxor flip));
+      hgr_key (Bytes.to_string changed) <> hgr_key body)
+
+let test_icache_key_sensitivity () =
+  let check name a b = Alcotest.(check bool) name true (hgr_key a <> hgr_key b) in
+  let words = String.make 24 'a' in
+  (* bit 63 of a little-endian word is the top bit of its eighth byte:
+     flipping it in two words cancels in a word-wise FNV-1a, whose
+     multiply never carries the top bit anywhere *)
+  let flip_top body words_at =
+    let b = Bytes.of_string body in
+    List.iter
+      (fun w ->
+        let i = (8 * w) + 7 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x80)))
+      words_at;
+    Bytes.to_string b
+  in
+  check "bit 63 of words 0 and 1" words (flip_top words [ 0; 1 ]);
+  check "bit 63 of words 0 and 2" words (flip_top words [ 0; 2 ]);
+  check "bit 63 of word 1" words (flip_top words [ 1 ]);
+  (* trailing NULs are bytes, not padding *)
+  check "one NUL appended" tiny_hgr (tiny_hgr ^ "\000");
+  check "eight NULs appended" words (words ^ String.make 8 '\000');
+  check "empty vs NUL" "" "\000";
+  (* the tag and the body are two parts: a byte moved across the
+     boundary between them is a different key *)
+  Alcotest.(check bool) "byte moved from body to tag" true
+    (Instance_cache.key ~format:"hgr" ~body:"b2 4\n"
+    <> Instance_cache.key ~format:"hgrb" ~body:"2 4\n");
+  Alcotest.(check bool) "byte moved from tag to body" true
+    (Instance_cache.key ~format:"hg" ~body:"r2 4\n"
+    <> Instance_cache.key ~format:"hgr" ~body:"2 4\n")
+
+(* the hash runs in unboxed locals: on a 1.9 MB body the only minor
+   words are the 16-digit result (a header and three words), where a
+   boxed Int64 in the loop would cost three words per 8 body bytes *)
+let test_icache_key_allocation () =
+  let body = String.init 1_900_003 (fun i -> Char.chr (i * 7919 land 0xff)) in
+  ignore (hgr_key body);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (hgr_key body));
+  let words = Gc.minor_words () -. w0 in
+  if words > 4. then
+    Alcotest.failf "Instance_cache.key allocated %.0f minor words" words
 
 let test_icache_lru () =
   let h = parse_tiny () in
@@ -1678,6 +1830,7 @@ let () =
             test_http_expect_continue;
           QCheck_alcotest.to_alcotest prop_http_splits;
           QCheck_alcotest.to_alcotest prop_http_garbage;
+          QCheck_alcotest.to_alcotest prop_answer_bytes;
         ] );
       ( "queue",
         [
@@ -1722,6 +1875,11 @@ let () =
           Alcotest.test_case "instance cache LRU" `Quick test_icache_lru;
           Alcotest.test_case "instance cache key golden" `Quick
             test_icache_key_golden;
+          QCheck_alcotest.to_alcotest prop_icache_key_byte;
+          Alcotest.test_case "instance cache key sensitivity" `Quick
+            test_icache_key_sensitivity;
+          Alcotest.test_case "instance cache key allocation" `Quick
+            test_icache_key_allocation;
           Alcotest.test_case "instance cache reuse" `Quick
             test_serve_instance_cache;
           Alcotest.test_case "hgrb format" `Quick test_serve_hgrb_format;
