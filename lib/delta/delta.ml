@@ -59,9 +59,9 @@ let prior_sides cur ~path ~pline n =
 
 (* data lines come from Netlist_io's line cursor, which skips blank and
    '%' lines but counts them, so diagnostics name the physical line *)
-let decode ~source body =
+let decode ~source body len =
   let path = source in
-  let cur = Io.string_cursor ~source body in
+  let cur = Io.bytes_cursor ~source body len in
   (* the next data line's number and fields *)
   let next () =
     if Io.next cur then Some (Io.line_number cur, Io.fields cur) else None
@@ -137,7 +137,7 @@ let decode ~source body =
           let n = int_field path line n in
           if n < 0 then parse_error path line "negative prior length %d" n;
           (* each side takes a line: a longer prior cannot fit the body *)
-          if n > String.length body then
+          if n > len then
             parse_error path line "prior length %d out of range" n;
           Some (line, n)
         | tok :: _ -> parse_error path line "unknown delta op %S" tok
@@ -152,8 +152,11 @@ let decode ~source body =
 
 (* the cursor's own located errors (a prior side that is not an
    integer) carry the same text and leave as this module's *)
-let of_string ?(source = "<delta>") body =
-  try decode ~source body with Io.Parse_error msg -> raise (Parse_error msg)
+let of_bytes ?(source = "<delta>") body len =
+  try decode ~source body len with Io.Parse_error msg -> raise (Parse_error msg)
+
+let of_string ?source body =
+  of_bytes ?source (Bytes.unsafe_of_string body) (String.length body)
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with

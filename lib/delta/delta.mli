@@ -56,6 +56,13 @@ val of_string : ?source:string -> string -> t
 (** Parse a delta from an in-memory body ([source] defaults to
     ["<delta>"]).  @raise Parse_error on malformed input. *)
 
+val of_bytes : ?source:string -> Bytes.t -> int -> t
+(** [of_bytes b n] is {!of_string} of [b.[0 .. n)], read in place.  The
+    delta keeps nothing of [b]: the caller may overwrite it once this
+    returns.
+    @raise Parse_error on malformed input.
+    @raise Invalid_argument when [n] is not within [b]. *)
+
 val read : string -> t
 (** Parse a [.hgrd] file.  @raise Parse_error (located with the file
     path), also when the file cannot be opened or read (the message

@@ -188,12 +188,15 @@ let load path =
   let elems = check_size path ~size ~nv ~ne ~pins in
   of_payload path (map_payload fd ~shared:false ~elems) ~nv ~ne ~pins fingerprint
 
-let of_string ~source s =
-  let fingerprint, nv, ne, pins = decode_header source s in
-  let elems = check_size source ~size:(String.length s) ~nv ~ne ~pins in
+let of_bytes ~source b len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Instance_store.of_bytes";
+  let fingerprint, nv, ne, pins =
+    decode_header source (Bytes.sub_string b 0 (min len header_size))
+  in
+  let elems = check_size source ~size:len ~nv ~ne ~pins in
   let payload = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout elems in
   for i = 0 to elems - 1 do
     Bigarray.Array1.unsafe_set payload i
-      (String.get_int32_ne s (header_size + (4 * i)))
+      (Bytes.get_int32_ne b (header_size + (4 * i)))
   done;
   of_payload source payload ~nv ~ne ~pins fingerprint

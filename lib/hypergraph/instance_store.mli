@@ -13,7 +13,7 @@
     re-deriving it.  See docs/FORMATS.md for the byte-level layout. *)
 
 exception Format_error of string
-(** Raised by {!load} and {!of_string} on a truncated, corrupt, foreign
+(** Raised by {!load} and {!of_bytes} on a truncated, corrupt, foreign
     or unreadable input.  The message is located: ["<path>: <cause>"]. *)
 
 val magic : string
@@ -41,12 +41,14 @@ val load : string -> Hypergraph.t * string
     truncation, section checks failing, or a mapped CSR that fails
     structural validation ({!Hypergraph.of_mapped_csr}). *)
 
-val of_string : source:string -> string -> Hypergraph.t * string
-(** [of_string ~source bytes] decodes a packed instance held in memory
-    (a request body, say): the same header decoding and CSR validation
-    as {!load}, with the sections copied out of [bytes] instead of
-    mapped.  [source] names the input in diagnostics.
-    @raise Format_error as for {!load}. *)
+val of_bytes : source:string -> Bytes.t -> int -> Hypergraph.t * string
+(** [of_bytes ~source b n] decodes a packed instance held in memory as
+    [b.[0 .. n)] (a request body, say): the same header decoding and
+    CSR validation as {!load}, with the sections copied out of [b]
+    instead of mapped, so the result keeps nothing of [b].  [source]
+    names the input in diagnostics.
+    @raise Format_error as for {!load}.
+    @raise Invalid_argument when [n] is not within [b]. *)
 
 (* kept: a header-only read; the packed-layout test checks the header *)
 val read_fingerprint : string -> string

@@ -64,10 +64,10 @@ let make ~source ~comment ~size ~input ~buf ~len =
     value = 0;
   }
 
-let string_cursor ?(comment = '%') ~source text =
+let bytes_cursor ?(comment = '%') ~source b len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Netlist_io.bytes_cursor";
   (* never written: only a file cursor refills its buffer *)
-  make ~source ~comment ~size:(String.length text) ~input:None
-    ~buf:(Bytes.unsafe_of_string text) ~len:(String.length text)
+  make ~source ~comment ~size:len ~input:None ~buf:b ~len
 
 let with_file ?(comment = '%') path f =
   let ic = try open_in_bin path with Sys_error msg -> raise (Parse_error msg) in
@@ -646,15 +646,18 @@ let read format path =
   | Netd -> (with_file path netd_of_cursor, None)
   | Bookshelf -> (read_bookshelf ~basename:(Filename.remove_extension path), None)
 
-let decode ~source format body =
+let decode_bytes ~source format b len =
   match format with
-  | Hgr -> (hgr_of_cursor (string_cursor ~source body), None)
+  | Hgr -> (hgr_of_cursor (bytes_cursor ~source b len), None)
   | Hgrb ->
-    let h, fingerprint = Instance_store.of_string ~source body in
+    let h, fingerprint = Instance_store.of_bytes ~source b len in
     (h, Some fingerprint)
-  | Netd -> (netd_of_cursor (string_cursor ~source body), None)
+  | Netd -> (netd_of_cursor (bytes_cursor ~source b len), None)
   | Bookshelf ->
-    (bookshelf_of_cursor (string_cursor ~comment:bookshelf_comment ~source body), None)
+    (bookshelf_of_cursor (bytes_cursor ~comment:bookshelf_comment ~source b len), None)
+
+let decode ~source format body =
+  decode_bytes ~source format (Bytes.unsafe_of_string body) (String.length body)
 
 let read_file path =
   try In_channel.with_open_bin path In_channel.input_all

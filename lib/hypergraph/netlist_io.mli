@@ -50,6 +50,13 @@ val decode : source:string -> format -> string -> Hypergraph.t * string option
     name [source] and count lines from the start of [bytes].
     @raise Parse_error or {!Instance_store.Format_error}. *)
 
+val decode_bytes :
+  source:string -> format -> Bytes.t -> int -> Hypergraph.t * string option
+(** [decode_bytes ~source format b n] is {!decode} of [b.[0 .. n)], read
+    in place.  The result keeps nothing of [b]: the caller may
+    overwrite it once this returns.
+    @raise Invalid_argument when [n] is not within [b]. *)
+
 val payload : format -> string -> string
 (** [payload format path] is the wire form of an instance file: its
     bytes, or for Bookshelf the [.nodes] text, a newline if it lacks
@@ -59,8 +66,8 @@ val payload : format -> string -> string
 
 (** {1 The line cursor}
 
-    Every reader pulls its data lines from one cursor.  A string is
-    scanned in place; a file is read in fixed-size chunks into one
+    Every reader pulls its data lines from one cursor.  Bytes in memory
+    are scanned in place; a file is read in fixed-size chunks into one
     reused buffer, so it streams in memory bounded by the chunk and its
     longest line.  Lines are trimmed (which also strips the ['\r'] of
     CRLF endings); blank lines and comment lines are skipped but still
@@ -71,9 +78,11 @@ val payload : format -> string -> string
 
 type cursor
 
-val string_cursor : ?comment:char -> source:string -> string -> cursor
-(** A cursor over bytes in memory; [comment] (default ['%']) starts a
-    comment line, and [source] names the input in diagnostics. *)
+val bytes_cursor : ?comment:char -> source:string -> Bytes.t -> int -> cursor
+(** [bytes_cursor ~source b n] is a cursor over [b.[0 .. n)], which it
+    reads in place and never writes; [comment] (default ['%']) starts a
+    comment line, and [source] names the input in diagnostics.
+    @raise Invalid_argument when [n] is not within [b]. *)
 
 val next : cursor -> bool
 (** Advance to the next data line; [false] at the end of the input. *)

@@ -26,10 +26,14 @@ let rec write_all fd s off len =
 
 (* the response is read straight into one [Bytes] that doubles when
    full, and the parser reads it in place up to its filled length: no
-   per-read chunk, no [Buffer], no whole-response string.  A daemon that answers without
-   reading the whole request (the queue-full 503) closes with unread
-   bytes pending, so the connection may end in a reset rather than EOF;
-   what arrived before it is still the complete response. *)
+   per-read chunk, no [Buffer], no whole-response string.  It starts at
+   1 KiB, below the minor heap's size limit, so a short answer (a dedup
+   hit's is ~300 bytes) allocates nothing on the major heap; a fresh
+   answer with the assignment doubles its way up.  A daemon that
+   answers without reading the whole request (the queue-full 503)
+   closes with unread bytes pending, so the connection may end in a
+   reset rather than EOF; what arrived before it is still the complete
+   response. *)
 let read_to_eof fd =
   let rec loop buf len =
     let buf =
@@ -46,7 +50,7 @@ let read_to_eof fd =
     | exception Unix.Unix_error (EINTR, _, _) -> loop buf len
     | exception Unix.Unix_error (ECONNRESET, _, _) when len > 0 -> (buf, len)
   in
-  loop (Bytes.create 65536) 0
+  loop (Bytes.create 1024) 0
 
 let http_request ~host ~port ~meth ~path ?(headers = []) ?(body = "") () =
   match Unix.socket PF_INET SOCK_STREAM 0 with

@@ -3,7 +3,8 @@ type request = {
   path : string;
   query : (string * string) list;
   headers : (string * string) list;
-  body : string;
+  body : Bytes.t;
+  body_length : int;
 }
 
 type error = Bad_request of string | Body_too_large of int
@@ -83,21 +84,29 @@ let parse_header_line line =
       ( String.lowercase_ascii (String.trim (String.sub line 0 i)),
         String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
 
-(* The body goes into one buffer that grows through the shares
-   [content_length / 2^k] (rounded up): it starts at the largest share
-   not above [first_body] and doubles, ending exactly at the declared
-   length, where it becomes the request body with no further copy.  It
-   grows only when received bytes fill it, so beyond [first_body] it
-   never holds more than twice the bytes received: a client that
-   declares a large body and sends little costs little. *)
+(* The body goes into the domain's body buffer when no other parser on
+   the domain holds it, else into a buffer of its own.  A buffer that
+   is too small grows through the shares [content_length / 2^k]
+   (rounded up): the smallest share not below the bytes received, and
+   never below the largest share not above [first_body].  It grows
+   only when received bytes fill it, so a request adds at most
+   [max first_body (2 * received)] bytes whatever length its head
+   declares, and the domain keeps the largest body it has read: a
+   resend of the same upload allocates no body at all. *)
 let first_body = 65536
 
 let share content_length k = (content_length + (1 lsl k) - 1) asr k
 
+type pool = {
+  mutable kept : Bytes.t;  (** the domain's body buffer, its largest so far *)
+  mutable lent : bool;  (** a parser holds [kept] until {!release} *)
+}
+
+let pool_key = Domain.DLS.new_key (fun () -> { kept = Bytes.empty; lent = false })
+
 type body = {
   req : request;
   content_length : int;
-  mutable shift : int;  (** [buf] holds [share content_length shift] bytes *)
   mutable buf : Bytes.t;
   mutable received : int;  (** bytes of [buf] that hold body *)
 }
@@ -111,10 +120,18 @@ type parser_state = {
   head : Buffer.t;  (** the head bytes so far, never body bytes *)
   max_body : int;
   mutable phase : phase;
+  mutable borrowed : pool option;  (** the pool whose buffer the body is in *)
 }
 
 let create_parser ?(max_body = 64 * 1024 * 1024) () =
-  { head = Buffer.create 512; max_body; phase = Head }
+  { head = Buffer.create 512; max_body; phase = Head; borrowed = None }
+
+let release t =
+  match t.borrowed with
+  | None -> ()
+  | Some pool ->
+    pool.lent <- false;
+    t.borrowed <- None
 
 (* The byte [k] places before [b.[i]] in the request, looking back into
    the head buffer (the bytes fed before [off]) when [i - k] falls
@@ -168,7 +185,9 @@ let parse_head head max_body =
         if List.mem_assoc "transfer-encoding" headers then
           Error (Bad_request "Transfer-Encoding is not supported")
         else
-          let req = { meth; path; query; headers; body = "" } in
+          let req =
+            { meth; path; query; headers; body = Bytes.empty; body_length = 0 }
+          in
           match List.assoc_opt "content-length" headers with
           | None -> Ok (req, 0)
           | Some v -> (
@@ -191,27 +210,33 @@ let expects_continue t =
     | None -> false)
   | Head | Finished -> false
 
+(* the smallest share of [content_length] not below [need], and not
+   below the largest share not above [first_body] *)
+let grown_size content_length need =
+  let rec first k =
+    if share content_length k <= first_body then k else first (k + 1)
+  in
+  let rec fit k = if share content_length k >= need then k else fit (k - 1) in
+  share content_length (fit (first 0))
+
 (* append [b.[off .. off+len)] to the body; bytes past Content-Length
    are dropped *)
 let add_body t s b off len =
   let n = min len (s.content_length - s.received) in
   let need = s.received + n in
   if need > Bytes.length s.buf then begin
-    while share s.content_length s.shift < need do
-      s.shift <- s.shift - 1
-    done;
-    let grown = Bytes.create (share s.content_length s.shift) in
+    let grown = Bytes.create (grown_size s.content_length need) in
     Bytes.blit s.buf 0 grown 0 s.received;
-    s.buf <- grown
+    s.buf <- grown;
+    (* the domain keeps the grown buffer, not the one it outgrew *)
+    Option.iter (fun pool -> pool.kept <- grown) t.borrowed
   end;
   Bytes.blit b off s.buf s.received n;
   s.received <- need;
   if need < s.content_length then `More
   else begin
-    (* the buffer is the last share, exactly [content_length] long,
-       and nothing else holds it *)
     t.phase <- Finished;
-    `Request { s.req with body = Bytes.unsafe_to_string s.buf }
+    `Request { s.req with body = s.buf; body_length = need }
   end
 
 let feed_bytes t b off len =
@@ -240,19 +265,16 @@ let feed_bytes t b off len =
         t.phase <- Finished;
         `Error e
       | Ok (req, content_length) ->
-        let rec first k =
-          if share content_length k <= first_body then k else first (k + 1)
+        let pool = Domain.DLS.get pool_key in
+        let buf =
+          if content_length = 0 || pool.lent then Bytes.empty
+          else begin
+            pool.lent <- true;
+            t.borrowed <- Some pool;
+            pool.kept
+          end
         in
-        let shift = first 0 in
-        let s =
-          {
-            req;
-            content_length;
-            shift;
-            buf = Bytes.create (share content_length shift);
-            received = 0;
-          }
-        in
+        let s = { req; content_length; buf; received = 0 } in
         t.phase <- Body s;
         add_body t s b stop (off + len - stop)))
 

@@ -20,7 +20,11 @@ type request = {
   path : string;  (** decoded path component, e.g. ["/partition"] *)
   query : (string * string) list;  (** decoded query pairs, in order *)
   headers : (string * string) list;  (** names lowercased, in order *)
-  body : string;
+  body : Bytes.t;
+      (** the body is [body.[0 .. body_length)]; the bytes past it are
+          not the request's.  The buffer may be the domain's reused one:
+          see {!feed_bytes} for how long it holds the body *)
+  body_length : int;
 }
 
 type error =
@@ -45,14 +49,33 @@ val feed_bytes :
     reuse [b] for its next read.  Body bytes past [Content-Length] are
     dropped.
 
-    The body is read into one buffer that starts at the declared length
-    halved until it fits in 64 KiB and doubles as bytes arrive, ending
-    at exactly the declared length; that buffer becomes [body] without
-    a further copy.  It never holds more than [max 64 KiB (2 * received)]
-    bytes, whatever length the head declared.
+    Ownership and lifetime of the body: each domain keeps one body
+    buffer.  When a head declaring a non-empty body is parsed, the
+    parser borrows the domain's buffer if no other parser on that
+    domain holds it, and otherwise reads into a buffer of its own.  A
+    borrowed buffer stays the parser's — and the returned request's
+    [body] stays intact — until {!release}; after that the next parser
+    on the domain overwrites it, so a caller that keeps body bytes past
+    {!release} must copy them first.  A parser that is never released
+    keeps the domain's buffer, and later parsers on the domain read
+    into buffers of their own: two live requests never share bytes.
+
+    A buffer too small for the bytes received grows through the shares
+    [content_length / 2^k] (rounded up), starting at the largest share
+    not above 64 KiB, so a request adds at most
+    [max 64 KiB (2 * received)] bytes of new memory whatever length the
+    head declared.  The domain keeps the grown buffer: it holds the
+    largest body the domain has read, which [max_body] bounds.
 
     @raise Invalid_argument when [off] and [len] do not name a range of
     [b]. *)
+
+val release : parser_state -> unit
+(** Give the domain's body buffer back, if [p] borrowed it: the body of
+    the request [p] returned may then be overwritten.  Call it on the
+    domain that created [p], once the request is answered — also when
+    the request never completed.  Releasing twice, or a parser that
+    borrowed nothing, does nothing. *)
 
 val feed :
   parser_state -> string -> [ `More | `Request of request | `Error of error ]

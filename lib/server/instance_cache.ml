@@ -47,15 +47,21 @@ let murmur_m = 0xc6a4a7935bd1e995L
 let murmur_r = 47
 let hex_digits = "0123456789abcdef"
 
-let key ~format ~body =
+let key_bytes ~format body length =
+  if length < 0 || length > Bytes.length body then
+    invalid_arg "Instance_cache.key_bytes";
   let h = ref 0L in
   for part = 0 to 2 do
-    let s = match part with 0 -> format | 1 -> "\x00" | _ -> body in
-    let n = String.length s in
+    let s, n =
+      match part with
+      | 0 -> (Bytes.unsafe_of_string format, String.length format)
+      | 1 -> (Bytes.unsafe_of_string "\x00", 1)
+      | _ -> (body, length)
+    in
     h := Int64.logxor !h (Int64.mul (Int64.of_int n) murmur_m);
     let words = n lsr 3 in
     for i = 0 to words - 1 do
-      let k = Int64.mul (String.get_int64_le s (i lsl 3)) murmur_m in
+      let k = Int64.mul (Bytes.get_int64_le s (i lsl 3)) murmur_m in
       let k =
         Int64.mul (Int64.logxor k (Int64.shift_right_logical k murmur_r)) murmur_m
       in
@@ -66,7 +72,7 @@ let key ~format ~body =
       for i = n - 1 downto words lsl 3 do
         tail :=
           Int64.logor (Int64.shift_left !tail 8)
-            (Int64.of_int (Char.code (String.unsafe_get s i)))
+            (Int64.of_int (Char.code (Bytes.unsafe_get s i)))
       done;
       h := Int64.mul (Int64.logxor !h !tail) murmur_m
     end
@@ -80,6 +86,9 @@ let key ~format ~body =
     Bytes.unsafe_set out i (String.unsafe_get hex_digits d)
   done;
   Bytes.unsafe_to_string out
+
+let key ~format ~body =
+  key_bytes ~format (Bytes.unsafe_of_string body) (String.length body)
 
 let locked t f =
   Mutex.lock t.mutex;

@@ -28,6 +28,12 @@ val key : format:string -> body:string -> string
     never persisted or shown — so it is not the {!Hypart_rng.Fnv} hash
     that fingerprints use, and its value may change between versions. *)
 
+val key_bytes : format:string -> Bytes.t -> int -> string
+(** [key_bytes ~format b n] is {!key} of the body [b.[0 .. n)], read
+    in place: the daemon keys a request body where the HTTP parser left
+    it.
+    @raise Invalid_argument when [n] is not within [b]. *)
+
 val find : t -> string -> (Hypart_hypergraph.Hypergraph.t * string) option
 (** Cached instance and fingerprint for a key, marking it
     most-recently-used. *)

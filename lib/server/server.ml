@@ -150,9 +150,12 @@ let send_response fd ?headers ~status ~body () =
 
 let continue_line = "HTTP/1.1 100 Continue\r\n\r\n"
 
-let read_request fd max_body =
-  let parser = Http.create_parser ~max_body () in
-  let buf = Bytes.create 65536 in
+(* the socket is read through one 64 KiB chunk per worker domain: the
+   request and a drained remainder never overlap on a domain *)
+let chunk_key = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+let read_request fd parser =
+  let buf = Domain.DLS.get chunk_key in
   let continued = ref false in
   let rec loop () =
     match Unix.read fd buf 0 (Bytes.length buf) with
@@ -285,10 +288,11 @@ let parse_params req =
 (* request-body content cache: a repeat submission of the same bytes
    (common when a campaign resubmits one huge instance under many
    seeds) reuses the parsed hypergraph and fingerprint *)
-let load_instance t tm body format =
+let load_instance t tm (req : Http.request) format =
+  let body = req.Http.body and length = req.Http.body_length in
   let ckey, resident =
     Job_table.timed tm Key (fun () ->
-        let ckey = Instance_cache.key ~format:(Io.format_tag format) ~body in
+        let ckey = Instance_cache.key_bytes ~format:(Io.format_tag format) body length in
         (ckey, Instance_cache.find t.instances ckey))
   in
   match resident with
@@ -299,7 +303,8 @@ let load_instance t tm body format =
     (* a packed body carries the fingerprint [hypart pack] computed
        from the same pin arrays; only text formats are fingerprinted *)
     let h, stored =
-      Job_table.timed tm Parse (fun () -> Io.decode ~source:"<body>" format body)
+      Job_table.timed tm Parse (fun () ->
+          Io.decode_bytes ~source:"<body>" format body length)
     in
     let fp =
       match stored with
@@ -575,7 +580,7 @@ let admit_partition t ~event tm (req : Http.request) p =
       (List.map (fun f -> (Io.format_tag f, f)) Io.formats)
   in
   let h, instance, source =
-    try load_instance t tm req.Http.body format
+    try load_instance t tm req format
     with Io.Parse_error msg | Instance_store.Format_error msg ->
       bad ("netlist: " ^ msg)
   in
@@ -651,7 +656,7 @@ let admit_delta t ~event tm (req : Http.request) p =
   let scratch = param_engine req "scratch" "mlclip" in
   let delta =
     Job_table.timed tm Parse (fun () ->
-        try Delta.of_string ~source:"<delta>" req.Http.body
+        try Delta.of_bytes ~source:"<delta>" req.Http.body req.Http.body_length
         with Delta.Parse_error msg -> bad ("delta: " ^ msg))
   in
   let base_fp =
@@ -830,7 +835,7 @@ let handle_request t fd (req : Http.request) tm =
    sees a clean FIN after our response. *)
 let drain_input fd =
   (try Unix.setsockopt_float fd SO_RCVTIMEO 2. with Unix.Unix_error _ -> ());
-  let buf = Bytes.create 65536 in
+  let buf = Domain.DLS.get chunk_key in
   let rec loop budget =
     if budget > 0 then
       match Unix.read fd buf 0 (Bytes.length buf) with
@@ -843,15 +848,20 @@ let drain_input fd =
 let handle_connection t (c : conn) =
   let t0 = Clock.now_s () in
   let tm = Job_table.timing ~accepted_s:c.accepted_s ~taken_s:t0 in
+  let parser = Http.create_parser ~max_body:t.config.max_body () in
+  (* the body buffer goes back to the worker once the response is
+     written, or the connection is given up *)
   Fun.protect
-    ~finally:(fun () -> try Unix.close c.fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      Http.release parser;
+      try Unix.close c.fd with Unix.Unix_error _ -> ())
     (fun () ->
       (* a stuck or dead client must not wedge the worker: bound the
          time we wait for request bytes *)
       (try Unix.setsockopt_float c.fd SO_RCVTIMEO 30. with
       | Unix.Unix_error _ -> ());
       match
-        Job_table.timed tm Decode (fun () -> read_request c.fd t.config.max_body)
+        Job_table.timed tm Decode (fun () -> read_request c.fd parser)
       with
       | `Closed -> ()
       | `Timeout ->

@@ -502,6 +502,20 @@ let prop_codec_fuzz =
       | exception e ->
         QCheck.Test.fail_reportf "%s escaped" (Printexc.to_string e))
 
+(* a decoded delta keeps none of the bytes it read: parsed from a slice
+   of a buffer that is overwritten afterwards, it renders as a parse of
+   an intact copy does.  The line after the slice would be an op, or a
+   trailing line after a prior section, if it were read. *)
+let prop_codec_keeps_no_bytes =
+  QCheck.Test.make ~name:"a decoded delta keeps none of its buffer" ~count:100
+    ~long_factor:100 QCheck.small_nat (fun seed ->
+      let rng, _, _, d = generated seed in
+      let text = relayout rng (Delta.to_string d) in
+      let buf = Bytes.of_string (text ^ "rmnet 1\n") in
+      let d' = Delta.of_bytes buf (String.length text) in
+      Bytes.fill buf 0 (Bytes.length buf) 'x';
+      Delta.to_string d' = Delta.to_string (Delta.of_string text))
+
 let () =
   Alcotest.run "delta"
     [
@@ -515,6 +529,7 @@ let () =
           Alcotest.test_case "missing file" `Quick test_codec_missing_file;
           QCheck_alcotest.to_alcotest prop_codec_round_trip;
           QCheck_alcotest.to_alcotest prop_codec_fuzz;
+          QCheck_alcotest.to_alcotest prop_codec_keeps_no_bytes;
         ] );
       ( "patch",
         [

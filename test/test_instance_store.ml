@@ -236,7 +236,9 @@ let prop_mutated_packed =
       in
       match
         ( decode (fun () -> Store.load path),
-          decode (fun () -> Store.of_string ~source:path body) )
+          decode (fun () ->
+              Store.of_bytes ~source:path (Bytes.of_string (body ^ "HGRB"))
+                (String.length body)) )
       with
       | Ok a, Ok b -> a = b
       | Error a, Error b -> a = b

@@ -31,6 +31,9 @@ module Evolve = Hypart_evolve.Evolve
 let simple_request =
   "POST /partition?engine=flat&seed=7 HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello"
 
+(* the body a parsed request carries, copied out of its slice *)
+let body_of r = Bytes.sub_string r.Http.body 0 r.Http.body_length
+
 let feed_all parser chunks =
   let rec go = function
     | [] -> `More
@@ -49,7 +52,7 @@ let check_simple = function
     Alcotest.(check (option string)) "seed" (Some "7")
       (Http.query_param r "seed");
     Alcotest.(check (option string)) "host" (Some "x") (Http.header r "Host");
-    Alcotest.(check string) "body" "hello" r.Http.body
+    Alcotest.(check string) "body" "hello" (body_of r)
   | `More -> Alcotest.fail "request incomplete"
   | `Error _ -> Alcotest.fail "request rejected"
 
@@ -112,8 +115,11 @@ let prop_http_splits =
       let raw = random_request ~body rng in
       let extra = if Rng.bool rng then "" else random_body rng (1 + Rng.int rng 70_000) in
       match Http.feed (Http.create_parser ()) raw with
-      | `Request whole when whole.Http.body = body ->
-        feed_all (Http.create_parser ()) (random_splits rng (raw ^ extra)) = `Request whole
+      | `Request whole when body_of whole = body -> (
+        let view r = Http.(r.meth, r.path, r.query, r.headers, body_of r) in
+        match feed_all (Http.create_parser ()) (random_splits rng (raw ^ extra)) with
+        | `Request r -> view r = view whole
+        | `More | `Error _ -> false)
       | `Request _ -> QCheck.Test.fail_reportf "a %d-byte body changed in parsing" size
       | `More | `Error _ ->
         QCheck.Test.fail_reportf "whole request with a %d-byte body not parsed" size)
@@ -203,13 +209,98 @@ let test_http_body_bound () =
     Alcotest.failf "a refused body allocated %.0f bytes" bytes;
   Alcotest.(check bool) "no interim line" false (Http.expects_continue p)
 
+(* major words this domain has allocated, with its pending direct
+   major-heap allocations folded into the count first *)
+let folded_major_words () =
+  ignore (Gc.major_slice 0);
+  (Gc.quick_stat ()).Gc.major_words
+
+(* [f] on a domain of its own, whose body buffer nothing has borrowed *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let post_request body =
+  Printf.sprintf "POST /partition HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+    (String.length body) body
+
+(* feed [raw] to [p] in [size]-byte chunks from [off]; the request once
+   it completes *)
+let feed_from p raw off size =
+  let n = min size (String.length raw - off) in
+  match Http.feed p (String.sub raw off n) with
+  | `Request r -> Some r
+  | `More -> None
+  | `Error _ -> Alcotest.fail "request refused"
+
+(* Two live parsers on one domain never share body bytes: the first
+   borrows the domain's buffer, the second reads into its own, and fed
+   in alternating 4 KiB chunks both bodies come out whole.  After the
+   first is released, a third parser takes the domain's buffer and
+   overwrites it while the second's body stays intact. *)
+let test_http_interleaved_parsers () =
+  on_fresh_domain (fun () ->
+      let rng = Rng.create 5 in
+      let body_a = random_body rng 200_000 and body_b = random_body rng 150_000 in
+      let raw_a = post_request body_a and raw_b = post_request body_b in
+      let pa = Http.create_parser () and pb = Http.create_parser () in
+      let rec go off ra rb =
+        match (ra, rb) with
+        | Some ra, Some rb -> (ra, rb)
+        | _ ->
+          let ra = if ra = None then feed_from pa raw_a off 4096 else ra in
+          let rb = if rb = None then feed_from pb raw_b off 4096 else rb in
+          go (off + 4096) ra rb
+      in
+      let ra, rb = go 0 None None in
+      Alcotest.(check bool) "first body intact" true (body_of ra = body_a);
+      Alcotest.(check bool) "second body intact" true (body_of rb = body_b);
+      Http.release pa;
+      let body_c = String.make 180_000 'c' in
+      let pc = Http.create_parser () in
+      (match Http.feed pc (post_request body_c) with
+       | `Request rc -> Alcotest.(check bool) "third body intact" true (body_of rc = body_c)
+       | _ -> Alcotest.fail "third request not parsed");
+      Alcotest.(check bool) "second body survives the third" true (body_of rb = body_b);
+      Http.release pc;
+      Http.release pb)
+
+(* A head declaring 64 MiB followed by 10 bytes grows the domain's
+   buffer to the 64 KiB first share and no further, and a parser given
+   up mid-body still returns the buffer: the next request on the domain
+   reads into it without allocating a body. *)
+let test_http_declared_body_bound () =
+  on_fresh_domain (fun () ->
+      let p = Http.create_parser () in
+      let w0 = folded_major_words () in
+      (match
+         Http.feed p
+           "POST /partition HTTP/1.1\r\nContent-Length: 67108864\r\n\r\n0123456789"
+       with
+       | `More -> ()
+       | _ -> Alcotest.fail "a 64 MiB body is incomplete after 10 bytes");
+      let bytes = (folded_major_words () -. w0) *. float_of_int (Sys.word_size / 8) in
+      if bytes > 65536. +. 4096. then
+        Alcotest.failf "10 body bytes grew a %.0f-byte buffer" bytes;
+      Http.release p;
+      let body = String.make 60_000 'x' in
+      let raw = post_request body in
+      let p = Http.create_parser () in
+      let w0 = folded_major_words () in
+      let r = Http.feed p raw in
+      let bytes = (folded_major_words () -. w0) *. float_of_int (Sys.word_size / 8) in
+      (match r with
+       | `Request r -> Alcotest.(check bool) "body intact" true (body_of r = body)
+       | _ -> Alcotest.fail "request not parsed");
+      if bytes > 4096. then
+        Alcotest.failf "a request after a released one allocated %.0f major bytes" bytes;
+      Http.release p)
+
 let test_http_at_limit_body () =
   match
     Http.feed
       (Http.create_parser ~max_body:5 ())
       "POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
   with
-  | `Request r -> Alcotest.(check string) "body" "hello" r.Http.body
+  | `Request r -> Alcotest.(check string) "body" "hello" (body_of r)
   | _ -> Alcotest.fail "body exactly at the limit must be accepted"
 
 let test_http_malformed () =
@@ -249,7 +340,7 @@ let test_http_expect_continue () =
   more p "hel";
   Alcotest.(check bool) "body partial" true (Http.expects_continue p);
   (match Http.feed p "lo" with
-   | `Request r -> Alcotest.(check string) "body" "hello" r.Http.body
+   | `Request r -> Alcotest.(check string) "body" "hello" (body_of r)
    | _ -> Alcotest.fail "request not finished");
   Alcotest.(check bool) "finished" false (Http.expects_continue p);
   let p = Http.create_parser () in
@@ -786,6 +877,17 @@ let test_icache_key_allocation () =
   if words > 4. then
     Alcotest.failf "Instance_cache.key allocated %.0f minor words" words
 
+(* the key of a slice is the key of the string it holds, whatever
+   bytes follow it in the buffer *)
+let prop_icache_key_slice =
+  QCheck.Test.make ~name:"a slice's key is its string's key" ~count:500
+    ~long_factor:100
+    QCheck.(pair (string_of_size Gen.(0 -- 100)) (string_of_size Gen.(0 -- 16)))
+    (fun (body, after) ->
+      Instance_cache.key_bytes ~format:"hgr" (Bytes.of_string (body ^ after))
+        (String.length body)
+      = hgr_key body)
+
 let test_icache_lru () =
   let h = parse_tiny () in
   let key i = Instance_cache.key ~format:"hgr" ~body:(string_of_int i) in
@@ -1214,6 +1316,36 @@ let test_serve_runtime_gauges () =
       Alcotest.(check bool) "collections" true
         (gauge "runtime.major_collections" >= 0.);
       body_has "runtime.major_collections" (get port "/metrics").Http.resp_body)
+
+(* A dedup resend reads its body into the worker's kept buffer: over
+   20 resends of the 1.9 MB ibm18 twin the process allocates at most
+   0.02 major words per body byte, where a fresh buffer per request
+   (grown through its shares) cost about 0.25.  One worker, so the
+   priming send has grown the only buffer; a full major cycle and a
+   minor collection make every domain fold and publish its counts at
+   both ends. *)
+let test_serve_dedup_major_words () =
+  let body = Io.hgr_string (Hypart_generator.Ibm_suite.instance ~scale:3.0 "ibm18") in
+  with_server ~workers:1 (fun _server port ->
+      let send () =
+        let r = submit ~query:"&engine=flat&seed=3" ~body port in
+        Alcotest.(check int) "status" 200 r.Http.status
+      in
+      send ();
+      send ();
+      let major () =
+        Gc.full_major ();
+        Gc.minor ();
+        (Gc.quick_stat ()).Gc.major_words
+      in
+      let w0 = major () in
+      for _ = 1 to 20 do
+        send ()
+      done;
+      let per_byte = (major () -. w0) /. 20. /. float_of_int (String.length body) in
+      if per_byte > 0.02 then
+        Alcotest.failf "a dedup resend allocates %.4f major words per body byte (budget 0.02)"
+          per_byte)
 
 let test_serve_job_durations () =
   with_server (fun _server port ->
@@ -1823,6 +1955,8 @@ let () =
           Alcotest.test_case "oversized body" `Quick test_http_oversized_body;
           Alcotest.test_case "body at limit" `Quick test_http_at_limit_body;
           Alcotest.test_case "body memory bound" `Quick test_http_body_bound;
+          Alcotest.test_case "interleaved parsers" `Quick test_http_interleaved_parsers;
+          Alcotest.test_case "declared body bound" `Quick test_http_declared_body_bound;
           Alcotest.test_case "malformed requests" `Quick test_http_malformed;
           Alcotest.test_case "response round trip" `Quick
             test_http_response_round_trip;
@@ -1876,6 +2010,7 @@ let () =
           Alcotest.test_case "instance cache key golden" `Quick
             test_icache_key_golden;
           QCheck_alcotest.to_alcotest prop_icache_key_byte;
+          QCheck_alcotest.to_alcotest prop_icache_key_slice;
           Alcotest.test_case "instance cache key sensitivity" `Quick
             test_icache_key_sensitivity;
           Alcotest.test_case "instance cache key allocation" `Quick
@@ -1899,6 +2034,8 @@ let () =
           Alcotest.test_case "prometheus negotiation" `Quick
             test_serve_prometheus_negotiation;
           Alcotest.test_case "runtime gauges" `Quick test_serve_runtime_gauges;
+          Alcotest.test_case "dedup resend major words" `Quick
+            test_serve_dedup_major_words;
           Alcotest.test_case "job durations" `Quick test_serve_job_durations;
           Alcotest.test_case "request phases" `Quick test_serve_phases;
           Alcotest.test_case "untraced daemon records no spans" `Quick
