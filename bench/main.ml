@@ -17,7 +17,6 @@ module Fm_config = Hypart_fm.Fm_config
 module Matching = Hypart_multilevel.Matching
 module Ml = Hypart_multilevel.Ml_partitioner
 module Kl = Hypart_kl.Kl
-module Experiments = Hypart_harness.Experiments
 module Campaigns = Hypart_harness.Campaigns
 module Report = Hypart_lab.Report
 
@@ -41,6 +40,7 @@ let table_benches =
   in
   let t4 = t45 0.02 and t5 = t45 0.10 in
   let fig = Campaigns.figures ~scale:64.0 ~starts:4 ~instances in
+  let corking = Campaigns.corking ~scale:32.0 ~runs:2 ~instance:"ibm01" in
   let label = Campaigns.figure_label and budgets = [| 0.01; 0.1 |] in
   Test.make_grouped ~name:"tables"
     [
@@ -56,10 +56,7 @@ let table_benches =
           Report.bsf_table ~label ~budgets r fig ~instance:"ibm01");
       tables_bench "fig_pareto" [ fig ] (fun r -> Report.pareto ~label r fig ~instance:"ibm01");
       tables_bench "fig_ranking" [ fig ] (fun r -> Report.ranking_table ~label ~budgets r fig);
-      Test.make ~name:"fig_corking"
-        (ignore1 (fun () ->
-             Experiments.corking_report ~scale:32.0 ~runs:2 ~instance:"ibm01"
-               ~seed:1 ()));
+      tables_bench "fig_corking" [ corking ] (fun r -> Campaigns.corking_table r corking);
     ]
 
 (* ------------- engine benches (one start, fixed instance) ------------- *)

@@ -14,7 +14,6 @@ module Fm_config = Hypart_fm.Fm_config
 module Ml = Hypart_multilevel.Ml_partitioner
 module Kl = Hypart_kl.Kl
 module Table = Hypart_lab.Table
-module Experiments = Hypart_harness.Experiments
 module Machine = Hypart_engine.Machine
 module Engine = Hypart_engine.Engine
 module Telemetry = Hypart_telemetry.Telemetry
@@ -732,13 +731,16 @@ let ranking_cmd =
       $ instances_t Suite.names_small $ run_store_t)
 
 let corking_cmd =
-  let run () scale runs seed csv instance =
-    emit csv (Experiments.corking_report ~scale ~runs ~instance ~seed ())
+  let run () scale runs seed csv instance store =
+    let e = Campaigns.corking ~scale ~runs ~instance in
+    emit csv (Campaigns.corking_table (run_tables ?store ~name:"corking" ~seed [ e ]) e)
   in
   Cmd.v
     (Cmd.info "corking"
-       ~doc:"CLIP corking diagnostic: corking events with and without the fix.")
-    Term.(const run $ common_t $ scale_t $ runs_t 10 $ seed_t $ csv_t $ suite_instance_t)
+       ~doc:"CLIP corking diagnostic: moves per pass and empty passes with and without the fix.")
+    Term.(
+      const run $ common_t $ scale_t $ runs_t 10 $ seed_t $ csv_t $ suite_instance_t
+      $ run_store_t)
 
 let compare_cmd =
   let run () scale runs seed engine_a engine_b instance store =
@@ -783,20 +785,10 @@ let engines_cmd =
           --engine and compare).")
     Term.(const run $ common_t)
 
-let placement_cmd =
-  let run () scale runs seed csv instance =
-    emit csv (Experiments.placement_table ~scale ~runs ~instance ~seed ())
-  in
-  Cmd.v
-    (Cmd.info "placement-quality"
-       ~doc:
-         "Use-model consequence of partitioner quality: placement HPWL per \
-          partitioning engine.")
-    Term.(const run $ common_t $ scale_t $ runs_t 3 $ seed_t $ csv_t $ suite_instance_t)
-
 let regime_cmd =
-  let run () seed csv big =
-    emit csv (Experiments.runtime_regime_table ~include_750k:big ~seed ())
+  let run () seed csv big store =
+    let es = Campaigns.regime ~big in
+    emit csv (Campaigns.regime_table (run_tables ?store ~name:"regime" ~seed es) es)
   in
   let big_t =
     Arg.(
@@ -809,18 +801,21 @@ let regime_cmd =
        ~doc:
          "Runtime-regime check (2.1): one multilevel start per full-size \
           instance against the top-down placement CPU budget.")
-    Term.(const run $ common_t $ seed_t $ csv_t $ big_t)
+    Term.(const run $ common_t $ seed_t $ csv_t $ big_t $ run_store_t)
 
 let fixed_cmd =
-  let run () scale runs seed csv instance =
-    emit csv (Experiments.fixed_terminals_table ~scale ~runs ~instance ~seed ())
+  let run () scale runs seed csv instance store =
+    let e = Campaigns.fixed ~scale ~runs ~instance in
+    emit csv (Campaigns.fixed_table (run_tables ?store ~name:"fixed" ~seed [ e ]) e)
   in
   Cmd.v
     (Cmd.info "fixed"
        ~doc:
          "Fixed-terminals study (§2.1): cut, variance and runtime as a growing \
           fraction of vertices is fixed.")
-    Term.(const run $ common_t $ scale_t $ runs_t 12 $ seed_t $ csv_t $ suite_instance_t)
+    Term.(
+      const run $ common_t $ scale_t $ runs_t 12 $ seed_t $ csv_t $ suite_instance_t
+      $ run_store_t)
 
 let ablation_cmd =
   let run () scale runs seed csv instance store =
@@ -856,10 +851,11 @@ let all_cmd =
           write ".csv" (Table.to_csv table))
         out
     in
-    (* Tables 1-5, the figures and the ablation are one campaign;
-       Tables 4-5 run at half size.  The flat-vs-multilevel crossover
-       only shows on instances large enough that flat FM cannot reach
-       multilevel quality, so the figures run at the base scale. *)
+    (* every table and study is one campaign; Tables 4-5 run at half
+       size and the runtime regimes at the published sizes.  The
+       flat-vs-multilevel crossover only shows on instances large
+       enough that flat FM cannot reach multilevel quality, so the
+       figures run at the base scale. *)
     let small = Suite.names_small in
     let t1 = Campaigns.table1 ~scale ~runs ~instances:small () in
     let t2 = Campaigns.table23 `Lifo ~scale ~runs ~instances:small in
@@ -873,8 +869,12 @@ let all_cmd =
       Campaigns.figures ~scale:(Float.max 1.0 (scale /. 8.)) ~starts:12 ~instances:small
     in
     let ablation = Campaigns.ablation ~scale ~runs:10 ~instance:"ibm01" in
+    let regime = Campaigns.regime ~big:false in
+    let fixed = Campaigns.fixed ~scale ~runs:12 ~instance:"ibm01" in
+    let corking = Campaigns.corking ~scale ~runs:10 ~instance:"ibm01" in
     let report =
-      run_tables ?store ~name:"all" ~seed ((t1 :: t2) @ t3 @ [ t4; t5; figures; ablation ])
+      run_tables ?store ~name:"all" ~seed
+        ((t1 :: t2) @ t3 @ [ t4; t5; figures; ablation ] @ regime @ [ fixed; corking ])
     in
     let label = Campaigns.figure_label in
     emit "table1" "Table 1 (implicit decisions)" (Campaigns.table1_table report t1);
@@ -888,14 +888,9 @@ let all_cmd =
       (fst (Lab_report.pareto ~label report figures ~instance:"ibm03"));
     emit "fig_ranking" "Ranking diagram" (Lab_report.ranking_table ~label report figures);
     emit "ablation" "Ablations (ibm01)" (Campaigns.ablation_table report ablation);
-    emit "regime" "Runtime regimes (full-size instances)"
-      (Experiments.runtime_regime_table ~seed ());
-    emit "placement_quality" "Placement quality per engine (ibm01)"
-      (Experiments.placement_table ~scale ~instance:"ibm01" ~seed ());
-    emit "fixed_terminals" "Fixed terminals (ibm01)"
-      (Experiments.fixed_terminals_table ~scale ~instance:"ibm01" ~seed ());
-    emit "corking" "Corking diagnostic (ibm01)"
-      (Experiments.corking_report ~instance:"ibm01" ~scale ~seed ())
+    emit "regime" "Runtime regimes (full-size instances)" (Campaigns.regime_table report regime);
+    emit "fixed_terminals" "Fixed terminals (ibm01)" (Campaigns.fixed_table report fixed);
+    emit "corking" "Corking diagnostic (ibm01)" (Campaigns.corking_table report corking)
   in
   let out_t =
     Arg.(
@@ -1263,6 +1258,7 @@ let fleet_executor fleet ~body ~format ~tolerance ~attempts =
                   seconds = o.Client.seconds;
                   assignment;
                   source = o.Client.served_by;
+                  stats = [];
                 }
               | None ->
                 { (Exec.run_local problem j) with
@@ -1706,7 +1702,7 @@ let main_cmd =
       generate_cmd; pack_cmd; partition_cmd; evaluate_cmd; kway_cmd; place_cmd;
       engines_cmd; table1_cmd; table2_cmd; table3_cmd;
       tables45_cmd; bsf_cmd; pareto_cmd; ranking_cmd; corking_cmd;
-      regime_cmd; fixed_cmd; ablation_cmd; placement_cmd; compare_cmd; all_cmd;
+      regime_cmd; fixed_cmd; ablation_cmd; compare_cmd; all_cmd;
       lab_cmd; serve_cmd; submit_cmd; evolve_cmd; delta_gen_cmd; eco_cmd;
       bench_diff_cmd;
     ]

@@ -12,19 +12,21 @@
    can be mis-ranked for the real use model.
 
    Run with: dune exec examples/fixed_terminals.exe
-   (the same table regenerates via: dune exec bin/hypart.exe -- fixed) *)
+   (the same campaign runs via: dune exec bin/hypart.exe -- fixed --scale 8 --seed 5) *)
 
 module H = Hypart_hypergraph.Hypergraph
 module Suite = Hypart_generator.Ibm_suite
-module Experiments = Hypart_harness.Experiments
+module Campaigns = Hypart_harness.Campaigns
+module Manifest = Hypart_lab.Manifest
 module Table = Hypart_lab.Table
 
 let () =
   let h = Suite.instance ~scale:8.0 "ibm01" in
   Format.printf "%a@.@." H.pp h;
-  Table.print
-    (Experiments.fixed_terminals_table ~scale:8.0 ~runs:12 ~instance:"ibm01"
-       ~seed:5 ());
+  let e = Campaigns.fixed ~scale:8.0 ~runs:12 ~instance:"ibm01" in
+  let manifest = Manifest.make ~name:"fixed" ~seed:5 ~experiments:[ e ] in
+  let report, _ = Campaigns.execute ~store:None manifest in
+  Table.print (Campaigns.fixed_table report e);
   print_newline ();
   print_endline
     "Reading the table: as the fixed fraction grows, the start-to-start\n\

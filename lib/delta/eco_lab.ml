@@ -94,7 +94,7 @@ let fold_chain p ~instance ~execute ~store ~on_cell =
         Some
           (Run_store.record store ~engine ~config ~instance ~seed
              ~cut:result.Engine.Result.cut ~legal:result.Engine.Result.legal
-             ~seconds)
+             ~seconds ~stats:result.Engine.Result.stats)
     in
     on_cell { step; role; key; ops } record
   in

@@ -112,6 +112,7 @@ type candidate = {
   c_legal : bool;
   c_seconds : float;
   c_sides : int array;
+  c_stats : (string * float) list;
   c_fresh : bool;
 }
 
@@ -197,6 +198,7 @@ let run ?store ?executor ?initial config ~seed problem =
       c_legal = e.Pop_log.legal;
       c_seconds = e.Pop_log.seconds;
       c_sides = e.Pop_log.assignment;
+      c_stats = [];
       c_fresh = false;
     }
   in
@@ -224,6 +226,7 @@ let run ?store ?executor ?initial config ~seed problem =
               c_legal = o.Executor.legal;
               c_seconds = o.Executor.seconds;
               c_sides = o.Executor.assignment;
+              c_stats = o.Executor.stats;
               c_fresh = true;
             })
         pending results
@@ -251,7 +254,7 @@ let run ?store ?executor ?initial config ~seed problem =
           ignore
             (Run_store.record rs ~engine ~config ~instance:instance_fp
                ~seed:c.c_seed ~cut:c.c_cut ~legal:c.c_legal
-               ~seconds:c.c_seconds))
+               ~seconds:c.c_seconds ~stats:c.c_stats))
         runs;
       Option.iter
         (fun l ->
@@ -387,6 +390,7 @@ let run ?store ?executor ?initial config ~seed problem =
             c_legal = r.Fm.legal;
             c_seconds = seconds;
             c_sides = Bipartition.assignment r.Fm.solution;
+            c_stats = (Hypart_fm.Fm_engines.of_result r).Engine.Result.stats;
             c_fresh = true;
           })
     in

@@ -29,7 +29,6 @@ let memetic_ml =
           [
             ("generations", float_of_int (List.length o.Evolve.history - 1));
             ("evaluations", float_of_int o.Evolve.evaluated);
-            ("seconds", o.Evolve.total_seconds);
           ];
       })
 

@@ -10,6 +10,7 @@ type outcome = {
   seconds : float;
   assignment : int array;
   source : string;
+  stats : (string * float) list;
 }
 
 type t = {
@@ -29,6 +30,7 @@ let run_local problem (j : job) =
     seconds = Engine.cpu_seconds records;
     assignment = Bipartition.assignment result.Engine.Result.solution;
     source = "local";
+    stats = result.Engine.Result.stats;
   }
 
 let in_process ?domains () =

@@ -26,6 +26,9 @@ type outcome = {
   seconds : float;  (** CPU seconds (not normalized) *)
   assignment : int array;
   source : string;  (** ["local"] or e.g. ["host:port"] *)
+  stats : (string * float) list;
+      (** the winning start's {!Hypart_engine.Engine.Result.stats};
+          empty from a transport whose answer carries none *)
 }
 
 type t = {

@@ -53,6 +53,8 @@ let params_of ?(scale = 1.0) ?seed name =
   in
   (seed, params)
 
+let cells ?scale name = (snd (params_of ?scale name)).Generator.num_cells
+
 let instance ?scale ?seed name =
   let seed, params = params_of ?scale ?seed name in
   Generator.generate (Rng.create seed) params

@@ -28,6 +28,9 @@ val instance :
     [~scale:0.2] delivers that).  [seed] (default derived from [name])
     varies the instance while keeping the statistics. *)
 
+val cells : ?scale:float -> string -> int
+(** The vertex count of [instance ~scale name], without generating it. *)
+
 val emit_instance : ?scale:float -> ?seed:int -> string -> out_channel -> unit
 (** [emit_instance ~scale name oc] streams the weighted [.hgr] of
     [instance ~scale name] to [oc] in bounded memory (O(cells), never

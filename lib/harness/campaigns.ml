@@ -1,5 +1,8 @@
+module Rng = Hypart_rng.Rng
 module Suite = Hypart_generator.Ibm_suite
 module Engine = Hypart_engine.Engine
+module Problem = Hypart_partition.Problem
+module Descriptive = Hypart_stats.Descriptive
 module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module Fm_engines = Hypart_fm.Fm_engines
@@ -224,6 +227,129 @@ let ablation_table report (e : Manifest.experiment) =
     ablation_rows;
   table
 
+(* -- §2.1 and §2.3 studies -- *)
+
+(* the mean of an engine stat over the stored runs that carry it: runs
+   recorded before stats were stored carry none *)
+let stat_mean runs name =
+  match List.filter_map (fun (r : Run_store.record) -> List.assoc_opt name r.stats) runs with
+  | [] -> None
+  | xs -> Some (List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs))
+
+let shown fmt = function Some v -> Printf.sprintf fmt v | None -> "-"
+
+let corking_variants =
+  [ (Fm_engines.reported_clip, "Reported CLIP (no fix)"); (Fm_engines.clip, "Our CLIP (corking fix)") ]
+
+let corking ~scale ~runs ~instance =
+  Manifest.experiment ~scale ~runs "corking" (List.map fst corking_variants) [ instance ]
+
+(* A corked pass stalls: few (or zero) moves are made before the head
+   of the zero-gain bucket blocks selection.  The telling statistics
+   are therefore moves per pass and the rate of entirely empty passes,
+   alongside the quality collapse. *)
+let corking_table report (e : Manifest.experiment) =
+  let instance = List.hd e.instances in
+  let table =
+    Table.make ~headers:[ "CLIP variant"; "min/avg cut"; "moves/pass"; "empty passes/run" ]
+  in
+  List.iter
+    (fun (engine, label) ->
+      let runs = Report.runs report e engine ~instance in
+      let moves_per_pass =
+        match (stat_mean runs "moves", stat_mean runs "passes") with
+        | Some moves, Some passes -> Some (moves /. Float.max 1. passes)
+        | _ -> None
+      in
+      Table.add_row table
+        [
+          label;
+          Report.min_avg report e engine ~instance;
+          shown "%.0f" moves_per_pass;
+          shown "%.2f" (stat_mean runs "empty_passes");
+        ])
+    corking_variants;
+  table
+
+(* [flat] with a [fraction] of the vertices fixed, alternating sides as
+   terminal propagation produces them.  The fixed set is sampled from
+   one constant seed, so it is the same in every run. *)
+let fixed_engine fraction =
+  let pct = Printf.sprintf "%.0f" (100. *. fraction) in
+  Engine.make ~name:("fixed:" ^ pct)
+    ~description:(Printf.sprintf "flat FM with %s%% of the vertices fixed" pct)
+    (fun rng (problem : Problem.t) initial ->
+      let h = problem.hypergraph in
+      let n = Hypart_hypergraph.Hypergraph.num_vertices h in
+      let fixed = Array.make n (-1) in
+      let k = int_of_float (fraction *. float_of_int n) in
+      Array.iteri
+        (fun i v -> fixed.(v) <- i mod 2)
+        (Rng.sample_distinct (Rng.create 1) ~n:k ~universe:n);
+      let tolerance = problem.balance.Hypart_partition.Balance.tolerance in
+      Engine.run Fm_engines.flat rng (Problem.make ~fixed ~tolerance h) initial)
+
+let fixed_engines = List.map (fun f -> (f, fixed_engine f)) [ 0.0; 0.02; 0.10; 0.25; 0.50 ]
+
+let fixed ~scale ~runs ~instance =
+  Manifest.experiment ~tolerance:0.10 ~scale ~runs "fixed" (List.map snd fixed_engines) [ instance ]
+
+let fixed_table report (e : Manifest.experiment) =
+  let instance = List.hd e.instances in
+  let table =
+    Table.make ~headers:[ "fixed %"; "min/avg cut"; "stddev"; "avg passes"; "CPU s/run" ]
+  in
+  List.iter
+    (fun (fraction, engine) ->
+      let runs = Report.runs report e engine ~instance in
+      let cuts = Array.of_list (List.map (fun (r : Run_store.record) -> float_of_int r.cut) runs) in
+      Table.add_row table
+        [
+          Printf.sprintf "%.0f" (100. *. fraction);
+          Report.min_avg report e engine ~instance;
+          Printf.sprintf "%.1f" (Descriptive.stddev cuts);
+          shown "%.1f" (stat_mean runs "passes");
+          Report.cpu report e engine ~instance;
+        ])
+    fixed_engines;
+  table
+
+let regime ~big =
+  let at scale instances =
+    Manifest.experiment ~scale ~runs:1 "regime" [ Ml_engines.ml ] instances
+  in
+  at 1.0 [ "ibm01"; "ibm05"; "ibm10"; "ibm14"; "ibm18" ]
+  :: (if big then [ at 0.28 [ "ibm18" ] ] else [])
+
+let regime_table report experiments =
+  let table =
+    Table.make ~headers:[ "Instance"; "cells"; "ML cut"; "CPU s"; "budget s"; "fits?" ]
+  in
+  List.iter
+    (fun (e : Manifest.experiment) ->
+      List.iter
+        (fun instance ->
+          let cells = Suite.cells ~scale:e.scale instance in
+          (* 1 minute per 6000 cells for the whole placement;
+             partitioning gets roughly the level-0 share of the
+             recursive bisection, which the paper quotes as ~5s at 25k
+             cells: budget = cells/5000 s *)
+          let budget = float_of_int cells /. 5000. in
+          let r = List.hd (Report.runs report e Ml_engines.ml ~instance) in
+          let cpu = r.seconds *. r.machine_factor in
+          Table.add_row table
+            [
+              (if e.scale = 1.0 then instance else Printf.sprintf "%s x%.2f" instance e.scale);
+              string_of_int cells;
+              string_of_int r.cut;
+              Printf.sprintf "%.1f" cpu;
+              Printf.sprintf "%.1f" budget;
+              (if cpu <= budget then "yes" else "NO");
+            ])
+        e.instances)
+    experiments;
+  table
+
 (* -- built-in campaigns -- *)
 
 let names =
@@ -255,7 +381,7 @@ let campaign ?(scale = 8.0) ?(runs = 20) ~seed name =
           [ "flat"; "clip"; "ml"; "mlclip"; "lookahead"; "kl"; "sa"; "spectral" ]
           [ "ibm01" ];
       ]
-    | "corking" -> [ registry "corking" [ "clip"; "reported-clip" ] [ "ibm01" ] ]
+    | "corking" -> [ corking ~scale ~runs ~instance:"ibm01" ]
     | "memetic" ->
       (* the population search against its plain multilevel baseline:
          the timed report's CPU column shows whether it pays for its

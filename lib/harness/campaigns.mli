@@ -1,6 +1,7 @@
 (** The paper's Tables 1–5, the head-to-head comparison, the §3.2
-    figures and the ablation as lab experiments, and the built-in
-    campaigns that bundle them.
+    figures, the ablation, the corking diagnostic and the §2.1
+    fixed-terminal and runtime-regime studies as lab experiments, and
+    the built-in campaigns that bundle them.
 
     Every table and figure is one path: a {!Hypart_lab.Manifest}
     experiment, executed by {!Hypart_lab.Orchestrator.run} (per-cell
@@ -84,6 +85,42 @@ val ablation_table : Report.t -> Manifest.experiment -> Table.t
 (** The {!ablation} layout: dimension, setting, min/avg cut and CPU
     seconds per run. *)
 
+val corking : scale:float -> runs:int -> instance:string -> Manifest.experiment
+(** The §2.3 corking diagnostic: [reported-clip] (no corking fix) and
+    [clip] (with it), [runs] single starts each at 2%. *)
+
+val corking_table : Report.t -> Manifest.experiment -> Table.t
+(** The {!corking} layout: per CLIP variant, min/avg cut, moves per pass
+    and empty passes per run, the last two from the stored engine
+    stats (["-"] for runs stored without them). *)
+
+val fixed : scale:float -> runs:int -> instance:string -> Manifest.experiment
+(** The §2.1 observation that "the presence of fixed terminals
+    fundamentally changes the nature of the partitioning problem":
+    [runs] single starts at 10% of [flat] with 0, 2, 10, 25 and 50% of
+    the vertices fixed.  Each fraction is an engine named like
+    ["fixed:10"] that fixes the same vertex set (sampled from a
+    constant seed, alternating sides as terminal propagation produces
+    them) in every run. *)
+
+val fixed_table : Report.t -> Manifest.experiment -> Table.t
+(** The {!fixed} layout: per fixed percentage, min/avg cut, cut
+    standard deviation, average passes and CPU seconds per run.  Fixed
+    instances converge faster with far smaller start-to-start
+    variance. *)
+
+val regime : big:bool -> Manifest.experiment list
+(** The §2.1 use-model budget check: commercial top-down placement
+    spends "approximately 1 CPU minute per 6000 cells", implying
+    partitioning budgets of ~5 CPU seconds at 25,000 cells.  One [ml]
+    single start on each of ibm01, ibm05, ibm10, ibm14 and ibm18 at
+    their published sizes; with [big], also ibm18 at scale 0.28, a
+    ~750,000-cell instance. *)
+
+val regime_table : Report.t -> Manifest.experiment list -> Table.t
+(** The {!regime} layout: cells, cut, CPU seconds, the implied budget
+    (cells/5000 s) and whether the run fits it. *)
+
 (** {1 Built-in campaigns} *)
 
 val names : string list
@@ -101,7 +138,7 @@ val campaign : ?scale:float -> ?runs:int -> seed:int -> string -> Manifest.t
       [runs] starts per engine;
     - ["ablation"]: [hypart ablation]'s experiment on ibm01;
     - ["engines"]: every registered engine family on ibm01;
-    - ["corking"]: CLIP with and without the corking fix;
+    - ["corking"]: {!corking} on ibm01;
     - ["memetic"]: the memetic campaign engine against its plain
       multilevel baseline on the small instances.
     @raise Invalid_argument for unknown names, listing the known

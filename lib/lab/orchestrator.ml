@@ -81,7 +81,8 @@ let run ?domains ~store ~(manifest : Manifest.t) () =
     ignore
       (Run_store.record store ~engine:(Engine.name job.engine)
          ~config:(Manifest.job_config job) ~instance:instance_fp ~seed:job.job_seed
-         ~cut:result.Engine.Result.cut ~legal:result.Engine.Result.legal ~seconds);
+         ~cut:result.Engine.Result.cut ~legal:result.Engine.Result.legal ~seconds
+         ~stats:result.Engine.Result.stats);
     if Tel.is_enabled () then Metrics.incr "lab.runs"
   in
   (* shard by job index: each job carries its own derived seed, so the

@@ -65,6 +65,8 @@ let marked c f =
     if n < c.expected then Printf.sprintf "%s (%d/%d)" s n c.expected else s
   end
 
+let runs t e engine ~instance = (cell t e engine ~instance Single_start).stored
+
 let min_avg t e engine ~instance =
   marked (cell t e engine ~instance Single_start) (fun c -> Descriptive.min_avg (int_cuts c))
 

@@ -36,6 +36,11 @@ val min_avg : t -> Manifest.experiment -> Hypart_engine.Engine.t -> instance:str
 val cpu : t -> Manifest.experiment -> Hypart_engine.Engine.t -> instance:string -> string
 (** The average normalized CPU seconds per run of a single-start cell. *)
 
+val runs : t -> Manifest.experiment -> Hypart_engine.Engine.t -> instance:string -> Run_store.record list
+(** The stored runs of a single-start cell, in run order: their cuts,
+    CPU seconds and engine stats, for views the accessors above do not
+    cover. *)
+
 val cut_cpu_table : ?timing:bool -> t -> Manifest.experiment -> Table.t
 (** Tables 4–5: one row per instance (per engine and instance when the
     experiment has several engines), one column per multistart

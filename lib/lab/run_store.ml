@@ -12,6 +12,7 @@ type record = {
   seconds : float;
   machine_factor : float;
   git : string;
+  stats : (string * float) list;
 }
 
 let key ~engine ~config ~instance ~seed =
@@ -35,6 +36,7 @@ let record_fields r =
       ("machine", Float r.machine_factor);
       ("git", String r.git);
     ]
+  @ List.map (fun (name, v) -> ("stat." ^ name, Jsonl.Float v)) r.stats
 
 let record_to_line r = Jsonl.to_line (record_fields r)
 
@@ -52,7 +54,18 @@ let record_of_line line =
     let* seconds = Jsonl.float_member "seconds" fields in
     let* machine_factor = Jsonl.float_member "machine" fields in
     let* git = Jsonl.string_member "git" fields in
-    Some { engine; config; instance; seed; cut; legal; seconds; machine_factor; git }
+    (* every numeric [stat.<name>] member, in line order *)
+    let stats =
+      List.filter_map
+        (fun (member, _) ->
+          if not (String.starts_with ~prefix:"stat." member) then None
+          else
+            Option.map
+              (fun v -> (String.sub member 5 (String.length member - 5), v))
+              (Jsonl.float_member member fields))
+        fields
+    in
+    Some { engine; config; instance; seed; cut; legal; seconds; machine_factor; git; stats }
 
 (* Read a store file: its index, the first record of every key in
    file order, and the counts of malformed lines and of records that
@@ -109,7 +122,7 @@ let find ?(quiet = false) t ~key =
    before and after a reload *)
 let as_logged f = Float.of_string (Hypart_telemetry.Json_out.number f)
 
-let record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds =
+let record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds ~stats =
   let r =
     {
       engine;
@@ -121,6 +134,7 @@ let record t ~engine ~config ~instance ~seed ~cut ~legal ~seconds =
       seconds = as_logged seconds;
       machine_factor = as_logged (Provenance.machine_factor ());
       git = Provenance.git_describe ();
+      stats = List.map (fun (name, v) -> (name, as_logged v)) stats;
     }
   in
   let k = record_key r in

@@ -27,6 +27,10 @@ type record = {
   seconds : float;  (** CPU seconds of this run (not normalized) *)
   machine_factor : float;  (** normalization factor at record time *)
   git : string;  (** [git describe] stamp, ["unknown"] outside a checkout *)
+  stats : (string * float) list;
+      (** the engine's {!Hypart_engine.Engine.Result.stats}, stored as
+          flat [stat.<name>] members; empty for a line written before
+          stats were stored *)
 }
 
 val key : engine:string -> config:string -> instance:string -> seed:int -> string
@@ -82,13 +86,14 @@ val record :
   cut:int ->
   legal:bool ->
   seconds:float ->
+  stats:(string * float) list ->
   record
 (** Record one completed run: stamp it with the machine factor and the
     [git describe] of this process ({!Provenance}), then index and
-    append it (flushed) under the store's lock.  Its floats are kept at
-    the log's precision, so the indexed record equals the one a reload
-    reads back.  A key that is already
-    indexed appends nothing and returns its first record. *)
+    append it (flushed) under the store's lock.  Its floats, stats
+    included, are kept at the log's precision, so the indexed record
+    equals the one a reload reads back.  A key that is already indexed
+    appends nothing and returns its first record. *)
 
 (** {1 Maintenance} *)
 

@@ -79,9 +79,15 @@ let create config =
      `--profile` turned them on for a trace written at exit *)
   Tel.enable_metrics ();
   (* the whole process's heap, read at scrape time: Gc.quick_stat sums
-     every domain, so allocation on worker domains counts here *)
+     the reading domain's live counts and every other domain's counts
+     as of its last stop-the-world minor collection, so a minor
+     collection first makes them all current and two scrapes answered
+     by different workers never read a decrease *)
   List.iter
-    (fun (name, f) -> Metrics.register_probe name (fun () -> f (Gc.quick_stat ())))
+    (fun (name, f) ->
+      Metrics.register_probe name (fun () ->
+          Gc.minor ();
+          f (Gc.quick_stat ())))
     [ ("runtime.major_words", fun s -> s.Gc.major_words);
       ("runtime.major_collections", fun s -> float s.Gc.major_collections);
       ("runtime.heap_words", fun s -> float s.Gc.heap_words) ];
@@ -531,7 +537,7 @@ let serve t fd (req : Http.request) tm admit =
         ignore
           (Run_store.record t.runs ~engine:spec.engine ~config:spec.config_fp
              ~instance:spec.instance_fp ~seed:p.seed ~cut ~legal
-             ~seconds:f.seconds);
+             ~seconds:f.seconds ~stats:f.result.Engine.Result.stats);
         Metrics.incr "server.jobs_executed";
         Metrics.observe "server.engine_seconds" f.seconds;
         finish Job_table.Done ~cut ~legal ~seconds:f.seconds;

@@ -21,6 +21,18 @@ let run_cmd args =
   close_in ic;
   (code, contents)
 
+(* a command's exit code, stdout and stderr, apart *)
+let run_split args =
+  let file name = Filename.concat tmpdir name in
+  let out = file "hypart_cli_stdout.txt" and err = file "hypart_cli_stderr.txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (code, read out, read err)
+
 let contains s needle =
   let nl = String.length needle and sl = String.length s in
   let rec scan i = i + nl <= sl && (String.sub s i nl = needle || scan (i + 1)) in
@@ -89,6 +101,21 @@ let test_table_csv () =
   Alcotest.(check int) "exit" 0 code;
   Alcotest.(check bool) "csv header" true
     (contains out "Tolerance,Algorithm,ibm01")
+
+(* corking is a store-backed campaign: a rerun against its store runs
+   no engine and prints the same table *)
+let test_corking_rerun () =
+  let store = Filename.concat tmpdir "hypart_cli_corking_store" in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store)));
+  let run () =
+    run_split (Printf.sprintf "corking --scale 64 --runs 2 --store %s" (Filename.quote store))
+  in
+  let code1, out1, _ = run () in
+  let code2, out2, err2 = run () in
+  Alcotest.(check (list int)) "exit codes" [ 0; 0 ] [ code1; code2 ];
+  Alcotest.(check bool) "table printed" true (contains out1 "Our CLIP (corking fix)");
+  Alcotest.(check string) "rerun prints the same table" out1 out2;
+  Alcotest.(check bool) "rerun executes nothing" true (contains err2 "0 executed")
 
 let test_fixed_subcommand () =
   check_ok "fixed"
@@ -508,6 +535,7 @@ let () =
           Alcotest.test_case "kway + evaluate" `Quick test_kway_and_evaluate;
           Alcotest.test_case "table csv" `Quick test_table_csv;
           Alcotest.test_case "fixed" `Quick test_fixed_subcommand;
+          Alcotest.test_case "corking rerun from store" `Quick test_corking_rerun;
           Alcotest.test_case "unknown engine" `Quick test_unknown_engine_fails;
           Alcotest.test_case "help" `Quick test_help;
           Alcotest.test_case "argument validation" `Quick test_validation;

@@ -103,7 +103,9 @@ let test_suite_instance_scaled () =
   let p = Suite.find "ibm01" in
   let expect = p.Suite.cells / 16 in
   Alcotest.(check bool) "scaled size" true
-    (abs (H.num_vertices h - expect) <= 1)
+    (abs (H.num_vertices h - expect) <= 1);
+  Alcotest.(check int) "cells without generating" (H.num_vertices h)
+    (Suite.cells ~scale:16.0 "ibm01")
 
 let test_suite_instance_stable () =
   let a = Suite.instance ~scale:32.0 "ibm02" in
@@ -120,6 +122,8 @@ let test_all_profiles_generate () =
       let expected_cells = max 16 (profile.Suite.cells / 64) in
       let expected_nets = max 16 (profile.Suite.nets / 64) in
       Alcotest.(check int) (name ^ " cells") expected_cells (H.num_vertices h);
+      Alcotest.(check int) (name ^ " cells ungenerated") expected_cells
+        (Suite.cells ~scale:64.0 name);
       Alcotest.(check int) (name ^ " nets") expected_nets (H.num_edges h);
       let s = H.stats h in
       Alcotest.(check bool)

@@ -209,7 +209,7 @@ let test_corrupt_rejection () =
    fails in both with a located Format_error, never another exception
    or an out-of-bounds read. *)
 let prop_mutated_packed =
-  QCheck.Test.make ~name:"mutated packed files: load and of_string agree"
+  QCheck.Test.make ~name:"mutated packed files: load and of_bytes agree"
     ~count:200 ~long_factor:100
     QCheck.(pair arbitrary_hypergraph small_nat)
     (fun (h, seed) ->

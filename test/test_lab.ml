@@ -162,7 +162,7 @@ let record_key (r : Run_store.record) =
   Run_store.key ~engine:r.Run_store.engine ~config:r.Run_store.config
     ~instance:r.Run_store.instance ~seed:r.Run_store.seed
 
-let sample_record ?(seed = 1) ?(cut = 70) () =
+let sample_record ?(seed = 1) ?(cut = 70) ?(stats = []) () =
   {
     Run_store.engine = "flat";
     config = "cfg0123456789abc";
@@ -173,6 +173,7 @@ let sample_record ?(seed = 1) ?(cut = 70) () =
     seconds = 0.25;
     machine_factor = 1.0;
     git = "deadbee";
+    stats;
   }
 
 (* the raw file: every intact record in file order, duplicate keys
@@ -201,7 +202,7 @@ let write_fixture dir records =
 let record store (r : Run_store.record) =
   Run_store.record store ~engine:r.Run_store.engine ~config:r.Run_store.config
     ~instance:r.Run_store.instance ~seed:r.Run_store.seed ~cut:r.Run_store.cut
-    ~legal:r.Run_store.legal ~seconds:r.Run_store.seconds
+    ~legal:r.Run_store.legal ~seconds:r.Run_store.seconds ~stats:r.Run_store.stats
 
 let test_store_append_load () =
   let dir = tmp_dir () in
@@ -527,6 +528,55 @@ let check_writer ~lines ~digest write () =
       Metrics.reset ());
   Alcotest.(check (list string)) "rerun appends nothing" first (store_lines dir)
 
+let contains s needle =
+  let nl = String.length needle and sl = String.length s in
+  let rec scan i = i + nl <= sl && (String.sub s i nl = needle || scan (i + 1)) in
+  scan 0
+
+(* engine stats travel as flat stat.<name> members, at the log's
+   precision, and read back in order *)
+let test_store_stats_round_trip () =
+  let dir = tmp_dir () in
+  let store = Run_store.open_store dir in
+  let stats = [ ("passes", 3.); ("moves", 1234.); ("ratio", 1. /. 3.) ] in
+  let recorded = record store (sample_record ~stats ()) in
+  Run_store.close store;
+  let line = List.hd (store_lines dir) in
+  List.iter
+    (fun m -> Alcotest.(check bool) (m ^ " member") true (contains line m))
+    [ {|"stat.passes":3|}; {|"stat.moves":1234|}; {|"stat.ratio":0.333333|} ];
+  let loaded = Run_store.find (Run_store.load dir) ~key:(record_key recorded) in
+  Alcotest.(check (option (list (pair string (float 0.)))))
+    "stats reload as recorded" (Some recorded.Run_store.stats)
+    (Option.map (fun r -> r.Run_store.stats) loaded);
+  Alcotest.(check (list string)) "names in order" [ "passes"; "moves"; "ratio" ]
+    (List.map fst recorded.Run_store.stats)
+
+(* A line written before stats were stored has no stat.* member: it
+   loads with empty stats and still serves its key. *)
+let test_store_stat_less_line_hit () =
+  let dir = tmp_dir () in
+  let manifest = Campaigns.campaign ~scale:64.0 ~runs:2 ~seed:1 "smoke" in
+  ignore (run_campaign dir manifest);
+  let stripped =
+    List.map
+      (fun line ->
+        match Run_store.record_of_line line with
+        | Some r ->
+          Alcotest.(check bool) "recorded with stats" true (r.Run_store.stats <> []);
+          Run_store.record_to_line { r with Run_store.stats = [] }
+        | None -> Alcotest.failf "malformed store line %S" line)
+      (store_lines dir)
+  in
+  Out_channel.with_open_bin (Run_store.filename dir) (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) stripped);
+  Alcotest.(check bool) "no stat member left" false
+    (List.exists (fun l -> contains l "stat.") (store_lines dir));
+  let o = run_campaign dir manifest in
+  Alcotest.(check int) "served from the store" o.Orchestrator.jobs o.Orchestrator.cached;
+  Alcotest.(check int) "nothing executed" 0 o.Orchestrator.executed;
+  Alcotest.(check (list string)) "nothing appended" stripped (store_lines dir)
+
 let orchestrator_writer dir =
   let manifest = Campaigns.campaign ~scale:64.0 ~runs:3 ~seed:1 "smoke" in
   Some (run_campaign ~domains:2 dir manifest).Orchestrator.executed
@@ -653,6 +703,7 @@ let test_report_record_factor () =
       seconds = 0.25;
       machine_factor = 2.0;
       git = "test";
+      stats = [];
     }
   in
   Out_channel.with_open_bin (Run_store.filename dir) (fun oc ->
@@ -715,6 +766,8 @@ let () =
           Alcotest.test_case "read-only load" `Quick test_store_load_read_only;
           Alcotest.test_case "record line round trip" `Quick
             test_record_line_round_trip;
+          Alcotest.test_case "stats round trip" `Quick test_store_stats_round_trip;
+          Alcotest.test_case "stat-less line is a hit" `Quick test_store_stat_less_line_hit;
           QCheck_alcotest.to_alcotest prop_store_truncation;
         ] );
       ( "cache",
@@ -722,15 +775,15 @@ let () =
       ( "writers",
         [
           Alcotest.test_case "orchestrator" `Quick
-            (check_writer ~lines:3 ~digest:"339eccf17edff468" orchestrator_writer);
+            (check_writer ~lines:3 ~digest:"f7e8acb870603ff7" orchestrator_writer);
           Alcotest.test_case "tables45" `Quick
-            (check_writer ~lines:4 ~digest:"9b3cdfe11b802393" tables45_writer);
+            (check_writer ~lines:4 ~digest:"8e330184d46a1f5c" tables45_writer);
           Alcotest.test_case "compare" `Quick
-            (check_writer ~lines:6 ~digest:"0468b6bc4c130a6a" compare_writer);
+            (check_writer ~lines:6 ~digest:"b361f221c694be66" compare_writer);
           Alcotest.test_case "eco" `Quick
-            (check_writer ~lines:5 ~digest:"a09de8d565e38662" eco_writer);
+            (check_writer ~lines:5 ~digest:"53d44bee404ba4cc" eco_writer);
           Alcotest.test_case "evolve" `Quick
-            (check_writer ~lines:10 ~digest:"7c51c347451743d1" evolve_writer);
+            (check_writer ~lines:10 ~digest:"30ece077cb0c504d" evolve_writer);
           Alcotest.test_case "compare unknown engine" `Quick
             test_compare_unknown_engine;
           Alcotest.test_case "compare same engine" `Quick test_compare_same_engine;

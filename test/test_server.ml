@@ -1271,20 +1271,20 @@ let test_serve_prometheus_negotiation () =
                    && v <> "NaN" && v <> "+Inf" && v <> "-Inf"
                  then Alcotest.failf "bad sample value %S in: %s" v line))
 
+let gauge name =
+  List.find_map
+    (function
+      | Hypart_telemetry.Metrics.E_gauge (n, v) when n = name -> Some v
+      | _ -> None)
+    (Hypart_telemetry.Metrics.snapshot ())
+  |> function
+  | Some v -> v
+  | None -> Alcotest.failf "no %s gauge" name
+
 (* The runtime.* probes read the whole process's heap, so the words a
    live worker domain allocates count in runtime.major_words. *)
 let test_serve_runtime_gauges () =
   with_server (fun _server port ->
-      let gauge name =
-        List.find_map
-          (function
-            | Hypart_telemetry.Metrics.E_gauge (n, v) when n = name -> Some v
-            | _ -> None)
-          (Hypart_telemetry.Metrics.snapshot ())
-        |> function
-        | Some v -> v
-        | None -> Alcotest.failf "no %s gauge" name
-      in
       let before = gauge "runtime.major_words" in
       let allocated = Atomic.make false and release = Atomic.make false in
       let worker =
@@ -1316,6 +1316,46 @@ let test_serve_runtime_gauges () =
       Alcotest.(check bool) "collections" true
         (gauge "runtime.major_collections" >= 0.);
       body_has "runtime.major_collections" (get port "/metrics").Http.resp_body)
+
+(* Two scrapes answered by different domains never see
+   runtime.major_words fall.  A domain reads its own live counts but
+   the other domains' counts as sampled at their last stop-the-world
+   minor collection, so without a fresh sample the words another
+   domain just allocated on the major heap show in its own read and
+   not yet in the next one. *)
+let test_serve_runtime_gauges_monotonic () =
+  with_server (fun _server _port ->
+      let rounds = 20 in
+      let turn = Atomic.make 0 and other_read = Atomic.make 0. in
+      let wait n =
+        while Atomic.get turn <> n do
+          Domain.cpu_relax ()
+        done
+      in
+      let other =
+        Domain.spawn (fun () ->
+            for i = 0 to rounds - 1 do
+              wait (2 * i);
+              (* 100 blocks of 10,001 words on the major heap, folded
+                 into this domain's counts by a major slice *)
+              let keep = List.init 100 (fun _ -> Array.make 10_000 0) in
+              ignore (Gc.major_slice 0);
+              Atomic.set other_read (gauge "runtime.major_words");
+              ignore (Sys.opaque_identity keep);
+              Atomic.set turn ((2 * i) + 1)
+            done)
+      in
+      let falls = ref [] in
+      for i = 0 to rounds - 1 do
+        wait ((2 * i) + 1);
+        let mine = gauge "runtime.major_words" and theirs = Atomic.get other_read in
+        if mine < theirs then falls := (theirs -. mine) :: !falls;
+        Atomic.set turn (2 * (i + 1))
+      done;
+      Domain.join other;
+      if !falls <> [] then
+        Alcotest.failf "runtime.major_words fell between scrapes %d time(s), by up to %.0f words"
+          (List.length !falls) (List.fold_left Float.max 0. !falls))
 
 (* A dedup resend reads its body into the worker's kept buffer: over
    20 resends of the 1.9 MB ibm18 twin the process allocates at most
@@ -1892,6 +1932,7 @@ let fleet_campaign_executor fleet =
                   seconds = o.Client.seconds;
                   assignment;
                   source = o.Client.served_by;
+                  stats = [];
                 }
               | None -> Executor.run_local problem j)
             res)
@@ -2034,6 +2075,8 @@ let () =
           Alcotest.test_case "prometheus negotiation" `Quick
             test_serve_prometheus_negotiation;
           Alcotest.test_case "runtime gauges" `Quick test_serve_runtime_gauges;
+          Alcotest.test_case "runtime gauges never fall" `Quick
+            test_serve_runtime_gauges_monotonic;
           Alcotest.test_case "dedup resend major words" `Quick
             test_serve_dedup_major_words;
           Alcotest.test_case "job durations" `Quick test_serve_job_durations;
