@@ -17,16 +17,14 @@
 module H = Hypart_hypergraph.Hypergraph
 module Suite = Hypart_generator.Ibm_suite
 module Campaigns = Hypart_harness.Campaigns
-module Manifest = Hypart_lab.Manifest
-module Table = Hypart_lab.Table
 
 let () =
   let h = Suite.instance ~scale:8.0 "ibm01" in
   Format.printf "%a@.@." H.pp h;
-  let e = Campaigns.fixed ~scale:8.0 ~runs:12 ~instance:"ibm01" in
-  let manifest = Manifest.make ~name:"fixed" ~seed:5 ~experiments:[ e ] in
-  let report, _ = Campaigns.execute ~store:None manifest in
-  Table.print (Campaigns.fixed_table report e);
+  let campaign =
+    Campaigns.make ~name:"fixed" ~seed:5 [ Campaigns.fixed ~scale:8.0 ~runs:12 ~instance:"ibm01" ]
+  in
+  print_string (Campaigns.render (snd (Campaigns.execute ~store:None campaign)));
   print_newline ();
   print_endline
     "Reading the table: as the fixed fraction grows, the start-to-start\n\

@@ -14,9 +14,11 @@
     records (the report replays only the delta/patch chain, which needs
     no engine runs, to re-derive the keys).
 
-    The campaign runs its chain sequentially (each step's prior is the
-    previous step's warm result), so results are bit-identical for a
-    fixed seed at any domain count by construction. *)
+    The chain is not a {!Hypart_lab.Manifest} grid: each step's
+    instance is patched from the previous step's and its warm start is
+    the previous step's result, so its cells are only known by walking
+    it.  It runs sequentially, so results are bit-identical for a fixed
+    seed at any domain count by construction. *)
 
 type params = {
   scale : float;
@@ -34,12 +36,12 @@ val params : ?scale:float -> ?steps:int -> seed:int -> unit -> params
     radius 2, fallback fraction 0.25, instances
     {!Hypart_generator.Ibm_suite.names_small}; [steps] defaults to 8. *)
 
-type outcome = { jobs : int; cached : int; executed : int; dropped : int }
+val run : params -> Hypart_lab.Run_store.t -> Hypart_lab.Orchestrator.outcome
+(** Execute the campaign against the store: every cell it does not
+    hold runs and is recorded.  The outcome's [instance_fps] is
+    empty. *)
 
-val run : params -> store_dir:string -> outcome
-(** Execute the campaign against the store (creating it if needed). *)
-
-val report : params -> store_dir:string -> string
+val report : params -> Hypart_lab.Run_store.t -> string
 (** Rebuild the campaign table from the store: per-step warm/scratch
     cuts and CPU seconds, per-instance speedup (total scratch seconds /
     total warm seconds) and the final-cut comparison the acceptance

@@ -205,9 +205,17 @@ let ranking_table ~label ?(budgets = default_budgets) t (e : Manifest.experiment
   let table =
     Table.make ~headers:("Circuit" :: Array.to_list (Array.map (Printf.sprintf "%.2fs") budgets))
   in
-  List.iter
-    (fun (instance, winners) -> Table.add_row table (instance :: Array.to_list winners))
-    (Ranking.dominance_table ~budgets ~per_instance);
+  (* no winner where no curve reaches the budget, as in an empty cell *)
+  List.iter2
+    (fun (instance, winners) (_, curves) ->
+      Table.add_row table
+        (instance
+        :: List.mapi
+             (fun i winner ->
+               if List.for_all (fun (_, curve) -> curve.(i) = infinity) curves then "-" else winner)
+             (Array.to_list winners)))
+    (Ranking.dominance_table ~budgets ~per_instance)
+    per_instance;
   table
 
 let pareto ~label t (e : Manifest.experiment) ~instance =
@@ -243,8 +251,8 @@ let pareto ~label t (e : Manifest.experiment) ~instance =
 
 let pct tolerance = Printf.sprintf "%g%%" (100. *. tolerance)
 
-let generate ?(timing = false) ~store ~(manifest : Manifest.t) () =
-  let t = create store manifest in
+let generate ?(timing = false) t =
+  let manifest = t.manifest in
   let jobs = Manifest.jobs manifest in
   let stored = List.length (List.filter (fun job -> lookup t job <> None) jobs) in
   let buf = Buffer.create 4096 in

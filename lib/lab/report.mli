@@ -81,7 +81,8 @@ val ranking_table :
   Manifest.experiment ->
   Table.t
 (** The speed-dependent ranking diagram: per instance (rows) and
-    budget (columns), the engine whose {!bsf_table} curve is lowest. *)
+    budget (columns), the engine whose {!bsf_table} curve is lowest;
+    ["-"] where no curve reaches the budget. *)
 
 val pareto :
   label:(Hypart_engine.Engine.t -> string) ->
@@ -96,8 +97,9 @@ val pareto :
     frontier with ["*"]; the frontier is also returned as
     [(label, cost, seconds)] in increasing runtime. *)
 
-val generate : ?timing:bool -> store:Run_store.t -> manifest:Manifest.t -> unit -> string
-(** Markdown: a coverage line, then per experiment, for its
-    single-start cells a {!min_avg} table (a row per engine, a column
-    per instance) and one {!compare} table per instance, and for its
-    multistart cells the {!cut_cpu_table}. *)
+val generate : ?timing:bool -> t -> string
+(** The generic layout of the whole campaign, as Markdown: a coverage
+    line, then per experiment, for its single-start cells a {!min_avg}
+    table (a row per engine, a column per instance) and one {!compare}
+    table per instance, and for its multistart cells the
+    {!cut_cpu_table}. *)

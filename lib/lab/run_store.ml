@@ -109,6 +109,10 @@ let in_memory () =
   { index = Hashtbl.create 64; log = None; dropped = 0; lock = Mutex.create () }
 
 let close t = Option.iter Jsonl.close t.log
+
+let with_store dir f =
+  let t = match dir with Some dir -> open_store dir | None -> in_memory () in
+  Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.index)
 let dropped t = t.dropped
 

@@ -66,6 +66,10 @@ val in_memory : unit -> t
 val close : t -> unit
 (** Close the append log, if any. *)
 
+val with_store : string option -> (t -> 'a) -> 'a
+(** [with_store dir f] applies [f] to the store {!open_store} opens on
+    [dir] (an {!in_memory} one for [None]) and closes it after. *)
+
 val size : t -> int
 (** Number of distinct keys held. *)
 

@@ -102,25 +102,42 @@ let test_table_csv () =
   Alcotest.(check bool) "csv header" true
     (contains out "Tolerance,Algorithm,ibm01")
 
-(* corking is a store-backed campaign: a rerun against its store runs
-   no engine and prints the same table *)
-let test_corking_rerun () =
-  let store = Filename.concat tmpdir "hypart_cli_corking_store" in
+(* a study is a store-backed campaign: a rerun against its store runs
+   no engine and prints the same table, and [lab report] over the store
+   prints it too *)
+let study_rerun name needles () =
+  let store = Filename.concat tmpdir ("hypart_cli_store_" ^ name) in
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store)));
-  let run () =
-    run_split (Printf.sprintf "corking --scale 64 --runs 2 --store %s" (Filename.quote store))
-  in
+  let flags = Printf.sprintf "--scale 64 --runs 2 --store %s" (Filename.quote store) in
+  let run () = run_split (Printf.sprintf "%s %s" name flags) in
   let code1, out1, _ = run () in
   let code2, out2, err2 = run () in
-  Alcotest.(check (list int)) "exit codes" [ 0; 0 ] [ code1; code2 ];
-  Alcotest.(check bool) "table printed" true (contains out1 "Our CLIP (corking fix)");
+  let code3, report, _ = run_split (Printf.sprintf "lab report --campaign %s %s" name flags) in
+  Alcotest.(check (list int)) "exit codes" [ 0; 0; 0 ] [ code1; code2; code3 ];
+  List.iter
+    (fun needle -> Alcotest.(check bool) (needle ^ " printed") true (contains out1 needle))
+    needles;
   Alcotest.(check string) "rerun prints the same table" out1 out2;
-  Alcotest.(check bool) "rerun executes nothing" true (contains err2 "0 executed")
+  Alcotest.(check bool) "rerun executes nothing" true (contains err2 "0 executed");
+  Alcotest.(check string) "lab report prints the same table" out1 report
 
-let test_fixed_subcommand () =
-  check_ok "fixed"
-    (run_cmd "fixed --scale 64 --runs 2")
-    [ "fixed %"; "stddev" ]
+let test_corking_rerun = study_rerun "corking" [ "Our CLIP (corking fix)" ]
+let test_fixed_rerun = study_rerun "fixed" [ "fixed %"; "stddev" ]
+
+(* every catalog view renders over a store holding none of its runs *)
+let test_report_empty_store () =
+  let store = Filename.concat tmpdir "hypart_cli_empty_store" in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store)));
+  List.iter
+    (fun name ->
+      let code, _, err =
+        run_split
+          (Printf.sprintf "lab report --campaign %s --scale 64 --runs 2 --store %s" name
+             (Filename.quote store))
+      in
+      if code <> 0 then Alcotest.failf "lab report --campaign %s: exit %d\n%s" name code err)
+    Hypart_harness.Campaigns.names;
+  Alcotest.(check bool) "no store created" false (Sys.file_exists store)
 
 let test_unknown_engine_fails () =
   let code, _ = run_cmd "partition ibm01 --scale 64 --engine bogus" in
@@ -534,8 +551,9 @@ let () =
             test_partition_domains_agree;
           Alcotest.test_case "kway + evaluate" `Quick test_kway_and_evaluate;
           Alcotest.test_case "table csv" `Quick test_table_csv;
-          Alcotest.test_case "fixed" `Quick test_fixed_subcommand;
+          Alcotest.test_case "fixed" `Quick test_fixed_rerun;
           Alcotest.test_case "corking rerun from store" `Quick test_corking_rerun;
+          Alcotest.test_case "lab report on an empty store" `Quick test_report_empty_store;
           Alcotest.test_case "unknown engine" `Quick test_unknown_engine_fails;
           Alcotest.test_case "help" `Quick test_help;
           Alcotest.test_case "argument validation" `Quick test_validation;

@@ -1,8 +1,6 @@
 module Machine = Hypart_engine.Machine
 module Table = Hypart_lab.Table
 module Campaigns = Hypart_harness.Campaigns
-module Manifest = Hypart_lab.Manifest
-module Report = Hypart_lab.Report
 
 (* -- Machine -- *)
 
@@ -136,14 +134,14 @@ let contains s needle =
   let rec scan i = i + nl <= sl && (String.sub s i nl = needle || scan (i + 1)) in
   scan 0
 
-(* a table as the CLI renders it: its experiments run into a fresh
+(* a part as the CLI renders it: its experiments run into a fresh
    in-memory store *)
-let run ?domains ?(seed = 1) experiments =
-  fst (Campaigns.execute ?domains ~store:None (Manifest.make ~name:"test" ~seed ~experiments))
+let run ?domains ?(seed = 1) ?csv part =
+  Campaigns.render ?csv
+    (snd (Campaigns.execute ?domains ~store:None (Campaigns.make ~name:"test" ~seed [ part ])))
 
 let table1 ?domains ~seed () =
-  let e = Campaigns.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] () in
-  Table.render (Campaigns.table1_table (run ?domains ~seed [ e ]) e)
+  run ?domains ~seed (Campaigns.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ])
 
 let test_table1_smoke () =
   let s = table1 ~seed:1 () in
@@ -153,77 +151,64 @@ let test_table1_smoke () =
       "Away"; "Part0"; "Toward"; "All-dg"; "Nonzero"; "ibm01" ]
 
 let test_table23_smoke () =
-  let es = Campaigns.table23 `Clip ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] in
-  let s = Table.render (Campaigns.table23_table (run es) es) in
+  let s = run (Campaigns.table23 `Clip ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ]) in
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " present") true (contains s needle))
     [ "Reported CLIP"; "Our CLIP"; "02%"; "10%" ]
 
 let test_table45_smoke () =
-  let e =
-    Campaigns.tables45 ~scale:64.0 ~repeats:1 ~configs:[ 1; 2 ] ~instances:[ "ibm01" ]
-      ~tolerance:0.10
+  let s =
+    run
+      (Campaigns.tables45 ~scale:64.0 ~repeats:1 ~configs:[ 1; 2 ] ~instances:[ "ibm01" ]
+         ~tolerance:0.10)
   in
-  let s = Table.render (Report.cut_cpu_table ~timing:true (run [ e ]) e) in
   Alcotest.(check bool) "has starts columns" true (contains s "2 starts");
   Alcotest.(check bool) "has instance" true (contains s "ibm01")
 
-let figures () =
-  let e = Campaigns.figures ~scale:64.0 ~starts:3 ~instances:[ "ibm01" ] in
-  (run [ e ], e)
+let figure view = run (Campaigns.figures ~scale:64.0 ~starts:3 ~instances:[ "ibm01" ] [ view ])
 
 let test_bsf_smoke () =
-  let report, e = figures () in
-  let t =
-    Report.bsf_table ~label:Campaigns.figure_label ~budgets:[| 0.01; 1.0 |] report e
-      ~instance:"ibm01"
-  in
-  let s = Table.render t in
-  Alcotest.(check bool) "has heuristics" true (contains s "Flat LIFO FM")
+  Alcotest.(check bool) "has heuristics" true (contains (figure (`Bsf "ibm01")) "Flat LIFO FM")
 
 let test_pareto_smoke () =
-  let report, e = figures () in
-  let t, frontier = Report.pareto ~label:Campaigns.figure_label report e ~instance:"ibm01" in
-  let s = Table.render t in
-  Alcotest.(check bool) "frontier nonempty" true (List.length frontier >= 1);
+  let s = figure (`Pareto "ibm01") in
+  let rec frontier = function
+    | "non-dominated frontier (cost, CPU s):" :: points -> List.filter (( <> ) "") points
+    | _ :: rest -> frontier rest
+    | [] -> []
+  in
+  Alcotest.(check bool) "frontier nonempty" true (List.length (frontier (String.split_on_char '\n' s)) >= 1);
   Alcotest.(check bool) "table marks frontier" true (contains s "*")
 
 (* the corking view reads moves and empty passes from the stored engine
    stats: the rows carry numbers, not the "-" of stat-less records *)
 let test_corking_smoke () =
-  let e = Campaigns.corking ~scale:16.0 ~runs:3 ~instance:"ibm01" in
-  let t = Campaigns.corking_table (run [ e ]) e in
-  let s = Table.render t in
+  let csv = run ~csv:true (Campaigns.corking ~scale:16.0 ~runs:3 ~instance:"ibm01") in
   Alcotest.(check bool) "both variants shown" true
-    (contains s "Reported CLIP (no fix)" && contains s "Our CLIP (corking fix)");
-  let fields = String.split_on_char '\n' (Table.to_csv t) |> List.concat_map (String.split_on_char ',') in
+    (contains csv "Reported CLIP (no fix)" && contains csv "Our CLIP (corking fix)");
+  let fields = String.split_on_char '\n' csv |> List.concat_map (String.split_on_char ',') in
   Alcotest.(check bool) "stats rendered" false (List.mem "-" fields)
 
 let compare ~scale ~runs engine_a engine_b =
-  let e = Campaigns.compare ~scale ~runs ~engine_a ~engine_b ~instance:"ibm01" () in
-  Report.compare (run [ e ]) e ~instance:"ibm01"
+  run (Campaigns.compare ~scale ~runs ~engine_a ~engine_b ~instance:"ibm01")
 
 let test_compare_engines () =
   (* reported vs strong: clearly significant at modest run counts *)
-  let table, verdict = compare ~scale:16.0 ~runs:12 "reported" "flat" in
-  let s = Table.render table in
+  let s = compare ~scale:16.0 ~runs:12 "reported" "flat" in
   Alcotest.(check bool) "both rows present" true
     (contains s "reported" && contains s "flat");
   Alcotest.(check bool) "flat wins significantly" true
-    (contains (Option.get verdict) "flat is significantly better");
+    (contains s "flat is significantly better");
   (* engine vs itself: never significant *)
-  let _, same = compare ~scale:32.0 ~runs:10 "flat" "flat" in
   Alcotest.(check bool) "identical samples not significant" true
-    (contains (Option.get same) "no significant difference")
+    (contains (compare ~scale:32.0 ~runs:10 "flat" "flat") "no significant difference")
 
 let test_compare_unknown_engine () =
   Alcotest.check_raises "unknown engine" (Invalid_argument "x") (fun () ->
       try ignore (compare ~scale:64.0 ~runs:2 "bogus" "flat")
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
-let ablation () =
-  let e = Campaigns.ablation ~scale:64.0 ~runs:2 ~instance:"ibm01" in
-  Table.render (Campaigns.ablation_table (run [ e ]) e)
+let ablation () = run (Campaigns.ablation ~scale:64.0 ~runs:2 ~instance:"ibm01")
 
 let test_ablation_smoke () =
   let s = ablation () in
@@ -233,7 +218,6 @@ let test_ablation_smoke () =
       "initial solution"; "coarsening"; "refinement"; "cluster-grown";
       "first-choice" ]
 
-(* boundary-only refinement under CLIP sits beside the LIFO pair *)
 let test_ablation_clip_refinement () =
   let s = ablation () in
   List.iter

@@ -15,7 +15,6 @@ module Recursive_bisection = Hypart_multilevel.Recursive_bisection
 module Topdown = Hypart_placement.Topdown
 module Descriptive = Hypart_stats.Descriptive
 module Campaigns = Hypart_harness.Campaigns
-module Table = Hypart_lab.Table
 
 let test_end_to_end () =
   let h = Ibm_suite.instance ~scale:64.0 "ibm01" in
@@ -42,13 +41,12 @@ let test_end_to_end () =
   Alcotest.(check int) "stats lib reachable" 2 summary.Descriptive.n
 
 let test_table_pipeline () =
-  let e = Campaigns.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] () in
-  let report, _ =
-    Campaigns.execute ~store:None
-      (Hypart_lab.Manifest.make ~name:"smoke" ~seed:1 ~experiments:[ e ])
+  let campaign =
+    Campaigns.make ~name:"smoke" ~seed:1
+      [ Campaigns.table1 ~scale:64.0 ~runs:2 ~instances:[ "ibm01" ] ]
   in
-  Alcotest.(check bool) "table renders" true
-    (String.length (Table.render (Campaigns.table1_table report e)) > 0)
+  let _, sections = Campaigns.execute ~store:None campaign in
+  Alcotest.(check bool) "table renders" true (String.length (Campaigns.render sections) > 0)
 
 let () =
   Alcotest.run "smoke"
