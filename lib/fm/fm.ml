@@ -23,6 +23,15 @@ type stats = {
   zero_delta_updates : int;
 }
 
+let add_stats a b =
+  {
+    passes = a.passes + b.passes;
+    moves = a.moves + b.moves;
+    empty_passes = a.empty_passes + b.empty_passes;
+    corking_events = a.corking_events + b.corking_events;
+    zero_delta_updates = a.zero_delta_updates + b.zero_delta_updates;
+  }
+
 type result = {
   solution : Bipartition.t;
   cut : int;

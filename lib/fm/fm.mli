@@ -29,6 +29,10 @@ type result = {
   stats : stats;
 }
 
+val add_stats : stats -> stats -> stats
+(** Field-wise sum: the stats of two runs counted as one, as a
+    multilevel run counts every FM run it makes. *)
+
 (* kept: the reference switch the fast-path property compares against *)
 val zero_delta_fast_path : bool ref
 (** Test hook (default [true]): when set to [false], [run] skips the

@@ -79,7 +79,8 @@ let refine config rng problem solution =
   Fm.run ~config:fm rng problem solution
 
 (* Uncoarsen [coarsest_result] through [hier], refining at every level;
-   returns the finest-level result. *)
+   returns the finest-level result with the stats of every level's
+   refinement added to [coarsest_result]'s. *)
 let uncoarsen config rng hier coarsest_result =
   let problem = hier.Coarsen.problem in
   let balance = problem.Problem.balance in
@@ -99,7 +100,7 @@ let uncoarsen config rng hier coarsest_result =
       Log.debug (fun m ->
           m "refine at %d vertices: cut %d -> %d" (H.num_vertices fine_h)
             result.Fm.cut refined.Fm.cut);
-      refined)
+      { refined with Fm.stats = Fm.add_stats result.Fm.stats refined.Fm.stats })
     coarsest_result (refinement_steps hier)
 
 let initial_at_coarsest config rng problem =
@@ -108,14 +109,16 @@ let initial_at_coarsest config rng problem =
   let best = ref None in
   for _ = 1 to max 1 config.coarsest_starts do
     let r = Fm.run_random_start ~config:fm rng problem in
-    let better =
-      match !best with
-      | None -> true
-      | Some (b : Fm.result) ->
-        (r.Fm.legal && not b.Fm.legal)
-        || (r.Fm.legal = b.Fm.legal && r.Fm.cut < b.Fm.cut)
-    in
-    if better then best := Some r
+    (* the best start, carrying the stats of every start so far *)
+    best :=
+      Some
+        (match !best with
+        | None -> r
+        | Some (b : Fm.result) ->
+          let stats = Fm.add_stats b.Fm.stats r.Fm.stats in
+          if (r.Fm.legal && not b.Fm.legal) || (r.Fm.legal = b.Fm.legal && r.Fm.cut < b.Fm.cut)
+          then { r with Fm.stats }
+          else { b with Fm.stats })
   done;
   let best = Option.get !best in
   Trace.end_span "ml.initial"
@@ -261,6 +264,7 @@ let run ?(config = default) rng problem =
         if i >= config.vcycles then r
         else begin
           let r' = vcycle ~config rng problem r.Fm.solution in
+          let r' = { r' with Fm.stats = Fm.add_stats r.Fm.stats r'.Fm.stats } in
           if r'.Fm.cut < r.Fm.cut then cycle (i + 1) r' else r'
         end
       in

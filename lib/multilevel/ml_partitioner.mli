@@ -44,9 +44,11 @@ val run :
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_fm.Fm.result
-(** One multilevel start.  Every refinement at every level and V-cycle
-    borrows the calling domain's {!Hypart_fm.Fm_workspace}, so a run
-    performs no per-level FM array allocation.  Multistart protocols
+(** One multilevel start.  Its stats sum every FM run it makes: each
+    coarsest-level start, each level's refinement and each V-cycle's.
+    Every refinement at every level and V-cycle borrows the calling
+    domain's {!Hypart_fm.Fm_workspace}, so a run performs no per-level
+    FM array allocation.  Multistart protocols
     (Tables 4-5: V-cycle the best of N starts) run through
     {!Hypart_engine.Engine.multistart} over {!Ml_engines}. *)
 
@@ -57,7 +59,8 @@ val vcycle :
   Hypart_partition.Bipartition.t ->
   Hypart_fm.Fm.result
 (** One V-cycle: re-coarsen restricted to the given solution's parts
-    and refine it back up.  Never returns a worse legal cut. *)
+    and refine it back up, with the stats of every level's refinement.
+    Never returns a worse legal cut. *)
 
 val recombine :
   ?config:config ->
@@ -70,6 +73,7 @@ val recombine :
     multilevel): coarsen restricted to the overlay of both parents'
     parts — so no cluster ever straddles either parent's cut — project
     the better parent onto the coarsest hypergraph (well-defined per
-    cluster, preserving its cut exactly), then refine back up.  Never
+    cluster, preserving its cut exactly), then refine back up (the
+    stats sum every level's refinement).  Never
     returns a result worse than the better parent (legality first,
     then cut). *)

@@ -318,6 +318,22 @@ let test_ml_deterministic () =
   let b = Ml.run (Rng.create 19) p in
   Alcotest.(check int) "same seed same cut" a.Fm.cut b.Fm.cut
 
+(* A multilevel run's stats count every FM run it makes: each level's
+   refinement runs at least one pass, so an [mlclip] run makes at least
+   as many passes as its hierarchy has levels. *)
+let test_ml_stats_count_every_level () =
+  let module Control = Hypart_telemetry.Control in
+  let module Metrics = Hypart_telemetry.Metrics in
+  let p = Problem.make ~tolerance:0.02 (Suite.instance ~scale:8.0 "ibm01") in
+  Control.with_enabled (fun () ->
+      Metrics.reset ();
+      let r = Engine.run Ml_engines.mlclip (Rng.create 20) p None in
+      let levels = Metrics.counter_value "ml.coarsen_levels" in
+      Metrics.reset ();
+      let passes = int_of_float (List.assoc "passes" r.Engine.Result.stats) in
+      Alcotest.(check bool) "several levels" true (levels > 1);
+      if passes < levels then Alcotest.failf "%d passes over %d levels" passes levels)
+
 (* -- Recursive bisection (k-way) -- *)
 
 module Rb = Hypart_multilevel.Recursive_bisection
@@ -520,6 +536,7 @@ let () =
           Alcotest.test_case "multistart + vcycle" `Quick
             test_ml_multistart_with_vcycle;
           Alcotest.test_case "deterministic" `Quick test_ml_deterministic;
+          Alcotest.test_case "stats count every level" `Quick test_ml_stats_count_every_level;
         ] );
       ( "recursive bisection",
         [
