@@ -464,7 +464,7 @@ let evaluate_cmd =
     end
     else begin
       Printf.printf "%d-way cut:   %d\n" k
-        (Hypart_multilevel.Recursive_bisection.kway_cut h side);
+        (Kway_objective.cut h side);
       Printf.printf "part weights:";
       Array.iter (Printf.printf " %d") (Kway_objective.part_weights h side ~k);
       Printf.printf " (imbalance %.2f%%)\n"

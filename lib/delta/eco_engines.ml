@@ -1,45 +1,13 @@
-module Engine = Hypart_engine.Engine
-module Initial = Hypart_partition.Initial
-module Fm = Hypart_fm.Fm
-module Fm_config = Hypart_fm.Fm_config
-module Ml = Hypart_multilevel.Ml_partitioner
-
-let of_fm_result (r : Fm.result) : Engine.Result.t =
-  {
-    solution = r.Fm.solution;
-    cut = r.Fm.cut;
-    legal = r.Fm.legal;
-    stats =
-      [
-        ("passes", float_of_int r.Fm.stats.Fm.passes);
-        ("moves", float_of_int r.Fm.stats.Fm.moves);
-      ];
-  }
-
 let eco_fm =
-  Engine.make ~name:"eco_fm"
+  Hypart_fm.Fm_engines.of_config ~name:"eco_fm"
     ~description:
       "warm-start CLIP FM: refine a supplied initial solution (ECO \
        boundary refinement; random start when none is given)"
-    (fun rng problem initial ->
-      let initial =
-        match initial with Some s -> s | None -> Initial.random rng problem
-      in
-      of_fm_result (Fm.run ~config:Fm_config.strong_clip rng problem initial))
+    Hypart_fm.Fm_config.strong_clip
 
 let eco_ml =
-  Engine.make ~name:"eco_ml"
+  Hypart_multilevel.Ml_engines.of_config ~name:"eco_ml"
     ~description:
       "warm-start ML CLIP: V-cycle a supplied initial solution (never \
        worse; a full multilevel run when none is given)"
-    (fun rng problem initial ->
-      match initial with
-      | Some s -> of_fm_result (Ml.vcycle ~config:Ml.ml_clip rng problem s)
-      | None -> of_fm_result (Ml.run ~config:Ml.ml_clip rng problem))
-
-let registered =
-  lazy
-    (Engine.register eco_fm;
-     Engine.register eco_ml)
-
-let register () = Lazy.force registered
+    Hypart_multilevel.Ml_partitioner.ml_clip

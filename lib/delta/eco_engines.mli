@@ -6,12 +6,11 @@
     just refines).  [eco_ml] V-cycles the initial solution through the
     ML CLIP hierarchy instead (never worse, costlier, stronger).  Both
     degrade to their from-scratch equivalents when no initial solution
-    is given, so they remain well-defined registry citizens. *)
+    is given, so they remain well-defined registry citizens.  They are
+    [Fm_engines.of_config] and [Ml_engines.of_config] under the strong
+    CLIP configurations. *)
 
 val eco_fm : Hypart_engine.Engine.t
 
-(* kept: the engine value the kernel digest test pins *)
 val eco_ml : Hypart_engine.Engine.t
 
-val register : unit -> unit
-(** Idempotent registration of both engines. *)

@@ -147,7 +147,6 @@ let chain p ~execute store ~instance =
   (base_record, step 1 h0 fp0 (lazy (prior (fst (Lazy.force base)))))
 
 let run p store =
-  Eco_engines.register ();
   let before = Run_store.size store in
   List.iter (fun instance -> ignore (chain p ~execute:true store ~instance)) p.instances;
   let jobs = List.length p.instances * ((2 * p.steps) + 1) in

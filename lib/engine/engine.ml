@@ -18,24 +18,16 @@ module Result = struct
   let stat t name = List.assoc_opt name t.stats
 end
 
-module type S = sig
-  val name : string
-  val description : string
-  val run : Rng.t -> Problem.t -> Bipartition.t option -> Result.t
-end
+type t = {
+  name : string;
+  description : string;
+  run : Rng.t -> Problem.t -> Bipartition.t option -> Result.t;
+}
 
-type t = (module S)
-
-let name (module E : S) = E.name
-let description (module E : S) = E.description
-let run (module E : S) rng problem initial = E.run rng problem initial
-
-let make ~name ~description run =
-  (module struct
-    let name = name
-    let description = description
-    let run = run
-  end : S)
+let name e = e.name
+let description e = e.description
+let run e rng problem initial = e.run rng problem initial
+let make ~name ~description run = { name; description; run }
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -100,24 +92,6 @@ let multistart ?polish_best (engine : t) rng problem ~starts =
   let best = match polish_best with None -> best | Some f -> f best in
   (best, records)
 
-let with_vcycles ~name:wrapped_name ?description:desc ~rounds ~vcycle engine =
-  if rounds < 0 then invalid_arg "Engine.with_vcycles: rounds must be >= 0";
-  let (module E : S) = engine in
-  let description =
-    match desc with
-    | Some d -> d
-    | None -> Printf.sprintf "%s, then up to %d V-cycle(s)" E.description rounds
-  in
-  make ~name:wrapped_name ~description (fun rng problem initial ->
-      let best = ref (E.run rng problem initial) in
-      (try
-         for _ = 1 to rounds do
-           let r = vcycle rng problem !best in
-           if Result.better r !best then best := r else raise Exit
-         done
-       with Exit -> ());
-      !best)
-
 (* ------------------------------------------------------------------ *)
 (* Seeded multistart.  Each seed gets a fresh RNG, so a start's result
    does not depend on where it runs; the winner is picked by
@@ -126,10 +100,9 @@ let with_vcycles ~name:wrapped_name ?description:desc ~rounds ~vcycle engine =
    scheduling. *)
 
 let run_seed (engine : t) problem seed =
-  let (module E : S) = engine in
   Cancel.check ();
   let rng = Rng.create seed in
-  Machine.cpu_time (fun () -> E.run rng problem None)
+  Machine.cpu_time (fun () -> run engine rng problem None)
 
 let pick_best seeds results =
   List.fold_left2

@@ -1,14 +1,15 @@
-(** The engine layer: one interface every bipartitioning heuristic
-    implements, a central name registry, and the multistart machinery
-    written once over the interface.
+(** The engine layer: one record every bipartitioning heuristic is
+    built as ({!make}), a central name registry, and the multistart
+    machinery written once over it.
 
     The paper's methodology demands that heuristics be compared under a
     single controlled harness — same balance convention, same start
-    distribution, same timing and reporting.  Engines register
-    themselves here under their CLI name ([flat], [clip], [ml],
-    [mlclip], ...); tables, the CLI, benchmarks and telemetry all
-    dispatch through the registry, so a new heuristic only has to
-    implement {!S} and {!register} itself to appear everywhere. *)
+    distribution, same timing and reporting.  Engines are registered
+    here under their CLI name ([flat], [clip], [ml], [mlclip], ...) by
+    [Hypart_engines.init], which lists every built-in engine; tables,
+    the CLI, benchmarks and telemetry all dispatch through the
+    registry, so a new heuristic is an {!make} call plus one entry in
+    that list. *)
 
 module Result : sig
   type t = {
@@ -28,29 +29,18 @@ module Result : sig
   (** Look up a stats entry by name. *)
 end
 
-(** What an engine implements.  [run rng problem initial] computes one
+type t
+(** A named heuristic.  [run engine rng problem initial] computes one
     solution; [initial], when given, is a starting solution the engine
     should improve (engines that cannot use one ignore it and engines
     must not mutate it).  [None] means the engine picks its own start
     from [rng]. *)
-module type S = sig
-  val name : string
-  (** Registry/CLI name, e.g. ["mlclip"]. *)
-
-  val description : string
-  (** One line for [hypart engines]. *)
-
-  val run :
-    Hypart_rng.Rng.t ->
-    Hypart_partition.Problem.t ->
-    Hypart_partition.Bipartition.t option ->
-    Result.t
-end
-
-type t = (module S)
 
 val name : t -> string
+(** Registry/CLI name, e.g. ["mlclip"]. *)
+
 val description : t -> string
+(** One line for [hypart engines]. *)
 
 val run :
   t ->
@@ -85,22 +75,6 @@ val names : unit -> string list
 
 val all : unit -> t list
 (** Registered engines, sorted by name. *)
-
-(** {1 Wrappers} *)
-
-val with_vcycles :
-  name:string ->
-  ?description:string ->
-  rounds:int ->
-  vcycle:
-    (Hypart_rng.Rng.t ->
-    Hypart_partition.Problem.t ->
-    Result.t ->
-    Result.t) ->
-  t ->
-  t
-(** Wrap an engine so each run is followed by up to [rounds] V-cycles,
-    stopping early when one fails to improve. *)
 
 (** {1 Multistart}
 

@@ -1,11 +1,15 @@
-let registered =
-  lazy
-    (Hypart_fm.Fm_engines.register ();
-     Hypart_multilevel.Ml_engines.register ();
-     Hypart_kl.Kl_engines.register ();
-     Hypart_sa.Sa_engines.register ();
-     Hypart_spectral.Spectral_engines.register ();
-     Hypart_evolve.Evolve_engines.register ();
-     Hypart_delta.Eco_engines.register ())
+(* every built-in engine, in one list *)
+let engines =
+  Hypart_fm.Fm_engines.[ flat; clip; reported; reported_clip; lookahead ]
+  @ Hypart_multilevel.Ml_engines.[ ml; mlclip; hmetis ]
+  @ [
+      Hypart_kl.Kl_engines.kl;
+      Hypart_sa.Sa_engines.sa;
+      Hypart_spectral.Spectral_engines.spectral;
+      Hypart_evolve.Evolve_engines.memetic_ml;
+      Hypart_delta.Eco_engines.eco_fm;
+      Hypart_delta.Eco_engines.eco_ml;
+    ]
 
+let registered = lazy (List.iter Hypart_engine.Engine.register engines)
 let init () = Lazy.force registered

@@ -78,7 +78,7 @@ val run :
   outcome
 (** Run (or resume) a campaign.  [executor] defaults to
     {!Executor.in_process}; [initial], when given, is admitted into
-    the population before generation 0 (the {!Hypart_engine.Engine.S}
+    the population before generation 0 (the {!Hypart_engine.Engine.run}
     contract).  @raise Failure when the executor reports an
     unrecoverable evaluation error (e.g. the whole fleet is down).
     @raise Pop_log.Mismatch when [store] holds another campaign's

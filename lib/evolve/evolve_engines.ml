@@ -31,6 +31,3 @@ let memetic_ml =
             ("evaluations", float_of_int o.Evolve.evaluated);
           ];
       })
-
-let registered = lazy (Engine.register memetic_ml)
-let register () = Lazy.force registered

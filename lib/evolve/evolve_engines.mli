@@ -6,5 +6,4 @@
     [initial] solution, when given, is admitted into the starting
     population. *)
 
-val register : unit -> unit
-(** Idempotent. *)
+val memetic_ml : Hypart_engine.Engine.t

@@ -35,7 +35,6 @@ let create ~capacity =
     sims = Hashtbl.create 64;
   }
 
-let capacity t = t.cap
 let size t = List.length t.members
 let members t = t.members
 

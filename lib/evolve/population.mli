@@ -37,7 +37,6 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument when [capacity < 1]. *)
 
-val capacity : t -> int
 val size : t -> int
 
 val members : t -> member list

@@ -73,8 +73,6 @@ type state = {
   mutable first_pass_done : bool;
 }
 
-let max_weighted_degree = Fm_workspace.max_weighted_degree
-
 (* One int32 CSR element as int.  The intermediate [Int32.t] is unboxed
    by the compiler, so the flat loops below stay allocation-free. *)
 let[@inline] ba (a : H.i32) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)

@@ -40,11 +40,6 @@ val zero_delta_fast_path : bool ref
     every pin of every touched net.  Results must be bit-identical
     either way under both update policies — property-tested. *)
 
-val max_weighted_degree : Hypart_hypergraph.Hypergraph.t -> int
-(** Maximum over vertices of the sum of incident edge weights — the
-    bound on any single move's gain (re-exported from
-    {!Fm_workspace}). *)
-
 val run :
   ?config:Fm_config.t ->
   Hypart_rng.Rng.t ->

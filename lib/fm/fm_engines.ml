@@ -61,8 +61,3 @@ let lookahead =
             ("moves", float_of_int r.Lookahead_fm.moves);
           ];
       })
-
-let registered =
-  lazy (List.iter Engine.register [ flat; clip; reported; reported_clip; lookahead ])
-
-let register () = Lazy.force registered

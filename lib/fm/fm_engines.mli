@@ -19,6 +19,3 @@ val clip : Hypart_engine.Engine.t
 val reported : Hypart_engine.Engine.t
 val reported_clip : Hypart_engine.Engine.t
 val lookahead : Hypart_engine.Engine.t
-
-val register : unit -> unit
-(** Add the family to the registry (idempotent). *)

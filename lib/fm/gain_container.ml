@@ -63,7 +63,6 @@ let create ~num_vertices ~max_key ~insertion ~rng =
     n_repositions = 0;
   }
 
-let capacity c = Array.length c.prev
 let max_key c = c.max_key
 let insertion c = c.insertion
 let set_rng c rng = c.rng <- rng

@@ -23,11 +23,6 @@ val create :
 (** Keys must stay within [[-max_key, max_key]].  [rng] is consulted
     only for [Random] insertion. *)
 
-val capacity : t -> int
-(** The [num_vertices] the container was created with (ids must stay
-    below it).  Used by workspace reuse to check that a cached
-    container still fits a problem. *)
-
 val max_key : t -> int
 (** The key bound the container was created with. *)
 

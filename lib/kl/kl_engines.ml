@@ -24,6 +24,3 @@ let kl =
             ("swaps", float_of_int r.Kl.swaps);
           ];
       })
-
-let registered = lazy (Engine.register kl)
-let register () = Lazy.force registered

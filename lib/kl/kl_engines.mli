@@ -5,5 +5,4 @@
     side cardinalities differing by at most one ({!Kl.run} raises
     otherwise). *)
 
-val register : unit -> unit
-(** Add [kl] to the registry (idempotent). *)
+val kl : Hypart_engine.Engine.t

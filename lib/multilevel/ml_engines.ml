@@ -1,16 +1,15 @@
 module Engine = Hypart_engine.Engine
 module Fm_engines = Hypart_fm.Fm_engines
 
-let of_result = Fm_engines.of_result
+(* a fresh multilevel run, or one V-cycle from [initial] *)
+let run_config config rng problem initial =
+  Fm_engines.of_result
+    (match initial with
+    | None -> Ml_partitioner.run ~config rng problem
+    | Some s -> Ml_partitioner.vcycle ~config rng problem s)
 
 let of_config ~name ~description config =
-  Engine.make ~name ~description (fun rng problem initial ->
-      let r =
-        match initial with
-        | None -> Ml_partitioner.run ~config rng problem
-        | Some s -> Ml_partitioner.vcycle ~config rng problem s
-      in
-      of_result r)
+  Engine.make ~name ~description (run_config config)
 
 let ml =
   of_config ~name:"ml"
@@ -25,20 +24,16 @@ let mlclip =
 let vcycle_polish ?(config = Ml_partitioner.ml_clip) rng problem
     (r : Engine.Result.t) =
   let r' =
-    of_result
+    Fm_engines.of_result
       (Ml_partitioner.vcycle ~config rng problem r.Engine.Result.solution)
   in
   if Engine.Result.better r' r then r' else r
 
 let hmetis =
-  Engine.with_vcycles ~name:"hmetis"
+  let config = Ml_partitioner.hmetis_like in
+  Engine.make ~name:"hmetis"
     ~description:
-      "hMetis-1.5 stand-in: ML CLIP with internal V-cycles, plus one more on \
-       the result (Tables 4-5)"
-    ~rounds:1
-    ~vcycle:(vcycle_polish ~config:Ml_partitioner.hmetis_like)
-    (of_config ~name:"hmetis-base" ~description:"internal hmetis base"
-       Ml_partitioner.hmetis_like)
-
-let registered = lazy (List.iter Engine.register [ ml; mlclip; hmetis ])
-let register () = Lazy.force registered
+      "hMetis-1.5-like ML CLIP: 2 internal V-cycles, plus one more on the \
+       result (Tables 4-5 instead V-cycle the best of N mlclip starts)"
+    (fun rng problem initial ->
+      vcycle_polish ~config rng problem (run_config config rng problem initial))

@@ -1,10 +1,12 @@
-(** The multilevel partitioner as registry engines: [ml] (ML LIFO FM),
-    [mlclip] (ML CLIP FM) and [hmetis] (the Tables 4–5 hMetis-1.5
-    stand-in).  A fresh run coarsens and refines from scratch; when
-    given an initial solution the engines improve it with one V-cycle
-    restricted to its parts. *)
-
-val of_result : Hypart_fm.Fm.result -> Hypart_engine.Engine.Result.t
+(** The multilevel partitioner as engines: [ml] (ML LIFO FM),
+    [mlclip] (ML CLIP FM) and [hmetis] (an hMetis-1.5-like
+    configuration: {!Ml_partitioner.hmetis_like} followed by one
+    {!vcycle_polish} under the same configuration).  The Tables 4–5
+    protocol is not [hmetis]: it runs [mlclip] starts plus one V-cycle
+    of the best ({!Hypart_engine.Engine.multistart} with
+    [~polish_best:vcycle_polish]).  A fresh run coarsens and refines
+    from scratch; when given an initial solution the engines improve
+    it with one V-cycle restricted to its parts. *)
 
 val of_config :
   name:string ->
@@ -17,6 +19,7 @@ val of_config :
 
 val ml : Hypart_engine.Engine.t
 val mlclip : Hypart_engine.Engine.t
+val hmetis : Hypart_engine.Engine.t
 
 val vcycle_polish :
   ?config:Ml_partitioner.config ->
@@ -26,6 +29,3 @@ val vcycle_polish :
   Hypart_engine.Engine.Result.t
 (** One V-cycle on a result, kept only if better — the [polish_best]
     step of the Tables 4–5 protocol (V-cycle the best of N starts). *)
-
-val register : unit -> unit
-(** Add [ml], [mlclip] and [hmetis] to the registry (idempotent). *)

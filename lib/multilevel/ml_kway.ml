@@ -3,22 +3,13 @@ module Rng = Hypart_rng.Rng
 module Problem = Hypart_partition.Problem
 module Kway_fm = Hypart_fm.Kway_fm
 
-type config = {
-  scheme : Matching.scheme;
-  coarsest_size : int;
-  coarsest_starts : int;
-  refine_passes : int;
-}
+(* the coarsest level has ~[k x coarsest_size] vertices *)
+let scheme = Matching.Edge_coarsening
+let coarsest_size = 30
+let coarsest_starts = 10
+let refine_passes = 4
 
-let default =
-  {
-    scheme = Matching.Edge_coarsening;
-    coarsest_size = 30;
-    coarsest_starts = 10;
-    refine_passes = 4;
-  }
-
-let run ?(config = default) ?(tolerance = 0.10) ~k rng h =
+let run ?(tolerance = 0.10) ~k rng h =
   if k < 2 then invalid_arg "Ml_kway.run: k must be >= 2";
   if k > H.num_vertices h then invalid_arg "Ml_kway.run: k exceeds vertex count";
   (* size the domain's workspace for the finest level before the
@@ -31,14 +22,14 @@ let run ?(config = default) ?(tolerance = 0.10) ~k rng h =
   in
   let problem = Problem.make ~tolerance h in
   let hier =
-    Coarsen.build ~scheme:config.scheme ~rng
-      ~coarsest_size:(config.coarsest_size * k)
+    Coarsen.build ~scheme ~rng
+      ~coarsest_size:(coarsest_size * k)
       ~max_cluster_weight problem
   in
   let coarse_h, _ = Coarsen.coarsest hier in
   (* best-of-N initial k-way partitioning at the coarsest level *)
   let best = ref None in
-  for _ = 1 to max 1 config.coarsest_starts do
+  for _ = 1 to coarsest_starts do
     let r = Kway_fm.run_random_start ~tolerance ~k rng coarse_h in
     let better =
       match !best with
@@ -67,6 +58,6 @@ let run ?(config = default) ?(tolerance = 0.10) ~k rng h =
           (fun c -> result.Kway_fm.part_of.(c))
           level.Coarsen.cluster_of
       in
-      Kway_fm.run ~max_passes:config.refine_passes ~tolerance ~k rng fine_h
+      Kway_fm.run ~max_passes:refine_passes ~tolerance ~k rng fine_h
         projected)
     coarsest steps

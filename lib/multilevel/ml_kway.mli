@@ -7,24 +7,16 @@
     multilevel cuts recursively): direct refinement sees all k parts at
     once, recursive bisection cannot revisit earlier cuts. *)
 
-type config = {
-  scheme : Matching.scheme;
-  coarsest_size : int;  (** per part: the coarsest level has ~[k x] this many vertices *)
-  coarsest_starts : int;
-  refine_passes : int;
-}
-
-val default : config
-
 val run :
-  ?config:config ->
   ?tolerance:float ->
   k:int ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
   Hypart_fm.Kway_fm.result
 (** [run ~k rng h] partitions into [k] parts with per-part weights in
-    [(1 ± tolerance) · total / k] (default tolerance 0.10).
+    [(1 ± tolerance) · total / k] (default tolerance 0.10).  Edge
+    coarsening stops near [30 k] vertices; the best of 10 random k-way
+    FM starts there is refined with at most 4 passes per level.
     The coarsest-level starts and every refinement borrow the calling
     domain's k-way FM workspace.
     @raise Invalid_argument when [k < 2] or [k > num_vertices]. *)

@@ -32,7 +32,9 @@ val ml_clip : config
 (** "ML CLIP FM" of Table 1. *)
 
 val hmetis_like : config
-(** The Tables 4-5 engine: ML CLIP with 2 V-cycles. *)
+(** ML CLIP with 2 V-cycles: the configuration of the [hmetis] engine.
+    Tables 4–5 do not run it; they run [ml_clip] starts plus one
+    V-cycle of the best. *)
 
 val cluster_weight_cap : Hypart_partition.Problem.t -> int -> int
 (** [cluster_weight_cap problem coarsest_size] is the heaviest cluster

@@ -3,6 +3,7 @@ module Rng = Hypart_rng.Rng
 module Bipartition = Hypart_partition.Bipartition
 module Problem = Hypart_partition.Problem
 module Fm = Hypart_fm.Fm
+module Kway_objective = Hypart_partition.Kway_objective
 
 type result = {
   part_of : int array;
@@ -10,18 +11,7 @@ type result = {
   part_weights : int array;
 }
 
-let kway_cut h part_of =
-  let total = ref 0 in
-  for e = 0 to H.num_edges h - 1 do
-    let first = ref (-1) and spans = ref false in
-    H.iter_pins h e (fun v ->
-        if !first = -1 then first := part_of.(v)
-        else if part_of.(v) <> !first then spans := true);
-    if !spans then total := !total + H.edge_weight h e
-  done;
-  !total
-
-let run ?(config = Ml_partitioner.default) ?(tolerance = 0.10) ~k rng h =
+let run ?(tolerance = 0.10) ~k rng h =
   let n = H.num_vertices h in
   if k < 1 then invalid_arg "Recursive_bisection.run: k must be >= 1";
   if k > n then invalid_arg "Recursive_bisection.run: k exceeds vertex count";
@@ -41,7 +31,7 @@ let run ?(config = Ml_partitioner.default) ?(tolerance = 0.10) ~k rng h =
       let sub, vmap = H.induce h ~keep in
       let fraction = float_of_int k0 /. float_of_int k in
       let problem = Problem.make ~fraction ~tolerance sub in
-      let r = Ml_partitioner.run ~config rng problem in
+      let r = Ml_partitioner.run rng problem in
       ignore (r.Fm.legal : bool);
       let side_of v = Bipartition.side r.Fm.solution vmap.(v) in
       let cells0 = Array.of_list (List.filter (fun v -> side_of v = 0) (Array.to_list cells)) in
@@ -60,8 +50,8 @@ let run ?(config = Ml_partitioner.default) ?(tolerance = 0.10) ~k rng h =
     end
   in
   go (Array.init n (fun v -> v)) k 0;
-  let part_weights = Array.make k 0 in
-  Array.iteri
-    (fun v p -> part_weights.(p) <- part_weights.(p) + H.vertex_weight h v)
+  {
     part_of;
-  { part_of; cut = kway_cut h part_of; part_weights }
+    cut = Kway_objective.cut h part_of;
+    part_weights = Kway_objective.part_weights h part_of ~k;
+  }

@@ -11,15 +11,11 @@
 type result = {
   part_of : int array;  (** vertex -> part id in [0, k) *)
   cut : int;
-      (** weighted k-way cut: total weight of nets spanning >= 2 parts *)
+      (** weighted k-way cut ({!Hypart_partition.Kway_objective.cut}) *)
   part_weights : int array;
 }
 
-val kway_cut : Hypart_hypergraph.Hypergraph.t -> int array -> int
-(** Weighted count of nets spanning at least two parts. *)
-
 val run :
-  ?config:Ml_partitioner.config ->
   ?tolerance:float ->
   k:int ->
   Hypart_rng.Rng.t ->

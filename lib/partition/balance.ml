@@ -37,7 +37,3 @@ let violation b ~part0_weight =
   if part0_weight < b.lower then b.lower - part0_weight
   else if part0_weight > b.upper then part0_weight - b.upper
   else 0
-
-let pp ppf b =
-  Format.fprintf ppf "balance: part 0 in [%d, %d] of %d (tol %.0f%%)" b.lower
-    b.upper b.total (100. *. b.tolerance)

@@ -44,5 +44,3 @@ val violation : t -> part0_weight:int -> int
 (** Distance to the legal window (0 when legal).  Used to pick the
     "furthest from violating" pass-best tie-break and to rank imbalanced
     intermediate solutions. *)
-
-val pp : Format.formatter -> t -> unit

@@ -17,6 +17,3 @@ let sa =
             ("attempted", float_of_int r.Sa_partitioner.attempted);
           ];
       })
-
-let registered = lazy (Engine.register sa)
-let register () = Lazy.force registered

@@ -2,5 +2,4 @@
     given initial solution when provided, otherwise from a random legal
     start. *)
 
-val register : unit -> unit
-(** Add [sa] to the registry (idempotent). *)
+val sa : Hypart_engine.Engine.t

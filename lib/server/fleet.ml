@@ -36,8 +36,6 @@ let create servers =
   let fleet = Array.of_list servers in
   { fleet; down = Array.map (fun _ -> Atomic.make false) fleet }
 
-let servers t = Array.to_list t.fleet
-
 type job = { engine : string; seed : int; starts : int }
 
 type outcome = Client.answer

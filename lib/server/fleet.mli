@@ -34,8 +34,6 @@ type t
 val create : server list -> t
 (** A fleet over the given servers.  [Invalid_argument] when empty. *)
 
-val servers : t -> server list
-
 type job = {
   engine : string;
   seed : int;

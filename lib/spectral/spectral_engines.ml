@@ -20,6 +20,3 @@ let spectral =
             ("iterations", float_of_int r.Spectral.iterations);
           ];
       })
-
-let registered = lazy (Engine.register spectral)
-let register () = Lazy.force registered

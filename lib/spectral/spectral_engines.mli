@@ -4,5 +4,4 @@
     window; any initial solution is ignored (the Fiedler vector does
     not take hints). *)
 
-val register : unit -> unit
-(** Add [spectral] to the registry (idempotent). *)
+val spectral : Hypart_engine.Engine.t

@@ -18,7 +18,6 @@
 type t = {
   lock : Mutex.t;
   log : Jsonl.t;
-  path : string;
   max_events : int;
   mutable written : int;
   mutable dropped : int;
@@ -32,14 +31,12 @@ let open_log ?(max_events = 100_000) path =
   {
     lock = Mutex.create ();
     log = Jsonl.open_log path;
-    path;
     max_events;
     written = 0;
     dropped = 0;
     closed = false;
   }
 
-let path t = t.path
 let written t = Mutex.lock t.lock; let n = t.written in Mutex.unlock t.lock; n
 let dropped t = Mutex.lock t.lock; let n = t.dropped in Mutex.unlock t.lock; n
 

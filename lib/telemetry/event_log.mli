@@ -27,8 +27,6 @@ val close : t -> unit
 (** Flush and close; uninstalls [t] if it is the global sink.  Later
     emits to [t] are counted as dropped. *)
 
-val path : t -> string
-
 (* kept: the count the flight-recorder tests check against the file *)
 val written : t -> int
 val dropped : t -> int

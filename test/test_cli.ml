@@ -143,6 +143,26 @@ let test_unknown_engine_fails () =
   let code, _ = run_cmd "partition ibm01 --scale 64 --engine bogus" in
   Alcotest.(check bool) "nonzero exit" true (code <> 0)
 
+(* README's [hypart engines] block is the command's output, verbatim *)
+let test_readme_engines () =
+  let readme =
+    In_channel.with_open_bin
+      (Filename.concat (Filename.dirname Sys.executable_name) "../README.md")
+      In_channel.input_all
+  in
+  let rec find needle i =
+    if i + String.length needle > String.length readme then
+      Alcotest.failf "README has no %S" needle
+    else if String.sub readme i (String.length needle) = needle then i
+    else find needle (i + 1)
+  in
+  let opening = "`hypart engines`\nprints it:\n\n```\n" in
+  let start = find opening 0 + String.length opening in
+  let block = String.sub readme start (find "```\n" start - start) in
+  let code, out, _ = run_split "engines" in
+  Alcotest.(check int) "engines exit code" 0 code;
+  Alcotest.(check string) "README block = hypart engines" out block
+
 let test_help () =
   check_ok "help" (run_cmd "--help=plain") [ "table1"; "partition"; "pareto" ]
 
@@ -555,6 +575,7 @@ let () =
           Alcotest.test_case "corking rerun from store" `Quick test_corking_rerun;
           Alcotest.test_case "lab report on an empty store" `Quick test_report_empty_store;
           Alcotest.test_case "unknown engine" `Quick test_unknown_engine_fails;
+          Alcotest.test_case "README engine list" `Quick test_readme_engines;
           Alcotest.test_case "help" `Quick test_help;
           Alcotest.test_case "argument validation" `Quick test_validation;
           Alcotest.test_case "bad instance file" `Quick test_bad_instance;

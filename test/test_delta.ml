@@ -19,8 +19,6 @@ module Fingerprint = Hypart_lab.Fingerprint
 module Trace = Hypart_telemetry.Trace
 module Control = Hypart_telemetry.Control
 
-let () = Eco_engines.register ()
-
 (* a 6-cell, 4-net instance used by most patcher tests:
      net 0: 0 1 2   net 1: 2 3   net 2: 3 4 5   net 3: 0 5 *)
 let base () =

@@ -816,7 +816,7 @@ let () =
             (check_writer ~lines:6 ~digest:"b361f221c694be66"
                ~cuts:"0468b6bc4c130a6a" compare_writer);
           Alcotest.test_case "eco" `Quick
-            (check_writer ~lines:5 ~digest:"85d5f4cf8ef717a0"
+            (check_writer ~lines:5 ~digest:"50bf42980e3c6b09"
                ~cuts:"a09de8d565e38662" eco_writer);
           Alcotest.test_case "evolve" `Quick
             (check_writer ~lines:10 ~digest:"65d77b5ac6e6ae39"

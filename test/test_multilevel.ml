@@ -352,7 +352,7 @@ let test_kway_cut_consistent () =
   let h = instance () in
   let r = Rb.run ~k:4 (Rng.create 31) h in
   Alcotest.(check int) "reported cut matches recomputation"
-    (Rb.kway_cut h r.Rb.part_of) r.Rb.cut
+    (Hypart_partition.Kway_objective.cut h r.Rb.part_of) r.Rb.cut
 
 let test_kway_k1_k2 () =
   let h = instance () in

@@ -28,7 +28,7 @@ let test_end_to_end () =
     ml.Fm.cut;
   let kway = Recursive_bisection.run ~k:3 rng h in
   Alcotest.(check int) "kway consistent"
-    (Recursive_bisection.kway_cut h kway.Recursive_bisection.part_of)
+    (Hypart_partition.Kway_objective.cut h kway.Recursive_bisection.part_of)
     kway.Recursive_bisection.cut;
   let direct = Kway_fm.run_random_start ~k:3 rng h in
   Alcotest.(check bool) "direct kway sane" true (direct.Kway_fm.cut >= 0);

@@ -6,8 +6,10 @@
    names it: the value's identifier appears as a token, bare or
    qualified.  Comments and string literals do not count, and neither
    do tests.  An export named nowhere passes only when the line
-   directly above its [val] is a comment [(* kept: <reason> *)].
-   Values in [module type] signatures are not exports and are skipped.
+   directly above its [val] is a comment [(* kept: <reason> *)], and
+   such a line above an export that is named outside its module is
+   stale and fails too.  Values in [module type] signatures are not
+   exports and are skipped.
 
    Prints each failing export and a summary, and exits 1 when any
    export fails.  Run from the repository root:
@@ -132,17 +134,26 @@ let () =
   in
   let exports = List.concat_map exports_of mlis in
   let own e = Filename.remove_extension e.mli ^ ".ml" in
-  let unnamed e =
-    not (List.exists (fun (p, toks) -> p <> own e && S.mem e.value toks) users)
+  let named e =
+    List.exists (fun (p, toks) -> p <> own e && S.mem e.value toks) users
   in
-  let kept, failing = List.partition (fun e -> e.kept) (List.filter unnamed exports) in
+  let kept, failing =
+    List.partition (fun e -> e.kept) (List.filter (fun e -> not (named e)) exports)
+  in
+  let stale = List.filter (fun e -> e.kept && named e) exports in
   List.iter
     (fun e ->
       Printf.printf
         "%s:%d: %s is named nowhere outside %s, and no (* kept: *) line gives a reason\n"
         e.mli e.line e.value (Filename.basename (own e)))
     failing;
-  Printf.printf "%d exports in %d interfaces: %d kept with a reason, %d named nowhere\n"
+  List.iter
+    (fun e ->
+      Printf.printf "%s:%d: %s is named outside %s, so its (* kept: *) line is stale\n"
+        e.mli e.line e.value (Filename.basename (own e)))
+    stale;
+  Printf.printf
+    "%d exports in %d interfaces: %d kept with a reason, %d named nowhere, %d stale kept\n"
     (List.length exports) (List.length mlis) (List.length kept)
-    (List.length failing);
-  if failing <> [] then exit 1
+    (List.length failing) (List.length stale);
+  if failing <> [] || stale <> [] then exit 1
