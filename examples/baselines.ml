@@ -42,7 +42,7 @@ let () =
       ( "Simulated ann.",
         timed (fun () ->
             let r = Hypart_sa.Sa_partitioner.run ~moves_per_vertex:60 (Rng.create 1) problem in
-            (r.Hypart_sa.Sa_partitioner.cut, r.Hypart_sa.Sa_partitioner.solution)) );
+            (r.Hypart_engine.Engine.Result.cut, r.Hypart_engine.Engine.Result.solution)) );
       ( "flat LIFO FM",
         timed (fun () ->
             let r =

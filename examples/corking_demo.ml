@@ -18,22 +18,23 @@ module Problem = Hypart_partition.Problem
 module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module D = Hypart_stats.Descriptive
+module Engine = Hypart_engine.Engine
 
 let runs = 15
 
 let trace name config rng problem =
   let cuts = Array.make runs 0 in
-  let corks = ref 0 and empty = ref 0 in
+  let corks = ref 0. and empty = ref 0. in
   for i = 0 to runs - 1 do
     let r = Fm.run_random_start ~config rng problem in
     cuts.(i) <- r.Fm.cut;
-    corks := !corks + r.Fm.stats.Fm.corking_events;
-    empty := !empty + r.Fm.stats.Fm.empty_passes
+    corks := !corks +. Option.get (Engine.Result.stat r "corking_events");
+    empty := !empty +. Option.get (Engine.Result.stat r "empty_passes")
   done;
   Printf.printf "  %-26s min/avg cut %-10s corking events/run %6.1f   empty passes/run %.2f\n"
     name (D.min_avg cuts)
-    (float_of_int !corks /. float_of_int runs)
-    (float_of_int !empty /. float_of_int runs);
+    (!corks /. float_of_int runs)
+    (!empty /. float_of_int runs);
   cuts
 
 let () =

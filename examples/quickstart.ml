@@ -46,8 +46,9 @@ let () =
   Format.printf "ibm01 twin: %a@." H.pp h;
   let problem = Problem.make ~tolerance:0.02 h in
   let report name result =
-    Printf.printf "  %-12s cut %5d  (%d passes, %d moves)\n" name result.Fm.cut
-      result.Fm.stats.Fm.passes result.Fm.stats.Fm.moves
+    let count stat = Option.get (Engine.Result.stat result stat) in
+    Printf.printf "  %-12s cut %5d  (%.0f passes, %.0f moves)\n" name result.Fm.cut
+      (count "passes") (count "moves")
   in
   report "flat LIFO" (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 7) problem);
   report "flat CLIP" (Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create 7) problem);

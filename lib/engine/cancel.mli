@@ -4,9 +4,15 @@
     campaign driver) needs to abandon an engine run that has outlived
     its deadline without killing the whole process.  Engines are pure
     compute loops, so cancellation is cooperative: the caller installs
-    a hook for the current domain, and the engine layer polls it at
-    its natural safe points — between multistart starts and between FM
-    passes — raising {!Cancelled} when the hook fires.
+    a hook for the current domain, and the engines poll it at their
+    natural safe points, raising {!Cancelled} when the hook fires:
+    - between multistart starts;
+    - before every FM, look-ahead FM and KL pass;
+    - before every SA temperature step;
+    - before every spectral power iteration;
+    - before every coarsening level of a multilevel run.
+    [memetic_ml]'s generations do not see the hook: they fan out over
+    fresh domains (below).
 
     The hook is domain-local ({!Domain.DLS}): installing it affects
     only engine runs executed by the installing domain.  In particular
@@ -22,8 +28,8 @@ exception Cancelled
 val with_hook : (unit -> bool) -> (unit -> 'a) -> 'a
 (** [with_hook hook f] runs [f] with [hook] installed for the current
     domain, restoring the previous hook afterwards (exception-safe).
-    [hook] must be cheap — it is polled once per FM pass and once per
-    multistart start — and should return [true] once cancellation is
+    [hook] must be cheap — it is polled at every safe point listed
+    above — and should return [true] once cancellation is
     requested (e.g. [fun () -> Clock.now_s () > deadline]). *)
 
 val check : unit -> unit

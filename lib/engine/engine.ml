@@ -16,6 +16,12 @@ module Result = struct
      one, whatever its cut *)
   let better a b = (a.legal && not b.legal) || (a.legal = b.legal && a.cut < b.cut)
   let stat t name = List.assoc_opt name t.stats
+
+  let add_stats a b =
+    List.map
+      (fun (n, v) ->
+        match List.assoc_opt n b with Some w -> (n, v +. w) | None -> (n, v))
+      a
 end
 
 type t = {

@@ -12,6 +12,12 @@
     that list. *)
 
 module Result : sig
+  (** The record every engine returns.  The FM, look-ahead FM, SA and
+      multilevel engines build it themselves ([Fm.run]
+      returns it); KL and spectral, whose runs never see the balance,
+      keep their own records and are adapted in their engine
+      modules. *)
+
   type t = {
     solution : Hypart_partition.Bipartition.t;
     cut : int;  (** cut of [solution] *)
@@ -27,6 +33,13 @@ module Result : sig
 
   val stat : t -> string -> float option
   (** Look up a stats entry by name. *)
+
+  val add_stats :
+    (string * float) list -> (string * float) list -> (string * float) list
+  (** The stats of two runs of one engine counted as one, as a
+      multilevel run counts every FM run it makes: each of the first
+      list's entries, in its order, plus the second list's value of the
+      same name. *)
 end
 
 type t

@@ -4,7 +4,6 @@ module Engine = Hypart_engine.Engine
 module Machine = Hypart_engine.Machine
 module Parallel = Hypart_engine.Parallel
 module Ml = Hypart_multilevel.Ml_partitioner
-module Fm = Hypart_fm.Fm
 module Fingerprint = Hypart_lab.Fingerprint
 module Run_store = Hypart_lab.Run_store
 module Rng = Hypart_rng.Rng
@@ -376,7 +375,7 @@ let run ?store ?executor ?initial config ~seed problem =
       Parallel.map_seeds ?domains:config.domains ~seeds:rec_pending (fun s ->
           let rng = Rng.create (slot_seed g s) in
           let pa, pb = pick_parents rng snapshot in
-          let (r : Fm.result), seconds =
+          let (r : Engine.Result.t), seconds =
             Machine.cpu_time (fun () ->
                 Ml.recombine ~config:config.ml rng problem
                   pa.Population.solution pb.Population.solution)
@@ -386,11 +385,11 @@ let run ?store ?executor ?initial config ~seed problem =
             c_slot = s;
             c_kind = "recombine";
             c_seed = slot_seed g s;
-            c_cut = r.Fm.cut;
-            c_legal = r.Fm.legal;
+            c_cut = r.cut;
+            c_legal = r.legal;
             c_seconds = seconds;
-            c_sides = Bipartition.assignment r.Fm.solution;
-            c_stats = (Hypart_fm.Fm_engines.of_result r).Engine.Result.stats;
+            c_sides = Bipartition.assignment r.solution;
+            c_stats = r.stats;
             c_fresh = true;
           })
     in

@@ -15,28 +15,11 @@ module Trace = Hypart_telemetry.Trace
 module Event_log = Hypart_telemetry.Event_log
 module Jsonl = Hypart_telemetry.Jsonl
 
-type stats = {
-  passes : int;
-  moves : int;
-  empty_passes : int;
-  corking_events : int;
-  zero_delta_updates : int;
-}
-
-let add_stats a b =
-  {
-    passes = a.passes + b.passes;
-    moves = a.moves + b.moves;
-    empty_passes = a.empty_passes + b.empty_passes;
-    corking_events = a.corking_events + b.corking_events;
-    zero_delta_updates = a.zero_delta_updates + b.zero_delta_updates;
-  }
-
-type result = {
+type result = Hypart_engine.Engine.Result.t = {
   solution : Bipartition.t;
   cut : int;
   legal : bool;
-  stats : stats;
+  stats : (string * float) list;
 }
 
 (* Test hook: force the all-deltas-zero shortcut in [apply_move] off so
@@ -554,13 +537,13 @@ let run ?(config = Fm_config.default) rng problem initial =
     cut = st.cur_cut;
     legal;
     stats =
-      {
-        passes = !n_passes;
-        moves = st.n_moves;
-        empty_passes = !n_empty;
-        corking_events = st.n_corking;
-        zero_delta_updates = st.n_zero_delta;
-      };
+      [
+        ("passes", float_of_int !n_passes);
+        ("moves", float_of_int st.n_moves);
+        ("empty_passes", float_of_int !n_empty);
+        ("corking_events", float_of_int st.n_corking);
+        ("zero_delta_updates", float_of_int st.n_zero_delta);
+      ];
   }
 
 let run_random_start ?config rng problem =

@@ -10,28 +10,21 @@
     cross-checks the incremental value against
     {!Hypart_partition.Bipartition.cut} recomputed from scratch. *)
 
-type stats = {
-  passes : int;  (** passes executed (including the final, non-improving one) *)
-  moves : int;  (** moves applied across all passes, including rolled-back ones *)
-  empty_passes : int;  (** passes that made no move at all — CLIP corking at its worst *)
-  corking_events : int;
-      (** selections that found the head of a highest-gain bucket
-          illegal (§2.3's corking diagnostic) *)
-  zero_delta_updates : int;
-      (** neighbour updates with zero delta gain (repositioned under
-          [All_delta_gain], skipped under [Nonzero_only]) *)
-}
-
-type result = {
+type result = Hypart_engine.Engine.Result.t = {
   solution : Hypart_partition.Bipartition.t;
   cut : int;  (** cut of [solution] *)
   legal : bool;  (** whether [solution] satisfies the balance constraint *)
-  stats : stats;
+  stats : (string * float) list;
+      (** [passes] (executed, including the final non-improving one),
+          [moves] (applied across all passes, including rolled-back
+          ones), [empty_passes] (passes that made no move: CLIP corking
+          at its worst), [corking_events] (selections that found the
+          head of a highest-gain bucket illegal, §2.3's corking
+          diagnostic) and [zero_delta_updates] (neighbour updates with
+          zero delta gain: repositioned under [All_delta_gain], skipped
+          under [Nonzero_only]), in that order *)
 }
-
-val add_stats : stats -> stats -> stats
-(** Field-wise sum: the stats of two runs counted as one, as a
-    multilevel run counts every FM run it makes. *)
+(** The engine layer's result record: an FM run is an engine result. *)
 
 (* kept: the reference switch the fast-path property compares against *)
 val zero_delta_fast_path : bool ref

@@ -1,27 +1,15 @@
 module Engine = Hypart_engine.Engine
 module Initial = Hypart_partition.Initial
 
-let of_result (r : Fm.result) : Engine.Result.t =
-  {
-    solution = r.Fm.solution;
-    cut = r.Fm.cut;
-    legal = r.Fm.legal;
-    stats =
-      [
-        ("passes", float_of_int r.Fm.stats.Fm.passes);
-        ("moves", float_of_int r.Fm.stats.Fm.moves);
-        ("empty_passes", float_of_int r.Fm.stats.Fm.empty_passes);
-        ("corking_events", float_of_int r.Fm.stats.Fm.corking_events);
-        ("zero_delta_updates", float_of_int r.Fm.stats.Fm.zero_delta_updates);
-      ];
-  }
+(* refine the given solution, or a random start when there is none *)
+let from_start refine rng problem initial =
+  let initial =
+    match initial with Some s -> s | None -> Initial.random rng problem
+  in
+  refine rng problem initial
 
 let of_config ~name ~description config =
-  Engine.make ~name ~description (fun rng problem initial ->
-      let initial =
-        match initial with Some s -> s | None -> Initial.random rng problem
-      in
-      of_result (Fm.run ~config rng problem initial))
+  Engine.make ~name ~description (from_start (Fm.run ~config))
 
 let flat =
   of_config ~name:"flat"
@@ -46,18 +34,4 @@ let reported_clip =
 let lookahead =
   Engine.make ~name:"lookahead"
     ~description:"flat FM with Krishnamurthy look-ahead gain vectors"
-    (fun rng problem initial ->
-      let initial =
-        match initial with Some s -> s | None -> Initial.random rng problem
-      in
-      let r = Lookahead_fm.run rng problem initial in
-      {
-        Engine.Result.solution = r.Lookahead_fm.solution;
-        cut = r.Lookahead_fm.cut;
-        legal = r.Lookahead_fm.legal;
-        stats =
-          [
-            ("passes", float_of_int r.Lookahead_fm.passes);
-            ("moves", float_of_int r.Lookahead_fm.moves);
-          ];
-      })
+    (from_start Lookahead_fm.run)

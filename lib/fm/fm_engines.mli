@@ -3,10 +3,6 @@
     When given an initial solution the engines refine it; otherwise
     they start from {!Hypart_partition.Initial.random}. *)
 
-val of_result : Fm.result -> Hypart_engine.Engine.Result.t
-(** Adapt an FM result to the unified result type (stats become the
-    [(name, value)] list). *)
-
 val of_config :
   name:string ->
   description:string ->

@@ -5,14 +5,6 @@ module Bipartition = Hypart_partition.Bipartition
 module Problem = Hypart_partition.Problem
 module Initial = Hypart_partition.Initial
 
-type result = {
-  solution : Bipartition.t;
-  cut : int;
-  legal : bool;
-  passes : int;
-  moves : int;
-}
-
 (* gain components saturate at +-clamp; keys are Horner-packed in base
    (2 clamp + 1) so lexicographic order on vectors = integer order on
    keys *)
@@ -167,7 +159,9 @@ let pass st =
   else st.cur_cut <- Bipartition.cut st.h st.sol;
   (!best_cut, !n_applied)
 
-let run ?(lookahead = 2) ?(max_passes = 50) rng problem initial =
+let max_passes = 50
+
+let run ?(lookahead = 2) rng problem initial =
   if lookahead < 1 || lookahead > 3 then
     invalid_arg "Lookahead_fm.run: lookahead must be in [1, 3]";
   let h = problem.Problem.hypergraph in
@@ -194,18 +188,19 @@ let run ?(lookahead = 2) ?(max_passes = 50) rng problem initial =
   let best = ref (if initial_legal then st.cur_cut else max_int) in
   let passes = ref 0 and improving = ref true in
   while !improving && !passes < max_passes do
+    Hypart_engine.Cancel.check ();
     let pass_best, _ = pass st in
     incr passes;
     if pass_best < !best then best := pass_best else improving := false
   done;
   {
-    solution = st.sol;
+    Hypart_engine.Engine.Result.solution = st.sol;
     cut = st.cur_cut;
     legal = Bipartition.is_legal st.sol problem.Problem.balance;
-    passes = !passes;
-    moves = st.n_moves;
+    stats =
+      [ ("passes", float_of_int !passes); ("moves", float_of_int st.n_moves) ];
   }
 
-let run_random_start ?lookahead ?max_passes rng problem =
+let run_random_start ?lookahead rng problem =
   let initial = Initial.random rng problem in
-  run ?lookahead ?max_passes rng problem initial
+  run ?lookahead rng problem initial

@@ -22,28 +22,21 @@
     partitioning and coarse multilevel levels, not a drop-in
     replacement for the O(pins) classic engine. *)
 
-type result = {
-  solution : Hypart_partition.Bipartition.t;
-  cut : int;
-  legal : bool;
-  passes : int;
-  moves : int;
-}
-
 val run :
   ?lookahead:int ->
-  ?max_passes:int ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_partition.Bipartition.t ->
-  result
-(** [run rng problem initial] improves [initial]; [lookahead] is the
-    gain-vector depth (1 = classic FM ordering, default 2, max 3).
+  Hypart_engine.Engine.Result.t
+(** [run rng problem initial] improves [initial] by passes until one
+    fails to improve the best legal cut (at most 50); [lookahead] is
+    the gain-vector depth (1 = classic FM ordering, default 2, max 3).
+    The stats are [passes] and [moves].  The cancel hook is polled
+    before every pass.
     @raise Invalid_argument for depths outside [1, 3]. *)
 
 val run_random_start :
   ?lookahead:int ->
-  ?max_passes:int ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
-  result
+  Hypart_engine.Engine.Result.t

@@ -215,7 +215,7 @@ let ablation_rows =
   let initial setting generate =
     variant Engine.make "initial" setting (fun rng problem initial ->
         let s = match initial with Some s -> s | None -> generate rng problem in
-        Fm_engines.of_result (Fm.run ~config:Fm_config.strong_lifo rng problem s))
+        Fm.run ~config:Fm_config.strong_lifo rng problem s)
   in
   let lifo = Fm_config.strong_lifo and clip = Fm_config.strong_clip in
   [

@@ -349,29 +349,6 @@ let create ?vertex_weights ?edge_weights ~num_vertices ~edges () =
     deduped;
   of_csr ~num_vertices ~edge_offset ~edge_pins ~vertex_weight ~edge_weight
 
-let components h =
-  let comp = Array.make h.num_vertices (-1) in
-  let queue = Queue.create () in
-  let count = ref 0 in
-  for start = 0 to h.num_vertices - 1 do
-    if comp.(start) = -1 then begin
-      let id = !count in
-      incr count;
-      comp.(start) <- id;
-      Queue.push start queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        iter_edges h v (fun e ->
-            iter_pins h e (fun u ->
-                if comp.(u) = -1 then begin
-                  comp.(u) <- id;
-                  Queue.push u queue
-                end))
-      done
-    end
-  done;
-  (comp, !count)
-
 let stats h =
   let nv = h.num_vertices and ne = h.num_edges in
   let pins = num_pins h in

@@ -153,12 +153,6 @@ val max_vertex_degree : t -> int
 
 (** {1 Whole-graph queries} *)
 
-(* kept: instance connectivity, a whole-graph query no command reports yet *)
-val components : t -> int array * int
-(** [components h] labels every vertex with its connected-component id
-    (two vertices are connected when they share a hyperedge) and returns
-    the number of components. *)
-
 val stats : t -> Stats_summary.t
 (** Descriptive statistics of the instance (sizes, degree and net-size
     distributions, area spread); see {!Stats_summary}. *)

@@ -11,7 +11,9 @@ type result = {
 
 let clique_adjacency h = Hypart_hypergraph.Clique_expansion.adjacency h
 
-let run ?(max_passes = 20) _rng h initial =
+let max_passes = 20
+
+let run _rng h initial =
   let n = H.num_vertices h in
   let side = Bipartition.assignment initial in
   let n0 = Array.fold_left (fun acc s -> if s = 0 then acc + 1 else acc) 0 side in
@@ -37,6 +39,7 @@ let run ?(max_passes = 20) _rng h initial =
   let passes = ref 0 in
   let improving = ref true in
   while !improving && !passes < max_passes do
+    Hypart_engine.Cancel.check ();
     incr passes;
     Array.fill locked 0 n false;
     compute_d ();
@@ -104,11 +107,11 @@ let run ?(max_passes = 20) _rng h initial =
   let solution = Bipartition.make h side in
   { solution; cut = Bipartition.cut h solution; passes = !passes; swaps = !total_swaps }
 
-let run_random_start ?max_passes rng h =
+let run_random_start rng h =
   let n = H.num_vertices h in
   let perm = Rng.permutation rng n in
   let side = Array.make n 1 in
   for i = 0 to (n / 2) - 1 do
     side.(perm.(i)) <- 0
   done;
-  run ?max_passes rng h (Bipartition.make h side)
+  run rng h (Bipartition.make h side)

@@ -16,16 +16,16 @@ type result = {
 }
 
 val run :
-  ?max_passes:int ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
   Hypart_partition.Bipartition.t ->
   result
 (** Improve an initial solution (counts on each side must differ by at
-    most one; weights are ignored).  @raise Invalid_argument otherwise. *)
+    most one; weights are ignored) by passes until one finds no
+    improving prefix, at most 20.  The cancel hook is polled before
+    every pass.  @raise Invalid_argument on an unequal start. *)
 
 val run_random_start :
-  ?max_passes:int ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
   result

@@ -25,6 +25,12 @@ let build ~scheme ~rng ~coarsest_size ~max_cluster_weight ?restrict_to_parts
   let rec go h fixed part levels =
     if H.num_vertices h <= coarsest_size then List.rev levels
     else begin
+      (* cooperative cancellation between levels: the levels built so
+         far are discarded with the run *)
+      (try Hypart_engine.Cancel.check ()
+       with Hypart_engine.Cancel.Cancelled as e ->
+         Trace.end_span "ml.coarsen" ~args:[ ("cancelled", 1.) ];
+         raise e);
       Trace.begin_span "ml.coarsen.level";
       let cluster_of, num_clusters =
         Matching.compute ~scheme ~rng ~max_cluster_weight ~fixed
@@ -83,6 +89,15 @@ let build ~scheme ~rng ~coarsest_size ~max_cluster_weight ?restrict_to_parts
         ("levels", float_of_int (List.length levels));
       ];
   { problem; levels }
+
+let refinement_steps hier =
+  let rec go fine_h fine_fixed = function
+    | [] -> []
+    | level :: rest ->
+      (fine_h, fine_fixed, level) :: go level.coarse level.coarse_fixed rest
+  in
+  List.rev
+    (go hier.problem.Problem.hypergraph hier.problem.Problem.fixed hier.levels)
 
 let project level coarse_sol ~fine =
   let side =

@@ -29,7 +29,15 @@ val build :
     further levels would waste time without helping refinement).  When
     [restrict_to_parts] is given (V-cycling), clusters never straddle
     the given bipartition, so the partition projects exactly onto every
-    level of the hierarchy. *)
+    level of the hierarchy.  The cancel hook is polled before every
+    level. *)
+
+val refinement_steps :
+  hierarchy -> (Hypart_hypergraph.Hypergraph.t * int array * level) list
+(** The coarse-to-fine walk every multilevel engine refines along:
+    one [(fine, fine_fixed, level)] per level, coarsest first, where
+    [fine] and [fine_fixed] are the hypergraph and fixed array that
+    [level] was contracted from. *)
 
 val project :
   level -> Hypart_partition.Bipartition.t -> fine:Hypart_hypergraph.Hypergraph.t ->

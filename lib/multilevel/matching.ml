@@ -17,6 +17,9 @@ let[@inline] ba (a : H.i32) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
    an int instead of matching an option per pin. *)
 let parts_of = function None -> (false, [||]) | Some p -> (true, p)
 
+(* nets larger than this are ignored when scoring *)
+let skip_nets_above = 64
+
 (* The touched neighbour with the highest positive score, ties to the
    lower id; -1 when none scored. *)
 let best_candidate score touched n_touched =
@@ -34,8 +37,7 @@ let best_candidate score touched n_touched =
 
 (* Pair matching (EC / heavy-edge): visit vertices in random order and
    pair each unmatched vertex with its best unmatched neighbour. *)
-let pair_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
-    ~skip_nets_above h =
+let pair_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
   let n = H.num_vertices h in
   let voff = Csr.vertex_offset h and vedges = Csr.vertex_edges h in
   let eoff = Csr.edge_offset h and epins = Csr.edge_pins h in
@@ -93,8 +95,7 @@ let pair_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
 
 (* FirstChoice: the chosen neighbour may already be clustered, so
    clusters grow beyond pairs (bounded by the weight cap). *)
-let first_choice ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
-    ~skip_nets_above h =
+let first_choice ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
   let n = H.num_vertices h in
   let voff = Csr.vertex_offset h and vedges = Csr.vertex_edges h in
   let eoff = Csr.edge_offset h and epins = Csr.edge_pins h in
@@ -169,8 +170,7 @@ let first_choice ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
 
 (* Hyperedge coarsening: contract whole small nets whose pins are all
    still unclustered; leftovers become singletons. *)
-let hyperedge_coarsening ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
-    ~skip_nets_above h =
+let hyperedge_coarsening ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
   let n = H.num_vertices h in
   let ne = H.num_edges h in
   let eoff = Csr.edge_offset h and epins = Csr.edge_pins h in
@@ -223,15 +223,11 @@ let hyperedge_coarsening ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
   done;
   (cluster_of, !next_cluster)
 
-let compute ~scheme ~rng ~max_cluster_weight ~fixed ?restrict_to_parts
-    ?(skip_nets_above = 64) h =
+let compute ~scheme ~rng ~max_cluster_weight ~fixed ?restrict_to_parts h =
   match scheme with
   | Edge_coarsening | Heavy_edge ->
-    pair_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
-      ~skip_nets_above h
+    pair_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h
   | First_choice ->
-    first_choice ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
-      ~skip_nets_above h
+    first_choice ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h
   | Hyperedge_coarsening ->
-    hyperedge_coarsening ~rng ~max_cluster_weight ~fixed ~restrict_to_parts
-      ~skip_nets_above h
+    hyperedge_coarsening ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h

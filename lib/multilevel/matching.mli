@@ -29,7 +29,6 @@ val compute :
   max_cluster_weight:int ->
   fixed:int array ->
   ?restrict_to_parts:int array ->
-  ?skip_nets_above:int ->
   Hypart_hypergraph.Hypergraph.t ->
   int array * int
 (** [compute ~scheme ~rng ~max_cluster_weight ~fixed h] returns
@@ -37,5 +36,5 @@ val compute :
     combined weight does not exceed [max_cluster_weight], the two
     vertices are not fixed to different sides, and — when
     [restrict_to_parts] is given — both lie in the same part.  Nets
-    larger than [skip_nets_above] (default 64) are ignored when scoring,
+    larger than 64 pins are ignored when scoring,
     as is standard in multilevel implementations. *)

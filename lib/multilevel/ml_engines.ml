@@ -1,12 +1,9 @@
 module Engine = Hypart_engine.Engine
-module Fm_engines = Hypart_fm.Fm_engines
 
 (* a fresh multilevel run, or one V-cycle from [initial] *)
-let run_config config rng problem initial =
-  Fm_engines.of_result
-    (match initial with
-    | None -> Ml_partitioner.run ~config rng problem
-    | Some s -> Ml_partitioner.vcycle ~config rng problem s)
+let run_config config rng problem = function
+  | None -> Ml_partitioner.run ~config rng problem
+  | Some s -> Ml_partitioner.vcycle ~config rng problem s
 
 let of_config ~name ~description config =
   Engine.make ~name ~description (run_config config)
@@ -23,10 +20,7 @@ let mlclip =
 
 let vcycle_polish ?(config = Ml_partitioner.ml_clip) rng problem
     (r : Engine.Result.t) =
-  let r' =
-    Fm_engines.of_result
-      (Ml_partitioner.vcycle ~config rng problem r.Engine.Result.solution)
-  in
+  let r' = Ml_partitioner.vcycle ~config rng problem r.Engine.Result.solution in
   if Engine.Result.better r' r then r' else r
 
 let hmetis =

@@ -42,17 +42,8 @@ let run ?(tolerance = 0.10) ~k rng h =
   done;
   let coarsest = Option.get !best in
   (* uncoarsen: project through each level's cluster map and refine *)
-  let steps =
-    (* fine hypergraph preceding each level, coarse-to-fine *)
-    let rec go fine_h = function
-      | [] -> []
-      | (level : Coarsen.level) :: rest ->
-        (fine_h, level) :: go level.Coarsen.coarse rest
-    in
-    List.rev (go h hier.Coarsen.levels)
-  in
   List.fold_left
-    (fun (result : Kway_fm.result) (fine_h, (level : Coarsen.level)) ->
+    (fun (result : Kway_fm.result) (fine_h, _, (level : Coarsen.level)) ->
       let projected =
         Array.map
           (fun c -> result.Kway_fm.part_of.(c))
@@ -60,4 +51,5 @@ let run ?(tolerance = 0.10) ~k rng h =
       in
       Kway_fm.run ~max_passes:refine_passes ~tolerance ~k rng fine_h
         projected)
-    coarsest steps
+    coarsest
+    (Coarsen.refinement_steps hier)

@@ -6,7 +6,9 @@
     configured FM engine (ML LIFO FM or ML CLIP FM, per
     [config.fm.engine]).  Optional V-cycles re-coarsen restricted to the
     current partition and refine again (Karypis et al.; used by Tables
-    4-5's protocol, which V-cycles the best of N starts). *)
+    4-5's protocol, which V-cycles the best of N starts).  Every entry
+    point returns the engine layer's result record, whose stats are
+    {!Hypart_fm.Fm.run}'s five counters summed over every FM run. *)
 
 type config = {
   fm : Hypart_fm.Fm_config.t;  (** refinement engine and its knobs *)
@@ -45,7 +47,7 @@ val run :
   ?config:config ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
-  Hypart_fm.Fm.result
+  Hypart_engine.Engine.Result.t
 (** One multilevel start.  Its stats sum every FM run it makes: each
     coarsest-level start, each level's refinement and each V-cycle's.
     Every refinement at every level and V-cycle borrows the calling
@@ -59,10 +61,13 @@ val vcycle :
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_partition.Bipartition.t ->
-  Hypart_fm.Fm.result
+  Hypart_engine.Engine.Result.t
 (** One V-cycle: re-coarsen restricted to the given solution's parts
     and refine it back up, with the stats of every level's refinement.
-    Never returns a worse legal cut. *)
+    The refined solution is returned unless the given one is better
+    ({!Hypart_engine.Engine.Result.better}: legality first, then cut);
+    on a tie the refined one is kept.  A kept input is returned as a
+    copy, with the descent's stats. *)
 
 val recombine :
   ?config:config ->
@@ -70,12 +75,13 @@ val recombine :
   Hypart_partition.Problem.t ->
   Hypart_partition.Bipartition.t ->
   Hypart_partition.Bipartition.t ->
-  Hypart_fm.Fm.result
+  Hypart_engine.Engine.Result.t
 (** Cut-respecting recombination of two parent partitions (memetic
-    multilevel): coarsen restricted to the overlay of both parents'
-    parts — so no cluster ever straddles either parent's cut — project
-    the better parent onto the coarsest hypergraph (well-defined per
-    cluster, preserving its cut exactly), then refine back up (the
-    stats sum every level's refinement).  Never
-    returns a result worse than the better parent (legality first,
-    then cut). *)
+    multilevel): the same restricted descent as {!vcycle}, with the
+    overlay of both parents' parts as the restriction — so no cluster
+    ever straddles either parent's cut — and the better parent (the
+    first on a tie) as the start, which projects onto the coarsest
+    hypergraph with its cut preserved exactly.  The stats sum every
+    level's refinement.  The tie rule is {!vcycle}'s: the result is
+    the better parent only when that parent is strictly better
+    (legality first, then cut). *)

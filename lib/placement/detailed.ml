@@ -97,13 +97,13 @@ let swap_coords pl rows a b =
   rows.row_of.(a) <- rows.row_of.(b);
   rows.row_of.(b) <- tr
 
-let anneal ?(moves_per_cell = 50) ?(initial_acceptance = 0.5) ?(cooling = 0.95)
-    rng h legalized =
+(* the starting temperature accepts an average swap with this
+   probability; each temperature step multiplies it by [cooling] *)
+let initial_acceptance = 0.5
+let cooling = 0.95
+
+let anneal ?(moves_per_cell = 50) rng h legalized =
   let n = H.num_vertices h in
-  if initial_acceptance <= 0.0 || initial_acceptance >= 1.0 then
-    invalid_arg "Detailed.anneal: initial_acceptance outside (0, 1)";
-  if cooling <= 0.0 || cooling >= 1.0 then
-    invalid_arg "Detailed.anneal: cooling outside (0, 1)";
   let pl =
     {
       Topdown.x = Array.copy legalized.placement.Topdown.x;

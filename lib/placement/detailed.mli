@@ -50,15 +50,13 @@ type anneal_stats = {
 
 val anneal :
   ?moves_per_cell:int ->
-  ?initial_acceptance:float ->
-  ?cooling:float ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
   legalized ->
   legalized * anneal_stats
 (** Simulated-annealing refinement.  [moves_per_cell] (default 50)
-    scales the move budget; [initial_acceptance] (default 0.5) sets the
-    starting temperature from sampled move deltas; [cooling] (default
-    0.95) is the geometric factor per temperature step.  Never returns
+    scales the move budget.  The starting temperature accepts an
+    average sampled swap with probability 0.5, and each temperature
+    step cools it by 0.95.  Never returns
     a placement with a worse HPWL than its input (the best-seen
     configuration is kept). *)

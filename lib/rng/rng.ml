@@ -19,11 +19,6 @@ let bits64 r =
   r.state <- Int64.add r.state golden_gamma;
   mix64 r.state
 
-let split r =
-  (* A fresh state derived from one draw is independent for all practical
-     purposes given mix64's avalanche. *)
-  { state = mix64 (bits64 r) }
-
 (* Unbiased bounded integers via rejection on the top 61 bits.  OCaml's
    native int is 63-bit (max 2^62 - 1), so [1 lsl 61] is the largest
    power-of-two draw range whose size is itself representable. *)

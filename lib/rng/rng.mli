@@ -4,7 +4,8 @@
     explicitly, so that every experiment is reproducible from its seed.
     The core generator is splitmix64 (Steele, Lea & Flood 2014): a tiny,
     fast, well-distributed 64-bit generator whose state is a single
-    integer, which makes {!split} and {!copy} trivial and cheap. *)
+    integer, which makes {!copy} trivial and cheap.  Sub-experiments
+    that need their own streams derive their own seeds. *)
 
 type t
 (** Mutable generator state. *)
@@ -15,13 +16,6 @@ val create : int -> t
 
 val copy : t -> t
 (** Independent duplicate of the current state. *)
-
-(* kept: independent sub-streams; in-tree callers derive seeds instead *)
-val split : t -> t
-(** [split r] draws from [r] and returns a new generator whose stream is
-    (statistically) independent of the remainder of [r]'s stream.  Used
-    to give sub-experiments their own generators so that adding draws to
-    one does not perturb another. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

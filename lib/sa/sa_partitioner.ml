@@ -5,20 +5,12 @@ module Bipartition = Hypart_partition.Bipartition
 module Problem = Hypart_partition.Problem
 module Initial = Hypart_partition.Initial
 
-type result = {
-  solution : Bipartition.t;
-  cut : int;
-  legal : bool;
-  accepted : int;
-  attempted : int;
-}
+(* the starting temperature accepts an average move with this
+   probability; each temperature step multiplies it by [cooling] *)
+let initial_acceptance = 0.5
+let cooling = 0.95
 
-let run ?initial ?(moves_per_vertex = 100) ?(initial_acceptance = 0.5)
-    ?(cooling = 0.95) ?(balance_weight = 1.0) rng problem =
-  if initial_acceptance <= 0.0 || initial_acceptance >= 1.0 then
-    invalid_arg "Sa_partitioner.run: initial_acceptance outside (0, 1)";
-  if cooling <= 0.0 || cooling >= 1.0 then
-    invalid_arg "Sa_partitioner.run: cooling outside (0, 1)";
+let run ?initial ?(moves_per_vertex = 100) rng problem =
   let h = problem.Problem.hypergraph in
   let balance = problem.Problem.balance in
   let n = H.num_vertices h in
@@ -50,7 +42,7 @@ let run ?initial ?(moves_per_vertex = 100) ?(initial_acceptance = 0.5)
   let slack = float_of_int (max 1 (Balance.slack balance)) in
   let penalty w0 =
     let viol = float_of_int (Balance.violation balance ~part0_weight:w0) in
-    balance_weight *. 10.0 *. avg_net_weight *. (viol /. slack) ** 2.0
+    10.0 *. avg_net_weight *. (viol /. slack) ** 2.0
   in
   (* cut change of flipping v, from per-net counts *)
   let cut_delta v =
@@ -100,6 +92,7 @@ let run ?initial ?(moves_per_vertex = 100) ?(initial_acceptance = 0.5)
   let per_level = max 1 (total_moves / levels) in
   let accepted = ref 0 and attempted = ref 0 in
   for _ = 1 to levels do
+    Hypart_engine.Cancel.check ();
     for _ = 1 to per_level do
       incr attempted;
       let v = Rng.int rng n in
@@ -123,4 +116,13 @@ let run ?initial ?(moves_per_vertex = 100) ?(initial_acceptance = 0.5)
       let s = Bipartition.make h side in
       (s, !cut, Balance.is_legal balance ~part0_weight:!w0)
   in
-  { solution; cut; legal; accepted = !accepted; attempted = !attempted }
+  {
+    Hypart_engine.Engine.Result.solution;
+    cut;
+    legal;
+    stats =
+      [
+        ("accepted", float_of_int !accepted);
+        ("attempted", float_of_int !attempted);
+      ];
+  }

@@ -10,27 +10,18 @@
     mildly unbalanced states and still land legal.  Geometric cooling,
     Metropolis acceptance, best-legal-seen tracking. *)
 
-type result = {
-  solution : Hypart_partition.Bipartition.t;
-  cut : int;
-  legal : bool;
-  accepted : int;
-  attempted : int;
-}
-
 val run :
   ?initial:Hypart_partition.Bipartition.t ->
   ?moves_per_vertex:int ->
-  ?initial_acceptance:float ->
-  ?cooling:float ->
-  ?balance_weight:float ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
-  result
+  Hypart_engine.Engine.Result.t
 (** [run rng problem] anneals from [initial] (copied, not mutated)
     when given, otherwise from a random legal start.
-    [moves_per_vertex] (default 100) scales the move budget;
-    [balance_weight] (default 1.0) multiplies the violation penalty
-    (relative to the average net weight).  Returns the best legal
-    solution encountered (falling back to the best overall when no
-    legal state was seen). *)
+    [moves_per_vertex] (default 100) scales the move budget.  The
+    starting temperature accepts an average sampled move with
+    probability 0.5 and each temperature step cools it by 0.95.
+    Returns the best legal solution encountered (falling back to the
+    best overall when no legal state was seen), with the [accepted]
+    and [attempted] move counts as its stats.  The cancel hook is
+    polled at every temperature step. *)

@@ -15,7 +15,10 @@ type result = {
    Laplacian), deflated against the constant vector, converges to the
    eigenvector of L's second-smallest eigenvalue — the Fiedler
    vector. *)
-let fiedler_vector rng ~iterations adj =
+let iterations = 200
+let min_part_fraction = 0.05
+
+let fiedler_vector rng adj =
   let n = Array.length adj in
   let deg = Clique.degrees adj in
   let c = 1.0 +. Array.fold_left Float.max 0.0 deg in
@@ -33,6 +36,7 @@ let fiedler_vector rng ~iterations adj =
   let used = ref 0 in
   (try
      for it = 1 to iterations do
+       Hypart_engine.Cancel.check ();
        used := it;
        (* y = (c I - L) x = (c - deg_v) x_v + sum_u w(u,v) x_u *)
        for v = 0 to n - 1 do
@@ -52,11 +56,11 @@ let fiedler_vector rng ~iterations adj =
    with Exit -> ());
   (!x, !used)
 
-let run ?(iterations = 200) ?(min_part_fraction = 0.05) rng h =
+let run rng h =
   let n = H.num_vertices h in
   if n < 2 then invalid_arg "Spectral.run: need at least two vertices";
   let adj = Clique.adjacency h in
-  let fiedler, used = fiedler_vector rng ~iterations adj in
+  let fiedler, used = fiedler_vector rng adj in
   (* sweep the Fiedler ordering, maintaining the hyperedge cut
      incrementally: moving vertex v from side 1 to side 0 changes the
      cut by (nets v completes on 0) - (nets v leaves fully on 1) *)

@@ -22,13 +22,11 @@ type result = {
 }
 
 val run :
-  ?iterations:int ->
-  ?min_part_fraction:float ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
   result
-(** [run rng h] computes the EIG1 bipartition.  [iterations] caps the
-    power iteration (default 200, with early exit on convergence);
-    [min_part_fraction] (default 0.05) keeps degenerate prefixes out of
-    the sweep.  @raise Invalid_argument on hypergraphs with fewer than
-    two vertices. *)
+(** [run rng h] computes the EIG1 bipartition.  The power iteration
+    stops at 200 iterations or on convergence, polling the cancel hook
+    before each; the sweep skips prefixes holding less than 5% of the
+    total vertex weight on either side.  @raise Invalid_argument on
+    hypergraphs with fewer than two vertices. *)

@@ -125,6 +125,65 @@ let smoke_tests () =
         `Quick (smoke_one e))
     (Engine.all ())
 
+(* The stats each engine reports, by name and in order, on the smoke
+   instance: these names are the run store's [stat.*] columns. *)
+let fm_stat_names =
+  [ "passes"; "moves"; "empty_passes"; "corking_events"; "zero_delta_updates" ]
+
+let expected_stat_names =
+  [
+    ("clip", fm_stat_names);
+    ("eco_fm", fm_stat_names);
+    ("eco_ml", fm_stat_names);
+    ("flat", fm_stat_names);
+    ("hmetis", fm_stat_names);
+    ("kl", [ "passes"; "swaps" ]);
+    ("lookahead", [ "passes"; "moves" ]);
+    ("memetic_ml", [ "generations"; "evaluations" ]);
+    ("ml", fm_stat_names);
+    ("mlclip", fm_stat_names);
+    ("reported", fm_stat_names);
+    ("reported-clip", fm_stat_names);
+    ("sa", [ "accepted"; "attempted" ]);
+    ("spectral", [ "ratio_cut"; "iterations" ]);
+  ]
+
+let test_stat_names () =
+  let problem = tiny_problem 7 in
+  Alcotest.(check (list string))
+    "every engine has expected names" (Engine.names ())
+    (List.map fst expected_stat_names);
+  List.iter
+    (fun (name, expected) ->
+      let r = Engine.run (Engine.find_exn name) (Rng.create 42) problem None in
+      Alcotest.(check (list string))
+        (name ^ " stat names")
+        expected
+        (List.map fst r.Engine.Result.stats))
+    expected_stat_names
+
+(* Every engine stops at its first safe point once the cancel hook
+   fires.  [memetic_ml] is left out: its generations run on fresh
+   domains through [Parallel.map_seeds], which do not inherit the
+   caller's hook (cancel.mli). *)
+let test_cancel_every_engine () =
+  let problem = tiny_problem 7 in
+  List.iter
+    (fun engine ->
+      let name = Engine.name engine in
+      if name <> "memetic_ml" then
+        let cancelled =
+          match
+            Hypart_engine.Cancel.with_hook
+              (fun () -> true)
+              (fun () -> Engine.run engine (Rng.create 42) problem None)
+          with
+          | _ -> false
+          | exception Hypart_engine.Cancel.Cancelled -> true
+        in
+        Alcotest.(check bool) (name ^ " raises Cancelled") true cancelled)
+    (Engine.all ())
+
 (* -- Combinators -- *)
 
 let test_multistart_improves () =
@@ -290,6 +349,14 @@ let test_result_better_legality_first () =
   Alcotest.(check bool) "stat lookup" true
     (Engine.Result.stat (mk 1 true) "passes" = None)
 
+(* summed by name, in the first list's order *)
+let test_result_add_stats () =
+  Alcotest.(check (list (pair string (float 0.))))
+    "sum" [ ("passes", 5.); ("moves", 12.) ]
+    (Engine.Result.add_stats
+       [ ("passes", 2.); ("moves", 10.) ]
+       [ ("moves", 2.); ("passes", 3.) ])
+
 let () =
   Alcotest.run "engine"
     [
@@ -301,6 +368,12 @@ let () =
           Alcotest.test_case "unknown name" `Quick test_find_unknown;
         ] );
       ("smoke", smoke_tests ());
+      ( "contract",
+        [
+          Alcotest.test_case "stat names" `Quick test_stat_names;
+          Alcotest.test_case "cancel every engine" `Quick
+            test_cancel_every_engine;
+        ] );
       ( "combinators",
         [
           Alcotest.test_case "multistart best-of" `Quick
@@ -322,5 +395,6 @@ let () =
             test_hmetis_pinned;
           Alcotest.test_case "Result.better" `Quick
             test_result_better_legality_first;
+          Alcotest.test_case "Result.add_stats" `Quick test_result_add_stats;
         ] );
     ]

@@ -97,14 +97,14 @@ let test_corking () =
   let p = problem "ibm01" in
   let stats config =
     let rng = Rng.create 4 in
-    let cuts = Array.make runs 0 and moves = ref 0 and passes = ref 0 in
+    let cuts = Array.make runs 0 and moves = ref 0. and passes = ref 0. in
     for i = 0 to runs - 1 do
       let r = Fm.run_random_start ~config rng p in
       cuts.(i) <- r.Fm.cut;
-      moves := !moves + r.Fm.stats.Fm.moves;
-      passes := !passes + r.Fm.stats.Fm.passes
+      moves := !moves +. Option.get (Engine.Result.stat r "moves");
+      passes := !passes +. Option.get (Engine.Result.stat r "passes")
     done;
-    (D.mean (D.of_ints cuts), float_of_int !moves /. float_of_int !passes)
+    (D.mean (D.of_ints cuts), !moves /. !passes)
   in
   let corked_avg, corked_mpp = stats Fm_config.reported_clip in
   let fixed_avg, fixed_mpp = stats Fm_config.strong_clip in

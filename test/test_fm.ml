@@ -422,8 +422,10 @@ let test_fm_stats_populated () =
   let h = random_instance 21 in
   let p = Problem.make ~tolerance:0.05 h in
   let r = Fm.run_random_start (Rng.create 22) p in
-  Alcotest.(check bool) "at least one pass" true (r.Fm.stats.Fm.passes >= 1);
-  Alcotest.(check bool) "moves counted" true (r.Fm.stats.Fm.moves >= 0)
+  Alcotest.(check bool) "at least one pass" true
+    (Engine.Result.stat r "passes" >= Some 1.);
+  Alcotest.(check bool) "moves counted" true
+    (Engine.Result.stat r "moves" >= Some 0.)
 
 let test_fm_deterministic () =
   let h = random_instance 23 in
@@ -475,7 +477,7 @@ let test_clip_corking_detected () =
   let p = Problem.make ~tolerance:0.05 h in
   let r = Fm.run_random_start ~config:Fm_config.reported_clip (Rng.create 30) p in
   Alcotest.(check bool) "corking events observed" true
-    (r.Fm.stats.Fm.corking_events > 0)
+    (Engine.Result.stat r "corking_events" > Some 0.)
 
 let test_fm_weighted_edges () =
   (* cutting the weight-10 net must be avoided in favour of two
@@ -516,7 +518,8 @@ let test_fm_empty_free_set () =
   let r = Fm.run (Rng.create 54) p initial in
   Alcotest.(check bool) "solution unchanged" true
     (Bipartition.equal initial r.Fm.solution);
-  Alcotest.(check int) "no moves" 0 r.Fm.stats.Fm.moves
+  Alcotest.(check (option (float 0.))) "no moves" (Some 0.)
+    (Engine.Result.stat r "moves")
 
 let test_random_insertion_deterministic () =
   let h = random_instance 55 in
@@ -588,7 +591,7 @@ let prop_fast_path_never_changes_results =
           let on = run () in
           on.Fm.cut = off.Fm.cut
           && Bipartition.equal on.Fm.solution off.Fm.solution
-          && on.Fm.stats.Fm.moves = off.Fm.stats.Fm.moves))
+          && Engine.Result.stat on "moves" = Engine.Result.stat off "moves"))
 
 (* [f ()] on a freshly spawned domain, whose workspace slot is empty *)
 let on_fresh_domain f = Domain.join (Domain.spawn f)

@@ -75,21 +75,6 @@ let test_iterators_match_arrays () =
   let total = H.fold_edges h 3 ~init:0 ~f:(fun acc _ -> acc + 1) in
   Alcotest.(check int) "fold_edges counts degree" (H.vertex_degree h 3) total
 
-let test_components_connected () =
-  let h = sample () in
-  let _, n = H.components h in
-  Alcotest.(check int) "one component" 1 n
-
-let test_components_disconnected () =
-  let h =
-    H.create ~num_vertices:6 ~edges:[| [| 0; 1 |]; [| 2; 3 |]; [| 3; 4 |] |] ()
-  in
-  let comp, n = H.components h in
-  Alcotest.(check int) "three components" 3 n;
-  Alcotest.(check bool) "2,3,4 together" true (comp.(2) = comp.(3) && comp.(3) = comp.(4));
-  Alcotest.(check bool) "0,1 together" true (comp.(0) = comp.(1));
-  Alcotest.(check bool) "separate" true (comp.(0) <> comp.(2) && comp.(5) <> comp.(0))
-
 let test_stats () =
   let h = sample () in
   let s = H.stats h in
@@ -150,17 +135,13 @@ let test_induce () =
 let test_empty_graph () =
   let h = H.create ~num_vertices:0 ~edges:[||] () in
   Alcotest.(check int) "no vertices" 0 (H.num_vertices h);
-  Alcotest.(check int) "no pins" 0 (H.num_pins h);
-  let _, n = H.components h in
-  Alcotest.(check int) "no components" 0 n
+  Alcotest.(check int) "no pins" 0 (H.num_pins h)
 
 let test_single_vertex () =
   let h = H.create ~num_vertices:1 ~edges:[| [| 0 |] |] () in
   Alcotest.(check int) "one vertex" 1 (H.num_vertices h);
   Alcotest.(check int) "degree" 1 (H.vertex_degree h 0);
-  Alcotest.(check int) "edge size" 1 (H.edge_size h 0);
-  let _, n = H.components h in
-  Alcotest.(check int) "one component" 1 n
+  Alcotest.(check int) "edge size" 1 (H.edge_size h 0)
 
 let test_self_loop_net_collapses () =
   (* an edge listing the same vertex repeatedly reduces to one pin *)
@@ -464,8 +445,6 @@ let () =
         ] );
       ( "queries",
         [
-          Alcotest.test_case "connected" `Quick test_components_connected;
-          Alcotest.test_case "disconnected" `Quick test_components_disconnected;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );
       ( "edge cases",

@@ -1,7 +1,8 @@
 (* Bit-identity pins for the multilevel kernels (CLIP populate order,
-   contraction, the four matching schemes) and for the ECO warm path
+   contraction, the four matching schemes), for the ECO warm path
    (projection, localization, subproblem extraction, refinement and
-   splice).
+   splice) and for the records of recombination, multilevel k-way,
+   look-ahead FM and SA (stats included).
 
    Each case digests a full assignment (or cluster map), not just a
    cut, on ibm01 at scale 4 — large enough that nets exceed the
@@ -27,9 +28,16 @@ module Delta_gen = Hypart_delta.Delta_gen
 module Patch = Hypart_delta.Patch
 module Eco = Hypart_delta.Eco
 module Eco_engines = Hypart_delta.Eco_engines
+module Fm_engines = Hypart_fm.Fm_engines
+module Sa_engines = Hypart_sa.Sa_engines
+module Ml_kway = Hypart_multilevel.Ml_kway
+module Kway_fm = Hypart_fm.Kway_fm
 
 let instance = lazy (Suite.instance ~scale:4.0 "ibm01")
 let problem () = Problem.make ~tolerance:0.10 (Lazy.force instance)
+
+(* k-way FM is slow at scale 4: the k-way case runs on the scale-16 twin *)
+let small_instance = lazy (Suite.instance ~scale:16.0 "ibm01")
 
 (* every tenth vertex fixed, alternating sides *)
 let fixed_problem () =
@@ -191,6 +199,58 @@ let eco_cases =
         eco_digest
           (Eco.run ~engine:Eco_engines.eco_ml ~scratch:Ml_engines.mlclip
              ~seed:4 ~prior p) );
+  ]
+
+(* Engine records: cut, assignment and the stats list (names, order
+   and values), on three seeds each.  Recorded when FM, look-ahead FM,
+   SA and the multilevel partitioner still had records of their own. *)
+let few_seeds = [ 1; 2; 3 ]
+
+let digest_stats stats =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ","
+          (List.map (fun (n, v) -> Printf.sprintf "%s=%h" n v) stats)))
+
+let of_record cut assignment stats =
+  Printf.sprintf "%d:%s:%s" cut (digest_ints assignment) (digest_stats stats)
+
+let of_engine_result (r : Engine.Result.t) =
+  of_record r.Engine.Result.cut
+    (Bipartition.assignment r.Engine.Result.solution)
+    r.Engine.Result.stats
+
+let per_few_seeds f = String.concat " " (List.map f few_seeds)
+
+let engine_case engine () =
+  let p = problem () in
+  per_few_seeds (fun seed ->
+      of_engine_result (Engine.run engine (Rng.create seed) p None))
+
+let record_cases =
+  [
+    ( "recombine of two mlclip parents",
+      fun () ->
+        let p = problem () in
+        per_few_seeds (fun seed ->
+            let rng = Rng.create seed in
+            let a = Ml.run ~config:Ml.ml_clip rng p in
+            let b = Ml.run ~config:Ml.ml_clip rng p in
+            of_engine_result
+              (Ml.recombine ~config:Ml.ml_clip rng p a.Engine.Result.solution
+                 b.Engine.Result.solution)) );
+    ( "ml_kway k=4",
+      fun () ->
+        let h = Lazy.force small_instance in
+        per_few_seeds (fun seed ->
+            let r = Ml_kway.run ~k:4 (Rng.create seed) h in
+            of_record r.Kway_fm.cut r.Kway_fm.part_of
+              [
+                ("passes", float_of_int r.Kway_fm.passes);
+                ("moves", float_of_int r.Kway_fm.moves);
+              ]) );
+    ("lookahead engine", engine_case Fm_engines.lookahead);
+    ("sa engine", engine_case Sa_engines.sa);
   ]
 
 let expected =
@@ -358,6 +418,34 @@ let expected =
           "warm/1782/240:c04c77ce905a52b05cb8999da2e5f32b";
         ] );
     ("eco chain eco_ml link", "warm/492/244:0a437d3ac013f0b188c697f5883cc559");
+    ( "recombine of two mlclip parents",
+      String.concat " "
+        [
+          "236:3a5ffcd45101eb4f15d6a421b1724fb1:4dfeb783850097079279f2d13fa982d1";
+          "240:9d87465d6f952ecc97660f5da61b938c:7f1d6169349f619539d7661c9a7d5c0c";
+          "236:f06a1ab58068293c2fd81d04d3ded9d0:62e7c83d383b8b19785045123e5c7b8a";
+        ] );
+    ( "ml_kway k=4",
+      String.concat " "
+        [
+          "253:58f466d0dd5733f2a68934ff1bb68d33:387d93486b1a0f7220e00bd0611d7c5a";
+          "271:5553d326166d9eaab22ea3452ce8d985:f740698b717ca9092c9de42d032228c5";
+          "256:6744298357ecb58d060b7051273626ef:02534181fa058765ae3356019948cd2e";
+        ] );
+    ( "lookahead engine",
+      String.concat " "
+        [
+          "411:6463752b74b5df6890e30251909b3670:f957a2ca61e6ab38e8923dc8f42a5be8";
+          "370:ce33e7eb72326dedf7a312fce5db0d1a:42f008fff38809103c0853d61a327c6f";
+          "314:b06f61e39694407b4c4e6765c0f35fdd:a42a936338efc91f8bf64f70f46d28bc";
+        ] );
+    ( "sa engine",
+      String.concat " "
+        [
+          "314:7a38a73c72c77b85281f81fdd2de8f0c:e3c9caff2e4fe76dd5ae4fde2fd8363b";
+          "2439:05050ad63791a622319a090880f752a4:c34ebb4e5bc91a3c8cfeb65c4a15a85a";
+          "2444:64245f3531df5bea322665f38ba26e10:7b979ec3eb2dea9c6eaec19660457b00";
+        ] );
   ]
 
 let check (name, f) =
@@ -374,4 +462,5 @@ let () =
       ("flat clip", List.map check flat_cases);
       ("matching", List.map check matching_cases);
       ("eco", List.map check eco_cases);
+      ("records", List.map check record_cases);
     ]

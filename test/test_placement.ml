@@ -179,13 +179,6 @@ let test_anneal_deterministic () =
   Alcotest.(check bool) "same placement" true
     (a.Detailed.placement.Topdown.x = b.Detailed.placement.Topdown.x)
 
-let test_anneal_invalid_params () =
-  let h, pl = coarse () in
-  let leg = Detailed.legalize h pl in
-  Alcotest.check_raises "bad cooling" (Invalid_argument "x") (fun () ->
-      try ignore (Detailed.anneal ~cooling:1.5 (Rng.create 1) h leg)
-      with Invalid_argument _ -> raise (Invalid_argument "x"))
-
 (* -- Congestion (RUDY) -- *)
 
 module Congestion = Hypart_placement.Congestion
@@ -345,8 +338,6 @@ let () =
           Alcotest.test_case "anneal from random" `Quick
             test_anneal_on_random_start_improves_substantially;
           Alcotest.test_case "anneal deterministic" `Quick test_anneal_deterministic;
-          Alcotest.test_case "anneal invalid params" `Quick
-            test_anneal_invalid_params;
         ] );
       ( "congestion",
         [

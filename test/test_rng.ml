@@ -25,15 +25,6 @@ let test_copy_independent () =
   let _ = Rng.bits64 c in
   Alcotest.(check int64) "original unaffected by copy's draws" expected (Rng.bits64 a)
 
-let test_split_diverges () =
-  let a = Rng.create 11 in
-  let b = Rng.split a in
-  let same = ref 0 in
-  for _ = 1 to 20 do
-    if Rng.bits64 a = Rng.bits64 b then incr same
-  done;
-  Alcotest.(check int) "split streams diverge" 0 !same
-
 let test_int_bounds () =
   let r = Rng.create 3 in
   for _ = 1 to 10_000 do
@@ -181,7 +172,6 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_copy_independent;
-          Alcotest.test_case "split" `Quick test_split_diverges;
         ] );
       ( "draws",
         [
