@@ -340,6 +340,7 @@ let ingest_benches =
 
 module Evolve = Hypart_evolve.Evolve
 module Population = Hypart_evolve.Population
+module Pop_log = Hypart_evolve.Pop_log
 module Bipartition = Hypart_partition.Bipartition
 
 (* two decent parents produced once; recombine is the per-offspring hot
@@ -367,14 +368,24 @@ let evolve_benches =
              let n = H.num_vertices h in
              let pop = Population.create ~capacity:8 in
              for i = 0 to 15 do
-               let sol = Bipartition.copy a.Hypart_fm.Fm.solution in
+               let sides = Bipartition.assignment a.Hypart_fm.Fm.solution in
                (* flip a few vertices so similarities differ per member *)
                for v = 0 to min 7 (n - 1) do
-                 if (i + v) mod 3 = 0 then Bipartition.move sol h v
+                 if (i + v) mod 3 = 0 then sides.(v) <- 1 - sides.(v)
                done;
                ignore
-                 (Population.insert pop ~gen:0 ~slot:i ~kind:"seed" ~seed:i
-                    ~cut:(a.Hypart_fm.Fm.cut + i) ~legal:true ~seconds:0. sol)
+                 (Population.insert pop
+                    {
+                      Pop_log.gen = 0;
+                      slot = i;
+                      kind = "seed";
+                      seed = i;
+                      cut = a.Hypart_fm.Fm.cut + i;
+                      legal = true;
+                      seconds = 0.;
+                      assignment = sides;
+                    }
+                    (Bipartition.make h sides))
              done));
       Test.make ~name:"campaign_small"
         (ignore1 (fun () ->

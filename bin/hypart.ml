@@ -372,11 +372,10 @@ let partition_cmd =
   let run () input scale seed tolerance engine starts domains out =
     let h = load_instance input scale in
     let problem = Problem.make ~tolerance h in
-    (* the daemon's seeded multistart: one derived seed per start, so
-       the answer is the same at every --domains *)
-    let seeds = List.init starts (fun i -> seed + i) in
-    let (_seed, result), records =
-      Engine.multistart_seeds ?domains engine problem ~seeds
+    (* the daemon's seeded multistart: the same answer at every
+       --domains *)
+    let result, records =
+      Engine.multistart_seeds ?domains engine problem ~seed ~starts
     in
     Format.printf "%a@." H.pp h;
     Printf.printf "engine: %s, %d start(s), tolerance %.0f%%\n"
@@ -1066,43 +1065,6 @@ let submit_cmd =
 
 (* ---------------- evolve ---------------- *)
 
-(* Executor over a daemon fleet.  Daemon-side cache hits carry no
-   assignment; the seeded-run contract makes a local recompute
-   bit-identical, so those (rare) answers fall back to it. *)
-let fleet_executor fleet ~body ~format ~tolerance ~attempts =
-  Exec.of_fun ~name:"fleet"
-    (fun problem jobs ->
-      let fleet_jobs =
-        List.map
-          (fun (j : Exec.job) ->
-            { Fleet.engine = j.Exec.engine; seed = j.Exec.seed;
-              starts = j.Exec.starts })
-          jobs
-      in
-      let results =
-        Fleet.submit_batch ~attempts_per_server:attempts ~tolerance fleet
-          ~body ~format fleet_jobs
-      in
-      List.map2
-        (fun (j : Exec.job) res ->
-          Result.map
-            (fun (o : Fleet.outcome) ->
-              match o.Client.assignment with
-              | Some assignment ->
-                {
-                  Exec.cut = o.Client.cut;
-                  legal = o.Client.legal;
-                  seconds = o.Client.seconds;
-                  assignment;
-                  source = o.Client.served_by;
-                  stats = [];
-                }
-              | None ->
-                { (Exec.run_local problem j) with
-                  Exec.source = o.Client.served_by ^ "+local" })
-            res)
-        jobs results)
-
 let evolve_cmd =
   let run () input scale seed tolerance engine population generations
       recombinations immigrants starts servers store domains attempts out_file
@@ -1138,8 +1100,8 @@ let evolve_cmd =
           exit 1
         | Ok list ->
           let body, format = instance_payload input scale in
-          fleet_executor (Fleet.create list) ~body ~format ~tolerance
-            ~attempts)
+          Fleet.executor ~attempts_per_server:attempts ~tolerance
+            (Fleet.create list) ~body ~format)
     in
     Format.printf "%a@." H.pp h;
     Printf.printf
@@ -1172,14 +1134,13 @@ let evolve_cmd =
             (Machine.normalize g.Evolve.g_seconds)
             (Machine.normalize g.Evolve.g_cum_seconds))
         o.Evolve.history;
-      let best = o.Evolve.best in
-      Printf.printf "best cut: %d (%s), found by %s at gen %d\n"
-        best.Hypart_evolve.Population.cut
-        (legality best.Hypart_evolve.Population.legal)
-        best.Hypart_evolve.Population.kind best.Hypart_evolve.Population.gen;
+      let best = o.Evolve.best.Hypart_evolve.Population.candidate in
+      let solution = o.Evolve.best.Hypart_evolve.Population.solution in
+      Printf.printf "best cut: %d (%s), found by %s at gen %d\n" best.cut
+        (legality best.legal) best.kind best.gen;
       Printf.printf "part weights: %d / %d\n"
-        (Bipartition.part_weight best.Hypart_evolve.Population.solution 0)
-        (Bipartition.part_weight best.Hypart_evolve.Population.solution 1);
+        (Bipartition.part_weight solution 0)
+        (Bipartition.part_weight solution 1);
       Printf.printf "evaluated %d, replayed %d, campaign CPU %.3fs\n"
         o.Evolve.evaluated o.Evolve.replayed
         (Machine.normalize o.Evolve.total_seconds);
@@ -1208,7 +1169,7 @@ let evolve_cmd =
       save_partition
         ~say:(Printf.printf "partition written to %s\n")
         out_file
-        (Bipartition.assignment best.Hypart_evolve.Population.solution)
+        best.assignment
   in
   let engine_t =
     engine_t Hypart_multilevel.Ml_engines.mlclip

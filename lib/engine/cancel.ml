@@ -10,6 +10,8 @@ let with_hook hook f =
   Domain.DLS.set key hook;
   Fun.protect ~finally:(fun () -> Domain.DLS.set key previous) f
 
+let current () = Domain.DLS.get key
+
 let cancelled () =
   let hook = Domain.DLS.get key in
   hook != none && hook ()

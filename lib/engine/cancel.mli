@@ -11,13 +11,12 @@
     - before every SA temperature step;
     - before every spectral power iteration;
     - before every coarsening level of a multilevel run.
-    [memetic_ml]'s generations do not see the hook: they fan out over
-    fresh domains (below).
 
     The hook is domain-local ({!Domain.DLS}): installing it affects
-    only engine runs executed by the installing domain.  In particular
-    {!Parallel.map_seeds} workers are fresh domains and do {e not}
-    inherit the parent's hook. *)
+    only engine runs executed by the installing domain and by the
+    workers it fans out to through {!Parallel.map_seeds}, which run
+    under the hook their caller had installed ({!current}).  So
+    [memetic_ml]'s generations, which fan out, follow it too. *)
 
 exception Cancelled
 (** Raised by {!check} (from inside engine loops) when the installed
@@ -31,6 +30,11 @@ val with_hook : (unit -> bool) -> (unit -> 'a) -> 'a
     [hook] must be cheap — it is polled at every safe point listed
     above — and should return [true] once cancellation is
     requested (e.g. [fun () -> Clock.now_s () > deadline]). *)
+
+val current : unit -> unit -> bool
+(** The hook installed for the current domain (one that never fires
+    when none is), for handing on to worker domains with
+    {!with_hook}. *)
 
 val check : unit -> unit
 (** @raise Cancelled when the current domain's hook requests

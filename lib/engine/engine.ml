@@ -76,64 +76,46 @@ let note_start r =
     Metrics.observe "engine.start_seconds" r.start_seconds
   end
 
-(* Run [starts] timed starts, keeping the first result no later one
-   betters; per-start records come back in execution order. *)
-let timed_starts ~starts start =
-  let best = ref None and records = ref [] in
-  for _ = 1 to starts do
-    Cancel.check ();
-    let (r : Result.t), dt = Machine.cpu_time start in
-    let record = { start_cut = r.Result.cut; start_seconds = dt } in
-    records := record :: !records;
-    note_start record;
-    match !best with
-    | Some b when not (Result.better r b) -> ()
-    | _ -> best := Some r
-  done;
-  (Option.get !best, List.rev !records)
+let timed_start start =
+  Cancel.check ();
+  Machine.cpu_time start
+
+(* The first result no later start betters, and the per-start records
+   in start order. *)
+let keep_best timed =
+  let records =
+    List.map
+      (fun ((r : Result.t), dt) -> { start_cut = r.cut; start_seconds = dt })
+      timed
+  in
+  List.iter note_start records;
+  let first, _ = List.hd timed in
+  ( List.fold_left
+      (fun best (r, _) -> if Result.better r best then r else best)
+      first (List.tl timed),
+    records )
 
 let multistart ?polish_best (engine : t) rng problem ~starts =
   if starts < 1 then invalid_arg "Engine.multistart: starts must be >= 1";
-  let best, records = timed_starts ~starts (fun () -> run engine rng problem None) in
+  let best, records =
+    keep_best
+      (List.init starts (fun _ ->
+           timed_start (fun () -> run engine rng problem None)))
+  in
   let best = match polish_best with None -> best | Some f -> f best in
   (best, records)
 
-(* ------------------------------------------------------------------ *)
-(* Seeded multistart.  Each seed gets a fresh RNG, so a start's result
-   does not depend on where it runs; the winner is picked by
-   Result.better with ties broken toward the numerically lowest seed,
-   making the outcome independent of seed-list order, domain count and
-   scheduling. *)
-
-let run_seed (engine : t) problem seed =
-  Cancel.check ();
-  let rng = Rng.create seed in
-  Machine.cpu_time (fun () -> run engine rng problem None)
-
-let pick_best seeds results =
-  List.fold_left2
-    (fun best seed (r, _) ->
-      match best with
-      | None -> Some (seed, r)
-      | Some (bseed, b) ->
-        if Result.better r b then Some (seed, r)
-        else if (not (Result.better b r)) && seed < bseed then Some (seed, r)
-        else best)
-    None seeds results
-  |> Option.get
-
-let multistart_seeds ?domains (engine : t) problem ~seeds =
-  if seeds = [] then invalid_arg "Engine.multistart_seeds: empty seed list";
-  let results =
-    match domains with
-    | None | Some 1 -> List.map (run_seed engine problem) seeds
-    | Some domains -> Parallel.map_seeds ~domains ~seeds (run_seed engine problem)
+(* Seeded multistart: start i runs from a fresh RNG seeded [seed + i],
+   so a start's result does not depend on where it runs, and the
+   winner does not depend on the domain count or scheduling. *)
+let multistart_seeds ?domains (engine : t) problem ~seed ~starts =
+  if starts < 1 then invalid_arg "Engine.multistart_seeds: starts must be >= 1";
+  let start i =
+    let rng = Rng.create (seed + i) in
+    timed_start (fun () -> run engine rng problem None)
   in
-  let records =
-    List.map
-      (fun ((r : Result.t), dt) ->
-        { start_cut = r.Result.cut; start_seconds = dt })
-      results
-  in
-  List.iter note_start records;
-  (pick_best seeds results, records)
+  keep_best
+    (match domains with
+    | None | Some 1 -> List.init starts start
+    | Some domains ->
+      Parallel.map_seeds ~domains ~seeds:(List.init starts Fun.id) start)

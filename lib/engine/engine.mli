@@ -92,12 +92,14 @@ val all : unit -> t list
 (** {1 Multistart}
 
     The only multistart entry points: {!multistart}, the shared-stream
-    Tables 4–5 protocol, and {!multistart_seeds}, the seeded one that
-    [hypart partition], the daemon and memetic campaigns all run.
-    Every per-start CPU time comes from {!Machine.cpu_time}, so Tables
-    4–5 normalization applies uniformly, and every start is recorded as
+    Tables 4–5 protocol, and {!multistart_seeds}, the seeded job
+    [(engine, seed, starts)] that [hypart partition], the daemon's
+    [/partition] and memetic evaluations all run.  Both keep the first
+    result no later start betters ({!Result.better}).  Every per-start
+    CPU time comes from {!Machine.cpu_time}, so Tables 4–5
+    normalization applies uniformly, and every start is recorded as
     [engine.starts] / [engine.start_cut] / [engine.start_seconds]
-    metrics.  Each checks {!Cancel} between starts. *)
+    metrics.  Each checks {!Cancel} before every start. *)
 
 type start = { start_cut : int; start_seconds : float }
 (** Outcome of one independent start: its final cut and its CPU time. *)
@@ -113,7 +115,7 @@ val multistart :
   starts:int ->
   Result.t * start list
 (** [starts] independent self-started runs sharing [rng], keeping the
-    first result no later one betters ({!Result.better});
+    first result no later one betters;
     [polish_best] (e.g. [Ml_engines.vcycle_polish], the Tables 4–5
     V-cycle of the best start) is applied once to the winner.
     Per-start records are in execution order, before polishing.
@@ -123,15 +125,16 @@ val multistart_seeds :
   ?domains:int ->
   t ->
   Hypart_partition.Problem.t ->
-  seeds:int list ->
-  (int * Result.t) * start list
-(** One start per seed, each from a fresh [Rng.create seed].  The
-    winner is {!Result.better}, ties broken toward the numerically
-    lowest seed, so the answer does not depend on seed-list order,
-    domain count or scheduling.  Returns [((winning_seed, result),
-    records)] with records in seed-list order.
+  seed:int ->
+  starts:int ->
+  Result.t * start list
+(** [starts] self-started runs, start [i] from a fresh
+    [Rng.create (seed + i)], keeping the first result no later start
+    betters: a tie goes to the first start.  A start's result does not
+    depend on where it runs, so the answer does not depend on the
+    domain count or scheduling.  Per-start records are in start order.
 
     With no [domains] or [domains = 1] the starts run on the calling
-    domain, where a {!Cancel} hook installed by the caller is seen;
-    with more they fan out through {!Parallel.map_seeds}.
-    @raise Invalid_argument on an empty seed list. *)
+    domain; with more they fan out through {!Parallel.map_seeds}.
+    Either way they run under the {!Cancel} hook the caller installed.
+    @raise Invalid_argument when [starts < 1]. *)

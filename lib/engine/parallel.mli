@@ -18,5 +18,8 @@ val map_seeds : ?domains:int -> seeds:int list -> (int -> 'a) -> 'a list
     over up to [domains] (default {!recommended_domains}) domains, and
     returns the results in seed order — identical to
     [List.map f seeds], just faster on multicore.  Each domain claims
-    the next unclaimed seed, so seeds of uneven cost balance.  Exceptions raised by
-    [f] are re-raised in the caller. *)
+    the next unclaimed seed, so seeds of uneven cost balance.  Workers
+    run under the {!Cancel} hook the calling domain has installed.  An
+    exception raised by [f] stops every worker from claiming more
+    seeds; once all workers have finished and been joined, the first
+    one (by worker) is re-raised in the caller. *)

@@ -52,17 +52,6 @@ let campaign_fingerprint config ~seed ~instance =
       ("seed", string_of_int seed);
     ]
 
-(* the same fingerprint the daemon stamps on its runs, so campaign
-   evaluations share one content-address space with `hypart serve` and
-   `hypart lab` records *)
-let eval_fingerprint config =
-  Fingerprint.of_pairs
-    [
-      ("proto", "serve-v1");
-      ("tolerance", Printf.sprintf "%.9g" config.tolerance);
-      ("starts", string_of_int config.starts);
-    ]
-
 type generation = {
   g_index : int;
   g_best_cut : int;
@@ -91,29 +80,25 @@ let trajectory o =
         (Printf.sprintf "gen %d best %d legal %b\n" g.g_index g.g_best_cut
            g.g_best_legal))
     o.history;
-  let sides = Bipartition.assignment o.best.Population.solution in
+  let best = o.best.Population.candidate in
+  let sides = best.Pop_log.assignment in
   let canonical =
     String.init (Array.length sides) (fun i ->
         if sides.(i) = 0 then '0' else '1')
   in
   Buffer.add_string b
     (Printf.sprintf "final %d legal %b assignment %s\n"
-       o.best.Population.cut o.best.Population.legal
+       best.cut best.legal
        (Fingerprint.of_string canonical));
   Buffer.contents b
 
-(* one candidate of a generation, fresh or replayed from the log *)
-type candidate = {
-  c_slot : int;
-  c_kind : string;
-  c_seed : int;
-  c_cut : int;
-  c_legal : bool;
-  c_seconds : float;
-  c_sides : int array;
-  c_stats : (string * float) list;
-  c_fresh : bool;
-}
+(* one candidate of a generation: computed in this run, with the
+   engine stats its run record stores, or replayed from the log *)
+type candidate =
+  | Fresh of Pop_log.entry * (string * float) list
+  | Replayed of Pop_log.entry
+
+let entry = function Fresh (e, _) | Replayed e -> e
 
 let tournament rng arr =
   let n = Array.length arr in
@@ -157,7 +142,11 @@ let run ?store ?executor ?initial config ~seed problem =
   let h = problem.Problem.hypergraph in
   let instance_fp = Fingerprint.of_instance h in
   let campaign = campaign_fingerprint config ~seed ~instance:instance_fp in
-  let eval_fp = eval_fingerprint config in
+  (* the daemon's key for the same seeded job: campaign evaluations
+     share one content-address space with `hypart serve` *)
+  let eval_fp =
+    Fingerprint.seeded_config ~tolerance:config.tolerance ~starts:config.starts
+  in
   let log, runs =
     match store with
     | None -> (None, None)
@@ -187,19 +176,9 @@ let run ?store ?executor ?initial config ~seed problem =
   let find_logged g s =
     match log with None -> None | Some l -> Pop_log.find l ~gen:g ~slot:s
   in
-  let replayed (e : Pop_log.entry) =
+  let replayed e =
     count "evolve.replayed";
-    {
-      c_slot = e.Pop_log.slot;
-      c_kind = e.Pop_log.kind;
-      c_seed = e.Pop_log.seed;
-      c_cut = e.Pop_log.cut;
-      c_legal = e.Pop_log.legal;
-      c_seconds = e.Pop_log.seconds;
-      c_sides = e.Pop_log.assignment;
-      c_stats = [];
-      c_fresh = false;
-    }
+    Replayed e
   in
   (* executor-backed evaluations for every pending (slot, kind, job) *)
   let evaluate g pending =
@@ -217,64 +196,59 @@ let run ?store ?executor ?initial config ~seed problem =
                  g slot msg)
           | Ok (o : Executor.outcome) ->
             count "evolve.evaluations";
-            {
-              c_slot = slot;
-              c_kind = kind;
-              c_seed = j.Executor.seed;
-              c_cut = o.Executor.cut;
-              c_legal = o.Executor.legal;
-              c_seconds = o.Executor.seconds;
-              c_sides = o.Executor.assignment;
-              c_stats = o.Executor.stats;
-              c_fresh = true;
-            })
+            Fresh
+              ( {
+                  Pop_log.gen = g;
+                  slot;
+                  kind;
+                  seed = j.seed;
+                  cut = o.cut;
+                  legal = o.legal;
+                  seconds = o.seconds;
+                  assignment = o.assignment;
+                },
+                o.stats ))
         pending results
   in
   let pop = Population.create ~capacity:config.population in
   Option.iter
     (fun sol ->
-      let cut = Bipartition.cut h sol in
-      let legal = Bipartition.is_legal sol problem.Problem.balance in
       ignore
-        (Population.insert pop ~gen:(-1) ~slot:0 ~kind:"initial" ~seed:0 ~cut
-           ~legal ~seconds:0. (Bipartition.copy sol)))
+        (Population.insert pop
+           {
+             Pop_log.gen = -1;
+             slot = 0;
+             kind = "initial";
+             seed = 0;
+             cut = Bipartition.cut h sol;
+             legal = Bipartition.is_legal sol problem.Problem.balance;
+             seconds = 0.;
+             assignment = Bipartition.assignment sol;
+           }
+           (Bipartition.copy sol)))
     initial;
   (* persist (run record first, then population log: a crash between
      the two costs one recomputed candidate on resume, never a store
      record) and admit one candidate *)
-  let persist_and_admit g (c : candidate) =
-    if c.c_fresh then begin
+  let persist_and_admit c =
+    let e = entry c in
+    (match c with
+    | Replayed _ -> ()
+    | Fresh (_, stats) ->
       Option.iter
         (fun rs ->
           let engine, config =
-            if c.c_kind = "recombine" then ("memetic-recombine", campaign)
+            if e.kind = "recombine" then ("memetic-recombine", campaign)
             else (config.base_engine, eval_fp)
           in
           ignore
             (Run_store.record rs ~engine ~config ~instance:instance_fp
-               ~seed:c.c_seed ~cut:c.c_cut ~legal:c.c_legal
-               ~seconds:c.c_seconds ~stats:c.c_stats))
+               ~seed:e.seed ~cut:e.cut ~legal:e.legal ~seconds:e.seconds
+               ~stats))
         runs;
-      Option.iter
-        (fun l ->
-          Pop_log.append l
-            {
-              Pop_log.gen = g;
-              slot = c.c_slot;
-              kind = c.c_kind;
-              seed = c.c_seed;
-              cut = c.c_cut;
-              legal = c.c_legal;
-              seconds = c.c_seconds;
-              assignment = c.c_sides;
-            })
-        log;
-      count ("evolve." ^ c.c_kind ^ "s")
-    end;
-    ignore
-      (Population.insert pop ~gen:g ~slot:c.c_slot ~kind:c.c_kind
-         ~seed:c.c_seed ~cut:c.c_cut ~legal:c.c_legal ~seconds:c.c_seconds
-         (Bipartition.make h c.c_sides))
+      Option.iter (fun l -> Pop_log.append l e) log;
+      count ("evolve." ^ e.kind ^ "s"));
+    ignore (Population.insert pop e (Bipartition.make h e.assignment))
   in
   let cum_seconds = ref 0. in
   let evaluated = ref 0 in
@@ -283,37 +257,39 @@ let run ?store ?executor ?initial config ~seed problem =
   let history = ref [] in
   let finish_generation g candidates =
     let by_slot =
-      List.sort (fun a b -> compare a.c_slot b.c_slot) candidates
+      List.sort (fun a b -> compare (entry a).slot (entry b).slot) candidates
     in
-    List.iter (persist_and_admit g) by_slot;
-    let fresh = List.length (List.filter (fun c -> c.c_fresh) by_slot) in
+    List.iter persist_and_admit by_slot;
+    let fresh =
+      List.length
+        (List.filter (function Fresh _ -> true | Replayed _ -> false) by_slot)
+    in
     let replay = List.length by_slot - fresh in
     let seconds =
-      List.fold_left (fun acc c -> acc +. c.c_seconds) 0. by_slot
+      List.fold_left (fun acc c -> acc +. (entry c).seconds) 0. by_slot
     in
     evaluated := !evaluated + fresh;
     replayed_total := !replayed_total + replay;
     cum_seconds := !cum_seconds +. seconds;
-    let b = Option.get (Population.best pop) in
+    let b = (Option.get (Population.best pop)).Population.candidate in
     let improved =
       match !prev_best with
       | None -> true
       | Some (cut, legal) ->
-        (b.Population.legal && not legal)
-        || (b.Population.legal = legal && b.Population.cut < cut)
+        (b.legal && not legal) || (b.legal = legal && b.cut < cut)
     in
-    prev_best := Some (b.Population.cut, b.Population.legal);
+    prev_best := Some (b.cut, b.legal);
     if Tel.is_enabled () then begin
       Metrics.incr "evolve.generations";
-      Metrics.set_gauge "evolve.best_cut" (float_of_int b.Population.cut);
+      Metrics.set_gauge "evolve.best_cut" (float_of_int b.cut);
       Metrics.observe "evolve.generation_seconds" seconds
     end;
     Event_log.record "evolve.generation"
       [
         ("campaign", Jsonl.String campaign);
         ("gen", Jsonl.Int g);
-        ("best_cut", Jsonl.Int b.Population.cut);
-        ("best_legal", Jsonl.Bool b.Population.legal);
+        ("best_cut", Jsonl.Int b.cut);
+        ("best_legal", Jsonl.Bool b.legal);
         ("evaluated", Jsonl.Int fresh);
         ("replayed", Jsonl.Int replay);
         ("seconds", Jsonl.Float seconds);
@@ -323,13 +299,13 @@ let run ?store ?executor ?initial config ~seed problem =
         [
           ("campaign", Jsonl.String campaign);
           ("gen", Jsonl.Int g);
-          ("cut", Jsonl.Int b.Population.cut);
+          ("cut", Jsonl.Int b.cut);
         ];
     history :=
       {
         g_index = g;
-        g_best_cut = b.Population.cut;
-        g_best_legal = b.Population.legal;
+        g_best_cut = b.cut;
+        g_best_legal = b.legal;
         g_evaluated = fresh;
         g_replayed = replay;
         g_seconds = seconds;
@@ -381,17 +357,18 @@ let run ?store ?executor ?initial config ~seed problem =
                   pa.Population.solution pb.Population.solution)
           in
           count "evolve.evaluations";
-          {
-            c_slot = s;
-            c_kind = "recombine";
-            c_seed = slot_seed g s;
-            c_cut = r.cut;
-            c_legal = r.legal;
-            c_seconds = seconds;
-            c_sides = Bipartition.assignment r.solution;
-            c_stats = r.stats;
-            c_fresh = true;
-          })
+          Fresh
+            ( {
+                Pop_log.gen = g;
+                slot = s;
+                kind = "recombine";
+                seed = slot_seed g s;
+                cut = r.cut;
+                legal = r.legal;
+                seconds;
+                assignment = Bipartition.assignment r.solution;
+              },
+              r.stats ))
     in
     let imm_logged, imm_pending =
       List.partition_map
@@ -416,14 +393,15 @@ let run ?store ?executor ?initial config ~seed problem =
         [
           ("gen", float_of_int g);
           ( "best_cut",
-            float_of_int (Option.get (Population.best pop)).Population.cut );
+            float_of_int
+              (Option.get (Population.best pop)).Population.candidate.cut );
         ]
   done;
   let best = Option.get (Population.best pop) in
   Event_log.record "evolve.campaign_done"
     [
       ("campaign", Jsonl.String campaign);
-      ("best_cut", Jsonl.Int best.Population.cut);
+      ("best_cut", Jsonl.Int best.Population.candidate.cut);
       ("evaluated", Jsonl.Int !evaluated);
       ("replayed", Jsonl.Int !replayed_total);
       ("seconds", Jsonl.Float !cum_seconds);
@@ -431,7 +409,7 @@ let run ?store ?executor ?initial config ~seed problem =
   Trace.end_span "evolve.campaign"
     ~args:
       [
-        ("best_cut", float_of_int best.Population.cut);
+        ("best_cut", float_of_int best.Population.candidate.cut);
         ("evaluated", float_of_int !evaluated);
       ];
   {

@@ -23,8 +23,8 @@ let memetic_ml =
       let best = o.Evolve.best in
       {
         Engine.Result.solution = best.Population.solution;
-        cut = best.Population.cut;
-        legal = best.Population.legal;
+        cut = best.Population.candidate.cut;
+        legal = best.Population.candidate.legal;
         stats =
           [
             ("generations", float_of_int (List.length o.Evolve.history - 1));

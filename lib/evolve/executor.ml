@@ -9,7 +9,6 @@ type outcome = {
   legal : bool;
   seconds : float;
   assignment : int array;
-  source : string;
   stats : (string * float) list;
 }
 
@@ -20,16 +19,15 @@ type t = {
 }
 
 let run_local problem (j : job) =
-  let engine = Engine.find_exn j.engine in
-  (* `partition --starts n --seed s`, at any --domains *)
-  let seeds = List.init j.starts (fun i -> j.seed + i) in
-  let (_seed, result), records = Engine.multistart_seeds engine problem ~seeds in
+  let result, records =
+    Engine.multistart_seeds (Engine.find_exn j.engine) problem ~seed:j.seed
+      ~starts:j.starts
+  in
   {
     cut = result.Engine.Result.cut;
     legal = result.Engine.Result.legal;
     seconds = Engine.cpu_seconds records;
     assignment = Bipartition.assignment result.Engine.Result.solution;
-    source = "local";
     stats = result.Engine.Result.stats;
   }
 

@@ -5,19 +5,21 @@
     execute cannot change the search trajectory.  The in-process
     executor fans jobs out over domains ({!Hypart_engine.Parallel});
     {!of_fun} wraps any other transport with the same contract — in
-    particular the [hypart serve] fleet client, which lives in
-    [lib/server] and is injected by the CLI (this library deliberately
-    does not depend on the server stack).
+    particular [Fleet.executor], the [hypart serve] fleet client, which
+    lives in [lib/server] (this library deliberately does not depend on
+    the server stack).
 
     Contract for custom executors: return one result per job, in job
-    order; each outcome must be bit-identical to the in-process
-    evaluation of the same job (the daemon's seeded-run semantics
-    guarantee this). *)
+    order; each outcome's cut, legality and assignment must be those
+    of {!run_local} on the same job.  A job is the seeded multistart
+    {!Hypart_engine.Engine.multistart_seeds}, which [hypart partition]
+    and the daemon's [/partition] run too, so a daemon fleet meets the
+    contract by construction. *)
 
 type job = {
   engine : string;  (** registry name, resolved per evaluation *)
   seed : int;
-  starts : int;  (** seeded multistart width ([seed .. seed+starts-1]) *)
+  starts : int;  (** seeded multistart width *)
 }
 
 type outcome = {
@@ -25,7 +27,6 @@ type outcome = {
   legal : bool;
   seconds : float;  (** CPU seconds (not normalized) *)
   assignment : int array;
-  source : string;  (** ["local"] or e.g. ["host:port"] *)
   stats : (string * float) list;
       (** the winning start's {!Hypart_engine.Engine.Result.stats};
           empty from a transport whose answer carries none *)
@@ -38,10 +39,8 @@ type t = {
 }
 
 val in_process : ?domains:int -> unit -> t
-(** Evaluate jobs locally, fanned out over up to [domains] domains;
-    results are in job order.  Each job is the seeded multistart
-    [Engine.multistart_seeds] over [seed .. seed+starts-1], exactly as
-    [hypart partition] and the daemon compute it. *)
+(** Evaluate jobs locally, fanned out over up to [domains] domains,
+    each with {!run_local}; results are in job order. *)
 
 val of_fun :
   name:string ->
@@ -50,5 +49,5 @@ val of_fun :
 
 val run_local : Hypart_partition.Problem.t -> job -> outcome
 (** One job evaluated in-process on the calling domain — the reference
-    semantics every executor must reproduce (also the fallback when a
-    remote answer arrives without an assignment). *)
+    every executor must reproduce (also the fallback when a remote
+    answer arrives without an assignment). *)

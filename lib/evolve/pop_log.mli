@@ -19,15 +19,17 @@
     repairs an unterminated final line before appending. *)
 
 type entry = {
-  gen : int;
-  slot : int;
-  kind : string;
-  seed : int;
+  gen : int;  (** generation; 0 seeds the population, -1 is injected *)
+  slot : int;  (** position within its generation *)
+  kind : string;  (** ["seed"], ["recombine"], ["immigrant"], ["initial"] *)
+  seed : int;  (** evaluation seed that produced it (0 for injected) *)
   cut : int;
   legal : bool;
-  seconds : float;
-  assignment : int array;
+  seconds : float;  (** CPU seconds spent producing it *)
+  assignment : int array;  (** side of every vertex *)
 }
+(** One campaign candidate: what {!Evolve} evaluates, logs and admits
+    into its {!Population}. *)
 
 exception Mismatch of { expected : string; found : string }
 (** The log on disk belongs to a different campaign fingerprint. *)

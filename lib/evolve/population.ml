@@ -2,21 +2,13 @@ module Bipartition = Hypart_partition.Bipartition
 module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
 
-type member = {
-  id : int;
-  gen : int;
-  slot : int;
-  kind : string;
-  seed : int;
-  cut : int;
-  legal : bool;
-  seconds : float;
-  solution : Bipartition.t;
-}
+type member = { id : int; candidate : Pop_log.entry; solution : Bipartition.t }
 
 let beats a b =
-  (a.legal && not b.legal)
-  || (a.legal = b.legal && (a.cut < b.cut || (a.cut = b.cut && a.id < b.id)))
+  let a' = a.candidate and b' = b.candidate in
+  (a'.legal && not b'.legal)
+  || (a'.legal = b'.legal
+     && (a'.cut < b'.cut || (a'.cut = b'.cut && a.id < b.id)))
 
 type t = {
   cap : int;
@@ -65,10 +57,8 @@ let most_similar_pair t =
   outer t.members;
   !best
 
-let insert t ~gen ~slot ~kind ~seed ~cut ~legal ~seconds solution =
-  let m =
-    { id = t.next_id; gen; slot; kind; seed; cut; legal; seconds; solution }
-  in
+let insert t candidate solution =
+  let m = { id = t.next_id; candidate; solution } in
   t.next_id <- t.next_id + 1;
   List.iter
     (fun o ->

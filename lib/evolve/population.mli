@@ -17,13 +17,7 @@
 
 type member = {
   id : int;  (** admission order, unique within a population *)
-  gen : int;
-  slot : int;  (** position within its generation *)
-  kind : string;  (** ["seed"], ["recombine"], ["immigrant"], ["initial"] *)
-  seed : int;  (** evaluation seed that produced it (0 for injected) *)
-  cut : int;
-  legal : bool;
-  seconds : float;  (** CPU seconds spent producing it *)
+  candidate : Pop_log.entry;  (** what produced it, as the log records it *)
   solution : Hypart_partition.Bipartition.t;
 }
 
@@ -47,17 +41,11 @@ val best : t -> member option
 
 val insert :
   t ->
-  gen:int ->
-  slot:int ->
-  kind:string ->
-  seed:int ->
-  cut:int ->
-  legal:bool ->
-  seconds:float ->
+  Pop_log.entry ->
   Hypart_partition.Bipartition.t ->
   member * member option
-(** Admit a candidate; returns the new member and the member evicted
-    to make room (possibly the candidate itself), or [None] while
-    under capacity.  Pairwise similarities are cached across inserts,
-    so admission costs one similarity scan against the pool, not a
-    full pairwise recomputation. *)
+(** Admit a candidate with its solution; returns the new member and
+    the member evicted to make room (possibly the candidate itself),
+    or [None] while under capacity.  Pairwise similarities are cached
+    across inserts, so admission costs one similarity scan against the
+    pool, not a full pairwise recomputation. *)

@@ -17,6 +17,14 @@ let of_pairs pairs =
   in
   to_hex h
 
+let seeded_config ~tolerance ~starts =
+  of_pairs
+    [
+      ("proto", "serve-v1");
+      ("tolerance", Printf.sprintf "%.9g" tolerance);
+      ("starts", string_of_int starts);
+    ]
+
 let of_instance hg =
   let h = add_int offset (H.num_vertices hg) in
   let h = add_int h (H.num_edges hg) in

@@ -17,6 +17,16 @@ val of_pairs : (string * string) list -> string
     Keys and values are length-prefixed so adjacent pairs cannot
     collide by concatenation. *)
 
+val seeded_config : tolerance:float -> starts:int -> string
+(** The config fingerprint of a seeded job
+    ([Engine.multistart_seeds] at this balance tolerance and start
+    count), everything that parameterizes it besides engine name,
+    instance and seed.  The daemon's [/partition] and memetic
+    evaluations both key their {!Run_store} records with it, so they
+    share one key space.  It carries the version stamp [proto=serve-v1],
+    so a change of the job's meaning can retire old keys instead of
+    aliasing them. *)
+
 val of_instance : Hypart_hypergraph.Hypergraph.t -> string
 (** Structural fingerprint of a hypergraph: vertex/net/pin counts,
     every vertex and net weight, and the full CSR pin structure.  Two

@@ -1,4 +1,5 @@
 module Parallel = Hypart_engine.Parallel
+module Executor = Hypart_evolve.Executor
 module Metrics = Hypart_telemetry.Metrics
 
 type server = { host : string; port : int }
@@ -36,8 +37,6 @@ let create servers =
   let fleet = Array.of_list servers in
   { fleet; down = Array.map (fun _ -> Atomic.make false) fleet }
 
-type job = { engine : string; seed : int; starts : int }
-
 type outcome = Client.answer
 
 (* Candidate order for one submission: rotation from the preferred
@@ -51,7 +50,7 @@ let candidate_order t ~preferred =
   up @ down_
 
 let submit ?(attempts_per_server = 3) ?sleep ?(preferred = 0)
-    ?(tolerance = 0.02) t ~body ~format job =
+    ?(tolerance = 0.02) t ~body ~format (job : Executor.job) =
   let n = Array.length t.fleet in
   let path =
     Client.partition_path ~engine:job.engine ~seed:job.seed ~starts:job.starts
@@ -92,16 +91,28 @@ let submit ?(attempts_per_server = 3) ?sleep ?(preferred = 0)
     (Error "fleet exhausted")
     (candidate_order t ~preferred:(((preferred mod n) + n) mod n))
 
-let submit_batch ?attempts_per_server ?sleep ?tolerance ?domains t ~body
-    ~format jobs =
+(* A daemon-side cache hit carries no assignment; the seeded job is a
+   pure function of (engine, seed, starts), so a local recompute gives
+   the daemon's answer bit for bit. *)
+let executor ?attempts_per_server ?sleep ?tolerance t ~body ~format =
   let n = Array.length t.fleet in
-  let jobs = Array.of_list jobs in
-  let indices = List.init (Array.length jobs) Fun.id in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None -> min (Parallel.recommended_domains ()) (max 1 (2 * n))
-  in
-  Parallel.map_seeds ~domains ~seeds:indices (fun i ->
-      submit ?attempts_per_server ?sleep ~preferred:(i mod n) ?tolerance t
-        ~body ~format jobs.(i))
+  let domains = min (Parallel.recommended_domains ()) (2 * n) in
+  Executor.of_fun ~name:"fleet" (fun problem jobs ->
+      let jobs = Array.of_list jobs in
+      Parallel.map_seeds ~domains
+        ~seeds:(List.init (Array.length jobs) Fun.id)
+        (fun i ->
+          Result.map
+            (fun (o : outcome) ->
+              match o.Client.assignment with
+              | Some assignment ->
+                {
+                  Executor.cut = o.Client.cut;
+                  legal = o.Client.legal;
+                  seconds = o.Client.seconds;
+                  assignment;
+                  stats = [];
+                }
+              | None -> Executor.run_local problem jobs.(i))
+            (submit ?attempts_per_server ?sleep ~preferred:(i mod n)
+               ?tolerance t ~body ~format jobs.(i))))

@@ -13,10 +13,11 @@
 
     Results are deterministic in content and order: a batch returns
     outcomes in job order, and each outcome is the daemon's seeded
-    engine run — identical bytes whichever server computed it — so a
-    campaign's trajectory does not depend on fleet size or scheduling.
-    Daemon-side cache hits carry no assignment ([assignment = None]);
-    callers that need one fall back to a local recompute. *)
+    engine run ({!Hypart_evolve.Executor.job}) — identical bytes
+    whichever server computed it — so a campaign's trajectory does not
+    depend on fleet size or scheduling.  Daemon-side cache hits carry
+    no assignment ([assignment = None]); {!executor} recomputes those
+    locally. *)
 
 type server = { host : string; port : int }
 
@@ -34,12 +35,6 @@ type t
 val create : server list -> t
 (** A fleet over the given servers.  [Invalid_argument] when empty. *)
 
-type job = {
-  engine : string;
-  seed : int;
-  starts : int;  (** daemon-side seeded multistart width *)
-}
-
 type outcome = Client.answer
 (** The daemon's decoded answer; [served_by] names the daemon that
     answered, and [assignment] is [None] on a daemon-side cache hit. *)
@@ -52,7 +47,7 @@ val submit :
   t ->
   body:string ->
   format:string ->
-  job ->
+  Hypart_evolve.Executor.job ->
   (outcome, string) result
 (** Submit one job, preferring server [preferred mod fleet-size]
     (default 0) and failing over through the rotation.  [tolerance]
@@ -61,16 +56,19 @@ val submit :
     for tests.  [Error] carries the last failure when every server is
     exhausted, or the daemon's non-retriable HTTP error. *)
 
-val submit_batch :
+val executor :
   ?attempts_per_server:int ->
   ?sleep:(float -> unit) ->
   ?tolerance:float ->
-  ?domains:int ->
   t ->
   body:string ->
   format:string ->
-  job list ->
-  (outcome, string) result list
-(** Submit a batch concurrently (up to [domains] client domains),
-    job [i] preferring server [i mod fleet-size]; results are returned
-    in job order regardless of completion order. *)
+  Hypart_evolve.Executor.t
+(** A memetic campaign executor over the fleet.  Each batch of jobs on
+    the instance [body] (in [format]) is submitted concurrently from up
+    to twice the fleet size client domains, job [i] preferring server
+    [i mod fleet-size] ({!submit}, with the same optional arguments);
+    results are returned in job order regardless of completion order.
+    A daemon-side cache hit carries no assignment, so that job is
+    recomputed with {!Hypart_evolve.Executor.run_local}, which gives
+    the same answer. *)

@@ -565,18 +565,6 @@ let serve t fd (req : Http.request) tm admit =
 (* ------------------------------------------------------------------ *)
 (* POST /partition                                                     *)
 
-(* the server-side config fingerprint: everything that parameterizes a
-   run besides engine name, instance content and seed.  "proto" is a
-   version stamp so a future protocol change invalidates old keys
-   instead of aliasing them. *)
-let config_fingerprint ~tolerance ~starts =
-  Fingerprint.of_pairs
-    [
-      ("proto", "serve-v1");
-      ("tolerance", Printf.sprintf "%.9g" tolerance);
-      ("starts", string_of_int starts);
-    ]
-
 let admit_partition t ~event tm (req : Http.request) p =
   let engine = param_engine req "engine" "mlclip" in
   let starts = param_int req "starts" 1 in
@@ -601,7 +589,7 @@ let admit_partition t ~event tm (req : Http.request) p =
     ];
   {
     engine = Engine.name engine;
-    config_fp = config_fingerprint ~tolerance:p.tolerance ~starts;
+    config_fp = Fingerprint.seeded_config ~tolerance:p.tolerance ~starts;
     instance_fp = instance;
     starts;
     admitted_fields = [ ("starts", Jsonl.Int starts) ];
@@ -613,8 +601,9 @@ let admit_partition t ~event tm (req : Http.request) p =
       (fun () ->
         let problem = Problem.make ~tolerance:p.tolerance h in
         (* `partition --starts n --seed s`, at any --domains *)
-        let seeds = List.init starts (fun i -> p.seed + i) in
-        let (_seed, result), records = Engine.multistart_seeds engine problem ~seeds in
+        let result, records =
+          Engine.multistart_seeds engine problem ~seed:p.seed ~starts
+        in
         let seconds = Engine.cpu_seconds records in
         { result; seconds; done_fields = []; fresh_headers = []; fresh_json = [] });
   }

@@ -8,14 +8,15 @@
     codec and runs partitioning jobs.
 
     Served results are bit-identical to offline runs: a request with
-    [starts=n] executes [Engine.multistart_seeds] over seeds
-    [seed .. seed+n-1] on its worker domain, exactly as
-    [hypart partition --starts n] does at every [--domains] —
-    deterministic regardless of the worker pool size.
+    [starts=n] executes [Engine.multistart_seeds ~seed ~starts:n] on
+    its worker domain, exactly as [hypart partition --starts n] does at
+    every [--domains] and as a memetic evaluation of the same job does
+    — deterministic regardless of the worker pool size.
 
     Duplicate submissions are content-addressed through a
     {!Hypart_lab.Run_store}: the key combines engine name, config
-    fingerprint, instance fingerprint and seed, so an identical
+    fingerprint ({!Hypart_lab.Fingerprint.seeded_config}, shared with
+    memetic evaluations), instance fingerprint and seed, so an identical
     resubmission is answered from the store with zero engine runs
     (in memory, or, with [store], persistent across daemon restarts —
     every fresh run appends one record).  Request bodies are content-cached too
@@ -26,8 +27,8 @@
     is accepted alongside the text formats.
 
     Deadlines are cooperative: the worker installs a
-    {!Hypart_engine.Cancel} hook for the request, and the FM pass loop
-    and multistart combinators poll it; an expired request is answered
+    {!Hypart_engine.Cancel} hook for the request, and every engine
+    polls it at its safe points; an expired request is answered
     [504].  [SIGTERM] (wired in the CLI to {!shutdown}) drains
     gracefully: admitted work completes, new work is refused, workers
     join, and the process exits 0.

@@ -24,8 +24,9 @@ type event = {
 val with_context : (string * float) list -> (unit -> 'a) -> 'a
 (** [with_context kvs f] appends [kvs] to the args of every span this
     domain completes during [f] (exception-safe, nestable; inner
-    contexts shadow nothing — args accumulate).  Domain-local, like
-    [Engine.Cancel]: spawned domains do not inherit it.  Used to stamp
+    contexts shadow nothing — args accumulate).  Domain-local, a
+    [Domain.DLS] slot like [Engine.Cancel]'s hook, but spawned domains
+    do not inherit it.  Used to stamp
     engine spans with [request_id]/[job_id] on the serving path. *)
 
 val context : unit -> (string * float) list

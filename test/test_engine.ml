@@ -163,25 +163,23 @@ let test_stat_names () =
     expected_stat_names
 
 (* Every engine stops at its first safe point once the cancel hook
-   fires.  [memetic_ml] is left out: its generations run on fresh
-   domains through [Parallel.map_seeds], which do not inherit the
-   caller's hook (cancel.mli). *)
+   fires, [memetic_ml] included: its generations fan out through
+   [Parallel.map_seeds], whose workers run under the caller's hook. *)
 let test_cancel_every_engine () =
   let problem = tiny_problem 7 in
   List.iter
     (fun engine ->
       let name = Engine.name engine in
-      if name <> "memetic_ml" then
-        let cancelled =
-          match
-            Hypart_engine.Cancel.with_hook
-              (fun () -> true)
-              (fun () -> Engine.run engine (Rng.create 42) problem None)
-          with
-          | _ -> false
-          | exception Hypart_engine.Cancel.Cancelled -> true
-        in
-        Alcotest.(check bool) (name ^ " raises Cancelled") true cancelled)
+      let cancelled =
+        match
+          Hypart_engine.Cancel.with_hook
+            (fun () -> true)
+            (fun () -> Engine.run engine (Rng.create 42) problem None)
+        with
+        | _ -> false
+        | exception Hypart_engine.Cancel.Cancelled -> true
+      in
+      Alcotest.(check bool) (name ^ " raises Cancelled") true cancelled)
     (Engine.all ())
 
 (* -- Combinators -- *)
@@ -206,67 +204,73 @@ let test_multistart_zero_starts () =
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
 (* the seeded multistart on the calling domain and fanned out over
-   [domains] domains agree on the winner and on every per-seed cut *)
-let check_domains_agree ~domains seeds =
+   [domains] domains agree on the winner and on every per-start cut *)
+let check_domains_agree ~domains ~starts =
   let problem = ibm_problem () in
   let engine = Engine.find_exn "mlclip" in
-  let (seq_seed, seq_best), seq_records =
-    Engine.multistart_seeds engine problem ~seeds
+  let seq_best, seq_records =
+    Engine.multistart_seeds engine problem ~seed:11 ~starts
   in
-  let (par_seed, par_best), par_records =
-    Engine.multistart_seeds ~domains engine problem ~seeds
+  let par_best, par_records =
+    Engine.multistart_seeds ~domains engine problem ~seed:11 ~starts
   in
-  Alcotest.(check int) "same winning seed" seq_seed par_seed;
   Alcotest.(check int) "same winning cut" seq_best.Engine.Result.cut
     par_best.Engine.Result.cut;
+  Alcotest.(check bool)
+    "same winning solution" true
+    (Bipartition.equal seq_best.Engine.Result.solution
+       par_best.Engine.Result.solution);
   Alcotest.(check (list int))
-    "same per-seed cuts"
+    "same per-start cuts"
     (List.map (fun r -> r.Engine.start_cut) seq_records)
     (List.map (fun r -> r.Engine.start_cut) par_records)
 
 let test_parallel_matches_sequential () =
-  check_domains_agree ~domains:3 [ 11; 5; 23; 2 ]
+  check_domains_agree ~domains:3 ~starts:4
 
 (* degenerate sharding still matches the calling-domain run: more
-   domains than jobs (some domains get an empty block) and exactly one
+   domains than starts (some domains claim nothing) and exactly one
    domain *)
 let test_parallel_more_domains_than_jobs () =
-  check_domains_agree ~domains:8 [ 11; 5; 23 ]
+  check_domains_agree ~domains:8 ~starts:3
 
-let test_parallel_single_domain () =
-  check_domains_agree ~domains:1 [ 11; 5; 23; 2 ]
+let test_parallel_single_domain () = check_domains_agree ~domains:1 ~starts:4
 
 let test_seeded_tie_break_lowest_seed () =
-  (* a constant engine: every seed produces the same solution, so the
-     winner must be the numerically lowest seed regardless of order *)
+  (* every start ties on the cut, each with its own solution: the
+     winner must be the first start's, at any domain count *)
   let problem = tiny_problem 5 in
-  let fixed_solution = Initial.random (Rng.create 99) problem in
+  let solution rng = Initial.random rng problem in
   let constant =
-    Engine.make ~name:"const-test" ~description:"constant result"
-      (fun _rng problem _initial ->
-        let solution = Bipartition.copy fixed_solution in
+    Engine.make ~name:"const-test" ~description:"constant cut"
+      (fun rng _problem _initial ->
         {
-          Engine.Result.solution;
-          cut = Bipartition.cut problem.Problem.hypergraph solution;
-          legal = Bipartition.is_legal solution problem.Problem.balance;
+          Engine.Result.solution = solution rng;
+          cut = 7;
+          legal = true;
           stats = [];
         })
   in
-  let (seed, _), _ =
-    Engine.multistart_seeds constant problem ~seeds:[ 9; 4; 17; 6 ]
+  let first = solution (Rng.create 4) in
+  Alcotest.(check bool)
+    "the starts' solutions differ" false
+    (Bipartition.equal first (solution (Rng.create 7)));
+  let best, _ = Engine.multistart_seeds constant problem ~seed:4 ~starts:4 in
+  Alcotest.(check bool)
+    "first start wins ties (sequential)" true
+    (Bipartition.equal first best.Engine.Result.solution);
+  let pbest, _ =
+    Engine.multistart_seeds ~domains:2 constant problem ~seed:4 ~starts:4
   in
-  Alcotest.(check int) "lowest seed wins ties (sequential)" 4 seed;
-  let (pseed, _), _ =
-    Engine.multistart_seeds ~domains:2 constant problem
-      ~seeds:[ 9; 4; 17; 6 ]
-  in
-  Alcotest.(check int) "lowest seed wins ties (parallel)" 4 pseed
+  Alcotest.(check bool)
+    "first start wins ties (parallel)" true
+    (Bipartition.equal first pbest.Engine.Result.solution)
 
 let test_seeded_empty_seeds () =
   let problem = tiny_problem 1 in
   let engine = Engine.find_exn "flat" in
-  Alcotest.check_raises "empty seeds" (Invalid_argument "x") (fun () ->
-      try ignore (Engine.multistart_seeds engine problem ~seeds:[])
+  Alcotest.check_raises "zero starts" (Invalid_argument "x") (fun () ->
+      try ignore (Engine.multistart_seeds engine problem ~seed:1 ~starts:0)
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let test_polish_best_applied () =

@@ -35,15 +35,27 @@ let tiny =
 
 let solution sides = Bipartition.make (Lazy.force tiny) (Array.copy sides)
 
+(* admit a generation-0 seed candidate with these sides *)
+let admit pop ?(legal = true) i sides cut =
+  Population.insert pop
+    {
+      Pop_log.gen = 0;
+      slot = i;
+      kind = "seed";
+      seed = i;
+      cut;
+      legal;
+      seconds = 0.;
+      assignment = sides;
+    }
+    (solution sides)
+
 (* -- Population -- *)
 
 let test_population_eviction_deterministic () =
   let run () =
     let pop = Population.create ~capacity:3 in
-    let admit i sides cut =
-      Population.insert pop ~gen:0 ~slot:i ~kind:"seed" ~seed:i ~cut
-        ~legal:true ~seconds:0. (solution sides)
-    in
+    let admit = admit pop in
     (* members 0 and 3 are near-clones (7/8 agreement); every other
        pair agrees on at most 6/8.  Admitting the fourth member pushes
        the pool over capacity, and the worse of the clone pair goes *)
@@ -61,7 +73,8 @@ let test_population_eviction_deterministic () =
     Alcotest.(check int) "evicts worse of most-similar pair" 0 m.Population.id);
   Alcotest.(check int) "size at capacity" 3 (Population.size pop);
   (match Population.best pop with
-  | Some b -> Alcotest.(check int) "best is the cut-9 member" 9 b.Population.cut
+  | Some b ->
+    Alcotest.(check int) "best is the cut-9 member" 9 b.Population.candidate.cut
   | None -> Alcotest.fail "population non-empty");
   (* replaying the same admissions reconstructs the same pool *)
   let pop2, _ = run () in
@@ -72,18 +85,16 @@ let test_population_eviction_deterministic () =
 
 let test_population_legality_first () =
   let pop = Population.create ~capacity:2 in
-  let admit i sides cut legal =
-    Population.insert pop ~gen:0 ~slot:i ~kind:"seed" ~seed:i ~cut ~legal
-      ~seconds:0. (solution sides)
-  in
-  ignore (admit 0 [| 0; 0; 0; 0; 1; 1; 1; 1 |] 50 false);
-  ignore (admit 1 [| 0; 1; 0; 1; 0; 1; 0; 1 |] 90 true);
+  let admit = admit pop in
+  ignore (admit ~legal:false 0 [| 0; 0; 0; 0; 1; 1; 1; 1 |] 50);
+  ignore (admit 1 [| 0; 1; 0; 1; 0; 1; 0; 1 |] 90);
   (* a clone of the illegal member: the illegal one goes, even though
      its cut is lower *)
-  let _, evicted = admit 2 [| 0; 0; 0; 0; 1; 1; 1; 0 |] 60 true in
+  let _, evicted = admit 2 [| 0; 0; 0; 0; 1; 1; 1; 0 |] 60 in
   match evicted with
   | Some m ->
-    Alcotest.(check bool) "illegal member evicted" false m.Population.legal
+    Alcotest.(check bool)
+      "illegal member evicted" false m.Population.candidate.legal
   | None -> Alcotest.fail "expected an eviction"
 
 (* -- Pop_log -- *)
@@ -307,10 +318,10 @@ let test_campaign_beats_seeding_generation () =
   Alcotest.(check bool)
     "search never regresses" true
     (last.Evolve.g_best_cut <= gen0.Evolve.g_best_cut);
-  Alcotest.(check bool) "best member legal" true o.Evolve.best.Population.legal;
+  let best = o.Evolve.best.Population.candidate in
+  Alcotest.(check bool) "best member legal" true best.legal;
   Alcotest.(check int)
-    "best matches final generation" last.Evolve.g_best_cut
-    o.Evolve.best.Population.cut
+    "best matches final generation" last.Evolve.g_best_cut best.cut
 
 let () =
   Alcotest.run "evolve"

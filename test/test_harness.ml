@@ -127,6 +127,43 @@ let test_parallel_invalid () =
       try ignore (Parallel.map_seeds ~domains:0 ~seeds:[ 1 ] (fun s -> s))
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
+(* one worker raises while the others are still running: the
+   exception reaches the caller only after every worker has finished *)
+let test_parallel_failure_joins_all () =
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let f seed =
+    if seed = 0 then begin
+      (* raise only once both other seeds are under way *)
+      let deadline = Unix.gettimeofday () +. 5. in
+      while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      failwith "seed 0"
+    end
+    else begin
+      Atomic.incr started;
+      Unix.sleepf 0.2;
+      Atomic.incr finished
+    end
+  in
+  match Parallel.map_seeds ~domains:3 ~seeds:[ 0; 1; 2 ] f with
+  | _ -> Alcotest.fail "the failing seed must raise"
+  | exception Failure msg ->
+    Alcotest.(check string) "the worker's exception" "seed 0" msg;
+    Alcotest.(check int) "every other worker finished" 2 (Atomic.get finished)
+
+(* workers run under the hook their caller installed *)
+let test_parallel_follows_cancel_hook () =
+  let module Cancel = Hypart_engine.Cancel in
+  Alcotest.check_raises "workers see the hook" Cancel.Cancelled (fun () ->
+      Cancel.with_hook
+        (fun () -> true)
+        (fun () ->
+          ignore
+            (Parallel.map_seeds ~domains:2 ~seeds:[ 1; 2; 3 ] (fun s ->
+                 Cancel.check ();
+                 s))))
+
 (* -- Experiments (smoke tests at tiny scale) -- *)
 
 let contains s needle =
@@ -253,6 +290,10 @@ let () =
           Alcotest.test_case "domain cap" `Quick
             test_parallel_more_domains_than_seeds;
           Alcotest.test_case "invalid" `Quick test_parallel_invalid;
+          Alcotest.test_case "failure joins every worker" `Quick
+            test_parallel_failure_joins_all;
+          Alcotest.test_case "follows the cancel hook" `Quick
+            test_parallel_follows_cancel_hook;
         ] );
       ( "experiments",
         [

@@ -26,6 +26,10 @@ module Fleet = Hypart_server.Fleet
 module Executor = Hypart_evolve.Executor
 module Evolve = Hypart_evolve.Evolve
 
+(* campaigns run in-process before any daemon (which registers the
+   engines itself) starts *)
+let () = Hypart_engines.init ()
+
 (* ---------------- http codec ---------------- *)
 
 let simple_request =
@@ -725,17 +729,19 @@ let test_serve_matches_offline () =
         (string_of_int offline.Engine.Result.cut)
         (hdr resp "x-hypart-cut"))
 
-(* a starts=4 request answers what `hypart partition --starts 4
-   --domains 1` prints and writes: both run the one seeded multistart
-   over seeds 5..8 *)
-let test_serve_matches_cli_multistart () =
+(* a starts=n request answers what `hypart partition --seed 5 --starts
+   n --domains d` prints and writes, and what [Executor.run_local]
+   computes for the same job: all three run the one seeded multistart
+   over seeds 5..5+n-1 *)
+let check_serve_matches_cli ~starts ~domains =
   let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/hypart.exe" in
   let part = Filename.temp_file "hypart_cli_multistart" ".part" in
   let out = Filename.temp_file "hypart_cli_multistart" ".txt" in
   let cmd =
     Printf.sprintf
-      "%s partition ibm01 --scale 8 --seed 5 --starts 4 --domains 1 -o %s > %s 2>&1"
-      (Filename.quote exe) (Filename.quote part) (Filename.quote out)
+      "%s partition ibm01 --scale 8 --seed 5 --starts %d --domains %d -o %s > %s 2>&1"
+      (Filename.quote exe) starts domains (Filename.quote part)
+      (Filename.quote out)
   in
   Alcotest.(check int) "cli exit code" 0 (Sys.command cmd);
   let cli_cut =
@@ -746,9 +752,16 @@ let test_serve_matches_cli_multistart () =
   let h = Hypart_generator.Ibm_suite.instance ~scale:8.0 "ibm01" in
   let cli_sides = Io.read_partition part ~num_vertices:(Hg.num_vertices h) in
   List.iter Sys.remove [ part; out ];
+  let local =
+    Executor.run_local (Problem.make ~tolerance:0.02 h)
+      { Executor.engine = "mlclip"; seed = 5; starts }
+  in
+  Alcotest.(check int) "run_local cut = cli cut" cli_cut local.Executor.cut;
+  Alcotest.(check (array int))
+    "run_local assignment = cli partition" cli_sides local.Executor.assignment;
   with_server (fun _server port ->
       let path =
-        Client.partition_path ~engine:"mlclip" ~seed:5 ~starts:4 ~tolerance:0.02
+        Client.partition_path ~engine:"mlclip" ~seed:5 ~starts ~tolerance:0.02
           ~format:"hgr" ()
       in
       match Client.post ~host:"127.0.0.1" ~port ~path ~body:(Io.hgr_string h) () with
@@ -758,6 +771,12 @@ let test_serve_matches_cli_multistart () =
         Alcotest.(check (option (array int)))
           "served assignment = cli partition" (Some cli_sides)
           served.Client.assignment)
+
+let test_serve_matches_cli_multistart () =
+  check_serve_matches_cli ~starts:4 ~domains:1
+
+let test_serve_matches_cli_fanned_out () =
+  check_serve_matches_cli ~starts:3 ~domains:2
 
 let test_serve_dedup_zero_runs () =
   with_server (fun _server port ->
@@ -1802,7 +1821,7 @@ let dead_port () =
   port
 
 let fleet_jobs seeds =
-  List.map (fun seed -> { Fleet.engine = "flat"; seed; starts = 1 }) seeds
+  List.map (fun seed -> { Executor.engine = "flat"; seed; starts = 1 }) seeds
 
 let test_fleet_parse_servers () =
   (match Fleet.parse_servers "host1:8080, :9090,7070" with
@@ -1822,31 +1841,29 @@ let test_fleet_parse_servers () =
 
 let test_fleet_shards_both_servers () =
   with_two_servers (fun _s1 port1 _s2 port2 ->
-      let fleet = Fleet.create [ local port1; local port2 ] in
-      let results =
-        Fleet.submit_batch fleet ~body:tiny_hgr ~format:"hgr"
-          (fleet_jobs [ 1; 2; 3; 4; 5; 6 ])
+      let fleet =
+        Fleet.executor (Fleet.create [ local port1; local port2 ])
+          ~body:tiny_hgr ~format:"hgr"
       in
+      let problem = Problem.make ~tolerance:0.02 (parse_tiny ()) in
+      let jobs = fleet_jobs [ 1; 2; 3; 4; 5; 6 ] in
+      let results = fleet.Executor.eval problem jobs in
       Alcotest.(check int) "all jobs answered" 6 (List.length results);
-      List.iter
-        (function
-          | Ok o -> Alcotest.(check bool) "has assignment" true
-              (o.Client.assignment <> None)
-          | Error msg -> Alcotest.fail msg)
-        results;
       (* round-robin preference: both daemons actually served *)
       Alcotest.(check bool) "daemon 1 served" true (jobs_total port1 > 0);
       Alcotest.(check bool) "daemon 2 served" true (jobs_total port2 > 0);
       (* a fleet answer equals the in-process evaluation of the same job *)
-      let problem = Problem.make ~tolerance:0.02 (parse_tiny ()) in
-      let reference =
-        Executor.run_local problem { Executor.engine = "flat"; seed = 1; starts = 1 }
-      in
-      match List.hd results with
-      | Ok o ->
-        Alcotest.(check int) "fleet cut = local cut" reference.Executor.cut
-          o.Client.cut
-      | Error msg -> Alcotest.fail msg)
+      List.iter2
+        (fun job -> function
+          | Ok o ->
+            let reference = Executor.run_local problem job in
+            Alcotest.(check int) "fleet cut = local cut" reference.Executor.cut
+              o.Executor.cut;
+            Alcotest.(check (array int))
+              "fleet assignment = local assignment" reference.Executor.assignment
+              o.Executor.assignment
+          | Error msg -> Alcotest.fail msg)
+        jobs results)
 
 let test_fleet_failover_on_dead_server () =
   with_server (fun _server port ->
@@ -1855,7 +1872,7 @@ let test_fleet_failover_on_dead_server () =
       match
         Fleet.submit ~attempts_per_server:1 ~sleep:(fun _ -> ()) ~preferred:0
           fleet ~body:tiny_hgr ~format:"hgr"
-          { Fleet.engine = "flat"; seed = 3; starts = 1 }
+          { Executor.engine = "flat"; seed = 3; starts = 1 }
       with
       | Ok o ->
         Alcotest.(check string) "served by the live daemon"
@@ -1865,13 +1882,17 @@ let test_fleet_failover_on_dead_server () =
 
 let test_fleet_failover_mid_campaign () =
   with_two_servers (fun _s1 port1 server2 port2 ->
-      let fleet = Fleet.create [ local port1; local port2 ] in
+      let fleet =
+        Fleet.executor ~attempts_per_server:1
+          ~sleep:(fun _ -> ())
+          (Fleet.create [ local port1; local port2 ])
+          ~body:tiny_hgr ~format:"hgr"
+      in
+      let problem = Problem.make ~tolerance:0.02 (parse_tiny ()) in
       let ok_batch seeds =
         List.iter
           (function Ok _ -> () | Error msg -> Alcotest.fail msg)
-          (Fleet.submit_batch ~attempts_per_server:1
-             ~sleep:(fun _ -> ())
-             fleet ~body:tiny_hgr ~format:"hgr" (fleet_jobs seeds))
+          (fleet.Executor.eval problem (fleet_jobs seeds))
       in
       ok_batch [ 1; 2; 3; 4 ];
       (* daemon 2 dies mid-campaign; later batches keep completing *)
@@ -1889,7 +1910,7 @@ let test_fleet_terminal_error_no_failover () =
       (match
          Fleet.submit ~attempts_per_server:3 ~sleep:(fun _ -> ()) ~preferred:0
            fleet ~body:tiny_hgr ~format:"hgr"
-           { Fleet.engine = "no-such-engine"; seed = 1; starts = 1 }
+           { Executor.engine = "no-such-engine"; seed = 1; starts = 1 }
        with
       | Ok _ -> Alcotest.fail "unknown engine cannot succeed"
       | Error msg ->
@@ -1907,37 +1928,6 @@ let test_fleet_terminal_error_no_failover () =
 (* the fleet executor contract end to end: a campaign sharded over two
    daemons reproduces the single-daemon (and in-process) trajectory
    byte for byte *)
-let fleet_campaign_executor fleet =
-  Executor.of_fun ~name:"test-fleet" (fun problem jobs ->
-      let fjobs =
-        List.map
-          (fun (j : Executor.job) ->
-            { Fleet.engine = j.Executor.engine; seed = j.Executor.seed;
-              starts = j.Executor.starts })
-          jobs
-      in
-      let results =
-        Fleet.submit_batch ~sleep:(fun _ -> ()) fleet ~body:tiny_hgr
-          ~format:"hgr" fjobs
-      in
-      List.map2
-        (fun (j : Executor.job) res ->
-          Result.map
-            (fun (o : Fleet.outcome) ->
-              match o.Client.assignment with
-              | Some assignment ->
-                {
-                  Executor.cut = o.Client.cut;
-                  legal = o.Client.legal;
-                  seconds = o.Client.seconds;
-                  assignment;
-                  source = o.Client.served_by;
-                  stats = [];
-                }
-              | None -> Executor.run_local problem j)
-            res)
-        jobs results)
-
 let small_campaign =
   {
     Evolve.default with
@@ -1955,14 +1945,44 @@ let test_fleet_campaign_identical_to_single () =
   in
   let in_process = run (Executor.in_process ()) in
   with_two_servers (fun _s1 port1 _s2 port2 ->
-      let one = run (fleet_campaign_executor (Fleet.create [ local port1 ])) in
-      let two =
-        run
-          (fleet_campaign_executor
-             (Fleet.create [ local port1; local port2 ]))
+      let fleet servers =
+        Fleet.executor ~sleep:(fun _ -> ()) (Fleet.create servers)
+          ~body:tiny_hgr ~format:"hgr"
       in
+      let one = run (fleet [ local port1 ]) in
+      let two = run (fleet [ local port1; local port2 ]) in
       Alcotest.(check string) "fleet of 1 = in-process" in_process one;
       Alcotest.(check string) "fleet of 2 = fleet of 1" one two)
+
+(* memetic evaluations and the daemon's /partition share one store key
+   space: a daemon on a campaign's store answers the campaign's stored
+   (engine, seed, starts, tolerance) from the store *)
+let test_campaign_store_serves_partition () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hypart_campaign_store_%d" (Unix.getpid ()))
+  in
+  let problem = Problem.make ~tolerance:0.02 (parse_tiny ()) in
+  ignore (Evolve.run ~store:dir small_campaign ~seed:23 problem);
+  let evaluation =
+    In_channel.with_open_bin (Hypart_lab.Run_store.filename dir)
+      In_channel.input_lines
+    |> List.filter_map Hypart_lab.Run_store.record_of_line
+    |> List.find (fun r -> r.Hypart_lab.Run_store.engine = "flat")
+  in
+  with_server ~store:dir (fun _server port ->
+      let path =
+        Client.partition_path ~engine:"flat"
+          ~seed:evaluation.Hypart_lab.Run_store.seed
+          ~starts:small_campaign.Evolve.starts
+          ~tolerance:small_campaign.Evolve.tolerance ~format:"hgr" ()
+      in
+      match Client.post ~host:"127.0.0.1" ~port ~path ~body:tiny_hgr () with
+      | Error f -> Alcotest.fail (Client.failure_message f)
+      | Ok served ->
+        Alcotest.(check bool) "answered from the store" true served.Client.cached;
+        Alcotest.(check int) "the stored cut"
+          evaluation.Hypart_lab.Run_store.cut served.Client.cut)
 
 let test_serve_shutdown_drains () =
   let server =
@@ -2039,12 +2059,16 @@ let () =
             test_fleet_terminal_error_no_failover;
           Alcotest.test_case "campaign identical across fleet sizes" `Quick
             test_fleet_campaign_identical_to_single;
+          Alcotest.test_case "campaign store serves /partition" `Quick
+            test_campaign_store_serves_partition;
         ] );
       ( "live",
         [
           Alcotest.test_case "served = offline" `Quick test_serve_matches_offline;
           Alcotest.test_case "starts=4 = partition --starts 4" `Quick
             test_serve_matches_cli_multistart;
+          Alcotest.test_case "starts=3 = partition --domains 2 = run_local"
+            `Quick test_serve_matches_cli_fanned_out;
           Alcotest.test_case "dedup zero runs" `Quick test_serve_dedup_zero_runs;
           Alcotest.test_case "store persists" `Quick test_serve_store_persists;
           Alcotest.test_case "instance cache LRU" `Quick test_icache_lru;
