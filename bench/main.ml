@@ -13,6 +13,7 @@ module Suite = Hypart_generator.Ibm_suite
 module Problem = Hypart_partition.Problem
 module Initial = Hypart_partition.Initial
 module Fm = Hypart_fm.Fm
+module Engine = Hypart_engine.Engine
 module Fm_config = Hypart_fm.Fm_config
 module Matching = Hypart_multilevel.Matching
 module Ml = Hypart_multilevel.Ml_partitioner
@@ -359,8 +360,8 @@ let evolve_benches =
       Test.make ~name:"recombine"
         (ignore1 (fun () ->
              let p, a, b = Lazy.force evolve_parents in
-             Ml.recombine (Rng.create 13) p a.Hypart_fm.Fm.solution
-               b.Hypart_fm.Fm.solution));
+             Ml.recombine (Rng.create 13) p a.Engine.Result.solution
+               b.Engine.Result.solution));
       Test.make ~name:"population_insert"
         (ignore1 (fun () ->
              let p, a, _ = Lazy.force evolve_parents in
@@ -368,7 +369,7 @@ let evolve_benches =
              let n = H.num_vertices h in
              let pop = Population.create ~capacity:8 in
              for i = 0 to 15 do
-               let sides = Bipartition.assignment a.Hypart_fm.Fm.solution in
+               let sides = Bipartition.assignment a.Engine.Result.solution in
                (* flip a few vertices so similarities differ per member *)
                for v = 0 to min 7 (n - 1) do
                  if (i + v) mod 3 = 0 then sides.(v) <- 1 - sides.(v)
@@ -380,7 +381,7 @@ let evolve_benches =
                       slot = i;
                       kind = "seed";
                       seed = i;
-                      cut = a.Hypart_fm.Fm.cut + i;
+                      cut = a.Engine.Result.cut + i;
                       legal = true;
                       seconds = 0.;
                       assignment = sides;
@@ -419,7 +420,7 @@ let eco_fixture =
      let fp = Fingerprint.of_instance h in
      let problem = Problem.make ~tolerance:0.02 h in
      let prior =
-       Bipartition.assignment (Ml.run (Rng.create 7) problem).Hypart_fm.Fm.solution
+       Bipartition.assignment (Ml.run (Rng.create 7) problem).Engine.Result.solution
      in
      let delta = Delta_gen.perturb ~base_fingerprint:fp ~rng:(Rng.create 11) ~fraction:0.01 h in
      let patch = Patch.apply ~base:h ~base_fingerprint:fp delta in

@@ -438,6 +438,25 @@ let pack_cmd =
 
 (* ---------------- evaluate ---------------- *)
 
+(* the balance verdict next to every printed imbalance *)
+let verdict legal tolerance =
+  Printf.sprintf "%s at %.0f%%" (legality legal) (100. *. tolerance)
+
+(* the k-way report of [kway] (whose [run] names the engine and its CPU
+   seconds) and [evaluate]: cut, part weights, imbalance and verdict *)
+let print_kway ?run h ~k ~tolerance part_of cut =
+  (match run with
+   | Some (name, seconds) ->
+     Printf.printf "%d-way cut (%s): %d (%.3fs)\n" k name cut seconds
+   | None -> Printf.printf "%d-way cut:   %d\n" k cut);
+  let weights = Kway_objective.part_weights h part_of ~k in
+  let window = Kway_objective.window ~tolerance ~k (H.total_vertex_weight h) in
+  Printf.printf "part weights:";
+  Array.iter (Printf.printf " %d") weights;
+  Printf.printf " (imbalance %.2f%%, %s)\n"
+    (100. *. Kway_objective.imbalance h part_of ~k)
+    (verdict (Kway_objective.is_legal window weights) tolerance)
+
 let evaluate_cmd =
   let run () input part_file scale tolerance =
     let h = load_instance input scale in
@@ -451,9 +470,9 @@ let evaluate_cmd =
       Printf.printf "part weights: %d / %d (imbalance %.2f%%, %s)\n"
         (Bipartition.part_weight s 0) (Bipartition.part_weight s 1)
         (100. *. Bipartition.imbalance s)
-        (if Bipartition.is_legal s problem.Hypart_partition.Problem.balance then
-           Printf.sprintf "legal at %.0f%%" (100. *. tolerance)
-         else Printf.sprintf "ILLEGAL at %.0f%%" (100. *. tolerance));
+        (verdict
+           (Bipartition.is_legal s problem.Hypart_partition.Problem.balance)
+           tolerance);
       List.iter
         (fun obj ->
           Printf.printf "%-12s  %.4f\n"
@@ -461,14 +480,7 @@ let evaluate_cmd =
             (Hypart_partition.Objective.evaluate obj h s))
         Hypart_partition.Objective.[ Ratio_cut; Scaled_cost; Absorption ]
     end
-    else begin
-      Printf.printf "%d-way cut:   %d\n" k
-        (Kway_objective.cut h side);
-      Printf.printf "part weights:";
-      Array.iter (Printf.printf " %d") (Kway_objective.part_weights h side ~k);
-      Printf.printf " (imbalance %.2f%%)\n"
-        (100. *. Kway_objective.imbalance h side ~k)
-    end
+    else print_kway h ~k ~tolerance side (Kway_objective.cut h side)
   in
   let part_t = Arg.(required & pos 1 (some string) None & info [] ~docv:"PARTITION") in
   Cmd.v
@@ -483,28 +495,17 @@ let kway_cmd =
   let run () input k scale seed tolerance engine out =
     let h = load_instance input scale in
     let rng = Rng.create seed in
-    let kway (r : Hypart_fm.Kway_fm.result) =
-      (r.part_of, r.cut, Kway_objective.part_weights h r.part_of ~k)
-    in
-    let (part_of, cut, weights), dt =
+    let (r : Hypart_fm.Kway_fm.result), dt =
       Machine.cpu_time (fun () ->
           match engine with
-          | `Rb ->
-            let r = Hypart_multilevel.Recursive_bisection.run ~tolerance ~k rng h in
-            ( r.Hypart_multilevel.Recursive_bisection.part_of,
-              r.Hypart_multilevel.Recursive_bisection.cut,
-              r.Hypart_multilevel.Recursive_bisection.part_weights )
-          | `Direct -> kway (Hypart_fm.Kway_fm.run_random_start ~tolerance ~k rng h)
-          | `Mlk -> kway (Hypart_multilevel.Ml_kway.run ~tolerance ~k rng h))
+          | `Rb -> Hypart_multilevel.Recursive_bisection.run ~tolerance ~k rng h
+          | `Direct -> Hypart_fm.Kway_fm.run_random_start ~tolerance ~k rng h
+          | `Mlk -> Hypart_multilevel.Ml_kway.run ~tolerance ~k rng h)
     in
     let name = fst (List.find (fun (_, e) -> e = engine) engines) in
     Format.printf "%a@." H.pp h;
-    Printf.printf "%d-way cut (%s): %d (%.3fs)\n" k name cut (Machine.normalize dt);
-    Printf.printf "part weights:";
-    Array.iter (Printf.printf " %d") weights;
-    Printf.printf " (imbalance %.2f%%)\n"
-      (100. *. Kway_objective.imbalance h part_of ~k);
-    save_partition out part_of
+    print_kway ~run:(name, Machine.normalize dt) h ~k ~tolerance r.part_of r.cut;
+    save_partition out r.part_of
   in
   let k_t =
     Arg.(value & opt (pos_int_conv "k") 4 & info [ "k" ] ~docv:"K" ~doc:"Part count.")

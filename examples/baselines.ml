@@ -49,18 +49,18 @@ let () =
               Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 1)
                 problem
             in
-            (r.Fm.cut, r.Fm.solution)) );
+            (r.Engine.Result.cut, r.Engine.Result.solution)) );
       ( "flat CLIP FM",
         timed (fun () ->
             let r =
               Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create 1)
                 problem
             in
-            (r.Fm.cut, r.Fm.solution)) );
+            (r.Engine.Result.cut, r.Engine.Result.solution)) );
       ( "ML CLIP",
         timed (fun () ->
             let r = Ml.run ~config:Ml.ml_clip (Rng.create 1) problem in
-            (r.Fm.cut, r.Fm.solution)) );
+            (r.Engine.Result.cut, r.Engine.Result.solution)) );
       ( "ML CLIP x8 + V",
         timed (fun () ->
             let rng = Rng.create 1 in

@@ -27,7 +27,7 @@ let trace name config rng problem =
   let corks = ref 0. and empty = ref 0. in
   for i = 0 to runs - 1 do
     let r = Fm.run_random_start ~config rng problem in
-    cuts.(i) <- r.Fm.cut;
+    cuts.(i) <- r.Engine.Result.cut;
     corks := !corks +. Option.get (Engine.Result.stat r "corking_events");
     empty := !empty +. Option.get (Engine.Result.stat r "empty_passes")
   done;

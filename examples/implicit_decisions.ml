@@ -10,6 +10,7 @@ module Rng = Hypart_rng.Rng
 module Suite = Hypart_generator.Ibm_suite
 module Problem = Hypart_partition.Problem
 module Fm = Hypart_fm.Fm
+module Engine = Hypart_engine.Engine
 module Fm_config = Hypart_fm.Fm_config
 module D = Hypart_stats.Descriptive
 module Sig = Hypart_stats.Significance
@@ -37,7 +38,7 @@ let () =
         in
         let rng = Rng.create 11 in
         let cuts =
-          Array.init runs (fun _ -> (Fm.run_random_start ~config rng problem).Fm.cut)
+          Array.init runs (fun _ -> (Fm.run_random_start ~config rng problem).Engine.Result.cut)
         in
         Printf.printf "  %s  min/avg = %s\n" label (D.min_avg cuts);
         (label, cuts))

@@ -29,15 +29,15 @@ let () =
   let problem = Problem.make ~tolerance:0.20 tiny in
   let rng = Rng.create 42 in
   let result = Fm.run_random_start ~config:Fm_config.strong_lifo rng problem in
-  Printf.printf "FM cut: %d (legal: %b)\n" result.Fm.cut result.Fm.legal;
+  Printf.printf "FM cut: %d (legal: %b)\n" result.Engine.Result.cut result.Engine.Result.legal;
   Printf.printf "assignment:";
   for v = 0 to H.num_vertices tiny - 1 do
-    Printf.printf " %d:%d" v (Bipartition.side result.Fm.solution v)
+    Printf.printf " %d:%d" v (Bipartition.side result.Engine.Result.solution v)
   done;
   print_newline ();
   Printf.printf "ratio cut: %.3f, absorption: %.3f\n\n"
-    (Objective.evaluate Objective.Ratio_cut tiny result.Fm.solution)
-    (Objective.evaluate Objective.Absorption tiny result.Fm.solution);
+    (Objective.evaluate Objective.Ratio_cut tiny result.Engine.Result.solution)
+    (Objective.evaluate Objective.Absorption tiny result.Engine.Result.solution);
 
   (* 3. Realistic scale: a synthetic twin of ISPD98 ibm01 (scaled 8x
      down), partitioned at the paper's 2%% tolerance by flat FM, CLIP
@@ -47,7 +47,7 @@ let () =
   let problem = Problem.make ~tolerance:0.02 h in
   let report name result =
     let count stat = Option.get (Engine.Result.stat result stat) in
-    Printf.printf "  %-12s cut %5d  (%.0f passes, %.0f moves)\n" name result.Fm.cut
+    Printf.printf "  %-12s cut %5d  (%.0f passes, %.0f moves)\n" name result.Engine.Result.cut
       (count "passes") (count "moves")
   in
   report "flat LIFO" (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 7) problem);

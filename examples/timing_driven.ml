@@ -39,11 +39,11 @@ let () =
     let problem = Problem.make ~tolerance:0.02 instance in
     let r = Ml.run ~config:Ml.ml_clip (Rng.create 9) problem in
     (* evaluate both metrics on the ORIGINAL weights *)
-    let plain_cut = Bipartition.cut h r.Hypart_fm.Fm.solution in
+    let plain_cut = Bipartition.cut h r.Hypart_engine.Engine.Result.solution in
     let critical_cut = ref 0 in
     for e = 0 to ne - 1 do
       if critical.(e) then begin
-        let c0, c1 = Bipartition.pins_on_side h r.Hypart_fm.Fm.solution e in
+        let c0, c1 = Bipartition.pins_on_side h r.Hypart_engine.Engine.Result.solution e in
         if c0 > 0 && c1 > 0 then incr critical_cut
       end
     done;

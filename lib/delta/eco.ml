@@ -228,8 +228,6 @@ type outcome = {
   projected_cut : int;
 }
 
-let count m = if Tel.is_enabled () then Metrics.incr m
-
 (* the pins net [e] keeps in the subproblem: its free pins plus one per
    frozen side it touches, or 0 when it has no free pin *)
 let kept_pins fixed eoff epins e =
@@ -339,7 +337,7 @@ let run ?(config = default_config) ~engine ~scratch ~seed ~prior
     float_of_int (Array.length p.Patch.touched) /. float_of_int (max nv 1)
   in
   let scratch_run extra_seconds =
-    count "eco.fallback_runs";
+    Metrics.incr "eco.fallback_runs";
     let result, seconds =
       Machine.cpu_time (fun () ->
           Engine.run scratch (Rng.create seed) problem None)
@@ -371,7 +369,7 @@ let run ?(config = default_config) ~engine ~scratch ~seed ~prior
         (float_of_int free_vertices /. float_of_int (max nv 1));
     if free_vertices = 0 then begin
       (* nothing to refine: the projection is the warm answer *)
-      count "eco.warm_runs";
+      Metrics.incr "eco.warm_runs";
       {
         result =
           {
@@ -433,7 +431,7 @@ let run ?(config = default_config) ~engine ~scratch ~seed ~prior
            the frozen sides — rerun unrestricted from scratch *)
         scratch_run seconds
       else begin
-        count "eco.warm_runs";
+        Metrics.incr "eco.warm_runs";
         { result; seconds; mode = Warm; free_vertices; projected_cut }
       end
     end

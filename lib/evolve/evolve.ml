@@ -131,8 +131,6 @@ let pick_parents rng arr =
     (a, if w.Population.id = a.Population.id then l else w)
   end
 
-let count name = if Tel.is_enabled () then Metrics.incr name
-
 let run ?store ?executor ?initial config ~seed problem =
   let executor =
     match executor with
@@ -159,7 +157,7 @@ let run ?store ?executor ?initial config ~seed problem =
       Option.iter Run_store.close runs)
   @@ fun () ->
   Trace.begin_span "evolve.campaign";
-  count "evolve.campaigns";
+  Metrics.incr "evolve.campaigns";
   Event_log.record "evolve.campaign_start"
     [
       ("campaign", Jsonl.String campaign);
@@ -177,7 +175,7 @@ let run ?store ?executor ?initial config ~seed problem =
     match log with None -> None | Some l -> Pop_log.find l ~gen:g ~slot:s
   in
   let replayed e =
-    count "evolve.replayed";
+    Metrics.incr "evolve.replayed";
     Replayed e
   in
   (* executor-backed evaluations for every pending (slot, kind, job) *)
@@ -195,7 +193,7 @@ let run ?store ?executor ?initial config ~seed problem =
               (Printf.sprintf "evolve: evaluation failed (gen %d slot %d): %s"
                  g slot msg)
           | Ok (o : Executor.outcome) ->
-            count "evolve.evaluations";
+            Metrics.incr "evolve.evaluations";
             Fresh
               ( {
                   Pop_log.gen = g;
@@ -247,7 +245,7 @@ let run ?store ?executor ?initial config ~seed problem =
                ~stats))
         runs;
       Option.iter (fun l -> Pop_log.append l e) log;
-      count ("evolve." ^ e.kind ^ "s"));
+      Metrics.incr ("evolve." ^ e.kind ^ "s"));
     ignore (Population.insert pop e (Bipartition.make h e.assignment))
   in
   let cum_seconds = ref 0. in
@@ -356,7 +354,7 @@ let run ?store ?executor ?initial config ~seed problem =
                 Ml.recombine ~config:config.ml rng problem
                   pa.Population.solution pb.Population.solution)
           in
-          count "evolve.evaluations";
+          Metrics.incr "evolve.evaluations";
           Fresh
             ( {
                 Pop_log.gen = g;

@@ -1,5 +1,4 @@
 module Bipartition = Hypart_partition.Bipartition
-module Tel = Hypart_telemetry.Control
 module Metrics = Hypart_telemetry.Metrics
 
 type member = { id : int; candidate : Pop_log.entry; solution : Bipartition.t }
@@ -75,6 +74,6 @@ let insert t candidate solution =
       (fun (lo, hi) s ->
         if lo = evictee.id || hi = evictee.id then None else Some s)
       t.sims;
-    if Tel.is_enabled () then Metrics.incr "evolve.evictions";
+    Metrics.incr "evolve.evictions";
     (m, Some evictee)
   end

@@ -14,13 +14,7 @@ module Metrics = Hypart_telemetry.Metrics
 module Trace = Hypart_telemetry.Trace
 module Event_log = Hypart_telemetry.Event_log
 module Jsonl = Hypart_telemetry.Jsonl
-
-type result = Hypart_engine.Engine.Result.t = {
-  solution : Bipartition.t;
-  cut : int;
-  legal : bool;
-  stats : (string * float) list;
-}
+module Result = Hypart_engine.Engine.Result
 
 (* Test hook: force the all-deltas-zero shortcut in [apply_move] off so
    property tests can check it never changes results (it is sound for
@@ -533,7 +527,7 @@ let run ?(config = Fm_config.default) rng problem initial =
   end;
   let legal = Bipartition.is_legal st.sol problem.Problem.balance in
   {
-    solution = st.sol;
+    Result.solution = st.sol;
     cut = st.cur_cut;
     legal;
     stats =

@@ -10,22 +10,6 @@
     cross-checks the incremental value against
     {!Hypart_partition.Bipartition.cut} recomputed from scratch. *)
 
-type result = Hypart_engine.Engine.Result.t = {
-  solution : Hypart_partition.Bipartition.t;
-  cut : int;  (** cut of [solution] *)
-  legal : bool;  (** whether [solution] satisfies the balance constraint *)
-  stats : (string * float) list;
-      (** [passes] (executed, including the final non-improving one),
-          [moves] (applied across all passes, including rolled-back
-          ones), [empty_passes] (passes that made no move: CLIP corking
-          at its worst), [corking_events] (selections that found the
-          head of a highest-gain bucket illegal, §2.3's corking
-          diagnostic) and [zero_delta_updates] (neighbour updates with
-          zero delta gain: repositioned under [All_delta_gain], skipped
-          under [Nonzero_only]), in that order *)
-}
-(** The engine layer's result record: an FM run is an engine result. *)
-
 (* kept: the reference switch the fast-path property compares against *)
 val zero_delta_fast_path : bool ref
 (** Test hook (default [true]): when set to [false], [run] skips the
@@ -38,11 +22,20 @@ val run :
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_partition.Bipartition.t ->
-  result
+  Hypart_engine.Engine.Result.t
 (** [run rng problem initial] improves [initial] by repeated FM passes
     until a pass fails to improve the best legal cut (or
     [config.max_passes] is reached).  The input solution is not
     mutated.  [rng] is used only for [Random] bucket insertion.
+
+    The result's [stats] are [passes] (executed, including the final
+    non-improving one), [moves] (applied across all passes, including
+    rolled-back ones), [empty_passes] (passes that made no move: CLIP
+    corking at its worst), [corking_events] (selections that found the
+    head of a highest-gain bucket illegal, §2.3's corking diagnostic)
+    and [zero_delta_updates] (neighbour updates with zero delta gain:
+    repositioned under [All_delta_gain], skipped under
+    [Nonzero_only]), in that order.
 
     Scratch state comes from the calling domain's {!Fm_workspace}, so
     a run allocates no O(V+E) arrays unless the instance outgrows it;
@@ -52,7 +45,7 @@ val run_random_start :
   ?config:Fm_config.t ->
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
-  result
+  Hypart_engine.Engine.Result.t
 (** Generate a {!Hypart_partition.Initial.random} solution and [run].
     Multistart protocols run through {!Hypart_engine.Engine.multistart}
     over {!Fm_engines}. *)

@@ -1,14 +1,16 @@
 module H = Hypart_hypergraph.Hypergraph
 module Rng = Hypart_rng.Rng
 module Metrics = Hypart_telemetry.Metrics
+module Kway_objective = Hypart_partition.Kway_objective
 
 type result = {
   part_of : int array;
   cut : int;
   legal : bool;
-  passes : int;
-  moves : int;
+  stats : (string * float) list;
 }
+
+let better a b = (a.legal && not b.legal) || (a.legal = b.legal && a.cut < b.cut)
 
 (* Gain of moving [v] from its part to [q], given per-net part counts:
    +w when the move makes net [e] uncut (v's part holds exactly v and q
@@ -24,7 +26,7 @@ let gain_of h part_of count v q =
       else acc)
 
 (* Reusable scratch arrays for [run] — the k-way analogue of
-   {!Fm_workspace}.  Each domain keeps one per k; it fits any smaller
+   {!Fm_workspace}.  Each domain keeps one; it fits any smaller
    hypergraph at the same k, which lets one workspace serve a whole
    multilevel k-way hierarchy (see [Ml_kway]). *)
 type workspace = {
@@ -159,8 +161,6 @@ let pass st =
   st.cur_cut <- !best_cut;
   (!best_cut, !n_applied)
 
-let max_weighted_degree = Fm_workspace.max_weighted_degree
-
 let create_workspace ~k ~num_vertices:n ~num_edges:ne ~gmax ~rng =
   Metrics.incr "fm.workspace_creates";
   {
@@ -174,13 +174,12 @@ let create_workspace ~k ~num_vertices:n ~num_edges:ne ~gmax ~rng =
         ~insertion:Fm_config.Lifo ~rng;
   }
 
-(* the domain's workspaces, at most one per k *)
-let slot : workspace list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+let slot : workspace option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let fits ws h =
-  H.num_vertices h <= ws.ws_num_vertices && H.num_edges h <= ws.ws_num_edges
+let fits ws ~k h =
+  ws.ws_k = k && H.num_vertices h <= ws.ws_num_vertices && H.num_edges h <= ws.ws_num_edges
 
-(* Replace the domain's workspace for [k] by one fitting [h] and the old
+(* Replace the domain's workspace by one for [k] fitting [h] and the old
    capacity too. *)
 let grow previous ~k ~gmax ~rng h =
   let n, ne =
@@ -191,15 +190,14 @@ let grow previous ~k ~gmax ~rng h =
         max ws.ws_num_edges (H.num_edges h) )
   in
   let ws = create_workspace ~k ~num_vertices:n ~num_edges:ne ~gmax ~rng in
-  Domain.DLS.set slot
-    (ws :: List.filter (fun ws -> ws.ws_k <> k) (Domain.DLS.get slot));
+  Domain.DLS.set slot (Some ws);
   ws
 
-(* The calling domain's workspace for [k], prepared for a run on [h]
+(* The calling domain's workspace, prepared for a run on [h] at [k]
    with gain bound [gmax]. *)
 let acquire ~k ~gmax ~rng h =
-  match List.find_opt (fun ws -> ws.ws_k = k) (Domain.DLS.get slot) with
-  | Some ws when fits ws h ->
+  match Domain.DLS.get slot with
+  | Some ws when fits ws ~k h ->
     (* regrow the container if this instance's gain bound outgrew it
        (coarse levels can exceed the finest level's bound when
        contraction merges net weights); otherwise just point its RNG
@@ -215,33 +213,28 @@ let acquire ~k ~gmax ~rng h =
   | previous -> grow previous ~k ~gmax ~rng h
 
 let reserve ~k ~rng h =
-  match List.find_opt (fun ws -> ws.ws_k = k) (Domain.DLS.get slot) with
-  | Some ws when fits ws h -> ()
+  match Domain.DLS.get slot with
+  | Some ws when fits ws ~k h -> ()
   | previous ->
-    ignore (grow previous ~k ~gmax:(max 1 (max_weighted_degree h)) ~rng h)
+    let gmax = max 1 (Fm_workspace.max_weighted_degree h) in
+    ignore (grow previous ~k ~gmax ~rng h)
 
 let run ?(max_passes = 30) ?(tolerance = 0.10) ~k rng h part_of =
   if k < 2 then invalid_arg "Kway_fm.run: k must be >= 2";
   if Array.length part_of <> H.num_vertices h then
     invalid_arg "Kway_fm.run: assignment length mismatch";
-  Array.iter
-    (fun p -> if p < 0 || p >= k then invalid_arg "Kway_fm.run: part out of range")
-    part_of;
-  let total = H.total_vertex_weight h in
-  let target = float_of_int total /. float_of_int k in
-  let lower = int_of_float (Float.floor ((1.0 -. tolerance) *. target)) in
-  let upper = int_of_float (Float.ceil ((1.0 +. tolerance) *. target)) in
-  let gmax = max 1 (max_weighted_degree h) in
+  let part_weight = Kway_objective.part_weights h part_of ~k in
+  let ((lower, upper) as window) =
+    Kway_objective.window ~tolerance ~k (H.total_vertex_weight h)
+  in
+  let gmax = max 1 (Fm_workspace.max_weighted_degree h) in
   let ws = acquire ~k ~gmax ~rng h in
   let st =
     {
       h;
       k;
       part_of = Array.copy part_of;
-      part_weight =
-        (let w = Array.make k 0 in
-         Array.iteri (fun v p -> w.(p) <- w.(p) + H.vertex_weight h v) part_of;
-         w);
+      part_weight;
       count = ws.ws_count;
       locked = ws.ws_locked;
       container = ws.ws_container;
@@ -252,7 +245,7 @@ let run ?(max_passes = 30) ?(tolerance = 0.10) ~k rng h part_of =
     }
   in
   recompute_counts st;
-  st.cur_cut <- Hypart_partition.Kway_objective.cut h st.part_of;
+  st.cur_cut <- Kway_objective.cut h st.part_of;
   let best = ref st.cur_cut in
   let passes = ref 0 and improving = ref true in
   while !improving && !passes < max_passes do
@@ -260,13 +253,12 @@ let run ?(max_passes = 30) ?(tolerance = 0.10) ~k rng h part_of =
     incr passes;
     if pass_best < !best then best := pass_best else improving := false
   done;
-  let legal = Array.for_all (fun w -> w >= lower && w <= upper) st.part_weight in
   {
     part_of = st.part_of;
     cut = st.cur_cut;
-    legal;
-    passes = !passes;
-    moves = st.n_moves;
+    legal = Kway_objective.is_legal window st.part_weight;
+    stats =
+      [ ("passes", float_of_int !passes); ("moves", float_of_int st.n_moves) ];
   }
 
 let run_random_start ?max_passes ?tolerance ~k rng h =

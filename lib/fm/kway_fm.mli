@@ -12,16 +12,29 @@
     vertex, updates the affected gains, and finally rolls back to the
     best prefix — exactly the FM discipline, lifted to k parts.
 
-    Complexity per move is O(deg(v) · avg-net-size · k): fine for the
-    moderate k (2..16) of VLSI use models, not for graph-clustering k. *)
+    A move refreshes every unlocked pin of every net the moved vertex
+    touches, and each refresh recomputes that pin's [k-1] gains over all
+    of its own nets: O(deg(v) · net size · k · deg(pin)) per move, fine
+    for the moderate k (2..16) of VLSI use models on small instances,
+    slow on large ones. *)
 
 type result = {
-  part_of : int array;
-  cut : int;  (** weighted count of nets spanning >= 2 parts *)
+  part_of : int array;  (** vertex -> part id in [0, k) *)
+  cut : int;  (** {!Hypart_partition.Kway_objective.cut} of [part_of] *)
   legal : bool;
-  passes : int;
-  moves : int;
+      (** every part weight lies in {!Hypart_partition.Kway_objective.window} *)
+  stats : (string * float) list;
+      (** [passes] (including the final non-improving one) and [moves]
+          (including rolled-back ones), in that order; [[]] for
+          recursive bisection *)
 }
+(** What every k-way partitioner returns ({!run}, [Ml_kway.run],
+    [Recursive_bisection.run]): the twin of
+    {!Hypart_engine.Engine.Result.t}. *)
+
+val better : result -> result -> bool
+(** [better a b]: legality first, then cut — the rule of
+    {!Hypart_engine.Engine.Result.better}. *)
 
 val run :
   ?max_passes:int ->
@@ -32,16 +45,16 @@ val run :
   int array ->
   result
 (** [run ~k rng h part_of] improves the given assignment (entries in
-    [0, k)); each part's weight is constrained to
-    [(1 ± tolerance) · total / k] (default tolerance 0.10).  The input
-    array is not mutated.  Scratch arrays come from the calling
-    domain's workspace for [k] (the k-way analogue of
-    {!Fm_workspace}), grown only when [h] outgrows it.
+    [0, k)); a move must land both parts it touches in the window
+    (default tolerance 0.10) or reduce their violation of it.  The
+    input array is not mutated.  Scratch arrays come from the calling
+    domain's k-way workspace (the analogue of {!Fm_workspace}), rebuilt
+    only when [h] outgrows it or [k] differs.
     @raise Invalid_argument on a malformed assignment. *)
 
 val reserve :
   k:int -> rng:Hypart_rng.Rng.t -> Hypart_hypergraph.Hypergraph.t -> unit
-(** Grow the calling domain's workspace for [k] to fit [h] if it does
+(** Make the calling domain's workspace fit [h] at [k] if it does
     not already — what a multilevel run does for its finest level
     before refining coarse levels first, so a cold domain allocates
     once per run rather than once per level. *)

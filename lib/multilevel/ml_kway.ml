@@ -28,19 +28,12 @@ let run ?(tolerance = 0.10) ~k rng h =
   in
   let coarse_h, _ = Coarsen.coarsest hier in
   (* best-of-N initial k-way partitioning at the coarsest level *)
-  let best = ref None in
-  for _ = 1 to coarsest_starts do
-    let r = Kway_fm.run_random_start ~tolerance ~k rng coarse_h in
-    let better =
-      match !best with
-      | None -> true
-      | Some (b : Kway_fm.result) ->
-        (r.Kway_fm.legal && not b.Kway_fm.legal)
-        || (r.Kway_fm.legal = b.Kway_fm.legal && r.Kway_fm.cut < b.Kway_fm.cut)
-    in
-    if better then best := Some r
+  let start () = Kway_fm.run_random_start ~tolerance ~k rng coarse_h in
+  let coarsest = ref (start ()) in
+  for _ = 2 to coarsest_starts do
+    let r = start () in
+    if Kway_fm.better r !coarsest then coarsest := r
   done;
-  let coarsest = Option.get !best in
   (* uncoarsen: project through each level's cluster map and refine *)
   List.fold_left
     (fun (result : Kway_fm.result) (fine_h, _, (level : Coarsen.level)) ->
@@ -51,5 +44,5 @@ let run ?(tolerance = 0.10) ~k rng h =
       in
       Kway_fm.run ~max_passes:refine_passes ~tolerance ~k rng fine_h
         projected)
-    coarsest
+    !coarsest
     (Coarsen.refinement_steps hier)

@@ -13,10 +13,12 @@ val run :
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
   Hypart_fm.Kway_fm.result
-(** [run ~k rng h] partitions into [k] parts with per-part weights in
-    [(1 ± tolerance) · total / k] (default tolerance 0.10).  Edge
-    coarsening stops near [30 k] vertices; the best of 10 random k-way
-    FM starts there is refined with at most 4 passes per level.
+(** [run ~k rng h] partitions into [k] parts held to the k-way window
+    (default tolerance 0.10).  Edge coarsening stops near [30 k]
+    vertices; the best of 10 random k-way FM starts there
+    ({!Hypart_fm.Kway_fm.better}) is refined with at most 4 passes per
+    level.  The result is the finest level's record; its [stats] count
+    that level only.
     The coarsest-level starts and every refinement borrow the calling
     domain's k-way FM workspace.
     @raise Invalid_argument when [k < 2] or [k > num_vertices]. *)

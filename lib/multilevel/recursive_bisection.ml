@@ -2,14 +2,8 @@ module H = Hypart_hypergraph.Hypergraph
 module Rng = Hypart_rng.Rng
 module Bipartition = Hypart_partition.Bipartition
 module Problem = Hypart_partition.Problem
-module Fm = Hypart_fm.Fm
+module Result = Hypart_engine.Engine.Result
 module Kway_objective = Hypart_partition.Kway_objective
-
-type result = {
-  part_of : int array;
-  cut : int;
-  part_weights : int array;
-}
 
 let run ?(tolerance = 0.10) ~k rng h =
   let n = H.num_vertices h in
@@ -32,8 +26,7 @@ let run ?(tolerance = 0.10) ~k rng h =
       let fraction = float_of_int k0 /. float_of_int k in
       let problem = Problem.make ~fraction ~tolerance sub in
       let r = Ml_partitioner.run rng problem in
-      ignore (r.Fm.legal : bool);
-      let side_of v = Bipartition.side r.Fm.solution vmap.(v) in
+      let side_of v = Bipartition.side r.Result.solution vmap.(v) in
       let cells0 = Array.of_list (List.filter (fun v -> side_of v = 0) (Array.to_list cells)) in
       let cells1 = Array.of_list (List.filter (fun v -> side_of v = 1) (Array.to_list cells)) in
       (* a degenerate (empty-side) split would recurse forever: fall
@@ -51,7 +44,11 @@ let run ?(tolerance = 0.10) ~k rng h =
   in
   go (Array.init n (fun v -> v)) k 0;
   {
-    part_of;
+    Hypart_fm.Kway_fm.part_of;
     cut = Kway_objective.cut h part_of;
-    part_weights = Kway_objective.part_weights h part_of ~k;
+    legal =
+      Kway_objective.is_legal
+        (Kway_objective.window ~tolerance ~k (H.total_vertex_weight h))
+        (Kway_objective.part_weights h part_of ~k);
+    stats = [];
   }

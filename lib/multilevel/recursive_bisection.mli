@@ -8,20 +8,15 @@
     as evenly as possible (so k need not be a power of two) and the
     balance target proportionally. *)
 
-type result = {
-  part_of : int array;  (** vertex -> part id in [0, k) *)
-  cut : int;
-      (** weighted k-way cut ({!Hypart_partition.Kway_objective.cut}) *)
-  part_weights : int array;
-}
-
 val run :
   ?tolerance:float ->
   k:int ->
   Hypart_rng.Rng.t ->
   Hypart_hypergraph.Hypergraph.t ->
-  result
-(** [run ~k rng h] produces a k-way partitioning.  [tolerance] (default
-    0.10) bounds each bisection; the final part weights are within
-    roughly [(1 + tolerance)^ceil(log2 k)] of [total / k].
+  Hypart_fm.Kway_fm.result
+(** [run ~k rng h] produces a k-way partitioning ([stats = []]).
+    [tolerance] (default 0.10) bounds each bisection, so the final part
+    weights are only within roughly [(1 + tolerance)^ceil(log2 k)] of
+    [total / k]; [legal] judges them by the k-way window at [tolerance]
+    that direct k-way FM is held to, so it is often [false].
     @raise Invalid_argument when [k < 1] or [k > num_vertices]. *)

@@ -48,3 +48,11 @@ let imbalance h part_of ~k =
   else
     let target = float_of_int total /. float_of_int k in
     (float_of_int (Array.fold_left max 0 weights) /. target) -. 1.
+
+let window ~tolerance ~k total =
+  let target = float_of_int total /. float_of_int k in
+  ( int_of_float (Float.floor ((1.0 -. tolerance) *. target)),
+    int_of_float (Float.ceil ((1.0 +. tolerance) *. target)) )
+
+let is_legal (lower, upper) weights =
+  Array.for_all (fun w -> w >= lower && w <= upper) weights

@@ -10,7 +10,9 @@
       where [lambda(e)] is the number of parts it touches — the cost
       model of multi-terminal routing;
     - {b SOED} (sum of external degrees): cut nets contribute
-      [w(e) lambda(e)]. *)
+      [w(e) lambda(e)].
+
+    It also holds the one k-way balance rule, {!window} and {!is_legal}. *)
 
 (* kept: the per-net term of the (k-1) and SOED objectives below *)
 val lambda : Hypart_hypergraph.Hypergraph.t -> int array -> int -> int
@@ -33,3 +35,11 @@ val imbalance : Hypart_hypergraph.Hypergraph.t -> int array -> k:int -> float
 (** [(max part weight) / (total weight / k) - 1]: how far the heaviest
     part overshoots the perfect k-way split ([0.] is exact).  [0.] for
     an empty instance.  @raise Invalid_argument as {!part_weights}. *)
+
+val window : tolerance:float -> k:int -> int -> int * int
+(** [window ~tolerance ~k total]: the part-weight bounds
+    [(floor ((1 - tolerance) total / k), ceil ((1 + tolerance) total / k))]
+    every k-way partitioner is held to. *)
+
+val is_legal : int * int -> int array -> bool
+(** Every part weight lies in the window. *)

@@ -3,6 +3,7 @@ module Rng = Hypart_rng.Rng
 module Problem = Hypart_partition.Problem
 module Bipartition = Hypart_partition.Bipartition
 module Fm = Hypart_fm.Fm
+module Engine = Hypart_engine.Engine
 module Fm_config = Hypart_fm.Fm_config
 module Ml = Hypart_multilevel.Ml_partitioner
 
@@ -131,7 +132,7 @@ let partition_region config rng h pl r ~vertical ~net_stamp ~net_serial
   in
   (* reset the local map for the next region *)
   Array.iter (fun v -> local_of.(v) <- -1) cells;
-  Array.init n_cells (fun i -> Bipartition.side result.Fm.solution i)
+  Array.init n_cells (fun i -> Bipartition.side result.Engine.Result.solution i)
 
 (* Split the region at the area-weighted cutline and enqueue children,
    updating each cell's position estimate to its child-region centre. *)

@@ -540,19 +540,23 @@ let serve t fd (req : Http.request) tm admit =
              ~seconds:f.seconds ~stats:f.result.Engine.Result.stats);
         Metrics.incr "server.jobs_executed";
         Metrics.observe "server.engine_seconds" f.seconds;
-        finish Job_table.Done ~cut ~legal ~seconds:f.seconds;
-        event "request.done"
-          (jobf
-          @ [
-              ("cut", Jsonl.Int cut);
-              ("legal", Jsonl.Bool legal);
-              ("seconds", Jsonl.Float f.seconds);
-            ]
-          @ f.done_fields);
-        reply (fun () ->
-            respond p job spec ~cached:false ~cut ~legal ~seconds:f.seconds
-              ~headers:f.fresh_headers ~json:f.fresh_json
-              (Some f.result.Engine.Result.solution))
+        (* a late run is valid and stored (a retry is a dedup hit), but 504 *)
+        if expired () then deadline_exceeded "late" "after the run"
+        else begin
+          finish Job_table.Done ~cut ~legal ~seconds:f.seconds;
+          event "request.done"
+            (jobf
+            @ [
+                ("cut", Jsonl.Int cut);
+                ("legal", Jsonl.Bool legal);
+                ("seconds", Jsonl.Float f.seconds);
+              ]
+            @ f.done_fields);
+          reply (fun () ->
+              respond p job spec ~cached:false ~cut ~legal ~seconds:f.seconds
+                ~headers:f.fresh_headers ~json:f.fresh_json
+                (Some f.result.Engine.Result.solution))
+        end
       | exception Cancel.Cancelled -> deadline_exceeded "run" "during the run"
       | exception e ->
         Metrics.incr "server.failures";

@@ -49,8 +49,9 @@
       the cache is answered with zero engine runs
       ([server.cache_served]);
     - [deadline_ms] counts from admission; it is checked when the
-      request leaves the queue and polled during the run, and expiry
-      is answered [504] ([server.deadline_exceeded]);
+      request leaves the queue, polled during the run and checked when
+      the run returns (after recording it), and expiry is answered
+      [504] ([server.deadline_exceeded]);
     - a fresh run is recorded in the run store (a key that a
       concurrent run already recorded appends nothing) and counted in
       [server.jobs_executed]; an engine that raises is

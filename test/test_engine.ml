@@ -167,20 +167,35 @@ let test_stat_names () =
    [Parallel.map_seeds], whose workers run under the caller's hook. *)
 let test_cancel_every_engine () =
   let problem = tiny_problem 7 in
+  (* a hook that always fires, and one that fires from its second poll
+     on: the second proves a safe point inside the run, past its entry *)
+  let hooks =
+    [
+      ("at once", fun () -> fun () -> true);
+      ( "from the second poll",
+        fun () ->
+          let polls = Atomic.make 0 in
+          fun () -> Atomic.fetch_and_add polls 1 >= 1 );
+    ]
+  in
   List.iter
-    (fun engine ->
-      let name = Engine.name engine in
-      let cancelled =
-        match
-          Hypart_engine.Cancel.with_hook
-            (fun () -> true)
-            (fun () -> Engine.run engine (Rng.create 42) problem None)
-        with
-        | _ -> false
-        | exception Hypart_engine.Cancel.Cancelled -> true
-      in
-      Alcotest.(check bool) (name ^ " raises Cancelled") true cancelled)
-    (Engine.all ())
+    (fun (when_, hook) ->
+      List.iter
+        (fun engine ->
+          let name = Engine.name engine in
+          let cancelled =
+            match
+              Hypart_engine.Cancel.with_hook (hook ())
+                (fun () -> Engine.run engine (Rng.create 42) problem None)
+            with
+            | _ -> false
+            | exception Hypart_engine.Cancel.Cancelled -> true
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s raises Cancelled (%s)" name when_)
+            true cancelled)
+        (Engine.all ()))
+    hooks
 
 (* -- Combinators -- *)
 
@@ -335,7 +350,7 @@ let test_hmetis_pinned () =
         (Printf.sprintf "seed %d never worse than its start" seed)
         true
         (r.Engine.Result.legal
-        && r.Engine.Result.cut <= start.Hypart_fm.Fm.cut))
+        && r.Engine.Result.cut <= start.Engine.Result.cut))
     hmetis_expected
 
 let test_result_better_legality_first () =

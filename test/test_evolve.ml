@@ -179,25 +179,25 @@ let test_recombine_never_worse () =
   let p = Lazy.force problem in
   let a = Ml.run (Rng.create 21) p in
   let b = Ml.run (Rng.create 22) p in
-  let child = Ml.recombine (Rng.create 23) p a.Fm.solution b.Fm.solution in
-  let better_cut = min a.Fm.cut b.Fm.cut in
-  Alcotest.(check bool) "child legal" true child.Fm.legal;
+  let child = Ml.recombine (Rng.create 23) p a.Engine.Result.solution b.Engine.Result.solution in
+  let better_cut = min a.Engine.Result.cut b.Engine.Result.cut in
+  Alcotest.(check bool) "child legal" true child.Engine.Result.legal;
   Alcotest.(check bool)
-    (Printf.sprintf "child cut %d <= better parent %d" child.Fm.cut better_cut)
-    true (child.Fm.cut <= better_cut);
-  Alcotest.(check int) "child cut consistent" child.Fm.cut
-    (Bipartition.cut p.Problem.hypergraph child.Fm.solution)
+    (Printf.sprintf "child cut %d <= better parent %d" child.Engine.Result.cut better_cut)
+    true (child.Engine.Result.cut <= better_cut);
+  Alcotest.(check int) "child cut consistent" child.Engine.Result.cut
+    (Bipartition.cut p.Problem.hypergraph child.Engine.Result.solution)
 
 let test_recombine_deterministic () =
   let p = Lazy.force problem in
   let a = Ml.run (Rng.create 21) p in
   let b = Ml.run (Rng.create 22) p in
-  let c1 = Ml.recombine (Rng.create 5) p a.Fm.solution b.Fm.solution in
-  let c2 = Ml.recombine (Rng.create 5) p a.Fm.solution b.Fm.solution in
-  Alcotest.(check int) "same seed, same child cut" c1.Fm.cut c2.Fm.cut;
+  let c1 = Ml.recombine (Rng.create 5) p a.Engine.Result.solution b.Engine.Result.solution in
+  let c2 = Ml.recombine (Rng.create 5) p a.Engine.Result.solution b.Engine.Result.solution in
+  Alcotest.(check int) "same seed, same child cut" c1.Engine.Result.cut c2.Engine.Result.cut;
   Alcotest.(check bool)
     "same seed, same assignment" true
-    (Bipartition.equal c1.Fm.solution c2.Fm.solution)
+    (Bipartition.equal c1.Engine.Result.solution c2.Engine.Result.solution)
 
 (* -- campaigns -- *)
 

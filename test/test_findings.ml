@@ -20,7 +20,7 @@ let runs = 12
 
 let avg_cut config rng problem =
   let cuts =
-    Array.init runs (fun _ -> (Fm.run_random_start ~config rng problem).Fm.cut)
+    Array.init runs (fun _ -> (Fm.run_random_start ~config rng problem).Engine.Result.cut)
   in
   D.mean (D.of_ints cuts)
 
@@ -61,7 +61,7 @@ let test_ml_compresses_range () =
                   (Ml.run ~config:{ Ml.default with Ml.fm = config }
                      (Rng.create (20 + i))
                      p)
-                    .Hypart_fm.Fm.cut)
+                    .Engine.Result.cut)
             in
             D.mean (D.of_ints cuts))
         [ Fm_config.All_delta_gain; Fm_config.Nonzero_only ]
@@ -100,7 +100,7 @@ let test_corking () =
     let cuts = Array.make runs 0 and moves = ref 0. and passes = ref 0. in
     for i = 0 to runs - 1 do
       let r = Fm.run_random_start ~config rng p in
-      cuts.(i) <- r.Fm.cut;
+      cuts.(i) <- r.Engine.Result.cut;
       moves := !moves +. Option.get (Engine.Result.stat r "moves");
       passes := !passes +. Option.get (Engine.Result.stat r "passes")
     done;
@@ -157,7 +157,7 @@ let test_fixed_terminals_reduce_variance () =
       (Rng.sample_distinct rng ~n:k ~universe:n);
     let p = Problem.make ~fixed ~tolerance:0.10 h in
     let cuts =
-      Array.init 16 (fun _ -> (Fm.run_random_start rng p).Fm.cut)
+      Array.init 16 (fun _ -> (Fm.run_random_start rng p).Engine.Result.cut)
     in
     D.stddev (D.of_ints cuts)
   in

@@ -307,15 +307,15 @@ let test_fm_finds_small_cut () =
   let h = H.create ~num_vertices:16 ~edges () in
   let p = Problem.make ~tolerance:0.1 h in
   let r = Fm.run_random_start (Rng.create 3) p in
-  Alcotest.(check bool) "legal" true r.Fm.legal;
-  Alcotest.(check int) "optimal cut found" 1 r.Fm.cut
+  Alcotest.(check bool) "legal" true r.Engine.Result.legal;
+  Alcotest.(check int) "optimal cut found" 1 r.Engine.Result.cut
 
 let test_fm_cut_consistency () =
   let h = random_instance 11 in
   let p = Problem.make ~tolerance:0.05 h in
   let r = Fm.run_random_start (Rng.create 4) p in
   Alcotest.(check int) "incremental cut = recomputed cut"
-    (Bipartition.cut h r.Fm.solution) r.Fm.cut
+    (Bipartition.cut h r.Engine.Result.solution) r.Engine.Result.cut
 
 let test_fm_improves_initial () =
   let h = random_instance 12 in
@@ -324,8 +324,8 @@ let test_fm_improves_initial () =
   let initial = Initial.random rng p in
   let c0 = Bipartition.cut h initial in
   let r = Fm.run rng p initial in
-  Alcotest.(check bool) "no worse than initial" true (r.Fm.cut <= c0);
-  Alcotest.(check bool) "legal" true r.Fm.legal
+  Alcotest.(check bool) "no worse than initial" true (r.Engine.Result.cut <= c0);
+  Alcotest.(check bool) "legal" true r.Engine.Result.legal
 
 let test_fm_does_not_mutate_initial () =
   let h = random_instance 13 in
@@ -345,9 +345,9 @@ let test_fm_respects_fixed () =
   fixed.(7) <- 1;
   let p = Problem.make ~fixed ~tolerance:0.10 h in
   let r = Fm.run_random_start (Rng.create 7) p in
-  Alcotest.(check int) "v0 fixed" 0 (Bipartition.side r.Fm.solution 0);
-  Alcotest.(check int) "v1 fixed" 1 (Bipartition.side r.Fm.solution 1);
-  Alcotest.(check int) "v7 fixed" 1 (Bipartition.side r.Fm.solution 7)
+  Alcotest.(check int) "v0 fixed" 0 (Bipartition.side r.Engine.Result.solution 0);
+  Alcotest.(check int) "v1 fixed" 1 (Bipartition.side r.Engine.Result.solution 1);
+  Alcotest.(check int) "v7 fixed" 1 (Bipartition.side r.Engine.Result.solution 7)
 
 let test_fm_oversized_never_moves () =
   (* one giant cell: with the corking fix it must stay wherever the
@@ -364,7 +364,7 @@ let test_fm_oversized_never_moves () =
   let side0 = Bipartition.side initial 0 in
   let config = { Fm_config.default with Fm_config.exclude_oversized = true } in
   let r = Fm.run ~config (Rng.create 10) p initial in
-  Alcotest.(check int) "giant cell unmoved" side0 (Bipartition.side r.Fm.solution 0)
+  Alcotest.(check int) "giant cell unmoved" side0 (Bipartition.side r.Engine.Result.solution 0)
 
 let test_fm_all_configs_produce_valid_results () =
   let h = random_instance 15 in
@@ -387,11 +387,11 @@ let test_fm_all_configs_produce_valid_results () =
                   let r = Fm.run_random_start ~config (Rng.create 16) p in
                   Alcotest.(check int)
                     (Fm_config.describe config ^ " cut consistent")
-                    (Bipartition.cut h r.Fm.solution)
-                    r.Fm.cut;
+                    (Bipartition.cut h r.Engine.Result.solution)
+                    r.Engine.Result.cut;
                   Alcotest.(check bool)
                     (Fm_config.describe config ^ " legal")
-                    true r.Fm.legal)
+                    true r.Engine.Result.legal)
                 updates)
             biases)
         insertions)
@@ -405,7 +405,7 @@ let test_fm_pass_best_policies () =
       let config = { Fm_config.default with Fm_config.pass_best } in
       let r = Fm.run_random_start ~config (Rng.create 18) p in
       Alcotest.(check int) "cut consistent"
-        (Bipartition.cut h r.Fm.solution) r.Fm.cut)
+        (Bipartition.cut h r.Engine.Result.solution) r.Engine.Result.cut)
     [ Fm_config.First; Fm_config.Last; Fm_config.Most_balanced ]
 
 let test_fm_illegal_head_policies () =
@@ -415,7 +415,7 @@ let test_fm_illegal_head_policies () =
     (fun illegal_head ->
       let config = { Fm_config.default with Fm_config.illegal_head } in
       let r = Fm.run_random_start ~config (Rng.create 20) p in
-      Alcotest.(check bool) "legal" true r.Fm.legal)
+      Alcotest.(check bool) "legal" true r.Engine.Result.legal)
     [ Fm_config.Skip_side; Fm_config.Skip_bucket; Fm_config.Scan_bucket ]
 
 let test_fm_stats_populated () =
@@ -432,9 +432,9 @@ let test_fm_deterministic () =
   let p = Problem.make ~tolerance:0.05 h in
   let a = Fm.run_random_start (Rng.create 24) p in
   let b = Fm.run_random_start (Rng.create 24) p in
-  Alcotest.(check int) "same seed, same cut" a.Fm.cut b.Fm.cut;
+  Alcotest.(check int) "same seed, same cut" a.Engine.Result.cut b.Engine.Result.cut;
   Alcotest.(check bool) "same solution" true
-    (Bipartition.equal a.Fm.solution b.Fm.solution)
+    (Bipartition.equal a.Engine.Result.solution b.Engine.Result.solution)
 
 (* the registry multistart over plain FM under the default configuration *)
 let default_fm =
@@ -491,9 +491,9 @@ let test_fm_weighted_edges () =
   in
   let p = Problem.make ~tolerance:0.0 h in
   let r = Fm.run_random_start (Rng.create 50) p in
-  Alcotest.(check int) "avoids the heavy net" 2 r.Fm.cut;
+  Alcotest.(check int) "avoids the heavy net" 2 r.Engine.Result.cut;
   Alcotest.(check bool) "0 and 1 together" true
-    (Bipartition.side r.Fm.solution 0 = Bipartition.side r.Fm.solution 1)
+    (Bipartition.side r.Engine.Result.solution 0 = Bipartition.side r.Engine.Result.solution 1)
 
 let test_fm_first_move_is_highest_gain () =
   (* star around vertex 0: moving 0 uncuts every cut net, so from a
@@ -507,7 +507,7 @@ let test_fm_first_move_is_highest_gain () =
   let p = Problem.make ~tolerance:0.8 h in
   let initial = Bipartition.make h [| 0; 1; 1; 1; 1 |] in
   let r = Fm.run (Rng.create 51) p initial in
-  Alcotest.(check int) "fully uncut" 0 r.Fm.cut
+  Alcotest.(check int) "fully uncut" 0 r.Engine.Result.cut
 
 let test_fm_empty_free_set () =
   (* everything fixed: FM must return the initial solution unchanged *)
@@ -517,7 +517,7 @@ let test_fm_empty_free_set () =
   let initial = Initial.random (Rng.create 53) p in
   let r = Fm.run (Rng.create 54) p initial in
   Alcotest.(check bool) "solution unchanged" true
-    (Bipartition.equal initial r.Fm.solution);
+    (Bipartition.equal initial r.Engine.Result.solution);
   Alcotest.(check (option (float 0.))) "no moves" (Some 0.)
     (Engine.Result.stat r "moves")
 
@@ -527,7 +527,7 @@ let test_random_insertion_deterministic () =
   let config = { Fm_config.default with Fm_config.insertion = Fm_config.Random } in
   let a = Fm.run_random_start ~config (Rng.create 56) p in
   let b = Fm.run_random_start ~config (Rng.create 56) p in
-  Alcotest.(check int) "random insertion still seed-deterministic" a.Fm.cut b.Fm.cut
+  Alcotest.(check int) "random insertion still seed-deterministic" a.Engine.Result.cut b.Engine.Result.cut
 
 let prop_fm_cut_always_consistent =
   QCheck.Test.make ~name:"fm incremental cut equals recomputed cut" ~count:60
@@ -542,7 +542,7 @@ let prop_fm_cut_always_consistent =
         }
       in
       let r = Fm.run_random_start ~config (Rng.create (seed + 1)) p in
-      r.Fm.cut = Bipartition.cut h r.Fm.solution)
+      r.Engine.Result.cut = Bipartition.cut h r.Engine.Result.solution)
 
 let prop_fm_result_legal =
   QCheck.Test.make ~name:"fm results are balance-legal" ~count:60
@@ -551,7 +551,7 @@ let prop_fm_result_legal =
       let h = random_instance ~nv ~ne:(2 * nv) seed in
       let p = Problem.make ~tolerance:0.10 h in
       let r = Fm.run_random_start (Rng.create seed) p in
-      r.Fm.legal)
+      r.Engine.Result.legal)
 
 (* instances with nets up to 8 pins, so the all-deltas-zero shortcut in
    apply_move actually fires (it needs nets with >= 5 pins) *)
@@ -589,17 +589,17 @@ let prop_fast_path_never_changes_results =
           let off = run () in
           Fm.zero_delta_fast_path := true;
           let on = run () in
-          on.Fm.cut = off.Fm.cut
-          && Bipartition.equal on.Fm.solution off.Fm.solution
+          on.Engine.Result.cut = off.Engine.Result.cut
+          && Bipartition.equal on.Engine.Result.solution off.Engine.Result.solution
           && Engine.Result.stat on "moves" = Engine.Result.stat off "moves"))
 
 (* [f ()] on a freshly spawned domain, whose workspace slot is empty *)
 let on_fresh_domain f = Domain.join (Domain.spawn f)
 
-let same_result (x : Fm.result) (y : Fm.result) =
-  x.Fm.cut = y.Fm.cut
-  && Bipartition.equal x.Fm.solution y.Fm.solution
-  && x.Fm.stats = y.Fm.stats
+let same_result (x : Engine.Result.t) (y : Engine.Result.t) =
+  x.Engine.Result.cut = y.Engine.Result.cut
+  && Bipartition.equal x.Engine.Result.solution y.Engine.Result.solution
+  && x.Engine.Result.stats = y.Engine.Result.stats
 
 let prop_workspace_reuse_bit_identical =
   (* a domain whose workspace was first warmed by a larger instance
@@ -724,7 +724,7 @@ let prop_fm_no_worse_than_initial =
       let initial = Initial.random rng p in
       let c0 = Bipartition.cut h initial in
       let r = Fm.run rng p initial in
-      (not (Bipartition.is_legal initial p.Problem.balance)) || r.Fm.cut <= c0)
+      (not (Bipartition.is_legal initial p.Problem.balance)) || r.Engine.Result.cut <= c0)
 
 let () =
   Alcotest.run "fm"

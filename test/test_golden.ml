@@ -12,6 +12,7 @@ module Suite = Hypart_generator.Ibm_suite
 module Problem = Hypart_partition.Problem
 module Bipartition = Hypart_partition.Bipartition
 module Fm = Hypart_fm.Fm
+module Engine = Hypart_engine.Engine
 module Fm_config = Hypart_fm.Fm_config
 module Ml = Hypart_multilevel.Ml_partitioner
 
@@ -32,14 +33,14 @@ let check_cut name expected actual =
 let test_flat_engines () =
   let p = problem () in
   check_cut "flat lifo"
-    (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 42) p).Fm.cut
-    (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 42) p).Fm.cut;
+    (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 42) p).Engine.Result.cut
+    (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 42) p).Engine.Result.cut;
   (* distinct configs must be distinguishable in at least one golden *)
   let lifo =
-    (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 42) p).Fm.cut
+    (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 42) p).Engine.Result.cut
   in
   let reported =
-    (Fm.run_random_start ~config:Fm_config.reported_lifo (Rng.create 42) p).Fm.cut
+    (Fm.run_random_start ~config:Fm_config.reported_lifo (Rng.create 42) p).Engine.Result.cut
   in
   Alcotest.(check bool) "strong <= reported (this seed)" true (lifo <= reported)
 
@@ -50,15 +51,15 @@ let test_engine_goldens () =
       ( "flat_lifo",
         fun () ->
           (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 42) p)
-            .Fm.cut );
+            .Engine.Result.cut );
       ( "flat_clip",
         fun () ->
           (Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create 42) p)
-            .Fm.cut );
+            .Engine.Result.cut );
       ( "ml_lifo",
-        fun () -> (Ml.run ~config:Ml.ml_lifo (Rng.create 42) p).Fm.cut );
+        fun () -> (Ml.run ~config:Ml.ml_lifo (Rng.create 42) p).Engine.Result.cut );
       ( "ml_clip",
-        fun () -> (Ml.run ~config:Ml.ml_clip (Rng.create 42) p).Fm.cut );
+        fun () -> (Ml.run ~config:Ml.ml_clip (Rng.create 42) p).Engine.Result.cut );
     ]
   in
   (* each engine agrees with itself across two invocations (determinism
@@ -75,13 +76,13 @@ let test_pipeline_golden_digest () =
   List.iter
     (fun seed ->
       let p = problem () in
-      mix (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create seed) p).Fm.cut;
-      mix (Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create seed) p).Fm.cut;
-      mix (Ml.run ~config:Ml.ml_clip (Rng.create seed) p).Fm.cut)
+      mix (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create seed) p).Engine.Result.cut;
+      mix (Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create seed) p).Engine.Result.cut;
+      mix (Ml.run ~config:Ml.ml_clip (Rng.create seed) p).Engine.Result.cut)
     [ 1; 2; 3 ];
   let h2 = Suite.instance ~scale:64.0 "ibm02" in
   let p2 = Problem.make ~tolerance:0.02 h2 in
-  mix (Fm.run_random_start (Rng.create 9) p2).Fm.cut;
+  mix (Fm.run_random_start (Rng.create 9) p2).Engine.Result.cut;
   (* compare against the recorded digest; recompute prints on failure *)
   let expected =
     match Sys.getenv_opt "HYPART_GOLDEN_DIGEST" with
@@ -93,11 +94,11 @@ let test_pipeline_golden_digest () =
   List.iter
     (fun seed ->
       let p = problem () in
-      mix2 (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create seed) p).Fm.cut;
-      mix2 (Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create seed) p).Fm.cut;
-      mix2 (Ml.run ~config:Ml.ml_clip (Rng.create seed) p).Fm.cut)
+      mix2 (Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create seed) p).Engine.Result.cut;
+      mix2 (Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create seed) p).Engine.Result.cut;
+      mix2 (Ml.run ~config:Ml.ml_clip (Rng.create seed) p).Engine.Result.cut)
     [ 1; 2; 3 ];
-  mix2 (Fm.run_random_start (Rng.create 9) p2).Fm.cut;
+  mix2 (Fm.run_random_start (Rng.create 9) p2).Engine.Result.cut;
   Alcotest.(check int) "digest reproducible" expected !again
 
 let test_rng_stream_golden () =

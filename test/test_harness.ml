@@ -112,7 +112,7 @@ let test_parallel_engine_runs () =
   let h = Hypart_generator.Ibm_suite.instance ~scale:64.0 "ibm01" in
   let p = Hypart_partition.Problem.make ~tolerance:0.10 h in
   let run seed =
-    (Hypart_fm.Fm.run_random_start (Hypart_rng.Rng.create seed) p).Hypart_fm.Fm.cut
+    (Hypart_fm.Fm.run_random_start (Hypart_rng.Rng.create seed) p).Hypart_engine.Engine.Result.cut
   in
   let seeds = [ 1; 2; 3; 4 ] in
   Alcotest.(check (list int)) "parallel = sequential" (List.map run seeds)

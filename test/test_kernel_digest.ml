@@ -57,9 +57,9 @@ let digest_ints a =
     a;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let of_result (r : Fm.result) =
-  Printf.sprintf "%d:%s" r.Fm.cut
-    (digest_ints (Bipartition.assignment r.Fm.solution))
+let of_result (r : Engine.Result.t) =
+  Printf.sprintf "%d:%s" r.Engine.Result.cut
+    (digest_ints (Bipartition.assignment r.Engine.Result.solution))
 
 let seeds = [ 1; 2; 3; 4; 5; 6 ]
 
@@ -75,7 +75,7 @@ let ml_cases =
         per_seed (fun seed ->
             let rng = Rng.create seed in
             let r = Ml.run ~config:Ml.ml_clip rng p in
-            of_result (Ml.vcycle ~config:Ml.ml_clip rng p r.Fm.solution)) );
+            of_result (Ml.vcycle ~config:Ml.ml_clip rng p r.Engine.Result.solution)) );
     (* V-cycles rarely improve a multilevel start at this size; from a
        flat start they do, so the restricted coarsening is pinned too *)
     ( "vcycle of flat lifo",
@@ -84,7 +84,7 @@ let ml_cases =
         per_seed (fun seed ->
             let rng = Rng.create seed in
             let r = Fm.run_random_start ~config:Fm_config.strong_lifo rng p in
-            of_result (Ml.vcycle ~config:Ml.ml_clip rng p r.Fm.solution)) );
+            of_result (Ml.vcycle ~config:Ml.ml_clip rng p r.Engine.Result.solution)) );
     ("hmetis_like", fun () -> per_seed (ml Ml.hmetis_like (problem ())));
     ("ml_lifo", fun () -> per_seed (ml Ml.ml_lifo (problem ())));
     ( "ml_clip fixed",
@@ -244,11 +244,7 @@ let record_cases =
         let h = Lazy.force small_instance in
         per_few_seeds (fun seed ->
             let r = Ml_kway.run ~k:4 (Rng.create seed) h in
-            of_record r.Kway_fm.cut r.Kway_fm.part_of
-              [
-                ("passes", float_of_int r.Kway_fm.passes);
-                ("moves", float_of_int r.Kway_fm.moves);
-              ]) );
+            of_record r.Kway_fm.cut r.Kway_fm.part_of r.Kway_fm.stats) );
     ("lookahead engine", engine_case Fm_engines.lookahead);
     ("sa engine", engine_case Sa_engines.sa);
   ]

@@ -90,10 +90,10 @@ let test_kway_vs_recursive_bisection () =
   let recursive = Rb.run ~k:4 (Rng.create 8) h in
   Alcotest.(check bool)
     (Printf.sprintf "direct %d, recursive %d comparable" direct.Kway.cut
-       recursive.Rb.cut)
+       recursive.Kway.cut)
     true
-    (direct.Kway.cut <= 4 * recursive.Rb.cut
-    && recursive.Rb.cut <= 4 * max 1 direct.Kway.cut)
+    (direct.Kway.cut <= 4 * recursive.Kway.cut
+    && recursive.Kway.cut <= 4 * max 1 direct.Kway.cut)
 
 let test_kway_k2_matches_bipartition_semantics () =
   let h = random_instance 9 in

@@ -56,11 +56,11 @@ let test_consistency_with_engines () =
   let h = Hypart_generator.Ibm_suite.instance ~scale:32.0 "ibm01" in
   let r = Hypart_multilevel.Recursive_bisection.run ~k:4 (Hypart_rng.Rng.create 1) h in
   Alcotest.(check int) "rb cut = objective cut"
-    r.Hypart_multilevel.Recursive_bisection.cut
-    (K.cut h r.Hypart_multilevel.Recursive_bisection.part_of);
+    r.Hypart_fm.Kway_fm.cut
+    (K.cut h r.Hypart_fm.Kway_fm.part_of);
   Alcotest.(check bool) "k-1 >= cut" true
-    (K.k_minus_1 h r.Hypart_multilevel.Recursive_bisection.part_of
-    >= K.cut h r.Hypart_multilevel.Recursive_bisection.part_of)
+    (K.k_minus_1 h r.Hypart_fm.Kway_fm.part_of
+    >= K.cut h r.Hypart_fm.Kway_fm.part_of)
 
 let test_ml_kway_multistart () =
   let h = Hypart_generator.Ibm_suite.instance ~scale:32.0 "ibm01" in
@@ -71,10 +71,7 @@ let test_ml_kway_multistart () =
   let best =
     List.fold_left
       (fun (b : Hypart_fm.Kway_fm.result) (r : Hypart_fm.Kway_fm.result) ->
-        if
-          (r.legal && not b.legal) || (r.legal = b.legal && r.cut < b.cut)
-        then r
-        else b)
+        if Hypart_fm.Kway_fm.better r b then r else b)
       (List.hd starts) (List.tl starts)
   in
   List.iter
@@ -82,6 +79,35 @@ let test_ml_kway_multistart () =
       Alcotest.(check bool) "best <= each" true
         (best.Hypart_fm.Kway_fm.cut <= r.cut))
     starts
+
+(* every k-way partitioner returns one record under one balance rule:
+   its cut is the objective's cut of its assignment, its [legal] is the
+   window rule recomputed from the part weights, and every part id lies
+   in [0, k) *)
+let test_kway_contract () =
+  let h = Hypart_generator.Ibm_suite.instance ~scale:32.0 "ibm01" in
+  let k = 4 and tolerance = 0.10 in
+  let total = H.total_vertex_weight h in
+  let target = float_of_int total /. float_of_int k in
+  let lower = int_of_float (Float.floor ((1.0 -. tolerance) *. target)) in
+  let upper = int_of_float (Float.ceil ((1.0 +. tolerance) *. target)) in
+  Alcotest.(check (pair int int)) "window" (lower, upper)
+    (K.window ~tolerance ~k total);
+  let rng () = Hypart_rng.Rng.create 5 in
+  List.iter
+    (fun (name, (r : Hypart_fm.Kway_fm.result)) ->
+      Alcotest.(check int) (name ^ " cut") (K.cut h r.part_of) r.cut;
+      let weights = K.part_weights h r.part_of ~k in
+      Alcotest.(check bool) (name ^ " legal")
+        (Array.for_all (fun w -> w >= lower && w <= upper) weights)
+        r.legal;
+      Alcotest.(check bool) (name ^ " part ids in [0, k)") true
+        (Array.for_all (fun p -> p >= 0 && p < k) r.part_of))
+    [
+      ("direct", Hypart_fm.Kway_fm.run_random_start ~tolerance ~k (rng ()) h);
+      ("mlk", Hypart_multilevel.Ml_kway.run ~tolerance ~k (rng ()) h);
+      ("rb", Hypart_multilevel.Recursive_bisection.run ~tolerance ~k (rng ()) h);
+    ]
 
 let () =
   Alcotest.run "kway_objective"
@@ -97,5 +123,6 @@ let () =
           Alcotest.test_case "engine consistency" `Quick
             test_consistency_with_engines;
           Alcotest.test_case "ml kway multistart" `Quick test_ml_kway_multistart;
+          Alcotest.test_case "k-way contract" `Quick test_kway_contract;
         ] );
     ]

@@ -5,6 +5,7 @@ module Problem = Hypart_partition.Problem
 module Initial = Hypart_partition.Initial
 module La = Hypart_fm.Lookahead_fm
 module Fm = Hypart_fm.Fm
+module Engine = Hypart_engine.Engine
 module Suite = Hypart_generator.Ibm_suite
 
 let random_instance ?(nv = 60) ?(ne = 140) seed =
@@ -20,8 +21,8 @@ let test_cut_consistent () =
   let p = Problem.make ~tolerance:0.10 h in
   let r = La.run_random_start (Rng.create 2) p in
   Alcotest.(check int) "incremental = recomputed"
-    (Bipartition.cut h r.Fm.solution) r.Fm.cut;
-  Alcotest.(check bool) "legal" true r.Fm.legal
+    (Bipartition.cut h r.Engine.Result.solution) r.Engine.Result.cut;
+  Alcotest.(check bool) "legal" true r.Engine.Result.legal
 
 let test_finds_optimum () =
   let clique lo =
@@ -40,7 +41,7 @@ let test_finds_optimum () =
   in
   let p = Problem.make ~tolerance:0.10 h in
   let r = La.run_random_start (Rng.create 3) p in
-  Alcotest.(check int) "optimal cut" 1 r.Fm.cut
+  Alcotest.(check int) "optimal cut" 1 r.Engine.Result.cut
 
 let test_improves_initial () =
   let h = random_instance 4 in
@@ -49,7 +50,7 @@ let test_improves_initial () =
   let initial = Initial.random rng p in
   let before = Bipartition.cut h initial in
   let r = La.run rng p initial in
-  Alcotest.(check bool) "no worse" true (r.Fm.cut <= before);
+  Alcotest.(check bool) "no worse" true (r.Engine.Result.cut <= before);
   Alcotest.(check (array int)) "input untouched"
     (Bipartition.assignment initial)
     (Bipartition.assignment initial)
@@ -62,8 +63,8 @@ let test_lookahead_depths () =
       let r = La.run_random_start ~lookahead (Rng.create 7) p in
       Alcotest.(check int)
         (Printf.sprintf "depth %d consistent" lookahead)
-        (Bipartition.cut h r.Fm.solution)
-        r.Fm.cut)
+        (Bipartition.cut h r.Engine.Result.solution)
+        r.Engine.Result.cut)
     [ 1; 2; 3 ]
 
 let test_depth1_close_to_classic_fm () =
@@ -74,9 +75,9 @@ let test_depth1_close_to_classic_fm () =
   let la = La.run_random_start ~lookahead:1 (Rng.create 8) p in
   let fm = Fm.run_random_start (Rng.create 8) p in
   Alcotest.(check bool)
-    (Printf.sprintf "la1 %d vs fm %d comparable" la.Fm.cut fm.Fm.cut)
+    (Printf.sprintf "la1 %d vs fm %d comparable" la.Engine.Result.cut fm.Engine.Result.cut)
     true
-    (la.Fm.cut <= 2 * max 1 fm.Fm.cut && fm.Fm.cut <= 2 * max 1 la.Fm.cut)
+    (la.Engine.Result.cut <= 2 * max 1 fm.Engine.Result.cut && fm.Engine.Result.cut <= 2 * max 1 la.Engine.Result.cut)
 
 let test_lookahead_quality_on_average () =
   (* the historical claim: look-ahead tie-breaking helps flat FM on
@@ -86,8 +87,8 @@ let test_lookahead_quality_on_average () =
   let p = Problem.make ~tolerance:0.10 h in
   let total_la = ref 0 and total_fm = ref 0 in
   for seed = 0 to 4 do
-    total_la := !total_la + (La.run_random_start ~lookahead:2 (Rng.create seed) p).Fm.cut;
-    total_fm := !total_fm + (Fm.run_random_start (Rng.create seed) p).Fm.cut
+    total_la := !total_la + (La.run_random_start ~lookahead:2 (Rng.create seed) p).Engine.Result.cut;
+    total_fm := !total_fm + (Fm.run_random_start (Rng.create seed) p).Engine.Result.cut
   done;
   Alcotest.(check bool)
     (Printf.sprintf "lookahead (%d) within 20%% of classic (%d)" !total_la !total_fm)
@@ -101,8 +102,8 @@ let test_respects_fixed () =
   fixed.(1) <- 1;
   let p = Problem.make ~fixed ~tolerance:0.10 h in
   let r = La.run_random_start (Rng.create 10) p in
-  Alcotest.(check int) "v0 fixed" 0 (Bipartition.side r.Fm.solution 0);
-  Alcotest.(check int) "v1 fixed" 1 (Bipartition.side r.Fm.solution 1)
+  Alcotest.(check int) "v0 fixed" 0 (Bipartition.side r.Engine.Result.solution 0);
+  Alcotest.(check int) "v1 fixed" 1 (Bipartition.side r.Engine.Result.solution 1)
 
 let test_invalid_depth () =
   let h = random_instance 11 in
@@ -121,7 +122,7 @@ let prop_consistent =
       let h = random_instance ~nv ~ne:(2 * nv) seed in
       let p = Problem.make ~tolerance:0.10 h in
       let r = La.run_random_start ~lookahead (Rng.create seed) p in
-      r.Fm.cut = Bipartition.cut h r.Fm.solution && r.Fm.legal)
+      r.Engine.Result.cut = Bipartition.cut h r.Engine.Result.solution && r.Engine.Result.legal)
 
 let () =
   Alcotest.run "lookahead_fm"

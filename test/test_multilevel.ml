@@ -158,8 +158,8 @@ let test_all_schemes_run_ml () =
     (fun scheme ->
       let config = { Ml.default with Ml.scheme } in
       let r = Ml.run ~config (Rng.create 43) p in
-      Alcotest.(check bool) "legal" true r.Fm.legal;
-      Alcotest.(check int) "consistent" (Bipartition.cut h r.Fm.solution) r.Fm.cut)
+      Alcotest.(check bool) "legal" true r.Engine.Result.legal;
+      Alcotest.(check int) "consistent" (Bipartition.cut h r.Engine.Result.solution) r.Engine.Result.cut)
     [ Matching.Edge_coarsening; Matching.Heavy_edge; Matching.First_choice;
       Matching.Hyperedge_coarsening ]
 
@@ -168,14 +168,14 @@ let test_boundary_refinement () =
   let p = Problem.make ~tolerance:0.02 h in
   let config = { Ml.default with Ml.boundary_refinement = true } in
   let r = Ml.run ~config (Rng.create 44) p in
-  Alcotest.(check bool) "legal" true r.Fm.legal;
-  Alcotest.(check int) "consistent" (Bipartition.cut h r.Fm.solution) r.Fm.cut;
+  Alcotest.(check bool) "legal" true r.Engine.Result.legal;
+  Alcotest.(check int) "consistent" (Bipartition.cut h r.Engine.Result.solution) r.Engine.Result.cut;
   (* quality stays in the same ballpark as full refinement *)
   let full = Ml.run (Rng.create 44) p in
   Alcotest.(check bool)
-    (Printf.sprintf "boundary %d vs full %d comparable" r.Fm.cut full.Fm.cut)
+    (Printf.sprintf "boundary %d vs full %d comparable" r.Engine.Result.cut full.Engine.Result.cut)
     true
-    (r.Fm.cut <= 3 * max 1 full.Fm.cut)
+    (r.Engine.Result.cut <= 3 * max 1 full.Engine.Result.cut)
 
 (* -- Coarsening -- *)
 
@@ -238,8 +238,8 @@ let test_ml_legal_and_consistent () =
   let h = instance () in
   let p = Problem.make ~tolerance:0.02 h in
   let r = Ml.run (Rng.create 12) p in
-  Alcotest.(check bool) "legal" true r.Fm.legal;
-  Alcotest.(check int) "cut consistent" (Bipartition.cut h r.Fm.solution) r.Fm.cut
+  Alcotest.(check bool) "legal" true r.Engine.Result.legal;
+  Alcotest.(check int) "cut consistent" (Bipartition.cut h r.Engine.Result.solution) r.Engine.Result.cut
 
 let test_ml_beats_flat () =
   (* multilevel must clearly beat a single flat FM start on a structured
@@ -250,8 +250,8 @@ let test_ml_beats_flat () =
   for seed = 0 to 2 do
     let ml = Ml.run (Rng.create (100 + seed)) p in
     let flat = Fm.run_random_start (Rng.create (100 + seed)) p in
-    total_ml := !total_ml + ml.Fm.cut;
-    total_flat := !total_flat + flat.Fm.cut
+    total_ml := !total_ml + ml.Engine.Result.cut;
+    total_flat := !total_flat + flat.Engine.Result.cut
   done;
   Alcotest.(check bool)
     (Printf.sprintf "ml (%d) <= flat (%d)" !total_ml !total_flat)
@@ -266,25 +266,25 @@ let test_ml_respects_fixed () =
   fixed.(2) <- 0;
   let p = Problem.make ~fixed ~tolerance:0.10 h in
   let r = Ml.run (Rng.create 13) p in
-  Alcotest.(check int) "v0 fixed to 0" 0 (Bipartition.side r.Fm.solution 0);
-  Alcotest.(check int) "v1 fixed to 1" 1 (Bipartition.side r.Fm.solution 1);
-  Alcotest.(check int) "v2 fixed to 0" 0 (Bipartition.side r.Fm.solution 2)
+  Alcotest.(check int) "v0 fixed to 0" 0 (Bipartition.side r.Engine.Result.solution 0);
+  Alcotest.(check int) "v1 fixed to 1" 1 (Bipartition.side r.Engine.Result.solution 1);
+  Alcotest.(check int) "v2 fixed to 0" 0 (Bipartition.side r.Engine.Result.solution 2)
 
 let test_ml_clip_variant () =
   let h = instance () in
   let p = Problem.make ~tolerance:0.02 h in
   let r = Ml.run ~config:Ml.ml_clip (Rng.create 14) p in
-  Alcotest.(check bool) "legal" true r.Fm.legal;
-  Alcotest.(check int) "cut consistent" (Bipartition.cut h r.Fm.solution) r.Fm.cut
+  Alcotest.(check bool) "legal" true r.Engine.Result.legal;
+  Alcotest.(check int) "cut consistent" (Bipartition.cut h r.Engine.Result.solution) r.Engine.Result.cut
 
 let test_vcycle_never_worse () =
   let h = instance () in
   let p = Problem.make ~tolerance:0.02 h in
   let r = Ml.run (Rng.create 15) p in
-  let r' = Ml.vcycle (Rng.create 16) p r.Fm.solution in
-  Alcotest.(check bool) "vcycle no worse" true (r'.Fm.cut <= r.Fm.cut);
-  Alcotest.(check bool) "vcycle legal" true r'.Fm.legal;
-  Alcotest.(check int) "cut consistent" (Bipartition.cut h r'.Fm.solution) r'.Fm.cut
+  let r' = Ml.vcycle (Rng.create 16) p r.Engine.Result.solution in
+  Alcotest.(check bool) "vcycle no worse" true (r'.Engine.Result.cut <= r.Engine.Result.cut);
+  Alcotest.(check bool) "vcycle legal" true r'.Engine.Result.legal;
+  Alcotest.(check int) "cut consistent" (Bipartition.cut h r'.Engine.Result.solution) r'.Engine.Result.cut
 
 let test_ml_multistart () =
   let h = instance () in
@@ -316,7 +316,7 @@ let test_ml_deterministic () =
   let p = Problem.make ~tolerance:0.02 h in
   let a = Ml.run (Rng.create 19) p in
   let b = Ml.run (Rng.create 19) p in
-  Alcotest.(check int) "same seed same cut" a.Fm.cut b.Fm.cut
+  Alcotest.(check int) "same seed same cut" a.Engine.Result.cut b.Engine.Result.cut
 
 (* A multilevel run's stats count every FM run it makes: each level's
    refinement runs at least one pass, so an [mlclip] run makes at least
@@ -337,29 +337,30 @@ let test_ml_stats_count_every_level () =
 (* -- Recursive bisection (k-way) -- *)
 
 module Rb = Hypart_multilevel.Recursive_bisection
+module Kway_fm = Hypart_fm.Kway_fm
 
 let test_kway_partitions_all () =
   let h = instance () in
   let r = Rb.run ~k:4 (Rng.create 30) h in
   Array.iter
     (fun p -> Alcotest.(check bool) "part in range" true (p >= 0 && p < 4))
-    r.Rb.part_of;
-  Alcotest.(check int) "4 part weights" 4 (Array.length r.Rb.part_weights);
+    r.Kway_fm.part_of;
+  Alcotest.(check int) "4 part weights" 4 (Array.length (Hypart_partition.Kway_objective.part_weights h r.Kway_fm.part_of ~k:4));
   Alcotest.(check int) "weights sum to total" (H.total_vertex_weight h)
-    (Array.fold_left ( + ) 0 r.Rb.part_weights)
+    (Array.fold_left ( + ) 0 (Hypart_partition.Kway_objective.part_weights h r.Kway_fm.part_of ~k:4))
 
 let test_kway_cut_consistent () =
   let h = instance () in
   let r = Rb.run ~k:4 (Rng.create 31) h in
   Alcotest.(check int) "reported cut matches recomputation"
-    (Hypart_partition.Kway_objective.cut h r.Rb.part_of) r.Rb.cut
+    (Hypart_partition.Kway_objective.cut h r.Kway_fm.part_of) r.Kway_fm.cut
 
 let test_kway_k1_k2 () =
   let h = instance () in
   let r1 = Rb.run ~k:1 (Rng.create 32) h in
-  Alcotest.(check int) "k=1 no cut" 0 r1.Rb.cut;
+  Alcotest.(check int) "k=1 no cut" 0 r1.Kway_fm.cut;
   let r2 = Rb.run ~k:2 (Rng.create 32) h in
-  Alcotest.(check bool) "k=2 cuts something" true (r2.Rb.cut > 0)
+  Alcotest.(check bool) "k=2 cuts something" true (r2.Kway_fm.cut > 0)
 
 let test_kway_odd_k_balanced () =
   let h = instance () in
@@ -373,13 +374,13 @@ let test_kway_odd_k_balanced () =
         true
         (float_of_int w > 0.6 *. float_of_int target
         && float_of_int w < 1.5 *. float_of_int target))
-    r.Rb.part_weights
+    (Hypart_partition.Kway_objective.part_weights h r.Kway_fm.part_of ~k:3)
 
 let test_kway_more_parts_more_cut () =
   let h = instance () in
   let r2 = Rb.run ~k:2 (Rng.create 34) h in
   let r8 = Rb.run ~k:8 (Rng.create 34) h in
-  Alcotest.(check bool) "8-way cut >= 2-way cut" true (r8.Rb.cut >= r2.Rb.cut)
+  Alcotest.(check bool) "8-way cut >= 2-way cut" true (r8.Kway_fm.cut >= r2.Kway_fm.cut)
 
 let test_kway_invalid () =
   let h = instance () in
@@ -390,7 +391,6 @@ let test_kway_invalid () =
 (* -- Multilevel k-way -- *)
 
 module Mlk = Hypart_multilevel.Ml_kway
-module Kway_fm = Hypart_fm.Kway_fm
 
 let test_ml_kway_valid () =
   let h = instance () in
@@ -494,7 +494,7 @@ let prop_ml_results_valid =
       let h = random_instance ~nv ~ne:(nv * 2) seed in
       let p = Problem.make ~tolerance:0.10 h in
       let r = Ml.run (Rng.create seed) p in
-      r.Fm.legal && r.Fm.cut = Bipartition.cut h r.Fm.solution)
+      r.Engine.Result.legal && r.Engine.Result.cut = Bipartition.cut h r.Engine.Result.solution)
 
 let () =
   Alcotest.run "multilevel"

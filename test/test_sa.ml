@@ -71,9 +71,9 @@ let test_sa_worse_than_fm_but_sane () =
   let sa = Sa.run ~moves_per_vertex:60 (Rng.create 6) p in
   let fm = Hypart_fm.Fm.run_random_start (Rng.create 6) p in
   Alcotest.(check bool)
-    (Printf.sprintf "sa %d within 5x of fm %d" sa.Result.cut fm.Hypart_fm.Fm.cut)
+    (Printf.sprintf "sa %d within 5x of fm %d" sa.Result.cut fm.Result.cut)
     true
-    (sa.Result.cut <= 5 * max 1 fm.Hypart_fm.Fm.cut)
+    (sa.Result.cut <= 5 * max 1 fm.Result.cut)
 
 let () =
   Alcotest.run "sa"

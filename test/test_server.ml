@@ -632,7 +632,9 @@ let parse_tiny () =
 (* test-only engines, registered once: [test-count] counts invocations
    (for the zero-engine-runs dedup assertion), [test-gate] blocks until
    released (to hold a worker busy deterministically), [test-poll]
-   spins on the cancellation hook (to exercise mid-run deadlines) *)
+   spins on the cancellation hook (to exercise mid-run deadlines),
+   [test-sleep] sleeps past a short deadline without polling it (to
+   exercise late answers) *)
 let count_runs = Atomic.make 0
 let gate_open = Atomic.make false
 let gate_entered = Atomic.make 0
@@ -668,6 +670,11 @@ let () =
            Hypart_engine.Cancel.check ();
            Unix.sleepf 0.002
          done;
+         trivial_result problem rng));
+  Engine.register
+    (Engine.make ~name:"test-sleep" ~description:"sleeps without polling"
+       (fun rng problem _ ->
+         Unix.sleepf 0.2;
          trivial_result problem rng))
 
 let with_server ?(workers = 2) ?(queue_capacity = 8) ?store f =
@@ -1052,6 +1059,16 @@ let test_serve_deadline_504 () =
       let a = Domain.join a and b = Domain.join b in
       Alcotest.(check int) "gated job fine" 200 a.Http.status;
       Alcotest.(check int) "queued job expired" 504 b.Http.status)
+
+(* an answer that arrives after the deadline is a 504, but its run is
+   recorded: the same request without a deadline is a dedup hit *)
+let test_serve_deadline_late () =
+  with_server ~workers:1 (fun _server port ->
+      let late = submit ~query:"&engine=test-sleep&seed=21&deadline_ms=40" port in
+      Alcotest.(check int) "late answer" 504 late.Http.status;
+      let retry = submit ~query:"&engine=test-sleep&seed=21" port in
+      Alcotest.(check int) "retry answered" 200 retry.Http.status;
+      Alcotest.(check string) "retry cached" "true" (hdr retry "x-hypart-cached"))
 
 let body_has ?(expect = true) needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -1722,6 +1739,17 @@ let test_serve_delta_deadline_mid_run () =
       in
       Alcotest.(check int) "expired mid-run" 504 resp.Http.status)
 
+(* ...and answers a late run 504 after recording it, as /partition does *)
+let test_serve_delta_deadline_late () =
+  with_server ~workers:1 (fun _server port ->
+      let fp = hdr (submit ~query:"&engine=flat&seed=13" port) "x-hypart-instance" in
+      let query = "&engine=test-sleep&scratch=test-sleep&seed=22" in
+      let late = post_delta ~query:(query ^ "&deadline_ms=40") port (tiny_delta fp) in
+      Alcotest.(check int) "late answer" 504 late.Http.status;
+      let retry = post_delta ~query port (tiny_delta fp) in
+      Alcotest.(check int) "retry answered" 200 retry.Http.status;
+      Alcotest.(check string) "retry cached" "true" (hdr retry "x-hypart-cached"))
+
 (* both endpoints count fresh runs and dedup hits in the same counters *)
 let test_serve_delta_counters () =
   with_server (fun _server port ->
@@ -2085,6 +2113,7 @@ let () =
           Alcotest.test_case "hgrb format" `Quick test_serve_hgrb_format;
           Alcotest.test_case "queue full 503" `Quick test_serve_queue_full_503;
           Alcotest.test_case "deadline 504" `Quick test_serve_deadline_504;
+          Alcotest.test_case "late answer 504" `Quick test_serve_deadline_late;
           Alcotest.test_case "survives malformed" `Quick
             test_serve_survives_malformed;
           Alcotest.test_case "bad tolerance is 400" `Quick
@@ -2125,6 +2154,8 @@ let () =
             test_serve_delta_deadline_queued;
           Alcotest.test_case "deadline mid-run" `Quick
             test_serve_delta_deadline_mid_run;
+          Alcotest.test_case "late answer 504" `Quick
+            test_serve_delta_deadline_late;
           Alcotest.test_case "shared counters" `Quick test_serve_delta_counters;
         ] );
     ]

@@ -9,6 +9,7 @@ module Problem = Hypart_partition.Problem
 module Bipartition = Hypart_partition.Bipartition
 module Fm_config = Hypart_fm.Fm_config
 module Fm = Hypart_fm.Fm
+module Engine = Hypart_engine.Engine
 module Kway_fm = Hypart_fm.Kway_fm
 module Ml_partitioner = Hypart_multilevel.Ml_partitioner
 module Recursive_bisection = Hypart_multilevel.Recursive_bisection
@@ -22,14 +23,14 @@ let test_end_to_end () =
   let rng = Rng.create 1 in
   (* flat, ml, kway, placement *)
   let flat = Fm.run_random_start ~config:Fm_config.strong_lifo rng problem in
-  Alcotest.(check bool) "flat legal" true flat.Fm.legal;
+  Alcotest.(check bool) "flat legal" true flat.Engine.Result.legal;
   let ml = Ml_partitioner.run rng problem in
-  Alcotest.(check int) "ml cut consistent" (Bipartition.cut h ml.Fm.solution)
-    ml.Fm.cut;
+  Alcotest.(check int) "ml cut consistent" (Bipartition.cut h ml.Engine.Result.solution)
+    ml.Engine.Result.cut;
   let kway = Recursive_bisection.run ~k:3 rng h in
   Alcotest.(check int) "kway consistent"
-    (Hypart_partition.Kway_objective.cut h kway.Recursive_bisection.part_of)
-    kway.Recursive_bisection.cut;
+    (Hypart_partition.Kway_objective.cut h kway.Kway_fm.part_of)
+    kway.Kway_fm.cut;
   let direct = Kway_fm.run_random_start ~k:3 rng h in
   Alcotest.(check bool) "direct kway sane" true (direct.Kway_fm.cut >= 0);
   let pl = Topdown.place rng h in
