@@ -17,7 +17,6 @@ module Engine = Hypart_engine.Engine
 module Fm_config = Hypart_fm.Fm_config
 module Matching = Hypart_multilevel.Matching
 module Ml = Hypart_multilevel.Ml_partitioner
-module Kl = Hypart_kl.Kl
 module Campaigns = Hypart_harness.Campaigns
 
 let ignore1 f = Staged.stage (fun () -> ignore (f ()))
@@ -407,7 +406,6 @@ let evolve_benches =
 module Patch = Hypart_delta.Patch
 module Delta_gen = Hypart_delta.Delta_gen
 module Eco = Hypart_delta.Eco
-module Eco_engines = Hypart_delta.Eco_engines
 
 (* a 1% delta against ibm01 at the ingest fixture's scale; the prior is
    one mlclip start so warm refinement has a realistic boundary.  The
@@ -446,7 +444,7 @@ let eco_benches =
       Test.make ~name:"warm_refine"
         (ignore1 (fun () ->
              let _, _, _, patch, prior = Lazy.force eco_fixture in
-             Eco.run ~engine:Eco_engines.eco_fm ~scratch:(Lazy.force scratch)
+             Eco.run ~engine:Hypart_fm.Fm_engines.eco_fm ~scratch:(Lazy.force scratch)
                ~seed:5 ~prior patch));
       Test.make ~name:"scratch_repartition"
         (ignore1 (fun () ->

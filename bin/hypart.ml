@@ -12,7 +12,6 @@ module Bipartition = Hypart_partition.Bipartition
 module Fm = Hypart_fm.Fm
 module Fm_config = Hypart_fm.Fm_config
 module Ml = Hypart_multilevel.Ml_partitioner
-module Kl = Hypart_kl.Kl
 module Table = Hypart_lab.Table
 module Machine = Hypart_engine.Machine
 module Engine = Hypart_engine.Engine
@@ -1387,7 +1386,7 @@ let eco_cmd =
       ~doc:"From-scratch fallback (and --compare baseline) engine."
   in
   let engine_t =
-    engine_t Hypart_delta.Eco_engines.eco_fm
+    engine_t Hypart_fm.Fm_engines.eco_fm
       ~doc:"Warm-start refinement engine (eco_fm | eco_ml)."
   in
   let radius_t =

@@ -24,52 +24,33 @@ let () =
   Format.printf "%a@.@." H.pp h;
   let problem = Problem.make ~tolerance:0.10 h in
   let module B = Hypart_partition.Bipartition in
+  (* every heuristic returns the engine record *)
   let timed f =
     let t0 = Sys.time () in
-    let cut, sol = f () in
-    (cut, sol, Sys.time () -. t0)
+    let r = f () in
+    (r.Engine.Result.cut, r.Engine.Result.solution, Sys.time () -. t0)
   in
   let entries =
     [
-      ( "KL (1970)",
-        timed (fun () ->
-            let r = Kl.run_random_start (Rng.create 1) h in
-            (r.Kl.cut, r.Kl.solution)) );
-      ( "Spectral EIG1",
-        timed (fun () ->
-            let r = Spectral.run (Rng.create 1) h in
-            (r.Spectral.cut, r.Spectral.solution)) );
+      ("KL (1970)", timed (fun () -> Kl.run_random_start (Rng.create 1) problem));
+      ("Spectral EIG1", timed (fun () -> Spectral.run (Rng.create 1) problem));
       ( "Simulated ann.",
         timed (fun () ->
-            let r = Hypart_sa.Sa_partitioner.run ~moves_per_vertex:60 (Rng.create 1) problem in
-            (r.Hypart_engine.Engine.Result.cut, r.Hypart_engine.Engine.Result.solution)) );
+            Hypart_sa.Sa_partitioner.run ~moves_per_vertex:60 (Rng.create 1) problem) );
       ( "flat LIFO FM",
         timed (fun () ->
-            let r =
-              Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 1)
-                problem
-            in
-            (r.Engine.Result.cut, r.Engine.Result.solution)) );
+            Fm.run_random_start ~config:Fm_config.strong_lifo (Rng.create 1) problem) );
       ( "flat CLIP FM",
         timed (fun () ->
-            let r =
-              Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create 1)
-                problem
-            in
-            (r.Engine.Result.cut, r.Engine.Result.solution)) );
-      ( "ML CLIP",
-        timed (fun () ->
-            let r = Ml.run ~config:Ml.ml_clip (Rng.create 1) problem in
-            (r.Engine.Result.cut, r.Engine.Result.solution)) );
+            Fm.run_random_start ~config:Fm_config.strong_clip (Rng.create 1) problem) );
+      ("ML CLIP", timed (fun () -> Ml.run ~config:Ml.ml_clip (Rng.create 1) problem));
       ( "ML CLIP x8 + V",
         timed (fun () ->
             let rng = Rng.create 1 in
-            let r, _ =
-              Engine.multistart
-                ~polish_best:(Ml_engines.vcycle_polish ~config:Ml.ml_clip rng problem)
-                Ml_engines.mlclip rng problem ~starts:8
-            in
-            (r.Engine.Result.cut, r.Engine.Result.solution)) );
+            fst
+              (Engine.multistart
+                 ~polish_best:(Ml_engines.vcycle_polish ~config:Ml.ml_clip rng problem)
+                 Ml_engines.mlclip rng problem ~starts:8)) );
     ]
   in
   Printf.printf "%-16s %8s %10s %14s\n" "heuristic" "cut" "CPU s" "split %";

@@ -32,8 +32,10 @@ let params ?(scale = 8.0) ?(steps = 8) ~seed () =
     seed;
   }
 
-let warm_engine = "eco_fm"
-let scratch_engine = "mlclip"
+(* the warm engine and the from-scratch control: each record is keyed
+   by the name of the engine that ran it *)
+let warm_engine = Hypart_fm.Fm_engines.eco_fm
+let scratch_engine = Hypart_multilevel.Ml_engines.mlclip
 
 (* one config fingerprint for the whole campaign: per-step identity
    travels in the chained instance fingerprint, so adding steps later
@@ -73,6 +75,7 @@ let chain p ~execute store ~instance =
   let fp0 = Fingerprint.of_instance h0 in
   (* [run ()] returns the engine result and its CPU seconds *)
   let cell ~engine ~instance ~seed run =
+    let engine = Engine.name engine in
     let key = Run_store.key ~engine ~config ~instance ~seed in
     match Run_store.find store ~key with
     | None when execute ->
@@ -95,7 +98,7 @@ let chain p ~execute store ~instance =
          let seed = Fingerprint.mix_seed ~base:base_seed [ "start"; string_of_int s ] in
          let r, secs =
            Machine.cpu_time (fun () ->
-               Engine.run Hypart_multilevel.Ml_engines.mlclip (Rng.create seed) base_problem None)
+               Engine.run scratch_engine (Rng.create seed) base_problem None)
          in
          total := !total +. secs;
          match !best with
@@ -124,8 +127,8 @@ let chain p ~execute store ~instance =
       let scratch_seed = job_seed p ~instance ~role:"scratch" ~step:i in
       let warm =
         lazy
-          (Eco.run ~config:(eco_config p) ~engine:Eco_engines.eco_fm
-             ~scratch:Hypart_multilevel.Ml_engines.mlclip ~seed:warm_seed
+          (Eco.run ~config:(eco_config p) ~engine:warm_engine ~scratch:scratch_engine
+             ~seed:warm_seed
              ~prior:(Lazy.force prior_of) patch)
       in
       let warm_record =
@@ -137,8 +140,7 @@ let chain p ~execute store ~instance =
         cell ~engine:scratch_engine ~instance:patch.fingerprint ~seed:scratch_seed (fun () ->
             let problem = Problem.make ~tolerance:p.tolerance patch.hypergraph in
             Machine.cpu_time (fun () ->
-                Engine.run Hypart_multilevel.Ml_engines.mlclip (Rng.create scratch_seed) problem
-                  None))
+                Engine.run scratch_engine (Rng.create scratch_seed) problem None))
       in
       (Delta.num_ops delta, warm_record, scratch_record)
       :: step (i + 1) patch.hypergraph patch.fingerprint (lazy (prior (Lazy.force warm).Eco.result))

@@ -8,6 +8,7 @@
     natural safe points, raising {!Cancelled} when the hook fires:
     - between multistart starts;
     - before every FM, look-ahead FM and KL pass;
+    - before every row of a KL pair selection (O(n . deg) work each);
     - before every SA temperature step;
     - before every spectral power iteration;
     - before every coarsening level of a multilevel run.

@@ -12,11 +12,11 @@
     that list. *)
 
 module Result : sig
-  (** The record every engine returns.  The FM, look-ahead FM, SA and
-      multilevel engines build it themselves ([Fm.run]
-      returns it); KL and spectral, whose runs never see the balance,
-      keep their own records and are adapted in their engine
-      modules. *)
+  (** The record every engine returns.  Every family's run function
+      builds it itself ([Fm.run], [Kl.run], [Spectral.run], ... return
+      it) and defines its engine next to it, so no engine adapts
+      another record.  KL and spectral never see the balance: their
+      [legal] says whether their split happens to satisfy it. *)
 
   type t = {
     solution : Hypart_partition.Bipartition.t;

@@ -418,3 +418,29 @@ let run ?store ?executor ?initial config ~seed problem =
     total_seconds = !cum_seconds;
     campaign;
   }
+
+let memetic_ml =
+  (* a compact campaign, small enough to compare as one start *)
+  let config =
+    { default with population = 6; generations = 4; recombinations = 3; immigrants = 1 }
+  in
+  Engine.make ~name:"memetic_ml"
+    ~description:
+      "memetic multilevel: population search with cut-respecting \
+       recombination over mlclip evaluations"
+    (fun rng problem initial ->
+      (* one non-negative campaign seed drawn from the harness RNG
+         keeps the whole campaign a deterministic function of it *)
+      let seed = Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) 2) in
+      let o = run ?initial config ~seed problem in
+      let { Population.solution; candidate; _ } = o.best in
+      {
+        Engine.Result.solution;
+        cut = candidate.cut;
+        legal = candidate.legal;
+        stats =
+          [
+            ("generations", float_of_int (List.length o.history - 1));
+            ("evaluations", float_of_int o.evaluated);
+          ];
+      })

@@ -83,3 +83,9 @@ val run :
     unrecoverable evaluation error (e.g. the whole fleet is down).
     @raise Pop_log.Mismatch when [store] holds another campaign's
     population. *)
+
+val memetic_ml : Hypart_engine.Engine.t
+(** [memetic_ml]: a compact in-memory {!run} (population 6, 4
+    generations of 3 recombinations + 1 immigrant, otherwise {!default})
+    seeded from the engine's RNG, as an engine like any other; [initial]
+    joins the starting population.  Stats: [generations], [evaluations]. *)

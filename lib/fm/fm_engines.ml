@@ -35,3 +35,10 @@ let lookahead =
   Engine.make ~name:"lookahead"
     ~description:"flat FM with Krishnamurthy look-ahead gain vectors"
     (from_start Lookahead_fm.run)
+
+let eco_fm =
+  of_config ~name:"eco_fm"
+    ~description:
+      "warm-start CLIP FM: refine a supplied initial solution (ECO \
+       boundary refinement; random start when none is given)"
+    Fm_config.strong_clip

@@ -1,5 +1,6 @@
 (** The flat FM family as registry engines: [flat], [clip], [reported],
-    [reported-clip] (the four corners of Tables 1–3) and [lookahead].
+    [reported-clip] (the four corners of Tables 1–3), [lookahead] and
+    the ECO warm engine [eco_fm].
     When given an initial solution the engines refine it; otherwise
     they start from {!Hypart_partition.Initial.random}. *)
 
@@ -15,3 +16,8 @@ val clip : Hypart_engine.Engine.t
 val reported : Hypart_engine.Engine.t
 val reported_clip : Hypart_engine.Engine.t
 val lookahead : Hypart_engine.Engine.t
+
+val eco_fm : Hypart_engine.Engine.t
+(** [eco_fm]: [clip] under the ECO path's name — it refines the
+    supplied solution, whose locality travels in the problem's [fixed]
+    array. *)

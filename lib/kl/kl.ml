@@ -1,25 +1,20 @@
 module H = Hypart_hypergraph.Hypergraph
 module Rng = Hypart_rng.Rng
 module Bipartition = Hypart_partition.Bipartition
-
-type result = {
-  solution : Bipartition.t;
-  cut : int;
-  passes : int;
-  swaps : int;
-}
-
-let clique_adjacency h = Hypart_hypergraph.Clique_expansion.adjacency h
+module Problem = Hypart_partition.Problem
+module Engine = Hypart_engine.Engine
+module Cancel = Hypart_engine.Cancel
 
 let max_passes = 20
 
-let run _rng h initial =
+let run _rng problem initial =
+  let h = problem.Problem.hypergraph in
   let n = H.num_vertices h in
   let side = Bipartition.assignment initial in
   let n0 = Array.fold_left (fun acc s -> if s = 0 then acc + 1 else acc) 0 side in
   if abs ((2 * n0) - n) > 1 then
     invalid_arg "Kl.run: initial solution must be an equal-cardinality bisection";
-  let adj = clique_adjacency h in
+  let adj = Hypart_hypergraph.Clique_expansion.adjacency h in
   let c a b =
     (* connection weight between a and b *)
     List.fold_left (fun acc (u, w) -> if u = b then acc +. w else acc) 0.0 adj.(a)
@@ -39,7 +34,7 @@ let run _rng h initial =
   let passes = ref 0 in
   let improving = ref true in
   while !improving && !passes < max_passes do
-    Hypart_engine.Cancel.check ();
+    Cancel.check ();
     incr passes;
     Array.fill locked 0 n false;
     compute_d ();
@@ -51,6 +46,8 @@ let run _rng h initial =
          D(a) + D(b) - 2 c(a,b) *)
       let best = ref None in
       for a = 0 to n - 1 do
+        (* one poll per row: a row is O(n . deg) clique lookups *)
+        Cancel.check ();
         if (not locked.(a)) && side.(a) = 0 then
           for b = 0 to n - 1 do
             if (not locked.(b)) && side.(b) = 1 then begin
@@ -105,13 +102,29 @@ let run _rng h initial =
     if best_k = 0 then improving := false
   done;
   let solution = Bipartition.make h side in
-  { solution; cut = Bipartition.cut h solution; passes = !passes; swaps = !total_swaps }
+  {
+    Engine.Result.solution;
+    cut = Bipartition.cut h solution;
+    legal = Bipartition.is_legal solution problem.Problem.balance;
+    stats =
+      [ ("passes", float_of_int !passes); ("swaps", float_of_int !total_swaps) ];
+  }
 
-let run_random_start rng h =
+let run_random_start rng problem =
+  let h = problem.Problem.hypergraph in
   let n = H.num_vertices h in
   let perm = Rng.permutation rng n in
   let side = Array.make n 1 in
   for i = 0 to (n / 2) - 1 do
     side.(perm.(i)) <- 0
   done;
-  run rng h (Bipartition.make h side)
+  run rng problem (Bipartition.make h side)
+
+let engine =
+  Engine.make ~name:"kl"
+    ~description:
+      "Kernighan-Lin pair swaps on the clique expansion (equal-cardinality \
+       bisection, O(n^2) historical baseline)"
+    (fun rng problem -> function
+      | Some s -> run rng problem s
+      | None -> run_random_start rng problem)

@@ -8,25 +8,27 @@
     the paper notes older benchmarks were run in.  O(n^2) per pass:
     suitable for baselines and examples, not for production use. *)
 
-type result = {
-  solution : Hypart_partition.Bipartition.t;
-  cut : int;  (** hyperedge cut of [solution] (not the clique-model cost) *)
-  passes : int;
-  swaps : int;  (** total swaps applied, including rolled-back ones *)
-}
-
 val run :
   Hypart_rng.Rng.t ->
-  Hypart_hypergraph.Hypergraph.t ->
+  Hypart_partition.Problem.t ->
   Hypart_partition.Bipartition.t ->
-  result
+  Hypart_engine.Engine.Result.t
 (** Improve an initial solution (counts on each side must differ by at
-    most one; weights are ignored) by passes until one finds no
-    improving prefix, at most 20.  The cancel hook is polled before
-    every pass.  @raise Invalid_argument on an unequal start. *)
+    most one; weights, the balance window and fixed vertices are
+    ignored) by passes until one finds no improving prefix, at most 20.
+    The result's [cut] is the hyperedge cut (not the clique-model
+    cost); [legal] says whether the equal-cardinality bisection happens
+    to satisfy the problem's balance window.  Stats: [passes], and
+    [swaps] (every swap applied, rolled-back ones included).  The
+    cancel hook is polled before every pass and before every row of a
+    pair selection.  @raise Invalid_argument on an unequal start. *)
 
 val run_random_start :
   Hypart_rng.Rng.t ->
-  Hypart_hypergraph.Hypergraph.t ->
-  result
+  Hypart_partition.Problem.t ->
+  Hypart_engine.Engine.Result.t
 (** Random equal-cardinality start, then {!run}. *)
+
+val engine : Hypart_engine.Engine.t
+(** [kl]: {!run} from the given initial solution, or
+    {!run_random_start} without one. *)

@@ -18,6 +18,13 @@ let mlclip =
     ~description:"multilevel CLIP FM (edge coarsening + CLIP refinement)"
     Ml_partitioner.ml_clip
 
+let eco_ml =
+  of_config ~name:"eco_ml"
+    ~description:
+      "warm-start ML CLIP: V-cycle a supplied initial solution (never \
+       worse; a full multilevel run when none is given)"
+    Ml_partitioner.ml_clip
+
 let vcycle_polish ?(config = Ml_partitioner.ml_clip) rng problem
     (r : Engine.Result.t) =
   let r' = Ml_partitioner.vcycle ~config rng problem r.Engine.Result.solution in

@@ -1,9 +1,10 @@
 (** The multilevel partitioner as engines: [ml] (ML LIFO FM),
-    [mlclip] (ML CLIP FM) and [hmetis] (an hMetis-1.5-like
+    [mlclip] (ML CLIP FM), [hmetis] (an hMetis-1.5-like
     configuration: {!Ml_partitioner.hmetis_like} followed by one
-    {!vcycle_polish} under the same configuration).  The Tables 4–5
-    protocol is not [hmetis]: it runs [mlclip] starts plus one V-cycle
-    of the best ({!Hypart_engine.Engine.multistart} with
+    {!vcycle_polish} under the same configuration) and the ECO warm
+    engine [eco_ml].  The Tables 4–5 protocol is not [hmetis]: it
+    runs [mlclip] starts plus one V-cycle of the best
+    ({!Hypart_engine.Engine.multistart} with
     [~polish_best:vcycle_polish]).  A fresh run coarsens and refines
     from scratch; when given an initial solution the engines improve
     it with one V-cycle restricted to its parts. *)
@@ -20,6 +21,10 @@ val of_config :
 val ml : Hypart_engine.Engine.t
 val mlclip : Hypart_engine.Engine.t
 val hmetis : Hypart_engine.Engine.t
+
+val eco_ml : Hypart_engine.Engine.t
+(** [eco_ml]: [mlclip] under the ECO path's name — one V-cycle of the
+    supplied solution (never worse, costlier than [eco_fm]). *)
 
 val vcycle_polish :
   ?config:Ml_partitioner.config ->

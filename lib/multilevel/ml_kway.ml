@@ -27,22 +27,28 @@ let run ?(tolerance = 0.10) ~k rng h =
       ~max_cluster_weight problem
   in
   let coarse_h, _ = Coarsen.coarsest hier in
-  (* best-of-N initial k-way partitioning at the coarsest level *)
+  (* best-of-N initial k-way partitioning at the coarsest level; the
+     stats count every start and every level's refinement *)
   let start () = Kway_fm.run_random_start ~tolerance ~k rng coarse_h in
   let coarsest = ref (start ()) in
+  let stats = ref !coarsest.Kway_fm.stats in
+  let count (r : Kway_fm.result) =
+    stats := Hypart_engine.Engine.Result.add_stats !stats r.Kway_fm.stats;
+    r
+  in
   for _ = 2 to coarsest_starts do
-    let r = start () in
+    let r = count (start ()) in
     if Kway_fm.better r !coarsest then coarsest := r
   done;
   (* uncoarsen: project through each level's cluster map and refine *)
-  List.fold_left
-    (fun (result : Kway_fm.result) (fine_h, _, (level : Coarsen.level)) ->
-      let projected =
-        Array.map
-          (fun c -> result.Kway_fm.part_of.(c))
-          level.Coarsen.cluster_of
-      in
-      Kway_fm.run ~max_passes:refine_passes ~tolerance ~k rng fine_h
-        projected)
-    !coarsest
-    (Coarsen.refinement_steps hier)
+  let finest =
+    List.fold_left
+      (fun (result : Kway_fm.result) (fine_h, _, (level : Coarsen.level)) ->
+        let part_of = result.Kway_fm.part_of in
+        count
+          (Kway_fm.run ~max_passes:refine_passes ~tolerance ~k rng fine_h
+             (Array.map (fun c -> part_of.(c)) level.Coarsen.cluster_of)))
+      !coarsest
+      (Coarsen.refinement_steps hier)
+  in
+  { finest with Kway_fm.stats = !stats }

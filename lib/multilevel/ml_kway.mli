@@ -17,8 +17,11 @@ val run :
     (default tolerance 0.10).  Edge coarsening stops near [30 k]
     vertices; the best of 10 random k-way FM starts there
     ({!Hypart_fm.Kway_fm.better}) is refined with at most 4 passes per
-    level.  The result is the finest level's record; its [stats] count
-    that level only.
+    level.  The result is the finest level's record, with [stats]
+    ([passes], [moves]) summed over the whole run: every coarsest-level
+    start and every level's refinement
+    ({!Hypart_engine.Engine.Result.add_stats}), as
+    {!Ml_partitioner.run} counts its FM runs.
     The coarsest-level starts and every refinement borrow the calling
     domain's k-way FM workspace.
     @raise Invalid_argument when [k < 2] or [k > num_vertices]. *)

@@ -47,7 +47,8 @@ let imbalance h part_of ~k =
   if total = 0 then 0.
   else
     let target = float_of_int total /. float_of_int k in
-    (float_of_int (Array.fold_left max 0 weights) /. target) -. 1.
+    let deviation w = Float.abs ((float_of_int w /. target) -. 1.) in
+    Array.fold_left (fun acc w -> Float.max acc (deviation w)) 0. weights
 
 let window ~tolerance ~k total =
   let target = float_of_int total /. float_of_int k in

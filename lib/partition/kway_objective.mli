@@ -32,9 +32,11 @@ val part_weights : Hypart_hypergraph.Hypergraph.t -> int array -> k:int -> int a
     assignment entry falls outside [0, k). *)
 
 val imbalance : Hypart_hypergraph.Hypergraph.t -> int array -> k:int -> float
-(** [(max part weight) / (total weight / k) - 1]: how far the heaviest
-    part overshoots the perfect k-way split ([0.] is exact).  [0.] for
-    an empty instance.  @raise Invalid_argument as {!part_weights}. *)
+(** The largest [|part weight / (total weight / k) - 1|]: how far the
+    part furthest from the perfect k-way split lies from it, over or
+    under ([0.] is exact), so that it agrees with the two-sided
+    {!window}.  [0.] for an empty instance.  @raise Invalid_argument
+    as {!part_weights}. *)
 
 val window : tolerance:float -> k:int -> int -> int * int
 (** [window ~tolerance ~k total]: the part-weight bounds

@@ -126,3 +126,10 @@ let run ?initial ?(moves_per_vertex = 100) rng problem =
         ("attempted", float_of_int !attempted);
       ];
   }
+
+let engine =
+  Hypart_engine.Engine.make ~name:"sa"
+    ~description:
+      "simulated annealing: single-vertex flips, geometric cooling, \
+       quadratic balance penalty"
+    (fun rng problem initial -> run ?initial rng problem)

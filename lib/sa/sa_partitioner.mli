@@ -25,3 +25,7 @@ val run :
     best overall when no legal state was seen), with the [accepted]
     and [attempted] move counts as its stats.  The cancel hook is
     polled at every temperature step. *)
+
+val engine : Hypart_engine.Engine.t
+(** [sa]: {!run} at the default move budget, from the given initial
+    solution when provided, otherwise from a random legal start. *)

@@ -2,14 +2,8 @@ module H = Hypart_hypergraph.Hypergraph
 module Clique = Hypart_hypergraph.Clique_expansion
 module Rng = Hypart_rng.Rng
 module Bipartition = Hypart_partition.Bipartition
-
-type result = {
-  solution : Bipartition.t;
-  cut : int;
-  ratio_cut : float;
-  fiedler : float array;
-  iterations : int;
-}
+module Problem = Hypart_partition.Problem
+module Engine = Hypart_engine.Engine
 
 (* Power iteration on M = c I - L (L = D - W the clique-graph
    Laplacian), deflated against the constant vector, converges to the
@@ -18,7 +12,9 @@ type result = {
 let iterations = 200
 let min_part_fraction = 0.05
 
-let fiedler_vector rng adj =
+(* the vector and the power iterations it took *)
+let power_iteration rng h =
+  let adj = Clique.adjacency h in
   let n = Array.length adj in
   let deg = Clique.degrees adj in
   let c = 1.0 +. Array.fold_left Float.max 0.0 deg in
@@ -56,11 +52,13 @@ let fiedler_vector rng adj =
    with Exit -> ());
   (!x, !used)
 
-let run rng h =
+let fiedler rng h = fst (power_iteration rng h)
+
+let run rng problem =
+  let h = problem.Problem.hypergraph in
   let n = H.num_vertices h in
   if n < 2 then invalid_arg "Spectral.run: need at least two vertices";
-  let adj = Clique.adjacency h in
-  let fiedler, used = fiedler_vector rng adj in
+  let fiedler, used = power_iteration rng h in
   (* sweep the Fiedler ordering, maintaining the hyperedge cut
      incrementally: moving vertex v from side 1 to side 0 changes the
      cut by (nets v completes on 0) - (nets v leaves fully on 1) *)
@@ -70,7 +68,7 @@ let run rng h =
   let cut = ref 0 in
   let total_weight = float_of_int (H.total_vertex_weight h) in
   let w0 = ref 0.0 in
-  let best_ratio = ref infinity and best_prefix = ref 0 and best_cut = ref 0 in
+  let best_ratio = ref infinity and best_prefix = ref 0 in
   let min_weight = min_part_fraction *. total_weight in
   for i = 0 to n - 2 do
     let v = order.(i) in
@@ -87,36 +85,35 @@ let run rng h =
       let ratio = float_of_int !cut *. half *. half /. (!w0 *. w1) in
       if ratio < !best_ratio then begin
         best_ratio := ratio;
-        best_prefix := i + 1;
-        best_cut := !cut
+        best_prefix := i + 1
       end
     end
   done;
   (* fallback when the minimum-fraction window is empty (tiny graphs) *)
-  if !best_ratio = infinity then begin
-    best_prefix := max 1 (n / 2);
-    let side = Array.make n 1 in
-    for i = 0 to !best_prefix - 1 do
-      side.(order.(i)) <- 0
-    done;
-    let s = Bipartition.make h side in
-    best_cut := Bipartition.cut h s
-  end;
+  if !best_ratio = infinity then best_prefix := max 1 (n / 2);
   let side = Array.make n 1 in
   for i = 0 to !best_prefix - 1 do
     side.(order.(i)) <- 0
   done;
   let solution = Bipartition.make h side in
   let cut = Bipartition.cut h solution in
+  let ratio_cut =
+    let w0 = float_of_int (Bipartition.part_weight solution 0) in
+    let w1 = float_of_int (Bipartition.part_weight solution 1) in
+    let half = total_weight /. 2.0 in
+    if w0 = 0.0 || w1 = 0.0 then infinity
+    else float_of_int cut *. half *. half /. (w0 *. w1)
+  in
   {
-    solution;
+    Engine.Result.solution;
     cut;
-    ratio_cut =
-      (let w0 = float_of_int (Bipartition.part_weight solution 0) in
-       let w1 = float_of_int (Bipartition.part_weight solution 1) in
-       let half = total_weight /. 2.0 in
-       if w0 = 0.0 || w1 = 0.0 then infinity
-       else float_of_int cut *. half *. half /. (w0 *. w1));
-    fiedler;
-    iterations = used;
+    legal = Bipartition.is_legal solution problem.Problem.balance;
+    stats = [ ("ratio_cut", ratio_cut); ("iterations", float_of_int used) ];
   }
+
+let engine =
+  Engine.make ~name:"spectral"
+    ~description:
+      "EIG1 spectral ratio cut: Fiedler vector plus linear-ordering sweep \
+       (no balance constraint)"
+    (fun rng problem _initial -> run rng problem)

@@ -8,7 +8,7 @@ module H = Hypart_hypergraph.Hypergraph
 module Delta = Hypart_delta.Delta
 module Patch = Hypart_delta.Patch
 module Eco = Hypart_delta.Eco
-module Eco_engines = Hypart_delta.Eco_engines
+module Fm_engines = Hypart_fm.Fm_engines
 module Delta_gen = Hypart_delta.Delta_gen
 module Suite = Hypart_generator.Ibm_suite
 module Bipartition = Hypart_partition.Bipartition
@@ -260,7 +260,7 @@ let test_localize_radius () =
   let fixed1 = Eco.localize p ~radius:1 ~assignment:[| 0; 0; 0; 1; 1; 1 |] in
   Alcotest.(check (array int)) "radius 1" [| -1; -1; -1; 1; 1; -1 |] fixed1
 
-let eco_run ?(engine = Eco_engines.eco_fm) ?config ~seed p prior =
+let eco_run ?(engine = Fm_engines.eco_fm) ?config ~seed p prior =
   Eco.run ?config ~engine ~scratch:Hypart_multilevel.Ml_engines.mlclip ~seed
     ~prior p
 

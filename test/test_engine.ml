@@ -197,6 +197,23 @@ let test_cancel_every_engine () =
         (Engine.all ()))
     hooks
 
+(* KL polls inside a pass, not only between passes: one pair selection
+   is O(n^2) clique lookups, minutes per pass on a 53k-cell twin *)
+let test_kl_polls_inside_pass () =
+  let polls = ref 0 in
+  let r =
+    Hypart_engine.Cancel.with_hook
+      (fun () ->
+        incr polls;
+        false)
+      (fun () ->
+        Engine.run (Engine.find_exn "kl") (Rng.create 42) (tiny_problem 7) None)
+  in
+  let passes = int_of_float (Option.get (Engine.Result.stat r "passes")) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d polls > %d passes" !polls passes)
+    true (!polls > passes)
+
 (* -- Combinators -- *)
 
 let test_multistart_improves () =
@@ -392,6 +409,8 @@ let () =
           Alcotest.test_case "stat names" `Quick test_stat_names;
           Alcotest.test_case "cancel every engine" `Quick
             test_cancel_every_engine;
+          Alcotest.test_case "kl polls inside a pass" `Quick
+            test_kl_polls_inside_pass;
         ] );
       ( "combinators",
         [

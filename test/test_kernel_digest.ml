@@ -2,7 +2,7 @@
    contraction, the four matching schemes), for the ECO warm path
    (projection, localization, subproblem extraction, refinement and
    splice) and for the records of recombination, multilevel k-way,
-   look-ahead FM and SA (stats included).
+   look-ahead FM, SA, KL and spectral (stats included).
 
    Each case digests a full assignment (or cluster map), not just a
    cut, on ibm01 at scale 4 — large enough that nets exceed the
@@ -27,9 +27,7 @@ module Fingerprint = Hypart_lab.Fingerprint
 module Delta_gen = Hypart_delta.Delta_gen
 module Patch = Hypart_delta.Patch
 module Eco = Hypart_delta.Eco
-module Eco_engines = Hypart_delta.Eco_engines
 module Fm_engines = Hypart_fm.Fm_engines
-module Sa_engines = Hypart_sa.Sa_engines
 module Ml_kway = Hypart_multilevel.Ml_kway
 module Kway_fm = Hypart_fm.Kway_fm
 
@@ -177,7 +175,7 @@ let eco_chain =
              delta
          in
          let o =
-           Eco.run ~engine:Eco_engines.eco_fm ~scratch:Ml_engines.mlclip
+           Eco.run ~engine:Fm_engines.eco_fm ~scratch:Ml_engines.mlclip
              ~seed:(i + 1) ~prior p
          in
          go (i + 1) p.Patch.hypergraph
@@ -197,13 +195,14 @@ let eco_cases =
       fun () ->
         let p, prior, _ = List.nth (Lazy.force eco_chain) 3 in
         eco_digest
-          (Eco.run ~engine:Eco_engines.eco_ml ~scratch:Ml_engines.mlclip
+          (Eco.run ~engine:Ml_engines.eco_ml ~scratch:Ml_engines.mlclip
              ~seed:4 ~prior p) );
   ]
 
 (* Engine records: cut, assignment and the stats list (names, order
    and values), on three seeds each.  Recorded when FM, look-ahead FM,
-   SA and the multilevel partitioner still had records of their own. *)
+   SA, KL, spectral and the multilevel partitioner still had records
+   of their own. *)
 let few_seeds = [ 1; 2; 3 ]
 
 let digest_stats stats =
@@ -222,10 +221,15 @@ let of_engine_result (r : Engine.Result.t) =
 
 let per_few_seeds f = String.concat " " (List.map f few_seeds)
 
-let engine_case engine () =
+let engine_case ?(problem = problem) engine () =
   let p = problem () in
   per_few_seeds (fun seed ->
       of_engine_result (Engine.run engine (Rng.create seed) p None))
+
+(* KL is O(n^2) per pair selection: one start takes 0.12 s on the
+   scale-64 twin against 7 s at scale 16; spectral runs at scale 16 *)
+let tiny_instance = lazy (Suite.instance ~scale:64.0 "ibm01")
+let twin_problem instance () = Problem.make ~tolerance:0.10 (Lazy.force instance)
 
 let record_cases =
   [
@@ -246,7 +250,10 @@ let record_cases =
             let r = Ml_kway.run ~k:4 (Rng.create seed) h in
             of_record r.Kway_fm.cut r.Kway_fm.part_of r.Kway_fm.stats) );
     ("lookahead engine", engine_case Fm_engines.lookahead);
-    ("sa engine", engine_case Sa_engines.sa);
+    ("sa engine", engine_case Hypart_sa.Sa_partitioner.engine);
+    ("kl engine", engine_case ~problem:(twin_problem tiny_instance) Hypart_kl.Kl.engine);
+    ( "spectral engine",
+      engine_case ~problem:(twin_problem small_instance) Hypart_spectral.Spectral.engine );
   ]
 
 let expected =
@@ -421,12 +428,14 @@ let expected =
           "240:9d87465d6f952ecc97660f5da61b938c:7f1d6169349f619539d7661c9a7d5c0c";
           "236:f06a1ab58068293c2fd81d04d3ded9d0:62e7c83d383b8b19785045123e5c7b8a";
         ] );
+    (* stats re-recorded when they came to count every coarsest start
+       and every level's refinement; cuts and assignments unchanged *)
     ( "ml_kway k=4",
       String.concat " "
         [
-          "253:58f466d0dd5733f2a68934ff1bb68d33:387d93486b1a0f7220e00bd0611d7c5a";
-          "271:5553d326166d9eaab22ea3452ce8d985:f740698b717ca9092c9de42d032228c5";
-          "256:6744298357ecb58d060b7051273626ef:02534181fa058765ae3356019948cd2e";
+          "253:58f466d0dd5733f2a68934ff1bb68d33:1a6dc4a93cb72b87d5f354920d7acbbb";
+          "271:5553d326166d9eaab22ea3452ce8d985:1e2823703e02549d9f3f5621b5040301";
+          "256:6744298357ecb58d060b7051273626ef:12f21748b4fd0c9f5d0821a1a68b778b";
         ] );
     ( "lookahead engine",
       String.concat " "
@@ -441,6 +450,20 @@ let expected =
           "314:7a38a73c72c77b85281f81fdd2de8f0c:e3c9caff2e4fe76dd5ae4fde2fd8363b";
           "2439:05050ad63791a622319a090880f752a4:c34ebb4e5bc91a3c8cfeb65c4a15a85a";
           "2444:64245f3531df5bea322665f38ba26e10:7b979ec3eb2dea9c6eaec19660457b00";
+        ] );
+    ( "kl engine",
+      String.concat " "
+        [
+          "59:aba19dc5fba50e4c96491c8924f297ec:3dfe55186b2eee01489fce6934e4e4d1";
+          "59:b8abf34a9c14c38500e56f493e59d2a4:8a9ff675bc3cc0afb1be4db04d1bc627";
+          "77:48251cde8bf7f8498f3300ec0dde192f:8a9ff675bc3cc0afb1be4db04d1bc627";
+        ] );
+    ( "spectral engine",
+      String.concat " "
+        [
+          "39:ff42594879087d2f0b7263252e29a32e:c59c76ad4ef72965fe8bf549980a9331";
+          "52:82baf908a7646de5db2803df237c2210:f6521c919ab902161958414e69cdb4d9";
+          "53:8db7303809c4cb50bb0a3ff441dc86b7:dfff927911e656fb7d15452a651b24a9";
         ] );
   ]
 

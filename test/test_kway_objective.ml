@@ -52,6 +52,37 @@ let test_part_weights () =
       try ignore (K.part_weights h [| 0; 1; 5; 1; 0 |] ~k:3)
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
+(* the figure is the larger deviation, over or under the target, as
+   the two-sided window judges it: parts 10% over and 20% under read
+   20%, not the heaviest part's 10% *)
+let test_imbalance () =
+  let imbalance weights =
+    let n = Array.length weights in
+    let h = H.create ~vertex_weights:weights ~num_vertices:n ~edges:[||] () in
+    K.imbalance h (Array.init n Fun.id) ~k:n
+  in
+  Alcotest.(check (float 1e-9)) "exact" 0. (imbalance [| 100; 100; 100; 100 |]);
+  Alcotest.(check (float 1e-9)) "over only" 0.20 (imbalance [| 120; 100; 90; 90 |]);
+  Alcotest.(check (float 1e-9))
+    "lightest 20% under" 0.20
+    (imbalance [| 110; 110; 100; 80 |]);
+  Alcotest.(check string)
+    "printed" "20.00%"
+    (Printf.sprintf "%.2f%%" (100. *. imbalance [| 110; 110; 100; 80 |]))
+
+(* passes count every coarsest start (10) and every level's
+   refinement, not the finest level's at most 4 *)
+let test_ml_kway_stats () =
+  let h = Hypart_generator.Ibm_suite.instance ~scale:32.0 "ibm01" in
+  let r = Hypart_multilevel.Ml_kway.run ~k:4 (Hypart_rng.Rng.create 1) h in
+  Alcotest.(check (list string))
+    "names" [ "passes"; "moves" ]
+    (List.map fst r.Hypart_fm.Kway_fm.stats);
+  let passes = List.assoc "passes" r.Hypart_fm.Kway_fm.stats in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f passes >= 10 starts" passes)
+    true (passes >= 10.)
+
 let test_consistency_with_engines () =
   let h = Hypart_generator.Ibm_suite.instance ~scale:32.0 "ibm01" in
   let r = Hypart_multilevel.Recursive_bisection.run ~k:4 (Hypart_rng.Rng.create 1) h in
@@ -120,6 +151,8 @@ let () =
             test_metrics_agree_for_bipartitions;
           Alcotest.test_case "weighted" `Quick test_weighted;
           Alcotest.test_case "part weights" `Quick test_part_weights;
+          Alcotest.test_case "imbalance both sides" `Quick test_imbalance;
+          Alcotest.test_case "ml kway stats" `Quick test_ml_kway_stats;
           Alcotest.test_case "engine consistency" `Quick
             test_consistency_with_engines;
           Alcotest.test_case "ml kway multistart" `Quick test_ml_kway_multistart;

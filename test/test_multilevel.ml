@@ -440,6 +440,9 @@ let test_ml_kway_invalid () =
 
 module Kl = Hypart_kl.Kl
 
+(* KL keeps an equal-cardinality bisection whatever the window *)
+let kl_problem h = Problem.make ~tolerance:0.10 h
+
 let test_kl_two_cliques () =
   let clique lo =
     let acc = ref [] in
@@ -452,16 +455,16 @@ let test_kl_two_cliques () =
   in
   let edges = Array.of_list (clique 0 @ clique 8 @ [ [| 0; 8 |] ]) in
   let h = H.create ~num_vertices:16 ~edges () in
-  let r = Kl.run_random_start (Rng.create 20) h in
-  Alcotest.(check int) "optimal cut" 1 r.Kl.cut;
-  Alcotest.(check int) "cut consistent" (Bipartition.cut h r.Kl.solution) r.Kl.cut
+  let r = Kl.run_random_start (Rng.create 20) (kl_problem h) in
+  Alcotest.(check int) "optimal cut" 1 r.Engine.Result.cut;
+  Alcotest.(check int) "cut consistent" (Bipartition.cut h r.Engine.Result.solution) r.Engine.Result.cut
 
 let test_kl_preserves_cardinality () =
   let h = random_instance ~nv:40 ~ne:80 21 in
-  let r = Kl.run_random_start (Rng.create 22) h in
+  let r = Kl.run_random_start (Rng.create 22) (kl_problem h) in
   let n0 = ref 0 in
   for v = 0 to 39 do
-    if Bipartition.side r.Kl.solution v = 0 then incr n0
+    if Bipartition.side r.Engine.Result.solution v = 0 then incr n0
   done;
   Alcotest.(check int) "exact bisection kept" 20 !n0
 
@@ -471,7 +474,7 @@ let test_kl_rejects_unbalanced_start () =
   side.(0) <- 1;
   let s = Bipartition.make h side in
   Alcotest.check_raises "unbalanced rejected" (Invalid_argument "x") (fun () ->
-      try ignore (Kl.run (Rng.create 24) h s)
+      try ignore (Kl.run (Rng.create 24) (kl_problem h) s)
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let test_kl_improves () =
@@ -484,8 +487,8 @@ let test_kl_improves () =
   done;
   let s = Bipartition.make h side in
   let c0 = Bipartition.cut h s in
-  let r = Kl.run rng h s in
-  Alcotest.(check bool) "no worse" true (r.Kl.cut <= c0)
+  let r = Kl.run rng (kl_problem h) s in
+  Alcotest.(check bool) "no worse" true (r.Engine.Result.cut <= c0)
 
 let prop_ml_results_valid =
   QCheck.Test.make ~name:"ml results legal with consistent cut" ~count:15

@@ -4,6 +4,11 @@ module Rng = Hypart_rng.Rng
 module Bipartition = Hypart_partition.Bipartition
 module Spectral = Hypart_spectral.Spectral
 module Suite = Hypart_generator.Ibm_suite
+module Problem = Hypart_partition.Problem
+module Result = Hypart_engine.Engine.Result
+
+(* the sweep ignores the balance window; any tolerance will do *)
+let spectral seed h = Spectral.run (Rng.create seed) (Problem.make ~tolerance:0.10 h)
 
 (* -- clique expansion -- *)
 
@@ -56,10 +61,10 @@ let two_clusters () =
 
 let test_spectral_two_clusters () =
   let h = two_clusters () in
-  let r = Spectral.run (Rng.create 1) h in
-  Alcotest.(check int) "finds the bridge" 1 r.Spectral.cut;
+  let r = spectral 1 h in
+  Alcotest.(check int) "finds the bridge" 1 r.Result.cut;
   (* the two cliques end up on opposite sides *)
-  let s = r.Spectral.solution in
+  let s = r.Result.solution in
   for v = 1 to 7 do
     Alcotest.(check int) "clique A together" (Bipartition.side s 0)
       (Bipartition.side s v)
@@ -72,8 +77,7 @@ let test_spectral_two_clusters () =
 let test_spectral_fiedler_signs () =
   (* on two cliques the Fiedler coordinates separate by sign *)
   let h = two_clusters () in
-  let r = Spectral.run (Rng.create 2) h in
-  let f = r.Spectral.fiedler in
+  let f = Spectral.fiedler (Rng.create 2) h in
   let sign x = x >= 0.0 in
   for v = 1 to 7 do
     Alcotest.(check bool) "same sign in A" (sign f.(0)) (sign f.(v))
@@ -82,22 +86,22 @@ let test_spectral_fiedler_signs () =
 
 let test_spectral_cut_consistent () =
   let h = Suite.instance ~scale:32.0 "ibm01" in
-  let r = Spectral.run (Rng.create 3) h in
+  let r = spectral 3 h in
   Alcotest.(check int) "cut matches solution"
-    (Bipartition.cut h r.Spectral.solution)
-    r.Spectral.cut;
+    (Bipartition.cut h r.Result.solution)
+    r.Result.cut;
   Alcotest.(check bool) "nonempty parts" true
-    (Bipartition.part_weight r.Spectral.solution 0 > 0
-    && Bipartition.part_weight r.Spectral.solution 1 > 0)
+    (Bipartition.part_weight r.Result.solution 0 > 0
+    && Bipartition.part_weight r.Result.solution 1 > 0)
 
 let test_spectral_better_than_random_split () =
   let h = Suite.instance ~scale:32.0 "ibm01" in
-  let r = Spectral.run (Rng.create 4) h in
+  let r = spectral 4 h in
   (* random split of the same sizes *)
   let n = H.num_vertices h in
   let k = ref 0 in
   for v = 0 to n - 1 do
-    if Bipartition.side r.Spectral.solution v = 0 then incr k
+    if Bipartition.side r.Result.solution v = 0 then incr k
   done;
   let perm = Rng.permutation (Rng.create 5) n in
   let side = Array.make n 1 in
@@ -106,22 +110,22 @@ let test_spectral_better_than_random_split () =
   done;
   let random_cut = Bipartition.cut h (Bipartition.make h side) in
   Alcotest.(check bool)
-    (Printf.sprintf "spectral %d < random %d" r.Spectral.cut random_cut)
+    (Printf.sprintf "spectral %d < random %d" r.Result.cut random_cut)
     true
-    (r.Spectral.cut < random_cut)
+    (r.Result.cut < random_cut)
 
 let test_spectral_deterministic () =
   let h = Suite.instance ~scale:64.0 "ibm02" in
-  let a = Spectral.run (Rng.create 6) h in
-  let b = Spectral.run (Rng.create 6) h in
-  Alcotest.(check int) "same seed same cut" a.Spectral.cut b.Spectral.cut
+  let a = spectral 6 h in
+  let b = spectral 6 h in
+  Alcotest.(check int) "same seed same cut" a.Result.cut b.Result.cut
 
 let test_spectral_tiny () =
   let h = H.create ~num_vertices:2 ~edges:[| [| 0; 1 |] |] () in
-  let r = Spectral.run (Rng.create 7) h in
-  Alcotest.(check bool) "handles 2 vertices" true (r.Spectral.cut >= 0);
+  let r = spectral 7 h in
+  Alcotest.(check bool) "handles 2 vertices" true (r.Result.cut >= 0);
   Alcotest.check_raises "rejects 1 vertex" (Invalid_argument "x") (fun () ->
-      try ignore (Spectral.run (Rng.create 8) (H.create ~num_vertices:1 ~edges:[||] ()))
+      try ignore (spectral 8 (H.create ~num_vertices:1 ~edges:[||] ()))
       with Invalid_argument _ -> raise (Invalid_argument "x"))
 
 let () =
