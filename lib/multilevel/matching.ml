@@ -35,16 +35,24 @@ let best_candidate score touched n_touched =
   done;
   !best
 
-(* Pair matching (EC / heavy-edge): visit vertices in random order and
-   pair each unmatched vertex with its best unmatched neighbour. *)
-let pair_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
+(* Neighbour matching (EC / heavy-edge / FirstChoice): visit vertices in
+   random order and join each unclustered vertex to its best-scoring
+   neighbour.  A pair scheme only offers unclustered neighbours, so every
+   cluster is a pair or a singleton; FirstChoice also offers clustered
+   ones, whose cluster [v] then joins, so clusters grow beyond pairs
+   (bounded by the weight cap).  The scheme decides only the net's
+   weight in the score and whether clustered neighbours are offered. *)
+let neighbour_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
   let n = H.num_vertices h in
   let voff = Csr.vertex_offset h and vedges = Csr.vertex_edges h in
   let eoff = Csr.edge_offset h and epins = Csr.edge_pins h in
   let vw = Csr.vertex_weight h and ew = Csr.edge_weight h in
   let restricted, part = parts_of restrict_to_parts in
-  let heavy = scheme = Heavy_edge in
+  let heavy = scheme = Heavy_edge and grow = scheme = First_choice in
   let cluster_of = Array.make n (-1) in
+  (* a cluster's weight and fixed side, kept only when clusters grow *)
+  let cluster_weight = if grow then Array.make n 0 else [||] in
+  let cluster_fixed = if grow then Array.make n (-1) else [||] in
   let next_cluster = ref 0 in
   let score = Array.make n 0.0 in
   let stamp = Array.make n (-1) in
@@ -67,71 +75,18 @@ let pair_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
           in
           for j = lo to hi - 1 do
             let u = ba epins j in
-            if cluster_of.(u) = -1
-               && u <> v
-               && wv + ba vw u <= max_cluster_weight
-               && (fv < 0 || fixed.(u) < 0 || fv = fixed.(u))
-               && ((not restricted) || part.(u) = pv)
-            then begin
-              if stamp.(u) <> v then begin
-                stamp.(u) <- v;
-                score.(u) <- 0.0;
-                touched.(!n_touched) <- u;
-                incr n_touched
-              end;
-              score.(u) <- score.(u) +. w
-            end
-          done
-        end
-      done;
-      let best = best_candidate score touched !n_touched in
-      let c = !next_cluster in
-      incr next_cluster;
-      cluster_of.(v) <- c;
-      if best >= 0 then cluster_of.(best) <- c
-    end
-  done;
-  (cluster_of, !next_cluster)
-
-(* FirstChoice: the chosen neighbour may already be clustered, so
-   clusters grow beyond pairs (bounded by the weight cap). *)
-let first_choice ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
-  let n = H.num_vertices h in
-  let voff = Csr.vertex_offset h and vedges = Csr.vertex_edges h in
-  let eoff = Csr.edge_offset h and epins = Csr.edge_pins h in
-  let vw = Csr.vertex_weight h and ew = Csr.edge_weight h in
-  let restricted, part = parts_of restrict_to_parts in
-  let cluster_of = Array.make n (-1) in
-  let cluster_weight = Array.make n 0 in
-  let cluster_fixed = Array.make n (-1) in
-  let next_cluster = ref 0 in
-  let score = Array.make n 0.0 in
-  let stamp = Array.make n (-1) in
-  let touched = Array.make n 0 in
-  let order = Rng.permutation rng n in
-  for oi = 0 to n - 1 do
-    let v = order.(oi) in
-    if cluster_of.(v) = -1 then begin
-      let wv = ba vw v and fv = fixed.(v) in
-      let pv = if restricted then part.(v) else 0 in
-      let n_touched = ref 0 in
-      for i = ba voff v to ba voff (v + 1) - 1 do
-        let e = ba vedges i in
-        let lo = ba eoff e and hi = ba eoff (e + 1) in
-        let size = hi - lo in
-        if size <= skip_nets_above then begin
-          let w = float_of_int (ba ew e) /. float_of_int (size - 1) in
-          for j = lo to hi - 1 do
-            let u = ba epins j in
-            (* joinable: u's cluster (or u alone) takes v's weight and
-               agrees with v's fixed side *)
+            (* joinable: u alone (or u's cluster) takes v's weight,
+               agrees with v's fixed side and lies in v's part *)
             let cu = cluster_of.(u) in
-            let target_weight = if cu = -1 then ba vw u else cluster_weight.(cu) in
-            let target_fixed = if cu = -1 then fixed.(u) else cluster_fixed.(cu) in
-            if u <> v
+            if (if cu = -1 then
+                  u <> v
+                  && wv + ba vw u <= max_cluster_weight
+                  && (fv < 0 || fixed.(u) < 0 || fv = fixed.(u))
+                else
+                  grow
+                  && wv + cluster_weight.(cu) <= max_cluster_weight
+                  && (fv < 0 || cluster_fixed.(cu) < 0 || fv = cluster_fixed.(cu)))
                && ((not restricted) || part.(u) = pv)
-               && wv + target_weight <= max_cluster_weight
-               && (fv < 0 || target_fixed < 0 || fv = target_fixed)
             then begin
               if stamp.(u) <> v then begin
                 stamp.(u) <- v;
@@ -144,25 +99,23 @@ let first_choice ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
           done
         end
       done;
-      let best = best_candidate score touched !n_touched in
-      let u = best in
-      let c =
-        if u >= 0 && cluster_of.(u) >= 0 then cluster_of.(u)
-        else begin
-          (* a fresh cluster: v's own, or one founded by u *)
-          let c = !next_cluster in
-          incr next_cluster;
-          let founder = if u >= 0 then u else v in
-          cluster_of.(founder) <- c;
-          cluster_weight.(c) <- ba vw founder;
-          cluster_fixed.(c) <- fixed.(founder);
-          c
-        end
-      in
-      if u >= 0 then begin
+      let u = best_candidate score touched !n_touched in
+      if u >= 0 && cluster_of.(u) >= 0 then begin
+        let c = cluster_of.(u) in
         cluster_of.(v) <- c;
         cluster_weight.(c) <- cluster_weight.(c) + wv;
         if fv >= 0 then cluster_fixed.(c) <- fv
+      end
+      else begin
+        (* a fresh cluster: v's own, or v paired with u *)
+        let c = !next_cluster in
+        incr next_cluster;
+        cluster_of.(v) <- c;
+        if u >= 0 then cluster_of.(u) <- c;
+        if grow then begin
+          cluster_weight.(c) <- wv + (if u >= 0 then ba vw u else 0);
+          cluster_fixed.(c) <- (if fv >= 0 then fv else if u >= 0 then fixed.(u) else -1)
+        end
       end
     end
   done;
@@ -225,9 +178,7 @@ let hyperedge_coarsening ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h =
 
 let compute ~scheme ~rng ~max_cluster_weight ~fixed ?restrict_to_parts h =
   match scheme with
-  | Edge_coarsening | Heavy_edge ->
-    pair_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h
-  | First_choice ->
-    first_choice ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h
+  | Edge_coarsening | Heavy_edge | First_choice ->
+    neighbour_matching ~scheme ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h
   | Hyperedge_coarsening ->
     hyperedge_coarsening ~rng ~max_cluster_weight ~fixed ~restrict_to_parts h

@@ -44,57 +44,74 @@ let test_matching_is_clustering () =
     (fun s -> Alcotest.(check bool) "pair or singleton" true (s = 1 || s = 2))
     size
 
+(* The three neighbour-matching schemes share one loop: the cap, fixed
+   side and part checks hold for each, on both its unclustered and (for
+   FirstChoice) clustered candidates. *)
+let neighbour_schemes =
+  [ Matching.Edge_coarsening; Matching.Heavy_edge; Matching.First_choice ]
+
 let test_matching_respects_weight_cap () =
   let weights = Array.init 20 (fun i -> if i < 10 then 8 else 1) in
   let edges = Array.init 30 (fun i -> [| i mod 20; (i + 1) mod 20 |]) in
   let h = H.create ~num_vertices:20 ~vertex_weights:weights ~edges () in
   let fixed = Array.make 20 (-1) in
-  let cluster_of, k =
-    Matching.compute ~scheme:Matching.Edge_coarsening ~rng:(Rng.create 3)
-      ~max_cluster_weight:9 ~fixed h
-  in
-  (* two weight-8 vertices may never merge (8+8 > 9) *)
-  let cluster_weight = Array.make k 0 in
-  Array.iteri
-    (fun v c -> cluster_weight.(c) <- cluster_weight.(c) + weights.(v))
-    cluster_of;
-  Array.iter
-    (fun w -> Alcotest.(check bool) "cap respected" true (w <= 9))
-    cluster_weight
+  List.iter
+    (fun scheme ->
+      let cluster_of, k =
+        Matching.compute ~scheme ~rng:(Rng.create 3) ~max_cluster_weight:9
+          ~fixed h
+      in
+      (* two weight-8 vertices may never merge (8+8 > 9) *)
+      let cluster_weight = Array.make k 0 in
+      Array.iteri
+        (fun v c -> cluster_weight.(c) <- cluster_weight.(c) + weights.(v))
+        cluster_of;
+      Array.iter
+        (fun w -> Alcotest.(check bool) "cap respected" true (w <= 9))
+        cluster_weight)
+    neighbour_schemes
 
 let test_matching_respects_fixed () =
   let h = random_instance 4 in
   let fixed = Array.init 80 (fun v -> if v < 20 then v mod 2 else -1) in
-  let cluster_of, _ =
-    Matching.compute ~scheme:Matching.Heavy_edge ~rng:(Rng.create 5)
-      ~max_cluster_weight:100 ~fixed h
-  in
-  (* no cluster may contain vertices fixed to different sides *)
-  let side_of_cluster = Hashtbl.create 16 in
-  Array.iteri
-    (fun v c ->
-      if fixed.(v) >= 0 then
-        match Hashtbl.find_opt side_of_cluster c with
-        | None -> Hashtbl.add side_of_cluster c fixed.(v)
-        | Some s ->
-          Alcotest.(check int) "consistent fixed sides in cluster" s fixed.(v))
-    cluster_of
+  List.iter
+    (fun scheme ->
+      let cluster_of, _ =
+        Matching.compute ~scheme ~rng:(Rng.create 5) ~max_cluster_weight:100
+          ~fixed h
+      in
+      (* no cluster may contain vertices fixed to different sides *)
+      let side_of_cluster = Hashtbl.create 16 in
+      Array.iteri
+        (fun v c ->
+          if fixed.(v) >= 0 then
+            match Hashtbl.find_opt side_of_cluster c with
+            | None -> Hashtbl.add side_of_cluster c fixed.(v)
+            | Some s ->
+              Alcotest.(check int) "consistent fixed sides in cluster" s
+                fixed.(v))
+        cluster_of)
+    neighbour_schemes
 
 let test_matching_respects_partition_restriction () =
   let h = random_instance 6 in
   let fixed = Array.make 80 (-1) in
   let part = Array.init 80 (fun v -> v mod 2) in
-  let cluster_of, _ =
-    Matching.compute ~scheme:Matching.Edge_coarsening ~rng:(Rng.create 7)
-      ~max_cluster_weight:100 ~fixed ~restrict_to_parts:part h
-  in
-  let part_of_cluster = Hashtbl.create 16 in
-  Array.iteri
-    (fun v c ->
-      match Hashtbl.find_opt part_of_cluster c with
-      | None -> Hashtbl.add part_of_cluster c part.(v)
-      | Some p -> Alcotest.(check int) "cluster stays in one part" p part.(v))
-    cluster_of
+  List.iter
+    (fun scheme ->
+      let cluster_of, _ =
+        Matching.compute ~scheme ~rng:(Rng.create 7) ~max_cluster_weight:100
+          ~fixed ~restrict_to_parts:part h
+      in
+      let part_of_cluster = Hashtbl.create 16 in
+      Array.iteri
+        (fun v c ->
+          match Hashtbl.find_opt part_of_cluster c with
+          | None -> Hashtbl.add part_of_cluster c part.(v)
+          | Some p ->
+            Alcotest.(check int) "cluster stays in one part" p part.(v))
+        cluster_of)
+    neighbour_schemes
 
 let test_first_choice_grows_clusters () =
   let h = instance () in
