@@ -375,8 +375,7 @@ let run ?(config = default_config) ~engine ~scratch ~seed ~prior
           {
             Engine.Result.solution = initial;
             cut = projected_cut;
-            legal =
-              Bipartition.is_legal initial problem.Hypart_partition.Problem.balance;
+            legal = Problem.is_legal problem initial;
             stats = [];
           };
         seconds = 0.;
@@ -420,9 +419,7 @@ let run ?(config = default_config) ~engine ~scratch ~seed ~prior
                 {
                   Engine.Result.solution;
                   cut = Bipartition.cut h solution;
-                  legal =
-                    Bipartition.is_legal solution
-                      problem.Hypart_partition.Problem.balance;
+                  legal = Problem.is_legal problem solution;
                   stats = sub_result.Engine.Result.stats;
                 }))
       in

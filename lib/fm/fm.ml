@@ -525,7 +525,7 @@ let run ?(config = Fm_config.default) rng problem initial =
     Metrics.incr "gain.repositions"
       ~by:(ops.Gain_container.repositions - ops0.Gain_container.repositions)
   end;
-  let legal = Bipartition.is_legal st.sol problem.Problem.balance in
+  let legal = Problem.is_legal problem st.sol in
   {
     Result.solution = st.sol;
     cut = st.cur_cut;

@@ -196,7 +196,7 @@ let run ?(lookahead = 2) rng problem initial =
   {
     Hypart_engine.Engine.Result.solution = st.sol;
     cut = st.cur_cut;
-    legal = Bipartition.is_legal st.sol problem.Problem.balance;
+    legal = Problem.is_legal problem st.sol;
     stats =
       [ ("passes", float_of_int !passes); ("moves", float_of_int st.n_moves) ];
   }

@@ -29,6 +29,8 @@ let run _rng problem initial =
           0.0 adj.(v)
     done
   in
+  (* a fixed vertex starts every pass locked, so it is never swapped *)
+  let fixed = problem.Problem.fixed in
   let locked = Array.make n false in
   let total_swaps = ref 0 in
   let passes = ref 0 in
@@ -36,7 +38,7 @@ let run _rng problem initial =
   while !improving && !passes < max_passes do
     Cancel.check ();
     incr passes;
-    Array.fill locked 0 n false;
+    Array.iteri (fun v f -> locked.(v) <- f >= 0) fixed;
     compute_d ();
     (* tentative swap sequence *)
     let seq = ref [] and gains = ref [] in
@@ -105,7 +107,7 @@ let run _rng problem initial =
   {
     Engine.Result.solution;
     cut = Bipartition.cut h solution;
-    legal = Bipartition.is_legal solution problem.Problem.balance;
+    legal = Problem.is_legal problem solution;
     stats =
       [ ("passes", float_of_int !passes); ("swaps", float_of_int !total_swaps) ];
   }
@@ -113,11 +115,19 @@ let run _rng problem initial =
 let run_random_start rng problem =
   let h = problem.Problem.hypergraph in
   let n = H.num_vertices h in
+  let fixed = problem.Problem.fixed in
   let perm = Rng.permutation rng n in
-  let side = Array.make n 1 in
-  for i = 0 to (n / 2) - 1 do
-    side.(perm.(i)) <- 0
-  done;
+  (* fixed vertices on their sides; free ones in [perm] order fill side
+     0 up to n/2, the rest go to side 1 *)
+  let side = Array.map (fun f -> if f = 0 then 0 else 1) fixed in
+  let n0 = ref (Array.fold_left (fun acc f -> if f = 0 then acc + 1 else acc) 0 fixed) in
+  Array.iter
+    (fun v ->
+      if fixed.(v) < 0 && !n0 < n / 2 then begin
+        side.(v) <- 0;
+        incr n0
+      end)
+    perm;
   run rng problem (Bipartition.make h side)
 
 let engine =

@@ -14,11 +14,14 @@ val run :
   Hypart_partition.Bipartition.t ->
   Hypart_engine.Engine.Result.t
 (** Improve an initial solution (counts on each side must differ by at
-    most one; weights, the balance window and fixed vertices are
-    ignored) by passes until one finds no improving prefix, at most 20.
-    The result's [cut] is the hyperedge cut (not the clique-model
-    cost); [legal] says whether the equal-cardinality bisection happens
-    to satisfy the problem's balance window.  Stats: [passes], and
+    most one; weights and the balance window are ignored) by passes
+    until one finds no improving prefix, at most 20.  A fixed vertex is
+    locked from the start of every pass, so it is never swapped and
+    stays on whatever side [initial] gives it.  The result's [cut] is
+    the hyperedge cut (not the clique-model cost); [legal] is
+    {!Hypart_partition.Problem.is_legal}: whether the equal-cardinality
+    bisection happens to satisfy the balance window, and every fixed
+    vertex is on its side.  Stats: [passes], and
     [swaps] (every swap applied, rolled-back ones included).  The
     cancel hook is polled before every pass and before every row of a
     pair selection.  @raise Invalid_argument on an unequal start. *)
@@ -27,7 +30,11 @@ val run_random_start :
   Hypart_rng.Rng.t ->
   Hypart_partition.Problem.t ->
   Hypart_engine.Engine.Result.t
-(** Random equal-cardinality start, then {!run}. *)
+(** Random equal-cardinality start, then {!run}.  Fixed vertices start
+    on their sides and free ones fill side 0 up to [n/2] in a random
+    order, so with nothing fixed this is a uniformly random bisection.
+    @raise Invalid_argument when more than half the vertices are fixed
+    to one side (no equal-cardinality start keeps them). *)
 
 val engine : Hypart_engine.Engine.t
 (** [kl]: {!run} from the given initial solution, or

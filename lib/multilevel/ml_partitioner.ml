@@ -131,7 +131,7 @@ let evaluate problem solution =
   {
     Result.solution;
     cut = Bipartition.cut problem.Problem.hypergraph solution;
-    legal = Bipartition.is_legal solution problem.Problem.balance;
+    legal = Problem.is_legal problem solution;
     stats = [];
   }
 

@@ -30,3 +30,12 @@ let make ?fixed ?fraction ~tolerance h =
   { hypergraph = h; balance; fixed }
 
 let is_free p v = p.fixed.(v) < 0
+
+let is_legal p s =
+  Bipartition.is_legal s p.balance
+  &&
+  let ok = ref true in
+  Array.iteri
+    (fun v f -> if f >= 0 && Bipartition.side s v <> f then ok := false)
+    p.fixed;
+  !ok

@@ -37,3 +37,8 @@ val with_balance :
     the constraint's. *)
 
 val is_free : t -> int -> bool
+
+val is_legal : t -> Bipartition.t -> bool
+(** [is_legal problem s]: [s] satisfies the balance window and puts
+    every fixed vertex on its side.  This is the rule every 2-way
+    result's [legal] field reports. *)

@@ -107,7 +107,7 @@ let run rng problem =
   {
     Engine.Result.solution;
     cut;
-    legal = Bipartition.is_legal solution problem.Problem.balance;
+    legal = Problem.is_legal problem solution;
     stats = [ ("ratio_cut", ratio_cut); ("iterations", float_of_int used) ];
   }
 

@@ -21,8 +21,12 @@ val run :
     hypergraph.  The power iteration stops at 200 iterations or on
     convergence, polling the cancel hook before each; the sweep skips
     prefixes holding less than 5% of the total vertex weight on either
-    side.  The balance window plays no part in the sweep: [legal] says
-    whether the chosen split happens to satisfy it.  Stats:
+    side.  The balance window and fixed vertices play no part, by
+    design: like vertex area, they do not enter the Fiedler vector, so
+    a fixed vertex can land on either side.  [legal] is
+    {!Hypart_partition.Problem.is_legal}: whether the chosen split
+    happens to satisfy the window and put every fixed vertex on its
+    side.  Stats:
     [ratio_cut] (the optimized objective) and [iterations] (power
     iterations used).  @raise Invalid_argument on hypergraphs with
     fewer than two vertices. *)

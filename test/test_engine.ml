@@ -214,6 +214,32 @@ let test_kl_polls_inside_pass () =
     (Printf.sprintf "%d polls > %d passes" !polls passes)
     true (!polls > passes)
 
+(* Every 2-way engine either keeps each fixed vertex on its side or
+   says its result is illegal; KL, which swaps only free pairs, keeps
+   them all.  Every tenth vertex of the scale-64 ibm01 twin is fixed,
+   alternating sides. *)
+let test_fixed_vertices_kept_or_reported () =
+  let h = Suite.instance ~scale:64.0 "ibm01" in
+  let fixed =
+    Array.init (H.num_vertices h) (fun v -> if v mod 10 = 0 then v / 10 mod 2 else -1)
+  in
+  let problem = Problem.make ~fixed ~tolerance:0.10 h in
+  List.iter
+    (fun engine ->
+      let name = Engine.name engine in
+      let r = Engine.run engine (Rng.create 1) problem None in
+      let off = ref 0 in
+      Array.iteri
+        (fun v f ->
+          if f >= 0 && Bipartition.side r.Engine.Result.solution v <> f then incr off)
+        fixed;
+      if name = "kl" then Alcotest.(check int) "kl: fixed vertices off side" 0 !off;
+      if !off > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d fixed off side, so illegal" name !off)
+          false r.Engine.Result.legal)
+    (Engine.all ())
+
 (* -- Combinators -- *)
 
 let test_multistart_improves () =
@@ -411,6 +437,8 @@ let () =
             test_cancel_every_engine;
           Alcotest.test_case "kl polls inside a pass" `Quick
             test_kl_polls_inside_pass;
+          Alcotest.test_case "fixed vertices kept or reported" `Quick
+            test_fixed_vertices_kept_or_reported;
         ] );
       ( "combinators",
         [
