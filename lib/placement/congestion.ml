@@ -2,25 +2,6 @@ module H = Hypart_hypergraph.Hypergraph
 
 type t = { bins : int; demand : float array array }
 
-let total_demand h pl =
-  let total = ref 0.0 in
-  for e = 0 to H.num_edges h - 1 do
-    if H.edge_size h e >= 2 then begin
-      let min_x = ref infinity and max_x = ref neg_infinity in
-      let min_y = ref infinity and max_y = ref neg_infinity in
-      H.iter_pins h e (fun v ->
-          if pl.Topdown.x.(v) < !min_x then min_x := pl.Topdown.x.(v);
-          if pl.Topdown.x.(v) > !max_x then max_x := pl.Topdown.x.(v);
-          if pl.Topdown.y.(v) < !min_y then min_y := pl.Topdown.y.(v);
-          if pl.Topdown.y.(v) > !max_y then max_y := pl.Topdown.y.(v));
-      total :=
-        !total
-        +. (float_of_int (H.edge_weight h e)
-            *. (!max_x -. !min_x +. (!max_y -. !min_y)))
-    end
-  done;
-  !total
-
 let rudy ?(bins = 16) h pl =
   if bins < 1 then invalid_arg "Congestion.rudy: bins must be >= 1";
   let demand = Array.make_matrix bins bins 0.0 in
@@ -29,26 +10,21 @@ let rudy ?(bins = 16) h pl =
   if bw > 0.0 && bh > 0.0 then
     for e = 0 to H.num_edges h - 1 do
       if H.edge_size h e >= 2 then begin
-        let min_x = ref infinity and max_x = ref neg_infinity in
-        let min_y = ref infinity and max_y = ref neg_infinity in
-        H.iter_pins h e (fun v ->
-            if pl.Topdown.x.(v) < !min_x then min_x := pl.Topdown.x.(v);
-            if pl.Topdown.x.(v) > !max_x then max_x := pl.Topdown.x.(v);
-            if pl.Topdown.y.(v) < !min_y then min_y := pl.Topdown.y.(v);
-            if pl.Topdown.y.(v) > !max_y then max_y := pl.Topdown.y.(v));
+        let { Topdown.x0 = min_x; x1 = max_x; y0 = min_y; y1 = max_y } as box =
+          Topdown.net_box h pl e
+        in
         let net_demand =
-          float_of_int (H.edge_weight h e)
-          *. (!max_x -. !min_x +. (!max_y -. !min_y))
+          float_of_int (H.edge_weight h e) *. Topdown.half_perimeter box
         in
         if net_demand > 0.0 then begin
           (* spread uniformly over the bounding box, proportionally to
              each bin's overlap with it *)
-          let area = (!max_x -. !min_x) *. (!max_y -. !min_y) in
+          let area = (max_x -. min_x) *. (max_y -. min_y) in
           let clamp b = max 0 (min (bins - 1) b) in
-          let bx0 = clamp (int_of_float (!min_x /. bw)) in
-          let bx1 = clamp (int_of_float (!max_x /. bw)) in
-          let by0 = clamp (int_of_float (!min_y /. bh)) in
-          let by1 = clamp (int_of_float (!max_y /. bh)) in
+          let bx0 = clamp (int_of_float (min_x /. bw)) in
+          let bx1 = clamp (int_of_float (max_x /. bw)) in
+          let by0 = clamp (int_of_float (min_y /. bh)) in
+          let by1 = clamp (int_of_float (max_y /. bh)) in
           if area = 0.0 then begin
             (* degenerate (collinear) box: put everything in its bins
                uniformly *)
@@ -68,11 +44,11 @@ let rudy ?(bins = 16) h pl =
                 let cell_y0 = float_of_int by *. bh in
                 let ox =
                   Float.max 0.0
-                    (Float.min (cell_x0 +. bw) !max_x -. Float.max cell_x0 !min_x)
+                    (Float.min (cell_x0 +. bw) max_x -. Float.max cell_x0 min_x)
                 in
                 let oy =
                   Float.max 0.0
-                    (Float.min (cell_y0 +. bh) !max_y -. Float.max cell_y0 !min_y)
+                    (Float.min (cell_y0 +. bh) max_y -. Float.max cell_y0 min_y)
                 in
                 demand.(by).(bx) <- demand.(by).(bx) +. (density *. ox *. oy)
               done

@@ -24,7 +24,3 @@ val rudy :
 val peak : t -> float
 val average : t -> float
 
-(* kept: the quantity binning conserves, which the tests check *)
-val total_demand : Hypart_hypergraph.Hypergraph.t -> Topdown.placement -> float
-(** Sum of every net's demand [w(e) (dx + dy)] — conserved by binning
-    (up to clipping at the chip boundary), which the tests verify. *)

@@ -70,19 +70,11 @@ let local_hpwl h pl ~stamp ~serial vs =
       H.iter_edges h v (fun e ->
           if stamp.(e) <> serial then begin
             stamp.(e) <- serial;
-            if H.edge_size h e >= 2 then begin
-              let min_x = ref infinity and max_x = ref neg_infinity in
-              let min_y = ref infinity and max_y = ref neg_infinity in
-              H.iter_pins h e (fun u ->
-                  if pl.Topdown.x.(u) < !min_x then min_x := pl.Topdown.x.(u);
-                  if pl.Topdown.x.(u) > !max_x then max_x := pl.Topdown.x.(u);
-                  if pl.Topdown.y.(u) < !min_y then min_y := pl.Topdown.y.(u);
-                  if pl.Topdown.y.(u) > !max_y then max_y := pl.Topdown.y.(u));
+            if H.edge_size h e >= 2 then
               total :=
                 !total
                 +. (float_of_int (H.edge_weight h e)
-                    *. (!max_x -. !min_x +. (!max_y -. !min_y)))
-            end
+                    *. Topdown.half_perimeter (Topdown.net_box h pl e))
           end))
     vs;
   !total

@@ -166,22 +166,27 @@ let push_children pl queue r ~vertical ~cells0 ~cells1 h =
       Queue.push child queue)
     [ child0; child1 ]
 
+type box = { x0 : float; x1 : float; y0 : float; y1 : float }
+
+let net_box h pl e =
+  let min_x = ref infinity and max_x = ref neg_infinity in
+  let min_y = ref infinity and max_y = ref neg_infinity in
+  H.iter_pins h e (fun v ->
+      if pl.x.(v) < !min_x then min_x := pl.x.(v);
+      if pl.x.(v) > !max_x then max_x := pl.x.(v);
+      if pl.y.(v) < !min_y then min_y := pl.y.(v);
+      if pl.y.(v) > !max_y then max_y := pl.y.(v));
+  { x0 = !min_x; x1 = !max_x; y0 = !min_y; y1 = !max_y }
+
+let half_perimeter b = b.x1 -. b.x0 +. (b.y1 -. b.y0)
+
 let hpwl h pl =
   let total = ref 0.0 in
   for e = 0 to H.num_edges h - 1 do
-    if H.edge_size h e >= 2 then begin
-      let min_x = ref infinity and max_x = ref neg_infinity in
-      let min_y = ref infinity and max_y = ref neg_infinity in
-      H.iter_pins h e (fun v ->
-          if pl.x.(v) < !min_x then min_x := pl.x.(v);
-          if pl.x.(v) > !max_x then max_x := pl.x.(v);
-          if pl.y.(v) < !min_y then min_y := pl.y.(v);
-          if pl.y.(v) > !max_y then max_y := pl.y.(v));
+    if H.edge_size h e >= 2 then
       total :=
         !total
-        +. (float_of_int (H.edge_weight h e)
-            *. (!max_x -. !min_x +. (!max_y -. !min_y)))
-    end
+        +. (float_of_int (H.edge_weight h e) *. half_perimeter (net_box h pl e))
   done;
   !total
 

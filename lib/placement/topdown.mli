@@ -39,6 +39,15 @@ val place :
 (** Place all cells of the hypergraph in a square chip whose area is
     proportional to the total cell area. *)
 
+type box = { x0 : float; x1 : float; y0 : float; y1 : float }
+(** A net's bounding box: its pins span [[x0, x1] x [y0, y1]]. *)
+
+val net_box : Hypart_hypergraph.Hypergraph.t -> placement -> int -> box
+(** [net_box h pl e]: the bounding box of net [e]'s pins. *)
+
+val half_perimeter : box -> float
+(** [(x1 - x0) + (y1 - y0)]: a net's wirelength before its weight. *)
+
 val hpwl : Hypart_hypergraph.Hypergraph.t -> placement -> float
 (** Half-perimeter wirelength: for each net, (x span + y span), summed
     weighted by net weight — the standard coarse-placement quality

@@ -191,7 +191,7 @@ let test_rudy_conserves_demand () =
       (fun acc row -> Array.fold_left ( +. ) acc row)
       0.0 map.Congestion.demand
   in
-  let direct = Congestion.total_demand h pl in
+  let direct = Topdown.hpwl h pl in
   Alcotest.(check bool)
     (Printf.sprintf "binned %.0f ~ direct %.0f" binned direct)
     true
