@@ -9,28 +9,15 @@ module Run_store = Hypart_lab.Run_store
 module Fingerprint = Hypart_lab.Fingerprint
 module Orchestrator = Hypart_lab.Orchestrator
 
-type params = {
-  scale : float;
-  steps : int;
-  fraction : float;
-  tolerance : float;
-  radius : int;
-  fallback_fraction : float;
-  instances : string list;
-  seed : int;
-}
+type params = { scale : float; steps : int; instances : string list; seed : int }
 
 let params ?(scale = 8.0) ?(steps = 8) ~seed () =
-  {
-    scale;
-    steps;
-    fraction = 0.01;
-    tolerance = 0.02;
-    radius = 1;
-    fallback_fraction = 0.25;
-    instances = Suite.names_small;
-    seed;
-  }
+  { scale; steps; instances = Suite.names_small; seed }
+
+(* each step perturbs 1% of the previous instance; the warm runs use
+   [Eco.default_config], whose tolerance every problem here shares *)
+let fraction = 0.01
+let eco = Eco.default_config
 
 (* the warm engine and the from-scratch control: each record is keyed
    by the name of the engine that ran it *)
@@ -47,22 +34,15 @@ let config_fp p ~instance =
       ("campaign", "eco");
       ("instance", instance);
       ("scale", Printf.sprintf "%.9g" p.scale);
-      ("fraction", Printf.sprintf "%.9g" p.fraction);
-      ("tolerance", Printf.sprintf "%.9g" p.tolerance);
-      ("radius", string_of_int p.radius);
-      ("fallback", Printf.sprintf "%.9g" p.fallback_fraction);
+      ("fraction", Printf.sprintf "%.9g" fraction);
+      ("tolerance", Printf.sprintf "%.9g" eco.tolerance);
+      ("radius", string_of_int eco.radius);
+      ("fallback", Printf.sprintf "%.9g" eco.fallback_fraction);
     ]
 
 let job_seed p ~instance ~role ~step =
   Fingerprint.mix_seed ~base:p.seed
     [ "eco"; instance; role; string_of_int step ]
-
-let eco_config p =
-  {
-    Eco.radius = p.radius;
-    fallback_fraction = p.fallback_fraction;
-    tolerance = p.tolerance;
-  }
 
 (* Walk one instance's chain and return the base run's stored record
    and, per step, its delta's op count and its warm and scratch
@@ -90,7 +70,7 @@ let chain p ~execute store ~instance =
      base is a multistart best-of-4 (a single unlucky start would
      handicap the whole warm chain). *)
   let base_seed = job_seed p ~instance ~role:"base" ~step:0 in
-  let base_problem = Problem.make ~tolerance:p.tolerance h0 in
+  let base_problem = Problem.make ~tolerance:eco.tolerance h0 in
   let base =
     lazy
       (let best = ref None and total = ref 0. in
@@ -121,13 +101,13 @@ let chain p ~execute store ~instance =
       let drng =
         Rng.create (Fingerprint.mix_seed ~base:p.seed [ "eco"; instance; "delta"; string_of_int i ])
       in
-      let delta = Delta_gen.perturb ~base_fingerprint:fp ~rng:drng ~fraction:p.fraction h in
+      let delta = Delta_gen.perturb ~base_fingerprint:fp ~rng:drng ~fraction h in
       let patch = Patch.apply ~base:h ~base_fingerprint:fp delta in
       let warm_seed = job_seed p ~instance ~role:"warm" ~step:i in
       let scratch_seed = job_seed p ~instance ~role:"scratch" ~step:i in
       let warm =
         lazy
-          (Eco.run ~config:(eco_config p) ~engine:warm_engine ~scratch:scratch_engine
+          (Eco.run ~config:eco ~engine:warm_engine ~scratch:scratch_engine
              ~seed:warm_seed
              ~prior:(Lazy.force prior_of) patch)
       in
@@ -138,7 +118,7 @@ let chain p ~execute store ~instance =
       in
       let scratch_record =
         cell ~engine:scratch_engine ~instance:patch.fingerprint ~seed:scratch_seed (fun () ->
-            let problem = Problem.make ~tolerance:p.tolerance patch.hypergraph in
+            let problem = Problem.make ~tolerance:eco.tolerance patch.hypergraph in
             Machine.cpu_time (fun () ->
                 Engine.run scratch_engine (Rng.create scratch_seed) problem None))
       in
@@ -167,7 +147,7 @@ let report p store =
   Printf.bprintf b
     "scale %.9g, %d steps of %.2f%% perturbation, tolerance %.9g, radius %d, fallback fraction \
      %.9g, seed %d\n\n"
-    p.scale p.steps (100. *. p.fraction) p.tolerance p.radius p.fallback_fraction p.seed;
+    p.scale p.steps (100. *. fraction) eco.tolerance eco.radius eco.fallback_fraction p.seed;
   let cut = function
     | Some (r : Run_store.record) -> Printf.sprintf "%d%s" r.cut (if r.legal then "" else " (ILLEGAL)")
     | None -> "pending"

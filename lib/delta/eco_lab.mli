@@ -23,17 +23,15 @@
 type params = {
   scale : float;
   steps : int;
-  fraction : float;
-  tolerance : float;
-  radius : int;
-  fallback_fraction : float;
   instances : string list;
   seed : int;
 }
+(** Every step perturbs 1% of the previous instance, and every problem
+    and warm run uses {!Eco.default_config} (tolerance 0.02, radius 1,
+    fallback fraction 0.25). *)
 
 val params : ?scale:float -> ?steps:int -> seed:int -> unit -> params
-(** Campaign defaults: scale 8, 1% perturbations, tolerance 0.02,
-    radius 2, fallback fraction 0.25, instances
+(** Campaign defaults: scale 8, instances
     {!Hypart_generator.Ibm_suite.names_small}; [steps] defaults to 8. *)
 
 val run : params -> Hypart_lab.Run_store.t -> Hypart_lab.Orchestrator.outcome
