@@ -1,10 +1,12 @@
 (** Vertex matching for one coarsening level.
 
-    Vertices are visited in random order; each unmatched vertex is
-    paired with the unmatched neighbour of the highest connectivity
-    score, subject to a cluster-weight cap, fixed-side compatibility,
-    and (for V-cycling) a same-part restriction.  Unmatched vertices
-    become singleton clusters. *)
+    Three schemes share one neighbour-matching loop: vertices are
+    visited in random order and each unclustered vertex joins the
+    neighbour of the highest connectivity score, subject to a
+    cluster-weight cap, fixed-side compatibility, and (for V-cycling) a
+    same-part restriction.  A vertex with no such neighbour becomes a
+    singleton cluster.  The scheme decides only the net's weight in the
+    score and whether an already-clustered neighbour may be chosen. *)
 
 (** Clustering scheme for one coarsening level:
     - [Edge_coarsening] (hMetis "EC"): pair matching by connectivity
@@ -32,9 +34,10 @@ val compute :
   Hypart_hypergraph.Hypergraph.t ->
   int array * int
 (** [compute ~scheme ~rng ~max_cluster_weight ~fixed h] returns
-    [(cluster_of, num_clusters)].  Pairs are only formed when the
-    combined weight does not exceed [max_cluster_weight], the two
-    vertices are not fixed to different sides, and — when
-    [restrict_to_parts] is given — both lie in the same part.  Nets
+    [(cluster_of, num_clusters)].  A vertex only joins a neighbour (or,
+    under [First_choice], the neighbour's cluster) when the combined
+    weight does not exceed [max_cluster_weight], no two of its vertices
+    are fixed to different sides, and — when [restrict_to_parts] is
+    given — all lie in the same part.  Nets
     larger than 64 pins are ignored when scoring,
     as is standard in multilevel implementations. *)

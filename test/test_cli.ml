@@ -55,6 +55,27 @@ let test_generate () =
   Alcotest.(check bool) "hgr exists" true (Sys.file_exists (base ^ ".hgr"));
   Alcotest.(check bool) "are exists" true (Sys.file_exists (base ^ ".are"))
 
+(* without --seed, generate writes the twin every command builds from
+   the name: partitioning the file and the name print the same
+   hypergraph and the same cut *)
+let test_generate_writes_suite_twin () =
+  let twin = Filename.concat tmpdir "hypart_cli_twin16" in
+  check_ok "generate twin"
+    (run_cmd (Printf.sprintf "generate ibm01 --scale 16 -o %s" (Filename.quote twin)))
+    [ "wrote" ];
+  let answer input =
+    let code, out = run_cmd ("partition " ^ input ^ " --seed 1") in
+    Alcotest.(check int) (input ^ " exit code") 0 code;
+    String.split_on_char '\n' out
+    |> List.filter (fun l ->
+           String.starts_with ~prefix:"hypergraph:" l
+           || String.starts_with ~prefix:"best cut:" l)
+  in
+  let by_name = answer "ibm01 --scale 16" in
+  Alcotest.(check int) "both lines printed" 2 (List.length by_name);
+  Alcotest.(check (list string)) "file = name" by_name
+    (answer (Filename.quote (twin ^ ".hgr")))
+
 let test_partition_name () =
   check_ok "partition by name"
     (run_cmd "partition ibm01 --scale 64 --engine flat --starts 2")
@@ -565,6 +586,8 @@ let () =
       ( "subcommands",
         [
           Alcotest.test_case "generate" `Quick test_generate;
+          Alcotest.test_case "generate writes the suite twin" `Quick
+            test_generate_writes_suite_twin;
           Alcotest.test_case "partition by name" `Quick test_partition_name;
           Alcotest.test_case "partition file" `Quick test_partition_file;
           Alcotest.test_case "partition at any --domains" `Quick
