@@ -293,11 +293,13 @@ let write_hgr ?with_weights path h =
 let isolated_allowance = 1 lsl 20
 
 (* Per-domain decode scratch, reused by every .hgr decode on the domain
-   (the [Fm_workspace] pattern): the pin buffer, which doubles when a
-   line may not fit and never shrinks, and the per-net dedup marks.  A
-   decode reserves the stamps [stamp .. stamp + ne - 1] before it reads
-   a net, so no mark left by an earlier decode on the domain, finished
-   or failed, can equal a stamp of a later one. *)
+   (the [Fm_workspace] pattern): the pin buffer, which doubles when it
+   is full and never shrinks, and the per-net dedup marks.  A decode
+   reserves the stamps [stamp .. stamp + 2 ne - 1] before it reads a
+   net: net [e] marks its pins with [stamp + 2e] in the one-scan reader
+   and with [stamp + 2e + 1] in the general one, so neither a mark left
+   by an earlier decode on the domain, finished or failed, nor one the
+   one-scan reader left on a line it declined counts as a duplicate. *)
 type scratch = {
   mutable pins : Hypergraph.i32;
   mutable marks : int array;
@@ -309,17 +311,144 @@ let i32_create n = Bigarray.Array1.create Bigarray.Int32 Bigarray.c_layout n
 let scratch_key =
   Domain.DLS.new_key (fun () -> { pins = i32_create 0; marks = [||]; stamp = 0 })
 
-(* room for [n] pins, keeping the first [len] *)
-let reserve_pins s ~len n =
-  let cap = Bigarray.Array1.dim s.pins in
-  if n > cap then begin
-    let grown = i32_create (max n (2 * cap)) in
-    Bigarray.Array1.blit (Bigarray.Array1.sub s.pins 0 len)
-      (Bigarray.Array1.sub grown 0 len);
-    s.pins <- grown
+(* double the pin buffer, which holds [len] pins and is full *)
+let grow_pins s len =
+  let grown = i32_create (max 1024 (2 * len)) in
+  Bigarray.Array1.blit (Bigarray.Array1.sub s.pins 0 len)
+    (Bigarray.Array1.sub grown 0 len);
+  s.pins <- grown
+
+(* [push_pin s marks ~stamp len v] appends vertex [v] to the pins after
+   the first [len] unless [stamp] marks it already (first-occurrence
+   dedup, as in Hypergraph.create); returns the new pin count *)
+let push_pin s marks ~stamp len v =
+  if Array.unsafe_get marks v = stamp then len
+  else begin
+    Array.unsafe_set marks v stamp;
+    if len = Bigarray.Array1.dim s.pins then grow_pins s len;
+    Bigarray.Array1.unsafe_set s.pins len (Int32.of_int v);
+    len + 1
   end
 
-(* Single pass: the current line and the pins so far sit in the
+(* The one-scan readers take an .hgr data line whole or not at all.  They
+   read the physical line at [c.pos] when it is decimal tokens of 1 to 18
+   digits, separated by single spaces and ended by a '\n' inside the
+   buffer, converting each token as they meet it and finding the line's
+   end themselves.  Anything else — another byte, a longer token, a line
+   that runs into the end of the buffer, a value the general reader would
+   refuse — raises [Decline] with the cursor unmoved, and the general
+   reader ({!next}, {!next_int}) takes the line from its start, refilling
+   a file's buffer and locating any error.  So which reader takes a line
+   depends only on what the line holds, and both give the same values. *)
+exception Decline
+
+(* the physical line [c.pos .. stop) was read whole *)
+let take_line c stop =
+  c.line <- c.line + 1;
+  c.start <- c.pos;
+  c.stop <- stop;
+  c.pos <- stop + 1
+
+(* An edge line: its weight, stored in [edge_weight] at [e] when
+   [has_ew], then its pins, deduplicated under [stamp]; returns the new
+   pin count. *)
+let scan_edge c s ~nv ~has_ew ~stamp ~len (edge_weight : Hypergraph.i32) e =
+  let buf = c.buf and stop = c.len and marks = s.marks in
+  let i = ref c.pos and n = ref len and w = ref (if has_ew then 0 else 1) in
+  let more = ref true in
+  while !more do
+    let first = !i and x = ref 0 in
+    while
+      !i < stop
+      && match Bytes.unsafe_get buf !i with '0' .. '9' -> true | _ -> false
+    do
+      x := (10 * !x) + Char.code (Bytes.unsafe_get buf !i) - 48;
+      incr i
+    done;
+    if !i = first || !i - first > 18 || !i = stop then raise_notrace Decline;
+    let x = !x in
+    if !w = 0 then begin
+      if x = 0 || x > max_i32 then raise_notrace Decline;
+      w := x
+    end
+    else begin
+      if x < 1 || x > nv then raise_notrace Decline;
+      (* [push_pin], spelled out: a decode of the 1.9 MB scale-3 ibm18
+         twin takes about a fifth less time than through the call, with
+         or without [@inline] *)
+      let v = x - 1 in
+      if Array.unsafe_get marks v <> stamp then begin
+        Array.unsafe_set marks v stamp;
+        if !n = Bigarray.Array1.dim s.pins then grow_pins s !n;
+        Bigarray.Array1.unsafe_set s.pins !n (Int32.of_int v);
+        incr n
+      end
+    end;
+    match Bytes.unsafe_get buf !i with
+    | ' ' -> incr i
+    | '\n' -> more := false
+    | _ -> raise_notrace Decline
+  done;
+  (* a weight alone has no pins *)
+  if !n = len then raise_notrace Decline;
+  take_line c !i;
+  Bigarray.Array1.unsafe_set edge_weight e (Int32.of_int !w);
+  !n
+
+(* a vertex-weight line: one positive token *)
+let scan_weight c =
+  let buf = c.buf and first = c.pos and stop = c.len in
+  let i = ref first and w = ref 0 in
+  while
+    !i < stop
+    && match Bytes.unsafe_get buf !i with '0' .. '9' -> true | _ -> false
+  do
+    w := (10 * !w) + Char.code (Bytes.unsafe_get buf !i) - 48;
+    incr i
+  done;
+  if !i = first || !i - first > 18 || !i = stop || Bytes.unsafe_get buf !i <> '\n'
+  then raise_notrace Decline;
+  if !w = 0 || !w > max_i32 then raise_notrace Decline;
+  take_line c !i;
+  !w
+
+(* The general reader of the current data line as edge [e]'s line. *)
+let read_edge c s ~nv ~has_ew ~stamp ~len (edge_weight : Hypergraph.i32) e =
+  let path = c.source and marks = s.marks in
+  let n = ref len and w = ref 1 and want_weight = ref has_ew in
+  while next_int c do
+    let x = c.value in
+    if !want_weight then begin
+      w := x;
+      want_weight := false
+    end
+    else begin
+      if x < 1 || x > nv then parse_error path c.line "pin %d out of range" x;
+      n := push_pin s marks ~stamp !n (x - 1)
+    end
+  done;
+  if !want_weight then parse_error path c.line "empty edge line";
+  if !n = len then parse_error path c.line "edge with no pins";
+  if !w <= 0 then parse_error path c.line "non-positive weight of edge %d" e;
+  if !w > max_i32 then parse_error path c.line "edge weight exceeds int32";
+  Bigarray.Array1.set edge_weight e (Int32.of_int !w);
+  !n
+
+(* The general reader of the current data line as vertex [v]'s weight. *)
+let read_weight c v =
+  let path = c.source in
+  let count = ref 0 and w = ref 1 in
+  while next_int c do
+    incr count;
+    w := c.value
+  done;
+  if !count <> 1 then parse_error path c.line "expected one vertex weight";
+  if !w <= 0 then parse_error path c.line "non-positive weight of vertex %d" v;
+  if !w > max_i32 then parse_error path c.line "vertex weight exceeds int32";
+  !w
+
+(* Single pass: each data line goes to the one-scan reader, or to the
+   general one when that declines it; the pins so far sit in the
    domain's scratch, and the instance's arrays are each allocated once,
    at their final size; nothing is allocated per line or per pin. *)
 let hgr_of_cursor c =
@@ -360,38 +489,16 @@ let hgr_of_cursor c =
   let edge_weight = i32_create ne in
   let s = Domain.DLS.get scratch_key in
   if Array.length s.marks < nv then s.marks <- Array.make nv (-1);
-  let marks = s.marks and base = s.stamp in
-  s.stamp <- base + ne;
+  let base = s.stamp in
+  s.stamp <- base + (2 * ne);
   let len = ref 0 in
   for e = 0 to ne - 1 do
-    if not (next c) then missing e;
-    (* tokens are separated by blanks, so the line holds at most half
-       its length, rounded up, of them *)
-    reserve_pins s ~len:!len (!len + ((c.stop - c.tok + 1) / 2));
-    let pins = s.pins and stamp = base + e and first = !len in
-    let w = ref 1 and want_weight = ref has_ew in
-    while next_int c do
-      let x = c.value in
-      if !want_weight then begin
-        w := x;
-        want_weight := false
-      end
-      else begin
-        if x < 1 || x > nv then parse_error path c.line "pin %d out of range" x;
-        (* first-occurrence dedup, as in Hypergraph.create *)
-        let v = x - 1 in
-        if Array.unsafe_get marks v <> stamp then begin
-          Array.unsafe_set marks v stamp;
-          Bigarray.Array1.unsafe_set pins !len (Int32.of_int v);
-          incr len
-        end
-      end
-    done;
-    if !want_weight then parse_error path c.line "empty edge line";
-    if !len = first then parse_error path c.line "edge with no pins";
-    if !w <= 0 then parse_error path c.line "non-positive weight of edge %d" e;
-    if !w > max_i32 then parse_error path c.line "edge weight exceeds int32";
-    Bigarray.Array1.set edge_weight e (Int32.of_int !w);
+    let stamp = base + (2 * e) in
+    (len :=
+       try scan_edge c s ~nv ~has_ew ~stamp ~len:!len edge_weight e
+       with Decline ->
+         if not (next c) then missing e;
+         read_edge c s ~nv ~has_ew ~stamp:(stamp + 1) ~len:!len edge_weight e);
     Bigarray.Array1.set edge_offset (e + 1) (Int32.of_int !len)
   done;
   let edge_pins = i32_create !len in
@@ -400,16 +507,13 @@ let hgr_of_cursor c =
   Bigarray.Array1.fill vertex_weight 1l;
   if has_vw then
     for v = 0 to nv - 1 do
-      if not (next c) then missing (ne + v);
-      let count = ref 0 and w = ref 1 in
-      while next_int c do
-        incr count;
-        w := c.value
-      done;
-      if !count <> 1 then parse_error path c.line "expected one vertex weight";
-      if !w <= 0 then parse_error path c.line "non-positive weight of vertex %d" v;
-      if !w > max_i32 then parse_error path c.line "vertex weight exceeds int32";
-      Bigarray.Array1.set vertex_weight v (Int32.of_int !w)
+      let w =
+        try scan_weight c
+        with Decline ->
+          if not (next c) then missing (ne + v);
+          read_weight c v
+      in
+      Bigarray.Array1.set vertex_weight v (Int32.of_int w)
     done;
   (* every requirement of [of_int32_csr] was checked above, with a
      location *)

@@ -74,7 +74,13 @@ val payload : format -> string -> string
     counted, so a diagnostic names the physical line.  The current line
     is a slice of the cursor's buffer, copied out only on request.
     Other line-oriented decoders (the [.hgrd] delta format) read
-    through it too. *)
+    through it too.  The [.hgr] reader first tries each edge and
+    vertex-weight line with a one-scan loop that converts digit runs
+    as it meets them and finds the line's end itself; a line that loop
+    declines (any byte but digits, single spaces and the ['\n'], a
+    token of more than 18 digits, a value out of range, the end of a
+    file's chunk) is read through the cursor from its start, with the
+    same result. *)
 
 type cursor
 

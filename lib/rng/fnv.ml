@@ -25,10 +25,15 @@ let add_int h i =
 
 (* [add_int] of every element, left to right.  The loop lives here so
    the running hash stays an unboxed local instead of an [int64] boxed
-   by every [add_int] call returning it.  An int32 that is not negative
-   has four zero high bytes, and folding a zero byte is one multiply by
-   [prime], so those four steps are one multiply by [prime4]. *)
+   by every [add_int] call returning it.  Folding a zero byte is one
+   multiply by [prime], so an element below 2^8, 2^16, 2^24 or 2^31
+   folds its 1, 2, 3 or 4 low bytes and then its 7, 6, 5 or 4 zero high
+   bytes as one multiply by [prime]^7, ^6, ^5 or ^4.  A negative
+   element folds all 8 bytes. *)
 let prime4 = Int64.mul (Int64.mul prime prime) (Int64.mul prime prime)
+let prime5 = Int64.mul prime4 prime
+let prime6 = Int64.mul prime5 prime
+let prime7 = Int64.mul prime6 prime
 
 let add_i32s h
     (a : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t) =
@@ -36,14 +41,23 @@ let add_i32s h
   for i = 0 to Bigarray.Array1.dim a - 1 do
     let x = Int32.to_int (Bigarray.Array1.unsafe_get a i) in
     h := add_byte !h x;
-    h := add_byte !h (x asr 8);
-    h := add_byte !h (x asr 16);
-    h := add_byte !h (x asr 24);
-    if x >= 0 then h := Int64.mul !h prime4
-    else
-      for _ = 4 to 7 do
-        h := add_byte !h 0xff
-      done
+    if x lsr 8 = 0 then h := Int64.mul !h prime7
+    else begin
+      h := add_byte !h (x asr 8);
+      if x lsr 16 = 0 then h := Int64.mul !h prime6
+      else begin
+        h := add_byte !h (x asr 16);
+        if x lsr 24 = 0 then h := Int64.mul !h prime5
+        else begin
+          h := add_byte !h (x asr 24);
+          if x >= 0 then h := Int64.mul !h prime4
+          else
+            for _ = 4 to 7 do
+              h := add_byte !h 0xff
+            done
+        end
+      end
+    end
   done;
   !h
 

@@ -21,7 +21,9 @@ val add_i32s :
   int64 ->
   (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t ->
   int64
-(** Fold each element with {!add_int}, in index order. *)
+(** Fold each element with {!add_int}, in index order.  An element
+    below 2^8, 2^16 or 2^24 folds its low bytes and then its zero high
+    bytes as one multiply, with the same result. *)
 
 val to_hex : int64 -> string
 (** 16 lowercase hex digits. *)

@@ -87,17 +87,22 @@ let test_hgr_crlf_and_blanks () =
 
 (* The decoder's dedup marks live on in the domain's scratch: a decode
    that fails after marking pins must not make a later decode on the
-   same domain drop pins as duplicates. *)
+   same domain drop pins as duplicates, and neither may the marks the
+   one-scan reader leaves on a line it declines ("+2") before the
+   general reader takes that line. *)
 let test_hgr_stale_marks () =
   let decode body = fst (Io.decode ~source:"<body>" Io.Hgr body) in
   (match decode "2 3\n1 2\n3 x\n" with
    | _ -> Alcotest.fail "a bad token decoded"
    | exception Io.Parse_error _ -> ());
-  let h = decode "2 3\n1 2\n2 3\n" in
   let expected = H.create ~num_vertices:3 ~edges:[| [| 0; 1 |]; [| 1; 2 |] |] () in
-  Alcotest.(check (array (array int))) "pins"
-    (Array.init 2 (Incidence.pins expected))
-    (Array.init (H.num_edges h) (Incidence.pins h))
+  List.iter
+    (fun body ->
+      let h = decode body in
+      Alcotest.(check (array (array int))) ("pins of " ^ String.escaped body)
+        (Array.init 2 (Incidence.pins expected))
+        (Array.init (H.num_edges h) (Incidence.pins h)))
+    [ "2 3\n1 2\n2 3\n"; "2 3\n1 1 +2\n2 3\n" ]
 
 let test_hgr_located_errors () =
   let read content =
@@ -134,7 +139,10 @@ let test_hgr_located_errors () =
   check_located "vertex count beyond the input" "1 2000000000\n1 2\n" 1;
   check_located "pin out of range" "2 4\n1 2\n3 9\n" 3;
   check_located "pin not an integer" "2 4\n1 2\n3 x\n" 3;
-  check_located "comment lines keep numbering" "% c\n2 4\n% c\n1 2\n3 9\n" 5
+  check_located "comment lines keep numbering" "% c\n2 4\n% c\n1 2\n3 9\n" 5;
+  check_located "zero edge weight" "2 4 1\n1 1 2\n0 1 2\n" 3;
+  check_located "zero vertex weight" "1 2 10\n1 2\n1\n0\n" 4;
+  check_located "weight alone" "2 4 1\n1 1 2\n5\n" 3
 
 (* A vertex needs no line, so an .hgr header may name isolated
    vertices, but only up to the input's size plus 2^20 of them: a
@@ -496,9 +504,45 @@ let odd_token rng text =
   end;
   String.concat "\n" (Array.to_list lines) ^ "\n"
 
+(* [text] with the same lines and values, spelled so that the .hgr
+   one-scan reader declines most lines: each integer token at random
+   as "+x", with leading zeros or zero-padded to 19 to 22 digits;
+   blanks as tabs or runs; trailing blanks; CRLF endings.  Comment and
+   blank lines between data lines come from [relayout]. *)
+let respell rng text =
+  let b = Buffer.create (2 * String.length text) in
+  let eol = if Rng.bool rng then "\r\n" else "\n" in
+  let token f =
+    if String.for_all (fun ch -> ch >= '0' && ch <= '9') f && int_of_string_opt f <> None
+    then
+      match Rng.int rng 4 with
+      | 0 -> Buffer.add_char b '+'
+      | 1 -> Buffer.add_string b (String.make (1 + Rng.int rng 3) '0')
+      | 2 -> Buffer.add_string b (String.make (max 0 (19 + Rng.int rng 4 - String.length f)) '0')
+      | _ -> ()
+  in
+  List.iter
+    (fun l ->
+      List.iteri
+        (fun j f ->
+          if j > 0 then
+            Buffer.add_string b (match Rng.int rng 4 with 0 -> "\t" | 1 -> "  " | _ -> " ");
+          token f;
+          Buffer.add_string b f)
+        (String.split_on_char ' ' l);
+      if Rng.int rng 4 = 0 then Buffer.add_string b " \t";
+      Buffer.add_string b eol)
+    (lines_of text);
+  Buffer.contents b
+
 let outcome f =
   match f () with
   | h, _ -> Ok (csr h)
+  | exception Io.Parse_error msg -> Error msg
+
+let fingerprint_outcome text =
+  match Io.decode ~source:"<body>" Io.Hgr text with
+  | h, _ -> Ok (Fingerprint.of_instance h)
   | exception Io.Parse_error msg -> Error msg
 
 let text_format i = List.nth [ Io.Hgr; Io.Netd; Io.Bookshelf ] (i mod 3)
@@ -511,7 +555,10 @@ let text_case = QCheck.(make ~print:print_text_case Gen.(pair (int_bound 2) nat)
 (* A Bookshelf file pair and its body differ in more than the cursor: the
    body's .nets lines count on from its .nodes lines, and one size bounds
    both sections.  So a Bookshelf pair must decode to the same CSR or
-   fail on both sides; .hgr and .netD must fail with the same message. *)
+   fail on both sides; .hgr and .netD must fail with the same message.
+   An .hgr text is also respelled: respelled, it must decode to the plain
+   text's fingerprint or fail with its message, at the same line; laid
+   out anew as well, to that fingerprint or fail too. *)
 let prop_string_file_cursors =
   QCheck.Test.make ~name:"a body and a file of the same bytes decode alike"
     ~count:100 ~long_factor:10 text_case (fun (i, seed) ->
@@ -550,10 +597,19 @@ let prop_string_file_cursors =
           if format = Io.Hgr && Rng.int rng 4 = 0 then lengthen_edge rng text
           else text
         in
-        let text = vary ~comment:'%' text in
+        let plain = if Rng.int rng 3 = 0 then odd_token rng text else text in
+        let spelled = if format = Io.Hgr then respell rng plain else plain in
+        let text = relayout rng ~comment:'%' spelled in
         write_bytes path text;
         outcome (fun () -> Io.read format path)
-        = outcome (fun () -> Io.decode ~source:path format text))
+        = outcome (fun () -> Io.decode ~source:path format text)
+        && (format <> Io.Hgr
+           || fingerprint_outcome spelled = fingerprint_outcome plain
+              &&
+              match (fingerprint_outcome text, fingerprint_outcome plain) with
+              | Ok a, Ok b -> a = b
+              | Error _, Error _ -> true
+              | _ -> false))
 
 (* every token is accepted exactly when int_of_string_opt accepts it,
    with its value, from a body and from a file: an .hgr edge weight
@@ -589,6 +645,27 @@ let prop_int_tokens =
       in
       weight (fun () -> Io.read Io.Hgr path) = expected
       && weight (fun () -> Io.decode ~source:path Io.Hgr text) = expected)
+
+(* A file is read in 64 KiB chunks, so a data line can start in one
+   chunk and end in the next: the one-scan reader declines it at the
+   chunk's end and the general reader refills.  The edge line starts 1
+   to 8 bytes before the edge, which puts the edge inside a pin, after
+   a blank or before the line's '\n'; the file reads as its body
+   decodes. *)
+let test_hgr_chunk_edge () =
+  let header = "2 12 1\n" and edge = "3 12 4 1\n" in
+  for back = 1 to String.length edge - 1 do
+    let pad = chunk - back - String.length header - 1 in
+    let body = header ^ "%" ^ String.make (pad - 1) 'c' ^ "\n" ^ edge ^ "7 2 3\n" in
+    let path = tmp "hypart_test_chunk_edge.hgr" in
+    write_bytes path body;
+    let h = Io.read_hgr path in
+    Alcotest.(check (array (array int))) "pins" [| [| 11; 3; 0 |]; [| 1; 2 |] |]
+      (Array.init (H.num_edges h) (Incidence.pins h));
+    Alcotest.(check (list int)) "edge weights" [ 3; 7 ] [ H.edge_weight h 0; H.edge_weight h 1 ];
+    Alcotest.(check bool) "file reads as its body decodes" true
+      (csr h = csr (fst (Io.decode ~source:"<body>" Io.Hgr body)))
+  done
 
 (* Decoding allocates nothing per line or per pin on the minor heap:
    the budget is a deterministic count of minor words per input byte
@@ -814,6 +891,7 @@ let () =
           Alcotest.test_case "located errors" `Quick test_hgr_located_errors;
           Alcotest.test_case "stale dedup marks" `Quick test_hgr_stale_marks;
           Alcotest.test_case "vertex count bound" `Quick test_hgr_vertex_count_bound;
+          Alcotest.test_case "data line across a chunk edge" `Quick test_hgr_chunk_edge;
         ] );
       ( "are",
         [

@@ -141,12 +141,15 @@ let prop_permutation =
       Array.for_all (fun b -> b) seen)
 
 (* Fnv.add_i32s folds an int32 array exactly as add_int over its
-   elements does, whatever their sign: the lab fingerprint of every
-   instance rests on it *)
+   elements does, whatever their sign and byte length: the lab
+   fingerprint of every instance rests on it *)
 module Fnv = Hypart_rng.Fnv
 
 let prop_add_i32s =
-  let special = [| 0l; 1l; -1l; Int32.max_int; Int32.min_int; 255l; -256l |] in
+  let special =
+    [| 0l; 1l; -1l; Int32.max_int; Int32.min_int; -256l; 0xFFl; 0x100l; 0xFFFFl;
+       0x10000l; 0xFFFFFFl; 0x1000000l |]
+  in
   QCheck.Test.make ~name:"add_i32s equals add_int per element" ~count:300
     QCheck.(pair small_nat small_int)
     (fun (n, seed) ->
@@ -154,8 +157,12 @@ let prop_add_i32s =
       let a = Bigarray.(Array1.create Int32 c_layout n) in
       for i = 0 to n - 1 do
         a.{i} <-
-          (if Rng.int r 4 = 0 then special.(Rng.int r (Array.length special))
-           else Int32.of_int (Rng.int r 0x7FFFFFFF - (0x7FFFFFFF / 2)))
+          (match Rng.int r 4 with
+           | 0 -> special.(Rng.int r (Array.length special))
+           (* below 2^8, 2^16 or 2^24: each folds its zero high bytes
+              with one multiply *)
+           | 1 -> Int32.of_int (Rng.int r (1 lsl (8 * (1 + Rng.int r 3))))
+           | _ -> Int32.of_int (Rng.int r 0x7FFFFFFF - (0x7FFFFFFF / 2)))
       done;
       let start = Fnv.add_int Fnv.offset seed in
       let reference = ref start in
